@@ -38,14 +38,14 @@ func TestSweepWithMetrics(t *testing.T) {
 		t.Fatalf("metrics file is not valid JSONL: %v", err)
 	}
 	counts := snap.SpanCounts()
-	if counts["stage.map_prepare"] != 1 || counts["map.prepare"] != 1 {
-		t.Errorf("shared mapping prefix not prepared exactly once: %v", counts)
+	// The 14 ladder rungs share one prefix. The scaled run also sizes
+	// its die with one single-K iteration (minAreaCellArea), which
+	// builds the second; each nests its map.partition in map.prepare.
+	if counts["stage.map_prepare"] != 2 || counts["map.prepare"] != 2 || counts["map.partition"] != 2 {
+		t.Errorf("want one mapping prefix for the ladder and one for die sizing: %v", counts)
 	}
-	// All 14 ladder rungs map through the shared prefix. The scaled run
-	// also sizes its die with one classic single-K iteration
-	// (minAreaCellArea), which accounts for exactly one map.cover and
-	// the second map.partition (the first is nested in map.prepare).
-	if counts["map.cover_only"] != 14 || counts["map.cover"] != 1 || counts["map.partition"] != 2 {
+	// Every iteration, ladder rung or not, maps through a prefix.
+	if counts["map.cover_only"] != 15 || counts["map.cover"] != 0 {
 		t.Errorf("per-K repartitioning survived the shared prefix: %v", counts)
 	}
 	if counts["flow.iteration"] != 15 {

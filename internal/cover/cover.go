@@ -100,11 +100,11 @@ type Options struct {
 	TransitiveWire bool
 	// NoWire2 drops WIRE2 entirely (WIRE = WIRE1), the other ablation.
 	NoWire2 bool
-	// KField, when non-nil, spatially weights Eq. 5: each wire term is
-	// scaled by the field multiplier sampled along its span (see
-	// kfield.go) before K is applied. Nil runs the classic global-K
-	// cost unchanged; a uniform field (all multipliers exactly 1.0)
-	// produces a byte-identical result to nil. The reported WIRE
+	// KField spatially weights Eq. 5: each wire term is scaled by the
+	// field multiplier sampled along its span (see kfield.go) before K
+	// is applied. Nil is the uniform field (every multiplier exactly
+	// 1.0), under which the cost is the classic global-K one. The
+	// reported WIRE
 	// metrics (Solution.Wire, Result.RootWire) stay unweighted — the
 	// field shifts the optimization, not the measurement.
 	KField *KField
@@ -124,8 +124,8 @@ type Solution struct {
 	WireCost float64
 	// WireCostW is the K-field-weighted analogue of WireCost: each
 	// span's contribution scaled by the field multiplier. It is what a
-	// parent's WIRE2 accumulates under a field. Equal to WireCost when
-	// the cover ran with a nil or uniform field.
+	// parent's WIRE2 accumulates under a field. Equal to WireCost under
+	// the uniform field.
 	WireCostW float64
 	// Wire is Eq. 4 for the selected match (reporting only).
 	Wire float64
@@ -243,15 +243,13 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 		for i := range matches {
 			pm := &matches[i]
 			area := pm.m.Cell.Area
-			wire1 := 0.0
-			wire2 := 0.0
-			// wire1W/wire2W are the K-field-weighted analogues: each
-			// span's length scaled by the field multiplier sampled along
-			// it. Accumulated in the same order as the unweighted terms,
-			// so a uniform field (×1.0 is exact in IEEE 754) reproduces
-			// wire1/wire2 bit-for-bit. Untouched when field is nil.
-			wire1W := 0.0
-			wire2W := 0.0
+			// wire1/wire2 are Eqs. 2 and 3 as reported; wire1W/wire2W are
+			// the K-field-weighted terms K multiplies, each span's length
+			// scaled by the field multiplier sampled along it. Both run in
+			// the same order, so under the uniform field — a nil one
+			// included — they agree bit-for-bit (×1.0 is exact in IEEE
+			// 754).
+			wire1, wire2, wire1W, wire2W := 0.0, 0.0, 0.0, 0.0
 			arrival := 0.0
 			for li, l := range pm.m.Leaves {
 				if pm.subLeaf[li] {
@@ -259,14 +257,13 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 					// accumulate its DP solution (Eqs. 1 and 3).
 					sub := res.Best[l]
 					area += sub.AreaCost
+					d := opts.Metric.Distance(pm.com, sub.Pos) / opts.WireUnit
+					wire1 += d
+					wire1W += field.SpanMult(pm.com, sub.Pos) * d
 					wire2 += sub.WireCost
-					wire1 += opts.Metric.Distance(pm.com, sub.Pos) / opts.WireUnit
+					wire2W += sub.WireCostW
 					if sub.Arrival > arrival {
 						arrival = sub.Arrival
-					}
-					if field != nil {
-						wire2W += sub.WireCostW
-						wire1W += field.SpanMult(pm.com, sub.Pos) * (opts.Metric.Distance(pm.com, sub.Pos) / opts.WireUnit)
 					}
 				} else {
 					// Cross reference (PI, another tree, or a side
@@ -274,24 +271,16 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 					// The cached distance reads the frozen snapshot,
 					// keeping this tree independent of every other
 					// tree's committed updates.
-					wire1 += pm.crossDist[li] / opts.WireUnit
-					if field != nil {
-						wire1W += field.SpanMult(pm.com, prefix.pos[l]) * (pm.crossDist[li] / opts.WireUnit)
-					}
+					d := pm.crossDist[li] / opts.WireUnit
+					wire1 += d
+					wire1W += field.SpanMult(pm.com, prefix.pos[l]) * d
 				}
 			}
-			wire := wire1
+			// wire is Eq. 4; kw is the wire term K multiplies (Eq. 5').
+			wire, kw := wire1, wire1W
 			if !opts.NoWire2 {
 				wire += wire2
-			}
-			// kw is the wire term K multiplies: the classic unweighted
-			// accumulation, or the field-weighted one (Eq. 5').
-			kw := wire
-			if field != nil {
-				kw = wire1W
-				if !opts.NoWire2 {
-					kw += wire2W
-				}
+				kw += wire2W
 			}
 			var cost, tie float64
 			if opts.Objective == MinDelay {
@@ -306,17 +295,10 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 				tie = 0
 			}
 			if cost < bestCost || (cost == bestCost && tie < bestTie) {
-				stored := wire1
-				storedW := wire1W
+				stored, storedW := wire1, wire1W
 				if opts.TransitiveWire {
-					stored = wire // accumulates transitively via children
-					storedW = kw
-				}
-				if field == nil {
-					// Keep the "WireCostW mirrors WireCost when
-					// unweighted" invariant so a later field-delta cover
-					// can chain off a classic baseline.
-					storedW = stored
+					// accumulates transitively via children
+					stored, storedW = wire, kw
 				}
 				best = &Solution{
 					Match:     pm.m,

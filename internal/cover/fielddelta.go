@@ -114,12 +114,11 @@ func DirtyTreesForField(terr []geom.Rect, f *KField, changed []bool) []bool {
 // the field, and dirty must mark (at least) every tree whose territory
 // intersects a gcell where prev's field and opts.KField differ — the
 // caller owns that lineage (mapper.CoverState threads it; a nil
-// previous field counts as uniform, since the classic cover stores
-// WireCostW = WireCost). The result is then byte-identical to
-// CoverWithPrefix over the full prefix at opts: clean trees' DPs read
-// only their own enumeration, the frozen snapshot, and field samples
-// inside their territory, so recomputing them would reproduce prev's
-// solutions exactly.
+// previous field is the uniform one). The result is then
+// byte-identical to CoverWithPrefix over the full prefix at opts:
+// clean trees' DPs read only their own enumeration, the frozen
+// snapshot, and field samples inside their territory, so recomputing
+// them would reproduce prev's solutions exactly.
 func CoverFieldDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty []bool) (*Result, error) {
 	if prefix == nil || prefix.dag != dag {
 		return nil, fmt.Errorf("cover: prefix built for a different DAG")

@@ -9,12 +9,12 @@ package cover
 //
 //	COST(m,v) = AREA(m,v) + K · Σ mult(span_i) · wire_i        (5')
 //
-// The uniform field (every multiplier exactly 1.0) reduces to the
-// classic path bit-for-bit: multiplying a float64 by 1.0 is exact in
-// IEEE 754 and the weighted accumulation runs in the same order as the
-// unweighted one, so every cost, tie-break, and committed solution is
-// identical (the uniform-field property test in the differential
-// harness proves this across the example corpus).
+// The uniform field (every multiplier exactly 1.0; a nil *KField is
+// one) reduces to the classic cost bit-for-bit: multiplying a float64
+// by 1.0 is exact in IEEE 754 and the weighted accumulation runs in the
+// same order as the unweighted one, so every cost, tie-break, and
+// committed solution is identical (the uniform-field property test in
+// the differential harness proves this across the example corpus).
 //
 // The field's geometry deliberately mirrors route.Grid (origin, cell
 // pitch, dimensions) without importing it — flow constructs the field
@@ -99,8 +99,12 @@ func (f *KField) MultAt(p geom.Point) float64 {
 // catches a hot window strictly between two cool endpoints. All three
 // samples lie on the segment a–b, so they stay inside any convex
 // region containing both endpoints — the tree-territory soundness
-// argument in fielddelta.go depends on exactly this.
+// argument in fielddelta.go depends on exactly this. A nil field is the
+// uniform field: its multiplier is 1 everywhere.
 func (f *KField) SpanMult(a, b geom.Point) float64 {
+	if f == nil {
+		return 1
+	}
 	m := f.MultAt(a)
 	if v := f.MultAt(b); v > m {
 		m = v

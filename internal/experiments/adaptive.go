@@ -92,7 +92,6 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 	}
 	cfg := flow.Config{
 		Layout:         layout,
-		Lib:            library.Default(),
 		PlaceOpts:      PlaceOpts(),
 		RouteOpts:      ropts,
 		FreshPlacement: false,

@@ -203,11 +203,7 @@ func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) 
 		return nil, err
 	}
 	cfg := flow.Config{
-		Layout: layout,
-		// The library is pinned explicitly so the shared mapping prefix
-		// below stays compatible (library compatibility is pointer
-		// identity) with every later Run against the retained Context.
-		Lib:            library.Default(),
+		Layout:         layout,
 		PlaceOpts:      PlaceOpts(),
 		RouteOpts:      RouteOpts(),
 		FreshPlacement: true,
@@ -373,14 +369,12 @@ func STATable(ctx context.Context, class bench.Class, scale float64, midK float6
 	// The K=0 and mid-K variants share the DAG and walk the same die
 	// progression, so their per-(DAG, row-count) flow contexts — the
 	// subject placement and the K-invariant mapping prefix — are
-	// prepared once and reused. The library is pinned so the prefix's
-	// pointer-identity compatibility check holds across variants.
-	lib := library.Default()
+	// prepared once and reused.
 	ctxCache := map[*subject.DAG]map[int]*flow.Context{}
 	var rows []STARow
 	var k0PO string
 	for vi, v := range variants {
-		row, err := staAtMinimalDie(ctx, v.dag, v.k, baseLayout, workers, lib, ctxCache)
+		row, err := staAtMinimalDie(ctx, v.dag, v.k, baseLayout, workers, ctxCache)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: STA %s: %w", v.label, err)
 		}
@@ -403,9 +397,8 @@ func STATable(ctx context.Context, class bench.Class, scale float64, midK float6
 // at a time from the base layout until routing is clean (bounded), and
 // runs STA on the routed result. ctxCache shares the prepared flow
 // contexts — subject placement plus the K-invariant mapping prefix —
-// across variants keyed by (DAG, row count); lib must be the library
-// every caller maps with, so the cached prefix stays compatible.
-func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.Layout, workers int, lib *library.Library, ctxCache map[*subject.DAG]map[int]*flow.Context) (STARow, error) {
+// across variants keyed by (DAG, row count).
+func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.Layout, workers int, ctxCache map[*subject.DAG]map[int]*flow.Context) (STARow, error) {
 	const maxExtraRows = 10
 	row := STARow{}
 	for extra := 0; extra <= maxExtraRows; extra++ {
@@ -416,7 +409,6 @@ func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.
 		}
 		cfg := flow.Config{
 			Layout:         layout,
-			Lib:            lib,
 			PlaceOpts:      PlaceOpts(),
 			RouteOpts:      RouteOpts(),
 			FreshPlacement: true,

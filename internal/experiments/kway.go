@@ -77,14 +77,12 @@ func KWayVsBisect(ctx context.Context, class bench.Class, scale float64, dies, w
 	if err != nil {
 		return nil, err
 	}
-	lib := library.Default()
 	layout, err := place.NewLayout(float64(d.BaseGateCount())*4.6/0.58, 1.0, library.RowHeight)
 	if err != nil {
 		return nil, err
 	}
 	cfg := flow.Config{
 		Layout:            layout,
-		Lib:               lib,
 		Dies:              dies,
 		InterDiePinBudget: -1, // measure overflow, not admission
 		PlaceOpts:         PlaceOpts(),
@@ -126,7 +124,7 @@ func KWayVsBisect(ctx context.Context, class bench.Class, scale float64, dies, w
 	}
 	prepB, err := mapper.PrepareForest(ctx, pc.DAG, forest,
 		mapper.Input{Pos: pc.Pos, POPads: pc.POPads},
-		mapper.Options{Method: cfg.Method, Lib: lib, Workers: workers})
+		mapper.Options{Method: cfg.Method, Workers: workers})
 	if err != nil {
 		return nil, err
 	}

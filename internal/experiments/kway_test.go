@@ -47,17 +47,20 @@ func TestKWayVsBisect(t *testing.T) {
 	}
 }
 
-// TestKWayPressure smoke-checks the synthetic scaling row: the
-// partitioner must complete and never score worse than its seed.
+// TestKWayPressure checks the synthetic scaling row over seeds 1..12:
+// the partitioner must complete (chained replication never aborts the
+// run) and never score worse than its seed.
 func TestKWayPressure(t *testing.T) {
-	row, err := KWayPressure(20_000, 64, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.CutNetsKWay > row.CutNetsBisect || row.SteinerKWay > row.SteinerBisect {
-		t.Errorf("k-way scored worse than its seed: %+v", *row)
-	}
-	if !strings.HasPrefix(row.Circuit, "synthetic-") {
-		t.Errorf("circuit label %q", row.Circuit)
+	for seed := int64(1); seed <= 12; seed++ {
+		row, err := KWayPressure(20_000, 64, 4, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if row.CutNetsKWay > row.CutNetsBisect || row.SteinerKWay > row.SteinerBisect {
+			t.Errorf("seed %d: k-way scored worse than its seed: %+v", seed, *row)
+		}
+		if !strings.HasPrefix(row.Circuit, "synthetic-") {
+			t.Errorf("seed %d: circuit label %q", seed, row.Circuit)
+		}
 	}
 }

@@ -140,9 +140,9 @@ func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }
 
 // RunAdaptive runs the closed-loop congestion controller (see the
 // file comment for the loop and the controller law). pc must be
-// Prepare'd; the mapping prefix is built here if missing, landing on
-// pc for reuse. cfg.KSchedule is ignored — the loop fixes K at
-// acfg.BaseK and steers the spatial field instead.
+// Prepare'd; when it lacks a compatible mapping prefix, one is built
+// on a private copy before the loop. cfg.KSchedule is ignored — the
+// loop fixes K at acfg.BaseK and steers the spatial field instead.
 //
 // The loop is recorded under a "flow.adaptive" span: each routed
 // iteration bumps the "flow.adaptive_iterations" counter and lands its
@@ -156,17 +156,9 @@ func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }
 // drives is deterministic, and the controller reads only routed state.
 func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConfig) (res *AdaptiveResult, err error) {
 	acfg.defaults()
-	// A nil Lib means "the default library"; adopt the prefix's exact
-	// pointer as RunStateful does (library compatibility is pointer
-	// identity).
-	if cfg.Lib == nil && pc.Prep != nil {
-		cfg.Lib = pc.Prep.Lib()
-	}
 	cfg.defaults()
-	if !pc.Prep.Compatible(cfg.Method, cfg.Lib) {
-		if err := PrepareMapping(ctx, pc, cfg); err != nil {
-			return nil, err
-		}
+	if pc, err = withPrefix(ctx, pc, cfg); err != nil {
+		return nil, err
 	}
 	rec := obs.From(ctx)
 	var span *obs.Span
@@ -181,24 +173,20 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		res.Iterations = append(res.Iterations, ai)
 		rec.Add("flow.adaptive_iterations", 1)
 		overflowHist.Observe(float64(ai.Violations))
-		i := len(res.Iterations) - 1
-		if res.BestIndex < 0 ||
-			(ai.Routable && !res.Iterations[res.BestIndex].Routable) ||
-			(ai.Routable == res.Iterations[res.BestIndex].Routable &&
-				ai.Violations < res.Iterations[res.BestIndex].Violations) {
-			res.BestIndex = i
+		if beats(&ai.Iteration, res.Best()) {
+			res.BestIndex = len(res.Iterations) - 1
 		}
 	}
 
-	// Baseline iteration: classic uniform cover at BaseK.
-	it, st, err := runECOIteration(ctx, pc, cfg, acfg.BaseK, ecoIn{prep: pc.Prep})
+	// Baseline iteration: uniform cover at BaseK.
+	it, st, routed, err := iterate(ctx, pc, cfg, acfg.BaseK, iterIn{})
 	if err != nil {
 		MergeMetrics(ctx, it.Metrics)
 		return res, fmt.Errorf("flow: adaptive baseline: %w", err)
 	}
 	record(AdaptiveIteration{Iteration: it, MaxMult: 1})
 
-	grid := st.Route.Result().Grid
+	grid := routed.Grid
 	field, err := cover.NewKField(grid.Origin, grid.CellW, grid.CellH, grid.NX, grid.NY)
 	if err != nil {
 		return res, err
@@ -240,8 +228,8 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		rec.Add("flow.adaptive.dirty_trees", int64(nDirty))
 
 		prevViolations := last.Violations
-		it, stN, err := runECOIteration(ctx, pc, cfg, acfg.BaseK,
-			ecoIn{prep: pc.Prep, field: next, fieldPrev: st.Cover, fieldDirty: dirty})
+		it, stN, routedN, err := iterate(ctx, pc, cfg, acfg.BaseK,
+			iterIn{field: next, fieldPrev: st.Cover, fieldDirty: dirty})
 		if err != nil {
 			MergeMetrics(ctx, it.Metrics)
 			return res, fmt.Errorf("flow: adaptive iteration %d: %w", len(res.Iterations), err)
@@ -254,8 +242,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 			DirtyTrees:    nDirty,
 			ReusedTrees:   len(dirty) - nDirty,
 		})
-		field, st = next, stN
-		grid = stN.Route.Result().Grid
+		field, st, grid = next, stN, routedN.Grid
 		res.Field = field
 		if !it.Routable && it.Violations >= prevViolations {
 			// Overflow stopped improving: stop and keep the best seen.

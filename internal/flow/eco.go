@@ -6,23 +6,18 @@ package flow
 // state), and RunECO applies a mapper.EditSet to that state —
 // re-preparing only the dirtied partition trees, re-covering only
 // those trees, and (in fast mode) re-ripping only the nets whose
-// territories intersect the dirtied region. Both reuse the sweep's
-// runstage machinery, so stage budgets, panic recovery, and
-// cancellation behave exactly as in Run/RunOnce.
+// territories intersect the dirtied region. Both run RunOnce's
+// iteration body, so stage budgets, panic recovery, and cancellation
+// behave exactly as in Run/RunOnce.
 
 import (
 	"context"
 	"fmt"
 
-	"casyn/internal/cover"
 	"casyn/internal/geom"
 	"casyn/internal/mapper"
-	"casyn/internal/obs"
 	"casyn/internal/place"
 	"casyn/internal/route"
-	"casyn/internal/runstage"
-	"casyn/internal/sta"
-	"casyn/internal/verify"
 )
 
 // ECOState is the reusable residue of one synthesized iteration: what
@@ -48,24 +43,11 @@ type ECOState struct {
 // RunStateful is RunOnce at a fixed K that additionally returns the
 // ECOState subsequent edits are applied against. The Iteration is
 // byte-identical to RunOnce's at the same K (the state capture is
-// passive). pc.Prep must be set and compatible (PrepareMapping);
-// otherwise it is built here, landing on pc for reuse.
+// passive). Like RunOnce, it builds the mapping prefix on a private
+// copy of pc when pc lacks a compatible one; the state carries it.
 func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration, *ECOState, error) {
-	// A nil Lib means "the default library". Library compatibility is
-	// pointer identity and library.Default() allocates per call, so a
-	// prefix already on pc (built from another defaulted config) would
-	// never match a fresh default — adopt its library instead of
-	// rebuilding the whole prefix.
-	if cfg.Lib == nil && pc.Prep != nil {
-		cfg.Lib = pc.Prep.Lib()
-	}
-	cfg.defaults()
-	if !pc.Prep.Compatible(cfg.Method, cfg.Lib) {
-		if err := PrepareMapping(ctx, pc, cfg); err != nil {
-			return Iteration{K: k, Err: err, Skipped: true}, nil, err
-		}
-	}
-	return runECOIteration(ctx, pc, cfg, k, ecoIn{prep: pc.Prep})
+	it, st, _, err := iterate(ctx, pc, cfg, k, iterIn{capture: true})
+	return it, st, err
 }
 
 // RunECO applies an edit set against a previous iteration's state and
@@ -96,187 +78,11 @@ func RunECO(ctx context.Context, pc *Context, st *ECOState, edits mapper.EditSet
 		err := fmt.Errorf("flow: RunECO needs the state of a previous RunStateful/RunECO")
 		return Iteration{Err: err, Skipped: true}, nil, err
 	}
-	// A nil Lib means "the default library", but the delta cover's
-	// matches reference the exact library the state was prepared with
-	// (Compatible is pointer identity; library.Default() allocates per
-	// call) — so the state's own library is the only correct choice.
-	if cfg.Lib == nil {
-		cfg.Lib = st.Prep.Lib()
-	}
 	cfg.defaults()
 	if !st.Prep.Compatible(cfg.Method, cfg.Lib) {
 		err := fmt.Errorf("flow: ECO state was prepared with a different method or library")
 		return Iteration{K: st.K, Err: err, Skipped: true}, nil, err
 	}
-	return runECOIteration(ctx, pc, cfg, st.K, ecoIn{prev: st, edits: edits})
-}
-
-// ecoIn selects runECOIteration's mapping mode: prep set = full
-// stateful iteration; prev set = incremental iteration against it;
-// field set = K-field covering (adaptive.go) — with fieldPrev also
-// set, a field delta that re-covers only fieldDirty trees.
-type ecoIn struct {
-	prep  *mapper.Prepared
-	prev  *ECOState
-	edits mapper.EditSet
-
-	field      *cover.KField
-	fieldPrev  *mapper.CoverState
-	fieldDirty []bool
-}
-
-func runECOIteration(ctx context.Context, pc *Context, cfg Config, k float64, in ecoIn) (it Iteration, _ *ECOState, err error) {
-	it = Iteration{K: k}
-	var hotspots []route.HotSpot
-	rec := obs.From(ctx).Child()
-	if rec != nil {
-		ctx = obs.WithRecorder(ctx, rec)
-		var span *obs.Span
-		ctx, span = rec.StartSpan(ctx, "flow.iteration")
-		span.SetK(k)
-		defer func() {
-			span.End(err)
-			it.Metrics = buildMetrics(rec, hotspots)
-		}()
-	}
-
-	// Mapping side: full stateful cover, or invalidate + delta cover.
-	prep := in.prep
-	var eco *mapper.ECO
-	if in.prev != nil {
-		eco, err = runstage.Run(ctx, runstage.StageECO, k, cfg.StageTimeout, cfg.Hooks,
-			func(ctx context.Context) (*mapper.ECO, error) {
-				return in.prev.Prep.Invalidate(ctx, in.edits)
-			})
-		if err != nil {
-			return it, nil, err
-		}
-		prep = &eco.Prep.Prepared
-	}
-	type mapOut struct {
-		res *mapper.Result
-		cov *mapper.CoverState
-	}
-	mo, err := runstage.Run(ctx, runstage.StageMap, k, cfg.StageTimeout, cfg.Hooks,
-		func(ctx context.Context) (mapOut, error) {
-			if eco != nil {
-				res, cov, err := mapper.MapECO(ctx, eco, in.prev.Cover, k)
-				return mapOut{res, cov}, err
-			}
-			if in.field != nil {
-				if in.fieldPrev != nil {
-					res, cov, err := mapper.MapFieldDelta(ctx, in.fieldPrev, k, in.field, in.fieldDirty)
-					return mapOut{res, cov}, err
-				}
-				res, cov, err := mapper.MapWithField(ctx, prep, k, in.field)
-				return mapOut{res, cov}, err
-			}
-			res, cov, err := mapper.MapStateful(ctx, prep, k)
-			return mapOut{res, cov}, err
-		})
-	if err != nil {
-		return it, nil, err
-	}
-	mres := mo.res
-	it.Netlist = mres.Netlist
-	it.CellArea = mres.CellArea
-	it.NumCells = mres.NumCells
-	it.DuplicatedCells = mres.DuplicatedCells
-	it.Utilization = cfg.Layout.Utilization(mres.CellArea)
-
-	if cfg.Verify {
-		rep, err := runstage.Run(ctx, runstage.StageVerify, k, cfg.StageTimeout, cfg.Hooks,
-			func(ctx context.Context) (*verify.Report, error) {
-				rep, err := verify.Equivalent(ctx, prep.DAG(), mres.Netlist, cfg.VerifyOpts)
-				if err != nil {
-					return nil, err
-				}
-				if !rep.Equivalent {
-					return rep, fmt.Errorf("mapped netlist differs from subject DAG: %s", rep)
-				}
-				return rep, nil
-			})
-		if err != nil {
-			return it, nil, err
-		}
-		it.Verify = rep
-	}
-
-	pn := mres.Netlist.ToPlacement(pc.PIPads, pc.POList)
-	var seeds []geom.Point
-	if !cfg.FreshPlacement {
-		seeds = make([]geom.Point, len(mres.Netlist.Instances))
-		for i := range mres.Netlist.Instances {
-			seeds[i] = mres.Netlist.Instances[i].Pos
-		}
-	}
-	pl, err := runstage.Run(ctx, runstage.StagePlace, k, cfg.StageTimeout, cfg.Hooks,
-		func(ctx context.Context) (*place.Placement, error) {
-			if cfg.FreshPlacement {
-				return place.PlaceNetlist(ctx, pn.Cells, cfg.Layout, cfg.PlaceOpts)
-			}
-			// Fast-mode ECO: reuse the previous legalized placement for
-			// every cell whose seed is unchanged, snapping only moved
-			// cells. Keeps the routing dirty region local, at the cost of
-			// exact placement identity (fast mode is already non-exact).
-			if eco != nil && cfg.FastECORoute && in.prev.Place != nil {
-				if p, moved, ok := place.PlaceECO(pn.Cells, cfg.Layout, in.prev.Place, in.prev.Seeds, seeds); ok {
-					if rec != nil {
-						rec.Add("eco.place_incremental", 1)
-						rec.Add("eco.place_moved_cells", int64(moved))
-					}
-					return p, nil
-				}
-				if rec != nil {
-					rec.Add("eco.place_full", 1)
-				}
-			}
-			return place.PlaceSeeded(ctx, pn.Cells, cfg.Layout, seeds, cfg.PlaceOpts)
-		})
-	if err != nil {
-		return it, nil, err
-	}
-
-	ropts := cfg.RouteOpts
-	if ropts.Workers == 0 {
-		ropts.Workers = cfg.Workers
-	}
-	type routeOut struct {
-		res *route.Result
-		st  *route.State
-	}
-	ro, err := runstage.Run(ctx, runstage.StageRoute, k, cfg.StageTimeout, cfg.Hooks,
-		func(ctx context.Context) (routeOut, error) {
-			if eco != nil && cfg.FastECORoute && in.prev.Route != nil {
-				res, rst, err := route.RouteECO(ctx, in.prev.Route, pn.Cells, pl)
-				return routeOut{res, rst}, err
-			}
-			res, rst, err := route.RouteNetlistState(ctx, pn.Cells, pl, cfg.Layout, ropts)
-			return routeOut{res, rst}, err
-		})
-	if err != nil {
-		return it, nil, err
-	}
-	rres := ro.res
-	it.Violations = rres.Violations
-	it.FailedConnections = rres.FailedConnections
-	it.MaxCongestion = rres.MaxCongestion
-	it.WireLength = rres.WireLength
-	it.Routable = rres.Routable()
-	if rec != nil {
-		hotspots = rres.Grid.HotSpots(maxHotSpots)
-	}
-
-	if cfg.RunSTA {
-		timing, err := runstage.Run(ctx, runstage.StageSTA, k, cfg.StageTimeout, cfg.Hooks,
-			func(ctx context.Context) (*sta.Result, error) {
-				lens := sta.NetLengths(pn.SigNet, rres.NetLength)
-				return sta.Analyze(mres.Netlist, lens, cfg.STAOpts)
-			})
-		if err != nil {
-			return it, nil, err
-		}
-		it.Timing = timing
-	}
-	return it, &ECOState{Prep: prep, Cover: mo.cov, Route: ro.st, K: k, Seeds: seeds, Place: pl}, nil
+	it, next, _, err := iterate(ctx, pc, cfg, st.K, iterIn{prev: st, edits: edits, capture: true})
+	return it, next, err
 }

@@ -10,26 +10,23 @@ import (
 
 // TestECOChainDefaultLibrary pins the nil-Lib contract: a caller that
 // never sets Config.Lib (meaning "the default library") must be able
-// to chain RunStateful → RunECO → RunECO. Library compatibility is
-// pointer identity and library.Default() allocates per call, so both
-// entry points adopt the prepared state's library rather than
-// defaulting a fresh — and never-compatible — one.
+// to chain RunStateful → RunECO → RunECO. library.Default() allocates
+// per call, so this holds only because prefixes match libraries by
+// content.
 func TestECOChainDefaultLibrary(t *testing.T) {
 	pc, cfg := prepared(t, 0.55)
 	cfg.FreshPlacement = false
 	ctx := context.Background()
+	if err := PrepareMapping(ctx, pc, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// A stateful run with the same nil-Lib config must reuse the prefix
+	// already on pc, not rebuild it.
 	_, st, err := RunStateful(ctx, pc, 0.001, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A second stateful run with the same nil-Lib config must reuse
-	// the prefix already on pc, not rebuild it.
-	prep := pc.Prep
-	if _, _, err := RunStateful(ctx, pc, 0.001, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if pc.Prep != prep {
+	if st.Prep != pc.Prep {
 		t.Error("nil-Lib RunStateful rebuilt a compatible prefix")
 	}
 
@@ -46,7 +43,7 @@ func TestECOChainDefaultLibrary(t *testing.T) {
 		st = next
 	}
 
-	// Fast mode rides the same adopted library.
+	// Fast mode rides the same library.
 	cfg.FastECORoute = true
 	if _, _, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg); err != nil {
 		t.Fatal(err)

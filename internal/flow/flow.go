@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"casyn/internal/cover"
 	"casyn/internal/geom"
 	"casyn/internal/library"
 	"casyn/internal/mapper"
@@ -117,11 +118,11 @@ type Config struct {
 	// set (zero value = library defaults).
 	VerifyOpts verify.Options
 	// Workers bounds the goroutines of the K sweep (0 =
-	// runtime.GOMAXPROCS, 1 = the serial loop). Iterations for
-	// different K values are independent, so the ladder fans out across
-	// the pool and the merged Result — iteration order, Best()
-	// selection, degrade records, truncation at the first routable K —
-	// is identical to the serial sweep. Workers is also forwarded to
+	// runtime.GOMAXPROCS, 1 = serial). Iterations for different K
+	// values are independent, so the ladder fans out across the pool
+	// and the merged Result — iteration order, Best() selection,
+	// degrade records, truncation at the first routable K — is
+	// identical for every value. Workers is also forwarded to
 	// the per-tree covering fan-out and, when RouteOpts.Workers is
 	// unset, to the router — both its first pass and the parallel
 	// region-partitioned rip-up/reroute negotiation.
@@ -158,11 +159,10 @@ type Context struct {
 	PIPads []geom.Point
 	POList []geom.Point
 	// Prep is the shared K-invariant mapping prefix (partition forest +
-	// complete match enumeration), set by PrepareMapping. When present
-	// and compatible with the run's Method/Lib, every iteration maps
-	// via mapper.MapPrepared instead of re-partitioning and re-matching
-	// per K; results are byte-identical either way. Nil is always valid
-	// (the classic per-K path).
+	// complete match enumeration), set by PrepareMapping. Every
+	// iteration maps against it; an entry point given a context without
+	// a prefix compatible with its Method and Lib builds one on a
+	// private copy of the context.
 	Prep *mapper.Prepared
 	// Regions are the die regions of a multi-die run, set by
 	// PrepareMapping when Config.Dies > 1 (nil otherwise). RunOnce
@@ -199,17 +199,15 @@ func Prepare(ctx context.Context, d *subject.DAG, cfg Config) (*Context, error) 
 
 // PrepareMapping computes the shared K-invariant mapping prefix
 // (partition forest + complete match enumeration with cached covering
-// geometry) and stores it in pc.Prep, where Run and RunOnce pick it up
-// for every K of the sweep. The prefix is immutable and safe to share
-// across the concurrent ladder. Callers threading one prefix across
-// multiple Run calls must pass the same cfg.Lib pointer each time
-// (library.Default() allocates per call); a Prep that does not match
-// the run's Method/Lib is ignored, never misused.
+// geometry) and stores it in pc.Prep, where every entry point picks it
+// up. The prefix is immutable and safe to share across the concurrent
+// ladder. A Prep whose method or library content does not match a
+// run's config is ignored, never misused.
 //
-// Run calls this automatically for multi-K schedules, so explicit use
-// is only needed to share the prefix across several Run/RunOnce calls
-// (e.g. repeated sweeps over one placed design). Failures (including
-// panics) surface as a *runstage.StageError with Stage
+// Every entry point builds the prefix itself when pc lacks one, so
+// explicit use is only needed to share it across several calls (e.g.
+// repeated sweeps over one placed design). Failures (including panics)
+// surface as a *runstage.StageError with Stage
 // runstage.StageMapPrepare.
 func PrepareMapping(ctx context.Context, pc *Context, cfg Config) error {
 	cfg.defaults()
@@ -357,95 +355,28 @@ func (r *Result) FailedIterations() []Iteration {
 // Run executes the flow on a prepared context, degrading rather than
 // aborting: an iteration that errors, panics, or exceeds
 // cfg.IterationTimeout is recorded with Err/Skipped set and the ladder
-// continues at the next K. Run itself returns a non-nil error in two
-// cases only: the parent ctx was canceled (the partial Result built so
-// far is still returned), or every K in the schedule failed (the
-// joined per-K errors are returned alongside the full Result).
+// continues at the next K. Run itself returns a non-nil error in three
+// cases only: the mapping prefix could not be built (its
+// StageMapPrepare error), the parent ctx was canceled (the partial
+// Result built so far is still returned), or every K in the schedule
+// failed (the joined per-K errors are returned alongside the full
+// Result).
 //
-// With cfg.Workers > 1 the ladder executes concurrently: workers claim
-// K values in ascending order and completed iterations are merged back
-// in ladder order, so the Result is identical to the serial sweep.
-// StopAtFirstRoutable becomes speculative — higher-K iterations may
-// start before a lower K proves routable and are canceled (and
-// discarded, exactly as if never run) once it does.
+// Workers claim K values in ascending order into per-index slots, and
+// an assembly pass replays the slots in ladder order, so the Result is
+// identical for every cfg.Workers value (one worker is the serial
+// sweep). StopAtFirstRoutable is speculative with more than one worker:
+// higher-K iterations may start before a lower K proves routable and
+// are canceled (and discarded, exactly as if never run) once it does.
 func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 	cfg.defaults()
-	// Multi-K sweeps share one K-invariant mapping prefix; it is built
-	// here — before the ladder, on the run-level recorder — so serial
-	// and concurrent sweeps observe identical event streams. The prefix
-	// lands on a private copy of pc (explicit cross-Run reuse is opt-in
-	// via PrepareMapping). A non-cancellation prep failure degrades to
-	// the classic per-K path, whose iterations surface the same error
-	// under the sweep's usual degrade rules.
-	if (len(cfg.KSchedule) > 1 || cfg.Dies > 1) && !dieAwarePrep(pc, cfg) {
-		run := *pc
-		if err := PrepareMapping(ctx, &run, cfg); err == nil {
-			pc = &run
-		} else if cfg.Dies > 1 {
-			// A multi-die run cannot degrade to the classic path: that
-			// would silently synthesize a single-die design.
-			return &Result{BestIndex: -1}, fmt.Errorf("flow: multi-die prepare failed: %w", err)
-		} else if cerr := ctx.Err(); cerr != nil {
-			return &Result{BestIndex: -1}, fmt.Errorf("flow: canceled at K=%g: %w", cfg.KSchedule[0], cerr)
-		}
+	// The ladder shares one mapping prefix, built here — before the
+	// ladder, on the run-level recorder — so the event stream is the
+	// same for every worker count.
+	pc, err := withPrefix(ctx, pc, cfg)
+	if err != nil {
+		return &Result{BestIndex: -1}, fmt.Errorf("flow: mapping prefix: %w", err)
 	}
-	if par.Workers(cfg.Workers) > 1 && len(cfg.KSchedule) > 1 {
-		return runParallel(ctx, pc, cfg)
-	}
-	res := &Result{BestIndex: -1}
-	var failures []error
-	for _, k := range cfg.KSchedule {
-		itCtx, cancel := ctx, context.CancelFunc(func() {})
-		if cfg.IterationTimeout > 0 {
-			itCtx, cancel = context.WithTimeout(ctx, cfg.IterationTimeout)
-		}
-		it, err := RunOnce(itCtx, pc, k, cfg)
-		cancel()
-		// Iteration events surface in the run-level recorder in ladder
-		// order — the same order the parallel sweep merges in.
-		MergeMetrics(ctx, it.Metrics)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// Parent canceled: stop the whole ladder, keep the
-				// partial result.
-				return res, fmt.Errorf("flow: canceled at K=%g: %w", k, cerr)
-			}
-			// Degrade: record the failure and move on to the next K.
-			it.K = k
-			it.Err = err
-			it.Skipped = true
-			res.Iterations = append(res.Iterations, it)
-			failures = append(failures, fmt.Errorf("K=%g: %w", k, err))
-			continue
-		}
-		res.Iterations = append(res.Iterations, it)
-		i := len(res.Iterations) - 1
-		if res.BestIndex < 0 ||
-			(it.Routable && !res.Iterations[res.BestIndex].Routable) ||
-			(it.Routable == res.Iterations[res.BestIndex].Routable &&
-				it.Violations < res.Iterations[res.BestIndex].Violations) {
-			res.BestIndex = i
-		}
-		if cfg.StopAtFirstRoutable && it.Routable {
-			break
-		}
-	}
-	if res.BestIndex < 0 && len(failures) > 0 {
-		return res, fmt.Errorf("flow: every K failed: %w", errors.Join(failures...))
-	}
-	return res, nil
-}
-
-// runParallel is the concurrent K sweep. Workers claim schedule
-// indices in ascending order into per-index slots; a serial assembly
-// pass then replays the slots with exactly the serial loop's
-// semantics, so callers cannot distinguish the two beyond wall-clock
-// time. Speculation: under StopAtFirstRoutable, a completed routable
-// iteration lowers the claim cutoff and cancels every higher-K
-// iteration already in flight; their slots are never examined, because
-// assembly stops at the routable K first — matching the serial sweep,
-// which would not have started them at all.
-func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 	n := len(cfg.KSchedule)
 	type slot struct {
 		it   Iteration
@@ -467,6 +398,10 @@ func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) 
 	// so they cannot race on its rebuild.
 	pc.DAG.PrecomputeFanouts()
 
+	// Under StopAtFirstRoutable, a completed routable iteration lowers
+	// the claim cutoff and cancels every higher-K iteration already in
+	// flight; their slots are never examined, because assembly stops at
+	// the routable K first.
 	var mu sync.Mutex
 	next, cutoff := 0, n
 	claim := func() int {
@@ -512,8 +447,6 @@ func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) 
 	}
 	wg.Wait()
 
-	// Assembly: replay the slots in ladder order under the serial
-	// loop's exact rules.
 	res := &Result{BestIndex: -1}
 	var failures []error
 	for i := 0; i < n; i++ {
@@ -527,14 +460,17 @@ func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) 
 			}
 			break
 		}
-		// Ladder-order merge keeps the run-level event stream identical
-		// to the serial sweep's; slots past the routable cutoff are
+		// Ladder-order merge keeps the run-level event stream the same
+		// for every worker count; slots past the routable cutoff are
 		// never examined, so discarded speculative work leaves no trace.
 		MergeMetrics(ctx, s.it.Metrics)
 		if s.err != nil {
 			if cerr := ctx.Err(); cerr != nil {
+				// Parent canceled: stop the whole ladder, keep the
+				// partial result.
 				return res, fmt.Errorf("flow: canceled at K=%g: %w", k, cerr)
 			}
+			// Degrade: record the failure and move on to the next K.
 			it := s.it
 			it.K = k
 			it.Err = s.err
@@ -544,12 +480,8 @@ func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) 
 			continue
 		}
 		res.Iterations = append(res.Iterations, s.it)
-		idx := len(res.Iterations) - 1
-		if res.BestIndex < 0 ||
-			(s.it.Routable && !res.Iterations[res.BestIndex].Routable) ||
-			(s.it.Routable == res.Iterations[res.BestIndex].Routable &&
-				s.it.Violations < res.Iterations[res.BestIndex].Violations) {
-			res.BestIndex = idx
+		if beats(&s.it, res.Best()) {
+			res.BestIndex = len(res.Iterations) - 1
 		}
 		if cfg.StopAtFirstRoutable && s.it.Routable {
 			break
@@ -561,12 +493,23 @@ func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) 
 	return res, nil
 }
 
+// beats is the sweep's acceptance rule: a completed iteration replaces
+// the current best (nil before the first) when it is routable and the
+// best is not, or when both agree on routability and it has fewer
+// violations. Ties keep the earlier iteration.
+func beats(it, best *Iteration) bool {
+	return best == nil || (it.Routable && !best.Routable) ||
+		(it.Routable == best.Routable && it.Violations < best.Violations)
+}
+
 // RunOnce maps, places, and routes for a single K. Each stage runs
 // under runstage.Run: panics become *runstage.StageError values,
 // cfg.StageTimeout bounds each stage, and the returned error
 // identifies the failing stage and K. The partially-filled Iteration
 // is returned even on error (metrics up to the failing stage are
-// valid).
+// valid). When pc lacks a compatible mapping prefix, the iteration
+// builds one first (on a private copy of pc; a failure is its
+// StageMapPrepare error).
 //
 // When ctx carries an *obs.Recorder, the iteration runs against its
 // own child recorder under a "flow.iteration" span; the snapshot lands
@@ -575,29 +518,55 @@ func runParallel(ctx context.Context, pc *Context, cfg Config) (*Result, error) 
 // The child's events are not merged into the parent recorder here —
 // Run does that in ladder order (and direct callers use MergeMetrics)
 // so the parent stream is deterministic for any worker count.
-// dieAwarePrep reports whether pc already carries a mapping prefix
-// usable for this config: Method/Lib compatible, and — for a
-// multi-die run — built by the multi-die path (a single-die prefix
-// partitions the wrong hypergraph).
-func dieAwarePrep(pc *Context, cfg Config) bool {
-	if !pc.Prep.Compatible(cfg.Method, cfg.Lib) {
-		return false
-	}
-	return cfg.Dies <= 1 || pc.KWay != nil
+func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration, error) {
+	it, _, _, err := iterate(ctx, pc, cfg, k, iterIn{})
+	return it, err
 }
 
-func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (it Iteration, err error) {
+// withPrefix returns pc when it already carries a mapping prefix for
+// cfg — same method and library content, and for a multi-die run one
+// built by the k-way path (a single-die prefix partitions the wrong
+// hypergraph) — and otherwise a copy of pc with one built by
+// PrepareMapping. pc itself is never modified, so concurrent callers
+// may share it.
+func withPrefix(ctx context.Context, pc *Context, cfg Config) (*Context, error) {
+	if pc.Prep.Compatible(cfg.Method, cfg.Lib) && (cfg.Dies <= 1 || pc.KWay != nil) {
+		return pc, nil
+	}
+	run := *pc
+	if err := PrepareMapping(ctx, &run, cfg); err != nil {
+		return nil, err
+	}
+	return &run, nil
+}
+
+// iterIn selects how one iteration maps and what it keeps. The zero
+// value is a full cover against pc's prefix. prev/edits make it an ECO
+// iteration (invalidate, then re-cover the dirtied trees against
+// prev); fieldPrev/field/fieldDirty a K-field delta that re-covers
+// fieldDirty trees against fieldPrev (adaptive.go). capture keeps the
+// routing state an ECOState needs; only the entry points that return
+// one set it, because the capture costs a pass over every routed net.
+type iterIn struct {
+	prev  *ECOState
+	edits mapper.EditSet
+
+	field      *cover.KField
+	fieldPrev  *mapper.CoverState
+	fieldDirty []bool
+
+	capture bool
+}
+
+// iterate is the one iteration body behind every entry point: map,
+// verify, place, route (with multi-die admission), and time, each
+// stage under runstage.Run. It returns the iteration row, the state
+// the next ECO or K-field delta chains from (Route set only with
+// in.capture), and the routing result. The state and result are nil
+// on error.
+func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn) (it Iteration, st *ECOState, routed *route.Result, err error) {
 	cfg.defaults()
 	it = Iteration{K: k}
-	if cfg.Dies > 1 && !dieAwarePrep(pc, cfg) {
-		// Direct RunOnce on a multi-die config: build the k-way prefix
-		// on a private copy so the caller's context is untouched.
-		run := *pc
-		if err := PrepareMapping(ctx, &run, cfg); err != nil {
-			return it, err
-		}
-		pc = &run
-	}
 	var hotspots []route.HotSpot
 	rec := obs.From(ctx).Child()
 	if rec != nil {
@@ -611,24 +580,47 @@ func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (it Iterat
 		}()
 	}
 
-	mres, err := runstage.Run(ctx, runstage.StageMap, k, cfg.StageTimeout, cfg.Hooks,
-		func(ctx context.Context) (*mapper.Result, error) {
-			// A compatible shared prefix skips re-partitioning and
-			// re-matching; the covering result is byte-identical to the
-			// classic path (the prepared determinism suite proves it).
-			if pc.Prep.Compatible(cfg.Method, cfg.Lib) {
-				return mapper.MapPrepared(ctx, pc.Prep, k)
-			}
-			return mapper.Map(ctx, pc.DAG, mapper.Input{Pos: pc.Pos, POPads: pc.POPads}, mapper.Options{
-				K:       k,
-				Method:  cfg.Method,
-				Lib:     cfg.Lib,
-				Workers: cfg.Workers,
+	// Mapping side: invalidate + delta cover against an ECO parent, or
+	// a cover of pc's prefix — whole, or only the field-dirty trees.
+	var prep *mapper.Prepared
+	var eco *mapper.ECO
+	if in.prev != nil {
+		eco, err = runstage.Run(ctx, runstage.StageECO, k, cfg.StageTimeout, cfg.Hooks,
+			func(ctx context.Context) (*mapper.ECO, error) {
+				return in.prev.Prep.Invalidate(ctx, in.edits)
 			})
+		if err != nil {
+			return it, nil, nil, err
+		}
+		prep = &eco.Prep.Prepared
+	} else {
+		if pc, err = withPrefix(ctx, pc, cfg); err != nil {
+			return it, nil, nil, err
+		}
+		prep = pc.Prep
+	}
+	type mapOut struct {
+		res *mapper.Result
+		cov *mapper.CoverState
+	}
+	mo, err := runstage.Run(ctx, runstage.StageMap, k, cfg.StageTimeout, cfg.Hooks,
+		func(ctx context.Context) (mapOut, error) {
+			var o mapOut
+			var err error
+			switch {
+			case eco != nil:
+				o.res, o.cov, err = mapper.MapECO(ctx, eco, in.prev.Cover, k)
+			case in.fieldPrev != nil:
+				o.res, o.cov, err = mapper.MapFieldDelta(ctx, in.fieldPrev, k, in.field, in.fieldDirty)
+			default:
+				o.res, o.cov, err = mapper.MapStateful(ctx, prep, k)
+			}
+			return o, err
 		})
 	if err != nil {
-		return it, err
+		return it, nil, nil, err
 	}
+	mres := mo.res
 	it.Netlist = mres.Netlist
 	it.CellArea = mres.CellArea
 	it.NumCells = mres.NumCells
@@ -638,7 +630,7 @@ func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (it Iterat
 	if cfg.Verify {
 		rep, err := runstage.Run(ctx, runstage.StageVerify, k, cfg.StageTimeout, cfg.Hooks,
 			func(ctx context.Context) (*verify.Report, error) {
-				rep, err := verify.Equivalent(ctx, pc.DAG, mres.Netlist, cfg.VerifyOpts)
+				rep, err := verify.Equivalent(ctx, prep.DAG(), mres.Netlist, cfg.VerifyOpts)
 				if err != nil {
 					return nil, err
 				}
@@ -648,25 +640,45 @@ func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (it Iterat
 				return rep, nil
 			})
 		if err != nil {
-			return it, err
+			return it, nil, nil, err
 		}
 		it.Verify = rep
 	}
 
 	pn := mres.Netlist.ToPlacement(pc.PIPads, pc.POList)
+	var seeds []geom.Point
+	if !cfg.FreshPlacement {
+		seeds = make([]geom.Point, len(mres.Netlist.Instances))
+		for i := range mres.Netlist.Instances {
+			seeds[i] = mres.Netlist.Instances[i].Pos
+		}
+	}
+	fastECO := eco != nil && cfg.FastECORoute
 	pl, err := runstage.Run(ctx, runstage.StagePlace, k, cfg.StageTimeout, cfg.Hooks,
 		func(ctx context.Context) (*place.Placement, error) {
 			if cfg.FreshPlacement {
 				return place.PlaceNetlist(ctx, pn.Cells, cfg.Layout, cfg.PlaceOpts)
 			}
-			seeds := make([]geom.Point, len(mres.Netlist.Instances))
-			for i := range mres.Netlist.Instances {
-				seeds[i] = mres.Netlist.Instances[i].Pos
+			// Fast-mode ECO: reuse the previous legalized placement for
+			// every cell whose seed is unchanged, snapping only moved
+			// cells. Keeps the routing dirty region local, at the cost of
+			// exact placement identity (fast mode is already non-exact).
+			if fastECO && in.prev.Place != nil {
+				if p, moved, ok := place.PlaceECO(pn.Cells, cfg.Layout, in.prev.Place, in.prev.Seeds, seeds); ok {
+					if rec != nil {
+						rec.Add("eco.place_incremental", 1)
+						rec.Add("eco.place_moved_cells", int64(moved))
+					}
+					return p, nil
+				}
+				if rec != nil {
+					rec.Add("eco.place_full", 1)
+				}
 			}
 			return place.PlaceSeeded(ctx, pn.Cells, cfg.Layout, seeds, cfg.PlaceOpts)
 		})
 	if err != nil {
-		return it, err
+		return it, nil, nil, err
 	}
 
 	ropts := cfg.RouteOpts
@@ -679,13 +691,28 @@ func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (it Iterat
 			ropts.RegionPinBudget = cfg.InterDiePinBudget
 		}
 	}
-	rres, err := runstage.Run(ctx, runstage.StageRoute, k, cfg.StageTimeout, cfg.Hooks,
-		func(ctx context.Context) (*route.Result, error) {
-			return route.RouteNetlist(ctx, pn.Cells, pl, cfg.Layout, ropts)
+	type routeOut struct {
+		res *route.Result
+		st  *route.State
+	}
+	ro, err := runstage.Run(ctx, runstage.StageRoute, k, cfg.StageTimeout, cfg.Hooks,
+		func(ctx context.Context) (routeOut, error) {
+			var o routeOut
+			var err error
+			switch {
+			case fastECO && in.prev.Route != nil:
+				o.res, o.st, err = route.RouteECO(ctx, in.prev.Route, pn.Cells, pl)
+			case in.capture:
+				o.res, o.st, err = route.RouteNetlistState(ctx, pn.Cells, pl, cfg.Layout, ropts)
+			default:
+				o.res, err = route.RouteNetlist(ctx, pn.Cells, pl, cfg.Layout, ropts)
+			}
+			return o, err
 		})
 	if err != nil {
-		return it, err
+		return it, nil, nil, err
 	}
+	rres := ro.res
 	it.Violations = rres.Violations
 	it.FailedConnections = rres.FailedConnections
 	it.MaxCongestion = rres.MaxCongestion
@@ -703,9 +730,9 @@ func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (it Iterat
 				return sta.Analyze(mres.Netlist, lens, cfg.STAOpts)
 			})
 		if err != nil {
-			return it, err
+			return it, nil, nil, err
 		}
 		it.Timing = timing
 	}
-	return it, nil
+	return it, &ECOState{Prep: prep, Cover: mo.cov, Route: ro.st, K: k, Seeds: seeds, Place: pl}, rres, nil
 }

@@ -37,7 +37,7 @@ func TestRunOnceMetricsSnapshot(t *testing.T) {
 	counts := m.Events.SpanCounts()
 	for _, name := range []string{
 		"flow.iteration", "stage.map", "stage.place", "stage.route",
-		"map.partition", "map.cover", "map.reconstruct", "route.first_pass",
+		"map.prepare", "map.partition", "map.cover_only", "map.reconstruct", "route.first_pass",
 	} {
 		if counts[name] == 0 {
 			t.Errorf("no %q span in iteration metrics", name)
@@ -55,7 +55,8 @@ func TestRunOnceMetricsSnapshot(t *testing.T) {
 	if int(m.Events.Counters["map.cells"]) != it.NumCells {
 		t.Errorf("map.cells = %d, want %d", m.Events.Counters["map.cells"], it.NumCells)
 	}
-	wantStages := []runstage.Stage{runstage.StageMap, runstage.StagePlace, runstage.StageRoute}
+	// pc carries no mapping prefix, so the iteration builds one first.
+	wantStages := []runstage.Stage{runstage.StageMapPrepare, runstage.StageMap, runstage.StagePlace, runstage.StageRoute}
 	if len(m.Stages) != len(wantStages) {
 		t.Fatalf("stages = %v, want %v", m.Stages, wantStages)
 	}
@@ -156,7 +157,7 @@ func TestMetricsOnBudgetTimeout(t *testing.T) {
 	if m == nil {
 		t.Fatal("failed iteration lost its metrics")
 	}
-	wantStages := []runstage.Stage{runstage.StageMap, runstage.StagePlace, runstage.StageRoute}
+	wantStages := []runstage.Stage{runstage.StageMapPrepare, runstage.StageMap, runstage.StagePlace, runstage.StageRoute}
 	if len(m.Stages) != len(wantStages) {
 		t.Fatalf("stages = %+v, want %v", m.Stages, wantStages)
 	}
@@ -165,13 +166,13 @@ func TestMetricsOnBudgetTimeout(t *testing.T) {
 			t.Fatalf("stage %d = %s, want %s", i, st.Stage, wantStages[i])
 		}
 	}
-	for _, stage := range []runstage.Stage{runstage.StageMap, runstage.StagePlace} {
+	for _, stage := range []runstage.Stage{runstage.StageMapPrepare, runstage.StageMap, runstage.StagePlace} {
 		w, ok := m.StageWall(stage)
 		if !ok || w <= 0 {
 			t.Errorf("completed stage %s lost its wall time (%v, %v)", stage, w, ok)
 		}
 	}
-	route := m.Stages[2]
+	route := m.Stages[3]
 	if route.Err == "" {
 		t.Error("failing stage recorded no error")
 	}

@@ -1,7 +1,9 @@
 package library
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -89,6 +91,9 @@ type Library struct {
 	Name  string
 	cells []*Cell
 	index map[string]*Cell
+	// fingerprint hashes the content the library was built from; see
+	// Fingerprint.
+	fingerprint [sha256.Size]byte
 }
 
 // NewLibrary builds a library from cells, validating each.
@@ -110,8 +115,26 @@ func NewLibrary(name string, cells []*Cell) (*Library, error) {
 	if _, ok := l.index["NAND2"]; !ok {
 		return nil, fmt.Errorf("library: %s lacks the mandatory NAND2 cell", name)
 	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%q\n", name)
+	for _, c := range l.cells {
+		fmt.Fprintf(h, "%q %x %x %x %x", c.Name, math.Float64bits(c.Area),
+			math.Float64bits(c.Intrinsic), math.Float64bits(c.Drive), math.Float64bits(c.InputCap))
+		for _, p := range c.Patterns {
+			fmt.Fprintf(h, " %q", p.String())
+		}
+		fmt.Fprintln(h)
+	}
+	h.Sum(l.fingerprint[:0])
 	return l, nil
 }
+
+// Fingerprint identifies the library by content: a hash of its name
+// and of every cell's name, area, delay parameters and patterns, taken
+// once by NewLibrary. Two libraries built from the same table — two
+// Default() calls, say — share a fingerprint, so anything derived from
+// one (a mapping prefix's matches) serves the other.
+func (l *Library) Fingerprint() [sha256.Size]byte { return l.fingerprint }
 
 // Cells returns the cells in declaration order.
 func (l *Library) Cells() []*Cell { return l.cells }

@@ -23,38 +23,19 @@ import (
 // decide which trees to re-cover.
 func (p *Prepared) TreeTerritories() []geom.Rect { return p.prefix.TreeTerritories() }
 
-// Field returns the K-field the state was covered with (nil for the
-// classic global-K path).
+// Field returns the K-field the state was covered with (nil, the
+// uniform field, for the global-K path).
 func (s *CoverState) Field() *cover.KField { return s.field }
 
 // MapWithField maps the prepared DAG at congestion factor K under a
 // spatial K-field: every wire term of the covering cost is scaled by
 // the field multiplier sampled along its span (cover/kfield.go). A nil
-// field falls back to MapStateful; a uniform field (all multipliers
-// exactly 1.0) is byte-identical to it — the property the uniform-
-// field tests in the differential harness pin. The work is recorded
-// under a "map.cover_field" span.
+// or uniform field (all multipliers exactly 1.0) is byte-identical to
+// MapStateful — the property the uniform-field tests in the
+// differential harness pin. The work is recorded under a
+// "map.cover_field" span.
 func MapWithField(ctx context.Context, prep *Prepared, k float64, field *cover.KField) (*Result, *CoverState, error) {
-	if prep == nil {
-		return nil, nil, fmt.Errorf("mapper: nil Prepared")
-	}
-	if field == nil {
-		return MapStateful(ctx, prep, k)
-	}
-	opts := prep.coverOptions(k)
-	opts.KField = field
-	rec := obs.From(ctx)
-	cctx, cSpan := rec.StartSpan(ctx, "map.cover_field")
-	cov, err := cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, opts)
-	cSpan.End(err)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := finishMap(ctx, rec, prep, cov)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &CoverState{prep: prep, k: k, cov: cov, field: field}, nil
+	return mapField(ctx, prep, k, field, "map.cover_field")
 }
 
 // MapFieldDelta re-maps after a K-field update, re-covering only the
@@ -70,9 +51,6 @@ func MapWithField(ctx context.Context, prep *Prepared, k float64, field *cover.K
 func MapFieldDelta(ctx context.Context, prev *CoverState, k float64, field *cover.KField, dirty []bool) (*Result, *CoverState, error) {
 	if prev == nil || prev.prep == nil || prev.cov == nil {
 		return nil, nil, fmt.Errorf("mapper: MapFieldDelta needs a previous cover state")
-	}
-	if field == nil {
-		return nil, nil, fmt.Errorf("mapper: MapFieldDelta needs a K-field")
 	}
 	if prev.k != k {
 		return nil, nil, fmt.Errorf("mapper: field delta at K=%g against a K=%g cover", k, prev.k)

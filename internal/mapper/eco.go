@@ -153,10 +153,10 @@ type CoverState struct {
 	prep *Prepared
 	k    float64
 	cov  *cover.Result
-	// field is the K-field the cover ran with: nil for the classic
-	// global-K path (equivalent to a uniform field), non-nil for a
-	// MapWithField/MapFieldDelta cover. The adaptive controller chains
-	// field deltas off it (adaptive.go).
+	// field is the K-field the cover ran with: nil (the uniform field)
+	// for the global-K path, non-nil for a MapWithField/MapFieldDelta
+	// cover. The adaptive controller chains field deltas off it
+	// (adaptive.go).
 	field *cover.KField
 }
 
@@ -177,14 +177,24 @@ func (p *Prepared) coverOptions(k float64) cover.Options {
 }
 
 // MapStateful is MapPrepared plus the covering state an ECO delta can
-// later start from. The Result is byte-identical to MapPrepared's.
+// later start from. The cover is recorded under a "map.cover_only"
+// span.
 func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *CoverState, error) {
+	return mapField(ctx, prep, k, nil, "map.cover_only")
+}
+
+// mapField covers every tree of the prefix at K under field (nil is the
+// uniform field), recording the cover under the named span, and
+// reconstructs the netlist.
+func mapField(ctx context.Context, prep *Prepared, k float64, field *cover.KField, span string) (*Result, *CoverState, error) {
 	if prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil Prepared")
 	}
+	opts := prep.coverOptions(k)
+	opts.KField = field
 	rec := obs.From(ctx)
-	cctx, cSpan := rec.StartSpan(ctx, "map.cover_only")
-	cov, err := cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, prep.coverOptions(k))
+	cctx, cSpan := rec.StartSpan(ctx, span)
+	cov, err := cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, opts)
 	cSpan.End(err)
 	if err != nil {
 		return nil, nil, err
@@ -193,7 +203,7 @@ func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *Cove
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, &CoverState{prep: prep, k: k, cov: cov}, nil
+	return res, &CoverState{prep: prep, k: k, cov: cov, field: field}, nil
 }
 
 // MapECO maps the invalidated context at K. When prev carries a cover
@@ -231,8 +241,7 @@ func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, 
 }
 
 // finishMap reconstructs the mapped netlist from a covering result and
-// records the mapping counters (the tail MapPrepared and MapECO
-// share).
+// records the mapping counters (the tail every cover path shares).
 func finishMap(ctx context.Context, rec *obs.Recorder, prep *Prepared, cov *cover.Result) (*Result, error) {
 	_, rSpan := rec.StartSpan(ctx, "map.reconstruct")
 	res, err := reconstruct(prep.dag, prep.forest, cov)

@@ -25,7 +25,6 @@ import (
 	"casyn/internal/geom"
 	"casyn/internal/library"
 	"casyn/internal/netlist"
-	"casyn/internal/obs"
 	"casyn/internal/partition"
 	"casyn/internal/place"
 	"casyn/internal/subject"
@@ -92,47 +91,16 @@ type Result struct {
 	Forest *partition.Forest
 }
 
-// Map runs the full pipeline on an already-placed subject DAG. The
-// expensive covering DP checks ctx cooperatively; a canceled ctx
-// returns promptly with a wrapped ctx error.
+// Map runs the full pipeline on an already-placed subject DAG at
+// opts.K: Prepare, then MapPrepared. The expensive covering DP checks
+// ctx cooperatively; a canceled ctx returns promptly with a wrapped
+// ctx error.
 func Map(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Result, error) {
-	opts.defaults()
-	method := opts.Method
-	rec := obs.From(ctx)
-	_, pSpan := rec.StartSpan(ctx, "map.partition")
-	forest, err := partition.Partition(partition.Input{
-		DAG:    d,
-		Pos:    in.Pos,
-		POPads: in.POPads,
-		Metric: opts.Metric,
-	}, method)
-	pSpan.End(err)
+	prep, err := Prepare(ctx, d, in, opts)
 	if err != nil {
 		return nil, err
 	}
-	cctx, cSpan := rec.StartSpan(ctx, "map.cover")
-	cov, err := cover.Cover(cctx, d, forest, opts.Lib, in.Pos, cover.Options{
-		K:              opts.K,
-		Metric:         opts.Metric,
-		WireUnit:       opts.WireUnit,
-		Objective:      opts.Objective,
-		TransitiveWire: opts.TransitiveWire,
-		NoWire2:        opts.NoWire2,
-		Workers:        opts.Workers,
-	})
-	cSpan.End(err)
-	if err != nil {
-		return nil, err
-	}
-	_, rSpan := rec.StartSpan(ctx, "map.reconstruct")
-	res, err := reconstruct(d, forest, cov)
-	rSpan.End(err)
-	if err != nil {
-		return nil, err
-	}
-	rec.Add("map.cells", int64(res.NumCells))
-	rec.Add("map.duplicated_cells", int64(res.DuplicatedCells))
-	return res, nil
+	return MapPrepared(ctx, prep, opts.K)
 }
 
 // reconstruct builds the mapped netlist from the covering solutions,

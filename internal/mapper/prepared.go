@@ -29,8 +29,8 @@ import (
 //
 // A Prepared is valid for exactly the (DAG, placement, Method, Lib,
 // Metric, WireUnit) it was built from; remapping after any of those
-// change requires a fresh Prepare. Compatible guards the method and
-// library identity for callers that thread a Prepared alongside a
+// change requires a fresh Prepare. Compatible checks the method and
+// library content for callers that thread a Prepared alongside a
 // config.
 type Prepared struct {
 	dag    *subject.DAG
@@ -56,23 +56,16 @@ func (p *Prepared) POPads() map[int][]geom.Point { return p.in.POPads }
 // Forest exposes the partition the prefix was built on.
 func (p *Prepared) Forest() *partition.Forest { return p.forest }
 
-// Lib exposes the cell library the prefix's matches were enumerated
-// against. Compatible is pointer identity and library.Default()
-// allocates per call, so callers holding only the Prepared (an ECO
-// state, a cached prefix) read the exact pointer from here instead of
-// defaulting a fresh — and incompatible — library.
-func (p *Prepared) Lib() *library.Library { return p.opts.Lib }
-
 // NumMatches returns the total cached match count (reporting only).
 func (p *Prepared) NumMatches() int { return p.prefix.NumMatches() }
 
 // Compatible reports whether the Prepared can serve a mapping request
-// with the given partition method and library. Library compatibility
-// is pointer identity — library.Default() allocates per call, so
-// callers sharing a Prepared must thread the same *Library they
-// prepared with.
+// with the given partition method and library. Libraries compare by
+// content (library.Library.Fingerprint), so a fresh library.Default()
+// serves a prefix prepared with another one.
 func (p *Prepared) Compatible(method partition.Method, lib *library.Library) bool {
-	return p != nil && p.opts.Method == method && p.opts.Lib == lib
+	return p != nil && lib != nil && p.opts.Method == method &&
+		p.opts.Lib.Fingerprint() == lib.Fingerprint()
 }
 
 // Prepare runs the K-invariant mapping prefix: partitioning and the
@@ -81,16 +74,7 @@ func (p *Prepared) Compatible(method partition.Method, lib *library.Library) boo
 // with nested "map.partition"; the cached match total lands on the
 // "map.prepare.matches" counter.
 func Prepare(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Prepared, error) {
-	opts.defaults()
-	rec := obs.From(ctx)
-	pctx, span := rec.StartSpan(ctx, "map.prepare")
-	prep, err := prepare(pctx, d, in, opts)
-	span.End(err)
-	if err != nil {
-		return nil, err
-	}
-	rec.Add("map.prepare.matches", int64(prep.prefix.NumMatches()))
-	return prep, nil
+	return prepare(ctx, d, nil, in, opts)
 }
 
 // PrepareForest builds the K-invariant prefix over a prebuilt
@@ -102,72 +86,42 @@ func PrepareForest(ctx context.Context, d *subject.DAG, forest *partition.Forest
 	if forest == nil {
 		return nil, fmt.Errorf("mapper: PrepareForest needs a forest")
 	}
+	return prepare(ctx, d, forest, in, opts)
+}
+
+// prepare builds the prefix under a "map.prepare" span, partitioning
+// first when no forest is given.
+func prepare(ctx context.Context, d *subject.DAG, forest *partition.Forest, in Input, opts Options) (*Prepared, error) {
 	opts.defaults()
 	rec := obs.From(ctx)
 	pctx, span := rec.StartSpan(ctx, "map.prepare")
-	prefix, err := cover.BuildPrefix(pctx, d, forest, opts.Lib, in.Pos, opts.Metric, opts.Workers)
+	var prefix *cover.Prefix
+	var err error
+	if forest == nil {
+		_, pSpan := rec.StartSpan(pctx, "map.partition")
+		forest, err = partition.Partition(partition.Input{
+			DAG:    d,
+			Pos:    in.Pos,
+			POPads: in.POPads,
+			Metric: opts.Metric,
+		}, opts.Method)
+		pSpan.End(err)
+	}
+	if err == nil {
+		prefix, err = cover.BuildPrefix(pctx, d, forest, opts.Lib, in.Pos, opts.Metric, opts.Workers)
+	}
 	span.End(err)
 	if err != nil {
 		return nil, err
 	}
-	prep := &Prepared{dag: d, forest: forest, prefix: prefix, opts: opts, in: in}
-	rec.Add("map.prepare.matches", int64(prep.prefix.NumMatches()))
-	return prep, nil
-}
-
-func prepare(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Prepared, error) {
-	rec := obs.From(ctx)
-	_, pSpan := rec.StartSpan(ctx, "map.partition")
-	forest, err := partition.Partition(partition.Input{
-		DAG:    d,
-		Pos:    in.Pos,
-		POPads: in.POPads,
-		Metric: opts.Metric,
-	}, opts.Method)
-	pSpan.End(err)
-	if err != nil {
-		return nil, err
-	}
-	prefix, err := cover.BuildPrefix(ctx, d, forest, opts.Lib, in.Pos, opts.Metric, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
+	rec.Add("map.prepare.matches", int64(prefix.NumMatches()))
 	return &Prepared{dag: d, forest: forest, prefix: prefix, opts: opts, in: in}, nil
 }
 
-// MapPrepared maps the prepared DAG at one congestion factor K. The
-// covering DP consumes the cached matches and re-evaluates only the
-// K-weighted cost combination, recorded under a "map.cover_only" span;
-// reconstruction is identical to Map's. The result is byte-identical
-// to mapper.Map with the Prepared's options at the same K.
+// MapPrepared maps the prepared DAG at one congestion factor K: it is
+// MapStateful without the state. The covering DP consumes the cached
+// matches and re-evaluates only the K-weighted cost combination.
 func MapPrepared(ctx context.Context, prep *Prepared, k float64) (*Result, error) {
-	if prep == nil {
-		return nil, fmt.Errorf("mapper: nil Prepared")
-	}
-	opts := prep.opts
-	opts.K = k
-	rec := obs.From(ctx)
-	cctx, cSpan := rec.StartSpan(ctx, "map.cover_only")
-	cov, err := cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, cover.Options{
-		K:              opts.K,
-		Metric:         opts.Metric,
-		WireUnit:       opts.WireUnit,
-		Objective:      opts.Objective,
-		TransitiveWire: opts.TransitiveWire,
-		NoWire2:        opts.NoWire2,
-		Workers:        opts.Workers,
-	})
-	cSpan.End(err)
-	if err != nil {
-		return nil, err
-	}
-	_, rSpan := rec.StartSpan(ctx, "map.reconstruct")
-	res, err := reconstruct(prep.dag, prep.forest, cov)
-	rSpan.End(err)
-	if err != nil {
-		return nil, err
-	}
-	rec.Add("map.cells", int64(res.NumCells))
-	rec.Add("map.duplicated_cells", int64(res.DuplicatedCells))
-	return res, nil
+	res, _, err := MapStateful(ctx, prep, k)
+	return res, err
 }

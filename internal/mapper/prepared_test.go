@@ -89,8 +89,11 @@ func TestMapPreparedMatchesMap(t *testing.T) {
 			if !prep.Compatible(0, lib) {
 				t.Fatal("Prepared incompatible with its own method/library")
 			}
-			if prep.Compatible(0, library.Default()) {
-				t.Error("Compatible must be library pointer identity, not structural")
+			if !prep.Compatible(0, library.Default()) {
+				t.Error("a fresh default library must be compatible: compatibility is by content")
+			}
+			if prep.Compatible(0, libWithNand2Area(t, 11.0)) {
+				t.Error("a library differing in one cell area must be incompatible")
 			}
 			for _, k := range preparedKs {
 				fresh, err := Map(ctx, d, in, Options{K: k, Lib: lib})
@@ -107,6 +110,25 @@ func TestMapPreparedMatchesMap(t *testing.T) {
 			}
 		})
 	}
+}
+
+// libWithNand2Area is the default library's cell table with only the
+// NAND2 area changed.
+func libWithNand2Area(t *testing.T, area float64) *library.Library {
+	t.Helper()
+	var cells []*library.Cell
+	for _, c := range library.Default().Cells() {
+		cp := *c
+		if cp.Name == "NAND2" {
+			cp.Area = area
+		}
+		cells = append(cells, &cp)
+	}
+	lib, err := library.NewLibrary(library.Default().Name, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib
 }
 
 // TestMapPreparedSharedRace shares one Prepared across 8 goroutines

@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"casyn"
+	"casyn/internal/bench"
 	"casyn/internal/logic"
+	"casyn/internal/obs"
 )
 
 func TestDiesSpecValidation(t *testing.T) {
@@ -87,47 +89,72 @@ func TestDiesCacheKeys(t *testing.T) {
 	}
 }
 
-// TestDiesJobEndToEnd runs a multi-die job through the daemon and
-// checks the result against the library running the same options: the
-// report must be byte-identical and the k-way facts populated.
+// TestDiesJobEndToEnd runs multi-die jobs through the daemon and
+// checks each result against the library running the same options: the
+// report must be byte-identical and the k-way facts populated. The
+// library run must build the k-way prefix exactly once; building it a
+// second time re-partitions the already-replicated subject and makes
+// the two front ends disagree.
 func TestDiesJobEndToEnd(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	// tinyPLA's die is a handful of gcells: the derated boundary
-	// capacity truncates to an auto budget of 0, which the admission
-	// check (correctly) fails. An explicit budget keeps the tiny job
-	// routable while still exercising the admission path.
-	resp, m := postJob(t, ts, `{"pla":`+strconv.Quote(tinyPLA)+`,"k":0,"dies":2,"die_pin_budget":64,"verify":true}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+	tiny, err := logic.ReadPLA(strings.NewReader(tinyPLA))
+	if err != nil {
+		t.Fatal(err)
 	}
-	job := waitTerminal(t, s, m["id"].(string))
-	res, jerr := job.Result()
-	if jerr != nil {
-		t.Fatalf("multi-die job failed: %+v", jerr)
+	spla, err := bench.Generate(bench.SPLA.ScaledSpec(0.25))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Dies != 2 {
-		t.Errorf("dies = %d, want 2", res.Dies)
-	}
-	if !strings.Contains(res.Report, "dies:") {
-		t.Errorf("report missing the dies line:\n%s", res.Report)
-	}
+	for _, tc := range []struct {
+		name string
+		spec string
+		pla  *logic.PLA
+		opts casyn.Options
+	}{
+		// tinyPLA's die is a handful of gcells: the derated boundary
+		// capacity truncates to an auto budget of 0, which the admission
+		// check (correctly) fails. An explicit budget keeps the tiny job
+		// routable while still exercising the admission path.
+		{"tiny", `{"pla":` + strconv.Quote(tinyPLA) + `,"k":0,"dies":2,"die_pin_budget":64,"verify":true}`,
+			tiny, casyn.Options{Dies: 2, InterDiePinBudget: 64, Verify: true, Workers: 1}},
+		// A real 4-way partition with cut-driver replication.
+		{"spla", `{"bench":"spla","scale":0.25,"k":0.001,"dies":4}`,
+			spla, casyn.Options{K: 0.001, Dies: 4, Workers: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := testServer(t, Config{})
+			resp, m := postJob(t, ts, tc.spec)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+			}
+			job := waitTerminal(t, s, m["id"].(string))
+			res, jerr := job.Result()
+			if jerr != nil {
+				t.Fatalf("multi-die job failed: %+v", jerr)
+			}
+			if res.Dies != tc.opts.Dies {
+				t.Errorf("dies = %d, want %d", res.Dies, tc.opts.Dies)
+			}
+			if !strings.Contains(res.Report, "dies:") {
+				t.Errorf("report missing the dies line:\n%s", res.Report)
+			}
 
-	p, err := logic.ReadPLA(strings.NewReader(tinyPLA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := casyn.SynthesizeContext(context.Background(), p,
-		casyn.Options{Dies: 2, InterDiePinBudget: 64, Verify: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report != want.Report() {
-		t.Errorf("daemon report differs from the library:\n--- daemon ---\n%s--- library ---\n%s",
-			res.Report, want.Report())
-	}
-	if res.ReplicatedGates != want.ReplicatedGates || res.CrossRegionNets != want.CrossRegionNets {
-		t.Errorf("k-way facts (%d replicated, %d cross-region) differ from the library (%d, %d)",
-			res.ReplicatedGates, res.CrossRegionNets, want.ReplicatedGates, want.CrossRegionNets)
+			rec := obs.New()
+			want, err := casyn.SynthesizeContext(obs.WithRecorder(context.Background(), rec), tc.pla, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := rec.Snapshot().SpanCounts()["map.prepare"]; n != 1 {
+				t.Errorf("library run recorded %d map.prepare spans, want 1", n)
+			}
+			if res.Report != want.Report() {
+				t.Errorf("daemon report differs from the library:\n--- daemon ---\n%s--- library ---\n%s",
+					res.Report, want.Report())
+			}
+			if res.ReplicatedGates != want.ReplicatedGates || res.CrossRegionNets != want.CrossRegionNets {
+				t.Errorf("k-way facts (%d replicated, %d cross-region) differ from the library (%d, %d)",
+					res.ReplicatedGates, res.CrossRegionNets, want.ReplicatedGates, want.CrossRegionNets)
+			}
+		})
 	}
 }
 

@@ -224,7 +224,6 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 		opts.StageTimeout = s.cfg.StageTimeout
 	}
 	cfg := casyn.FlowConfig(entry.layout, opts)
-	cfg.Lib = s.lib
 	cfg.Hooks = s.cfg.Hooks
 	cfg.FastECORoute = job.eco.fast
 

@@ -39,7 +39,6 @@ import (
 
 	"casyn"
 	"casyn/internal/flow"
-	"casyn/internal/library"
 	"casyn/internal/obs"
 	"casyn/internal/place"
 	"casyn/internal/runstage"
@@ -152,10 +151,6 @@ type prepEntry struct {
 // stop with Drain (graceful) or Close (immediate).
 type Server struct {
 	cfg Config
-	// lib is the single shared cell library: mapper.Prepared guards
-	// compatibility by pointer identity, so every job must map against
-	// this exact instance for the prepared cache to hit.
-	lib *library.Library
 	rec *obs.Recorder
 
 	baseCtx    context.Context
@@ -192,7 +187,6 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		lib:        library.Default(),
 		rec:        obs.New(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -545,7 +539,6 @@ func (s *Server) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 		opts.StageTimeout = s.cfg.StageTimeout
 	}
 	cfg := casyn.FlowConfig(entry.layout, opts)
-	cfg.Lib = s.lib
 	cfg.Hooks = s.cfg.Hooks
 
 	var res *JobResult
@@ -605,7 +598,6 @@ func (s *Server) prepared(ctx context.Context, spec *JobSpec, prepKey string) (*
 		return nil, "", &runstage.StageError{Stage: StageFrontend, Err: err}
 	}
 	cfg := casyn.FlowConfig(layout, opts)
-	cfg.Lib = s.lib
 	cfg.Hooks = s.cfg.Hooks
 	pc, err := flow.Prepare(ctx, dag, cfg)
 	if err != nil {

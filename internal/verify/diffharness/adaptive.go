@@ -68,7 +68,6 @@ func prepareFlow(ctx context.Context, name string, p *logic.PLA, cfg Config) (*s
 	if err := flow.PrepareMapping(ctx, pc, fcfg); err != nil {
 		return nil, nil, flow.Config{}, fmt.Errorf("diffharness: %s: %w", name, err)
 	}
-	fcfg.Lib = pc.Prep.Lib()
 	return d, pc, fcfg, nil
 }
 

@@ -117,12 +117,8 @@ func RunECOSweep(ctx context.Context, name string, p *logic.PLA, cfg ECOConfig) 
 	// Seeded placement (the paper's methodology and the top-level API
 	// default) so nudge and swap edits flow through legalization into
 	// the routed result, not just the cover's wire estimates.
-	// One explicit library pointer threads through every call: the ECO
-	// state's Compatible check is by pointer, and library.Default()
-	// allocates per call.
 	fcfg := flow.Config{
 		Layout:    layout,
-		Lib:       library.Default(),
 		PlaceOpts: place.Options{Seed: 1, RefinePasses: 8},
 		RouteOpts: route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98},
 		KSchedule: cfg.Ks,
