@@ -182,8 +182,52 @@ func Cover(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib 
 // cooperative cancellation point: a canceled ctx stops the DP promptly
 // with a wrapped ctx error.
 func CoverWithPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, opts Options) (*Result, error) {
+	return coverTrees(ctx, dag, forest, prefix, nil, opts, nil)
+}
+
+// CoverDelta re-runs the covering DP on only the trees dirty marks,
+// copying every other tree's solutions and committed positions from
+// prev. dirty is indexed like the prefix's trees. The result is
+// byte-identical to CoverWithPrefix over the whole prefix at opts
+// provided every clean tree's DP reads exactly what it read when prev
+// was covered: the same enumeration, frozen snapshot and K, and field
+// samples unchanged inside its territory. The caller owns that lineage
+// (mapper.CoverState threads it); two dirty sources produce such masks:
+//
+//   - a structural ECO, where the tree's enumeration was rebuilt
+//     (Rebuild.Dirty; see eco.go);
+//   - a K-field update, where a changed gcell meets the tree's
+//     territory (DirtyTreesForField; see fielddelta.go).
+//
+// Clean trees' solutions are immutable after covering, so the pointers
+// themselves carry over.
+func CoverDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty []bool) (*Result, error) {
+	if prev == nil {
+		return nil, fmt.Errorf("cover: CoverDelta needs a previous cover (use CoverWithPrefix)")
+	}
+	return coverTrees(ctx, dag, forest, prefix, prev, opts, dirty)
+}
+
+// coverTrees is the one covering loop: it runs the DP on every tree —
+// or, with a prev, on the dirty trees only, copying the rest from prev
+// — and reduces the roots.
+func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty []bool) (*Result, error) {
 	if prefix == nil || prefix.dag != dag {
 		return nil, fmt.Errorf("cover: prefix built for a different DAG")
+	}
+	reused := 0
+	if prev != nil {
+		if len(prev.Best) != dag.NumGates() {
+			return nil, fmt.Errorf("cover: previous cover does not match the DAG")
+		}
+		if len(dirty) != len(prefix.trees) {
+			return nil, fmt.Errorf("cover: %d dirty flags for %d trees", len(dirty), len(prefix.trees))
+		}
+		for _, d := range dirty {
+			if !d {
+				reused++
+			}
+		}
 	}
 	if opts.WireUnit == 0 {
 		opts.WireUnit = 0.5
@@ -197,13 +241,24 @@ func CoverWithPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fo
 	}
 	rec := obs.From(ctx)
 	rec.Add("cover.trees", int64(len(prefix.trees)))
+	if prev != nil {
+		rec.Add("cover.reused_trees", int64(reused))
+	}
 	ins := instruments{
 		solutions: rec.Counter("cover.solutions"),
 		matches:   rec.Counter("cover.matches"),
 		perGate:   rec.Histogram("cover.matches_per_gate", matchesPerGateBounds),
 	}
 	err := par.ForEach(ctx, opts.Workers, len(prefix.trees), func(ti int) error {
-		return coverTree(dag, forest, prefix, &prefix.trees[ti], res, opts, ins)
+		t := &prefix.trees[ti]
+		if prev != nil && !dirty[ti] {
+			for _, v := range t.Gates {
+				res.Best[v] = prev.Best[v]
+				res.Pos[v] = prev.Pos[v]
+			}
+			return nil
+		}
+		return coverTree(dag, forest, prefix, t, res, opts, ins)
 	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {

@@ -33,35 +33,23 @@ import (
 
 	"casyn/internal/geom"
 	"casyn/internal/library"
-	"casyn/internal/obs"
 	"casyn/internal/par"
 	"casyn/internal/partition"
 	"casyn/internal/subject"
 )
 
 // Rebuild is the outcome of RebuildPrefix: the new prefix plus the
-// per-tree reuse classification CoverDelta consumes.
+// per-tree dirty mask CoverDelta consumes.
 type Rebuild struct {
 	Prefix *Prefix
-	// Reused[ti] reports whether tree ti of Prefix shares its cached
-	// enumeration with the previous prefix (clean) or was re-enumerated
-	// (dirty). Indexed like Prefix trees.
-	Reused []bool
+	// Dirty[ti] reports whether tree ti of Prefix was re-enumerated
+	// (dirty) or shares its cached enumeration with the previous prefix
+	// (clean). Indexed like Prefix trees.
+	Dirty []bool
 	// DirtyRoots lists the roots of re-enumerated trees in ascending
 	// gate-ID order — the mapper's dirty region for downstream
 	// incremental routing.
 	DirtyRoots []int
-}
-
-// ReusedTrees counts clean trees.
-func (r *Rebuild) ReusedTrees() int {
-	n := 0
-	for _, ok := range r.Reused {
-		if ok {
-			n++
-		}
-	}
-	return n
 }
 
 // RebuildPrefix builds a Prefix for the edited (dag, forest, pos) by
@@ -115,7 +103,7 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		pos:     append([]geom.Point(nil), pos...),
 		matches: make([][]preparedMatch, n),
 	}
-	rb := &Rebuild{Prefix: p, Reused: make([]bool, len(p.trees))}
+	rb := &Rebuild{Prefix: p, Dirty: make([]bool, len(p.trees))}
 	var dirty []int
 	for ti := range p.trees {
 		t := &p.trees[ti]
@@ -143,9 +131,9 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 			for _, v := range t.Gates {
 				p.matches[v] = prev.matches[v]
 			}
-			rb.Reused[ti] = true
 			continue
 		}
+		rb.Dirty[ti] = true
 		dirty = append(dirty, ti)
 		rb.DirtyRoots = append(rb.DirtyRoots, t.Root)
 	}
@@ -176,66 +164,4 @@ func SharesMatches(a, b *Prefix, g int) bool {
 		return len(ma) == len(mb) && ma == nil && mb == nil
 	}
 	return &ma[0] == &mb[0]
-}
-
-// CoverDelta re-runs the covering DP on only the dirty trees of a
-// rebuilt prefix, copying the clean trees' solutions and committed
-// positions from a previous same-K cover. prev must be the Result of
-// CoverWithPrefix (or a previous CoverDelta) over the prefix that
-// rebuild was diffed against, at the same opts — the caller owns that
-// lineage (mapper.CoverState threads it). The result is byte-identical
-// to CoverWithPrefix over the full rebuilt prefix: clean trees' DPs
-// read only their own shared enumeration and the frozen snapshot, so
-// recomputing them would reproduce prev's solutions exactly.
-func CoverDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, rebuild *Rebuild, prev *Result, opts Options) (*Result, error) {
-	prefix := rebuild.Prefix
-	if prefix == nil || prefix.dag != dag {
-		return nil, fmt.Errorf("cover: rebuilt prefix is for a different DAG")
-	}
-	if prev == nil || len(prev.Best) != dag.NumGates() {
-		return nil, fmt.Errorf("cover: previous cover does not match the DAG")
-	}
-	if opts.WireUnit == 0 {
-		opts.WireUnit = 0.5
-	}
-	res := &Result{
-		Best: make([]*Solution, dag.NumGates()),
-		Pos:  append([]geom.Point(nil), prefix.pos...),
-	}
-	rec := obs.From(ctx)
-	rec.Add("cover.trees", int64(len(prefix.trees)))
-	rec.Add("cover.delta_reused_trees", int64(rebuild.ReusedTrees()))
-	ins := instruments{
-		solutions: rec.Counter("cover.solutions"),
-		matches:   rec.Counter("cover.matches"),
-		perGate:   rec.Histogram("cover.matches_per_gate", matchesPerGateBounds),
-	}
-	err := par.ForEach(ctx, opts.Workers, len(prefix.trees), func(ti int) error {
-		t := &prefix.trees[ti]
-		if rebuild.Reused[ti] {
-			// Clean tree: solutions are immutable after covering, so the
-			// pointers themselves carry over; the committed positions of
-			// every member (covered gates moved to their match's center
-			// of mass, the rest on the frozen snapshot) carry over too,
-			// since neither the members nor their matches moved.
-			for _, v := range t.Gates {
-				res.Best[v] = prev.Best[v]
-				res.Pos[v] = prev.Pos[v]
-			}
-			return nil
-		}
-		return coverTree(dag, forest, prefix, t, res, opts, ins)
-	})
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("cover: canceled with %d trees pending: %w", len(prefix.trees), cerr)
-		}
-		return nil, err
-	}
-	for _, root := range forest.Roots {
-		sol := res.Best[root]
-		res.RootArea += sol.AreaCost
-		res.RootWire += sol.Wire
-	}
-	return res, nil
 }

@@ -17,20 +17,11 @@ package cover
 // KField.SpanMult) connects two points of this set, and a bounding box
 // is convex, so all samples land inside the territory. Hence a field
 // change strictly outside a tree's territory cannot alter any cost the
-// tree's DP computes, and the tree's previous solutions carry over
-// verbatim — the same copy-on-write argument CoverDelta makes for
-// structural edits, applied to the field dimension.
+// tree's DP computes, and CoverDelta may carry the tree's previous
+// solutions over verbatim — the copy-on-write argument RebuildPrefix
+// makes for structural edits, applied to the field dimension.
 
-import (
-	"context"
-	"fmt"
-
-	"casyn/internal/geom"
-	"casyn/internal/obs"
-	"casyn/internal/par"
-	"casyn/internal/partition"
-	"casyn/internal/subject"
-)
+import "casyn/internal/geom"
 
 // TreeTerritory returns the bounding box of every layout position tree
 // ti's covering DP reads: the members' frozen positions plus the
@@ -104,80 +95,4 @@ func DirtyTreesForField(terr []geom.Rect, f *KField, changed []bool) []bool {
 		}
 	}
 	return dirty
-}
-
-// CoverFieldDelta re-runs the covering DP on only the dirty trees of a
-// prefix after a K-field update, copying the clean trees' solutions
-// and committed positions from a previous cover over the same prefix.
-// prev must be the Result of CoverWithPrefix (or a previous
-// CoverFieldDelta) over this exact prefix at the same opts except for
-// the field, and dirty must mark (at least) every tree whose territory
-// intersects a gcell where prev's field and opts.KField differ — the
-// caller owns that lineage (mapper.CoverState threads it; a nil
-// previous field is the uniform one). The result is then
-// byte-identical to CoverWithPrefix over the full prefix at opts:
-// clean trees' DPs read only their own enumeration, the frozen
-// snapshot, and field samples inside their territory, so recomputing
-// them would reproduce prev's solutions exactly.
-func CoverFieldDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty []bool) (*Result, error) {
-	if prefix == nil || prefix.dag != dag {
-		return nil, fmt.Errorf("cover: prefix built for a different DAG")
-	}
-	if prev == nil || len(prev.Best) != dag.NumGates() {
-		return nil, fmt.Errorf("cover: previous cover does not match the DAG")
-	}
-	if len(dirty) != len(prefix.trees) {
-		return nil, fmt.Errorf("cover: %d dirty flags for %d trees", len(dirty), len(prefix.trees))
-	}
-	if opts.KField == nil {
-		return nil, fmt.Errorf("cover: CoverFieldDelta needs a K-field (use CoverWithPrefix)")
-	}
-	if opts.WireUnit == 0 {
-		opts.WireUnit = 0.5
-	}
-	res := &Result{
-		Best: make([]*Solution, dag.NumGates()),
-		Pos:  append([]geom.Point(nil), prefix.pos...),
-	}
-	reused := 0
-	for _, d := range dirty {
-		if !d {
-			reused++
-		}
-	}
-	rec := obs.From(ctx)
-	rec.Add("cover.trees", int64(len(prefix.trees)))
-	rec.Add("cover.field_reused_trees", int64(reused))
-	ins := instruments{
-		solutions: rec.Counter("cover.solutions"),
-		matches:   rec.Counter("cover.matches"),
-		perGate:   rec.Histogram("cover.matches_per_gate", matchesPerGateBounds),
-	}
-	err := par.ForEach(ctx, opts.Workers, len(prefix.trees), func(ti int) error {
-		t := &prefix.trees[ti]
-		if !dirty[ti] {
-			// Clean tree: solutions are immutable after covering and no
-			// field sample the tree can observe changed, so the pointers
-			// and committed positions carry over (see CoverDelta for the
-			// structural analogue of this argument).
-			for _, v := range t.Gates {
-				res.Best[v] = prev.Best[v]
-				res.Pos[v] = prev.Pos[v]
-			}
-			return nil
-		}
-		return coverTree(dag, forest, prefix, t, res, opts, ins)
-	})
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("cover: canceled with %d trees pending: %w", len(prefix.trees), cerr)
-		}
-		return nil, err
-	}
-	for _, root := range forest.Roots {
-		sol := res.Best[root]
-		res.RootArea += sol.AreaCost
-		res.RootWire += sol.Wire
-	}
-	return res, nil
 }

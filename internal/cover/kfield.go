@@ -13,8 +13,9 @@ package cover
 // one) reduces to the classic cost bit-for-bit: multiplying a float64
 // by 1.0 is exact in IEEE 754 and the weighted accumulation runs in the
 // same order as the unweighted one, so every cost, tie-break, and
-// committed solution is identical (the uniform-field property test in
-// the differential harness proves this across the example corpus).
+// committed solution is identical (TestUniformFieldBitIdentity checks
+// this at K ∈ {0, 0.5, 1, 2}; reconstruction reads only the cover, so
+// the mapped netlists agree too).
 //
 // The field's geometry deliberately mirrors route.Grid (origin, cell
 // pitch, dimensions) without importing it — flow constructs the field

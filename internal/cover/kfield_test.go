@@ -7,6 +7,7 @@ import (
 	"casyn/internal/bench"
 	"casyn/internal/geom"
 	"casyn/internal/library"
+	"casyn/internal/obs"
 	"casyn/internal/partition"
 	"casyn/internal/subject"
 )
@@ -225,10 +226,10 @@ func TestTreeTerritoryContainsReads(t *testing.T) {
 	}
 }
 
-// TestCoverFieldDelta: re-covering only the territory-dirty trees
+// TestCoverDeltaField: re-covering only the territory-dirty trees
 // after a field inflation must be byte-identical to a full cover under
 // the new field — chained twice to cover the delta-off-delta path.
-func TestCoverFieldDelta(t *testing.T) {
+func TestCoverDeltaField(t *testing.T) {
 	t.Parallel()
 	d, forest, prefix, _, die := benchPrefix(t)
 	const k = 0.001
@@ -256,7 +257,7 @@ func TestCoverFieldDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := CoverFieldDelta(context.Background(), d, forest, prefix, base, fopts, dirty)
+	delta, err := CoverDelta(context.Background(), d, forest, prefix, base, fopts, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestCoverFieldDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta2, err := CoverFieldDelta(context.Background(), d, forest, prefix, delta, fopts2, dirty2)
+	delta2, err := CoverDelta(context.Background(), d, forest, prefix, delta, fopts2, dirty2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,26 +306,44 @@ func cover1(t *testing.T, terr []geom.Rect, f *KField, changed []bool) []bool {
 	return dirty
 }
 
-// TestCoverFieldDeltaValidation pins the error contract.
-func TestCoverFieldDeltaValidation(t *testing.T) {
+// TestCoverDeltaValidation pins the delta contract: a nil field is the
+// uniform one on the delta path too, and a malformed mask or a missing
+// previous cover is an error.
+func TestCoverDeltaValidation(t *testing.T) {
 	t.Parallel()
-	d, forest, prefix, _, die := benchPrefix(t)
-	base, err := CoverWithPrefix(context.Background(), d, forest, prefix, Options{K: 1})
+	d, forest, prefix, _, _ := benchPrefix(t)
+	opts := Options{K: 1}
+	base, err := CoverWithPrefix(context.Background(), d, forest, prefix, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	field, err := NewKField(die.Min, die.W()/16, die.H()/16, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Re-cover every other tree under the nil field: the clean half
+	// copies base, the dirty half recomputes it.
 	dirty := make([]bool, prefix.NumTrees())
-	if _, err := CoverFieldDelta(context.Background(), d, forest, prefix, base, Options{K: 1}, dirty); err == nil {
-		t.Error("nil field must error")
+	for ti := range dirty {
+		dirty[ti] = ti%2 == 0
 	}
-	if _, err := CoverFieldDelta(context.Background(), d, forest, prefix, base, Options{K: 1, KField: field}, dirty[:1]); err == nil {
+	drec, frec := obs.New(), obs.New()
+	delta, err := CoverDelta(obs.WithRecorder(context.Background(), drec), d, forest, prefix, base, opts, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := CoverWithPrefix(obs.WithRecorder(context.Background(), frec), d, forest, prefix, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCover(t, "nil-field delta", full, delta)
+	// Only a delta records reuse: every odd-indexed tree was copied.
+	if got, want := drec.Snapshot().Counters["cover.reused_trees"], int64(len(dirty)/2); got != want {
+		t.Errorf("delta cover.reused_trees = %d, want %d", got, want)
+	}
+	if _, ok := frec.Snapshot().Counters["cover.reused_trees"]; ok {
+		t.Error("a full cover recorded cover.reused_trees")
+	}
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty[:1]); err == nil {
 		t.Error("dirty length mismatch must error")
 	}
-	if _, err := CoverFieldDelta(context.Background(), d, forest, prefix, nil, Options{K: 1, KField: field}, dirty); err == nil {
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, nil, opts, dirty); err == nil {
 		t.Error("nil previous cover must error")
 	}
 }

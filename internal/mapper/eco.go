@@ -130,8 +130,8 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 		DirtyRoots:  rb.DirtyRoots,
 		EditedGates: structEdited,
 		MovedGates:  moved,
-		Trees:       len(rb.Reused),
-		ReusedTrees: rb.ReusedTrees(),
+		Trees:       len(rb.Dirty),
+		ReusedTrees: len(rb.Dirty) - len(rb.DirtyRoots),
 	}, nil
 }
 
@@ -146,17 +146,16 @@ func (e *ECOPrepared) SharesMatches(g int) bool {
 func (e *ECOPrepared) Parent() *Prepared { return e.parent }
 
 // CoverState is one K rung's covering result together with its
-// lineage: the Prepared it covered and the K it covered at. MapECO
-// consumes it to re-cover only dirty trees; MapStateful produces the
-// initial one.
+// lineage: the Prepared it covered, the K it covered at, and the
+// K-field it covered under. MapStateful produces the initial one;
+// MapECO and MapFieldDelta re-cover only dirty trees against it.
 type CoverState struct {
 	prep *Prepared
 	k    float64
 	cov  *cover.Result
-	// field is the K-field the cover ran with: nil (the uniform field)
-	// for the global-K path, non-nil for a MapWithField/MapFieldDelta
-	// cover. The adaptive controller chains field deltas off it
-	// (adaptive.go).
+	// field is the K-field the cover ran with (nil is the uniform
+	// field). A structural ECO re-covers under it; a field delta
+	// replaces it.
 	field *cover.KField
 }
 
@@ -180,76 +179,64 @@ func (p *Prepared) coverOptions(k float64) cover.Options {
 // later start from. The cover is recorded under a "map.cover_only"
 // span.
 func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *CoverState, error) {
-	return mapField(ctx, prep, k, nil, "map.cover_only")
-}
-
-// mapField covers every tree of the prefix at K under field (nil is the
-// uniform field), recording the cover under the named span, and
-// reconstructs the netlist.
-func mapField(ctx context.Context, prep *Prepared, k float64, field *cover.KField, span string) (*Result, *CoverState, error) {
-	if prep == nil {
-		return nil, nil, fmt.Errorf("mapper: nil Prepared")
-	}
-	opts := prep.coverOptions(k)
-	opts.KField = field
-	rec := obs.From(ctx)
-	cctx, cSpan := rec.StartSpan(ctx, span)
-	cov, err := cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, opts)
-	cSpan.End(err)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := finishMap(ctx, rec, prep, cov)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &CoverState{prep: prep, k: k, cov: cov, field: field}, nil
+	return mapCover(ctx, prep, k, nil, nil, nil, "map.cover_only")
 }
 
 // MapECO maps the invalidated context at K. When prev carries a cover
-// of the parent Prepared at the same K, only the dirty trees run the
-// covering DP (cover.CoverDelta) — the clean trees' solutions carry
-// over — and the result is byte-identical to a full MapPrepared
-// against the successor. With no usable prev (nil, different K, or
-// different lineage) it falls back to the full prepared cover. Either
+// of the parent Prepared at the same K, only the trees Invalidate
+// re-enumerated run the covering DP, under prev's K-field — the clean
+// trees' solutions carry over — and the result is byte-identical to a
+// full cover of the successor under that field. With no usable prev
+// (nil, different K, or different lineage) it falls back to a full
+// cover under the uniform field, counted on "eco.cover_full". Either
 // way the returned CoverState chains further ECOs.
 func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, *CoverState, error) {
 	if e == nil || e.Prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil ECO")
 	}
-	prep := &e.Prep.Prepared
 	rec := obs.From(ctx)
-	// A previous cover under a non-uniform K-field cannot seed a
-	// structural delta here: CoverDelta would re-cover dirty trees at
-	// the classic cost while clean trees keep field-weighted solutions.
-	if prev == nil || prev.k != k || prev.prep != e.Prep.parent || prev.field != nil {
+	if prev == nil || prev.k != k || prev.prep != e.Prep.parent {
 		rec.Add("eco.cover_full", 1)
-		return MapStateful(ctx, prep, k)
+		return MapStateful(ctx, &e.Prep.Prepared, k)
 	}
-	cctx, cSpan := rec.StartSpan(ctx, "eco.cover_delta")
-	cov, err := cover.CoverDelta(cctx, prep.dag, prep.forest, e.Prep.rebuild, prev.cov, prep.coverOptions(k))
+	rec.Add("eco.cover_delta", 1)
+	return mapCover(ctx, &e.Prep.Prepared, k, prev.field, prev, e.Prep.rebuild.Dirty, "eco.cover_delta")
+}
+
+// mapCover covers prep's prefix at K under field (nil is the uniform
+// field) and reconstructs the netlist. With a prev it re-covers only
+// the trees dirty marks and copies the rest from prev's cover, whose
+// clean trees must read what they read in prev (cover.CoverDelta). The
+// cover is recorded under the named span.
+func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KField, prev *CoverState, dirty []bool, span string) (*Result, *CoverState, error) {
+	if prep == nil {
+		return nil, nil, fmt.Errorf("mapper: nil Prepared")
+	}
+	if prev != nil && prev.k != k {
+		return nil, nil, fmt.Errorf("mapper: delta at K=%g against a K=%g cover", k, prev.k)
+	}
+	opts := prep.coverOptions(k)
+	opts.KField = field
+	rec := obs.From(ctx)
+	cctx, cSpan := rec.StartSpan(ctx, span)
+	var cov *cover.Result
+	var err error
+	if prev == nil {
+		cov, err = cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, opts)
+	} else {
+		cov, err = cover.CoverDelta(cctx, prep.dag, prep.forest, prep.prefix, prev.cov, opts, dirty)
+	}
 	cSpan.End(err)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.Add("eco.cover_delta", 1)
-	res, err := finishMap(ctx, rec, prep, cov)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &CoverState{prep: prep, k: k, cov: cov}, nil
-}
-
-// finishMap reconstructs the mapped netlist from a covering result and
-// records the mapping counters (the tail every cover path shares).
-func finishMap(ctx context.Context, rec *obs.Recorder, prep *Prepared, cov *cover.Result) (*Result, error) {
 	_, rSpan := rec.StartSpan(ctx, "map.reconstruct")
 	res, err := reconstruct(prep.dag, prep.forest, cov)
 	rSpan.End(err)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec.Add("map.cells", int64(res.NumCells))
 	rec.Add("map.duplicated_cells", int64(res.DuplicatedCells))
-	return res, nil
+	return res, &CoverState{prep: prep, k: k, cov: cov, field: field}, nil
 }

@@ -2,13 +2,17 @@ package mapper
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"casyn/internal/cover"
+	"casyn/internal/geom"
 	"casyn/internal/library"
+	"casyn/internal/obs"
 	"casyn/internal/subject"
 )
 
@@ -120,6 +124,96 @@ func TestMapECOMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestMapECOUnderField: an ECO off a cover under a non-uniform K-field
+// re-covers the dirty trees under that field, so the delta is
+// byte-identical to a full cover of the successor under the same field.
+func TestMapECOUnderField(t *testing.T) {
+	t.Parallel()
+	const k = 1
+	fieldMatters := 0
+	for _, pla := range exampleCircuits(t) {
+		name := strings.TrimSuffix(filepath.Base(pla), ".pla")
+		d, in := placedCircuit(t, pla)
+		rec := obs.New()
+		ctx := obs.WithRecorder(context.Background(), rec)
+		prep, err := Prepare(ctx, d, in, Options{Lib: library.Default()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := checkerField(t, in.Pos)
+		_, fieldCov := mapUnderField(t, ctx, prep, k, field)
+
+		eco, err := prep.Invalidate(ctx, RandomEdits(prep, rand.New(rand.NewSource(3)), 4))
+		if err != nil {
+			t.Fatalf("%s: Invalidate: %v", name, err)
+		}
+		inc, incCov, err := MapECO(ctx, eco, fieldCov, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Snapshot().Counters["eco.cover_delta"]; got != 1 {
+			t.Fatalf("%s: eco.cover_delta = %d, want the delta path", name, got)
+		}
+		if incCov.field != field {
+			t.Fatalf("%s: the delta's state dropped the parent's field", name)
+		}
+		ref, _ := mapUnderField(t, ctx, &eco.Prep.Prepared, k, field)
+		if resultKey(inc) != resultKey(ref) {
+			t.Errorf("%s: ECO under a K-field differs from a full cover of the successor under it", name)
+		}
+		uniform, err := MapPrepared(ctx, &eco.Prep.Prepared, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resultKey(uniform) != resultKey(ref) {
+			fieldMatters++
+		}
+	}
+	if fieldMatters == 0 {
+		t.Fatal("the K-field changed no example circuit's cover; the property is vacuous")
+	}
+}
+
+// checkerField returns a K-field over the bounding box of pos whose
+// 4×4 cells alternate between multipliers 1 and 50.
+func checkerField(t *testing.T, pos []geom.Point) *cover.KField {
+	t.Helper()
+	lo, hi := pos[0], pos[0]
+	for _, p := range pos {
+		lo = geom.Pt(math.Min(lo.X, p.X), math.Min(lo.Y, p.Y))
+		hi = geom.Pt(math.Max(hi.X, p.X), math.Max(hi.Y, p.Y))
+	}
+	f, err := cover.NewKField(lo, (hi.X-lo.X)/4+1, (hi.Y-lo.Y)/4+1, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Mult {
+		if (i/4+i%4)%2 == 1 {
+			f.Mult[i] = 50
+		}
+	}
+	return f
+}
+
+// mapUnderField covers every tree of prep under field: a field delta
+// off the uniform cover with every tree dirty.
+func mapUnderField(t *testing.T, ctx context.Context, prep *Prepared, k float64, field *cover.KField) (*Result, *CoverState) {
+	t.Helper()
+	_, base, err := MapStateful(ctx, prep, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]bool, prep.prefix.NumTrees())
+	for i := range all {
+		all[i] = true
+	}
+	res, st, err := MapFieldDelta(ctx, base, k, field, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
+
 // TestInvalidateDirtySetExact is the dirty-set minimality/soundness
 // property: Invalidate's per-tree reuse decision must match an
 // independent reimplementation of the clean-tree criterion (identical
@@ -218,8 +312,8 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 		posChanged[g] = true
 	}
 	newTrees := newForest.Trees(succ.dag)
-	if len(eco.Prep.rebuild.Reused) != len(newTrees) {
-		t.Fatalf("reuse map has %d entries for %d trees", len(eco.Prep.rebuild.Reused), len(newTrees))
+	if len(eco.Prep.rebuild.Dirty) != len(newTrees) {
+		t.Fatalf("dirty mask has %d entries for %d trees", len(eco.Prep.rebuild.Dirty), len(newTrees))
 	}
 	dirtyRoots := make(map[int]bool)
 	for _, r := range eco.DirtyRoots {
@@ -245,8 +339,8 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 				}
 			}
 		}
-		if got := eco.Prep.rebuild.Reused[ti]; got != clean {
-			t.Errorf("tree %d (root %d): Reused=%v, independent criterion says clean=%v", ti, tr.Root, got, clean)
+		if got := eco.Prep.rebuild.Dirty[ti]; got == clean {
+			t.Errorf("tree %d (root %d): Dirty=%v, independent criterion says clean=%v", ti, tr.Root, got, clean)
 		}
 		if clean {
 			reused++

@@ -20,7 +20,6 @@ import (
 	"io"
 	"time"
 
-	"casyn"
 	"casyn/internal/flow"
 	"casyn/internal/mapper"
 )
@@ -216,16 +215,13 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := spec.options()
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.JobWorkers
-	}
-	if opts.StageTimeout == 0 {
-		opts.StageTimeout = s.cfg.StageTimeout
-	}
-	cfg := casyn.FlowConfig(entry.layout, opts)
-	cfg.Hooks = s.cfg.Hooks
+	cfg := s.flowConfig(spec, entry.layout)
 	cfg.FastECORoute = job.eco.fast
+	// The ECO chain runs with seeded placement, like cmd/casyn -eco: the
+	// mapper's center-of-mass seeds are legalized rather than re-placed,
+	// so the baseline's captured placement is reusable and fast mode
+	// keeps unmoved cells where they were routed.
+	cfg.FreshPlacement = false
 
 	st, err := s.ecoBaseline(ctx, entry, cfg, job.prepKey, job.eco.k)
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"casyn"
+	"casyn/internal/flow"
 	"casyn/internal/logic"
+	"casyn/internal/mapper"
 	"casyn/internal/runstage"
 	"casyn/internal/subject"
 )
@@ -164,5 +166,98 @@ func TestEcoRejections(t *testing.T) {
 	_, jerr := job.Result()
 	if jerr == nil || jerr.Stage != string(runstage.StageECO) {
 		t.Errorf("failure did not identify the eco stage: %+v", jerr)
+	}
+}
+
+// TestEcoJobSeededPlacement: ECO jobs run the seeded-placement chain
+// cmd/casyn -eco runs. An exact job's report equals that chain run
+// directly (flow.RunStateful, then flow.RunECO), and a fast job
+// legalizes the edited netlist incrementally instead of re-placing it.
+func TestEcoJobSeededPlacement(t *testing.T) {
+	const specJSON = `{"bench":"spla","scale":0.05,"k":0.001}`
+	spec, err := ParseJobSpec(strings.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.subjectPLA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := spec.options()
+	dag, err := casyn.SubjectFor(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := -1
+	for _, g := range dag.LiveGates() {
+		if tp := dag.Gate(g).Type; tp == subject.Nand2 || tp == subject.Inv {
+			gate = g
+			break
+		}
+	}
+	if gate < 0 {
+		t.Fatal("no editable base gate")
+	}
+	editsJSON := fmt.Sprintf(`[{"op":"nudge","gate":%d,"dx":5,"dy":0}]`, gate)
+
+	// Reference: the cmd/casyn -eco chain.
+	layout, err := casyn.LayoutFor(dag, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := casyn.FlowConfig(layout, opts)
+	cfg.FreshPlacement = false
+	pc, err := flow.Prepare(ctx, dag, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := flow.RunStateful(ctx, pc, opts.K, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits, err := mapper.ParseEditSet([]byte(`{"edits":` + editsJSON + `}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eit, _, err := flow.RunECO(ctx, pc, st, edits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := casyn.ResultFrom(dag, layout, &eit).Report()
+
+	s, ts := testServer(t, Config{})
+	resp, m := postJob(t, ts, specJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+	}
+	parent := m["id"].(string)
+	if job := waitTerminal(t, s, parent); job.Status() != StatusDone {
+		t.Fatalf("parent finished %s", job.Status())
+	}
+	runEco := func(fast bool) *JobResult {
+		t.Helper()
+		r, em := postEco(t, ts, parent, fmt.Sprintf(`{"edits":%s,"fast":%v}`, editsJSON, fast))
+		if r.StatusCode != http.StatusAccepted {
+			t.Fatalf("eco submit: %d (%v)", r.StatusCode, em)
+		}
+		job := waitTerminal(t, s, em["id"].(string))
+		res, jerr := job.Result()
+		if res == nil {
+			t.Fatalf("eco fast=%v failed: %+v", fast, jerr)
+		}
+		return res
+	}
+
+	exact := runEco(false)
+	if exact.Report != want {
+		t.Errorf("exact eco report differs from the cmd/casyn -eco chain:\ndaemon:\n%s\nchain:\n%s", exact.Report, want)
+	}
+	if n := s.Metrics().Counters["eco.place_incremental"]; n != 0 {
+		t.Fatalf("exact eco placed incrementally (%d)", n)
+	}
+	runEco(true)
+	if n := s.Metrics().Counters["eco.place_incremental"]; n != 1 {
+		t.Errorf("fast eco: eco.place_incremental = %d, want 1", n)
 	}
 }

@@ -411,16 +411,17 @@ func (s *Server) execute(job *Job) {
 	}
 	wall := time.Since(start)
 
+	status := StatusDone
+	var jerr *JobError
 	switch {
 	case err == nil:
 		res.Retries = retries
-		job.finish(StatusDone, res, nil, retries)
 		s.rec.Add("serve.jobs_completed", 1)
 	case isCanceled(ctx, err):
-		job.finish(StatusCanceled, nil, newJobError(err), retries)
+		status, jerr = StatusCanceled, newJobError(err)
 		s.rec.Add("serve.jobs_canceled", 1)
 	default:
-		job.finish(StatusFailed, nil, newJobError(err), retries)
+		status, jerr = StatusFailed, newJobError(err)
 		s.rec.Add("serve.jobs_failed", 1)
 	}
 
@@ -432,6 +433,9 @@ func (s *Server) execute(job *Job) {
 	if res == nil || res.Cache != "result" {
 		s.observeCompletion(wall)
 	}
+	// Publish last: a waiter woken by the job's done channel must find
+	// its counters and metrics already folded into /metrics.
+	job.finish(status, res, jerr, retries)
 }
 
 // retryable decides whether a failure is worth another attempt: the
@@ -531,16 +535,7 @@ func (s *Server) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 
-	opts := spec.options()
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.JobWorkers
-	}
-	if opts.StageTimeout == 0 {
-		opts.StageTimeout = s.cfg.StageTimeout
-	}
-	cfg := casyn.FlowConfig(entry.layout, opts)
-	cfg.Hooks = s.cfg.Hooks
-
+	cfg := s.flowConfig(spec, entry.layout)
 	var res *JobResult
 	switch {
 	case spec.adaptive():
@@ -574,14 +569,7 @@ func (s *Server) prepared(ctx context.Context, spec *JobSpec, prepKey string) (*
 	}
 	s.rec.Add("serve.cache.prepared_misses", 1)
 
-	opts := spec.options()
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.JobWorkers
-	}
-	if opts.StageTimeout == 0 {
-		opts.StageTimeout = s.cfg.StageTimeout
-	}
-
+	opts := s.options(spec)
 	dag, err := runstage.Run(ctx, StageFrontend, 0, opts.StageTimeout, s.cfg.Hooks,
 		func(ctx context.Context) (*subject.DAG, error) {
 			p, err := spec.subjectPLA()
@@ -597,8 +585,7 @@ func (s *Server) prepared(ctx context.Context, spec *JobSpec, prepKey string) (*
 	if err != nil {
 		return nil, "", &runstage.StageError{Stage: StageFrontend, Err: err}
 	}
-	cfg := casyn.FlowConfig(layout, opts)
-	cfg.Hooks = s.cfg.Hooks
+	cfg := s.flowConfig(spec, layout)
 	pc, err := flow.Prepare(ctx, dag, cfg)
 	if err != nil {
 		return nil, "", err
@@ -612,6 +599,28 @@ func (s *Server) prepared(ctx context.Context, spec *JobSpec, prepKey string) (*
 	entry := &prepEntry{dag: dag, layout: layout, pc: pc}
 	s.prepCache.add(prepKey, entry)
 	return entry, "cold", nil
+}
+
+// options maps the spec onto casyn.Options, filling the server's
+// per-job worker count and stage budget where the spec leaves them
+// unset.
+func (s *Server) options(spec *JobSpec) casyn.Options {
+	opts := spec.options()
+	if opts.Workers == 0 {
+		opts.Workers = s.cfg.JobWorkers
+	}
+	if opts.StageTimeout == 0 {
+		opts.StageTimeout = s.cfg.StageTimeout
+	}
+	return opts
+}
+
+// flowConfig is the calibrated flow configuration of a job on layout,
+// with the server's fault hooks attached.
+func (s *Server) flowConfig(spec *JobSpec, layout place.Layout) flow.Config {
+	cfg := casyn.FlowConfig(layout, s.options(spec))
+	cfg.Hooks = s.cfg.Hooks
+	return cfg
 }
 
 // runSingle maps, places, and routes one K rung.

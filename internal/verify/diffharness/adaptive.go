@@ -1,33 +1,20 @@
 package diffharness
 
-// Adaptive-mode differential checks, the closed-loop counterpart of
-// Run's open-loop K-ladder sweep:
-//
-//  1. Uniform-field reduction (RunUniformField). Mapping under a
-//     K-field whose every multiplier is exactly 1.0 must be
-//     byte-identical to the classic global-K mapping, per circuit and
-//     per K — the property that makes the K-field a strict
-//     generalization of the paper's Eq. 5 cost instead of a fork.
-//
-//  2. Adaptive sweep (RunAdaptiveSweep). Every netlist the closed
-//     loop produces — baseline and each controller step — is proven
-//     equivalent to the subject DAG, and the whole loop (iteration
-//     count, controller decisions, routed results) is byte-identical
-//     across worker counts.
+// Adaptive-mode differential check, the closed-loop counterpart of
+// Run's open-loop K-ladder sweep (RunAdaptiveSweep): every netlist the
+// closed loop produces — baseline and each controller step — is proven
+// equivalent to the subject DAG, and the whole loop (iteration count,
+// controller decisions, routed results) is byte-identical across
+// worker counts.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"strings"
 
 	"casyn/internal/bnet"
-	"casyn/internal/cover"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
-	"casyn/internal/mapper"
 	"casyn/internal/place"
 	"casyn/internal/route"
 	"casyn/internal/subject"
@@ -69,78 +56,6 @@ func prepareFlow(ctx context.Context, name string, p *logic.PLA, cfg Config) (*s
 		return nil, nil, flow.Config{}, fmt.Errorf("diffharness: %s: %w", name, err)
 	}
 	return d, pc, fcfg, nil
-}
-
-// UniformFieldCheck is the verdict for one K of the uniform-field
-// reduction: the classic and uniform-field fingerprints (equal by
-// construction — RunUniformField errors otherwise).
-type UniformFieldCheck struct {
-	K           float64
-	Fingerprint string
-}
-
-// RunUniformField proves the uniform-field reduction on one circuit:
-// for every K in cfg.Ks, mapping under an all-1.0 K-field produces a
-// mapped netlist and covering metrics byte-identical to the classic
-// global-K mapping. Any divergence is an error.
-func RunUniformField(ctx context.Context, name string, p *logic.PLA, cfg Config) ([]UniformFieldCheck, error) {
-	if len(cfg.Ks) == 0 {
-		return nil, fmt.Errorf("diffharness: %s: empty K schedule", name)
-	}
-	_, pc, fcfg, err := prepareFlow(ctx, name, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The field geometry is arbitrary for a uniform field (every sample
-	// returns 1.0 regardless of which cell a span lands in); a 16×16
-	// grid over the die exercises the sampling anyway.
-	die := fcfg.Layout.Die
-	field, err := cover.NewKField(die.Min, die.W()/16, die.H()/16, 16, 16)
-	if err != nil {
-		return nil, fmt.Errorf("diffharness: %s: %w", name, err)
-	}
-	checks := make([]UniformFieldCheck, 0, len(cfg.Ks))
-	for _, k := range cfg.Ks {
-		classic, _, err := mapper.MapStateful(ctx, pc.Prep, k)
-		if err != nil {
-			return nil, fmt.Errorf("diffharness: %s K=%g: classic map: %w", name, k, err)
-		}
-		uniform, _, err := mapper.MapWithField(ctx, pc.Prep, k, field)
-		if err != nil {
-			return nil, fmt.Errorf("diffharness: %s K=%g: uniform-field map: %w", name, k, err)
-		}
-		cfp, err := mapFingerprint(classic)
-		if err != nil {
-			return nil, fmt.Errorf("diffharness: %s K=%g: %w", name, k, err)
-		}
-		ufp, err := mapFingerprint(uniform)
-		if err != nil {
-			return nil, fmt.Errorf("diffharness: %s K=%g: %w", name, k, err)
-		}
-		if cfp != ufp {
-			return nil, fmt.Errorf(
-				"diffharness: %s K=%g: uniform K-field diverges from classic global K (fingerprint %s vs %s)",
-				name, k, ufp, cfp)
-		}
-		checks = append(checks, UniformFieldCheck{K: k, Fingerprint: cfp})
-	}
-	return checks, nil
-}
-
-// mapFingerprint hashes a mapping result: the exported Verilog, every
-// instance's committed position, and the covering metrics. Equal
-// fingerprints mean bitwise-equal mapped designs.
-func mapFingerprint(res *mapper.Result) (string, error) {
-	var sb strings.Builder
-	if err := res.Netlist.WriteVerilog(&sb, "dut"); err != nil {
-		return "", err
-	}
-	for i := range res.Netlist.Instances {
-		fmt.Fprintf(&sb, "%d %v\n", i, res.Netlist.Instances[i].Pos)
-	}
-	fmt.Fprintf(&sb, "cells=%d area=%.9f dup=%d\n", res.NumCells, res.CellArea, res.DuplicatedCells)
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // AdaptiveCheck is the verdict for one routed iteration of one

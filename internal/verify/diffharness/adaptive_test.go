@@ -7,31 +7,6 @@ import (
 	"casyn/internal/flow"
 )
 
-// TestUniformFieldEveryExampleCircuit is the satellite acceptance for
-// the uniform-field reduction: every example circuit, every K in the
-// standard ladder — a uniform K-field maps byte-identically to the
-// classic global K (RunUniformField errors on any divergence).
-func TestUniformFieldEveryExampleCircuit(t *testing.T) {
-	t.Parallel()
-	for name, p := range corpus(t) {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			checks, err := RunUniformField(context.Background(), name, p, Default())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(checks) != 4 {
-				t.Fatalf("%d checks, want 4", len(checks))
-			}
-			for _, c := range checks {
-				if c.Fingerprint == "" {
-					t.Errorf("K=%g: empty fingerprint", c.K)
-				}
-			}
-		})
-	}
-}
-
 // TestAdaptiveSweepEveryExampleCircuit: the closed loop on every
 // example circuit, workers 1 vs 4 — every iteration's netlist proven
 // equivalent to the subject, the whole loop byte-identical across
@@ -66,16 +41,13 @@ func TestAdaptiveSweepEveryExampleCircuit(t *testing.T) {
 	}
 }
 
-// TestUniformFieldRejectsEmptyConfig mirrors the classic harness's
+// TestAdaptiveSweepRejectsEmptyConfig mirrors the classic harness's
 // degenerate-config contract.
-func TestUniformFieldRejectsEmptyConfig(t *testing.T) {
+func TestAdaptiveSweepRejectsEmptyConfig(t *testing.T) {
 	t.Parallel()
 	p := corpus(t)["dec24"]
 	if p == nil {
 		t.Skip("dec24 example missing")
-	}
-	if _, err := RunUniformField(context.Background(), "dec24", p, Config{Workers: []int{1}}); err == nil {
-		t.Error("empty K schedule did not error")
 	}
 	if _, err := RunAdaptiveSweep(context.Background(), "dec24", p, Config{Ks: []float64{0}}, flow.AdaptiveConfig{}); err == nil {
 		t.Error("empty worker list did not error")
