@@ -91,14 +91,15 @@ func PlaceNetlist(ctx context.Context, nl *Netlist, layout Layout, opts Options)
 		return p, nil
 	}
 	b := &bisector{
-		ctx:    ctx,
-		nl:     nl,
-		opts:   opts,
-		rng:    rng,
-		pos:    p.Pos,
-		ofCell: nl.cellNets(),
-		padBox: padBoxes(nl),
-		inside: make([]int32, n),
+		ctx:     ctx,
+		nl:      nl,
+		opts:    opts,
+		rng:     rng,
+		pos:     p.Pos,
+		ofCell:  nl.cellNets(),
+		padBox:  padBoxes(nl),
+		inside:  make([]int32, n),
+		netSeen: make([]int32, len(nl.Nets)),
 	}
 	all := make([]int, n)
 	for i := range all {
@@ -150,8 +151,11 @@ type bisector struct {
 	// inside[c] is the epoch marker of the region currently being
 	// processed (avoids repeated map allocation).
 	inside []int32
-	epoch  int32
-	local  []int32 // scratch: global cell -> local index for this region
+	// netSeen[ni] == epoch marks nets already collected by the current
+	// partition call.
+	netSeen []int32
+	epoch   int32
+	local   []int32 // scratch: global cell -> local index for this region
 }
 
 // run recursively bisects the region and assigns final positions to
@@ -311,7 +315,6 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 
 	// Collect nets with >= 2 endpoints in this region or 1 endpoint
 	// plus external terminals.
-	netSeen := map[int32]bool{}
 	sideA := func(pt geom.Point) bool {
 		if vertical {
 			return pt.X < mid.X
@@ -320,10 +323,10 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 	}
 	for _, c := range cells {
 		for _, ni := range b.ofCell[c] {
-			if netSeen[ni] {
+			if b.netSeen[ni] == b.epoch {
 				continue
 			}
-			netSeen[ni] = true
+			b.netSeen[ni] = b.epoch
 			net := &b.nl.Nets[ni]
 			var f fmNet
 			for _, oc := range net.Cells {

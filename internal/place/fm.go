@@ -105,6 +105,10 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 
 	gain := make([]int, n)
 	locked := make([]bool, n)
+	// touched[j] == stamp marks cells on a net whose side counts
+	// crossed 0 or 1 in the current move.
+	touched := make([]int32, n)
+	var stamp int32
 	// bucket[g+maxDeg] is a stack of cells with gain g.
 	nBuckets := 2*maxDeg + 1
 	bucket := make([][]int32, nBuckets)
@@ -186,20 +190,29 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 			side[i] = !side[i]
 			locked[i] = true
 			moves = append(moves, move{cell: i})
-			// Update net counts and neighbor gains.
+			// Update net counts and neighbor gains. gainOf reads only
+			// whether a net's side counts are 0 or 1, so only cells on
+			// a net whose counts pass through that range can change
+			// gain. The scan skips the others; its order, and so every
+			// requeue, is unchanged.
+			stamp++
 			for _, ni := range p.ofCell[i] {
+				from, to := cntA, cntB
 				if fromB {
-					cntB[ni]--
-					cntA[ni]++
-				} else {
-					cntA[ni]--
-					cntB[ni]++
+					from, to = cntB, cntA
+				}
+				from[ni]--
+				to[ni]++
+				if from[ni] <= 1 || to[ni] <= 2 {
+					for _, j := range p.nets[ni].cells {
+						touched[j] = stamp
+					}
 				}
 			}
 			for _, ni := range p.ofCell[i] {
 				for _, j32 := range p.nets[ni].cells {
 					j := int(j32)
-					if locked[j] {
+					if locked[j] || touched[j] != stamp {
 						continue
 					}
 					ng := gainOf(j)

@@ -94,27 +94,39 @@ func (nl *Netlist) HPWL(p *Placement) float64 {
 
 // NetHPWL returns the half-perimeter wirelength of one net.
 func (nl *Netlist) NetHPWL(p *Placement, net int) float64 {
-	n := &nl.Nets[net]
-	if n.Degree() < 2 {
+	if nl.Nets[net].Degree() < 2 {
 		return 0
 	}
-	first := true
-	var bb geom.Rect
-	add := func(pt geom.Point) {
-		if first {
-			bb = geom.Rect{Min: pt, Max: pt}
-			first = false
-			return
-		}
-		bb = bb.Union(geom.Rect{Min: pt, Max: pt})
+	return nl.netBox(p, net).HalfPerimeter()
+}
+
+// netBox returns the bounding box of a net's cell and pad pins. The net
+// must have at least one pin.
+func (nl *Netlist) netBox(p *Placement, net int) geom.Rect {
+	n := &nl.Nets[net]
+	var first geom.Point
+	if len(n.Cells) > 0 {
+		first = p.Pos[n.Cells[0]]
+	} else {
+		first = n.Pads[0]
 	}
+	bb := geom.Rect{Min: first, Max: first}
 	for _, c := range n.Cells {
-		add(p.Pos[c])
+		bb = extend(bb, p.Pos[c])
 	}
 	for _, pad := range n.Pads {
-		add(pad)
+		bb = extend(bb, pad)
 	}
-	return bb.HalfPerimeter()
+	return bb
+}
+
+// extend grows bb to contain pt, with the same min/max semantics as
+// geom.Rect.Union.
+func extend(bb geom.Rect, pt geom.Point) geom.Rect {
+	return geom.Rect{
+		Min: geom.Point{X: min(bb.Min.X, pt.X), Y: min(bb.Min.Y, pt.Y)},
+		Max: geom.Point{X: max(bb.Max.X, pt.X), Y: max(bb.Max.Y, pt.Y)},
+	}
 }
 
 // Layout is the chip layout image: the die rectangle divided into

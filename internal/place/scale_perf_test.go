@@ -9,7 +9,10 @@ import (
 )
 
 // TestScale30k guards placer performance at the paper's circuit scale
-// (~30k base gates). It is skipped under -short.
+// (~30k base gates). Besides random 2-pin nets it carries 16 PI-style
+// hub nets, each spanning about 1/8 of the cells, the shape that makes
+// refinement's per-move wirelength evaluation expensive on the subject
+// DAG. It is skipped under -short.
 func TestScale30k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in short mode")
@@ -25,6 +28,13 @@ func TestScale30k(t *testing.T) {
 		if a != b {
 			nl.Nets = append(nl.Nets, Net{Cells: []int{a, b}})
 		}
+	}
+	for h := 0; h < 16; h++ {
+		var hub Net
+		for c := rng.Intn(8); c < n; c += 8 {
+			hub.Cells = append(hub.Cells, c)
+		}
+		nl.Nets = append(nl.Nets, hub)
 	}
 	layout, _ := LayoutWithRows(70, 700, 6.656)
 	start := time.Now()
