@@ -90,6 +90,10 @@ func PlaceNetlist(ctx context.Context, nl *Netlist, layout Layout, opts Options)
 		}
 		return p, nil
 	}
+	pins := 0
+	for ni := range nl.Nets {
+		pins += len(nl.Nets[ni].Cells)
+	}
 	b := &bisector{
 		ctx:     ctx,
 		nl:      nl,
@@ -100,6 +104,9 @@ func PlaceNetlist(ctx context.Context, nl *Netlist, layout Layout, opts Options)
 		padBox:  padBoxes(nl),
 		inside:  make([]int32, n),
 		netSeen: make([]int32, len(nl.Nets)),
+		local:   make([]int32, n),
+		arena:   make([]int32, 0, pins),
+		split:   make([]int, 0, n),
 	}
 	all := make([]int, n)
 	for i := range all {
@@ -156,6 +163,20 @@ type bisector struct {
 	netSeen []int32
 	epoch   int32
 	local   []int32 // scratch: global cell -> local index for this region
+
+	// Scratch reused by every region, so the recursion allocates
+	// nothing per region. prob and the side slice partition returns
+	// are overwritten by the next partition call; run consumes them
+	// before recursing.
+	prob fmProblem
+	side []bool
+	fm   fmScratch
+	// arena holds every fmNet.cells slice of the current problem. Its
+	// capacity is the netlist's pin count, which bounds one region's
+	// listings, so it never reallocates.
+	arena []int32
+	split []int     // run's in-place split of a region's cells
+	leaf  []leafPos // placeLeaf's ordering
 }
 
 // run recursively bisects the region and assigns final positions to
@@ -205,14 +226,21 @@ func (b *bisector) run(cells []int, region geom.Rect) {
 		regA = geom.R(region.Min.X, region.Min.Y, region.Max.X, cut)
 		regB = geom.R(region.Min.X, cut, region.Max.X, region.Max.Y)
 	}
-	var cellsA, cellsB []int
+	// Split cells in place, side A first; both halves keep ascending
+	// cell order, which partition relies on.
+	na := 0
+	tmp := b.split[:0]
 	for i, c := range cells {
 		if sideOf[i] {
-			cellsB = append(cellsB, c)
+			tmp = append(tmp, c)
 		} else {
-			cellsA = append(cellsA, c)
+			cells[na] = c
+			na++
 		}
 	}
+	copy(cells[na:], tmp)
+	b.split = tmp
+	cellsA, cellsB := cells[:na], cells[na:]
 	// Move cells to their region centers so sibling terminal
 	// propagation sees up-to-date positions.
 	ca, cb := regA.Center(), regB.Center()
@@ -226,23 +254,26 @@ func (b *bisector) run(cells []int, region geom.Rect) {
 	b.run(cellsB, regB)
 }
 
+// leafPos is a leaf cell and its ordering coordinate.
+type leafPos struct {
+	cell  int
+	score float64
+}
+
 // placeLeaf spreads a terminal region's cells in a line along the
 // region's wider dimension, ordered to respect neighbor positions.
 func (b *bisector) placeLeaf(cells []int, region geom.Rect) {
 	// Order cells by the centroid of their external connections so the
 	// final micro-ordering keeps wires short.
-	type scored struct {
-		cell  int
-		score float64
-	}
 	horizontal := region.W() >= region.H()
-	sc := make([]scored, len(cells))
+	sc := grow(b.leaf, len(cells))
+	b.leaf = sc
 	for i, c := range cells {
 		pt := b.externalCentroid(c, cells)
 		if horizontal {
-			sc[i] = scored{c, pt.X}
+			sc[i] = leafPos{c, pt.X}
 		} else {
-			sc[i] = scored{c, pt.Y}
+			sc[i] = leafPos{c, pt.Y}
 		}
 	}
 	sort.SliceStable(sc, func(i, j int) bool { return sc[i].score < sc[j].score })
@@ -289,20 +320,17 @@ func (b *bisector) externalCentroid(c int, regionCells []int) geom.Point {
 
 // partition builds the FM problem for the region (with terminal
 // propagation) and returns the side of each cell (parallel to cells).
+// The problem and the returned slice are b's scratch, overwritten by
+// the next call.
 func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []bool {
 	b.epoch++
-	if b.local == nil {
-		b.local = make([]int32, len(b.nl.Widths))
-	}
 	for li, c := range cells {
 		b.inside[c] = b.epoch
 		b.local[c] = int32(li)
 	}
 	mid := region.Center()
-	prob := &fmProblem{
-		cells: cells,
-		width: make([]float64, len(cells)),
-	}
+	prob := &b.prob
+	prob.width = grow(prob.width, len(cells))
 	var wTot float64
 	for i, c := range cells {
 		w := b.nl.Widths[c] + 1e-9 // zero-width cells still need balance mass
@@ -321,6 +349,8 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 		}
 		return pt.Y < mid.Y
 	}
+	prob.nets = prob.nets[:0]
+	arena := b.arena[:0]
 	for _, c := range cells {
 		for _, ni := range b.ofCell[c] {
 			if b.netSeen[ni] == b.epoch {
@@ -329,9 +359,10 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 			b.netSeen[ni] = b.epoch
 			net := &b.nl.Nets[ni]
 			var f fmNet
+			start := len(arena)
 			for _, oc := range net.Cells {
 				if b.inside[oc] == b.epoch {
-					f.cells = append(f.cells, b.local[oc])
+					arena = append(arena, b.local[oc])
 				} else if sideA(b.pos[oc]) {
 					f.extA++
 				} else {
@@ -345,7 +376,9 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 					f.extB++
 				}
 			}
+			f.cells = arena[start:len(arena):len(arena)]
 			if len(f.cells) == 0 || (len(f.cells) == 1 && f.extA+f.extB == 0) {
+				arena = arena[:start]
 				continue
 			}
 			// Clamp external terminal influence so one huge net cannot
@@ -359,41 +392,22 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 			prob.nets = append(prob.nets, f)
 		}
 	}
-	prob.ofCell = make([][]int32, len(cells))
-	for ni := range prob.nets {
-		for _, lc := range prob.nets[ni].cells {
-			prob.ofCell[lc] = append(prob.ofCell[lc], int32(ni))
-		}
-	}
+	b.arena = arena
+	prob.linkCells()
 
-	// Initial partition: sort along the split axis (stable spatial
-	// seeding), then split at the balance point.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		pi, pj := b.pos[cells[order[i]]], b.pos[cells[order[j]]]
-		if vertical {
-			if pi.X != pj.X {
-				return pi.X < pj.X
-			}
-		} else {
-			if pi.Y != pj.Y {
-				return pi.Y < pj.Y
-			}
-		}
-		return cells[order[i]] < cells[order[j]]
-	})
-	side := make([]bool, len(cells))
+	// Initial partition: split at the balance point in cell order.
+	// Every region's cells sit at one point (the die centre at the top,
+	// then the region centre run moves them to) and come in ascending
+	// index order, so that is the order a stable sort along the split
+	// axis, ties broken by index, would give.
+	b.side = grow(b.side, len(cells))
+	side := b.side
 	acc := 0.0
-	for _, li := range order {
-		if acc >= half {
-			side[li] = true
-		}
+	for li := range side {
+		side[li] = acc >= half
 		acc += prob.width[li]
 	}
-	runFM(prob, side, b.opts.FMPasses, b.rng)
+	runFM(prob, side, b.opts.FMPasses, b.rng, &b.fm)
 	return side
 }
 

@@ -1,18 +1,23 @@
 package place
 
 import (
+	"math"
 	"math/rand"
 )
 
 // fmProblem is one bipartitioning instance handed to the
-// Fiduccia–Mattheyses refiner by the recursive bisector: a subset of
-// cells, the nets touching them, and per-net external terminal counts
-// from terminal propagation.
+// Fiduccia–Mattheyses refiner by the recursive bisector: the widths of
+// a subset of cells, the nets touching them, and per-net external
+// terminal counts from terminal propagation. The bisector keeps one
+// fmProblem and refills its buffers for every region.
 type fmProblem struct {
-	cells  []int     // global cell indices in this region
-	width  []float64 // width of each local cell
-	nets   []fmNet
-	ofCell [][]int32 // local cell -> incident local net indices
+	width []float64 // width of each local cell; its length is the cell count
+	nets  []fmNet
+	// ofStart/ofNets index local cell -> incident local nets in CSR
+	// form: cell i's nets are ofNets[ofStart[i]:ofStart[i+1]]. Built
+	// by linkCells.
+	ofStart []int32
+	ofNets  []int32
 	// balance targets: each side's total width must stay within
 	// [targetLo, targetHi].
 	targetLo, targetHi float64
@@ -24,23 +29,96 @@ type fmNet struct {
 	extB  int
 }
 
+// linkCells rebuilds the cell -> net index from p.nets, reusing p's
+// buffers. A cell's nets are listed in ascending order, once per
+// listing of the cell on the net.
+func (p *fmProblem) linkCells() {
+	n := len(p.width)
+	p.ofStart = grow(p.ofStart, n+1)
+	clear(p.ofStart)
+	for ni := range p.nets {
+		for _, c := range p.nets[ni].cells {
+			p.ofStart[c+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		p.ofStart[i] += p.ofStart[i-1]
+	}
+	p.ofNets = grow(p.ofNets, int(p.ofStart[n]))
+	// Fill with ofStart[c] as cell c's cursor, which leaves it at the
+	// start of cell c+1; shift back afterwards.
+	for ni := range p.nets {
+		for _, c := range p.nets[ni].cells {
+			p.ofNets[p.ofStart[c]] = int32(ni)
+			p.ofStart[c]++
+		}
+	}
+	copy(p.ofStart[1:], p.ofStart[:n])
+	p.ofStart[0] = 0
+}
+
+// netsOf returns local cell i's incident nets.
+func (p *fmProblem) netsOf(i int) []int32 {
+	return p.ofNets[p.ofStart[i]:p.ofStart[i+1]]
+}
+
 // fmResult is the partition: side[i] is false for A, true for B.
 type fmResult struct {
 	side    []bool
 	cutNets int
 }
 
+// fmScratch is runFM's working memory, reused across calls so a
+// bisection allocates it once rather than per region. runFM
+// reinitialises every buffer before reading it, except touched, which
+// is guarded by a stamp that keeps counting across calls.
+type fmScratch struct {
+	cntA, cntB []int
+	gain       []int
+	locked     []bool
+	inBucket   []bool
+	bestSide   []bool
+	touched    []int32
+	stamp      int32
+	bucket     [][]int32
+	order      []int
+	moves      []int
+	deferred   []int32
+}
+
+// grow returns buf resized to n, reusing its array when it is large
+// enough. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// perm fills buf with the permutation rng.Perm(len(buf)) returns,
+// drawing the same values from rng, and returns buf.
+func perm(rng *rand.Rand, buf []int) []int {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+	return buf
+}
+
 // runFM refines an initial partition with gain-bucket FM passes.
 // The initial side assignment must already satisfy the balance
-// window; passes keep it there.
-func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
-	n := len(p.cells)
+// window; passes keep it there. p's cell index must be linked
+// (linkCells). The result is independent of what s held before.
+func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) fmResult {
+	n := len(p.width)
 	if n == 0 {
 		return fmResult{side: side}
 	}
 	// Per-net side counts.
-	cntA := make([]int, len(p.nets))
-	cntB := make([]int, len(p.nets))
+	s.cntA = grow(s.cntA, len(p.nets))
+	s.cntB = grow(s.cntB, len(p.nets))
+	cntA, cntB := s.cntA, s.cntB
 	recount := func() {
 		for ni := range p.nets {
 			a, b := p.nets[ni].extA, p.nets[ni].extB
@@ -65,8 +143,8 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 	}
 	widthA := func() float64 {
 		w := 0.0
-		for i, s := range side {
-			if !s {
+		for i, b := range side {
+			if !b {
 				w += p.width[i]
 			}
 		}
@@ -80,7 +158,7 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 		if side[i] {
 			from, to = cntB, cntA
 		}
-		for _, ni := range p.ofCell[i] {
+		for _, ni := range p.netsOf(i) {
 			if from[ni] == 1 {
 				g++
 			}
@@ -93,37 +171,41 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 
 	recount()
 	bestCut := cut()
-	bestSide := append([]bool(nil), side...)
+	s.bestSide = append(s.bestSide[:0], side...)
+	bestSide := s.bestSide
 
 	// Gain buckets. Max possible |gain| is the max cell degree.
 	maxDeg := 1
-	for i := range p.ofCell {
-		if d := len(p.ofCell[i]); d > maxDeg {
+	for i := 0; i < n; i++ {
+		if d := int(p.ofStart[i+1] - p.ofStart[i]); d > maxDeg {
 			maxDeg = d
 		}
 	}
 
-	gain := make([]int, n)
-	locked := make([]bool, n)
+	s.gain = grow(s.gain, n)
+	s.locked = grow(s.locked, n)
+	s.inBucket = grow(s.inBucket, n)
+	gain, locked, inBucket := s.gain, s.locked, s.inBucket
 	// touched[j] == stamp marks cells on a net whose side counts
-	// crossed 0 or 1 in the current move.
-	touched := make([]int32, n)
-	var stamp int32
+	// crossed 0 or 1 in the current move. Entries left by earlier
+	// calls hold smaller stamps.
+	s.touched = grow(s.touched, n)
+	touched := s.touched
 	// bucket[g+maxDeg] is a stack of cells with gain g.
 	nBuckets := 2*maxDeg + 1
-	bucket := make([][]int32, nBuckets)
-	inBucket := make([]bool, n)
+	for len(s.bucket) < nBuckets {
+		s.bucket = append(s.bucket, nil)
+	}
+	bucket := s.bucket[:nBuckets]
 
 	for pass := 0; pass < passes; pass++ {
 		// Initialize pass state.
-		for i := range locked {
-			locked[i] = false
-		}
+		clear(locked)
 		for b := range bucket {
 			bucket[b] = bucket[b][:0]
 		}
-		order := rng.Perm(n)
-		for _, i := range order {
+		s.order = perm(rng, grow(s.order, n))
+		for _, i := range s.order {
 			gain[i] = gainOf(i)
 			bucket[gain[i]+maxDeg] = append(bucket[gain[i]+maxDeg], int32(i))
 			inBucket[i] = true
@@ -132,13 +214,12 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 		curCut := cut()
 		passBestCut := curCut
 		passBestStep := -1
-		type move struct{ cell int }
-		var moves []move
+		moves := s.moves[:0]
 
 		// Cells skipped for balance are parked in deferred and
 		// re-inserted after the next successful move, when the width
 		// split has shifted and they may fit.
-		var deferred []int32
+		deferred := s.deferred[:0]
 		popBest := func() int {
 			for b := nBuckets - 1; b >= 0; b-- {
 				lst := bucket[b]
@@ -189,14 +270,19 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 			}
 			side[i] = !side[i]
 			locked[i] = true
-			moves = append(moves, move{cell: i})
+			moves = append(moves, i)
 			// Update net counts and neighbor gains. gainOf reads only
 			// whether a net's side counts are 0 or 1, so only cells on
 			// a net whose counts pass through that range can change
 			// gain. The scan skips the others; its order, and so every
 			// requeue, is unchanged.
-			stamp++
-			for _, ni := range p.ofCell[i] {
+			if s.stamp == math.MaxInt32 {
+				clear(touched[:cap(touched)])
+				s.stamp = 0
+			}
+			s.stamp++
+			stamp := s.stamp
+			for _, ni := range p.netsOf(i) {
 				from, to := cntA, cntB
 				if fromB {
 					from, to = cntB, cntA
@@ -209,7 +295,7 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 					}
 				}
 			}
-			for _, ni := range p.ofCell[i] {
+			for _, ni := range p.netsOf(i) {
 				for _, j32 := range p.nets[ni].cells {
 					j := int(j32)
 					if locked[j] || touched[j] != stamp {
@@ -236,9 +322,10 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand) fmResult {
 			}
 			deferred = deferred[:0]
 		}
+		s.moves, s.deferred = moves, deferred
 		// Roll back moves after the best prefix.
-		for s := len(moves) - 1; s > passBestStep; s-- {
-			i := moves[s].cell
+		for k := len(moves) - 1; k > passBestStep; k-- {
+			i := moves[k]
 			side[i] = !side[i]
 		}
 		recount()

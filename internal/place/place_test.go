@@ -278,12 +278,8 @@ func TestRunFMReducesCut(t *testing.T) {
 	// Two cliques of 6 cells joined by one edge; a bad initial split
 	// must be repaired to the 1-cut partition.
 	const n = 12
-	prob := &fmProblem{
-		cells: make([]int, n),
-		width: make([]float64, n),
-	}
+	prob := &fmProblem{width: make([]float64, n)}
 	for i := range prob.width {
-		prob.cells[i] = i
 		prob.width[i] = 1
 	}
 	addNet := func(a, b int) {
@@ -296,19 +292,14 @@ func TestRunFMReducesCut(t *testing.T) {
 		}
 	}
 	addNet(0, 6)
-	prob.ofCell = make([][]int32, n)
-	for ni := range prob.nets {
-		for _, c := range prob.nets[ni].cells {
-			prob.ofCell[c] = append(prob.ofCell[c], int32(ni))
-		}
-	}
+	prob.linkCells()
 	prob.targetLo, prob.targetHi = 5, 7
 	// Worst-case interleaved start.
 	side := make([]bool, n)
 	for i := range side {
 		side[i] = i%2 == 1
 	}
-	res := runFM(prob, side, 10, rand.New(rand.NewSource(1)))
+	res := runFM(prob, side, 10, rand.New(rand.NewSource(1)), new(fmScratch))
 	if res.cutNets != 1 {
 		t.Errorf("FM cut = %d, want 1", res.cutNets)
 	}

@@ -41,7 +41,8 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 	cache := newHPWLCache(nl, p)
 
 	// Cells grouped by exact width; class[c] indexes c's group, whose
-	// members are the candidates for an equal-width swap.
+	// members are the candidates for an equal-width swap. A group is
+	// listed in ascending cell order.
 	var classes [][]int32
 	class := make([]int32, n)
 	classOf := map[float64]int32{}
@@ -56,6 +57,7 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 		class[c] = id
 		classes[id] = append(classes[id], int32(c))
 	}
+	mates := newClassIndex(classes, p.Pos)
 
 	// Row membership for adjacent-pair swaps, kept sorted by x.
 	rows := make([][]int32, layout.NumRows)
@@ -96,6 +98,7 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 		return geom.Pt(nth(xs, len(xs)/2), nth(ys, len(ys)/2)), true
 	}
 
+	order := make([]int, n)
 	passesC := rec.Counter("place.refine_passes")
 	movesC := rec.Counter("place.refine_moves")
 	for pass := 0; pass < passes; pass++ {
@@ -105,7 +108,7 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 		passesC.Add(1)
 		improved := 0
 		// Equal-width swaps toward targets.
-		order := rng.Perm(n)
+		order = perm(rng, order)
 		for oi, c := range order {
 			if oi%checkEvery == checkEvery-1 {
 				if cerr := ctx.Err(); cerr != nil {
@@ -119,25 +122,10 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 			if tgt.Manhattan(p.Pos[c]) < layout.RowHeight {
 				continue // already close
 			}
-			cl := classes[class[c]]
-			// Find the classmate nearest the target.
-			best, bestD := -1, math.Inf(1)
-			// Sampled scan keeps this O(1)-ish per cell for huge
-			// classes while staying exact for small ones.
-			step := 1
-			if len(cl) > 512 {
-				step = len(cl) / 512
-			}
-			for i := rng.Intn(step); i < len(cl); i += step {
-				d := int(cl[i])
-				if d == c {
-					continue
-				}
-				dist := tgt.Manhattan(p.Pos[d])
-				if dist < bestD {
-					best, bestD = d, dist
-				}
-			}
+			// Find the classmate nearest the target among one residue
+			// set of c's class, drawn at random.
+			k := class[c]
+			best, bestD := mates.nearest(k, rng.Intn(mates.step[k]), c, tgt)
 			if best < 0 || bestD >= tgt.Manhattan(p.Pos[c]) {
 				continue
 			}
@@ -149,6 +137,8 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 			if after < before-1e-9 {
 				improved++
 				cache.commit()
+				mates.move(c, p.Pos[c])
+				mates.move(d, p.Pos[d])
 				// Fix row membership lists lazily: rebuild below.
 			} else {
 				p.Pos[c], p.Pos[d] = p.Pos[d], p.Pos[c]
@@ -188,6 +178,8 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 				if after < before-1e-9 {
 					improved++
 					cache.commit()
+					mates.move(a, p.Pos[a])
+					mates.move(b, p.Pos[b])
 					row[i], row[i+1] = row[i+1], row[i]
 				} else {
 					p.Pos[a], p.Pos[b] = oldA, oldB
@@ -200,6 +192,123 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 		}
 	}
 	return nil
+}
+
+// classIndex finds the equal-width swap partner: the classmate nearest
+// a target point. A class of more than 512 cells is searched through
+// one of step residue sets, cl[o], cl[o+step], … for a random offset
+// o, which keeps a query cheap for huge classes; smaller classes are a
+// single set. Each (class, residue) set is a run of entries sorted by
+// x, so a query walks outward from the target's x and stops once the
+// x distance alone exceeds the best distance found.
+//
+// Invariant: outside a move, each entry's x and y equal its cell's
+// committed position and every set is sorted by x. nearest then
+// returns exactly what a linear scan of the set returns.
+type classIndex struct {
+	ents  []classEnt
+	start []int32 // set s is ents[start[s]:start[s+1]]
+	first []int32 // class k's residue o is set first[k]+o
+	step  []int   // class k's residue count
+	slot  []int32 // cell -> its entry's index in ents
+	set   []int32 // cell -> its set
+}
+
+// classEnt is one cell in its residue set; pos is its position in its
+// class list, the scan's tie-break.
+type classEnt struct {
+	x, y      float64
+	pos, cell int32
+}
+
+func newClassIndex(classes [][]int32, at []geom.Point) *classIndex {
+	n := len(at)
+	ix := &classIndex{
+		ents:  make([]classEnt, 0, n),
+		start: []int32{0},
+		first: make([]int32, len(classes)),
+		step:  make([]int, len(classes)),
+		slot:  make([]int32, n),
+		set:   make([]int32, n),
+	}
+	for k, cl := range classes {
+		step := 1
+		if len(cl) > 512 {
+			step = len(cl) / 512
+		}
+		ix.first[k], ix.step[k] = int32(len(ix.start)-1), step
+		for o := 0; o < step; o++ {
+			lo := len(ix.ents)
+			for i := o; i < len(cl); i += step {
+				c := cl[i]
+				ix.ents = append(ix.ents, classEnt{at[c].X, at[c].Y, int32(i), c})
+			}
+			set := ix.ents[lo:]
+			sort.Slice(set, func(i, j int) bool { return set[i].x < set[j].x })
+			for i, e := range set {
+				ix.slot[e.cell] = int32(lo + i)
+				ix.set[e.cell] = int32(len(ix.start) - 1)
+			}
+			ix.start = append(ix.start, int32(len(ix.ents)))
+		}
+	}
+	return ix
+}
+
+// nearest returns the member of class k's residue set o nearest tgt in
+// Manhattan distance, and that distance, skipping cell self; ties go
+// to the lowest class position. best is -1 when the set holds no other
+// cell.
+func (ix *classIndex) nearest(k int32, o, self int, tgt geom.Point) (best int, bestD float64) {
+	s := ix.first[k] + int32(o)
+	set := ix.ents[ix.start[s]:ix.start[s+1]]
+	r := sort.Search(len(set), func(i int) bool { return set[i].x >= tgt.X })
+	l := r - 1
+	best, bestD = -1, math.Inf(1)
+	bestPos := int32(0)
+	// Visit entries in order of x distance. The x distance never
+	// exceeds the Manhattan distance, so once it passes bestD no
+	// remaining entry can win or tie.
+	for l >= 0 || r < len(set) {
+		var e *classEnt
+		if r == len(set) || l >= 0 && tgt.X-set[l].x <= set[r].x-tgt.X {
+			e = &set[l]
+			l--
+		} else {
+			e = &set[r]
+			r++
+		}
+		dx := math.Abs(tgt.X - e.x)
+		if dx > bestD {
+			break
+		}
+		if int(e.cell) == self {
+			continue
+		}
+		if d := dx + math.Abs(tgt.Y-e.y); d < bestD || d == bestD && e.pos < bestPos {
+			best, bestD, bestPos = int(e.cell), d, e.pos
+		}
+	}
+	return best, bestD
+}
+
+// move re-keys cell c's entry to its committed position to, shifting
+// the entries between its old and new slot.
+func (ix *classIndex) move(c int, to geom.Point) {
+	i := ix.slot[c]
+	lo, hi := ix.start[ix.set[c]], ix.start[ix.set[c]+1]
+	e := ix.ents[i]
+	e.x, e.y = to.X, to.Y
+	for ; i > lo && ix.ents[i-1].x > e.x; i-- {
+		ix.ents[i] = ix.ents[i-1]
+		ix.slot[ix.ents[i].cell] = i
+	}
+	for ; i+1 < hi && ix.ents[i+1].x < e.x; i++ {
+		ix.ents[i] = ix.ents[i+1]
+		ix.slot[ix.ents[i].cell] = i
+	}
+	ix.ents[i] = e
+	ix.slot[c] = i
 }
 
 // hpwlCache holds every net's exact pin bounding box and HPWL under the

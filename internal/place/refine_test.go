@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -114,6 +115,136 @@ func TestHPWLCacheExact(t *testing.T) {
 	for ni := range nl.Nets {
 		if got, want := cache.hp[ni], nl.NetHPWL(p, ni); got != want {
 			t.Fatalf("net %d: cached HPWL %v, scratch %v", ni, got, want)
+		}
+	}
+}
+
+// scanResidue is the classmate search classIndex replaces: a linear
+// scan of class positions o, o+step, … for the cell nearest tgt, ties
+// to the first, skipping self.
+func scanResidue(cl []int32, o, step, self int, at []geom.Point, tgt geom.Point) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	for i := o; i < len(cl); i += step {
+		d := int(cl[i])
+		if d == self {
+			continue
+		}
+		if dist := tgt.Manhattan(at[d]); dist < bestD {
+			best, bestD = d, dist
+		}
+	}
+	return best, bestD
+}
+
+// TestClassIndexExact drives a classIndex through random queries and
+// committed moves and checks every answer against scanResidue: the
+// same cell and the same distance bits. Classes range from one member
+// to five residue sets; positions sit on a coarse grid, so x values
+// repeat and distance ties are common.
+func TestClassIndexExact(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(15))
+	sizes := []int{1, 1, 2, 37, 512, 700, 1100, 2700}
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	// Deal the cells to classes in a random order, so each class list
+	// is ascending but not contiguous.
+	var classes [][]int32
+	for k, s := range sizes {
+		classes = append(classes, nil)
+		for j := 0; j < s; j++ {
+			classes[k] = append(classes[k], -1)
+		}
+	}
+	deal := rng.Perm(total)
+	class := make([]int, total)
+	next := 0
+	for k, s := range sizes {
+		for j := 0; j < s; j++ {
+			class[deal[next]] = k
+			next++
+		}
+	}
+	fill := make([]int, len(sizes))
+	for c := 0; c < total; c++ {
+		k := class[c]
+		classes[k][fill[k]] = int32(c)
+		fill[k]++
+	}
+	grid := func() geom.Point { return geom.Pt(float64(rng.Intn(60))*0.5, float64(rng.Intn(12))*1.5) }
+	at := make([]geom.Point, total)
+	for c := range at {
+		at[c] = grid()
+	}
+	ix := newClassIndex(classes, at)
+	steps := map[int]bool{}
+	ties, selfHits, empty := 0, 0, 0
+	for q := 0; q < 60000; q++ {
+		c := rng.Intn(total)
+		k := class[c]
+		cl := classes[k]
+		step := ix.step[k]
+		steps[step] = true
+		o := rng.Intn(step)
+		tgt := grid()
+		if rng.Intn(4) == 0 {
+			tgt = at[c] // the cell itself is at distance 0
+		}
+		got, gotD := ix.nearest(int32(k), o, c, tgt)
+		want, wantD := scanResidue(cl, o, step, c, at, tgt)
+		if got != want || math.Float64bits(gotD) != math.Float64bits(wantD) {
+			t.Fatalf("query %d (class size %d, step %d, o %d): index (%d, %v), scan (%d, %v)",
+				q, len(cl), step, o, got, gotD, want, wantD)
+		}
+		if want < 0 {
+			empty++
+		} else {
+			if tgt == at[c] && wantD > 0 {
+				selfHits++
+			}
+			n := 0
+			for i := o; i < len(cl); i += step {
+				if int(cl[i]) != c && tgt.Manhattan(at[cl[i]]) == wantD {
+					n++
+				}
+			}
+			if n > 1 {
+				ties++
+			}
+		}
+		// Commit a move: an equal-width swap, or a cell sliding along
+		// its row as in an adjacent-pair swap.
+		switch rng.Intn(3) {
+		case 0:
+			d := int(cl[rng.Intn(len(cl))])
+			at[c], at[d] = at[d], at[c]
+			ix.move(c, at[c])
+			ix.move(d, at[d])
+		case 1:
+			at[c] = geom.Pt(float64(rng.Intn(60))*0.5, at[c].Y)
+			ix.move(c, at[c])
+		}
+	}
+	for _, s := range []int{1, 2, 5} {
+		if !steps[s] {
+			t.Errorf("no class with step %d was queried", s)
+		}
+	}
+	if ties == 0 || selfHits == 0 || empty == 0 {
+		t.Errorf("coverage: %d tied queries, %d self-excluded, %d with no classmate; want all > 0", ties, selfHits, empty)
+	}
+	// The index still mirrors the committed positions, sorted by x.
+	for s := 0; s+1 < len(ix.start); s++ {
+		for i := ix.start[s]; i < ix.start[s+1]; i++ {
+			e := ix.ents[i]
+			if e.x != at[e.cell].X || e.y != at[e.cell].Y || ix.slot[e.cell] != i {
+				t.Fatalf("entry %d: cell %d at (%v, %v), slot %d; committed %v", i, e.cell, e.x, e.y, ix.slot[e.cell], at[e.cell])
+			}
+			if i > ix.start[s] && ix.ents[i-1].x > e.x {
+				t.Fatalf("set %d unsorted at entry %d", s, i)
+			}
 		}
 	}
 }
