@@ -793,7 +793,7 @@ func BenchmarkVerifyBDD(b *testing.B) {
 // fixed K, re-synthesized three ways — from scratch (subject
 // placement, match enumeration, covering, fresh route), incrementally
 // with the byte-identical full reroute, and incrementally with the
-// territory-scoped fast reroute — plus a K re-tune against the shared
+// edit-local fast placement and reroute — plus a K re-tune against the shared
 // prepared prefix. Writes BENCH_eco.json; the headline is the
 // from-scratch/fast-ECO wall-clock ratio (the acceptance bar is 10×).
 func BenchmarkECO(b *testing.B) {

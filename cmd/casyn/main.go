@@ -276,9 +276,10 @@ func reportFailure(fail func(string, ...any), err error) int {
 }
 
 // runECO synthesizes the base design statefully at K, then applies the
-// edit-set file incrementally (flow.RunECO): only the partition trees,
-// covering regions, and — with fast set — routing territories the
-// edits dirtied are recomputed. Returns the base and post-ECO results.
+// edit-set file incrementally (flow.RunECO): only the partition trees
+// and covering regions the edits dirtied are recomputed and — with
+// fast set — only the cells and nets the edits changed are re-placed
+// and rerouted. Returns the base and post-ECO results.
 func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casyn.Options) (*casyn.Result, *casyn.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

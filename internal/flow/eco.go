@@ -5,8 +5,8 @@ package flow
 // applied against (prepared mapping context, covering state, routing
 // state), and RunECO applies a mapper.EditSet to that state —
 // re-preparing only the dirtied partition trees, re-covering only
-// those trees, and (in fast mode) re-ripping only the nets whose
-// territories intersect the dirtied region. Both run RunOnce's
+// those trees, and (in fast mode) re-placing only the cells and
+// re-ripping only the nets the edit changed. Both run RunOnce's
 // iteration body, so stage budgets, panic recovery, and cancellation
 // behave exactly as in Run/RunOnce.
 
@@ -33,11 +33,21 @@ type ECOState struct {
 	K     float64
 	// Seeds and Place are the mapper seed positions and the legalized
 	// placement of this iteration's netlist. Fast-mode ECO reuses them:
-	// cells whose seeds are unchanged keep their legalized position
-	// verbatim (place.PlaceECO), which keeps the dirtied routing region
-	// genuinely local. Nil when the iteration ran with FreshPlacement.
+	// cells whose identity, width and seed are unchanged keep their
+	// legalized position verbatim (place.PlaceECO), which keeps the
+	// dirtied routing region genuinely local. Seeds is nil when the
+	// iteration ran with FreshPlacement.
 	Seeds []geom.Point
 	Place *place.Placement
+	// Widths are the cells' widths; CellKeys and NetKeys are the
+	// identities fast-mode ECO aligns the next netlist's cells and
+	// nets with: a cell's root subject gate (mapper.Result.InstGate)
+	// and the subject gate driving a net's signal. Edits rewrite gates
+	// in place, so the keys survive them. NetKeys is set only on
+	// states RunStateful and RunECO return.
+	Widths   []float64
+	CellKeys []int
+	NetKeys  []int
 }
 
 // RunStateful is RunOnce at a fixed K that additionally returns the
@@ -62,13 +72,16 @@ func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Itera
 //
 // Placement and routing run from scratch by default, which is what
 // makes the byte-identity exact. With cfg.FastECORoute set, both go
-// incremental: cells whose mapper seeds are unchanged keep st.Place's
-// legalized positions verbatim (place.PlaceECO), and the router reuses
-// st.Route — only nets whose territories intersect the dirtied region
-// are ripped up and rerouted against the persisted congestion history.
-// Milliseconds instead of a full legalize/negotiate, at the cost of
-// exact placement and path identity (the route/eco invariant tests pin
-// what fast mode does guarantee).
+// incremental, with cells and nets aligned to st's by subject gate
+// (ECOState.CellKeys, NetKeys), so edits that insert or remove cells
+// stay incremental too: cells whose gate, width and mapper seed are
+// unchanged keep st.Place's positions verbatim and the rest go into
+// the nearest free gap (place.PlaceECO), and the router reuses
+// st.Route — only new nets and nets whose terminals changed are ripped
+// up and rerouted against the persisted congestion history
+// (route.RouteECO). A fraction of a full legalize/negotiate, at the
+// cost of exact placement and path identity (the place and route eco
+// tests pin what fast mode does guarantee).
 //
 // st is read-only: on error the caller's state is still valid, and on
 // success it remains usable (e.g. to try a different edit set against

@@ -2,10 +2,14 @@ package flow
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"casyn/internal/mapper"
+	"casyn/internal/obs"
+	"casyn/internal/verify"
 )
 
 // TestECOChainDefaultLibrary pins the nil-Lib contract: a caller that
@@ -47,5 +51,72 @@ func TestECOChainDefaultLibrary(t *testing.T) {
 	cfg.FastECORoute = true
 	if _, _, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFastECOChainAligned chains fast-mode edits, including edits that
+// change the mapped cell count, and checks that every edit places and
+// routes incrementally (no eco.place_full or eco.route_full) and
+// locally (few cells re-placed, few nets ripped), that every netlist is
+// equivalent to its edited subject, and that the chain is
+// byte-identical at 1 and 4 workers.
+func TestFastECOChainAligned(t *testing.T) {
+	type step struct {
+		it Iteration
+		st *ECOState
+	}
+	chain := func(workers int) []step {
+		pc, cfg := prepared(t, 0.55)
+		cfg.FreshPlacement = false
+		cfg.FastECORoute = true
+		cfg.Workers = workers
+		ctx := obs.WithRecorder(context.Background(), obs.New())
+		it, st, err := RunStateful(ctx, pc, 0.001, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []step{{it, st}}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 12; i++ {
+			it, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
+			if err != nil {
+				t.Fatalf("workers=%d edit %d: %v", workers, i, err)
+			}
+			c := it.Metrics.Events.Counters
+			if c["eco.place_full"] != 0 || c["eco.route_full"] != 0 || c["eco.place_incremental"] != 1 {
+				t.Errorf("workers=%d edit %d: place_full=%d route_full=%d place_incremental=%d, want 0, 0, 1",
+					workers, i, c["eco.place_full"], c["eco.route_full"], c["eco.place_incremental"])
+			}
+			// A single-gate edit stays local: alignment by subject gate
+			// keeps all but a few cells and nets, whatever the indices.
+			if moved, ripped, kept := c["eco.place_moved_cells"], c["eco.route_nets_ripped"], c["eco.route_nets_kept"]; 10*moved > int64(it.NumCells) || 10*ripped > ripped+kept {
+				t.Errorf("workers=%d edit %d: re-placed %d of %d cells and ripped %d of %d nets",
+					workers, i, moved, it.NumCells, ripped, ripped+kept)
+			}
+			rep, err := verify.Equivalent(ctx, next.Prep.DAG(), it.Netlist, verify.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Equivalent {
+				t.Fatalf("workers=%d edit %d: netlist differs from its edited subject: %s", workers, i, rep)
+			}
+			out = append(out, step{it, next})
+			st = next
+		}
+		return out
+	}
+	serial, parallel := chain(1), chain(4)
+	countChanged := 0
+	for i := range serial {
+		if i > 0 && serial[i].it.NumCells != serial[i-1].it.NumCells {
+			countChanged++
+		}
+		sameIteration(t, fmt.Sprintf("edit %d", i), serial[i].it, parallel[i].it)
+		if !reflect.DeepEqual(serial[i].st.Place, parallel[i].st.Place) {
+			t.Errorf("edit %d: placements diverged between 1 and 4 workers", i)
+		}
+	}
+	if countChanged < 3 {
+		t.Fatalf("only %d edits changed the cell count; the aligned path was not exercised", countChanged)
 	}
 }

@@ -87,6 +87,9 @@ type Result struct {
 	// InstGate maps each instance index to the subject gate whose
 	// signal it produces.
 	InstGate []int
+	// SigGate maps each signal to the subject gate driving it: the
+	// instance's root gate, the PI, or the constant.
+	SigGate []int
 	// Forest is the partition used.
 	Forest *partition.Forest
 }
@@ -140,6 +143,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 	setSig := func(g int, s netlist.SigID) {
 		sigOf[g] = s
 		haveSig[g] = true
+		res.SigGate = append(res.SigGate, g) // s is the newest signal
 	}
 	// Primary inputs and constants first.
 	for _, pi := range d.PIs() {

@@ -1,53 +1,196 @@
 package place
 
-// Incremental placement for ECO synthesis: after a small edit, almost
-// every cell's mapper seed (its covered gates' center of mass on the
-// companion placement) is unchanged, so the previous legalized
-// position is still the right answer. PlaceECO keeps those verbatim
-// and snaps only the cells whose seeds moved — no global
-// re-legalization, no refinement sweep. The result is deliberately
-// NOT byte-identical to PlaceSeeded on the edited netlist (moved
-// cells may overlap neighbors until the next full placement); it is
-// the placement half of the flow's fast-ECO mode, which trades exact
-// identity for a milliseconds-scale re-synthesis.
+// Incremental placement for ECO synthesis. After a small edit almost
+// every cell has the same identity, footprint and mapper seed (its
+// covered gates' center of mass on the companion placement) as a cell
+// of the previous netlist, so that cell's previous legalized position
+// is still the right answer. PlaceECO keeps those verbatim and drops
+// every other cell — moved, inserted, or resized — into the free gap
+// nearest its seed. There is no global re-legalization and no
+// refinement sweep, so the routing dirty region stays as small as the
+// edit. The result is legal (no overlaps, on a row, inside the die)
+// whenever the previous placement's kept cells are; it is deliberately
+// NOT byte-identical to PlaceSeeded on the edited netlist. It is the
+// placement half of the flow's fast-ECO mode.
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+
 	"casyn/internal/geom"
 )
 
-// PlaceECO incrementally updates a previous legalized placement for an
-// edited netlist whose cells are index-aligned with the previous one:
-// cell i keeps prev's position when newSeeds[i] == oldSeeds[i], and is
-// otherwise snapped to the row nearest its new seed, clamped inside
-// the die. Returns the new placement, the number of re-placed cells,
-// and whether the fast path applied at all — false (nil placement)
-// when the netlists are not index-aligned or the previous placement
-// does not cover them, in which case the caller must fall back to a
-// full PlaceSeeded.
-func PlaceECO(nl *Netlist, layout Layout, prev *Placement, oldSeeds, newSeeds []geom.Point) (*Placement, int, bool) {
+// ECOBase is the previous placement PlaceECO updates, with the width
+// and mapper seed every previous cell was placed with.
+type ECOBase struct {
+	Place  *Placement
+	Widths []float64
+	Seeds  []geom.Point
+}
+
+// ErrNoRoom reports that a re-placed cell fits in no row's free gaps;
+// the caller falls back to a full placement.
+var ErrNoRoom = errors.New("place: no row has a free gap for a re-placed cell")
+
+// span is the occupied x extent of one placed cell.
+type span struct{ lo, hi float64 }
+
+// PlaceECO incrementally updates base.Place for an edited netlist.
+// oldOf maps each cell of nl to the previous cell with the same
+// identity, or -1 for an inserted cell. Cell i keeps the previous
+// position verbatim when oldOf[i] >= 0 and its width and seed equal
+// the previous cell's; every other cell is placed, in index order, at
+// the position nearest seeds[i] (Manhattan, x clamped inside the die)
+// in a free gap of any row. Previous cells nothing maps to are
+// removed. Returns the new placement and the number of re-placed
+// cells. An out-of-range or duplicate oldOf entry, or inputs that do
+// not cover their netlists, are an error; ErrNoRoom means some cell
+// fits nowhere and the caller must fall back to a full placement.
+// base is never mutated.
+func PlaceECO(nl *Netlist, layout Layout, base ECOBase, seeds []geom.Point, oldOf []int) (*Placement, int, error) {
 	n := nl.NumCells()
-	if prev == nil || len(prev.Pos) != n || len(prev.Row) != n ||
-		len(oldSeeds) != n || len(newSeeds) != n || layout.NumRows < 1 {
-		return nil, 0, false
+	prev := base.Place
+	if prev == nil {
+		return nil, 0, fmt.Errorf("place: PlaceECO needs a previous placement")
+	}
+	m := len(prev.Pos)
+	if len(prev.Row) != m || len(base.Widths) != m || len(base.Seeds) != m {
+		return nil, 0, fmt.Errorf("place: previous placement, widths and seeds cover %d, %d and %d cells",
+			m, len(base.Widths), len(base.Seeds))
+	}
+	if len(seeds) != n || len(oldOf) != n {
+		return nil, 0, fmt.Errorf("place: %d seeds and %d map entries for %d cells", len(seeds), len(oldOf), n)
+	}
+	if layout.NumRows < 1 {
+		return nil, 0, fmt.Errorf("place: layout has no rows")
 	}
 	p := &Placement{Pos: make([]geom.Point, n), Row: make([]int, n)}
-	copy(p.Pos, prev.Pos)
-	copy(p.Row, prev.Row)
-	moved := 0
-	for i := 0; i < n; i++ {
-		if newSeeds[i] == oldSeeds[i] {
+	rows := make([][]span, layout.NumRows)
+	claimed := make([]bool, m)
+	var replace []int
+	for i, o := range oldOf {
+		if o < 0 {
+			replace = append(replace, i)
 			continue
 		}
-		moved++
-		r := layout.RowOf(newSeeds[i].Y)
-		x := newSeeds[i].X
-		if half := nl.Widths[i] / 2; x < layout.Die.Min.X+half {
-			x = layout.Die.Min.X + half
-		} else if x > layout.Die.Max.X-half {
-			x = layout.Die.Max.X - half
+		if o >= m {
+			return nil, 0, fmt.Errorf("place: cell %d maps to previous cell %d of %d", i, o, m)
 		}
-		p.Pos[i] = geom.Pt(x, layout.RowY(r))
-		p.Row[i] = r
+		if claimed[o] {
+			return nil, 0, fmt.Errorf("place: previous cell %d is mapped twice", o)
+		}
+		claimed[o] = true
+		r := prev.Row[o]
+		if nl.Widths[i] != base.Widths[o] || seeds[i] != base.Seeds[o] || r < 0 || r >= layout.NumRows {
+			replace = append(replace, i)
+			continue
+		}
+		p.Pos[i], p.Row[i] = prev.Pos[o], r
+		hw := nl.Widths[i] / 2
+		rows[r] = append(rows[r], span{prev.Pos[o].X - hw, prev.Pos[o].X + hw})
 	}
-	return p, moved, true
+	for _, row := range rows {
+		// By (lo, hi), so a zero-width span touching a cell's left
+		// edge sorts before it and every gap lies between neighbors.
+		slices.SortFunc(row, func(a, b span) int {
+			if c := cmp.Compare(a.lo, b.lo); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.hi, b.hi)
+		})
+	}
+	for _, i := range replace {
+		x, r, g, ok := nearestGap(rows, layout, seeds[i], nl.Widths[i])
+		if !ok {
+			return nil, 0, ErrNoRoom
+		}
+		p.Pos[i], p.Row[i] = geom.Pt(x, layout.RowY(r)), r
+		hw := nl.Widths[i] / 2
+		rows[r] = slices.Insert(rows[r], g, span{x - hw, x + hw})
+	}
+	return p, len(replace), nil
+}
+
+// nearestGap finds the free position for a cell of width w nearest
+// seed: the cell's x is clamped inside the die, and the displacement
+// is |dx| + |dy| to the row center. Rows are walked outward from the
+// seed's row in order of vertical distance and the walk stops once
+// that distance alone reaches the best displacement found, so the
+// search window follows from the gaps rather than a constant. Ties go
+// to the first found. Returns the cell's x, its row, the index in
+// rows[row] its span is inserted at, and false when no row has room.
+func nearestGap(rows [][]span, layout Layout, seed geom.Point, w float64) (float64, int, int, bool) {
+	die := layout.Die
+	if w > die.W() {
+		return 0, 0, 0, false
+	}
+	x := math.Min(math.Max(seed.X, die.Min.X+w/2), die.Max.X-w/2)
+	best, bestX, bestRow, bestGap := math.Inf(1), 0.0, -1, 0
+	r0 := layout.RowOf(seed.Y)
+	lo, hi := r0, r0+1
+	for lo >= 0 || hi < layout.NumRows {
+		r := lo
+		switch {
+		case lo < 0:
+			r = hi
+		case hi < layout.NumRows && math.Abs(layout.RowY(hi)-seed.Y) < math.Abs(layout.RowY(lo)-seed.Y):
+			r = hi
+		}
+		if r == lo {
+			lo--
+		} else {
+			hi++
+		}
+		dy := math.Abs(layout.RowY(r) - seed.Y)
+		if dy >= best {
+			break
+		}
+		if gx, g, dx, ok := rowGap(rows[r], die, x, w, best-dy); ok {
+			best, bestX, bestRow, bestGap = dx+dy, gx, r, g
+		}
+	}
+	return bestX, bestRow, bestGap, bestRow >= 0
+}
+
+// rowGap finds, in one row's sorted spans, the gap position for a
+// cell of width w nearest x with horizontal displacement below limit.
+// Gap g lies between spans g-1 and g (the die edges bound the ends).
+// The walk goes outward from the gap at x and stops once a gap's near
+// edge alone is limit away.
+func rowGap(row []span, die geom.Rect, x, w, limit float64) (float64, int, float64, bool) {
+	gapLo := func(g int) float64 {
+		if g == 0 {
+			return die.Min.X
+		}
+		return row[g-1].hi
+	}
+	gapHi := func(g int) float64 {
+		if g == len(row) {
+			return die.Max.X
+		}
+		return row[g].lo
+	}
+	bestX, bestG, bestD, found := 0.0, 0, limit, false
+	try := func(g int) {
+		l, h := gapLo(g), gapHi(g)
+		if h-l < w {
+			return
+		}
+		cx := math.Min(math.Max(x, l+w/2), h-w/2)
+		if d := math.Abs(cx - x); d < bestD {
+			bestX, bestG, bestD, found = cx, g, d, true
+		}
+	}
+	at := sort.Search(len(row), func(j int) bool { return row[j].lo > x })
+	for g := at; g >= 0 && x-(gapHi(g)-w/2) < bestD; g-- {
+		try(g)
+	}
+	for g := at + 1; g <= len(row) && gapLo(g)+w/2-x < bestD; g++ {
+		try(g)
+	}
+	return bestX, bestG, bestD, found
 }

@@ -1,14 +1,17 @@
 package route
 
-// This file implements incremental (ECO) rerouting: after a local
-// edit, only the nets whose terminals changed are ripped up and
-// rerouted, against the persisted congestion history of the previous
+// This file implements incremental (ECO) rerouting. The caller aligns
+// the edited design's nets with the previous routing's by identity
+// (a new→old net map; the flow keys a net by its driving subject
+// gate), so nets may be inserted, removed and renumbered. Aligned nets
+// whose terminal gcells did not change keep their routed paths
+// verbatim; new nets and nets whose terminals changed are ripped and
+// rerouted against the persisted congestion history of the previous
 // routing, so the negotiation resumes where it left off instead of
-// relearning the hot spots. Residual overflow the baseline
-// negotiation already settled for is treated as settled (the router's
-// overflow floor), and only the edited nets' segments are eligible
-// for rip-up rounds — everything else keeps its routed path verbatim,
-// and marginal overflow the edit adds on a saturated design is
+// relearning the hot spots. Residual overflow the baseline negotiation
+// already settled for is treated as settled (the router's overflow
+// floor), and only the ripped nets' segments are eligible for rip-up
+// rounds; marginal overflow the edit adds on a saturated design is
 // reported rather than re-negotiated globally.
 //
 // Incremental rerouting is deliberately NOT byte-identical to a
@@ -17,9 +20,9 @@ package route
 // ordering that skips clean nets observes different intermediate
 // state. The contract is instead: (1) an unchanged design returns the
 // previous result verbatim, (2) the final grid usage exactly equals
-// the sum of the final paths, and (3) only nets whose terminals
-// changed or whose territory intersects the dirty region change
-// paths. The eco invariant tests pin all three; the differential ECO
+// the sum of the final paths, removed nets' usage gone, and (3) only
+// new nets and nets whose terminals changed change paths. The eco
+// invariant and alignment tests pin all three; the differential ECO
 // harness proves byte-identity of the exact path (full reroute),
 // which flow.RunECO uses by default.
 
@@ -50,58 +53,41 @@ type State struct {
 // Result returns the routing result the state captured.
 func (s *State) Result() *Result { return s.res }
 
-func newState(layout place.Layout, opts Options, g *Grid, segs []twoPin, netTerms [][][2]int, res *Result) *State {
-	st := &State{
-		layout:    layout,
-		opts:      opts,
-		grid:      g,
-		segs:      segs,
-		segsOfNet: make([][]int, len(netTerms)),
-		netTerms:  netTerms,
-		res:       res,
-	}
-	// segs are globally sorted; per-net index lists must recover the
-	// mstPairs emission order, which ascending (a, b) scan order does
-	// not. Rebuild by replaying mstPairs? No — record by matching:
-	// collect indices per net, then order them to match mstPairs by
-	// walking the pairs. Cheaper and simpler: index segs per net in
-	// their sorted positions, then reorder to mstPairs order below.
-	byNet := make(map[int][]int, len(netTerms))
+// netSlots returns, for each of nets nets, the positions its segments
+// take once sortSegs orders segs, in emission (mstPairs) order. segs
+// must be unsorted, in emission order: net by net, each net's segments
+// contiguous. sortSegs is a stable sort on length alone, so a
+// segment's slot is the count of longer segments plus the count of
+// equally long segments emitted before it.
+func netSlots(segs []twoPin, nets int) [][]int {
+	maxLen := 0
 	for i := range segs {
-		byNet[segs[i].net] = append(byNet[segs[i].net], i)
+		maxLen = max(maxLen, segs[i].length())
 	}
-	for ni, pts := range netTerms {
-		if len(pts) < 2 {
-			continue
-		}
-		idx := byNet[ni]
-		ordered := make([]int, 0, len(idx))
-		for _, pr := range mstPairs(g, pts) {
-			for _, i := range idx {
-				if segs[i].a == pr[0] && segs[i].b == pr[1] {
-					ordered = append(ordered, i)
-					idx = removeFirst(idx, i)
-					break
-				}
-			}
-		}
-		st.segsOfNet[ni] = ordered
+	next := make([]int, maxLen+1)
+	for i := range segs {
+		next[segs[i].length()]++
 	}
-	return st
-}
-
-func removeFirst(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i:i], s[i+1:]...)
-		}
+	// next[l] becomes the slot of the first segment of length l.
+	for l, acc := maxLen, 0; l >= 0; l-- {
+		next[l], acc = acc, acc+next[l]
 	}
-	return s
-}
-
-// intersects reports whether two grid rectangles share a cell.
-func (r gridRect) intersects(o gridRect) bool {
-	return r.X0 <= o.X1 && o.X0 <= r.X1 && r.Y0 <= o.Y1 && o.Y0 <= r.Y1
+	slots := make([]int, len(segs))
+	for i := range segs {
+		l := segs[i].length()
+		slots[i] = next[l]
+		next[l]++
+	}
+	out := make([][]int, nets)
+	for i := 0; i < len(segs); {
+		j := i + 1
+		for j < len(segs) && segs[j].net == segs[i].net {
+			j++
+		}
+		out[segs[i].net] = slots[i:j:j]
+		i = j
+	}
+	return out
 }
 
 // union grows r to cover o.
@@ -118,21 +104,6 @@ func (r gridRect) union(o gridRect) gridRect {
 	if o.Y1 > r.Y1 {
 		r.Y1 = o.Y1
 	}
-	return r
-}
-
-// termTerritory is a net's territory: the bounding box of its terminal
-// gcells expanded by mazeHalo — the multi-terminal generalization of
-// Grid.territory, and exactly the union of its segments' territories.
-func termTerritory(g *Grid, pts [][2]int) gridRect {
-	r := gridRect{X0: pts[0][0], Y0: pts[0][1], X1: pts[0][0], Y1: pts[0][1]}
-	for _, p := range pts[1:] {
-		r = r.union(gridRect{X0: p[0], Y0: p[1], X1: p[0], Y1: p[1]})
-	}
-	r.X0 = clampInt(r.X0-mazeHalo, 0, g.NX-1)
-	r.Y0 = clampInt(r.Y0-mazeHalo, 0, g.NY-1)
-	r.X1 = clampInt(r.X1+mazeHalo, 0, g.NX-1)
-	r.Y1 = clampInt(r.Y1+mazeHalo, 0, g.NY-1)
 	return r
 }
 
@@ -167,71 +138,6 @@ func capacityDiffRect(a, b *Grid) (gridRect, bool) {
 	return r, found
 }
 
-// maxDirtyRects bounds the dirty-region representation; past it the
-// region collapses to one bounding box (the conservative pre-existing
-// behavior). A handful of moved cells stays well under it.
-const maxDirtyRects = 64
-
-// dirtyRegion is a set of dirty rectangles. Keeping them separate
-// instead of unioning into one bounding box is what makes incremental
-// rerouting local: a few moved cells scattered across the die would
-// otherwise bound a box covering most of the grid and rip up nearly
-// every net. Every rect is still conservative (a superset of the true
-// dirty cells), so shrinking the region never violates the RouteECO
-// contract — it only keeps more clean nets' paths.
-type dirtyRegion struct {
-	rects []gridRect
-}
-
-func (d *dirtyRegion) empty() bool { return len(d.rects) == 0 }
-
-// add inserts a rect, merging it with any rect it intersects and
-// collapsing the whole region to one bounding box past maxDirtyRects.
-func (d *dirtyRegion) add(r gridRect) {
-	for i := range d.rects {
-		if d.rects[i].intersects(r) {
-			d.rects[i] = d.rects[i].union(r)
-			return
-		}
-	}
-	if len(d.rects) >= maxDirtyRects {
-		for _, o := range d.rects[1:] {
-			d.rects[0] = d.rects[0].union(o)
-		}
-		d.rects = d.rects[:1]
-		d.rects[0] = d.rects[0].union(r)
-		return
-	}
-	d.rects = append(d.rects, r)
-}
-
-func (d *dirtyRegion) intersects(r gridRect) bool {
-	for _, o := range d.rects {
-		if o.intersects(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// addCapacityDiff appends the gcells whose edge capacities differ
-// between the grids, as per-row runs of consecutive cells — the
-// piecewise version of capacityDiffRect.
-func (d *dirtyRegion) addCapacityDiff(a, b *Grid) {
-	for y := 0; y < a.NY; y++ {
-		run := -1
-		for x := 0; x <= a.NX; x++ {
-			diff := x < a.NX && (a.capH[y][x] != b.capH[y][x] || a.capV[y][x] != b.capV[y][x])
-			if diff && run < 0 {
-				run = x
-			} else if !diff && run >= 0 {
-				d.add(gridRect{X0: run, Y0: y, X1: x - 1, Y1: y})
-				run = -1
-			}
-		}
-	}
-}
-
 func equalTerms(a, b [][2]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -245,23 +151,28 @@ func equalTerms(a, b [][2]int) bool {
 }
 
 // RouteECO incrementally reroutes the edited design against a previous
-// routing State. Nets whose terminals changed are ripped up and
-// rerouted — first pattern-routed in the canonical global order, then
-// negotiated among themselves against the kept usage and the persisted
+// routing State. oldNet aligns the nets: oldNet[ni] is the previous
+// net with net ni's identity (the flow keys a net by the subject gate
+// driving its signal), or -1 for a new net. An aligned net whose
+// terminal gcells are unchanged keeps its previous paths verbatim;
+// every other net — new, or with changed terminals — is ripped and
+// rerouted: maze-routed in the canonical global order, then negotiated
+// among the ripped nets against the kept usage and the persisted
 // congestion history, with the baseline's residual overflow accepted
 // as settled (only overflow the edit introduced, by a new path or by a
 // capacity shift under a moved cell, triggers rip-up rounds, and only
-// the edited nets' segments are eligible for rip-up). Kept nets keep
-// their previous paths verbatim; any marginal overflow the edit adds
-// on a saturated design is reported in the Result rather than fought
-// globally.
+// the ripped nets' segments are eligible for rip-up). Previous nets
+// nothing maps to are removed and their usage with them. Marginal
+// overflow the edit adds on a saturated design is reported in the
+// Result rather than fought globally.
 //
-// An unchanged design (identical terminals and capacities) returns the
-// previous Result and State verbatim. A design whose net count changed
-// (the edit altered the netlist's shape beyond recognition by index)
-// falls back to a full RouteNetlistState — same signature, counted on
-// "eco.route_full".
-func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Placement) (*Result, *State, error) {
+// An unchanged design (identity map, identical terminals and
+// capacities) returns the previous Result and State verbatim. A nil
+// oldNet means the nets cannot be aligned: RouteECO falls back to a
+// full RouteNetlistState — same signature, counted on
+// "eco.route_full". An out-of-range or duplicate oldNet entry is an
+// error.
+func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Placement, oldNet []int) (*Result, *State, error) {
 	rec := obs.From(ctx)
 	if st == nil {
 		return nil, nil, fmt.Errorf("route: RouteECO needs a previous State")
@@ -269,9 +180,27 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	if len(pl.Pos) != nl.NumCells() {
 		return nil, nil, fmt.Errorf("route: placement for %d cells, netlist has %d", len(pl.Pos), nl.NumCells())
 	}
-	if len(nl.Nets) != len(st.netTerms) {
+	if oldNet == nil {
 		rec.Add("eco.route_full", 1)
 		return RouteNetlistState(ctx, nl, pl, st.layout, st.opts)
+	}
+	if len(oldNet) != len(nl.Nets) {
+		return nil, nil, fmt.Errorf("route: net map has %d entries, netlist has %d nets", len(oldNet), len(nl.Nets))
+	}
+	identity := len(nl.Nets) == len(st.netTerms)
+	claimed := make([]bool, len(st.netTerms))
+	for ni, o := range oldNet {
+		identity = identity && o == ni
+		if o < 0 {
+			continue
+		}
+		if o >= len(st.netTerms) {
+			return nil, nil, fmt.Errorf("route: net %d maps to previous net %d of %d", ni, o, len(st.netTerms))
+		}
+		if claimed[o] {
+			return nil, nil, fmt.Errorf("route: previous net %d is mapped twice", o)
+		}
+		claimed[o] = true
 	}
 	opts := st.opts
 	density, err := cellDensity(nl, pl, st.layout, opts)
@@ -287,13 +216,10 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 		return RouteNetlistState(ctx, nl, pl, st.layout, st.opts)
 	}
 
-	// The dirty region: the gcells whose capacity derate shifted under
-	// moved cells, kept as separate rects so scattered small edits stay
-	// local. Nets whose terminals changed are ripped directly; their
-	// neighbors are not — any conflict a changed net's new path causes
-	// is exactly what the post-rip negotiation resolves.
-	var dirty dirtyRegion
-	dirty.addCapacityDiff(st.grid, g)
+	// New nets and nets whose terminals changed are ripped directly;
+	// their neighbors are not — any conflict a changed net's new path
+	// or a capacity shift under a moved cell causes is exactly what the
+	// post-rip negotiation resolves.
 	terms := make([][][2]int, len(nl.Nets))
 	var changed []int
 	var ptsBuf [][2]int
@@ -301,27 +227,28 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
 		ptsBuf = pts
 		terms[ni] = append([][2]int(nil), pts...)
-		if !equalTerms(st.netTerms[ni], terms[ni]) {
+		if o := oldNet[ni]; o < 0 || !equalTerms(st.netTerms[o], terms[ni]) {
 			changed = append(changed, ni)
 		}
 	}
-	if dirty.empty() && len(changed) == 0 {
-		// Nothing moved and nothing reconnected: the previous routing
-		// is the routing.
-		rec.Add("eco.route_nets_kept", int64(len(nl.Nets)))
-		return st.res, st, nil
+	if identity && len(changed) == 0 {
+		if _, shifted := capacityDiffRect(st.grid, g); !shifted {
+			// Nothing moved and nothing reconnected: the previous
+			// routing is the routing.
+			rec.Add("eco.route_nets_kept", int64(len(nl.Nets)))
+			return st.res, st, nil
+		}
 	}
 
 	// Persist the negotiated history — the learned congestion map — so
 	// rerouting resumes rather than relearns.
 	g.copyHistoryFrom(st.grid)
 
-	// Only changed nets are ripped outright. Kept nets whose paths the
-	// capacity shift or a changed net's new path now overflow are
-	// caught by the floor-gated negotiation below — per offending
-	// segment, instead of preemptively ripping every net whose
-	// territory overlaps the dirty region (on a coarse grid that is a
-	// large fraction of the design).
+	// Only new and changed nets are ripped. Overflow a capacity shift
+	// or a changed net's new path puts on kept paths is handled by the
+	// floor-gated negotiation below, among the ripped nets only —
+	// instead of preemptively ripping every net near a moved cell (on a
+	// coarse grid that is a large fraction of the design).
 	rip := make([]bool, len(nl.Nets))
 	for _, ni := range changed {
 		rip[ni] = true
@@ -329,8 +256,8 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	ripped := len(changed)
 
 	// Rebuild the canonical segment list. Kept nets carry their
-	// previous paths (same terminals → same mstPairs, index-aligned
-	// with the previous state); ripped nets start pathless.
+	// previous net's paths (same terminals → same mstPairs, in the
+	// previous state's emission order); ripped nets start pathless.
 	var segs []twoPin
 	for ni := range nl.Nets {
 		pts := terms[ni]
@@ -338,9 +265,10 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 			continue
 		}
 		prs := mstPairs(g, pts)
-		if !rip[ni] && len(st.segsOfNet[ni]) == len(prs) {
+		// A kept net is aligned (oldNet[ni] >= 0): new nets are ripped.
+		if !rip[ni] && len(st.segsOfNet[oldNet[ni]]) == len(prs) {
 			for k, pr := range prs {
-				segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1], path: st.segs[st.segsOfNet[ni][k]].path})
+				segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1], path: st.segs[st.segsOfNet[oldNet[ni]][k]].path})
 			}
 		} else {
 			for _, pr := range prs {
@@ -348,6 +276,7 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 			}
 		}
 	}
+	segsOfNet := netSlots(segs, len(nl.Nets))
 	sortSegs(segs)
 	reroute := make([]bool, len(segs))
 	for i := range segs {
@@ -357,7 +286,6 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	rec.Add("route.nets", int64(len(nl.Nets)))
 	rec.Add("route.segments", int64(len(segs)))
 	rec.Add("eco.route_nets_changed", int64(len(changed)))
-	rec.Add("eco.route_dirty_rects", int64(len(dirty.rects)))
 	rec.Add("eco.route_nets_ripped", int64(ripped))
 	rec.Add("eco.route_nets_kept", int64(len(nl.Nets)-ripped))
 
@@ -413,5 +341,5 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, res)
 	}
-	return res, newState(st.layout, opts, g, segs, terms, res), nil
+	return res, &State{layout: st.layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: terms, res: res}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"casyn/internal/geom"
+	"casyn/internal/obs"
 	"casyn/internal/place"
 )
 
@@ -60,6 +61,61 @@ func usageFromPaths(segs []twoPin) map[edge]float64 {
 	return u
 }
 
+// intersects reports whether two grid rectangles share a cell.
+func (r gridRect) intersects(o gridRect) bool {
+	return r.X0 <= o.X1 && o.X0 <= r.X1 && r.Y0 <= o.Y1 && o.Y0 <= r.Y1
+}
+
+// termTerritory is a net's territory: the bounding box of its terminal
+// gcells expanded by mazeHalo — the multi-terminal generalization of
+// Grid.territory, and exactly the union of its segments' territories.
+func termTerritory(g *Grid, pts [][2]int) gridRect {
+	r := gridRect{X0: pts[0][0], Y0: pts[0][1], X1: pts[0][0], Y1: pts[0][1]}
+	for _, p := range pts[1:] {
+		r = r.union(gridRect{X0: p[0], Y0: p[1], X1: p[0], Y1: p[1]})
+	}
+	r.X0 = clampInt(r.X0-mazeHalo, 0, g.NX-1)
+	r.Y0 = clampInt(r.Y0-mazeHalo, 0, g.NY-1)
+	r.X1 = clampInt(r.X1+mazeHalo, 0, g.NX-1)
+	r.Y1 = clampInt(r.Y1+mazeHalo, 0, g.NY-1)
+	return r
+}
+
+// identityNets is the net map of an edit that keeps every net's index.
+func identityNets(nl *place.Netlist) []int {
+	m := make([]int, len(nl.Nets))
+	for i := range m {
+		m[i] = i
+	}
+	return m
+}
+
+// pathsOf returns net ni's segment paths in emission order.
+func pathsOf(st *State, ni int) [][]edge {
+	var out [][]edge
+	for _, si := range st.segsOfNet[ni] {
+		out = append(out, st.segs[si].path)
+	}
+	return out
+}
+
+func equalPaths(a, b [][]edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if len(a[k]) != len(b[k]) {
+			return false
+		}
+		for j := range a[k] {
+			if a[k][j] != b[k][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // checkUsageMatchesPaths asserts invariant (2) of the RouteECO
 // contract: the final grid usage exactly equals the sum of the final
 // paths.
@@ -96,7 +152,7 @@ func TestRouteECOUnchangedReturnsPrevious(t *testing.T) {
 	if st.Result() != res {
 		t.Fatal("State.Result does not return the captured result")
 	}
-	res2, st2, err := RouteECO(ctx, st, nl, pl)
+	res2, st2, err := RouteECO(ctx, st, nl, pl, identityNets(nl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +188,7 @@ func TestRouteECOInvariants(t *testing.T) {
 	}
 	pl2.Row[moved] = layout.RowOf(pl2.Pos[moved].Y)
 
-	res2, st2, err := RouteECO(ctx, st, nl, pl2)
+	res2, st2, err := RouteECO(ctx, st, nl, pl2, identityNets(nl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +228,6 @@ func TestRouteECOInvariants(t *testing.T) {
 	if res2.RipupRounds != 0 {
 		t.Fatalf("post-ECO negotiation ripped (rounds=%d); capacity scale too low for the invariant", res2.RipupRounds)
 	}
-	pathOf := func(st *State, ni int) [][]edge {
-		var out [][]edge
-		for _, si := range st.segsOfNet[ni] {
-			out = append(out, st.segs[si].path)
-		}
-		return out
-	}
 	cleanNets, changedPaths := 0, 0
 	for ni := range nl.Nets {
 		if changed[ni] || len(st2.netTerms[ni]) < 2 {
@@ -188,26 +237,8 @@ func TestRouteECOInvariants(t *testing.T) {
 			continue
 		}
 		cleanNets++
-		oldP, newP := pathOf(st, ni), pathOf(st2, ni)
-		if len(oldP) != len(newP) {
-			t.Fatalf("net %d outside the dirty region changed segment count", ni)
-		}
-		for k := range oldP {
-			if len(oldP[k]) != len(newP[k]) {
-				changedPaths++
-				break
-			}
-			same := true
-			for j := range oldP[k] {
-				if oldP[k][j] != newP[k][j] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				changedPaths++
-				break
-			}
+		if !equalPaths(pathsOf(st, ni), pathsOf(st2, ni)) {
+			changedPaths++
 		}
 	}
 	if cleanNets == 0 {
@@ -218,8 +249,79 @@ func TestRouteECOInvariants(t *testing.T) {
 	}
 }
 
-// TestRouteECOFullFallback: a net-count change is beyond index-based
-// diffing — RouteECO must fall back to a full route whose result
+// TestRouteECOAlignment inserts a net at index 0 (shifting every
+// index), removes one, and moves one cell, then checks that only the
+// new net and the nets whose terminals changed are ripped, that every
+// aligned unchanged net keeps its exact paths, and that the grid usage
+// is the sum of the final paths — the removed net's usage gone.
+func TestRouteECOAlignment(t *testing.T) {
+	t.Parallel()
+	nl, pl, layout := ecoDesign(t, 25, 7)
+	rec := obs.New()
+	ctx := obs.WithRecorder(context.Background(), rec)
+	_, st, err := RouteNetlistState(ctx, nl, pl, layout, ecoOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const removed, movedCell = 4, 11
+	nl2 := &place.Netlist{Widths: nl.Widths, Nets: []place.Net{{Cells: []int{0, 39}}}}
+	oldNet := []int{-1}
+	for ni, n := range nl.Nets {
+		if ni != removed {
+			nl2.Nets = append(nl2.Nets, n)
+			oldNet = append(oldNet, ni)
+		}
+	}
+	pl2 := &place.Placement{Pos: append([]geom.Point(nil), pl.Pos...), Row: append([]int(nil), pl.Row...)}
+	pl2.Pos[movedCell] = pl.Pos[movedCell].Add(geom.Pt(15, 10))
+	if out := layout.Die.Max; pl2.Pos[movedCell].X > out.X || pl2.Pos[movedCell].Y > out.Y {
+		pl2.Pos[movedCell] = geom.Pt(pl.Pos[movedCell].X-15, pl.Pos[movedCell].Y-10)
+	}
+	pl2.Row[movedCell] = layout.RowOf(pl2.Pos[movedCell].Y)
+
+	before := rec.Counter("eco.route_nets_ripped").Value()
+	_, st2, err := RouteECO(ctx, st, nl2, pl2, oldNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkUsageMatchesPaths(t, st2)
+
+	wantRipped, kept := 0, 0
+	for ni, o := range oldNet {
+		if o < 0 || !equalTerms(st.netTerms[o], st2.netTerms[ni]) {
+			wantRipped++
+			continue
+		}
+		kept++
+		if !equalPaths(pathsOf(st, o), pathsOf(st2, ni)) {
+			t.Errorf("aligned unchanged net %d (was %d) changed paths", ni, o)
+		}
+	}
+	if wantRipped < 2 || kept == 0 {
+		t.Fatalf("%d ripped and %d kept nets: the edit must change some nets and keep others", wantRipped, kept)
+	}
+	if got := rec.Counter("eco.route_nets_ripped").Value() - before; got != int64(wantRipped) {
+		t.Errorf("ripped %d nets, want %d (the new net and the changed-terminal nets)", got, wantRipped)
+	}
+	if len(st2.segsOfNet) != len(nl2.Nets) {
+		t.Errorf("state tracks %d nets, netlist has %d", len(st2.segsOfNet), len(nl2.Nets))
+	}
+
+	// Malformed maps are refused.
+	for name, m := range map[string][]int{
+		"short":        oldNet[1:],
+		"out of range": append([]int{len(nl.Nets)}, oldNet[1:]...),
+		"duplicate":    append([]int{oldNet[1]}, oldNet[1:]...),
+	} {
+		if _, _, err := RouteECO(ctx, st, nl2, pl2, m); err == nil {
+			t.Errorf("%s net map accepted", name)
+		}
+	}
+}
+
+// TestRouteECOFullFallback: without a net map the nets cannot be
+// aligned — RouteECO must fall back to a full route whose result
 // matches a from-scratch RouteNetlistState bit for bit.
 func TestRouteECOFullFallback(t *testing.T) {
 	t.Parallel()
@@ -230,7 +332,7 @@ func TestRouteECOFullFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl2 := &place.Netlist{Widths: nl.Widths, Nets: append(append([]place.Net(nil), nl.Nets...), place.Net{Cells: []int{0, 39}})}
-	res2, st2, err := RouteECO(ctx, st, nl2, pl)
+	res2, st2, err := RouteECO(ctx, st, nl2, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +357,7 @@ func TestRouteECOFullFallback(t *testing.T) {
 func TestRouteECONilState(t *testing.T) {
 	t.Parallel()
 	nl, pl, _ := ecoDesign(t, 4, 13)
-	if _, _, err := RouteECO(context.Background(), nil, nl, pl); err == nil {
+	if _, _, err := RouteECO(context.Background(), nil, nl, pl, identityNets(nl)); err == nil {
 		t.Error("nil state did not error")
 	}
 }

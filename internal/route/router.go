@@ -180,6 +180,10 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 			segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1]})
 		}
 	}
+	var segsOfNet [][]int
+	if capture {
+		segsOfNet = netSlots(segs, len(nl.Nets))
+	}
 	// Longer segments first: they have the least routing flexibility.
 	sortSegs(segs)
 
@@ -214,7 +218,7 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 	}
 	var st *State
 	if capture {
-		st = newState(layout, opts, g, segs, netTerms, res)
+		st = &State{layout: layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: netTerms, res: res}
 	}
 	return res, st, nil
 }
@@ -223,12 +227,11 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 // stably — the canonical global routing order shared by the full and
 // the incremental paths.
 func sortSegs(segs []twoPin) {
-	sort.SliceStable(segs, func(i, j int) bool {
-		di := abs(segs[i].a[0]-segs[i].b[0]) + abs(segs[i].a[1]-segs[i].b[1])
-		dj := abs(segs[j].a[0]-segs[j].b[0]) + abs(segs[j].a[1]-segs[j].b[1])
-		return di > dj
-	})
+	sort.SliceStable(segs, func(i, j int) bool { return segs[i].length() > segs[j].length() })
 }
+
+// length is the segment's Manhattan length in gcells, sortSegs' key.
+func (s *twoPin) length() int { return abs(s.a[0]-s.b[0]) + abs(s.a[1]-s.b[1]) }
 
 // firstPass pattern-routes segments in fixed 256-segment batches
 // against the congestion frozen at each batch boundary, applying usage

@@ -32,9 +32,10 @@ type EcoSpec struct {
 	// K overrides the congestion factor; default is the parent job's K
 	// (a sweep parent's accepted rung).
 	K *float64 `json:"k,omitempty"`
-	// Fast selects the incremental reroute (territory-scoped rip-up
-	// against the persisted congestion history) instead of the
-	// byte-identical from-scratch route of the edited design.
+	// Fast selects incremental placement and rerouting (only the cells
+	// and nets the edit changed move, against the persisted congestion
+	// history) instead of the byte-identical from-scratch placement and
+	// route of the edited design.
 	Fast bool `json:"fast,omitempty"`
 	// Verilog / TimeoutMS / NoResultCache mirror JobSpec.
 	Verilog       bool  `json:"verilog,omitempty"`
