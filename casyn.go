@@ -2,7 +2,7 @@
 // reproduction of "Congestion-Aware Logic Synthesis" (Pandini, Pileggi,
 // Strojwas — DATE 2002) with every substrate it needs built in: a
 // two-level and multi-level logic optimizer, NAND2/INV decomposition, a
-// standard-cell library, recursive-bisection and analytic placement, a
+// standard-cell library, recursive-bisection placement, a
 // congestion-driven global router, static timing analysis, and the
 // paper's congestion-aware technology mapper itself.
 //
@@ -381,20 +381,19 @@ func FlowConfig(layout place.Layout, opts Options) flow.Config {
 		seed = 1
 	}
 	return flow.Config{
-		Layout:            layout,
-		Method:            opts.Partition,
-		Dies:              opts.Dies,
-		InterDiePinBudget: opts.InterDiePinBudget,
-		PlaceOpts:         place.Options{Seed: seed, RefinePasses: 8},
-		RouteOpts:         route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98},
-		FreshPlacement:    true,
-		RunSTA:            opts.RunTiming,
-		STAOpts:           sta.Options{},
-		KSchedule:         []float64{opts.K},
-		StageTimeout:      opts.StageTimeout,
-		Workers:           opts.Workers,
-		Verify:            opts.Verify,
-		VerifyOpts:        opts.VerifyOpts,
+		Layout:         layout,
+		Method:         opts.Partition,
+		Dies:           opts.Dies,
+		PlaceOpts:      place.Options{Seed: seed, RefinePasses: 8},
+		RouteOpts:      route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98, RegionPinBudget: opts.InterDiePinBudget},
+		FreshPlacement: true,
+		RunSTA:         opts.RunTiming,
+		STAOpts:        sta.Options{},
+		KSchedule:      []float64{opts.K},
+		StageTimeout:   opts.StageTimeout,
+		Workers:        opts.Workers,
+		Verify:         opts.Verify,
+		VerifyOpts:     opts.VerifyOpts,
 	}
 }
 

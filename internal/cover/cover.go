@@ -37,7 +37,6 @@ package cover
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"casyn/internal/geom"
 	"casyn/internal/library"
@@ -62,38 +61,10 @@ type instruments struct {
 	perGate   *obs.Histogram // matches per vertex ("cover.matches_per_gate")
 }
 
-// Objective selects the covering optimization target.
-type Objective int
-
-const (
-	// MinArea is the paper's objective: COST = AREA + K·WIRE.
-	MinArea Objective = iota
-	// MinDelay is the Rudell/Touati extension the paper cites in
-	// Section 3.2: the DP minimizes the load-aware arrival time at
-	// each vertex (plus K·WIRE), breaking ties toward smaller area.
-	MinDelay
-)
-
-// String implements fmt.Stringer.
-func (o Objective) String() string {
-	if o == MinDelay {
-		return "min-delay"
-	}
-	return "min-area"
-}
-
 // Options tunes the coverer.
 type Options struct {
 	// K is the congestion minimization factor of Eq. 5.
 	K float64
-	// Objective selects area- or delay-oriented covering.
-	Objective Objective
-	// Metric is the layout distance function (default Manhattan).
-	Metric geom.Metric
-	// WireUnit is the length unit, in µm, that WIRE is expressed in
-	// (default 0.5, one routing half-pitch). It calibrates the K scale
-	// so the paper's K ladder lands on the same regions.
-	WireUnit float64
 	// TransitiveWire switches WIRE2 to the full transitive
 	// accumulation (the Pedram–Bhat-style cost the paper criticizes);
 	// used by the ablation benchmarks.
@@ -114,6 +85,12 @@ type Options struct {
 	Workers int
 }
 
+// wireUnit is the length unit, in µm, that WIRE is expressed in: one
+// routing half-pitch. It calibrates the K scale so the paper's K
+// ladder lands on the same regions. Distances are rectilinear
+// (geom.Point.Manhattan).
+const wireUnit = 0.5
+
 // Solution is the optimal cover decision at one tree vertex.
 type Solution struct {
 	Match match.Match
@@ -129,9 +106,6 @@ type Solution struct {
 	WireCostW float64
 	// Wire is Eq. 4 for the selected match (reporting only).
 	Wire float64
-	// Arrival is the estimated arrival time at the vertex under the
-	// MinDelay objective (ns); zero under MinArea.
-	Arrival float64
 	// Pos is the selected match's center of mass.
 	Pos geom.Point
 }
@@ -162,7 +136,7 @@ type Result struct {
 // cancellation point: a canceled ctx stops the DP promptly with a
 // wrapped ctx error.
 func Cover(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, opts Options) (*Result, error) {
-	prefix, err := BuildPrefix(ctx, dag, forest, lib, pos, opts.Metric, opts.Workers)
+	prefix, err := BuildPrefix(ctx, dag, forest, lib, pos, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -172,15 +146,14 @@ func Cover(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib 
 // CoverWithPrefix runs the K-dependent covering DP against a prefix
 // built by BuildPrefix for the same (dag, forest). The prefix is read
 // only, so one prefix can serve any number of concurrent
-// CoverWithPrefix calls at different K values. opts.Metric and
-// opts.WireUnit must match the geometry the prefix was built with
-// (only the K-weighting of cached distances differs between calls).
-// Trees fan out across opts.Workers goroutines — they share only
-// read-only state, each tree writes its own disjoint Best/Pos entries,
-// and the root reduction runs in ascending root order, so the result
-// is deterministic and identical to the serial pass. Each tree is a
-// cooperative cancellation point: a canceled ctx stops the DP promptly
-// with a wrapped ctx error.
+// CoverWithPrefix calls at different K values (only the K-weighting of
+// cached distances differs between calls). Trees fan out across
+// opts.Workers goroutines — they share only read-only state, each tree
+// writes its own disjoint Best/Pos entries, and the root reduction runs
+// in ascending root order, so the result is deterministic and
+// identical to the serial pass. Each tree is a cooperative
+// cancellation point: a canceled ctx stops the DP promptly with a
+// wrapped ctx error.
 func CoverWithPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, opts Options) (*Result, error) {
 	return coverTrees(ctx, dag, forest, prefix, nil, opts, nil)
 }
@@ -228,9 +201,6 @@ func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest,
 				reused++
 			}
 		}
-	}
-	if opts.WireUnit == 0 {
-		opts.WireUnit = 0.5
 	}
 	res := &Result{
 		Best: make([]*Solution, dag.NumGates()),
@@ -293,8 +263,7 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 		ins.matches.Add(int64(len(matches)))
 		ins.perGate.Observe(float64(len(matches)))
 		var best *Solution
-		bestCost := math.Inf(1)
-		bestTie := math.Inf(1)
+		var bestCost float64
 		for i := range matches {
 			pm := &matches[i]
 			area := pm.m.Cell.Area
@@ -305,28 +274,24 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 			// included — they agree bit-for-bit (×1.0 is exact in IEEE
 			// 754).
 			wire1, wire2, wire1W, wire2W := 0.0, 0.0, 0.0, 0.0
-			arrival := 0.0
 			for li, l := range pm.m.Leaves {
 				if pm.subLeaf[li] {
 					// The leaf heads an input subtree of this match:
 					// accumulate its DP solution (Eqs. 1 and 3).
 					sub := res.Best[l]
 					area += sub.AreaCost
-					d := opts.Metric.Distance(pm.com, sub.Pos) / opts.WireUnit
+					d := pm.com.Manhattan(sub.Pos) / wireUnit
 					wire1 += d
 					wire1W += field.SpanMult(pm.com, sub.Pos) * d
 					wire2 += sub.WireCost
 					wire2W += sub.WireCostW
-					if sub.Arrival > arrival {
-						arrival = sub.Arrival
-					}
 				} else {
 					// Cross reference (PI, another tree, or a side
 					// branch): its area and wire are paid elsewhere.
 					// The cached distance reads the frozen snapshot,
 					// keeping this tree independent of every other
 					// tree's committed updates.
-					d := pm.crossDist[li] / opts.WireUnit
+					d := pm.crossDist[li] / wireUnit
 					wire1 += d
 					wire1W += field.SpanMult(pm.com, prefix.pos[l]) * d
 				}
@@ -337,19 +302,9 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 				wire += wire2
 				kw += wire2W
 			}
-			var cost, tie float64
-			if opts.Objective == MinDelay {
-				// Load-aware stage delay with a nominal fanout-of-one
-				// load; cross-tree arrival is handled by the final STA,
-				// so the DP ranks matches by their in-tree depth cost.
-				arrival += pm.m.Cell.Intrinsic + pm.m.Cell.Drive*pm.m.Cell.InputCap
-				cost = arrival + opts.K*kw
-				tie = area
-			} else {
-				cost = area + opts.K*kw
-				tie = 0
-			}
-			if cost < bestCost || (cost == bestCost && tie < bestTie) {
+			// Eq. 5; the first of equal-cost matches wins.
+			cost := area + opts.K*kw
+			if best == nil || cost < bestCost {
 				stored, storedW := wire1, wire1W
 				if opts.TransitiveWire {
 					// accumulates transitively via children
@@ -361,11 +316,9 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 					WireCost:  stored,
 					WireCostW: storedW,
 					Wire:      wire,
-					Arrival:   arrival,
 					Pos:       pm.com,
 				}
 				bestCost = cost
-				bestTie = tie
 			}
 		}
 		res.Best[v] = best

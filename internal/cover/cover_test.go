@@ -237,83 +237,6 @@ func TestSelectedLeafSubtrees(t *testing.T) {
 	}
 }
 
-func TestMinDelayObjective(t *testing.T) {
-	t.Parallel()
-	// A deep chain: min-delay covering must not be worse in levels
-	// than min-area, and must track arrival estimates.
-	d := subject.New()
-	a := d.AddPI("a")
-	b := d.AddPI("b")
-	c := d.AddPI("c")
-	e := d.AddPI("e")
-	l := d.AddInv(d.AddNand2(a, b))
-	r := d.AddInv(d.AddNand2(c, e))
-	root := d.AddNand2(l, r)
-	d.AddOutput("o", root)
-	f, err := partition.Partition(partition.Input{DAG: d, Pos: make([]geom.Point, d.NumGates())}, partition.Dagon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make([]geom.Point, d.NumGates())
-	areaRes, err := Cover(context.Background(), d, f, library.Default(), pos, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delayRes, err := Cover(context.Background(), d, f, library.Default(), pos, Options{Objective: MinDelay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delayRes.Best[root].Arrival <= 0 {
-		t.Error("min-delay solution lacks an arrival estimate")
-	}
-	if areaRes.Best[root].Arrival != 0 {
-		t.Error("min-area solution must not carry arrivals")
-	}
-	// Min-delay never costs less area than min-area at the root.
-	if delayRes.Best[root].AreaCost < areaRes.Best[root].AreaCost-1e-9 {
-		t.Errorf("min-delay area %g below min-area %g",
-			delayRes.Best[root].AreaCost, areaRes.Best[root].AreaCost)
-	}
-	if MinArea.String() != "min-area" || MinDelay.String() != "min-delay" {
-		t.Error("Objective.String broken")
-	}
-}
-
-func TestMinDelayPrefersShallowCover(t *testing.T) {
-	t.Parallel()
-	// NAND4 shape: balanced (2-level) vs linear patterns exist; the
-	// delay objective must pick a cover whose estimated arrival is no
-	// worse than the area objective's.
-	d := subject.New()
-	a := d.AddPI("a")
-	b := d.AddPI("b")
-	c := d.AddPI("c")
-	e := d.AddPI("e")
-	l := d.AddInv(d.AddNand2(a, b))
-	r := d.AddInv(d.AddNand2(c, e))
-	root := d.AddNand2(l, r)
-	d.AddOutput("o", root)
-	pos := make([]geom.Point, d.NumGates())
-	f, err := partition.Partition(partition.Input{DAG: d, Pos: pos}, partition.Dagon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delayRes, err := Cover(context.Background(), d, f, library.Default(), pos, Options{Objective: MinDelay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compute the arrival the area cover would have had.
-	areaRes, err := Cover(context.Background(), d, f, library.Default(), pos, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	areaArrival := arrivalOf(areaRes, f, root)
-	if delayRes.Best[root].Arrival > areaArrival+1e-9 {
-		t.Errorf("min-delay arrival %g worse than min-area cover's %g",
-			delayRes.Best[root].Arrival, areaArrival)
-	}
-}
-
 // TestCoverWorkersDeterminism: the per-tree fan-out must produce
 // results identical to the serial pass — same solutions, same wire
 // totals, same committed placement — on a multi-tree forest with
@@ -375,17 +298,4 @@ func TestCoverWorkersDeterminism(t *testing.T) {
 			}
 		}
 	}
-}
-
-// arrivalOf recomputes the stage-delay arrival of a chosen cover.
-func arrivalOf(res *Result, f *partition.Forest, v int) float64 {
-	sol := res.Best[v]
-	worst := 0.0
-	inTree := func(g int) bool { return res.Best[g] != nil }
-	for _, l := range SelectedLeafSubtrees(f, inTree, sol) {
-		if a := arrivalOf(res, f, l); a > worst {
-			worst = a
-		}
-	}
-	return worst + sol.Match.Cell.Intrinsic + sol.Match.Cell.Drive*sol.Match.Cell.InputCap
 }

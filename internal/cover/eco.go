@@ -64,7 +64,7 @@ type Rebuild struct {
 //
 // prev is read-only throughout: a shared Prepared can keep serving
 // concurrent covers while its successor is rebuilt.
-func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, metric geom.Metric, workers int, prevForest *partition.Forest, prev *Prefix, editedGates []int) (*Rebuild, error) {
+func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, workers int, prevForest *partition.Forest, prev *Prefix, editedGates []int) (*Rebuild, error) {
 	if prev == nil || prevForest == nil {
 		return nil, fmt.Errorf("cover: RebuildPrefix needs a previous prefix and forest")
 	}
@@ -139,7 +139,7 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 	}
 	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
 	err := par.ForEach(ctx, workers, len(dirty), func(di int) error {
-		p.enumerateTree(dag, forest, lib, metric, dirty[di])
+		p.enumerateTree(dag, forest, lib, dirty[di])
 		return nil
 	})
 	if err != nil {

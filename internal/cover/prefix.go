@@ -26,7 +26,7 @@ type preparedMatch struct {
 	// leaf classification the DP otherwise recomputes per K with a
 	// scratch map per match.
 	subLeaf []bool
-	// crossDist[i] is Metric.Distance(com, base[m.Leaves[i]]) for
+	// crossDist[i] is com.Manhattan(base[m.Leaves[i]]) for
 	// cross-reference leaves; unused (zero) for subtree leaves, whose
 	// distance depends on the K-dependent child solution.
 	crossDist []float64
@@ -39,9 +39,9 @@ type preparedMatch struct {
 // share across goroutines; CoverWithPrefix runs the K-dependent DP
 // against it without touching the matcher again.
 //
-// A Prefix is valid for exactly the (DAG, forest, library, placement,
-// metric) it was built from — any of those changing invalidates the
-// cached matches and distances, and the caller must build a new one.
+// A Prefix is valid for exactly the (DAG, forest, library, placement)
+// it was built from — any of those changing invalidates the cached
+// matches and distances, and the caller must build a new one.
 type Prefix struct {
 	dag *subject.DAG
 	// trees/rootOf mirror forest.Trees(dag) / forest.RootOf(dag).
@@ -83,7 +83,7 @@ func (p *Prefix) inTreeFunc(root int) func(int) bool {
 // own vertices' match lists, so the result is identical for every
 // worker count. A canceled ctx stops the enumeration promptly with a
 // wrapped ctx error.
-func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, metric geom.Metric, workers int) (*Prefix, error) {
+func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, workers int) (*Prefix, error) {
 	if len(pos) < dag.NumGates() {
 		return nil, fmt.Errorf("cover: %d positions for %d gates", len(pos), dag.NumGates())
 	}
@@ -96,7 +96,7 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 	}
 	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
 	err := par.ForEach(ctx, workers, len(p.trees), func(ti int) error {
-		p.enumerateTree(dag, forest, lib, metric, ti)
+		p.enumerateTree(dag, forest, lib, ti)
 		return nil
 	})
 	if err != nil {
@@ -113,7 +113,7 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 // writes only tree ti's own vertices' match lists, so disjoint trees
 // enumerate concurrently. Shared by BuildPrefix (all trees) and
 // RebuildPrefix (dirty trees only).
-func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *library.Library, metric geom.Metric, ti int) {
+func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *library.Library, ti int) {
 	t := &p.trees[ti]
 	inTree := p.inTreeFunc(t.Root)
 	m := match.NewMatcher(dag, lib, forest.Father, inTree)
@@ -144,7 +144,7 @@ func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *
 				if inTree(l) && covered[forest.Father[l]] {
 					pm.subLeaf[li] = true
 				} else {
-					pm.crossDist[li] = metric.Distance(com, p.pos[l])
+					pm.crossDist[li] = com.Manhattan(p.pos[l])
 				}
 			}
 			pms[i] = pm

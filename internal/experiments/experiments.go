@@ -14,8 +14,9 @@
 //     this substrate relative to the commercial flow, positioning the
 //     K = 0 netlists at the same marginally-unroutable point the paper
 //     reports at ~61% utilization.
-//   - WireUnit 0.5 µm (the coverer default): expresses WIRE in routing
-//     half-pitches so the paper's K ladder hits the same regions.
+//   - a wire unit of 0.5 µm (the coverer's fixed unit): expresses WIRE
+//     in routing half-pitches so the paper's K ladder hits the same
+//     regions.
 //   - Die areas derive from the measured K = 0 cell area and the
 //     paper's reported utilization for each circuit, mirroring how the
 //     paper fixes floorplans.

@@ -81,16 +81,17 @@ func KWayVsBisect(ctx context.Context, class bench.Class, scale float64, dies, w
 	if err != nil {
 		return nil, err
 	}
+	ropts := RouteOpts()
+	ropts.RegionPinBudget = -1 // measure overflow, not admission
 	cfg := flow.Config{
-		Layout:            layout,
-		Dies:              dies,
-		InterDiePinBudget: -1, // measure overflow, not admission
-		PlaceOpts:         PlaceOpts(),
-		RouteOpts:         RouteOpts(),
-		FreshPlacement:    true,
-		KSchedule:         []float64{0},
-		Workers:           workers,
-		Verify:            true, // prove the replicated subject equivalent
+		Layout:         layout,
+		Dies:           dies,
+		PlaceOpts:      PlaceOpts(),
+		RouteOpts:      ropts,
+		FreshPlacement: true,
+		KSchedule:      []float64{0},
+		Workers:        workers,
+		Verify:         true, // prove the replicated subject equivalent
 	}
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {

@@ -13,15 +13,15 @@ package flow
 // Controller law (inflateField): the congestion map is smoothed with a
 // 3×3 box filter (one inflation step reaches one gcell beyond the hot
 // window — the dilation that lets wires detour around, not just out
-// of, a hotspot); a gcell whose smoothed congestion exceeds Trigger
-// has its multiplier scaled by 1 + Gain·excess, capped at MaxMult.
-// Hysteresis: once hot, a cell keeps inflating while its smoothed
-// congestion stays above Trigger − Hysteresis, so a cell oscillating
-// around the trigger cannot stall the loop. Multipliers only ever
-// grow (monotone), and every step is a pure function of the previous
-// routed congestion map, so the whole loop is deterministic — the
-// differential harness proves byte-identical results across worker
-// counts.
+// of, a hotspot); a gcell whose smoothed congestion exceeds
+// adaptiveTrigger has its multiplier scaled by 1 + adaptiveGain·excess,
+// capped at adaptiveMaxMult. Hysteresis: once hot, a cell keeps
+// inflating while its smoothed congestion stays above adaptiveTrigger −
+// adaptiveHysteresis, so a cell oscillating around the trigger cannot
+// stall the loop. Multipliers only ever grow (monotone), and every step
+// is a pure function of the previous routed congestion map, so the
+// whole loop is deterministic — the differential harness proves
+// byte-identical results across worker counts.
 
 import (
 	"context"
@@ -35,58 +35,47 @@ import (
 // the "flow.adaptive.overflow" histogram.
 var adaptiveOverflowBounds = []float64{0, 1, 10, 100, 1000, 10000}
 
-// AdaptiveConfig tunes the closed-loop controller. The zero value of
-// every knob means "use the default".
+// AdaptiveConfig tunes the closed-loop controller.
 type AdaptiveConfig struct {
 	// BaseK is the uniform baseline congestion factor the loop starts
 	// from (default 0.001, the low end of the paper ladder). It must be
 	// positive for the field to have any effect — the field multiplies
 	// the K·WIRE term — so 0 takes the default.
 	BaseK float64
-	// MaxIterations bounds the routed iterations, each a full
-	// map → place → route pass (default 3, the paper-motivated budget:
-	// one baseline plus two controller steps).
-	MaxIterations int
-	// Trigger is the smoothed-congestion level at which a gcell's
-	// multiplier starts inflating (default 0.9: react just before
-	// edges overflow, since the 3×3 smoothing dilutes peaks).
-	Trigger float64
-	// Hysteresis widens the trigger downward for cells that have
-	// already inflated (default 0.1): a hot cell keeps inflating while
-	// its smoothed congestion stays above Trigger − Hysteresis.
-	Hysteresis float64
-	// Gain scales each inflation step: mult ← mult·(1 + Gain·excess)
-	// where excess is the congestion signal above the (hysteresis-
-	// adjusted) trigger. Default 24, calibrated on the congested
-	// benchmark suite: strong enough to carry a hot window across the
-	// K ladder's decades in two compounding steps, gentle enough not
-	// to overshoot into area-driven congestion.
-	Gain float64
-	// MaxMult caps multipliers (default 1000: at the default BaseK the
-	// local effective K tops out at 1.0, the top of the paper ladder).
-	MaxMult float64
 }
 
 func (c *AdaptiveConfig) defaults() {
 	if c.BaseK <= 0 {
 		c.BaseK = 0.001
 	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 3
-	}
-	if c.Trigger <= 0 {
-		c.Trigger = 0.9
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.1
-	}
-	if c.Gain <= 0 {
-		c.Gain = 24
-	}
-	if c.MaxMult <= 0 {
-		c.MaxMult = 1000
-	}
 }
+
+// The controller's fixed parameters.
+const (
+	// adaptiveMaxIterations bounds the routed iterations, each a full
+	// map → place → route pass: one baseline plus two controller
+	// steps, the paper-motivated budget.
+	adaptiveMaxIterations = 3
+	// adaptiveTrigger is the smoothed-congestion level at which a
+	// gcell's multiplier starts inflating: react just before edges
+	// overflow, since the 3×3 smoothing dilutes peaks.
+	adaptiveTrigger = 0.9
+	// adaptiveHysteresis widens the trigger downward for cells that
+	// have already inflated: a hot cell keeps inflating while its
+	// smoothed congestion stays above adaptiveTrigger −
+	// adaptiveHysteresis.
+	adaptiveHysteresis = 0.1
+	// adaptiveGain scales each inflation step: mult ← mult·(1 +
+	// adaptiveGain·excess) where excess is the congestion signal above
+	// the (hysteresis-adjusted) trigger. Calibrated on the congested
+	// benchmark suite: strong enough to carry a hot window across the
+	// K ladder's decades in two compounding steps, gentle enough not
+	// to overshoot into area-driven congestion.
+	adaptiveGain = 24
+	// adaptiveMaxMult caps multipliers: at the default BaseK the local
+	// effective K tops out at 1.0, the top of the paper ladder.
+	adaptiveMaxMult = 1000
+)
 
 // AdaptiveIteration is one routed iteration of the closed loop: the
 // flow iteration plus the controller state that produced it.
@@ -114,7 +103,7 @@ type AdaptiveResult struct {
 	BestIndex int
 	// Converged reports the loop stopped on its own — routable,
 	// overflow no longer improving, or nothing left above the trigger
-	// — rather than exhausting MaxIterations.
+	// — rather than exhausting adaptiveMaxIterations.
 	Converged bool
 	// Field is the final K-field (reporting; nil if the baseline
 	// iteration failed before routing).
@@ -135,7 +124,7 @@ func (r *AdaptiveResult) FoundRoutable() bool {
 }
 
 // RoutedIterations counts completed routed iterations (reporting; the
-// convergence tests assert ≤ MaxIterations).
+// convergence tests assert ≤ adaptiveMaxIterations).
 func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }
 
 // RunAdaptive runs the closed-loop congestion controller (see the
@@ -198,7 +187,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 	hot := make([]bool, len(field.Mult))
 	terr := pc.Prep.TreeTerritories()
 
-	for len(res.Iterations) < acfg.MaxIterations {
+	for len(res.Iterations) < adaptiveMaxIterations {
 		last := &res.Iterations[len(res.Iterations)-1]
 		if last.Routable {
 			res.Converged = true
@@ -208,7 +197,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		_, cSpan := rec.StartSpan(ctx, "flow.adaptive.controller")
 		cong := grid.CongestionMap()
 		next := field.Clone()
-		changed, nChanged := inflateField(next, cong, hot, acfg)
+		changed, nChanged := inflateField(next, cong, hot)
 		rec.Add("flow.adaptive.changed_cells", int64(nChanged))
 		cSpan.End(nil)
 		if nChanged == 0 {
@@ -264,16 +253,16 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 // memory, updated in place. Returns the row-major changed mask and the
 // changed-cell count. Multipliers never decrease, so iterating this
 // step yields a monotone non-decreasing field.
-func inflateField(f *cover.KField, cong [][]float64, hot []bool, acfg AdaptiveConfig) ([]bool, int) {
+func inflateField(f *cover.KField, cong [][]float64, hot []bool) ([]bool, int) {
 	sm := smooth3x3(cong, f.NX, f.NY)
 	changed := make([]bool, f.NX*f.NY)
 	n := 0
 	for y := 0; y < f.NY; y++ {
 		for x := 0; x < f.NX; x++ {
 			i := y*f.NX + x
-			trig := acfg.Trigger
+			trig := adaptiveTrigger
 			if hot[i] {
-				trig -= acfg.Hysteresis
+				trig -= adaptiveHysteresis
 			}
 			// The signal is the larger of the cell's own congestion and
 			// its smoothed neighborhood: smoothing dilates hot windows
@@ -289,9 +278,9 @@ func inflateField(f *cover.KField, cong [][]float64, hot []bool, acfg AdaptiveCo
 				continue
 			}
 			hot[i] = true
-			nm := f.Mult[i] * (1 + acfg.Gain*excess)
-			if nm > acfg.MaxMult {
-				nm = acfg.MaxMult
+			nm := f.Mult[i] * (1 + adaptiveGain*excess)
+			if nm > adaptiveMaxMult {
+				nm = adaptiveMaxMult
 			}
 			if nm > f.Mult[i] {
 				f.Mult[i] = nm

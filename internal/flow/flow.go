@@ -59,15 +59,11 @@ type Config struct {
 	// mapping prefix is built over a direct k-way partition of the die
 	// into Dies regions (partition.KWay, seeded from the Method
 	// forest) with cut-driver replication, and routing derates
-	// region-boundary edges and enforces the inter-die pin budget at
-	// admission. 0 or 1 is the classic single-die flow, byte-identical
-	// to before the field existed.
+	// region-boundary edges and enforces the inter-die pin budget
+	// (RouteOpts.RegionPinBudget) at admission. 0 or 1 is the classic
+	// single-die flow. A Context prepared for one die count serves
+	// only that count.
 	Dies int
-	// InterDiePinBudget caps boundary-crossing nets at route admission
-	// when Dies > 1: 0 derives the budget from the derated boundary
-	// capacity, negative disables the check. Forwarded to
-	// route.Options.RegionPinBudget unless RouteOpts sets its own.
-	InterDiePinBudget int
 	// PlaceOpts / RouteOpts forward to the placer and router.
 	PlaceOpts place.Options
 	RouteOpts route.Options
@@ -538,8 +534,15 @@ func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration
 // built by the k-way path (a single-die prefix partitions the wrong
 // hypergraph) — and otherwise a copy of pc with one built by
 // PrepareMapping. pc itself is never modified, so concurrent callers
-// may share it.
+// may share it. A context prepared for a different die count is an
+// error: its DAG is already the replicated clone, so it cannot be
+// prepared again.
 func withPrefix(ctx context.Context, pc *Context, cfg Config) (*Context, error) {
+	if pc.KWay != nil {
+		if have, want := len(pc.KWay.Regions), max(cfg.Dies, 1); have != want {
+			return nil, fmt.Errorf("flow: context prepared for %d dies, run asks for %d", have, want)
+		}
+	}
 	if pc.Prep.Compatible(cfg.Method, cfg.Lib) && (cfg.Dies <= 1 || pc.KWay != nil) {
 		return pc, nil
 	}
@@ -714,9 +717,6 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 	}
 	if cfg.Dies > 1 && len(pc.Regions) > 1 {
 		ropts.Regions = pc.Regions
-		if ropts.RegionPinBudget == 0 {
-			ropts.RegionPinBudget = cfg.InterDiePinBudget
-		}
 	}
 	type routeOut struct {
 		res *route.Result

@@ -8,6 +8,7 @@ import (
 	"casyn/internal/bench"
 	"casyn/internal/place"
 	"casyn/internal/route"
+	"casyn/internal/subject"
 )
 
 // prepared returns a small subject DAG context on a fixed layout.
@@ -203,5 +204,40 @@ func TestRunWithRelaxation(t *testing.T) {
 	}
 	if res.Attempts[res.Final].FoundRoutable() && accepted.NumRows < layout.NumRows {
 		t.Error("accepted layout smaller than the starting one")
+	}
+}
+
+func TestRunWithRelaxationNegativeBound(t *testing.T) {
+	d := subject.New()
+	d.AddOutput("o", d.AddInv(d.AddPI("a")))
+	res, err := RunWithRelaxation(context.Background(), d, Config{}, -1)
+	if err == nil {
+		t.Fatalf("negative row bound accepted: %+v", res)
+	}
+}
+
+// TestRunOnceDieCountMismatch: a context prepared for a multi-die run
+// holds the replicated DAG and its k-way forest, so it serves exactly
+// that die count and refuses any other.
+func TestRunOnceDieCountMismatch(t *testing.T) {
+	pc, cfg := prepared(t, 0.55)
+	cfg.Dies = 2
+	cfg.RouteOpts.RegionPinBudget = -1
+	if err := PrepareMapping(context.Background(), pc, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, dies := range []int{0, 4} {
+		run := cfg
+		run.Dies = dies
+		if _, err := RunOnce(context.Background(), pc, 0.001, run); err == nil {
+			t.Errorf("Dies=%d run on a 2-die context: no error", dies)
+		}
+	}
+	it, err := RunOnce(context.Background(), pc, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.NumCells == 0 {
+		t.Errorf("degenerate 2-die iteration: %+v", it)
 	}
 }

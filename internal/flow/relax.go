@@ -30,14 +30,17 @@ func (r *RelaxResult) Accepted() (*Iteration, place.Layout) {
 // ladder on the given floorplan; if no mapping routes, relax the
 // floorplan by adding rows (introducing more wiring resources) and try
 // again — re-placing the technology-independent netlist on each new
-// floorplan, since the layout image defines the wire costs. maxExtra
-// bounds the added rows.
+// floorplan, since the layout image defines the wire costs.
+// maxExtraRows bounds the added rows; it must not be negative.
 //
 // Like Run, relaxation degrades rather than aborting: an attempt whose
 // ladder failed entirely is still recorded and the next floorplan is
 // tried. A canceled ctx stops the relaxation loop promptly, returning
 // the attempts completed so far together with the ctx error.
 func RunWithRelaxation(ctx context.Context, d *subject.DAG, cfg Config, maxExtraRows int) (*RelaxResult, error) {
+	if maxExtraRows < 0 {
+		return nil, fmt.Errorf("flow: relax bound %d rows is negative", maxExtraRows)
+	}
 	cfg.defaults()
 	cfg.StopAtFirstRoutable = true
 	res := &RelaxResult{Final: -1}

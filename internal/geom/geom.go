@@ -31,52 +31,15 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
 // Manhattan returns the L1 (rectilinear) distance between p and q.
 // Routed wires on a Manhattan grid have exactly this length when the
-// route is detour-free, so it is the metric used by the covering cost
-// function of the paper (Eq. 2).
+// route is detour-free, so it is the distance() of the paper's
+// covering cost (Eq. 2), which the paper leaves abstract, and the only
+// distance the flow uses.
 func (p Point) Manhattan(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// Euclidean returns the L2 distance between p and q.
-func (p Point) Euclidean(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Hypot(dx, dy)
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f,%.3f)", p.X, p.Y) }
-
-// Metric identifies a distance function usable by the mapper's wire
-// cost. The paper's distance() is left abstract; Manhattan is the
-// default because global routing is rectilinear.
-type Metric int
-
-const (
-	// ManhattanMetric selects the L1 distance.
-	ManhattanMetric Metric = iota
-	// EuclideanMetric selects the L2 distance.
-	EuclideanMetric
-)
-
-// Distance returns the distance between p and q under metric m.
-func (m Metric) Distance(p, q Point) float64 {
-	if m == EuclideanMetric {
-		return p.Euclidean(q)
-	}
-	return p.Manhattan(q)
-}
-
-// String implements fmt.Stringer.
-func (m Metric) String() string {
-	switch m {
-	case ManhattanMetric:
-		return "manhattan"
-	case EuclideanMetric:
-		return "euclidean"
-	default:
-		return fmt.Sprintf("metric(%d)", int(m))
-	}
-}
 
 // Rect is an axis-aligned rectangle. Min is the lower-left corner and
 // Max the upper-right; a well-formed Rect has Min.X <= Max.X and

@@ -41,27 +41,6 @@ func TestManhattanDistance(t *testing.T) {
 	}
 }
 
-func TestEuclideanDistance(t *testing.T) {
-	t.Parallel()
-	if got := Pt(0, 0).Euclidean(Pt(3, 4)); !almostEq(got, 5) {
-		t.Errorf("Euclidean = %g, want 5", got)
-	}
-}
-
-func TestMetricDispatch(t *testing.T) {
-	t.Parallel()
-	p, q := Pt(0, 0), Pt(3, 4)
-	if got := ManhattanMetric.Distance(p, q); !almostEq(got, 7) {
-		t.Errorf("ManhattanMetric = %g, want 7", got)
-	}
-	if got := EuclideanMetric.Distance(p, q); !almostEq(got, 5) {
-		t.Errorf("EuclideanMetric = %g, want 5", got)
-	}
-	if ManhattanMetric.String() != "manhattan" || EuclideanMetric.String() != "euclidean" {
-		t.Errorf("Metric.String broken: %q %q", ManhattanMetric, EuclideanMetric)
-	}
-}
-
 func TestRectConstruction(t *testing.T) {
 	t.Parallel()
 	// R normalizes swapped corners.

@@ -104,12 +104,11 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 		DAG:    dag,
 		Pos:    pos,
 		POPads: p.in.POPads,
-		Metric: p.opts.Metric,
 	}, p.opts.Method)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := cover.RebuildPrefix(ctx, dag, forest, p.opts.Lib, pos, p.opts.Metric, p.opts.Workers,
+	rb, err := cover.RebuildPrefix(ctx, dag, forest, p.opts.Lib, pos, p.opts.Workers,
 		p.forest, p.prefix, structEdited)
 	if err != nil {
 		return nil, err
@@ -166,9 +165,6 @@ func (s *CoverState) K() float64 { return s.k }
 func (p *Prepared) coverOptions(k float64) cover.Options {
 	return cover.Options{
 		K:              k,
-		Metric:         p.opts.Metric,
-		WireUnit:       p.opts.WireUnit,
-		Objective:      p.opts.Objective,
 		TransitiveWire: p.opts.TransitiveWire,
 		NoWire2:        p.opts.NoWire2,
 		Workers:        p.opts.Workers,

@@ -38,13 +38,6 @@ type Options struct {
 	Method partition.Method
 	// Lib is the cell library (default library.Default()).
 	Lib *library.Library
-	// Metric is the layout distance function (default Manhattan).
-	Metric geom.Metric
-	// WireUnit is the covering cost's length unit in µm (default 0.5);
-	// forwarded to the coverer.
-	WireUnit float64
-	// Objective selects area- or delay-oriented covering.
-	Objective cover.Objective
 	// TransitiveWire / NoWire2 are the ablation switches forwarded to
 	// the coverer.
 	TransitiveWire bool

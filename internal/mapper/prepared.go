@@ -27,11 +27,11 @@ import (
 // immutable after Prepare and safe to share across goroutines — a
 // concurrent K ladder maps every rung against one Prepared.
 //
-// A Prepared is valid for exactly the (DAG, placement, Method, Lib,
-// Metric, WireUnit) it was built from; remapping after any of those
-// change requires a fresh Prepare. Compatible checks the method and
-// library content for callers that thread a Prepared alongside a
-// config.
+// A Prepared is valid for exactly the (DAG, placement, Method, Lib) it
+// was built from; remapping after any of those change requires a fresh
+// Prepare. Compatible checks the method and
+// library content, the only options the prefix depends on, for callers
+// that thread a Prepared alongside a config.
 type Prepared struct {
 	dag    *subject.DAG
 	forest *partition.Forest
@@ -103,12 +103,11 @@ func prepare(ctx context.Context, d *subject.DAG, forest *partition.Forest, in I
 			DAG:    d,
 			Pos:    in.Pos,
 			POPads: in.POPads,
-			Metric: opts.Metric,
 		}, opts.Method)
 		pSpan.End(err)
 	}
 	if err == nil {
-		prefix, err = cover.BuildPrefix(pctx, d, forest, opts.Lib, in.Pos, opts.Metric, opts.Workers)
+		prefix, err = cover.BuildPrefix(pctx, d, forest, opts.Lib, in.Pos, opts.Workers)
 	}
 	span.End(err)
 	if err != nil {

@@ -48,8 +48,6 @@ type KWayOptions struct {
 	Pos []geom.Point
 	// POPads gives fixed output-pad locations per driver gate.
 	POPads map[int][]geom.Point
-	// Metric is the distance metric (default Manhattan).
-	Metric geom.Metric
 	// BalanceTol is the per-region area slack over perfect balance a
 	// move may fill (default 0.15: no region exceeds
 	// ceil(total/k)·1.15 tree gates).
@@ -224,7 +222,7 @@ func (s *kwayState) regionOfPoint(p geom.Point) int {
 	}
 	best, bestD := 0, -1.0
 	for i, c := range s.centers {
-		if dd := s.opt.Metric.Distance(p, c); bestD < 0 || dd < bestD {
+		if dd := p.Manhattan(c); bestD < 0 || dd < bestD {
 			best, bestD = i, dd
 		}
 	}

@@ -66,8 +66,6 @@ type Input struct {
 	// father location; a gate whose nearest consumer is a pad becomes
 	// a root.
 	POPads map[int][]geom.Point
-	// Metric is the distance metric for PDP (default Manhattan).
-	Metric geom.Metric
 }
 
 // Forest is the partition result.
@@ -239,14 +237,14 @@ func partitionPDP(in Input) *Forest {
 		bestDist := -1.0
 		bestFather := -1
 		for _, fo := range fos {
-			dist := in.Metric.Distance(in.Pos[g], in.Pos[fo])
+			dist := in.Pos[g].Manhattan(in.Pos[fo])
 			if bestDist < 0 || dist < bestDist || (dist == bestDist && fo < bestFather) {
 				bestDist = dist
 				bestFather = fo
 			}
 		}
 		for _, pad := range in.POPads[g] {
-			dist := in.Metric.Distance(in.Pos[g], pad)
+			dist := in.Pos[g].Manhattan(pad)
 			if bestDist < 0 || dist < bestDist {
 				bestDist = dist
 				bestFather = -1 // nearest consumer is an output pad: root

@@ -15,40 +15,26 @@ type Options struct {
 	// Seed drives all randomized tie-breaking; equal seeds give equal
 	// placements.
 	Seed int64
-	// MinRegionCells stops the recursion; regions at or below this
-	// size are placed directly. 0 means the default (8).
-	MinRegionCells int
-	// FMPasses bounds the refinement passes per bisection. 0 means the
-	// default (6).
-	FMPasses int
-	// BalanceTolerance is the allowed deviation from a perfect width
-	// split, as a fraction (default 0.2).
-	BalanceTolerance float64
 	// RefinePasses bounds the post-legalization greedy swap
 	// refinement. 0 means the default (4); negative disables.
 	RefinePasses int
-	// Analytic selects the quadratic-wirelength global placer with
-	// density spreading instead of recursive min-cut bisection.
-	Analytic bool
-	// AnalyticIters is the solve/spread iteration count (default 12).
-	AnalyticIters int
 }
 
+// Fixed bisection parameters.
+const (
+	// minRegionCells stops the recursion; regions at or below this
+	// size are placed directly.
+	minRegionCells = 8
+	// fmPasses bounds the FM refinement passes per bisection.
+	fmPasses = 6
+	// balanceTolerance is the allowed deviation from a perfect width
+	// split, as a fraction.
+	balanceTolerance = 0.2
+)
+
 func (o *Options) defaults() {
-	if o.MinRegionCells == 0 {
-		o.MinRegionCells = 8
-	}
-	if o.FMPasses == 0 {
-		o.FMPasses = 6
-	}
-	if o.BalanceTolerance == 0 {
-		o.BalanceTolerance = 0.2
-	}
 	if o.RefinePasses == 0 {
 		o.RefinePasses = 4
-	}
-	if o.AnalyticIters == 0 {
-		o.AnalyticIters = 12
 	}
 }
 
@@ -57,10 +43,9 @@ func (o *Options) defaults() {
 // followed by row legalization. The returned placement holds each
 // cell's center and row.
 //
-// Cancellation is cooperative: the bisection recursion, the analytic
-// solve/spread loop, and the refinement passes all check ctx and
-// return a wrapped ctx error promptly when it is canceled or its
-// deadline passes.
+// Cancellation is cooperative: the bisection recursion and the
+// refinement passes both check ctx and return a wrapped ctx error
+// promptly when it is canceled or its deadline passes.
 func PlaceNetlist(ctx context.Context, nl *Netlist, layout Layout, opts Options) (*Placement, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
@@ -75,21 +60,6 @@ func PlaceNetlist(ctx context.Context, nl *Netlist, layout Layout, opts Options)
 		return nil, fmt.Errorf("place: layout has no rows")
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	if opts.Analytic {
-		ap := newAnalyticPlacer(nl, layout, rng)
-		global, err := ap.run(ctx, opts.AnalyticIters)
-		if err != nil {
-			return nil, err
-		}
-		copy(p.Pos, global)
-		legalize(nl, layout, p)
-		if opts.RefinePasses > 0 {
-			if err := refine(ctx, nl, layout, p, opts.RefinePasses, rng); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	}
 	pins := 0
 	for ni := range nl.Nets {
 		pins += len(nl.Nets[ni].Cells)
@@ -97,7 +67,6 @@ func PlaceNetlist(ctx context.Context, nl *Netlist, layout Layout, opts Options)
 	b := &bisector{
 		ctx:     ctx,
 		nl:      nl,
-		opts:    opts,
 		rng:     rng,
 		pos:     p.Pos,
 		ofCell:  nl.cellNets(),
@@ -150,7 +119,6 @@ type bisector struct {
 	ctx    context.Context
 	err    error // first ctx error; aborts the recursion
 	nl     *Netlist
-	opts   Options
 	rng    *rand.Rand
 	pos    []geom.Point
 	ofCell [][]int32
@@ -193,7 +161,7 @@ func (b *bisector) run(cells []int, region geom.Rect) {
 	if len(cells) == 0 {
 		return
 	}
-	if len(cells) <= b.opts.MinRegionCells || region.W() < 1e-6 || region.H() < 1e-6 {
+	if len(cells) <= minRegionCells || region.W() < 1e-6 || region.H() < 1e-6 {
 		b.placeLeaf(cells, region)
 		return
 	}
@@ -338,7 +306,7 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 		wTot += w
 	}
 	half := wTot / 2
-	slack := wTot * b.opts.BalanceTolerance / 2
+	slack := wTot * balanceTolerance / 2
 	prob.targetLo, prob.targetHi = half-slack, half+slack
 
 	// Collect nets with >= 2 endpoints in this region or 1 endpoint
@@ -407,7 +375,7 @@ func (b *bisector) partition(cells []int, region geom.Rect, vertical bool) []boo
 		side[li] = acc >= half
 		acc += prob.width[li]
 	}
-	runFM(prob, side, b.opts.FMPasses, b.rng, &b.fm)
+	runFM(prob, side, fmPasses, b.rng, &b.fm)
 	return side
 }
 

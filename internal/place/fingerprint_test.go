@@ -91,7 +91,7 @@ func placementHash(p *Placement, rec *obs.Recorder) string {
 }
 
 // TestPlacementFingerprint pins the exact placements (and refinement
-// move/pass counts) of the bisection, analytic and seeded placers.
+// move/pass counts) of the bisection and seeded placers.
 // Refinement speed-ups must not move a single bit; a change that
 // intentionally alters placement quality updates these hashes.
 func TestPlacementFingerprint(t *testing.T) {
@@ -114,9 +114,6 @@ func TestPlacementFingerprint(t *testing.T) {
 		{"bisection", func(ctx context.Context) (*Placement, error) {
 			return PlaceNetlist(ctx, nl, layout, Options{Seed: 3, RefinePasses: 6})
 		}, "90d0b26107ba0342df27081a934e3cda13482642da67b8c8d8c8c46b434ba953"},
-		{"analytic", func(ctx context.Context) (*Placement, error) {
-			return PlaceNetlist(ctx, nl, layout, Options{Seed: 4, RefinePasses: 6, Analytic: true})
-		}, "7031a3654cc04cd4da340ae79f31ca6fde6959c8f5a4b0bd40fb45347fa9442d"},
 		{"seeded", func(ctx context.Context) (*Placement, error) {
 			return PlaceSeeded(ctx, nl, layout, seeds, Options{Seed: 5, RefinePasses: 6})
 		}, "65c7d9883d0c3efbc5bd863d142532c053c65f0d7009e5dff345e79dd03d8f91"},

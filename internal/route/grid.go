@@ -1,8 +1,8 @@
 // Package route implements the global-routing substrate: a capacity
-// grid derived from the die size and metal-layer count, pattern (L/Z)
-// initial routing, congestion-driven rip-up and reroute, overflow
-// counting, and the congestion map the paper's methodology consults
-// before committing to detailed place & route.
+// grid derived from the die size and a three-metal-layer model,
+// pattern (L/Z) initial routing, congestion-driven rip-up and reroute,
+// overflow counting, and the congestion map the paper's methodology
+// consults before committing to detailed place & route.
 //
 // "Routing violations" in the experiments are reported as failed
 // connections — two-pin route segments whose final path crosses an
@@ -27,32 +27,16 @@ type Options struct {
 	// GCellSize is the routing grid pitch in µm (default: twice the
 	// layout row height).
 	GCellSize float64
-	// MetalLayers is the number of routing layers (default 3: one
-	// horizontal, one vertical, plus a fragmented intra-cell layer
-	// modeled as reduced capacity).
-	MetalLayers int
-	// TrackPitch is the routing track pitch in µm (default 0.56, a
-	// 0.18 µm-class value).
-	TrackPitch float64
-	// UtilizationPenalty scales how much local cell density eats
-	// routing capacity over the cells (default 0.35).
-	UtilizationPenalty float64
 	// RipupIterations bounds the rip-up/reroute negotiation rounds.
 	// 0 means "use the default" (3); a negative value disables rip-up
-	// entirely, equivalent to setting DisableRipup.
+	// entirely, leaving the first-pass pattern routing as the result.
 	RipupIterations int
-	// DisableRipup skips the rip-up/reroute negotiation, leaving the
-	// first-pass pattern routing as the final result. The explicit form
-	// of the RipupIterations < 0 contract.
-	DisableRipup bool
 	// CapacityScale multiplies every edge capacity (default 1). The
 	// experiment configurations use it to calibrate this global
 	// router's capacity model against the commercial detailed router
 	// the paper measured with (whose placement and routing are
 	// stronger than this substrate's).
 	CapacityScale float64
-	// CongestionExponent shapes the maze router's edge cost (default 2).
-	CongestionExponent float64
 	// Workers bounds the goroutines of the initial routing sweep and of
 	// the rip-up/reroute negotiation: 0 = runtime.GOMAXPROCS,
 	// 1 = serial. Results are byte-identical for every value — the
@@ -64,7 +48,7 @@ type Options struct {
 	// Regions, when it holds more than one rectangle, declares the die
 	// regions of a multi-die workload (partition.DieRegions). Grid
 	// edges crossing a region boundary are derated by
-	// RegionBoundaryDerate — inter-die connections are scarcer than
+	// regionBoundaryDerate — inter-die connections are scarcer than
 	// on-die tracks — and nets spanning more than one region are
 	// checked against RegionPinBudget before routing starts.
 	Regions []geom.Rect
@@ -73,39 +57,35 @@ type Options struct {
 	// capacity of the boundary-crossing edges, a negative value
 	// disables the admission check.
 	RegionPinBudget int
-	// RegionBoundaryDerate scales the capacity of boundary-crossing
-	// edges (default 0.5).
-	RegionBoundaryDerate float64
 }
+
+// Fixed capacity-model parameters.
+const (
+	// trackPitch is the routing track pitch in µm, a 0.18 µm-class
+	// value. The grid models 3 metal layers: one horizontal, one
+	// vertical, plus a fragmented intra-cell layer counted as reduced
+	// capacity, so each direction gets one layer of tracks.
+	trackPitch = 0.56
+	// utilizationPenalty scales how much local cell density eats
+	// routing capacity over the cells.
+	utilizationPenalty = 0.35
+	// regionBoundaryDerate scales the capacity of edges crossing a
+	// die-region boundary.
+	regionBoundaryDerate = 0.5
+)
 
 func (o *Options) defaults(layout place.Layout) {
 	if o.GCellSize == 0 {
 		o.GCellSize = 2 * layout.RowHeight
 	}
-	if o.MetalLayers == 0 {
-		o.MetalLayers = 3
-	}
-	if o.TrackPitch == 0 {
-		o.TrackPitch = 0.56
-	}
-	if o.UtilizationPenalty == 0 {
-		o.UtilizationPenalty = 0.35
-	}
 	if o.RipupIterations == 0 {
 		o.RipupIterations = 3
 	}
-	if o.DisableRipup || o.RipupIterations < 0 {
-		o.DisableRipup = true
+	if o.RipupIterations < 0 {
 		o.RipupIterations = 0
-	}
-	if o.CongestionExponent == 0 {
-		o.CongestionExponent = 2
 	}
 	if o.CapacityScale == 0 {
 		o.CapacityScale = 1
-	}
-	if o.RegionBoundaryDerate == 0 {
-		o.RegionBoundaryDerate = 0.5
 	}
 }
 
@@ -157,13 +137,9 @@ func NewGrid(layout place.Layout, opts Options, cellDensity [][]float64) (*Grid,
 		CellH:  layout.Die.H() / float64(ny),
 		Origin: layout.Die.Min,
 	}
-	// Track budget: with 3 layers, one layer routes horizontally and
-	// one vertically; extra layers add full capacity in alternating
-	// directions.
-	hLayers := 1 + max0(opts.MetalLayers-3)/2
-	vLayers := 1 + max0(opts.MetalLayers-2)/2
-	baseH := float64(hLayers) * g.CellH / opts.TrackPitch * opts.CapacityScale
-	baseV := float64(vLayers) * g.CellW / opts.TrackPitch * opts.CapacityScale
+	// Track budget: one layer of tracks in each direction.
+	baseH := g.CellH / trackPitch * opts.CapacityScale
+	baseV := g.CellW / trackPitch * opts.CapacityScale
 	alloc := func() [][]float64 {
 		m := make([][]float64, ny)
 		for y := range m {
@@ -182,7 +158,7 @@ func NewGrid(layout place.Layout, opts Options, cellDensity [][]float64) (*Grid,
 				if d > 1 {
 					d = 1
 				}
-				derate = 1 - opts.UtilizationPenalty*d
+				derate = 1 - utilizationPenalty*d
 			}
 			g.capH[y][x] = baseH * derate
 			g.capV[y][x] = baseV * derate
@@ -207,11 +183,11 @@ func (g *Grid) derateRegionBoundaries(opts Options) {
 	for y := 0; y < g.NY; y++ {
 		for x := 0; x < g.NX; x++ {
 			if x+1 < g.NX && regionAt[y*g.NX+x] != regionAt[y*g.NX+x+1] {
-				g.capH[y][x] *= opts.RegionBoundaryDerate
+				g.capH[y][x] *= regionBoundaryDerate
 				g.CrossRegionCapacity += g.capH[y][x]
 			}
 			if y+1 < g.NY && regionAt[y*g.NX+x] != regionAt[(y+1)*g.NX+x] {
-				g.capV[y][x] *= opts.RegionBoundaryDerate
+				g.capV[y][x] *= regionBoundaryDerate
 				g.CrossRegionCapacity += g.capV[y][x]
 			}
 		}
@@ -235,13 +211,6 @@ func regionIndexOf(p geom.Point, regions []geom.Rect) int {
 		}
 	}
 	return best
-}
-
-func max0(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // GCellOf returns the grid coordinates containing point p, clamped to

@@ -204,7 +204,7 @@ func TestRipupRepairsHotspot(t *testing.T) {
 		nl.Nets = append(nl.Nets, place.Net{Cells: []int{a, b}})
 	}
 	pl := &place.Placement{Pos: pos, Row: make([]int, len(pos))}
-	noRipup, err := RouteNetlist(context.Background(), &nl, pl, layout, Options{GCellSize: 10, DisableRipup: true})
+	noRipup, err := RouteNetlist(context.Background(), &nl, pl, layout, Options{GCellSize: 10, RipupIterations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,24 +218,19 @@ func TestRipupRepairsHotspot(t *testing.T) {
 	t.Logf("violations: initial %d, after rip-up %d", noRipup.Violations, withRipup.Violations)
 }
 
-func TestDisableRipupContract(t *testing.T) {
+func TestRipupIterationsContract(t *testing.T) {
 	t.Parallel()
-	// DisableRipup and the legacy RipupIterations<0 sentinel normalize
-	// to the same state: rip-up off, zero iterations.
+	// A negative RipupIterations turns rip-up off: it normalizes to
+	// zero negotiation rounds. Zero means the default of 3.
 	layout := testLayout(t)
-	for _, o := range []Options{
-		{DisableRipup: true},
-		{RipupIterations: -1},
-		{RipupIterations: -1, DisableRipup: true},
-	} {
-		o.defaults(layout)
-		if !o.DisableRipup || o.RipupIterations != 0 {
-			t.Errorf("normalized %+v: want DisableRipup=true, RipupIterations=0", o)
-		}
+	o := Options{RipupIterations: -1}
+	o.defaults(layout)
+	if o.RipupIterations != 0 {
+		t.Errorf("normalized %+v: want RipupIterations=0", o)
 	}
 	var def Options
 	def.defaults(layout)
-	if def.DisableRipup || def.RipupIterations != 3 {
+	if def.RipupIterations != 3 {
 		t.Errorf("default options %+v: want rip-up enabled with 3 iterations", def)
 	}
 }

@@ -633,10 +633,6 @@ func clampInt(v, lo, hi int) int {
 type router struct {
 	grid *Grid
 	opts Options
-	// squareCost short-circuits math.Pow on the hot path for the
-	// default CongestionExponent of 2 (math.Pow(x, 2) computes exactly
-	// x*x, so the results are bit-identical).
-	squareCost bool
 	// floorGrid, when set (incremental ECO rerouting), is the previous
 	// routing's settled grid: overflow up to its level is treated as
 	// already-negotiated residue, and only overflow EXCEEDING it
@@ -669,11 +665,7 @@ func (r *router) overflowFloor(e edge) float64 {
 }
 
 func newRouter(g *Grid, opts Options) *router {
-	r := &router{
-		grid:       g,
-		opts:       opts,
-		squareCost: opts.CongestionExponent == 2,
-	}
+	r := &router{grid: g, opts: opts}
 	r.scratch.New = func() any { return &mazeScratch{} }
 	return r
 }
@@ -694,12 +686,8 @@ func (r *router) edgeCost(e edge) float64 {
 	}
 	over := (usage + 1) / cap2
 	if over > 0.8 {
-		if r.squareCost {
-			d := over - 0.8
-			cost += d * d * 32
-		} else {
-			cost += math.Pow(over-0.8, r.opts.CongestionExponent) * 32
-		}
+		d := over - 0.8
+		cost += d * d * 32
 	}
 	return cost
 }
