@@ -237,7 +237,7 @@ func SubjectFor(ctx context.Context, p *logic.PLA, opts Options) (*subject.DAG, 
 	if opts.OptimizeTechIndependent {
 		style = bench.SISOptimized
 	}
-	dag, err := bench.BuildSubject(p, style, 0)
+	dag, err := bench.BuildSubject(p, style)
 	if err != nil {
 		return nil, err
 	}

@@ -139,8 +139,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // as a plain-text placed netlist: a header with the die geometry, one
 // `cell i x y w` line per placed cell, one `net c1 c2 ...` line per
 // hyperedge. The format is deliberately trivial — these dumps exist so
-// other routers can be pointed at the exact circuits BENCH_route.json
-// was measured on.
+// other routers can be pointed at the exact circuits casynbench's
+// route250k workload and the route determinism tests measure.
 func emitRoute(spec bench.RouteSpec, outDir string, stdout io.Writer) error {
 	nl, pl, layout, err := spec.Generate()
 	if err != nil {

@@ -247,7 +247,7 @@ func (s SynthesisStyle) String() string {
 
 // BuildSubject turns a PLA into a subject DAG under the chosen
 // synthesis style.
-func BuildSubject(p *logic.PLA, style SynthesisStyle, extractIters int) (*subject.DAG, error) {
+func BuildSubject(p *logic.PLA, style SynthesisStyle) (*subject.DAG, error) {
 	work := p
 	if style == SISOptimized {
 		// Two-level minimization on a copy first (espresso step).
@@ -269,12 +269,8 @@ func BuildSubject(p *logic.PLA, style SynthesisStyle, extractIters int) (*subjec
 		// The kernel-based Extract is exact but quadratic; full-size
 		// benchmarks use the scalable FastExtract, whose term-sharing
 		// and common-cube rounds produce the same structural signature
-		// (literal-minimal, high-fanout shared nodes). extractIters
-		// bounds the pair-extraction rounds.
-		if extractIters == 0 {
-			extractIters = 40
-		}
-		bnet.FastExtract(n, bnet.FastExtractOptions{MaxRounds: extractIters})
+		// (literal-minimal, high-fanout shared nodes).
+		bnet.FastExtract(n, bnet.FastExtractOptions{})
 		n.Sweep()
 	}
 	return subject.Decompose(n)

@@ -72,7 +72,7 @@ func TestFullSizeBaseGateCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := BuildSubject(p, Direct, 0)
+		d, err := BuildSubject(p, Direct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestBuildSubjectEquivalence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, style := range []SynthesisStyle{Direct, SISOptimized} {
-		d, err := BuildSubject(p, style, 0)
+		d, err := BuildSubject(p, style)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +129,11 @@ func TestSISShrinksButShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := BuildSubject(p, Direct, 0)
+	direct, err := BuildSubject(p, Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sis, err := BuildSubject(p, SISOptimized, 0)
+	sis, err := BuildSubject(p, SISOptimized)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,25 +6,23 @@ import (
 
 // FastExtractOptions tunes the scalable extraction pass.
 type FastExtractOptions struct {
-	// MaxRounds bounds the pair-extraction rounds (default 40).
-	MaxRounds int
 	// MinPairCount is the minimum occurrence count for a literal pair
 	// to be extracted (default 4).
 	MinPairCount int
-	// MaxPairsPerRound bounds how many disjoint pairs are extracted
-	// per round (default 256).
-	MaxPairsPerRound int
 }
 
+// Fixed pair-extraction bounds.
+const (
+	// fastExtractMaxRounds bounds the pair-extraction rounds.
+	fastExtractMaxRounds = 40
+	// fastExtractMaxPairsPerRound bounds how many disjoint pairs are
+	// extracted per round.
+	fastExtractMaxPairsPerRound = 256
+)
+
 func (o *FastExtractOptions) defaults() {
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 40
-	}
 	if o.MinPairCount == 0 {
 		o.MinPairCount = 4
-	}
-	if o.MaxPairsPerRound == 0 {
-		o.MaxPairsPerRound = 256
 	}
 }
 
@@ -49,7 +47,7 @@ func FastExtract(n *Network, opts FastExtractOptions) ExtractReport {
 
 	rep.NewNodes += shareIdenticalCubes(n)
 
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < fastExtractMaxRounds; round++ {
 		extracted := extractPairBatch(n, opts)
 		rep.NewNodes += extracted
 		rep.Iterations++
@@ -161,7 +159,7 @@ func extractPairBatch(n *Network, opts FastExtractOptions) int {
 	used := map[Lit]bool{}
 	var chosen []pair
 	for _, s := range cands {
-		if len(chosen) >= opts.MaxPairsPerRound {
+		if len(chosen) >= fastExtractMaxPairsPerRound {
 			break
 		}
 		if used[s.p.a] || used[s.p.b] {

@@ -88,7 +88,7 @@ func TestPropertyPassesPreserveFunction(t *testing.T) {
 	}{
 		{"FastExtract", 21, func(n *Network) { FastExtract(n, FastExtractOptions{}) }},
 		{"FastExtractAggressive", 22, func(n *Network) {
-			FastExtract(n, FastExtractOptions{MinPairCount: 2, MaxRounds: 100})
+			FastExtract(n, FastExtractOptions{MinPairCount: 2})
 		}},
 		{"Extract", 23, func(n *Network) { Extract(n, ExtractOptions{}) }},
 		{"ExtractGreedy", 24, func(n *Network) {

@@ -71,7 +71,7 @@ func benchPrefix(t *testing.T) (*subject.DAG, *partition.Forest, *Prefix, []geom
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

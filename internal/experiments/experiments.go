@@ -94,7 +94,7 @@ func buildSubject(class bench.Class, scale float64, style bench.SynthesisStyle) 
 	if err != nil {
 		return nil, err
 	}
-	return bench.BuildSubject(p, style, 0)
+	return bench.BuildSubject(p, style)
 }
 
 // dieFor sizes a floorplan so the given cell area sits at the target
@@ -438,7 +438,7 @@ func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.
 			return row, err
 		}
 		flow.MergeMetrics(ctx, it.Metrics)
-		routable := it.FailedConnections == 0
+		routable := it.Routable
 		if routable || extra == maxExtraRows {
 			row.CriticalPI = it.Timing.CriticalPI
 			row.CriticalPO = it.Timing.CriticalPO

@@ -47,20 +47,29 @@ func TestKWayVsBisect(t *testing.T) {
 	}
 }
 
-// TestKWayPressure checks the synthetic scaling row over seeds 1..12:
-// the partitioner must complete (chained replication never aborts the
-// run) and never score worse than its seed.
+// TestKWayPressure checks the synthetic scaling rows — the 100k- and
+// 250k-gate points at seed 1 and 20k gates over seeds 1..12: the
+// partitioner must complete (chained replication never aborts the run)
+// and never score worse than its seed.
 func TestKWayPressure(t *testing.T) {
+	type point struct {
+		gates int
+		seed  int64
+	}
+	points := []point{{100_000, 1}, {250_000, 1}}
 	for seed := int64(1); seed <= 12; seed++ {
-		row, err := KWayPressure(20_000, 64, 4, seed)
+		points = append(points, point{20_000, seed})
+	}
+	for _, p := range points {
+		row, err := KWayPressure(p.gates, 64, 4, p.seed)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%d gates seed %d: %v", p.gates, p.seed, err)
 		}
 		if row.CutNetsKWay > row.CutNetsBisect || row.SteinerKWay > row.SteinerBisect {
-			t.Errorf("seed %d: k-way scored worse than its seed: %+v", seed, *row)
+			t.Errorf("%d gates seed %d: k-way scored worse than its seed: %+v", p.gates, p.seed, *row)
 		}
 		if !strings.HasPrefix(row.Circuit, "synthetic-") {
-			t.Errorf("seed %d: circuit label %q", seed, row.Circuit)
+			t.Errorf("%d gates seed %d: circuit label %q", p.gates, p.seed, row.Circuit)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func prepared(t *testing.T, tightness float64) (*Context, Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestRunWithRelaxation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func preparedClass(t *testing.T, class bench.Class, tightness float64) (*Context
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestPrepareCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestConfigVerifyProvesIterations: with Config.Verify set, every
 // iteration carries a proof that the mapped netlist matches the
-// subject DAG.
+// subject DAG, and on SPLA that proof comes from the BDD backend.
 func TestConfigVerifyProvesIterations(t *testing.T) {
 	pc, cfg := prepared(t, 0.55)
 	cfg.Verify = true
@@ -29,6 +29,9 @@ func TestConfigVerifyProvesIterations(t *testing.T) {
 		}
 		if !it.Verify.Equivalent || !it.Verify.Proven {
 			t.Errorf("K=%g: mapped netlist not proven equivalent: %s", it.K, it.Verify)
+		}
+		if it.Verify.Method != verify.MethodBDD {
+			t.Errorf("K=%g: proof by %s, want the BDD backend", it.K, it.Verify.Method)
 		}
 	}
 }

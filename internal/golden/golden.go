@@ -87,7 +87,7 @@ func Compute(ctx context.Context, circuit, plaPath string, k float64, withMetric
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: %w", circuit, err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: %w", circuit, err)
 	}

@@ -41,7 +41,7 @@ func fuzzPrepared(f *testing.F) *Prepared {
 			fuzzTarget.err = err
 			return
 		}
-		d, err := bench.BuildSubject(p, bench.Direct, 0)
+		d, err := bench.BuildSubject(p, bench.Direct)
 		if err != nil {
 			fuzzTarget.err = err
 			return

@@ -25,7 +25,7 @@ func TestSubjectPlacementFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.SISOptimized, 0)
+	d, err := bench.BuildSubject(p, bench.SISOptimized)
 	if err != nil {
 		t.Fatal(err)
 	}

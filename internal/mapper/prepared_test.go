@@ -35,7 +35,7 @@ func placedCircuit(t *testing.T, plaPath string) (*subject.DAG, Input) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := bench.BuildSubject(p, bench.Direct, 0)
+	d, err := bench.BuildSubject(p, bench.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

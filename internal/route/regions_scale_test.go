@@ -8,15 +8,12 @@ import (
 
 // TestPartitionRegionsInvariantsPaperScale runs the region-plan
 // structural invariants at the paper's largest routing point — the
-// 1M-gate synthetic placed netlist. This point used to be exercised
-// only when CASYN_ROUTE_BENCH_FULL opted the benchmark into it; the
-// partitioner's correctness at that scale now has a standing test,
-// skipped in -short mode. The failing set a negotiation round hands
-// the partitioner is the congested subset, not every segment, so the
-// test reconstructs one the same way congestion forms: it accumulates
-// each segment's territory into a per-gcell wiring-demand map and
-// fails exactly the segments whose territory touches the most
-// oversubscribed gcells.
+// 1M-gate synthetic placed netlist — and is skipped in -short mode.
+// The failing set a negotiation round hands the partitioner is the
+// congested subset, not every segment, so the test reconstructs one
+// the same way congestion forms: it accumulates each segment's
+// territory into a per-gcell wiring-demand map and fails exactly the
+// segments whose territory touches the most oversubscribed gcells.
 func TestPartitionRegionsInvariantsPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-gate partitioner invariants skipped in short mode")
