@@ -2,18 +2,12 @@ package cover
 
 // This file implements the incremental (ECO) side of the shared
 // covering prefix: rebuilding a Prefix after a local edit by
-// recomputing only the dirtied partition trees' match enumerations
+// recomputing only the match enumerations the edit can have changed
 // (copy-on-write of everything else), and re-running the covering DP
-// on just those trees against a previous same-K cover.
+// on just the dirtied trees against a previous same-K cover.
 //
-// A new tree may reuse a previous tree's cached enumeration exactly
-// when nothing the matcher or the cached geometry reads has changed.
-// The matcher reads only the tree members' gate records (type and
-// fanins), the father pointers of members, and tree membership; match
-// leaves bind any gate without inspecting it. The cached geometry
-// reads the positions of members (centers of mass) and of leaves
-// (cross-reference distances), and the father pointers of in-tree
-// leaves (which are members). Hence a tree rooted at r is clean iff:
+// Invalidation has two granularities. The tree mask decides which
+// trees the covering DP re-runs on. A tree rooted at r is clean iff:
 //
 //  1. its member set is identical to the old tree at r (every member's
 //     old root is r, and the old tree had the same size);
@@ -22,14 +16,27 @@ package cover
 //  3. no member moved, and no fanin of any member moved (fanins are a
 //     superset of the match leaves).
 //
-// Everything else — including every gate the edit touched, every gate
-// whose father flipped because a nearest-consumer distance changed,
-// and every tree whose membership shifted — is dirty and re-enumerated
-// from scratch on the edited DAG.
+// A clean tree shares every member's cached matches. Inside a dirty
+// tree, the gate cone decides which gates are re-enumerated. A match
+// at v binds a pattern of at most H internal levels (the library's
+// MaxPatternHeight) over uncut tree edges below v. The matcher reads
+// type, fanins, father pointer and tree membership only of gates at
+// most H-1 tree edges below v; the cached geometry reads the positions
+// of covered gates and of leaves, and the father pointers of leaves,
+// which are fanins of covered gates. So call a gate touched when it
+// was structurally edited, moved, changed its father pointer, or
+// entered or left the forest. A gate's matches can change only if it
+// lies within H-1 new-forest father steps above a touched gate or
+// above a fanout of one (the start gate included). A touched gate's
+// old father is one of its fanouts, so seeding the fanouts covers the
+// old forest's chain too. Every other gate of a dirty tree shares
+// prev's match slice exactly as a clean tree does.
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"casyn/internal/geom"
 	"casyn/internal/library"
@@ -42,24 +49,29 @@ import (
 // per-tree dirty mask CoverDelta consumes.
 type Rebuild struct {
 	Prefix *Prefix
-	// Dirty[ti] reports whether tree ti of Prefix was re-enumerated
-	// (dirty) or shares its cached enumeration with the previous prefix
-	// (clean). Indexed like Prefix trees.
+	// Dirty[ti] reports whether tree ti of Prefix is dirty (its cover
+	// must be recomputed, and the gates of its edit cone were
+	// re-enumerated) or clean (it shares its whole cached enumeration
+	// with the previous prefix). Indexed like Prefix trees.
 	Dirty []bool
-	// DirtyRoots lists the roots of re-enumerated trees in ascending
-	// gate-ID order — the mapper's dirty region for downstream
-	// incremental routing.
+	// DirtyRoots lists the roots of dirty trees in ascending gate-ID
+	// order — the mapper's dirty region for downstream incremental
+	// routing.
 	DirtyRoots []int
+	// ReenumeratedGates counts the gates of dirty trees whose matches
+	// were enumerated afresh; every other gate shares prev's slice.
+	ReenumeratedGates int
 }
 
 // RebuildPrefix builds a Prefix for the edited (dag, forest, pos) by
-// copy-on-write against prev: clean trees share prev's per-gate match
-// slices (never reallocated, pointer-identical), dirty trees are
-// re-enumerated on the edited DAG. editedGates lists the gate IDs
-// whose type or fanins changed; position changes are detected by
-// comparing pos against prev's frozen snapshot. prevForest must be the
-// forest prev was built with (the father pointers feed the clean-tree
-// test). The edited DAG must have the same vertex count as prev's —
+// copy-on-write against prev: every gate outside the edit cone shares
+// prev's per-gate match slice (never reallocated, pointer-identical),
+// and the cone's gates in dirty trees are re-enumerated on the edited
+// DAG. editedGates lists the gate IDs whose type or fanins changed;
+// position changes are detected by comparing pos against prev's frozen
+// snapshot. prevForest must be the forest prev was built with (its
+// father pointers feed the clean-tree test and the edit cone). The
+// edited DAG must have the same vertex count as prev's —
 // ECO edits rewrite gates in place, never add or remove them.
 //
 // prev is read-only throughout: a shared Prepared can keep serving
@@ -103,6 +115,8 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		pos:     append([]geom.Point(nil), pos...),
 		matches: make([][]preparedMatch, n),
 	}
+	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
+	cone := editCone(dag, forest, prevForest, prev.rootOf, p.rootOf, structEdited, posChanged, lib.MaxPatternHeight())
 	rb := &Rebuild{Prefix: p, Dirty: make([]bool, len(p.trees))}
 	var dirty []int
 	for ti := range p.trees {
@@ -124,22 +138,27 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 				}
 			}
 		}
-		if clean {
-			// Copy-on-write: share the previous enumeration. The outer
-			// slice is fresh per prefix; the per-gate match slices are
-			// the immutable payload and are never reallocated.
-			for _, v := range t.Gates {
+		// Copy-on-write: a gate outside the cone shares the previous
+		// enumeration, in a clean tree or a dirty one. The outer slice
+		// is fresh per prefix; the per-gate match slices are the
+		// immutable payload and are never reallocated.
+		for _, v := range t.Gates {
+			if clean || cone[v] == 0 {
 				p.matches[v] = prev.matches[v]
+			} else {
+				rb.ReenumeratedGates++
 			}
+		}
+		if clean {
 			continue
 		}
 		rb.Dirty[ti] = true
 		dirty = append(dirty, ti)
 		rb.DirtyRoots = append(rb.DirtyRoots, t.Root)
 	}
-	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
+	inCone := func(v int) bool { return cone[v] > 0 }
 	err := par.ForEach(ctx, workers, len(dirty), func(di int) error {
-		p.enumerateTree(dag, forest, lib, dirty[di])
+		p.enumerateTree(dag, forest, lib, dirty[di], inCone)
 		return nil
 	})
 	if err != nil {
@@ -149,6 +168,35 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		return nil, err
 	}
 	return rb, nil
+}
+
+// editCone marks every gate whose match enumeration an edit can have
+// changed: the gates within h-1 new-forest father steps above a
+// touched gate or above a fanout of one, the start gate included. A
+// gate is touched when it was structurally edited, moved, changed its
+// father pointer, or entered or left the forest (see the file
+// comment for why this is exact). A gate is in the cone iff its entry
+// is positive: one more than the most father steps a walk through it
+// still had left, so a walk arriving with no more stops early.
+func editCone(dag *subject.DAG, forest, prevForest *partition.Forest, prevRootOf, rootOf []int, structEdited, posChanged []bool, h int) []int {
+	n := dag.NumGates()
+	cone := make([]int, n)
+	walk := func(v int) {
+		for steps := h; v >= 0 && cone[v] < steps; steps-- {
+			cone[v] = steps
+			v = forest.Father[v]
+		}
+	}
+	for v := 0; v < n; v++ {
+		if structEdited[v] || posChanged[v] || forest.Father[v] != prevForest.Father[v] ||
+			(prevRootOf[v] < 0) != (rootOf[v] < 0) {
+			walk(v)
+			for _, w := range dag.Fanouts(v) {
+				walk(w)
+			}
+		}
+	}
+	return cone
 }
 
 // SharesMatches reports whether prefixes a and b hold the identical
@@ -164,4 +212,36 @@ func SharesMatches(a, b *Prefix, g int) bool {
 		return len(ma) == len(mb) && ma == nil && mb == nil
 	}
 	return &ma[0] == &mb[0]
+}
+
+// DiffMatches compares the cached matches of gate g in prefixes a and
+// b field by field, floats by their bits, and describes the first
+// difference (nil when they are equal). Test hook for the edit-cone
+// contract: a rebuilt prefix must hold exactly what a fresh
+// BuildPrefix of the edited design holds.
+func DiffMatches(a, b *Prefix, g int) error {
+	ma, mb := a.matches[g], b.matches[g]
+	if len(ma) != len(mb) {
+		return fmt.Errorf("gate %d: %d matches vs %d", g, len(ma), len(mb))
+	}
+	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range ma {
+		pa, pb := &ma[i], &mb[i]
+		switch {
+		case pa.m.Cell.Name != pb.m.Cell.Name || pa.m.PatternIndex != pb.m.PatternIndex || pa.m.Root != pb.m.Root:
+			return fmt.Errorf("gate %d match %d: %s/%d@%d vs %s/%d@%d", g, i,
+				pa.m.Cell.Name, pa.m.PatternIndex, pa.m.Root, pb.m.Cell.Name, pb.m.PatternIndex, pb.m.Root)
+		case !slices.Equal(pa.m.Leaves, pb.m.Leaves):
+			return fmt.Errorf("gate %d match %d: leaves %v vs %v", g, i, pa.m.Leaves, pb.m.Leaves)
+		case !slices.Equal(pa.m.Covered, pb.m.Covered):
+			return fmt.Errorf("gate %d match %d: covered %v vs %v", g, i, pa.m.Covered, pb.m.Covered)
+		case !bitsEq(pa.com.X, pb.com.X) || !bitsEq(pa.com.Y, pb.com.Y):
+			return fmt.Errorf("gate %d match %d: center of mass %v vs %v", g, i, pa.com, pb.com)
+		case !slices.Equal(pa.subLeaf, pb.subLeaf):
+			return fmt.Errorf("gate %d match %d: subtree leaves %v vs %v", g, i, pa.subLeaf, pb.subLeaf)
+		case !slices.EqualFunc(pa.crossDist, pb.crossDist, bitsEq):
+			return fmt.Errorf("gate %d match %d: cross distances %v vs %v", g, i, pa.crossDist, pb.crossDist)
+		}
+	}
+	return nil
 }

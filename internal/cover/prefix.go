@@ -96,7 +96,7 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 	}
 	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
 	err := par.ForEach(ctx, workers, len(p.trees), func(ti int) error {
-		p.enumerateTree(dag, forest, lib, ti)
+		p.enumerateTree(dag, forest, lib, ti, nil)
 		return nil
 	})
 	if err != nil {
@@ -108,17 +108,21 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 	return p, nil
 }
 
-// enumerateTree fills p.matches for every vertex of tree ti: the
-// complete match enumeration with cached K-invariant geometry. It
-// writes only tree ti's own vertices' match lists, so disjoint trees
-// enumerate concurrently. Shared by BuildPrefix (all trees) and
-// RebuildPrefix (dirty trees only).
-func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *library.Library, ti int) {
+// enumerateTree fills p.matches for the vertices of tree ti that only
+// accepts (every vertex when only is nil): the complete match
+// enumeration with cached K-invariant geometry. It writes only tree
+// ti's own vertices' match lists, so disjoint trees enumerate
+// concurrently. Shared by BuildPrefix (all trees, no filter) and
+// RebuildPrefix (the edit cone of each dirty tree).
+func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *library.Library, ti int, only func(v int) bool) {
 	t := &p.trees[ti]
 	inTree := p.inTreeFunc(t.Root)
 	m := match.NewMatcher(dag, lib, forest.Father, inTree)
 	covered := map[int]bool{} // scratch per match
 	for _, v := range t.Gates {
+		if only != nil && !only(v) {
+			continue
+		}
 		ms := m.MatchesAt(v)
 		pms := make([]preparedMatch, len(ms))
 		for i := range ms {

@@ -4,11 +4,11 @@ package flow
 // runs one K iteration while capturing the state an edit can later be
 // applied against (prepared mapping context, covering state, routing
 // state), and RunECO applies a mapper.EditSet to that state —
-// re-preparing only the dirtied partition trees, re-covering only
-// those trees, and (in fast mode) re-placing only the cells and
-// re-ripping only the nets the edit changed. Both run RunOnce's
-// iteration body, so stage budgets, panic recovery, and cancellation
-// behave exactly as in Run/RunOnce.
+// re-enumerating only the matches inside the edit's cone, re-covering
+// only the dirtied partition trees, and (in fast mode) re-placing only
+// the cells and re-ripping only the nets the edit changed. Both run
+// RunOnce's iteration body, so stage budgets, panic recovery, and
+// cancellation behave exactly as in Run/RunOnce.
 
 import (
 	"context"
@@ -25,7 +25,9 @@ import (
 // (copy-on-write invalidation and delta covering); Route carries the
 // settled routing (paths, usage, negotiation history) for the fast
 // incremental reroute. States chain: each RunECO returns the successor
-// state for the next edit.
+// state for the next edit, and a state holds nothing of its
+// predecessors, so a chain that keeps only its latest state frees the
+// rest.
 type ECOState struct {
 	Prep  *mapper.Prepared
 	Cover *mapper.CoverState
@@ -61,14 +63,15 @@ func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Itera
 }
 
 // RunECO applies an edit set against a previous iteration's state and
-// re-synthesizes incrementally: Invalidate recomputes only the dirtied
-// partition trees' match enumerations (StageECO), MapECO re-covers
-// only those trees against the previous same-K cover (StageMap), and
-// the mapped netlist is verified, placed, routed, and timed exactly as
-// a RunOnce iteration. The returned Iteration and the mapped netlist
-// are byte-identical to a from-scratch synthesis of the edited design
-// in the same placement context (the differential ECO harness proves
-// this across circuits, edit streams, K values, and worker counts).
+// re-synthesizes incrementally: Invalidate re-enumerates only the
+// matches of the gates within the edit's cone (StageECO), MapECO
+// re-covers only the dirtied partition trees against the previous
+// same-K cover (StageMap), and the mapped netlist is verified, placed,
+// routed, and timed exactly as a RunOnce iteration. The returned
+// Iteration and the mapped netlist are byte-identical to a
+// from-scratch synthesis of the edited design in the same placement
+// context (the differential ECO harness proves this across circuits,
+// edit streams, K values, and worker counts).
 //
 // Placement and routing run from scratch by default, which is what
 // makes the byte-identity exact. With cfg.FastECORoute set, both go

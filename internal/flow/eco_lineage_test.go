@@ -1,0 +1,46 @@
+//go:build go1.24
+
+package flow
+
+import (
+	"context"
+	"math/rand"
+	"runtime"
+	"testing"
+	"weak"
+
+	"casyn/internal/mapper"
+	"casyn/internal/subject"
+)
+
+// TestECOChainReleasesAncestors: a chain that keeps only its latest
+// state retains no ancestor. After ten chained RunECOs, the first
+// successor's DAG is unreachable, so a weak pointer to it reads nil
+// once the collector has run.
+func TestECOChainReleasesAncestors(t *testing.T) {
+	pc, cfg := prepared(t, 0.55)
+	cfg.FreshPlacement = false
+	cfg.FastECORoute = true
+	ctx := context.Background()
+	_, st, err := RunStateful(ctx, pc, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var first weak.Pointer[subject.DAG]
+	for i := 0; i < 10; i++ {
+		_, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if i == 0 {
+			first = weak.Make(next.Prep.DAG())
+		}
+		st = next
+	}
+	runtime.GC()
+	if first.Value() != nil {
+		t.Error("the first successor's DAG is still reachable from the last state of the chain")
+	}
+	runtime.KeepAlive(st)
+}

@@ -139,6 +139,18 @@ func (l *Library) Fingerprint() [sha256.Size]byte { return l.fingerprint }
 // Cells returns the cells in declaration order.
 func (l *Library) Cells() []*Cell { return l.cells }
 
+// MaxPatternHeight returns the largest Pattern.Height over every
+// pattern of every cell: how far below its root any match can reach.
+func (l *Library) MaxPatternHeight() int {
+	h := 0
+	for _, c := range l.cells {
+		for _, p := range c.Patterns {
+			h = max(h, p.Height())
+		}
+	}
+	return h
+}
+
 // Cell returns the named cell, or nil.
 func (l *Library) Cell(name string) *Cell { return l.index[name] }
 

@@ -29,6 +29,28 @@ func TestParsePattern(t *testing.T) {
 	}
 }
 
+func TestPatternHeight(t *testing.T) {
+	t.Parallel()
+	for s, want := range map[string]int{
+		"INV(a)":                                1,
+		"NAND(a,b)":                             1,
+		"NAND(a,INV(NAND(b,c)))":                3,
+		"INV(NAND(NAND(a,b),NAND(c,d)))":        3,
+		"NAND(INV(a),INV(NAND(INV(b),INV(c))))": 4,
+		"NAND(a,INV(NAND(b,INV(NAND(c,d)))))":   5,
+	} {
+		if got := MustParsePattern(s).Height(); got != want {
+			t.Errorf("Height(%s) = %d, want %d", s, got, want)
+		}
+	}
+	if got := Var("a").Height(); got != 0 {
+		t.Errorf("Height(a) = %d, want 0", got)
+	}
+	if got := Default().MaxPatternHeight(); got != 5 {
+		t.Errorf("default library MaxPatternHeight = %d, want 5", got)
+	}
+}
+
 func TestParsePatternErrors(t *testing.T) {
 	t.Parallel()
 	bad := []string{

@@ -83,6 +83,21 @@ func (p *Pattern) NumGates() int {
 	}
 }
 
+// Height returns the number of internal (NAND2/INV) levels on the
+// pattern's deepest root-to-leaf path: 1 for INV(a), 0 for a bare
+// variable. A match of the pattern covers gates at most Height-1 tree
+// edges below its root and binds leaves at most Height edges below it.
+func (p *Pattern) Height() int {
+	if p.Op == OpVar {
+		return 0
+	}
+	h := 0
+	for _, k := range p.Kids {
+		h = max(h, k.Height())
+	}
+	return h + 1
+}
+
 // Eval evaluates the pattern under a variable assignment.
 func (p *Pattern) Eval(assign map[string]bool) bool {
 	switch p.Op {

@@ -2,12 +2,14 @@ package mapper
 
 // This file implements incremental (ECO) mapping: after a local edit —
 // a gate-function change, a net reconnect, a placement nudge or swap —
-// Invalidate builds a successor Prepared that recomputes only the
-// dirtied partition trees' match enumerations (copy-on-write of
-// everything clean, see cover/eco.go), and MapECO re-covers just those
-// trees against a previous same-K cover. The original Prepared is
-// never mutated: concurrent readers keep mapping against it while its
-// successor is built.
+// Invalidate builds a successor Prepared that re-enumerates only the
+// matches inside the edit's cone (copy-on-write of every other gate,
+// see cover/eco.go), and MapECO re-covers just the dirtied trees
+// against a previous same-K cover. The original Prepared is never
+// mutated: concurrent readers keep mapping against it while its
+// successor is built. The successor does not point back at it: only
+// the transient ECO does, so a chain that keeps only its latest state
+// lets every ancestor go.
 
 import (
 	"context"
@@ -28,27 +30,35 @@ type ECO struct {
 	// a full Prepared — MapPrepared works against it directly, and a
 	// further Invalidate chains off it.
 	Prep *ECOPrepared
-	// DirtyRoots lists the roots (edited-forest gate IDs) of the trees
-	// whose enumeration was recomputed, ascending.
+	// DirtyRoots lists the roots (edited-forest gate IDs) of the dirty
+	// trees, ascending: the trees MapECO re-covers.
 	DirtyRoots []int
 	// EditedGates / MovedGates list the structurally edited and the
 	// repositioned gate IDs.
 	EditedGates []int
 	MovedGates  []int
 	// Trees / ReusedTrees count the partition trees of the edited
-	// design and how many kept their cached enumeration.
+	// design and how many are clean: they keep their whole cached
+	// enumeration and their cover.
 	Trees       int
 	ReusedTrees int
+	// ReenumeratedGates counts the gates of dirty trees whose matches
+	// were enumerated afresh; every other gate kept its cached slice.
+	ReenumeratedGates int
+
+	// parent is the Prepared this ECO was invalidated from: MapECO's
+	// lineage check. It lives here, not on the successor, so a chain
+	// that drops its ECOs retains no ancestor.
+	parent *Prepared
 }
 
-// ECOPrepared is a Prepared carrying its ECO lineage: the parent it
-// was invalidated from and the per-tree reuse map, which is what lets
-// MapECO re-cover only the dirty trees. It embeds Prepared, so every
-// Prepared consumer (MapPrepared, Compatible, a further Invalidate)
-// accepts it unchanged.
+// ECOPrepared is a Prepared carrying the per-tree dirty mask of the
+// Invalidate that built it, which is what lets MapECO re-cover only
+// the dirty trees. It embeds Prepared, so every Prepared consumer
+// (MapPrepared, Compatible, a further Invalidate) accepts it
+// unchanged.
 type ECOPrepared struct {
 	Prepared
-	parent  *Prepared
 	rebuild *cover.Rebuild
 }
 
@@ -58,15 +68,19 @@ type ECOPrepared struct {
 // included) it is returned to the caller exactly as it was, and even
 // on success it remains valid for concurrent use.
 //
-// Dirty-set granularity is the partition tree: a tree is recomputed
-// iff its membership changed, a member was edited or moved, a member's
-// father pointer changed, or a fanin of a member moved — the exact
-// set of inputs its cached match enumeration and geometry read.
-// Partitioning itself is recomputed in full (it is a cheap O(E) pass;
-// the expensive match enumeration is what the copy-on-write avoids).
+// Invalidation has two granularities (cover.RebuildPrefix). A tree is
+// dirty, and MapECO re-covers it, iff its membership changed, a member
+// was edited or moved, a member's father pointer changed, or a fanin
+// of a member moved. Inside a dirty tree only the edit cone is
+// re-enumerated: the gates within H-1 father steps above a touched
+// gate or its fanouts, H being the library's deepest pattern.
+// Partitioning itself is recomputed in full, with the tree
+// materialization; with enumeration cut to the cone, that is no longer
+// cheap but most of the invalidation time.
 //
 // The work is recorded under an "eco.invalidate" span; dirty/reused
-// tree counts land on "eco.dirty_trees" / "eco.reused_trees".
+// tree counts land on "eco.dirty_trees" / "eco.reused_trees", and the
+// re-enumerated gates on "eco.reenumerated_gates".
 func (p *Prepared) Invalidate(ctx context.Context, edits EditSet) (*ECO, error) {
 	if p == nil {
 		return nil, fmt.Errorf("eco: nil Prepared")
@@ -80,12 +94,13 @@ func (p *Prepared) Invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	}
 	rec.Add("eco.edits", int64(len(edits.Edits)))
 	rec.Add("eco.dirty_trees", int64(len(e.DirtyRoots)))
+	rec.Add("eco.reenumerated_gates", int64(e.ReenumeratedGates))
 	rec.Add("eco.reused_trees", int64(e.ReusedTrees))
 	return e, nil
 }
 
 func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) {
-	if err := edits.validate(p.dag, p.in.Pos); err != nil {
+	if err := edits.validate(p.dag); err != nil {
 		return nil, err
 	}
 	// Private clones: the parent's DAG and placement stay untouched no
@@ -121,28 +136,26 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 			opts:   p.opts,
 			in:     Input{Pos: pos, POPads: p.in.POPads},
 		},
-		parent:  p,
 		rebuild: rb,
 	}
 	return &ECO{
-		Prep:        succ,
-		DirtyRoots:  rb.DirtyRoots,
-		EditedGates: structEdited,
-		MovedGates:  moved,
-		Trees:       len(rb.Dirty),
-		ReusedTrees: len(rb.Dirty) - len(rb.DirtyRoots),
+		Prep:              succ,
+		DirtyRoots:        rb.DirtyRoots,
+		EditedGates:       structEdited,
+		MovedGates:        moved,
+		Trees:             len(rb.Dirty),
+		ReusedTrees:       len(rb.Dirty) - len(rb.DirtyRoots),
+		ReenumeratedGates: rb.ReenumeratedGates,
+		parent:            p,
 	}, nil
 }
 
 // SharesMatches reports whether the successor shares gate g's cached
 // match slice with its parent (pointer identity). Test hook for the
 // copy-on-write contract.
-func (e *ECOPrepared) SharesMatches(g int) bool {
-	return cover.SharesMatches(e.parent.prefix, e.prefix, g)
+func (e *ECO) SharesMatches(g int) bool {
+	return cover.SharesMatches(e.parent.prefix, e.Prep.prefix, g)
 }
-
-// Parent returns the Prepared this context was invalidated from.
-func (e *ECOPrepared) Parent() *Prepared { return e.parent }
 
 // CoverState is one K rung's covering result together with its
 // lineage: the Prepared it covered, the K it covered at, and the
@@ -180,7 +193,7 @@ func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *Cove
 
 // MapECO maps the invalidated context at K. When prev carries a cover
 // of the parent Prepared at the same K, only the trees Invalidate
-// re-enumerated run the covering DP, under prev's K-field — the clean
+// marked dirty run the covering DP, under prev's K-field — the clean
 // trees' solutions carry over — and the result is byte-identical to a
 // full cover of the successor under that field. With no usable prev
 // (nil, different K, or different lineage) it falls back to a full
@@ -191,7 +204,7 @@ func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, 
 		return nil, nil, fmt.Errorf("mapper: nil ECO")
 	}
 	rec := obs.From(ctx)
-	if prev == nil || prev.k != k || prev.prep != e.Prep.parent {
+	if prev == nil || prev.k != k || prev.prep != e.parent {
 		rec.Add("eco.cover_full", 1)
 		return MapStateful(ctx, &e.Prep.Prepared, k)
 	}

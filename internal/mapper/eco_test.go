@@ -345,7 +345,7 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 		if clean {
 			reused++
 			for _, v := range tr.Gates {
-				if !eco.Prep.SharesMatches(v) {
+				if !eco.SharesMatches(v) {
 					t.Errorf("clean tree root %d: gate %d's match slice was reallocated", tr.Root, v)
 				}
 			}
@@ -361,6 +361,158 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 	}
 	if eco.Trees != len(newTrees) {
 		t.Errorf("Trees=%d, forest has %d", eco.Trees, len(newTrees))
+	}
+}
+
+// TestInvalidateConeExact is the edit-cone exactness property: after
+// every link of a chain of random edit sets, every gate's cached
+// matches equal a fresh BuildPrefix of the edited design field by
+// field, every clean tree shares its members' slices, and every
+// structurally edited tree gate was re-enumerated. Across the suite
+// some gate inside a dirty tree must share, or the cone never cut
+// anything.
+func TestInvalidateConeExact(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	sharedInDirty := 0
+	t.Cleanup(func() {
+		if !t.Failed() && sharedInDirty == 0 {
+			t.Error("no dirty tree shared a single gate's matches; the edit cone is never exercised")
+		}
+	})
+	for _, pla := range exampleCircuits(t) {
+		pla := pla
+		t.Run(strings.TrimSuffix(filepath.Base(pla), ".pla"), func(t *testing.T) {
+			t.Parallel()
+			d, in := placedCircuit(t, pla)
+			ctx := context.Background()
+			lib := library.Default()
+			prep, err := Prepare(ctx, d, in, Options{Lib: lib})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := 0
+			for seed := int64(1); seed <= 30; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				cur := prep
+				for link := 0; link < 3; link++ {
+					edits := RandomEdits(cur, rng, 1+rng.Intn(3))
+					eco, err := cur.Invalidate(ctx, edits)
+					if err != nil {
+						t.Fatalf("seed %d link %d: Invalidate: %v", seed, link, err)
+					}
+					succ := &eco.Prep.Prepared
+					fresh, err := cover.BuildPrefix(ctx, succ.dag, succ.forest, lib, succ.Pos(), 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rootOf := succ.forest.RootOf(succ.dag)
+					inDirty := make([]bool, len(rootOf))
+					for ti, tr := range succ.forest.Trees(succ.dag) {
+						for _, v := range tr.Gates {
+							inDirty[v] = eco.Prep.rebuild.Dirty[ti]
+							if !inDirty[v] && !eco.SharesMatches(v) {
+								t.Errorf("seed %d link %d: clean tree %d: gate %d does not share", seed, link, tr.Root, v)
+							}
+						}
+					}
+					for g := range rootOf {
+						if err := cover.DiffMatches(succ.prefix, fresh, g); err != nil {
+							t.Fatalf("seed %d link %d: %v", seed, link, err)
+						}
+						if inDirty[g] && eco.SharesMatches(g) {
+							shared++
+						}
+					}
+					for _, g := range eco.EditedGates {
+						if rootOf[g] >= 0 && eco.SharesMatches(g) {
+							t.Errorf("seed %d link %d: edited gate %d shares its matches", seed, link, g)
+						}
+					}
+					cur = succ
+				}
+			}
+			mu.Lock()
+			sharedInDirty += shared
+			mu.Unlock()
+		})
+	}
+}
+
+// TestMapECORepeatable: MapECO called twice on the same ECO and the
+// same previous state takes the delta path both times and returns the
+// same result, so dropping the successor's link to its parent did not
+// make the lineage check one-shot.
+func TestMapECORepeatable(t *testing.T) {
+	t.Parallel()
+	const k = 0.5
+	d, in := placedCircuit(t, exampleCircuits(t)[0])
+	rec := obs.New()
+	ctx := obs.WithRecorder(context.Background(), rec)
+	prep, err := Prepare(ctx, d, in, Options{Lib: library.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cov, err := MapStateful(ctx, prep, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, err := prep.Invalidate(ctx, RandomEdits(prep, rand.New(rand.NewSource(11)), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := MapECO(ctx, eco, cov, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := MapECO(ctx, eco, cov, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rec.Snapshot().Counters
+	if c["eco.cover_delta"] != 2 || c["eco.cover_full"] != 0 {
+		t.Fatalf("eco.cover_delta=%d eco.cover_full=%d, want 2 and 0", c["eco.cover_delta"], c["eco.cover_full"])
+	}
+	if resultKey(first) != resultKey(second) {
+		t.Error("a repeated MapECO on the same ECO returned a different result")
+	}
+}
+
+// TestInvalidateZeroMove: a nudge by zero and a swap of two co-located
+// gates move nothing, so they dirty no tree and list no moved gate.
+func TestInvalidateZeroMove(t *testing.T) {
+	t.Parallel()
+	d, in := placedCircuit(t, exampleCircuits(t)[0])
+	ctx := context.Background()
+	var base []int
+	for _, g := range d.LiveGates() {
+		if tp := d.Gate(g).Type; tp == subject.Nand2 || tp == subject.Inv {
+			base = append(base, g)
+		}
+	}
+	a, b := base[0], base[1]
+	in.Pos[b] = in.Pos[a]
+	prep, err := Prepare(ctx, d, in, Options{Lib: library.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edits := range map[string]EditSet{
+		"zero_nudge":      {Edits: []Edit{{Kind: EditNudge, Gate: a}}},
+		"co_located_swap": {Edits: []Edit{{Kind: EditSwap, Gate: a, Other: b}}},
+	} {
+		rec := obs.New()
+		eco, err := prep.Invalidate(obs.WithRecorder(ctx, rec), edits)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(eco.DirtyRoots) != 0 || len(eco.MovedGates) != 0 || eco.ReenumeratedGates != 0 {
+			t.Errorf("%s: %d dirty trees, moved %v, %d re-enumerated gates; want none",
+				name, len(eco.DirtyRoots), eco.MovedGates, eco.ReenumeratedGates)
+		}
+		if got := rec.Snapshot().Counters["eco.reenumerated_gates"]; got != 0 {
+			t.Errorf("%s: eco.reenumerated_gates = %d, want 0", name, got)
+		}
+		checkDirtySet(t, prep, eco)
 	}
 }
 

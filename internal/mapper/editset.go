@@ -78,15 +78,15 @@ type EditSet struct {
 
 // editJSON is the wire form of one edit.
 type editJSON struct {
-	Op       string    `json:"op"`
-	Gate     int       `json:"gate"`
-	NewType  string    `json:"new_type,omitempty"`
-	NewIn    []int     `json:"new_in,omitempty"`
-	Pin      *int      `json:"pin,omitempty"`
-	NewFanin *int      `json:"new_fanin,omitempty"`
-	DX       *float64  `json:"dx,omitempty"`
-	DY       *float64  `json:"dy,omitempty"`
-	Other    *int      `json:"other,omitempty"`
+	Op       string   `json:"op"`
+	Gate     int      `json:"gate"`
+	NewType  string   `json:"new_type,omitempty"`
+	NewIn    []int    `json:"new_in,omitempty"`
+	Pin      *int     `json:"pin,omitempty"`
+	NewFanin *int     `json:"new_fanin,omitempty"`
+	DX       *float64 `json:"dx,omitempty"`
+	DY       *float64 `json:"dy,omitempty"`
+	Other    *int     `json:"other,omitempty"`
 }
 
 // editSetJSON is the wire form of an edit set.
@@ -203,7 +203,7 @@ func (es EditSet) MarshalJSON() ([]byte, error) {
 // claims both of its gates). An empty set is an error — ECO semantics
 // are "apply this change", and an empty change is a caller bug worth
 // surfacing.
-func (es EditSet) validate(d *subject.DAG, pos []geom.Point) error {
+func (es EditSet) validate(d *subject.DAG) error {
 	if len(es.Edits) == 0 {
 		return fmt.Errorf("eco: empty edit set")
 	}
@@ -310,7 +310,6 @@ func (es EditSet) validate(d *subject.DAG, pos []geom.Point) error {
 			return fmt.Errorf("eco: edit %d: unknown kind %d", i, int(e.Kind))
 		}
 	}
-	_ = pos
 	return nil
 }
 
@@ -333,8 +332,10 @@ func checkFanin(d *subject.DAG, i, g, fanin int) error {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // apply mutates the (already cloned) DAG and position slice, returning
-// the structurally edited gate IDs and the moved gate IDs. The set
-// must have passed validate against the originals.
+// the structurally edited gate IDs and the moved gate IDs: the gates
+// whose position really changed, so neither a zero nudge nor a swap of
+// two co-located gates counts. The set must have passed validate
+// against the originals.
 func (es EditSet) apply(d *subject.DAG, pos []geom.Point) (structEdited, moved []int, err error) {
 	for i, e := range es.Edits {
 		switch e.Kind {
@@ -352,11 +353,16 @@ func (es EditSet) apply(d *subject.DAG, pos []geom.Point) (structEdited, moved [
 			}
 			structEdited = append(structEdited, e.Gate)
 		case EditNudge:
-			pos[e.Gate] = geom.Pt(pos[e.Gate].X+e.DX, pos[e.Gate].Y+e.DY)
-			moved = append(moved, e.Gate)
+			old := pos[e.Gate]
+			pos[e.Gate] = geom.Pt(old.X+e.DX, old.Y+e.DY)
+			if pos[e.Gate] != old {
+				moved = append(moved, e.Gate)
+			}
 		case EditSwap:
-			pos[e.Gate], pos[e.Other] = pos[e.Other], pos[e.Gate]
-			moved = append(moved, e.Gate, e.Other)
+			if pos[e.Gate] != pos[e.Other] {
+				pos[e.Gate], pos[e.Other] = pos[e.Other], pos[e.Gate]
+				moved = append(moved, e.Gate, e.Other)
+			}
 		}
 	}
 	return structEdited, moved, nil

@@ -132,6 +132,16 @@ func FuzzEditSet(f *testing.F) {
 					t.Fatalf("tree bookkeeping inconsistent: %d trees, %d reused, %d dirty",
 						eco.Trees, eco.ReusedTrees, len(eco.DirtyRoots))
 				}
+				dirtyGates := 0
+				for ti, tr := range eco.Prep.forest.Trees(eco.Prep.dag) {
+					if eco.Prep.rebuild.Dirty[ti] {
+						dirtyGates += len(tr.Gates)
+					}
+				}
+				if eco.ReenumeratedGates > dirtyGates || (len(eco.DirtyRoots) == 0 && eco.ReenumeratedGates != 0) {
+					t.Fatalf("%d gates re-enumerated, but the %d dirty trees hold %d",
+						eco.ReenumeratedGates, len(eco.DirtyRoots), dirtyGates)
+				}
 			}
 		}
 		// Whatever happened, the shared Prepared is untouched.

@@ -34,15 +34,15 @@ const (
 	// (partition + match enumeration, flow.PrepareMapping); it runs
 	// before the K ladder, not inside an iteration.
 	StageMapPrepare Stage = "map_prepare"
-	StageMap Stage = "map"
+	StageMap        Stage = "map"
 	// StageECO is the edit-scoped invalidation of a prepared mapping
-	// context (flow.RunECO): applying an EditSet and recomputing only
-	// the dirtied partition trees' enumerations.
+	// context (flow.RunECO): applying an EditSet and re-enumerating
+	// only the matches inside the edit's cone.
 	StageECO    Stage = "eco"
 	StageVerify Stage = "verify"
-	StagePlace      Stage = "place"
-	StageRoute      Stage = "route"
-	StageSTA        Stage = "sta"
+	StagePlace  Stage = "place"
+	StageRoute  Stage = "route"
+	StageSTA    Stage = "sta"
 )
 
 // StageError tags a stage failure with the pipeline stage and the
