@@ -1,7 +1,7 @@
 // Package casyn is congestion-aware logic synthesis: a self-contained
 // reproduction of "Congestion-Aware Logic Synthesis" (Pandini, Pileggi,
 // Strojwas — DATE 2002) with every substrate it needs built in: a
-// two-level and multi-level logic optimizer, NAND2/INV decomposition, a
+// multi-level shared-divisor extractor, NAND2/INV decomposition, a
 // standard-cell library, recursive-bisection placement, a
 // congestion-driven global router, static timing analysis, and the
 // paper's congestion-aware technology mapper itself.
@@ -76,10 +76,11 @@ type Options struct {
 	DieArea float64
 	// AspectRatio is die width/height (default 1).
 	AspectRatio float64
-	// OptimizeTechIndependent runs two-level minimization and
-	// multi-level extraction before decomposition (the "SIS" path).
-	// Off by default: the paper's methodology maps the structural
-	// netlist.
+	// OptimizeTechIndependent runs shared-divisor extraction
+	// (bnet.FastExtract) and Sweep before decomposition: the stand-in
+	// for SIS's technology-independent optimization. No two-level
+	// minimization runs. Off by default: the paper's methodology maps
+	// the structural netlist.
 	OptimizeTechIndependent bool
 	// Partition selects the DAG partitioning scheme; the default is
 	// the paper's placement-driven partitioning (PDP).
@@ -243,7 +244,7 @@ func SubjectFor(ctx context.Context, p *logic.PLA, opts Options) (*subject.DAG, 
 	}
 	if opts.Verify {
 		// Checks the whole technology-independent front end at once:
-		// two-level minimization, extraction, and decomposition.
+		// extraction, sweep, and decomposition.
 		rep, err := verify.Equivalent(ctx, p, dag, opts.VerifyOpts)
 		if err != nil {
 			return nil, err

@@ -230,10 +230,11 @@ const (
 	// representation generated with SIS" that DAGON maps in the
 	// paper's experiments — structure preserved, no restructuring).
 	Direct SynthesisStyle = iota
-	// SISOptimized runs two-level minimization plus kernel/cube
-	// extraction before decomposition — the paper's "synthesized with
-	// SIS and mapped for minimum area" baseline with its aggressive
-	// literal sharing.
+	// SISOptimized runs FastExtract's term-sharing and common-cube
+	// extraction, then Sweep, before decomposition — the substitute for
+	// the paper's "synthesized with SIS and mapped for minimum area"
+	// baseline with its aggressive literal sharing. No two-level
+	// minimization runs.
 	SISOptimized
 )
 
@@ -248,28 +249,11 @@ func (s SynthesisStyle) String() string {
 // BuildSubject turns a PLA into a subject DAG under the chosen
 // synthesis style.
 func BuildSubject(p *logic.PLA, style SynthesisStyle) (*subject.DAG, error) {
-	work := p
-	if style == SISOptimized {
-		// Two-level minimization on a copy first (espresso step).
-		cp := logic.NewPLA(p.NumInputs, p.NumOutputs)
-		cp.InputNames = append([]string(nil), p.InputNames...)
-		cp.OutputNames = append([]string(nil), p.OutputNames...)
-		for t := range p.Terms {
-			if err := cp.AddTerm(p.Terms[t].Clone(), p.Outputs[t]); err != nil {
-				return nil, err
-			}
-		}
-		work = cp
-	}
-	n, err := bnet.FromPLA(work)
+	n, err := bnet.FromPLA(p)
 	if err != nil {
 		return nil, err
 	}
 	if style == SISOptimized {
-		// The kernel-based Extract is exact but quadratic; full-size
-		// benchmarks use the scalable FastExtract, whose term-sharing
-		// and common-cube rounds produce the same structural signature
-		// (literal-minimal, high-fanout shared nodes).
 		bnet.FastExtract(n, bnet.FastExtractOptions{})
 		n.Sweep()
 	}

@@ -103,6 +103,7 @@ func TestReadBLIFErrors(t *testing.T) {
 func TestBLIFWriteReadRoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(91))
+	extracted := 0
 	for trial := 0; trial < 8; trial++ {
 		ni, no := 6, 3
 		p := logic.NewPLA(ni, no)
@@ -127,7 +128,7 @@ func TestBLIFWriteReadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Optimize so the network has interesting internal structure.
-		Extract(orig, ExtractOptions{MaxIterations: 20})
+		extracted += FastExtract(orig, FastExtractOptions{MinPairCount: 2}).NewNodes
 		var buf bytes.Buffer
 		if err := orig.WriteBLIF(&buf, "roundtrip"); err != nil {
 			t.Fatal(err)
@@ -139,6 +140,9 @@ func TestBLIFWriteReadRoundTrip(t *testing.T) {
 		if err := CheckEquivalence(orig, back, 200, rng); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+	}
+	if extracted == 0 {
+		t.Error("extraction built no internal nodes in any trial")
 	}
 }
 

@@ -1,8 +1,23 @@
 package bnet
 
 import (
+	"fmt"
 	"sort"
 )
+
+// ExtractReport summarizes an extraction run.
+type ExtractReport struct {
+	Iterations     int
+	LiteralsBefore int
+	LiteralsAfter  int
+	NewNodes       int
+}
+
+// String implements fmt.Stringer.
+func (r ExtractReport) String() string {
+	return fmt.Sprintf("extract: %d divisors, literals %d -> %d",
+		r.NewNodes, r.LiteralsBefore, r.LiteralsAfter)
+}
 
 // FastExtractOptions tunes the scalable extraction pass.
 type FastExtractOptions struct {
@@ -26,8 +41,8 @@ func (o *FastExtractOptions) defaults() {
 	}
 }
 
-// FastExtract is the scalable shared-divisor extraction used for the
-// full-size SIS baseline. It captures the two dominant sharing
+// FastExtract is the shared-divisor extraction behind the SIS
+// baseline at every size. It captures the two dominant sharing
 // mechanisms of SIS on PLA-born networks while staying near-linear in
 // network size:
 //

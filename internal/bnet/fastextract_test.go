@@ -103,80 +103,3 @@ func TestShareIdenticalCubes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSimplifyNodesPreservesFunction(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 10; trial++ {
-		ni, no := 6, 3
-		p := logic.NewPLA(ni, no)
-		for k := 0; k < 20; k++ {
-			cb := logic.NewCube(ni)
-			for i := 0; i < ni; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					cb.SetPos(i)
-				case 1:
-					cb.SetNeg(i)
-				}
-			}
-			row := make([]bool, no)
-			row[rng.Intn(no)] = true
-			if err := p.AddTerm(cb, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		n, err := FromPLA(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := n.Clone()
-		rep := SimplifyNodes(n, 0)
-		if rep.LiteralsAfter > rep.LiteralsBefore {
-			t.Errorf("trial %d: simplify grew literals %d -> %d", trial, rep.LiteralsBefore, rep.LiteralsAfter)
-		}
-		if err := CheckEquivalence(before, n, 256, rng); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-}
-
-func TestSimplifyNodesRemovesRedundancy(t *testing.T) {
-	t.Parallel()
-	// f = ab + a'c + bc: the consensus term bc is redundant.
-	n := New()
-	a := n.AddPI("a")
-	b := n.AddPI("b")
-	c := n.AddPI("c")
-	f := n.AddInternal("f", NewSop(
-		mkCube(Lit{a, false}, Lit{b, false}),
-		mkCube(Lit{a, true}, Lit{c, false}),
-		mkCube(Lit{b, false}, Lit{c, false}),
-	))
-	n.AddPO("o", f, false)
-	rep := SimplifyNodes(n, 0)
-	if rep.NodesSimplified != 1 {
-		t.Errorf("simplified %d nodes, want 1", rep.NodesSimplified)
-	}
-	if got := n.Node(f).Fn.NumLiterals(); got != 4 {
-		t.Errorf("literals = %d, want 4 (ab + a'c)", got)
-	}
-}
-
-func TestSimplifyRespectsSupportBound(t *testing.T) {
-	t.Parallel()
-	n := New()
-	var lits []Lit
-	for i := 0; i < 6; i++ {
-		id := n.AddPI(string(rune('a' + i)))
-		lits = append(lits, Lit{Node: id, Neg: i%2 == 0})
-	}
-	cube1, _ := NewCube(lits[:3]...)
-	cube2, _ := NewCube(lits[3:]...)
-	f := n.AddInternal("wide", NewSop(cube1, cube2))
-	n.AddPO("o", f, false)
-	rep := SimplifyNodes(n, 2) // support 6 > bound 2: untouched
-	if rep.NodesSimplified != 0 {
-		t.Error("support bound ignored")
-	}
-}

@@ -1,7 +1,7 @@
 // Package bnet implements the multi-level Boolean network substrate:
-// nodes holding sum-of-products expressions over other nodes, algebraic
-// division, kernel extraction, and the greedy shared-divisor extraction
-// that stands in for SIS's technology-independent optimization.
+// nodes holding sum-of-products expressions over other nodes, and the
+// shared-divisor extraction (FastExtract, then Sweep) that stands in
+// for SIS's technology-independent optimization.
 //
 // The network is the input to technology-independent decomposition
 // (package subject) and, through the extraction pass, the "SIS"

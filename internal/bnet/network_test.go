@@ -1,7 +1,6 @@
 package bnet
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -199,108 +198,6 @@ func TestFromPLA(t *testing.T) {
 				t.Errorf("minterm %d output %d: PLA=%v net=%v", m, o, want[o], got[o])
 			}
 		}
-	}
-}
-
-func TestExtractSharesKernel(t *testing.T) {
-	t.Parallel()
-	// f = ac + bc, g = ad + bd: the divisor (a+b) is shared.
-	n := New()
-	a := n.AddPI("a")
-	b := n.AddPI("b")
-	c := n.AddPI("c")
-	d := n.AddPI("d")
-	f := n.AddInternal("f", NewSop(
-		mkCube(Lit{a, false}, Lit{c, false}),
-		mkCube(Lit{b, false}, Lit{c, false}),
-	))
-	g := n.AddInternal("g", NewSop(
-		mkCube(Lit{a, false}, Lit{d, false}),
-		mkCube(Lit{b, false}, Lit{d, false}),
-	))
-	n.AddPO("of", f, false)
-	n.AddPO("og", g, false)
-	before := n.Clone()
-	rep := Extract(n, ExtractOptions{})
-	if rep.NewNodes < 1 {
-		t.Fatalf("no divisor extracted: %+v", rep)
-	}
-	if rep.LiteralsAfter >= rep.LiteralsBefore {
-		t.Errorf("literals did not decrease: %+v", rep)
-	}
-	if err := CheckEquivalence(before, n, 64, rand.New(rand.NewSource(1))); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExtractPreservesFunctionRandom(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 10; trial++ {
-		ni, no := 6, 3
-		p := logic.NewPLA(ni, no)
-		for k := 0; k < 14; k++ {
-			cb := logic.NewCube(ni)
-			for i := 0; i < ni; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					cb.SetPos(i)
-				case 1:
-					cb.SetNeg(i)
-				}
-			}
-			row := make([]bool, no)
-			row[rng.Intn(no)] = true
-			if rng.Intn(2) == 0 {
-				row[rng.Intn(no)] = true
-			}
-			if err := p.AddTerm(cb, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		n, err := FromPLA(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := n.Clone()
-		Extract(n, ExtractOptions{MaxIterations: 50})
-		if err := CheckEquivalence(before, n, 128, rng); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-}
-
-func TestExtractIncreasesSharing(t *testing.T) {
-	t.Parallel()
-	// A PLA with many shared subterms must end with higher max fanout
-	// after extraction — the SIS signature the experiments rely on.
-	rng := rand.New(rand.NewSource(13))
-	ni, no := 8, 6
-	p := logic.NewPLA(ni, no)
-	for k := 0; k < 30; k++ {
-		cb := logic.NewCube(ni)
-		// Bias literals to a small pool so sharing exists.
-		for i := 0; i < 4; i++ {
-			if rng.Intn(2) == 0 {
-				cb.SetPos(i)
-			}
-		}
-		cb.SetPos(4 + rng.Intn(4))
-		row := make([]bool, no)
-		row[rng.Intn(no)] = true
-		if err := p.AddTerm(cb, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := FromPLA(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxBefore, _ := n.MaxFanout()
-	rep := Extract(n, ExtractOptions{})
-	maxAfter, _ := n.MaxFanout()
-	if rep.NewNodes > 0 && maxAfter < maxBefore {
-		t.Errorf("extraction reduced max fanout: %d -> %d", maxBefore, maxAfter)
 	}
 }
 

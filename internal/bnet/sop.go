@@ -242,104 +242,6 @@ func (s Sop) Rename(old, new NodeID) Sop {
 	return NewSop(out...)
 }
 
-// DivideByCube computes the algebraic quotient and remainder of s
-// divided by cube d: s = d·Q + R where no cube of R contains d.
-func (s Sop) DivideByCube(d Cube) (q, r Sop) {
-	for _, c := range s {
-		if c.ContainsAll(d) {
-			q = append(q, c.Remove(d))
-		} else {
-			r = append(r, c.Clone())
-		}
-	}
-	return q, r
-}
-
-// WeakDivide computes the algebraic (weak) division of s by divisor d:
-// s = d·Q + R. Q is the intersection of the cube-quotients of s by
-// each cube of d; R is what remains. Returns empty Q when d does not
-// divide s.
-func (s Sop) WeakDivide(d Sop) (q, r Sop) {
-	if len(d) == 0 {
-		return nil, s.Clone()
-	}
-	// Quotient = ∩_{cube di ∈ d} (s / di).
-	q0, _ := s.DivideByCube(d[0])
-	qset := map[string]Cube{}
-	for _, c := range q0 {
-		qset[c.key()] = c
-	}
-	for _, di := range d[1:] {
-		qi, _ := s.DivideByCube(di)
-		next := map[string]Cube{}
-		for _, c := range qi {
-			if k := c.key(); qset[k] != nil {
-				next[k] = c
-			}
-		}
-		qset = next
-		if len(qset) == 0 {
-			return nil, s.Clone()
-		}
-	}
-	for _, c := range qset {
-		q = append(q, c)
-	}
-	sort.Slice(q, func(i, j int) bool { return q[i].key() < q[j].key() })
-	// R = s minus the cubes generated by d·Q.
-	used := map[string]bool{}
-	for _, qc := range q {
-		for _, dc := range d {
-			m, ok := qc.Merge(dc)
-			if ok {
-				used[m.key()] = true
-			}
-		}
-	}
-	for _, c := range s {
-		if !used[c.key()] {
-			r = append(r, c.Clone())
-		}
-	}
-	return q, r
-}
-
-// CommonCube returns the largest cube common to every cube of s (the
-// "biggest common divisor" cube). Empty when s has fewer than two
-// cubes or no shared literal.
-func (s Sop) CommonCube() Cube {
-	if len(s) == 0 {
-		return nil
-	}
-	common := s[0].Clone()
-	for _, c := range s[1:] {
-		common = common.Intersect(c)
-		if len(common) == 0 {
-			return nil
-		}
-	}
-	return common
-}
-
-// IsCubeFree reports whether no single literal divides every cube.
-func (s Sop) IsCubeFree() bool {
-	return len(s) >= 2 && len(s.CommonCube()) == 0
-}
-
-// MakeCubeFree divides out the common cube, returning the cube-free
-// SOP and the extracted co-kernel cube.
-func (s Sop) MakeCubeFree() (Sop, Cube) {
-	cc := s.CommonCube()
-	if len(cc) == 0 {
-		return s.Clone(), nil
-	}
-	out := make(Sop, len(s))
-	for i, c := range s {
-		out[i] = c.Remove(cc)
-	}
-	return out, cc
-}
-
 // key returns a canonical representation of the whole SOP.
 func (s Sop) key() string {
 	cp := s.Clone()

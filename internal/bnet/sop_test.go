@@ -1,7 +1,6 @@
 package bnet
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -120,189 +119,11 @@ func TestSopEval(t *testing.T) {
 	}
 }
 
-func TestDivideByCube(t *testing.T) {
-	t.Parallel()
-	// F = abc + abd + e ; F/ab = c + d, R = e.
-	ab := mkCube(lit(1, false), lit(2, false))
-	f := NewSop(
-		mkCube(lit(1, false), lit(2, false), lit(3, false)),
-		mkCube(lit(1, false), lit(2, false), lit(4, false)),
-		mkCube(lit(5, false)),
-	)
-	q, r := f.DivideByCube(ab)
-	if len(q) != 2 || len(r) != 1 {
-		t.Fatalf("q=%v r=%v", q, r)
-	}
-}
-
-func TestWeakDivide(t *testing.T) {
-	t.Parallel()
-	// F = ac + ad + bc + bd + e; D = a + b → Q = c + d, R = e.
-	f := NewSop(
-		mkCube(lit(1, false), lit(3, false)),
-		mkCube(lit(1, false), lit(4, false)),
-		mkCube(lit(2, false), lit(3, false)),
-		mkCube(lit(2, false), lit(4, false)),
-		mkCube(lit(5, false)),
-	)
-	d := NewSop(mkCube(lit(1, false)), mkCube(lit(2, false)))
-	q, r := f.WeakDivide(d)
-	if len(q) != 2 {
-		t.Fatalf("quotient = %v, want c+d", q)
-	}
-	if len(r) != 1 || r[0][0] != lit(5, false) {
-		t.Fatalf("remainder = %v, want e", r)
-	}
-	// Reconstruction D·Q + R must equal F.
-	var rebuilt []Cube
-	for _, qc := range q {
-		for _, dc := range d {
-			m, ok := qc.Merge(dc)
-			if !ok {
-				t.Fatal("null product in reconstruction")
-			}
-			rebuilt = append(rebuilt, m)
-		}
-	}
-	rebuilt = append(rebuilt, r...)
-	if !NewSop(rebuilt...).Equal(f) {
-		t.Error("D·Q + R != F")
-	}
-	// Non-divisor returns empty quotient.
-	nd := NewSop(mkCube(lit(1, false)), mkCube(lit(9, false)))
-	q, r = f.WeakDivide(nd)
-	if len(q) != 0 || len(r) != len(f) {
-		t.Error("non-divisor must leave F intact")
-	}
-}
-
-func TestCommonCubeAndCubeFree(t *testing.T) {
-	t.Parallel()
-	// F = abc + abd: common cube ab.
-	f := NewSop(
-		mkCube(lit(1, false), lit(2, false), lit(3, false)),
-		mkCube(lit(1, false), lit(2, false), lit(4, false)),
-	)
-	cc := f.CommonCube()
-	if len(cc) != 2 {
-		t.Fatalf("CommonCube = %v", cc)
-	}
-	if f.IsCubeFree() {
-		t.Error("F must not be cube-free")
-	}
-	cf, co := f.MakeCubeFree()
-	if !cf.IsCubeFree() {
-		t.Error("MakeCubeFree result must be cube-free")
-	}
-	if len(co) != 2 {
-		t.Errorf("co-kernel = %v", co)
-	}
-}
-
-func TestKernels(t *testing.T) {
-	t.Parallel()
-	// The textbook example F = adf + aef + bdf + bef + cdf + cef + g
-	// has kernels {a+b+c, d+e, F itself}.
-	a, b, c2, d, e, f2, g := lit(1, false), lit(2, false), lit(3, false), lit(4, false), lit(5, false), lit(6, false), lit(7, false)
-	f := NewSop(
-		mkCube(a, d, f2), mkCube(a, e, f2),
-		mkCube(b, d, f2), mkCube(b, e, f2),
-		mkCube(c2, d, f2), mkCube(c2, e, f2),
-		mkCube(g),
-	)
-	ks := f.Kernels(0)
-	var sawABC, sawDE bool
-	abc := NewSop(mkCube(a), mkCube(b), mkCube(c2))
-	de := NewSop(mkCube(d), mkCube(e))
-	for _, kp := range ks {
-		if kp.Kernel.Equal(abc) {
-			sawABC = true
-		}
-		if kp.Kernel.Equal(de) {
-			sawDE = true
-		}
-		if !kp.Kernel.IsCubeFree() {
-			t.Errorf("kernel %v not cube-free", kp.Kernel)
-		}
-	}
-	if !sawABC || !sawDE {
-		t.Errorf("missing kernels: a+b+c=%v d+e=%v (got %d kernels)", sawABC, sawDE, len(ks))
-	}
-	// Bounded enumeration respects the cap.
-	if got := f.Kernels(1); len(got) > 1 {
-		t.Errorf("Kernels(1) returned %d", len(got))
-	}
-}
-
-func TestCubeDivisors(t *testing.T) {
-	t.Parallel()
-	// F = abc + abd: pairwise intersection ab.
-	f := NewSop(
-		mkCube(lit(1, false), lit(2, false), lit(3, false)),
-		mkCube(lit(1, false), lit(2, false), lit(4, false)),
-	)
-	divs := f.CubeDivisors()
-	if len(divs) != 1 || len(divs[0]) != 2 {
-		t.Errorf("CubeDivisors = %v", divs)
-	}
-}
-
 func TestSopRename(t *testing.T) {
 	t.Parallel()
 	s := NewSop(mkCube(lit(1, false), lit(2, true)))
 	r := s.Rename(2, 7)
 	if r[0][1] != lit(7, true) && r[0][0] != lit(7, true) {
 		t.Errorf("Rename = %v", r)
-	}
-}
-
-// Property: weak division reconstruction D·Q + R == F on random SOPs
-// whenever Q is non-empty.
-func TestWeakDivideReconstructionProperty(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(5))
-	randomSop := func(nvars, ncubes, maxw int) Sop {
-		var cubes []Cube
-		for i := 0; i < ncubes; i++ {
-			var lits []Lit
-			w := rng.Intn(maxw) + 1
-			for j := 0; j < w; j++ {
-				lits = append(lits, lit(rng.Intn(nvars)+1, rng.Intn(4) == 0))
-			}
-			if c, ok := NewCube(lits...); ok {
-				cubes = append(cubes, c)
-			}
-		}
-		return NewSop(cubes...)
-	}
-	for trial := 0; trial < 300; trial++ {
-		f := randomSop(6, 8, 4)
-		d := randomSop(6, 2, 2)
-		if len(f) == 0 || len(d) == 0 {
-			continue
-		}
-		q, r := f.WeakDivide(d)
-		if len(q) == 0 {
-			continue
-		}
-		var rebuilt []Cube
-		valid := true
-		for _, qc := range q {
-			for _, dc := range d {
-				m, ok := qc.Merge(dc)
-				if !ok {
-					valid = false
-					break
-				}
-				rebuilt = append(rebuilt, m)
-			}
-		}
-		if !valid {
-			continue // algebraic reconstruction undefined with null products
-		}
-		rebuilt = append(rebuilt, r...)
-		if !NewSop(rebuilt...).Equal(NewSop(f...)) {
-			t.Fatalf("trial %d: D·Q+R != F\nF=%v\nD=%v\nQ=%v\nR=%v", trial, f, d, q, r)
-		}
 	}
 }

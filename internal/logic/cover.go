@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -97,105 +96,6 @@ func (c *Cover) Eval(assign []bool) bool {
 
 // IsEmpty reports whether the cover has no cubes (constant false).
 func (c *Cover) IsEmpty() bool { return len(c.Cubes) == 0 }
-
-// Cofactor returns the cofactor of the cover with respect to a cube:
-// the cubes of c that intersect d, with d's literals removed. This is
-// the generalized (Shannon) cofactor used by the tautology and
-// containment algorithms.
-func (c *Cover) Cofactor(d Cube) *Cover {
-	out := NewCover(c.n)
-	for _, cb := range c.Cubes {
-		if cb.Distance(d) > 0 {
-			continue
-		}
-		r := cb.Clone()
-		for i := 0; i < c.n; i++ {
-			if d.Lit(i) != 0 {
-				r.ClearLit(i)
-			}
-		}
-		out.Cubes = append(out.Cubes, r)
-	}
-	return out
-}
-
-// CofactorLit returns the Shannon cofactor with respect to a single
-// literal.
-func (c *Cover) CofactorLit(i int, positive bool) *Cover {
-	d := NewCube(c.n)
-	if positive {
-		d.SetPos(i)
-	} else {
-		d.SetNeg(i)
-	}
-	return c.Cofactor(d)
-}
-
-// ContainsCube reports whether the cover covers every minterm of cube
-// d, decided by checking that the cofactor of c with respect to d is a
-// tautology.
-func (c *Cover) ContainsCube(d Cube) bool {
-	return c.Cofactor(d).Tautology()
-}
-
-// SingleCubeContainment removes every cube that is contained in
-// another single cube of the cover. It runs in O(k²) cube pairs, which
-// is fine for the cover sizes this package sees.
-func (c *Cover) SingleCubeContainment() {
-	// Wider cubes (fewer literals) first, so each cube only needs to be
-	// tested against already-kept, at-least-as-wide cubes.
-	sort.SliceStable(c.Cubes, func(i, j int) bool {
-		return c.Cubes[i].NumLiterals() < c.Cubes[j].NumLiterals()
-	})
-	var kept []Cube
-	for _, cb := range c.Cubes {
-		contained := false
-		for _, k := range kept {
-			if k.Contains(cb) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			kept = append(kept, cb)
-		}
-	}
-	c.Cubes = kept
-}
-
-// Irredundant removes cubes that are covered by the union of the
-// remaining cubes, producing an irredundant cover.
-func (c *Cover) Irredundant() {
-	for i := 0; i < len(c.Cubes); {
-		rest := NewCover(c.n)
-		rest.Cubes = append(rest.Cubes, c.Cubes[:i]...)
-		rest.Cubes = append(rest.Cubes, c.Cubes[i+1:]...)
-		if rest.ContainsCube(c.Cubes[i]) {
-			c.Cubes = append(c.Cubes[:i], c.Cubes[i+1:]...)
-		} else {
-			i++
-		}
-	}
-}
-
-// Equivalent reports whether c and d represent the same Boolean
-// function, decided by mutual cube containment.
-func (c *Cover) Equivalent(d *Cover) bool {
-	if c.n != d.n {
-		return false
-	}
-	for _, cb := range c.Cubes {
-		if !d.ContainsCube(cb) {
-			return false
-		}
-	}
-	for _, cb := range d.Cubes {
-		if !c.ContainsCube(cb) {
-			return false
-		}
-	}
-	return true
-}
 
 // String renders the cover one cube per line.
 func (c *Cover) String() string {

@@ -1,36 +1,9 @@
 package logic
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
-
-// evalAll returns the truth vector of a cover over all 2^n assignments.
-func evalAll(c *Cover) []bool {
-	n := c.Inputs()
-	out := make([]bool, 1<<n)
-	assign := make([]bool, n)
-	for m := range out {
-		for i := 0; i < n; i++ {
-			assign[i] = m>>i&1 == 1
-		}
-		out[m] = c.Eval(assign)
-	}
-	return out
-}
-
-func vecEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func TestParseCover(t *testing.T) {
 	t.Parallel()
@@ -63,218 +36,6 @@ func TestCoverEval(t *testing.T) {
 	for _, cs := range cases {
 		if got := c.Eval(cs.in); got != cs.want {
 			t.Errorf("Eval(%v) = %v, want %v", cs.in, got, cs.want)
-		}
-	}
-}
-
-func TestCofactorLit(t *testing.T) {
-	t.Parallel()
-	c := MustParseCover("1-0 01- 0-1")
-	pc := c.CofactorLit(0, true)
-	// Cubes with literal a': dropped. Cubes with a or don't-care kept,
-	// a-column cleared.
-	if pc.Len() != 1 || pc.Cubes[0].String() != "--0" {
-		t.Errorf("positive cofactor = %q", pc.String())
-	}
-	nc := c.CofactorLit(0, false)
-	if nc.Len() != 2 {
-		t.Errorf("negative cofactor has %d cubes, want 2", nc.Len())
-	}
-}
-
-func TestTautology(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		cover string
-		n     int
-		want  bool
-	}{
-		{"---", 3, true},         // universal cube
-		{"1-- 0--", 3, true},     // a + a' = 1
-		{"1-- 00- 01-", 3, true}, // a + a'b' + a'b
-		{"1-- 0-1", 3, false},    // misses 000
-		{"11 10 01", 2, false},   // misses 00
-		{"11 10 01 00", 2, true}, // all minterms
-		{"1- -1 00", 2, true},    // a + b + a'b'
-		{"", 1, false},           // empty cover
-	}
-	for _, cs := range cases {
-		var c *Cover
-		if cs.cover == "" {
-			c = NewCover(cs.n)
-		} else {
-			c = MustParseCover(cs.cover)
-		}
-		if got := c.Tautology(); got != cs.want {
-			t.Errorf("Tautology(%q) = %v, want %v", cs.cover, got, cs.want)
-		}
-	}
-}
-
-func TestContainsCube(t *testing.T) {
-	t.Parallel()
-	c := MustParseCover("1-- 01-")
-	if !c.ContainsCube(MustParseCube("11-")) {
-		t.Error("cover must contain 11-")
-	}
-	if !c.ContainsCube(MustParseCube("010")) {
-		t.Error("cover must contain 010")
-	}
-	if c.ContainsCube(MustParseCube("00-")) {
-		t.Error("cover must not contain 00-")
-	}
-	// Containment that needs the union of both cubes.
-	u := MustParseCover("1- 0-")
-	if !u.ContainsCube(MustParseCube("--")) {
-		t.Error("a + a' must contain the universal cube")
-	}
-}
-
-func TestSingleCubeContainment(t *testing.T) {
-	t.Parallel()
-	c := MustParseCover("1-- 110 10- ---")
-	c.SingleCubeContainment()
-	if c.Len() != 1 || !c.Cubes[0].IsUniversal() {
-		t.Errorf("SCC left %q", c.String())
-	}
-}
-
-func TestIrredundant(t *testing.T) {
-	t.Parallel()
-	// ab + a'c + bc: bc is the classic redundant consensus term.
-	c := MustParseCover("11- 0-1 -11")
-	before := evalAll(c)
-	c.Irredundant()
-	if !vecEqual(before, evalAll(c)) {
-		t.Fatal("Irredundant changed the function")
-	}
-	if c.Len() != 2 {
-		t.Errorf("Irredundant left %d cubes, want 2: %q", c.Len(), c.String())
-	}
-}
-
-func TestComplement(t *testing.T) {
-	t.Parallel()
-	cases := []string{
-		"1-0 01-",
-		"11- -11 0-1",
-		"1--- -1-- --1- ---1",
-		"101",
-	}
-	for _, s := range cases {
-		c := MustParseCover(s)
-		comp := c.Complement()
-		cv, nv := evalAll(c), evalAll(comp)
-		for i := range cv {
-			if cv[i] == nv[i] {
-				t.Errorf("Complement(%q) wrong at minterm %d", s, i)
-				break
-			}
-		}
-	}
-	// Complement of empty is tautology and vice versa.
-	empty := NewCover(2)
-	if !empty.Complement().Tautology() {
-		t.Error("complement of empty must be tautology")
-	}
-	taut := MustParseCover("--")
-	if !taut.Complement().IsEmpty() {
-		t.Error("complement of tautology must be empty")
-	}
-}
-
-func TestEquivalent(t *testing.T) {
-	t.Parallel()
-	a := MustParseCover("11- -11 0-1")
-	b := MustParseCover("11- 0-1") // same function, consensus removed
-	if !a.Equivalent(b) {
-		t.Error("consensus-reduced cover must stay equivalent")
-	}
-	c := MustParseCover("11-")
-	if a.Equivalent(c) {
-		t.Error("different functions must not be equivalent")
-	}
-}
-
-func TestMinimizePreservesFunction(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		n := rng.Intn(6) + 2
-		c := NewCover(n)
-		for k := rng.Intn(10) + 1; k > 0; k-- {
-			c.Add(randomCube(rng, n))
-		}
-		before := evalAll(c)
-		sizeBefore := c.Len()
-		c.Minimize(nil)
-		if !vecEqual(before, evalAll(c)) {
-			t.Fatalf("Minimize changed function of trial %d", trial)
-		}
-		if c.Len() > sizeBefore {
-			t.Fatalf("Minimize grew cover from %d to %d cubes", sizeBefore, c.Len())
-		}
-	}
-}
-
-func TestMinimizeWithDontCares(t *testing.T) {
-	t.Parallel()
-	// ON = 11, DC = 10: minimizer may expand to 1-.
-	on := MustParseCover("11")
-	dc := MustParseCover("10")
-	on.Minimize(dc)
-	if on.Len() != 1 || on.Cubes[0].String() != "1-" {
-		t.Errorf("Minimize with DC left %q, want 1-", on.String())
-	}
-}
-
-func TestMergeDistanceOne(t *testing.T) {
-	t.Parallel()
-	c := MustParseCover("110 111")
-	c.MergeDistanceOne()
-	if c.Len() != 1 || c.Cubes[0].String() != "11-" {
-		t.Errorf("merge left %q, want 11-", c.String())
-	}
-	// Not mergeable: distance one but differing support.
-	c = MustParseCover("1-0 011")
-	before := evalAll(c)
-	c.MergeDistanceOne()
-	if !vecEqual(before, evalAll(c)) {
-		t.Error("MergeDistanceOne changed the function")
-	}
-}
-
-func TestMinimizeIsIrredundantAndPrime(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(5) + 2
-		c := NewCover(n)
-		for k := rng.Intn(8) + 2; k > 0; k-- {
-			c.Add(randomCube(rng, n))
-		}
-		c.Minimize(nil)
-		// Irredundant: removing any cube changes the function.
-		for i := range c.Cubes {
-			rest := NewCover(n)
-			rest.Cubes = append(rest.Cubes, c.Cubes[:i]...)
-			rest.Cubes = append(rest.Cubes, c.Cubes[i+1:]...)
-			if rest.ContainsCube(c.Cubes[i]) {
-				t.Fatalf("cube %d redundant after Minimize: %q", i, c.String())
-			}
-		}
-		// Prime: no literal can be raised.
-		for i := range c.Cubes {
-			for v := 0; v < n; v++ {
-				if c.Cubes[i].Lit(v) == 0 {
-					continue
-				}
-				trialCube := c.Cubes[i].Clone()
-				trialCube.ClearLit(v)
-				if c.ContainsCube(trialCube) {
-					t.Fatalf("cube %d not prime after Minimize: %q", i, c.String())
-				}
-			}
 		}
 	}
 }

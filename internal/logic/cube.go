@@ -1,10 +1,11 @@
 // Package logic implements the two-level (sum-of-products) logic
-// substrate: cubes, covers, tautology and containment checking, an
-// espresso-style minimizer, and Berkeley PLA file I/O.
+// substrate: cubes, covers, their evaluation, and Berkeley PLA file
+// I/O.
 //
 // The package exists because the paper's benchmarks (SPLA, PDC,
-// TOO_LARGE from IWLS93) are PLA-born circuits and its "SIS" baseline
-// performs two-level minimization before multi-level restructuring.
+// TOO_LARGE from IWLS93) are PLA-born circuits: a PLA is the input
+// that package bnet turns into a multi-level network. No two-level
+// minimization runs; the "SIS" baseline is bnet's extraction.
 //
 // A Cube over n inputs assigns each input one of three values: 0
 // (complemented literal), 1 (positive literal), or - (don't care /
@@ -95,12 +96,6 @@ func (c Cube) SetNeg(i int) {
 	c.pos[i/wordBits] &^= 1 << (i % wordBits)
 }
 
-// ClearLit removes input i from the cube (sets it to don't-care).
-func (c Cube) ClearLit(i int) {
-	c.pos[i/wordBits] &^= 1 << (i % wordBits)
-	c.neg[i/wordBits] &^= 1 << (i % wordBits)
-}
-
 // Lit returns the value of input i: +1 for a positive literal, -1 for
 // a complemented literal, 0 for don't-care.
 func (c Cube) Lit(i int) int {
@@ -121,17 +116,6 @@ func (c Cube) NumLiterals() int {
 		n += bits.OnesCount64(c.pos[i]) + bits.OnesCount64(c.neg[i])
 	}
 	return n
-}
-
-// IsUniversal reports whether the cube has no literals (covers the
-// whole Boolean space).
-func (c Cube) IsUniversal() bool {
-	for i := range c.pos {
-		if c.pos[i] != 0 || c.neg[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Contains reports whether c covers d, i.e. every minterm of d is a
@@ -164,43 +148,6 @@ func (c Cube) Intersect(d Cube) (Cube, bool) {
 		}
 	}
 	return out, true
-}
-
-// Distance returns the number of inputs in which c and d have opposite
-// phases. Distance 0 means the cubes intersect; distance 1 means they
-// are mergeable by the consensus rule.
-func (c Cube) Distance(d Cube) int {
-	n := 0
-	for i := range c.pos {
-		n += bits.OnesCount64(c.pos[i]&d.neg[i] | c.neg[i]&d.pos[i])
-	}
-	return n
-}
-
-// Cofactor returns the Shannon cofactor of c with respect to literal
-// (input i, phase pos). The second result is false when the cofactor
-// is empty (c contains the opposite literal).
-func (c Cube) Cofactor(i int, positive bool) (Cube, bool) {
-	switch lit := c.Lit(i); {
-	case lit == 0:
-		return c, true
-	case (lit == 1) == positive:
-		out := c.Clone()
-		out.ClearLit(i)
-		return out, true
-	default:
-		return Cube{}, false
-	}
-}
-
-// Supercube returns the smallest cube containing both c and d.
-func (c Cube) Supercube(d Cube) Cube {
-	out := NewCube(c.n)
-	for i := range c.pos {
-		out.pos[i] = c.pos[i] & d.pos[i]
-		out.neg[i] = c.neg[i] & d.neg[i]
-	}
-	return out
 }
 
 // EvalAssignment evaluates the cube under a full input assignment.

@@ -3,7 +3,6 @@ package logic
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestParseCube(t *testing.T) {
@@ -32,7 +31,7 @@ func TestParseCube(t *testing.T) {
 func TestCubeSettersAndLiteralCount(t *testing.T) {
 	t.Parallel()
 	c := NewCube(70) // spans two words
-	if !c.IsUniversal() {
+	if c.NumLiterals() != 0 {
 		t.Fatal("new cube must be universal")
 	}
 	c.SetPos(0)
@@ -47,11 +46,6 @@ func TestCubeSettersAndLiteralCount(t *testing.T) {
 	c.SetNeg(0)
 	if c.Lit(0) != -1 || c.NumLiterals() != 2 {
 		t.Error("SetNeg must overwrite SetPos")
-	}
-	c.ClearLit(0)
-	c.ClearLit(69)
-	if !c.IsUniversal() {
-		t.Error("clearing all literals must yield universal cube")
 	}
 }
 
@@ -88,53 +82,6 @@ func TestCubeIntersect(t *testing.T) {
 	c := MustParseCube("0--")
 	if _, ok := a.Intersect(c); ok {
 		t.Error("opposite-phase cubes must have empty intersection")
-	}
-}
-
-func TestCubeDistance(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"1-0", "1-0", 0},
-		{"1-0", "0-0", 1},
-		{"1-0", "0-1", 2},
-		{"---", "010", 0},
-	}
-	for _, c := range cases {
-		if got := MustParseCube(c.a).Distance(MustParseCube(c.b)); got != c.want {
-			t.Errorf("Distance(%s,%s) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCubeCofactor(t *testing.T) {
-	t.Parallel()
-	c := MustParseCube("1-0")
-	got, ok := c.Cofactor(0, true)
-	if !ok || got.String() != "--0" {
-		t.Errorf("Cofactor pos = %v,%v", got, ok)
-	}
-	if _, ok := c.Cofactor(0, false); ok {
-		t.Error("cofactor against opposite phase must be empty")
-	}
-	got, ok = c.Cofactor(1, true)
-	if !ok || !got.Equal(c) {
-		t.Error("cofactor on don't-care input must return the cube unchanged")
-	}
-}
-
-func TestCubeSupercube(t *testing.T) {
-	t.Parallel()
-	a := MustParseCube("10-")
-	b := MustParseCube("11-")
-	sc := a.Supercube(b)
-	if sc.String() != "1--" {
-		t.Errorf("Supercube = %s, want 1--", sc)
-	}
-	if !sc.Contains(a) || !sc.Contains(b) {
-		t.Error("supercube must contain both operands")
 	}
 }
 
@@ -194,46 +141,6 @@ func TestCubeContainsMatchesIntersection(t *testing.T) {
 		want := ok && inter.Equal(b)
 		if got := a.Contains(b); got != want {
 			t.Fatalf("Contains(%s,%s) = %v, intersection says %v", a, b, got, want)
-		}
-	}
-}
-
-// Property: distance-0 cubes intersect, distance>0 cubes do not.
-func TestCubeDistanceIntersectionAgreement(t *testing.T) {
-	t.Parallel()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20) + 1
-		a, b := randomCube(rng, n), randomCube(rng, n)
-		_, ok := a.Intersect(b)
-		return ok == (a.Distance(b) == 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: supercube contains both operands and evaluation agrees on
-// all assignments of small cubes.
-func TestCubeSupercubeProperty(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(8) + 1
-		a, b := randomCube(rng, n), randomCube(rng, n)
-		sc := a.Supercube(b)
-		if !sc.Contains(a) || !sc.Contains(b) {
-			t.Fatalf("supercube(%s,%s)=%s does not contain operands", a, b, sc)
-		}
-		// Every assignment accepted by a or b is accepted by sc.
-		assign := make([]bool, n)
-		for m := 0; m < 1<<n; m++ {
-			for i := 0; i < n; i++ {
-				assign[i] = m>>i&1 == 1
-			}
-			if (a.EvalAssignment(assign) || b.EvalAssignment(assign)) && !sc.EvalAssignment(assign) {
-				t.Fatalf("supercube misses minterm %0*b", n, m)
-			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -56,63 +55,6 @@ func (p *PLA) OutputCover(o int) *Cover {
 		}
 	}
 	return cov
-}
-
-// SetOutputCover replaces the product terms of output o with the cubes
-// of cov, resharing identical input cubes already present in the PLA.
-func (p *PLA) SetOutputCover(o int, cov *Cover) {
-	// Drop o from all existing rows; remove terms that become unused.
-	for t := range p.Outputs {
-		p.Outputs[t][o] = false
-	}
-	p.compact()
-	index := make(map[string]int, len(p.Terms))
-	for t, cb := range p.Terms {
-		index[cb.String()] = t
-	}
-	for _, cb := range cov.Cubes {
-		key := cb.String()
-		if t, ok := index[key]; ok {
-			p.Outputs[t][o] = true
-			continue
-		}
-		row := make([]bool, p.NumOutputs)
-		row[o] = true
-		p.Terms = append(p.Terms, cb.Clone())
-		p.Outputs = append(p.Outputs, row)
-		index[key] = len(p.Terms) - 1
-	}
-}
-
-// compact removes product terms that drive no output.
-func (p *PLA) compact() {
-	terms := p.Terms[:0]
-	rows := p.Outputs[:0]
-	for t, row := range p.Outputs {
-		used := false
-		for _, b := range row {
-			if b {
-				used = true
-				break
-			}
-		}
-		if used {
-			terms = append(terms, p.Terms[t])
-			rows = append(rows, row)
-		}
-	}
-	p.Terms = terms
-	p.Outputs = rows
-}
-
-// Minimize runs the two-level minimizer on every output cover and
-// rebuilds the shared input plane.
-func (p *PLA) Minimize() {
-	for o := 0; o < p.NumOutputs; o++ {
-		cov := p.OutputCover(o)
-		cov.Minimize(nil)
-		p.SetOutputCover(o, cov)
-	}
 }
 
 // Eval evaluates every output under a full input assignment.
@@ -299,26 +241,4 @@ func (p *PLA) Stats() Stats {
 		s.Literals += cb.NumLiterals()
 	}
 	return s
-}
-
-// SortTerms orders product terms lexicographically for deterministic
-// output, keeping output rows aligned.
-func (p *PLA) SortTerms() {
-	idx := make([]int, len(p.Terms))
-	for i := range idx {
-		idx[i] = i
-	}
-	keys := make([]string, len(p.Terms))
-	for i, cb := range p.Terms {
-		keys[i] = cb.String()
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	terms := make([]Cube, len(p.Terms))
-	rows := make([][]bool, len(p.Outputs))
-	for i, j := range idx {
-		terms[i] = p.Terms[j]
-		rows[i] = p.Outputs[j]
-	}
-	p.Terms = terms
-	p.Outputs = rows
 }

@@ -2,7 +2,6 @@ package logic
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -102,85 +101,23 @@ func TestPLAWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOutputCoverAndSetOutputCover(t *testing.T) {
+func TestOutputCover(t *testing.T) {
 	t.Parallel()
 	p, _ := ReadPLA(strings.NewReader(samplePLA))
-	cov := p.OutputCover(0)
-	if cov.Len() != 2 {
-		t.Fatalf("output 0 cover has %d cubes, want 2", cov.Len())
-	}
-	// Replacing with the same cover must preserve behaviour and share
-	// terms with output 1.
-	p.SetOutputCover(0, cov)
-	q, _ := ReadPLA(strings.NewReader(samplePLA))
-	assign := make([]bool, p.NumInputs)
-	for m := 0; m < 1<<p.NumInputs; m++ {
-		for i := range assign {
-			assign[i] = m>>i&1 == 1
-		}
-		a, b := p.Eval(assign), q.Eval(assign)
-		if a[0] != b[0] || a[1] != b[1] {
-			t.Fatalf("SetOutputCover changed behaviour at %d", m)
+	for o := 0; o < p.NumOutputs; o++ {
+		cov := p.OutputCover(o)
+		assign := make([]bool, p.NumInputs)
+		for m := 0; m < 1<<p.NumInputs; m++ {
+			for i := range assign {
+				assign[i] = m>>i&1 == 1
+			}
+			if cov.Eval(assign) != p.Eval(assign)[o] {
+				t.Fatalf("output %d cover differs from the PLA at %d", o, m)
+			}
 		}
 	}
-	// The -11 term should still be shared.
-	shared := 0
-	for t2, cb := range p.Terms {
-		if cb.String() == "-11" && p.Outputs[t2][0] && p.Outputs[t2][1] {
-			shared++
-		}
-	}
-	if shared != 1 {
-		t.Errorf("term -11 shared %d times, want 1", shared)
-	}
-}
-
-func TestPLAMinimizePreservesBehaviour(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		ni := rng.Intn(5) + 2
-		no := rng.Intn(3) + 1
-		p := NewPLA(ni, no)
-		for k := rng.Intn(12) + 3; k > 0; k-- {
-			row := make([]bool, no)
-			any := false
-			for o := range row {
-				row[o] = rng.Intn(2) == 0
-				any = any || row[o]
-			}
-			if !any {
-				row[rng.Intn(no)] = true
-			}
-			if err := p.AddTerm(randomCube(rng, ni), row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		truth := func(pp *PLA) [][]bool {
-			out := make([][]bool, 1<<ni)
-			assign := make([]bool, ni)
-			for m := range out {
-				for i := range assign {
-					assign[i] = m>>i&1 == 1
-				}
-				out[m] = pp.Eval(assign)
-			}
-			return out
-		}
-		before := truth(p)
-		termsBefore := len(p.Terms)
-		p.Minimize()
-		after := truth(p)
-		for m := range before {
-			for o := range before[m] {
-				if before[m][o] != after[m][o] {
-					t.Fatalf("Minimize changed output %d at minterm %d (trial %d)", o, m, trial)
-				}
-			}
-		}
-		if len(p.Terms) > termsBefore+no {
-			t.Fatalf("Minimize grew PLA unreasonably: %d -> %d", termsBefore, len(p.Terms))
-		}
+	if n := p.OutputCover(0).Len(); n != 2 {
+		t.Errorf("output 0 cover has %d cubes, want 2", n)
 	}
 }
 
@@ -198,7 +135,7 @@ func TestAddTermValidation(t *testing.T) {
 	}
 }
 
-func TestPLAStatsAndSort(t *testing.T) {
+func TestPLAStats(t *testing.T) {
 	t.Parallel()
 	p, _ := ReadPLA(strings.NewReader(samplePLA))
 	s := p.Stats()
@@ -207,12 +144,6 @@ func TestPLAStatsAndSort(t *testing.T) {
 	}
 	if s.Literals != 2+2+1 {
 		t.Errorf("Literals = %d, want 5", s.Literals)
-	}
-	p.SortTerms()
-	for i := 1; i < len(p.Terms); i++ {
-		if p.Terms[i-1].String() > p.Terms[i].String() {
-			t.Fatal("SortTerms did not sort")
-		}
 	}
 }
 

@@ -72,170 +72,3 @@ func TestPropertyCoverEvalMatchesEnumeration(t *testing.T) {
 		}
 	}
 }
-
-// TestPropertyComplementPartitions: Complement is the pointwise
-// negation — for every assignment exactly one of cover and complement
-// is true.
-func TestPropertyComplementPartitions(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(7)
-		c := randomCover(rng, n, rng.Intn(5))
-		comp := c.Complement()
-		for m := 0; m < 1<<n; m++ {
-			a := assignFor(m, n)
-			if c.Eval(a) == comp.Eval(a) {
-				t.Fatalf("trial %d: cover and complement agree at minterm %d", trial, m)
-			}
-		}
-	}
-}
-
-// TestPropertyCofactorShannon: the Shannon identity — a cover agrees
-// with its cofactor on every assignment consistent with the cofactor
-// literal.
-func TestPropertyCofactorShannon(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(7)
-		c := randomCover(rng, n, 1+rng.Intn(5))
-		for i := 0; i < n; i++ {
-			pos := c.CofactorLit(i, true)
-			neg := c.CofactorLit(i, false)
-			for m := 0; m < 1<<n; m++ {
-				a := assignFor(m, n)
-				co := neg
-				if a[i] {
-					co = pos
-				}
-				if c.Eval(a) != co.Eval(a) {
-					t.Fatalf("trial %d: Shannon violated at input %d, minterm %d", trial, i, m)
-				}
-			}
-		}
-	}
-}
-
-// TestPropertyReductionsPreserveFunction: every in-place cover
-// transformation — single-cube containment, irredundant, distance-one
-// merge, full minimization — preserves the function pointwise.
-func TestPropertyReductionsPreserveFunction(t *testing.T) {
-	t.Parallel()
-	steps := []struct {
-		name  string
-		apply func(*Cover)
-	}{
-		{"SingleCubeContainment", func(c *Cover) { c.SingleCubeContainment() }},
-		{"Irredundant", func(c *Cover) { c.Irredundant() }},
-		{"MergeDistanceOne", func(c *Cover) { c.MergeDistanceOne() }},
-		{"Minimize", func(c *Cover) { c.Minimize(nil) }},
-	}
-	for _, step := range steps {
-		step := step
-		t.Run(step.name, func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(14))
-			for trial := 0; trial < 100; trial++ {
-				n := 1 + rng.Intn(7)
-				c := randomCover(rng, n, rng.Intn(8))
-				orig := c.Clone()
-				step.apply(c)
-				if c.Len() > orig.Len() {
-					t.Fatalf("trial %d: %s grew the cover %d -> %d", trial, step.name, orig.Len(), c.Len())
-				}
-				for m := 0; m < 1<<n; m++ {
-					a := assignFor(m, n)
-					if c.Eval(a) != orig.Eval(a) {
-						t.Fatalf("trial %d: %s changed the function at minterm %d\nbefore: %snow: %s",
-							trial, step.name, m, orig, c)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestPropertyTautologyMatchesEnumeration: the recursive tautology
-// check agrees with brute force. Half the trials are nudged toward
-// tautology by adding wide cubes so both verdicts are exercised.
-func TestPropertyTautologyMatchesEnumeration(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(15))
-	sawTaut, sawNot := false, false
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(6)
-		c := NewCover(n)
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			cb := NewCube(n)
-			// Sparse literals make wide cubes (and tautologies) likely.
-			for j := 0; j < n; j++ {
-				switch rng.Intn(4) {
-				case 0:
-					cb.SetPos(j)
-				case 1:
-					cb.SetNeg(j)
-				}
-			}
-			c.Add(cb)
-		}
-		want := true
-		for m := 0; m < 1<<n; m++ {
-			if !c.Eval(assignFor(m, n)) {
-				want = false
-				break
-			}
-		}
-		if got := c.Tautology(); got != want {
-			t.Fatalf("trial %d: Tautology() = %v, enumeration says %v for %s", trial, got, want, c)
-		}
-		if want {
-			sawTaut = true
-		} else {
-			sawNot = true
-		}
-	}
-	if !sawTaut || !sawNot {
-		t.Errorf("generator one-sided: tautologies=%v non-tautologies=%v", sawTaut, sawNot)
-	}
-}
-
-// TestPropertyPLAMinimizePreserves: whole-PLA minimization preserves
-// every output on every assignment.
-func TestPropertyPLAMinimizePreserves(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 60; trial++ {
-		ni := 1 + rng.Intn(6)
-		no := 1 + rng.Intn(3)
-		p := NewPLA(ni, no)
-		for i := 0; i < 2+rng.Intn(8); i++ {
-			outs := make([]bool, no)
-			any := false
-			for o := range outs {
-				outs[o] = rng.Intn(2) == 0
-				any = any || outs[o]
-			}
-			if !any {
-				outs[rng.Intn(no)] = true
-			}
-			if err := p.AddTerm(randomCube(rng, ni), outs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := make([][]bool, 1<<ni)
-		for m := range want {
-			want[m] = p.Eval(assignFor(m, ni))
-		}
-		p.Minimize()
-		for m := range want {
-			got := p.Eval(assignFor(m, ni))
-			for o := range got {
-				if got[o] != want[m][o] {
-					t.Fatalf("trial %d: Minimize changed output %d at minterm %d", trial, o, m)
-				}
-			}
-		}
-	}
-}

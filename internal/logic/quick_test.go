@@ -82,57 +82,3 @@ func TestQuickCubeIntersectionGLB(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: the supercube is the least upper bound with respect to
-// containment of the operands.
-func TestQuickSupercubeLUB(t *testing.T) {
-	t.Parallel()
-	f := func(a, b quickCube) bool {
-		n := 12
-		x, y := widen(a.C, n), widen(b.C, n)
-		sc := x.Supercube(y)
-		return sc.Contains(x) && sc.Contains(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: cover complement is an involution on the function —
-// complementing twice gives an equivalent cover.
-func TestQuickComplementInvolution(t *testing.T) {
-	t.Parallel()
-	cfg := &quick.Config{MaxCount: 40}
-	f := func(a, b, c quickCube) bool {
-		n := 6
-		cov := NewCover(n)
-		cov.Add(widen(a.C, n))
-		cov.Add(widen(b.C, n))
-		cov.Add(widen(c.C, n))
-		double := cov.Complement().Complement()
-		return cov.Equivalent(double)
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Minimize never changes the function (checked by
-// Equivalent, which is exact) and never grows the cube count.
-func TestQuickMinimizeSoundness(t *testing.T) {
-	t.Parallel()
-	cfg := &quick.Config{MaxCount: 40}
-	f := func(a, b, c, d quickCube) bool {
-		n := 6
-		cov := NewCover(n)
-		for _, q := range []quickCube{a, b, c, d} {
-			cov.Add(widen(q.C, n))
-		}
-		orig := cov.Clone()
-		cov.Minimize(nil)
-		return cov.Len() <= orig.Len() && cov.Equivalent(orig)
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}

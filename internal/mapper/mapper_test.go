@@ -49,7 +49,9 @@ func preparedDAG(t *testing.T, rng *rand.Rand, ni, no, terms int) (*subject.DAG,
 	if err != nil {
 		t.Fatal(err)
 	}
-	bnet.Extract(n, bnet.ExtractOptions{MaxIterations: 40})
+	if rep := bnet.FastExtract(n, bnet.FastExtractOptions{MinPairCount: 2}); rep.NewNodes == 0 {
+		t.Fatal("fixture has no shared structure: extraction built no nodes")
+	}
 	d, err := subject.Decompose(n)
 	if err != nil {
 		t.Fatal(err)

@@ -259,6 +259,7 @@ func TestDecomposeConstants(t *testing.T) {
 func TestDecomposeRandomEquivalence(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(31))
+	extracted := 0
 	for trial := 0; trial < 10; trial++ {
 		ni := rng.Intn(6) + 3
 		no := rng.Intn(3) + 1
@@ -284,7 +285,7 @@ func TestDecomposeRandomEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Optimize, then decompose; function must survive both.
-		bnet.Extract(n, bnet.ExtractOptions{MaxIterations: 30})
+		extracted += bnet.FastExtract(n, bnet.FastExtractOptions{MinPairCount: 2}).NewNodes
 		d, err := Decompose(n)
 		if err != nil {
 			t.Fatal(err)
@@ -305,6 +306,9 @@ func TestDecomposeRandomEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+	if extracted == 0 {
+		t.Error("extraction built no internal nodes in any trial")
 	}
 }
 
