@@ -316,6 +316,7 @@ func BenchmarkECO(b *testing.B) {
 	fastCfg.FastECORoute = true
 
 	var scratch, exact, fast, retune time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()

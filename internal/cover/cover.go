@@ -254,7 +254,9 @@ func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest,
 func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *partition.Tree, res *Result, opts Options, ins instruments) error {
 	inTree := prefix.inTreeFunc(t.Root)
 	field := opts.KField
-	for _, v := range t.Gates {
+	// One slab holds the tree's solutions: res.Best[v] points into it.
+	sols := make([]Solution, len(t.Gates))
+	for gi, v := range t.Gates {
 		matches := prefix.matches[v]
 		if len(matches) == 0 {
 			return fmt.Errorf("cover: no match at gate %d (%s)", v, dag.Gate(v).Type)
@@ -262,7 +264,7 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 		ins.solutions.Add(1)
 		ins.matches.Add(int64(len(matches)))
 		ins.perGate.Observe(float64(len(matches)))
-		var best *Solution
+		best := &sols[gi]
 		var bestCost float64
 		for i := range matches {
 			pm := &matches[i]
@@ -304,13 +306,13 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 			}
 			// Eq. 5; the first of equal-cost matches wins.
 			cost := area + opts.K*kw
-			if best == nil || cost < bestCost {
+			if i == 0 || cost < bestCost {
 				stored, storedW := wire1, wire1W
 				if opts.TransitiveWire {
 					// accumulates transitively via children
 					stored, storedW = wire, kw
 				}
-				best = &Solution{
+				*best = Solution{
 					Match:     pm.m,
 					AreaCost:  area,
 					WireCost:  stored,
@@ -344,15 +346,30 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 // their own committed solutions). Reconstruction uses this to walk the
 // chosen cover.
 func SelectedLeafSubtrees(forest *partition.Forest, inTree func(int) bool, sol *Solution) []int {
-	covered := map[int]bool{}
-	for _, c := range sol.Match.Covered {
-		covered[c] = true
-	}
 	var out []int
 	for _, l := range sol.Match.Leaves {
-		if inTree(l) && covered[forest.Father[l]] {
+		if HeadsSubtree(forest, inTree, sol, l) {
 			out = append(out, l)
 		}
 	}
 	return out
+}
+
+// HeadsSubtree reports whether leaf l of sol's match heads an in-tree
+// input subtree: l is in the tree and its father is a gate the match
+// covers. It is SelectedLeafSubtrees' test for one leaf, without the
+// slice.
+func HeadsSubtree(forest *partition.Forest, inTree func(int) bool, sol *Solution, l int) bool {
+	return inTree(l) && covers(sol.Match.Covered, forest.Father[l])
+}
+
+// covers reports whether g is among a match's covered gates. A linear
+// scan: a match covers at most a few gates.
+func covers(covered []int, g int) bool {
+	for _, c := range covered {
+		if c == g {
+			return true
+		}
+	}
+	return false
 }

@@ -118,7 +118,6 @@ func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *
 	t := &p.trees[ti]
 	inTree := p.inTreeFunc(t.Root)
 	m := match.NewMatcher(dag, lib, forest.Father, inTree)
-	covered := map[int]bool{} // scratch per match
 	for _, v := range t.Gates {
 		if only != nil && !only(v) {
 			continue
@@ -127,12 +126,6 @@ func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *
 		pms := make([]preparedMatch, len(ms))
 		for i := range ms {
 			mt := &ms[i]
-			for k := range covered {
-				delete(covered, k)
-			}
-			for _, c := range mt.Covered {
-				covered[c] = true
-			}
 			var com geom.Point
 			for _, c := range mt.Covered {
 				com = com.Add(p.pos[c])
@@ -145,7 +138,7 @@ func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *
 				crossDist: make([]float64, len(mt.Leaves)),
 			}
 			for li, l := range mt.Leaves {
-				if inTree(l) && covered[forest.Father[l]] {
+				if inTree(l) && covers(mt.Covered, forest.Father[l]) {
 					pm.subLeaf[li] = true
 				} else {
 					pm.crossDist[li] = com.Manhattan(p.pos[l])

@@ -75,8 +75,10 @@ type ECOPrepared struct {
 // re-enumerated: the gates within H-1 father steps above a touched
 // gate or its fanouts, H being the library's deepest pattern.
 // Partitioning itself is recomputed in full, with the tree
-// materialization; with enumeration cut to the cone, that is no longer
-// cheap but most of the invalidation time.
+// materialization; with enumeration cut to the cone, that is the
+// largest part of the invalidation time (about half of it on a
+// full-size design), the rest being the DAG clone, edit validation
+// and the cone rebuild.
 //
 // The work is recorded under an "eco.invalidate" span; dirty/reused
 // tree counts land on "eco.dirty_trees" / "eco.reused_trees", and the

@@ -20,6 +20,8 @@ package mapper
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"casyn/internal/cover"
 	"casyn/internal/geom"
@@ -105,31 +107,49 @@ func Map(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Result, 
 // indexed by gate ID, and the cover walks use explicit stacks — tree
 // depth is unbounded on the full-size circuits.
 func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*Result, error) {
-	nl := netlist.New()
-	res := &Result{Netlist: nl, Forest: forest, WireEstimate: cov.RootWire}
-
 	// rootOf[g] is the root of the tree g belongs to (-1 for PIs and
-	// constants); sameTree(g) tests membership in g's tree, the shape
-	// cover.SelectedLeafSubtrees expects.
+	// constants). inTree tests membership in the tree rooted at tree,
+	// the shape cover.HeadsSubtree expects; set tree to the covered
+	// gate's root before each test. One closure serves the whole
+	// reconstruction.
 	rootOf := forest.RootOf(d)
-	sameTree := func(g int) func(int) bool {
-		tr := rootOf[g]
-		return func(x int) bool { return tr >= 0 && rootOf[x] == tr }
-	}
+	tree := -1
+	inTree := func(x int) bool { return tree >= 0 && rootOf[x] == tree }
 
 	// Visible gates: match roots of every tree's chosen cover. Their
 	// signals exist without duplication.
 	visible := make([]bool, d.NumGates())
+	numVisible := 0
 	var walk []int
 	for _, root := range forest.Roots {
 		walk = append(walk[:0], root)
 		for len(walk) > 0 {
 			v := walk[len(walk)-1]
 			walk = walk[:len(walk)-1]
-			visible[v] = true
-			walk = append(walk, cover.SelectedLeafSubtrees(forest, sameTree(v), cov.Best[v])...)
+			if !visible[v] {
+				visible[v] = true
+				numVisible++
+			}
+			sol := cov.Best[v]
+			tree = rootOf[v]
+			for _, l := range sol.Match.Leaves {
+				if cover.HeadsSubtree(forest, inTree, sol, l) {
+					walk = append(walk, l)
+				}
+			}
 		}
 	}
+
+	// Every visible gate becomes an instance; duplicated logic adds
+	// more, typically a few percent up to ~11% (full-size TOO_LARGE at
+	// K=0.5). A quarter of headroom covers that, so the netlist's arrays
+	// are not re-copied as they fill; an overrun costs one regrowth.
+	numCells := numVisible + numVisible/4
+	nl := netlist.New()
+	nl.Reserve(len(d.PIs())+numCells, numCells)
+	res := &Result{Netlist: nl, Forest: forest, WireEstimate: cov.RootWire,
+		InstGate: slices.Grow([]int(nil), numCells),
+		SigGate:  slices.Grow([]int(nil), len(d.PIs())+numCells)}
 
 	sigOf := make([]netlist.SigID, d.NumGates())
 	haveSig := make([]bool, d.NumGates())
@@ -163,6 +183,8 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 		expanded bool
 	}
 	var stack []frame
+	var inputs []netlist.SigID // leaf signals; AddInstance copies them
+	var name []byte            // "u<instance index>", one allocation per name
 	instantiate := func(g int, dup bool) error {
 		stack = append(stack[:0], frame{g: g, dup: dup})
 		for len(stack) > 0 {
@@ -177,10 +199,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 			}
 			if !f.expanded {
 				f.expanded = true
-				subtree := map[int]bool{}
-				for _, l := range cover.SelectedLeafSubtrees(forest, sameTree(f.g), sol) {
-					subtree[l] = true
-				}
+				tree = rootOf[f.g]
 				leaves := sol.Match.Leaves
 				for i := len(leaves) - 1; i >= 0; i-- {
 					l := leaves[i]
@@ -192,7 +211,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 					// duplicate only if its signal is not already
 					// visible.
 					leafDup := f.dup
-					if !subtree[l] {
+					if !cover.HeadsSubtree(forest, inTree, sol, l) {
 						leafDup = !visible[l] && d.Gate(l).Type != subject.PI &&
 							d.Gate(l).Type != subject.Const0 && d.Gate(l).Type != subject.Const1
 					}
@@ -202,12 +221,12 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 				}
 				continue
 			}
-			inputs := make([]netlist.SigID, len(sol.Match.Leaves))
-			for i, l := range sol.Match.Leaves {
-				inputs[i] = sigOf[l]
+			inputs = inputs[:0]
+			for _, l := range sol.Match.Leaves {
+				inputs = append(inputs, sigOf[l])
 			}
-			name := fmt.Sprintf("u%d", nl.NumCells())
-			_, out := nl.AddInstance(name, sol.Match.Cell, sol.Match.PatternIndex, inputs, sol.Pos)
+			name = strconv.AppendInt(append(name[:0], 'u'), int64(nl.NumCells()), 10)
+			_, out := nl.AddInstance(string(name), sol.Match.Cell, sol.Match.PatternIndex, inputs, sol.Pos)
 			res.InstGate = append(res.InstGate, f.g)
 			if f.dup {
 				res.DuplicatedCells++

@@ -6,6 +6,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"casyn/internal/geom"
@@ -82,6 +83,14 @@ func (n *Netlist) AddSignal(name string, kind SigKind) SigID {
 		n.PIs = append(n.PIs, id)
 	}
 	return id
+}
+
+// Reserve grows the netlist's capacity for at least signals more
+// signals and instances more instances, so a builder that knows its
+// size up front does not re-copy the arrays as they fill.
+func (n *Netlist) Reserve(signals, instances int) {
+	n.Signals = slices.Grow(n.Signals, signals)
+	n.Instances = slices.Grow(n.Instances, instances)
 }
 
 // AddInstance appends a cell instance driving a fresh signal and
@@ -278,16 +287,37 @@ func (n *Netlist) ToPlacement(piPads, poPads []geom.Point) *PlacementNetlist {
 		pads  []geom.Point
 	}
 	acc := make([]netAccum, len(n.Signals))
+	// Each signal's cell list is a window of one backing array: a
+	// counting pass sizes the windows, a second pass fills them. An
+	// instance pins each distinct input signal once.
+	count := make([]int, len(n.Signals))
+	total := 0
+	for i := range n.Instances {
+		inst := &n.Instances[i]
+		count[inst.Output]++
+		total++
+		for k, s := range inst.Inputs {
+			if !slices.Contains(inst.Inputs[:k], s) {
+				count[s]++
+				total++
+			}
+		}
+	}
+	cells := make([]int, total)
+	start := 0
+	for s, c := range count {
+		if c > 0 {
+			acc[s].cells = cells[start : start : start+c]
+			start += c
+		}
+	}
 	for i := range n.Instances {
 		inst := &n.Instances[i]
 		acc[inst.Output].cells = append(acc[inst.Output].cells, i)
-		seen := map[SigID]bool{}
-		for _, s := range inst.Inputs {
-			if seen[s] {
-				continue // one pin per distinct signal for placement
+		for k, s := range inst.Inputs {
+			if !slices.Contains(inst.Inputs[:k], s) {
+				acc[s].cells = append(acc[s].cells, i)
 			}
-			seen[s] = true
-			acc[s].cells = append(acc[s].cells, i)
 		}
 	}
 	for pi, sig := range n.PIs {
@@ -299,6 +329,15 @@ func (n *Netlist) ToPlacement(piPads, poPads []geom.Point) *PlacementNetlist {
 		if poPads != nil && po < len(poPads) {
 			acc[p.Sig].pads = append(acc[p.Sig].pads, poPads[po])
 		}
+	}
+	nets := 0
+	for si := range acc {
+		if len(acc[si].cells)+len(acc[si].pads) >= 2 {
+			nets++
+		}
+	}
+	if nets > 0 {
+		pn.Cells.Nets = make([]place.Net, 0, nets)
 	}
 	for si := range acc {
 		pn.SigNet[si] = -1

@@ -266,20 +266,21 @@ func (s *kwayState) seed(d *subject.DAG, f *Forest) {
 // a replica's fanin nets with a new pin, and that extension must be
 // scored even when the net was uncut before.
 func (s *kwayState) buildNets(d *subject.DAG, f *Forest) {
-	live := liveSet(d)
+	live := d.LiveGates()
+	isLive := liveSet(d, live)
 	s.netOf = make([]int32, d.NumGates())
 	for g := range s.netOf {
 		s.netOf[g] = -1
 	}
 	s.incident = make([][]int32, len(s.area))
-	for _, g := range d.LiveGates() {
+	for _, g := range live {
 		if s.vertexOf[g] < 0 {
 			continue // PI/const drivers: pad-anchored, not movable
 		}
 		n := kNet{driver: g}
 		n.vertices = append(n.vertices, int32(s.vertexOf[g]))
 		for _, fo := range d.Fanouts(g) {
-			if !live[fo] || s.vertexOf[fo] < 0 {
+			if !isLive[fo] || s.vertexOf[fo] < 0 {
 				continue
 			}
 			n.sinkGates = append(n.sinkGates, int32(fo))
@@ -555,7 +556,7 @@ func (s *kwayState) replicate(d *subject.DAG, f *Forest, res *KWayResult) error 
 
 	if cloned {
 		res.DAG = work
-		res.Forest = finish(work, father)
+		res.Forest = finish(work, father, work.LiveGates())
 	}
 	return nil
 }

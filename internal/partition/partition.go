@@ -129,10 +129,10 @@ func poDrivers(d *subject.DAG) []bool {
 }
 
 // finish fills Roots from Father, precomputes the tree/root-of/stats
-// caches, and returns the forest.
-func finish(d *subject.DAG, father []int) *Forest {
+// caches, and returns the forest. live is d.LiveGates().
+func finish(d *subject.DAG, father, live []int) *Forest {
 	f := &Forest{Father: father}
-	for _, g := range d.LiveGates() {
+	for _, g := range live {
 		if isTreeGate(d.Gate(g).Type) && father[g] == -1 {
 			f.Roots = append(f.Roots, g)
 		}
@@ -149,18 +149,20 @@ func finish(d *subject.DAG, father []int) *Forest {
 // consumer; multi-fanout gates and PO drivers become roots.
 func partitionDagon(d *subject.DAG) *Forest {
 	father := newFatherSlice(d)
-	live := liveSet(d)
+	live := d.LiveGates()
+	isLive := liveSet(d, live)
 	isPODriver := poDrivers(d)
-	for _, g := range d.LiveGates() {
+	var fos []int
+	for _, g := range live {
 		if !isTreeGate(d.Gate(g).Type) {
 			continue
 		}
-		fos := liveFanouts(d, g, live)
+		fos = liveFanouts(d, g, isLive, fos[:0])
 		if len(fos) == 1 && !isPODriver[g] {
 			father[g] = fos[0]
 		}
 	}
-	return finish(d, father)
+	return finish(d, father, live)
 }
 
 // partitionCone grows cones from the outputs in declaration order; a
@@ -210,13 +212,14 @@ func partitionCone(d *subject.DAG) *Forest {
 	}
 	// Any live tree gate not reached (possible with exotic output
 	// sharing) becomes its own root; grow its cone too for coverage.
-	for _, g := range d.LiveGates() {
+	live := d.LiveGates()
+	for _, g := range live {
 		if isTreeGate(d.Gate(g).Type) && !assigned[g] {
 			assigned[g] = true
 			grow(g)
 		}
 	}
-	return finish(d, father)
+	return finish(d, father, live)
 }
 
 // partitionPDP implements the paper's Figure 2: the father of every
@@ -227,13 +230,15 @@ func partitionCone(d *subject.DAG) *Forest {
 func partitionPDP(in Input) *Forest {
 	d := in.DAG
 	father := newFatherSlice(d)
-	live := liveSet(d)
+	live := d.LiveGates()
+	isLive := liveSet(d, live)
 	isPODriver := poDrivers(d)
-	for _, g := range d.LiveGates() {
+	var fos []int
+	for _, g := range live {
 		if !isTreeGate(d.Gate(g).Type) {
 			continue
 		}
-		fos := liveFanouts(d, g, live)
+		fos = liveFanouts(d, g, isLive, fos[:0])
 		bestDist := -1.0
 		bestFather := -1
 		for _, fo := range fos {
@@ -260,7 +265,7 @@ func partitionPDP(in Input) *Forest {
 		}
 		father[g] = bestFather
 	}
-	return finish(d, father)
+	return finish(d, father, live)
 }
 
 func newFatherSlice(d *subject.DAG) []int {
@@ -271,36 +276,35 @@ func newFatherSlice(d *subject.DAG) []int {
 	return father
 }
 
-// liveSet returns a bitmap of live gates.
-func liveSet(d *subject.DAG) []bool {
-	live := make([]bool, d.NumGates())
-	for _, g := range d.LiveGates() {
-		live[g] = true
+// liveSet returns a bitmap of live gates; live is d.LiveGates().
+func liveSet(d *subject.DAG, live []int) []bool {
+	set := make([]bool, d.NumGates())
+	for _, g := range live {
+		set[g] = true
 	}
-	return live
+	return set
 }
 
-// liveFanouts filters a gate's fanouts to live consumers.
-func liveFanouts(d *subject.DAG, g int, live []bool) []int {
-	var out []int
+// liveFanouts appends a gate's live consumers to buf (pass buf[:0] to
+// reuse its backing array).
+func liveFanouts(d *subject.DAG, g int, live []bool, buf []int) []int {
 	for _, fo := range d.Fanouts(g) {
 		if live[fo] {
-			out = append(out, fo)
+			buf = append(buf, fo)
 		}
 	}
-	return out
+	return buf
 }
 
-// Tree is one subject tree of the forest, in covering-ready form.
+// Tree is one subject tree of the forest, in covering-ready form. A
+// gate's children in the tree are the gates whose Forest.Father is
+// that gate; its other fanins are leaf references to gates outside
+// the tree.
 type Tree struct {
 	Root int
 	// Gates lists the tree's internal vertices in topological order
 	// (children before parents); Gates[len-1] == Root.
 	Gates []int
-	// Children[g] lists the fanins of g that are internal vertices of
-	// this tree (i.e. whose father is g). Other fanins are leaf
-	// references to gates outside the tree.
-	Children map[int][]int
 }
 
 // Trees returns the forest's trees. The result is the finish()-time
@@ -317,34 +321,52 @@ func (f *Forest) Trees(d *subject.DAG) []Tree {
 // explicit-stack post-order DFS (children before parents, sibling
 // order by ascending gate ID — identical to the recursive visit it
 // replaces, which could blow the stack on deep million-gate chains).
+// The children lists are one CSR array over Father, and every tree's
+// Gates is a window of one shared backing array.
 func (f *Forest) materializeTrees() []Tree {
-	kids := make(map[int][]int)
-	for g, fa := range f.Father {
+	// kids[off[g]:off[g+1]] are the gates whose father is g, ascending:
+	// count per father, prefix-sum to range ends, then fill each range
+	// back to front walking the gates in descending order.
+	n := len(f.Father)
+	off := make([]int, n+1)
+	for _, fa := range f.Father {
 		if fa >= 0 {
-			kids[fa] = append(kids[fa], g)
+			off[fa]++
+		}
+	}
+	for g := 1; g <= n; g++ {
+		off[g] += off[g-1]
+	}
+	kids := make([]int, off[n])
+	for g := n - 1; g >= 0; g-- {
+		if fa := f.Father[g]; fa >= 0 {
+			off[fa]--
+			kids[off[fa]] = g
 		}
 	}
 	type treeFrame struct {
 		g, next int
 	}
 	var stack []treeFrame
+	// Every tree gate is a root or has a father, so len(kids)+len(Roots)
+	// bounds the gates of all trees together.
+	gates := make([]int, 0, len(kids)+len(f.Roots))
 	trees := make([]Tree, 0, len(f.Roots))
 	for _, root := range f.Roots {
-		t := Tree{Root: root, Children: make(map[int][]int)}
-		stack = append(stack[:0], treeFrame{g: root})
+		start := len(gates)
+		stack = append(stack[:0], treeFrame{g: root, next: off[root]})
 		for len(stack) > 0 {
 			fr := &stack[len(stack)-1]
-			ks := kids[fr.g]
-			if fr.next < len(ks) {
+			if fr.next < off[fr.g+1] {
+				k := kids[fr.next]
 				fr.next++
-				stack = append(stack, treeFrame{g: ks[fr.next-1]})
+				stack = append(stack, treeFrame{g: k, next: off[k]})
 				continue
 			}
-			t.Children[fr.g] = ks
-			t.Gates = append(t.Gates, fr.g)
+			gates = append(gates, fr.g)
 			stack = stack[:len(stack)-1]
 		}
-		trees = append(trees, t)
+		trees = append(trees, Tree{Root: root, Gates: gates[start:len(gates):len(gates)]})
 	}
 	return trees
 }

@@ -369,7 +369,12 @@ func TestTreesTopologicalAndChildren(t *testing.T) {
 	if len(big.Gates) != 3 {
 		t.Fatalf("tree gates = %v, want {n2,n3,n4}", big.Gates)
 	}
-	kids := big.Children[n[3]]
+	var kids []int
+	for g, fa := range f.Father {
+		if fa == n[3] {
+			kids = append(kids, g)
+		}
+	}
 	if len(kids) != 2 {
 		t.Errorf("children of root = %v", kids)
 	}

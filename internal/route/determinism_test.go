@@ -23,7 +23,7 @@ func fingerprint(res *route.Result) string {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	f64 := func(v float64) { word(uint64(int64(v*1e6)) /* fixed-point, exact for µm sums */) }
+	f64 := func(v float64) { word(uint64(int64(v * 1e6)) /* fixed-point, exact for µm sums */) }
 	word(uint64(res.Violations))
 	word(uint64(res.OverflowEdges))
 	word(uint64(res.FailedConnections))

@@ -53,31 +53,11 @@ type State struct {
 // Result returns the routing result the state captured.
 func (s *State) Result() *Result { return s.res }
 
-// netSlots returns, for each of nets nets, the positions its segments
-// take once sortSegs orders segs, in emission (mstPairs) order. segs
-// must be unsorted, in emission order: net by net, each net's segments
-// contiguous. sortSegs is a stable sort on length alone, so a
-// segment's slot is the count of longer segments plus the count of
-// equally long segments emitted before it.
-func netSlots(segs []twoPin, nets int) [][]int {
-	maxLen := 0
-	for i := range segs {
-		maxLen = max(maxLen, segs[i].length())
-	}
-	next := make([]int, maxLen+1)
-	for i := range segs {
-		next[segs[i].length()]++
-	}
-	// next[l] becomes the slot of the first segment of length l.
-	for l, acc := maxLen, 0; l >= 0; l-- {
-		next[l], acc = acc, acc+next[l]
-	}
-	slots := make([]int, len(segs))
-	for i := range segs {
-		l := segs[i].length()
-		slots[i] = next[l]
-		next[l]++
-	}
+// netSlots groups the canonical slots sortSegs returned by net: for
+// each of nets nets, the positions its segments take in the sorted
+// list, in emission (mstPairs) order. segs must be the unsorted input,
+// in emission order: net by net, each net's segments contiguous.
+func netSlots(segs []twoPin, slots []int, nets int) [][]int {
 	out := make([][]int, nets)
 	for i := 0; i < len(segs); {
 		j := i + 1
@@ -220,29 +200,28 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	// their neighbors are not — any conflict a changed net's new path
 	// or a capacity shift under a moved cell causes is exactly what the
 	// post-rip negotiation resolves.
-	terms := make([][][2]int, len(nl.Nets))
+	_, decSpan := rec.StartSpan(ctx, "route.decompose")
+	nt := newNetTerminals(nl)
 	var changed []int
 	var ptsBuf [][2]int
 	for ni := range nl.Nets {
 		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
 		ptsBuf = pts
-		terms[ni] = append([][2]int(nil), pts...)
-		if o := oldNet[ni]; o < 0 || !equalTerms(st.netTerms[o], terms[ni]) {
+		nt.add(pts)
+		if o := oldNet[ni]; o < 0 || !equalTerms(st.netTerms[o], pts) {
 			changed = append(changed, ni)
 		}
 	}
+	terms := nt.perNet()
 	if identity && len(changed) == 0 {
 		if _, shifted := capacityDiffRect(st.grid, g); !shifted {
 			// Nothing moved and nothing reconnected: the previous
 			// routing is the routing.
+			decSpan.End(nil)
 			rec.Add("eco.route_nets_kept", int64(len(nl.Nets)))
 			return st.res, st, nil
 		}
 	}
-
-	// Persist the negotiated history — the learned congestion map — so
-	// rerouting resumes rather than relearns.
-	g.copyHistoryFrom(st.grid)
 
 	// Only new and changed nets are ripped. Overflow a capacity shift
 	// or a changed net's new path puts on kept paths is handled by the
@@ -255,29 +234,41 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	}
 	ripped := len(changed)
 
-	// Rebuild the canonical segment list. Kept nets carry their
-	// previous net's paths (same terminals → same mstPairs, in the
-	// previous state's emission order); ripped nets start pathless.
-	var segs []twoPin
+	// Rebuild the canonical segment list. A kept net has its previous
+	// net's terminals, so its mstPairs are the previous net's segments
+	// in emission order: it takes their endpoints and paths from the
+	// previous state instead of re-running the MST. Ripped nets are
+	// decomposed afresh and start pathless. A spanning tree over n
+	// terminals has n-1 edges, which sizes the list exactly.
+	numSegs := 0
+	for _, pts := range terms {
+		numSegs += max(len(pts)-1, 0)
+	}
+	segs := make([]twoPin, 0, numSegs)
 	for ni := range nl.Nets {
+		if !rip[ni] {
+			// A kept net is aligned (oldNet[ni] >= 0): new nets are ripped.
+			for _, si := range st.segsOfNet[oldNet[ni]] {
+				old := &st.segs[si]
+				segs = append(segs, twoPin{net: ni, a: old.a, b: old.b, path: old.path})
+			}
+			continue
+		}
 		pts := terms[ni]
 		if len(pts) < 2 {
 			continue
 		}
-		prs := mstPairs(g, pts)
-		// A kept net is aligned (oldNet[ni] >= 0): new nets are ripped.
-		if !rip[ni] && len(st.segsOfNet[oldNet[ni]]) == len(prs) {
-			for k, pr := range prs {
-				segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1], path: st.segs[st.segsOfNet[oldNet[ni]][k]].path})
-			}
-		} else {
-			for _, pr := range prs {
-				segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1]})
-			}
+		for _, pr := range mstPairs(g, pts) {
+			segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1]})
 		}
 	}
-	segsOfNet := netSlots(segs, len(nl.Nets))
-	sortSegs(segs)
+	sorted, slots := sortSegs(segs)
+	segsOfNet := netSlots(segs, slots, len(nl.Nets))
+	segs = sorted
+	decSpan.End(nil)
+	// Persist the negotiated history — the learned congestion map — so
+	// rerouting resumes rather than relearns.
+	g.copyHistoryFrom(st.grid)
 	reroute := make([]bool, len(segs))
 	for i := range segs {
 		reroute[i] = segs[i].path == nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"casyn/internal/geom"
@@ -161,17 +160,19 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 	// Decompose every net into two-pin segments over gcell terminals.
 	// The terminal buffer is reused across nets (profile-driven: a
 	// fresh dedup map per net dominated setup time at 100k+ nets).
+	rec := obs.From(ctx)
+	_, decSpan := rec.StartSpan(ctx, "route.decompose")
 	var segs []twoPin
-	var netTerms [][][2]int
+	var terms netTerminals
 	if capture {
-		netTerms = make([][][2]int, len(nl.Nets))
+		terms = newNetTerminals(nl)
 	}
 	var ptsBuf [][2]int
 	for ni := range nl.Nets {
 		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
 		ptsBuf = pts
 		if capture {
-			netTerms[ni] = append([][2]int(nil), pts...)
+			terms.add(pts)
 		}
 		if len(pts) < 2 {
 			continue
@@ -180,14 +181,17 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 			segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1]})
 		}
 	}
-	var segsOfNet [][]int
-	if capture {
-		segsOfNet = netSlots(segs, len(nl.Nets))
-	}
 	// Longer segments first: they have the least routing flexibility.
-	sortSegs(segs)
+	sorted, slots := sortSegs(segs)
+	var segsOfNet [][]int
+	var netTerms [][][2]int
+	if capture {
+		segsOfNet = netSlots(segs, slots, len(nl.Nets))
+		netTerms = terms.perNet()
+	}
+	segs = sorted
+	decSpan.End(nil)
 
-	rec := obs.From(ctx)
 	rec.Add("route.nets", int64(len(nl.Nets)))
 	rec.Add("route.segments", int64(len(segs)))
 	_, fpSpan := rec.StartSpan(ctx, "route.first_pass")
@@ -223,11 +227,34 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 	return res, st, nil
 }
 
-// sortSegs orders segments longest-first (least routing flexibility),
-// stably — the canonical global routing order shared by the full and
-// the incremental paths.
-func sortSegs(segs []twoPin) {
-	sort.SliceStable(segs, func(i, j int) bool { return segs[i].length() > segs[j].length() })
+// sortSegs returns segs in the canonical global routing order shared
+// by the full and the incremental paths: longest first (least routing
+// flexibility), equally long segments in their input order. It is a
+// stable counting sort on length. slots[i] is the position segs[i]
+// takes in sorted. The input slice is left as it was.
+func sortSegs(segs []twoPin) (sorted []twoPin, slots []int) {
+	maxLen := 0
+	for i := range segs {
+		maxLen = max(maxLen, segs[i].length())
+	}
+	next := make([]int, maxLen+1)
+	slots = make([]int, len(segs))
+	for i := range segs {
+		l := segs[i].length()
+		slots[i] = l
+		next[l]++
+	}
+	// next[l] becomes the slot of the first segment of length l.
+	for l, acc := maxLen, 0; l >= 0; l-- {
+		next[l], acc = acc, acc+next[l]
+	}
+	sorted = make([]twoPin, len(segs))
+	for i, l := range slots {
+		slots[i] = next[l]
+		next[l]++
+		sorted[slots[i]] = segs[i]
+	}
+	return sorted, slots
 }
 
 // length is the segment's Manhattan length in gcells, sortSegs' key.
@@ -555,6 +582,41 @@ func terminalCells(g *Grid, nl *place.Netlist, pl *place.Placement, ni int, buf 
 	}
 	for _, p := range nl.Nets[ni].Pads {
 		add(p)
+	}
+	return out
+}
+
+// netTerminals collects every net's terminal gcells, net by net, in
+// one backing array.
+type netTerminals struct {
+	flat [][2]int
+	end  []int // end[ni] is the end of net ni's terminals in flat
+}
+
+// newNetTerminals sizes the collection for nl: a net has at most one
+// terminal per pin.
+func newNetTerminals(nl *place.Netlist) netTerminals {
+	pins := 0
+	for i := range nl.Nets {
+		pins += len(nl.Nets[i].Cells) + len(nl.Nets[i].Pads)
+	}
+	return netTerminals{flat: make([][2]int, 0, pins), end: make([]int, 0, len(nl.Nets))}
+}
+
+// add appends the next net's terminals.
+func (t *netTerminals) add(pts [][2]int) {
+	t.flat = append(t.flat, pts...)
+	t.end = append(t.end, len(t.flat))
+}
+
+// perNet returns each net's terminals as a window of the backing
+// array.
+func (t *netTerminals) perNet() [][][2]int {
+	out := make([][][2]int, len(t.end))
+	start := 0
+	for ni, end := range t.end {
+		out[ni] = t.flat[start:end:end]
+		start = end
 	}
 	return out
 }

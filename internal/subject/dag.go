@@ -10,7 +10,6 @@ package subject
 
 import (
 	"fmt"
-	"sort"
 )
 
 // GateType is the type of a subject-DAG vertex.
@@ -240,8 +239,27 @@ func (d *DAG) PrecomputeFanouts() {
 	}
 }
 
+// rebuildFanouts lists each gate's readers in ascending order. Every
+// list is a window of one backing array, sized by a counting pass, so
+// the rebuild makes three allocations however many gates drive.
 func (d *DAG) rebuildFanouts() {
+	count := make([]int, len(d.gates))
+	total := 0
+	for i := range d.gates {
+		for _, fi := range d.Fanins(i) {
+			count[fi]++
+			total++
+		}
+	}
+	all := make([]int, total)
 	d.fanouts = make([][]int, len(d.gates))
+	start := 0
+	for g, c := range count {
+		if c > 0 {
+			d.fanouts[g] = all[start : start : start+c]
+			start += c
+		}
+	}
 	for i := range d.gates {
 		for _, fi := range d.Fanins(i) {
 			d.fanouts[fi] = append(d.fanouts[fi], i)
@@ -327,6 +345,7 @@ func (d *DAG) EvalOutputs(piValues []bool) ([]bool, error) {
 // folds away; mapping and placement operate on the live set.
 func (d *DAG) LiveGates() []int {
 	live := make([]bool, len(d.gates))
+	n := 0
 	var stack []int
 	for _, o := range d.outputs {
 		stack = append(stack, o.Gate)
@@ -338,15 +357,15 @@ func (d *DAG) LiveGates() []int {
 			continue
 		}
 		live[id] = true
+		n++
 		stack = append(stack, d.Fanins(id)...)
 	}
-	var out []int
+	out := make([]int, 0, n)
 	for id, l := range live {
 		if l {
 			out = append(out, id)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
