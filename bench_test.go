@@ -3,9 +3,10 @@ package casyn
 // The paper-shape benchmarks: one benchmark per table and figure of the
 // paper's evaluation section, each regenerating its experiment on a
 // scaled-down circuit (the full-size tables are printed by the
-// cmd/ksweep, cmd/timing, and cmd/table1 tools), plus the DESIGN.md
-// ablations, per-stage pipeline benchmarks and the exact-mode ECO
-// timing.
+// cmd/ksweep, cmd/timing, and cmd/table1 tools), plus per-stage
+// pipeline benchmarks and the exact-mode ECO timing. The DESIGN.md
+// ablation benchmarks live with their experiments in
+// internal/experiments.
 //
 // Run with:
 //
@@ -124,32 +125,6 @@ func BenchmarkFigure3(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(res.Iterations)), "iterations")
-	}
-}
-
-// BenchmarkAblationPartition compares the three DAG partitioning
-// schemes (DESIGN.md ablation).
-func BenchmarkAblationPartition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PartitionAblation(context.Background(), bench.SPLA, benchScale, 0.001)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].CellArea, "pdp-area")
-		b.ReportMetric(rows[1].CellArea, "dagon-area")
-	}
-}
-
-// BenchmarkAblationWireCost compares the paper's two-level WIRE scope
-// against WIRE1-only and the transitive-fanin cost of Pedram–Bhat [9].
-func BenchmarkAblationWireCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.WireCostAblation(context.Background(), bench.SPLA, benchScale, 0.005)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].WireEstimate, "two-level")
-		b.ReportMetric(rows[2].WireEstimate, "transitive")
 	}
 }
 

@@ -389,7 +389,6 @@ func FlowConfig(layout place.Layout, opts Options) flow.Config {
 		RouteOpts:      route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98, RegionPinBudget: opts.InterDiePinBudget},
 		FreshPlacement: true,
 		RunSTA:         opts.RunTiming,
-		STAOpts:        sta.Options{},
 		KSchedule:      []float64{opts.K},
 		StageTimeout:   opts.StageTimeout,
 		Workers:        opts.Workers,
@@ -421,10 +420,6 @@ func ResultFrom(dag *subject.DAG, layout place.Layout, it *flow.Iteration) *Resu
 	res.Metrics = it.Metrics
 	return res
 }
-
-// bnetFromPLA is a convenience re-export of bnet.FromPLA for callers
-// that want to optimize the network before synthesis.
-func bnetFromPLA(p *logic.PLA) (*bnet.Network, error) { return bnet.FromPLA(p) }
 
 // FromPLA builds the multi-level Boolean network for a PLA, the input
 // to SynthesizeNetwork.

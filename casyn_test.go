@@ -135,7 +135,7 @@ func TestSynthesizeFunctionalEquivalenceViaNetwork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := bnetFromPLA(p)
+	n, err := FromPLA(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("%-9s %-10s %-13s %-11s %-9s\n", "K", "cells", "utilization", "violations", "decision")
 	for _, it := range res.Iterations {
 		decision := "congestion NOT OK -> increase K"
-		if it.FailedConnections == 0 {
+		if it.Routable {
 			decision = "congestion OK -> place & route"
 		}
 		fmt.Printf("%-9g %-10d %-13.2f %-11d %s\n",

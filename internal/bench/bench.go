@@ -80,21 +80,6 @@ func (s *Spec) defaults() {
 	}
 }
 
-// TargetBaseGates returns the paper-reported base-gate count for the
-// class (two-input NANDs + inverters after decomposition).
-func (c Class) TargetBaseGates() int {
-	switch c {
-	case SPLA:
-		return 22834
-	case PDC:
-		return 23058
-	case TooLarge:
-		return 27977
-	default:
-		return 0
-	}
-}
-
 // Spec returns the full-size generation parameters for the class.
 func (c Class) Spec() Spec {
 	// The spla/pdc specs are calibrated for the sharing profile

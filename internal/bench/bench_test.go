@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"casyn/internal/bnet"
@@ -22,7 +23,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		t.Fatalf("term counts differ: %d vs %d", len(a.Terms), len(b.Terms))
 	}
 	for i := range a.Terms {
-		if !a.Terms[i].Equal(b.Terms[i]) {
+		if !reflect.DeepEqual(a.Terms[i], b.Terms[i]) {
 			t.Fatalf("term %d differs", i)
 		}
 	}
@@ -44,9 +45,6 @@ func TestClassSpecs(t *testing.T) {
 		spec := c.Spec()
 		if spec.Inputs == 0 || spec.Outputs == 0 || spec.Terms == 0 {
 			t.Errorf("%v spec degenerate: %+v", c, spec)
-		}
-		if c.TargetBaseGates() == 0 {
-			t.Errorf("%v target missing", c)
 		}
 		scaled := c.ScaledSpec(0.1)
 		if scaled.Terms >= spec.Terms {

@@ -29,8 +29,8 @@ func TestReadBLIF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.PIs()) != 3 || len(n.POs()) != 2 {
-		t.Fatalf("interface %d/%d", len(n.PIs()), len(n.POs()))
+	if len(n.pis) != 3 || len(n.pos) != 2 {
+		t.Fatalf("interface %d/%d", len(n.pis), len(n.pos))
 	}
 	// f = ab + c, g = a·c'.
 	cases := []struct {
@@ -78,8 +78,8 @@ func TestReadBLIFLineContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.PIs()) != 2 {
-		t.Errorf("PIs = %d, want 2 (continuation broken)", len(n.PIs()))
+	if len(n.pis) != 2 {
+		t.Errorf("PIs = %d, want 2 (continuation broken)", len(n.pis))
 	}
 }
 

@@ -14,7 +14,6 @@ package bnet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // NodeID identifies a node within one Network. IDs are dense indices
@@ -121,12 +120,6 @@ func (n *Network) Lookup(name string) (NodeID, bool) {
 
 // NumNodes returns the total node count including PIs and POs.
 func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// PIs returns the primary input IDs in creation order.
-func (n *Network) PIs() []NodeID { return n.pis }
-
-// POs returns the primary output IDs in creation order.
-func (n *Network) POs() []NodeID { return n.pos }
 
 // SetFn replaces the function of an internal node and invalidates the
 // fanout cache.
@@ -327,28 +320,6 @@ func (n *Network) InternalIDs() []NodeID {
 	return out
 }
 
-// MaxFanout returns the largest fanout count over live nodes and the
-// average fanout of nodes with at least one fanout. SIS-style sharing
-// drives the maximum up, which is the structural congestion signature
-// the paper measures.
-func (n *Network) MaxFanout() (maxFO int, avgFO float64) {
-	cnt, sum := 0, 0
-	for _, node := range n.nodes {
-		fo := len(n.Fanouts(node.ID))
-		if fo > maxFO {
-			maxFO = fo
-		}
-		if fo > 0 {
-			cnt++
-			sum += fo
-		}
-	}
-	if cnt > 0 {
-		avgFO = float64(sum) / float64(cnt)
-	}
-	return maxFO, avgFO
-}
-
 // CheckEquivalence compares two networks with identical PI/PO counts
 // on vectors random assignments drawn from rng, returning an error on
 // the first mismatch. It is the light-weight verification used by the
@@ -378,28 +349,4 @@ func CheckEquivalence(a, b *Network, vectors int, rng *rand.Rand) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the network.
-func (n *Network) Clone() *Network {
-	out := New()
-	out.nodes = make([]*Node, len(n.nodes))
-	for i, node := range n.nodes {
-		cp := &Node{ID: node.ID, Name: node.Name, Kind: node.Kind, Fn: node.Fn.Clone()}
-		out.nodes[i] = cp
-		out.byName[cp.Name] = cp.ID
-	}
-	out.pis = append([]NodeID(nil), n.pis...)
-	out.pos = append([]NodeID(nil), n.pos...)
-	return out
-}
-
-// Names returns a deterministic listing of node names, for debugging.
-func (n *Network) Names() []string {
-	out := make([]string, 0, len(n.nodes))
-	for _, node := range n.nodes {
-		out = append(out, node.Name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -26,7 +26,7 @@ func TestNetworkBasics(t *testing.T) {
 	if n.NumNodes() != 4 {
 		t.Fatalf("NumNodes = %d", n.NumNodes())
 	}
-	if len(n.PIs()) != 2 || len(n.POs()) != 1 {
+	if len(n.pis) != 2 || len(n.pos) != 1 {
 		t.Fatal("PI/PO counts wrong")
 	}
 	f, ok := n.Lookup("f")
@@ -180,8 +180,8 @@ func TestFromPLA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.PIs()) != 3 || len(n.POs()) != 2 {
-		t.Fatalf("interface %d/%d", len(n.PIs()), len(n.POs()))
+	if len(n.pis) != 3 || len(n.pos) != 2 {
+		t.Fatalf("interface %d/%d", len(n.pis), len(n.pos))
 	}
 	assign := make([]bool, 3)
 	for m := 0; m < 8; m++ {

@@ -64,56 +64,9 @@ func (c Cube) ContainsAll(d Cube) bool {
 	return true
 }
 
-// Remove returns c with the literals of d removed. The caller must
-// ensure d ⊆ c.
-func (c Cube) Remove(d Cube) Cube {
-	out := make(Cube, 0, len(c)-len(d))
-	i := 0
-	for _, l := range c {
-		if i < len(d) && d[i] == l {
-			i++
-			continue
-		}
-		out = append(out, l)
-	}
-	return out
-}
-
-// Intersect returns the literals common to c and d.
-func (c Cube) Intersect(d Cube) Cube {
-	var out Cube
-	i, j := 0, 0
-	for i < len(c) && j < len(d) {
-		switch {
-		case c[i] == d[j]:
-			out = append(out, c[i])
-			i++
-			j++
-		case c[i].Less(d[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // Merge returns the normalized union of c and d.
 func (c Cube) Merge(d Cube) (Cube, bool) {
 	return NewCube(append(append(Cube(nil), c...), d...)...)
-}
-
-// Equal reports whether c and d have identical literals.
-func (c Cube) Equal(d Cube) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns an independent copy of c.
@@ -176,15 +129,6 @@ func (s *Sop) normalize() {
 	*s = out
 }
 
-// Clone returns a deep copy of s.
-func (s Sop) Clone() Sop {
-	out := make(Sop, len(s))
-	for i, c := range s {
-		out[i] = c.Clone()
-	}
-	return out
-}
-
 // NumLiterals returns the total literal count.
 func (s Sop) NumLiterals() int {
 	n := 0
@@ -241,20 +185,6 @@ func (s Sop) Rename(old, new NodeID) Sop {
 	}
 	return NewSop(out...)
 }
-
-// key returns a canonical representation of the whole SOP.
-func (s Sop) key() string {
-	cp := s.Clone()
-	cp.normalize()
-	parts := make([]string, len(cp))
-	for i, c := range cp {
-		parts[i] = c.key()
-	}
-	return strings.Join(parts, "+")
-}
-
-// Equal reports whether s and t normalize to the same SOP.
-func (s Sop) Equal(t Sop) bool { return s.key() == t.key() }
 
 func nodeIDString(id NodeID) string {
 	// Small fast positive-int formatter to keep key() cheap.

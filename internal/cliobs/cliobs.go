@@ -53,11 +53,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Enabled reports whether any observability output was requested.
-func (f *Flags) Enabled() bool {
-	return f.Metrics != "" || f.Trace || f.Prom != "" || f.Pprof != ""
-}
-
 // Start attaches an obs.Recorder to ctx when any recording output was
 // requested and starts the requested profile. The returned finish
 // function stops the profile and writes every requested output; call

@@ -39,7 +39,6 @@ import (
 	"fmt"
 
 	"casyn/internal/geom"
-	"casyn/internal/library"
 	"casyn/internal/match"
 	"casyn/internal/obs"
 	"casyn/internal/par"
@@ -124,23 +123,6 @@ type Result struct {
 	RootArea float64
 	// RootWire sums Eq. 4 over tree roots.
 	RootWire float64
-}
-
-// Cover runs the DP over every tree of the forest. pos gives the
-// initial placement of all subject gates and is not modified; the
-// updated positions are in Result.Pos. Trees fan out across
-// opts.Workers goroutines — they share only read-only state, each tree
-// writes its own disjoint Best/Pos entries, and the root reduction
-// runs in ascending root order, so the result is deterministic and
-// identical to the serial pass. Each tree is a cooperative
-// cancellation point: a canceled ctx stops the DP promptly with a
-// wrapped ctx error.
-func Cover(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, opts Options) (*Result, error) {
-	prefix, err := BuildPrefix(ctx, dag, forest, lib, pos, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return CoverWithPrefix(ctx, dag, forest, prefix, opts)
 }
 
 // CoverWithPrefix runs the K-dependent covering DP against a prefix

@@ -36,11 +36,20 @@ func coverIt(t *testing.T, d *subject.DAG, pos []geom.Point, opts Options) (*Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cover(context.Background(), d, f, library.Default(), in.Pos, opts)
+	res, err := coverFull(d, f, in.Pos, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, f
+}
+
+// coverFull builds the prefix and runs the covering DP over it.
+func coverFull(d *subject.DAG, f *partition.Forest, pos []geom.Point, opts Options) (*Result, error) {
+	prefix, err := BuildPrefix(context.Background(), d, f, library.Default(), pos, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return CoverWithPrefix(context.Background(), d, f, prefix, opts)
 }
 
 func TestMinAreaPicksNand3(t *testing.T) {
@@ -220,7 +229,7 @@ func TestCoverErrorOnShortPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Cover(context.Background(), d, f, library.Default(), nil, Options{}); err == nil {
+	if _, err := coverFull(d, f, nil, Options{}); err == nil {
 		t.Error("short position slice accepted")
 	}
 }
@@ -270,7 +279,7 @@ func TestCoverWorkersDeterminism(t *testing.T) {
 		t.Fatalf("want a multi-tree forest, got %d roots", len(f.Roots))
 	}
 	run := func(workers int) *Result {
-		res, err := Cover(context.Background(), d, f, library.Default(), pos, Options{K: 0.01, Workers: workers})
+		res, err := coverFull(d, f, pos, Options{K: 0.01, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

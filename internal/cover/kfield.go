@@ -85,9 +85,6 @@ func (f *KField) CellOf(p geom.Point) (int, int) {
 	return x, y
 }
 
-// At returns the multiplier of gcell (x, y).
-func (f *KField) At(x, y int) float64 { return f.Mult[y*f.NX+x] }
-
 // MultAt returns the multiplier of the gcell containing p.
 func (f *KField) MultAt(p geom.Point) float64 {
 	x, y := f.CellOf(p)
@@ -115,17 +112,6 @@ func (f *KField) SpanMult(a, b geom.Point) float64 {
 		m = v
 	}
 	return m
-}
-
-// Uniform reports whether every multiplier is exactly 1.0 — the field
-// under which the weighted cover provably equals the classic one.
-func (f *KField) Uniform() bool {
-	for _, m := range f.Mult {
-		if m != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // InflatedCells counts cells with multiplier > 1 (reporting).

@@ -18,7 +18,7 @@ func TestKFieldGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Uniform() || f.InflatedCells() != 0 || f.MaxMult() != 1 {
+	if f.InflatedCells() != 0 || f.MaxMult() != 1 {
 		t.Fatal("fresh field must be uniform")
 	}
 	// Clamping: points outside the die land on border cells.
@@ -46,8 +46,8 @@ func TestKFieldGeometry(t *testing.T) {
 	if got := f.MultAt(a); got != 1 {
 		t.Errorf("MultAt(a) = %g, want 1", got)
 	}
-	if f.Uniform() || f.InflatedCells() != 1 || f.MaxMult() != 7 {
-		t.Error("inflation not reflected in Uniform/InflatedCells/MaxMult")
+	if f.InflatedCells() != 1 || f.MaxMult() != 7 {
+		t.Error("inflation not reflected in InflatedCells/MaxMult")
 	}
 	// Clone is deep.
 	c := f.Clone()
@@ -208,8 +208,8 @@ func TestTreeTerritoryContainsReads(t *testing.T) {
 	t.Parallel()
 	d, _, prefix, pos, _ := benchPrefix(t)
 	terr := prefix.TreeTerritories()
-	if len(terr) != prefix.NumTrees() {
-		t.Fatalf("%d territories for %d trees", len(terr), prefix.NumTrees())
+	if len(terr) != len(prefix.trees) {
+		t.Fatalf("%d territories for %d trees", len(terr), len(prefix.trees))
 	}
 	for ti := range prefix.trees {
 		r := terr[ti]
@@ -319,7 +319,7 @@ func TestCoverDeltaValidation(t *testing.T) {
 	}
 	// Re-cover every other tree under the nil field: the clean half
 	// copies base, the dirty half recomputes it.
-	dirty := make([]bool, prefix.NumTrees())
+	dirty := make([]bool, len(prefix.trees))
 	for ti := range dirty {
 		dirty[ti] = ti%2 == 0
 	}

@@ -55,9 +55,6 @@ type Prefix struct {
 	matches [][]preparedMatch
 }
 
-// NumTrees returns the number of partition trees.
-func (p *Prefix) NumTrees() int { return len(p.trees) }
-
 // NumMatches returns the total number of cached matches.
 func (p *Prefix) NumMatches() int {
 	n := 0

@@ -328,7 +328,8 @@ type STARow struct {
 	// "Comparison with critical path K = 0.0" column.
 	SameK0PathArrival float64
 	// ChipArea/NumRows describe the smallest floorplan that routed the
-	// netlist without violations.
+	// netlist without violations, or the largest one tried when
+	// Routable is false.
 	ChipArea float64
 	NumRows  int
 	Routable bool

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"casyn/internal/bench"
-	"casyn/internal/cover"
 	"casyn/internal/flow"
 	"casyn/internal/geom"
 	"casyn/internal/mapper"
-	"casyn/internal/partition"
 	"casyn/internal/place"
 	"casyn/internal/subject"
 )
@@ -133,106 +130,7 @@ func Figure3(ctx context.Context, class bench.Class, scale, tighten float64) (*F
 	out := &Figure3Result{Iterations: res.Iterations}
 	if best := res.Best(); best != nil {
 		out.AcceptedK = best.K
-		out.Routable = best.FailedConnections == 0
+		out.Routable = best.Routable
 	}
 	return out, nil
-}
-
-// Ablations (DESIGN.md): partitioning scheme, WIRE2 scope, and the
-// transitive-fanin cost the paper criticizes, all at a mid-ladder K.
-
-// AblationRow reports one ablation variant.
-type AblationRow struct {
-	Variant      string
-	CellArea     float64
-	NumCells     int
-	WireEstimate float64
-	Violations   int
-}
-
-// PartitionAblation maps the class circuit at the given K under each
-// partitioning scheme.
-func PartitionAblation(ctx context.Context, class bench.Class, scale, k float64) ([]AblationRow, error) {
-	d, err := buildSubject(class, scale, bench.Direct)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := sweepLayout(ctx, class, scale, d)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, m := range []struct {
-		label  string
-		method partition.Method
-	}{
-		{"pdp", partition.PDP},
-		{"dagon", partition.Dagon},
-		{"cone", partition.Cone},
-	} {
-		cfg := flow.Config{
-			Layout:         layout,
-			PlaceOpts:      PlaceOpts(),
-			RouteOpts:      RouteOpts(),
-			FreshPlacement: true,
-			Method:         m.method,
-		}
-		pc, err := flow.Prepare(ctx, d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		it, err := flow.RunOnce(ctx, pc, k, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", m.label, err)
-		}
-		rows = append(rows, AblationRow{
-			Variant:    m.label,
-			CellArea:   it.CellArea,
-			NumCells:   it.NumCells,
-			Violations: it.FailedConnections,
-		})
-	}
-	return rows, nil
-}
-
-// WireCostAblation compares the paper's two-level WIRE scope against
-// WIRE1-only and the transitive accumulation of Pedram–Bhat [9].
-func WireCostAblation(ctx context.Context, class bench.Class, scale, k float64) ([]AblationRow, error) {
-	d, err := buildSubject(class, scale, bench.Direct)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := sweepLayout(ctx, class, scale, d)
-	if err != nil {
-		return nil, err
-	}
-	pos, poPads, _, _, err := mapper.SubjectPlacement(ctx, d, layout, PlaceOpts())
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, v := range []struct {
-		label string
-		opts  cover.Options
-	}{
-		{"two-level (paper)", cover.Options{K: k}},
-		{"wire1-only", cover.Options{K: k, NoWire2: true}},
-		{"transitive [9]", cover.Options{K: k, TransitiveWire: true}},
-	} {
-		res, err := mapper.Map(ctx, d, mapper.Input{Pos: pos, POPads: poPads}, mapper.Options{
-			K:              v.opts.K,
-			TransitiveWire: v.opts.TransitiveWire,
-			NoWire2:        v.opts.NoWire2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Variant:      v.label,
-			CellArea:     res.CellArea,
-			NumCells:     res.NumCells,
-			WireEstimate: res.WireEstimate,
-		})
-	}
-	return rows, nil
 }

@@ -118,11 +118,6 @@ func (r *AdaptiveResult) Best() *Iteration {
 	return &r.Iterations[r.BestIndex].Iteration
 }
 
-// FoundRoutable reports whether any iteration routed cleanly.
-func (r *AdaptiveResult) FoundRoutable() bool {
-	return r.BestIndex >= 0 && r.Iterations[r.BestIndex].Routable
-}
-
 // RoutedIterations counts completed routed iterations (reporting; the
 // convergence tests assert ≤ adaptiveMaxIterations).
 func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }

@@ -141,7 +141,10 @@ func TestAdaptiveBeatsLadderOnFlagship(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FoundRoutable() {
+	if res.Best() == nil {
+		t.Fatal("adaptive produced no best iteration")
+	}
+	if !res.Best().Routable {
 		t.Fatalf("adaptive failed to route the flagship config (best viol=%d over %d iterations)",
 			res.Best().Violations, res.RoutedIterations())
 	}

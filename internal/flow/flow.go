@@ -94,7 +94,8 @@ type Config struct {
 	FastECORoute bool
 	// RunSTA enables timing analysis per iteration.
 	RunSTA bool
-	// STAOpts forwards to the timing analyzer.
+	// STAOpts forwards to the timing analyzer, which has no settable
+	// option; the field stays because cmd/casynbench passes it.
 	STAOpts sta.Options
 	// StopAtFirstRoutable ends the sweep at the first clean iteration
 	// (the methodology's normal exit); when false the whole ladder
@@ -339,23 +340,6 @@ func (r *Result) Best() *Iteration {
 		return nil
 	}
 	return &r.Iterations[r.BestIndex]
-}
-
-// FoundRoutable reports whether any iteration routed cleanly.
-func (r *Result) FoundRoutable() bool {
-	return r.BestIndex >= 0 && r.Iterations[r.BestIndex].Routable
-}
-
-// FailedIterations returns the iterations that were skipped due to
-// errors, in ladder order.
-func (r *Result) FailedIterations() []Iteration {
-	var out []Iteration
-	for _, it := range r.Iterations {
-		if it.Skipped {
-			out = append(out, it)
-		}
-	}
-	return out
 }
 
 // Run executes the flow on a prepared context, degrading rather than

@@ -8,7 +8,6 @@ import (
 	"casyn/internal/bench"
 	"casyn/internal/place"
 	"casyn/internal/route"
-	"casyn/internal/subject"
 )
 
 // prepared returns a small subject DAG context on a fixed layout.
@@ -95,8 +94,8 @@ func TestRunLadderAndBest(t *testing.T) {
 			anyRoutable = true
 		}
 	}
-	if anyRoutable != res.FoundRoutable() {
-		t.Error("FoundRoutable inconsistent")
+	if best := res.Best(); anyRoutable != (best != nil && best.Routable) {
+		t.Error("Best routability inconsistent with the iterations")
 	}
 }
 
@@ -158,61 +157,6 @@ func TestFlowDeterminism(t *testing.T) {
 	if a.CellArea != b.CellArea || a.WireLength != b.WireLength ||
 		a.Violations != b.Violations || a.FailedConnections != b.FailedConnections {
 		t.Errorf("flow not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestRunWithRelaxation(t *testing.T) {
-	// A die so tight that no K routes; relaxation must grow the
-	// floorplan until one does (or exhaust the budget gracefully).
-	spec := bench.SPLA.ScaledSpec(0.05)
-	p, err := bench.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := bench.BuildSubject(p, bench.Direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	area := float64(d.BaseGateCount()) * 4.6 / 0.80 // very tight
-	layout, err := place.NewLayout(area, 1.0, 6.656)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Layout:         layout,
-		PlaceOpts:      place.Options{Seed: 1},
-		RouteOpts:      route.Options{CapacityScale: 1.98},
-		FreshPlacement: true,
-		KSchedule:      []float64{0, 0.001},
-	}
-	res, err := RunWithRelaxation(context.Background(), d, cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Attempts) == 0 {
-		t.Fatal("no attempts")
-	}
-	it, accepted := res.Accepted()
-	if it == nil {
-		t.Fatal("no accepted iteration")
-	}
-	// Floorplans grow monotonically across attempts.
-	for i := 1; i < len(res.Layouts); i++ {
-		if res.Layouts[i].NumRows != res.Layouts[i-1].NumRows+1 {
-			t.Error("relaxation must add one row per attempt")
-		}
-	}
-	if res.Attempts[res.Final].FoundRoutable() && accepted.NumRows < layout.NumRows {
-		t.Error("accepted layout smaller than the starting one")
-	}
-}
-
-func TestRunWithRelaxationNegativeBound(t *testing.T) {
-	d := subject.New()
-	d.AddOutput("o", d.AddInv(d.AddPI("a")))
-	res, err := RunWithRelaxation(context.Background(), d, Config{}, -1)
-	if err == nil {
-		t.Fatalf("negative row bound accepted: %+v", res)
 	}
 }
 

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
@@ -46,41 +45,6 @@ type StageTiming struct {
 	CPU   time.Duration
 	// Err is the failure the stage ended with ("" on success).
 	Err string
-}
-
-// StageWall returns the measured wall time of a stage and whether the
-// stage ran at all.
-func (m *Metrics) StageWall(stage runstage.Stage) (time.Duration, bool) {
-	if m == nil {
-		return 0, false
-	}
-	for _, st := range m.Stages {
-		if st.Stage == stage {
-			return st.Wall, true
-		}
-	}
-	return 0, false
-}
-
-// Fingerprint renders the deterministic subset of the metrics as a
-// stable string: the event-stream fingerprint (counters, histogram
-// buckets, span counts), the hot-spot list, and the stage sequence
-// without its durations. Two iterations that did the same work — for
-// any worker count — produce identical fingerprints.
-func (m *Metrics) Fingerprint() string {
-	if m == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(m.Events.Fingerprint())
-	for _, st := range m.Stages {
-		fmt.Fprintf(&b, "stage %s err=%q\n", st.Stage, st.Err)
-	}
-	for _, h := range m.HotSpots {
-		fmt.Fprintf(&b, "hotspot (%d,%d) horizontal=%v overflow=%g congestion=%g\n",
-			h.X, h.Y, h.Horizontal, h.Overflow, h.Congestion)
-	}
-	return b.String()
 }
 
 // MergeMetrics folds an iteration's event stream into the recorder

@@ -3,12 +3,35 @@ package flow
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"casyn/internal/obs"
 	"casyn/internal/runstage"
 )
+
+// Fingerprint renders the deterministic subset of the metrics as a
+// stable string: the event-stream fingerprint (counters, histogram
+// buckets, span counts), the hot-spot list, and the stage sequence
+// without its durations. Two iterations that did the same work — for
+// any worker count — produce identical fingerprints.
+func (m *Metrics) Fingerprint() string {
+	if m == nil {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString(m.Events.Fingerprint())
+	for _, st := range m.Stages {
+		fmt.Fprintf(&b, "stage %s err=%q\n", st.Stage, st.Err)
+	}
+	for _, h := range m.HotSpots {
+		fmt.Fprintf(&b, "hotspot (%d,%d) horizontal=%v overflow=%g congestion=%g\n",
+			h.X, h.Y, h.Horizontal, h.Overflow, h.Congestion)
+	}
+	return b.String()
+}
 
 // TestRunOnceMetricsSnapshot checks the shape of one iteration's
 // Metrics: nil without a recorder, and with one — a span per pipeline
@@ -70,12 +93,6 @@ func TestRunOnceMetricsSnapshot(t *testing.T) {
 		if st.Err != "" {
 			t.Errorf("stage %s err = %q", st.Stage, st.Err)
 		}
-	}
-	if w, ok := m.StageWall(runstage.StageMap); !ok || w <= 0 {
-		t.Errorf("StageWall(map) = %v, %v", w, ok)
-	}
-	if _, ok := m.StageWall(runstage.StageSTA); ok {
-		t.Error("StageWall(sta) reported for a stage that never ran")
 	}
 }
 
@@ -166,10 +183,9 @@ func TestMetricsOnBudgetTimeout(t *testing.T) {
 			t.Fatalf("stage %d = %s, want %s", i, st.Stage, wantStages[i])
 		}
 	}
-	for _, stage := range []runstage.Stage{runstage.StageMapPrepare, runstage.StageMap, runstage.StagePlace} {
-		w, ok := m.StageWall(stage)
-		if !ok || w <= 0 {
-			t.Errorf("completed stage %s lost its wall time (%v, %v)", stage, w, ok)
+	for _, st := range m.Stages[:3] {
+		if st.Wall <= 0 {
+			t.Errorf("completed stage %s lost its wall time (%v)", st.Stage, st.Wall)
 		}
 	}
 	route := m.Stages[3]

@@ -56,8 +56,14 @@ func TestSweepDegradesOnInjectedFailure(t *testing.T) {
 	if best.Skipped {
 		t.Error("Best() selected a skipped iteration")
 	}
-	if failed := res.FailedIterations(); len(failed) != 1 || failed[0].K != 0.001 {
-		t.Errorf("FailedIterations = %+v, want exactly the K=0.001 row", failed)
+	var failed []Iteration
+	for _, it := range res.Iterations {
+		if it.Skipped {
+			failed = append(failed, it)
+		}
+	}
+	if len(failed) != 1 || failed[0].K != 0.001 {
+		t.Errorf("skipped iterations = %+v, want exactly the K=0.001 row", failed)
 	}
 }
 

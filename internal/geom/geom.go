@@ -23,9 +23,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p translated by -q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Scale returns p with both coordinates multiplied by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
@@ -82,36 +79,12 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// Intersects reports whether r and s share any area or edge.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
 		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
 		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
 	}
-}
-
-// Expand returns r grown by d on every side. A negative d shrinks r;
-// the result is clamped so it never inverts.
-func (r Rect) Expand(d float64) Rect {
-	out := Rect{
-		Min: Point{r.Min.X - d, r.Min.Y - d},
-		Max: Point{r.Max.X + d, r.Max.Y + d},
-	}
-	if out.Min.X > out.Max.X {
-		c := (out.Min.X + out.Max.X) / 2
-		out.Min.X, out.Max.X = c, c
-	}
-	if out.Min.Y > out.Max.Y {
-		c := (out.Min.Y + out.Max.Y) / 2
-		out.Min.Y, out.Max.Y = c, c
-	}
-	return out
 }
 
 // String implements fmt.Stringer.
@@ -133,15 +106,6 @@ func BoundingBox(pts []Point) Rect {
 		r.Max.Y = math.Max(r.Max.Y, p.Y)
 	}
 	return r
-}
-
-// HPWL returns the half-perimeter wirelength of the bounding box of
-// pts, the standard pre-route estimate of a net's wirelength.
-func HPWL(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	return BoundingBox(pts).HalfPerimeter()
 }
 
 // SteinerLength estimates the rectilinear Steiner minimal tree length
@@ -259,27 +223,4 @@ func CenterOfMass(pts []Point) Point {
 		c.Y += p.Y
 	}
 	return c.Scale(1 / float64(len(pts)))
-}
-
-// WeightedCenterOfMass returns the centroid of pts weighted by w.
-// Entries with non-positive weight are ignored; if every weight is
-// non-positive it falls back to the unweighted centroid.
-func WeightedCenterOfMass(pts []Point, w []float64) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	var tot float64
-	for i, p := range pts {
-		if i >= len(w) || w[i] <= 0 {
-			continue
-		}
-		c.X += p.X * w[i]
-		c.Y += p.Y * w[i]
-		tot += w[i]
-	}
-	if tot == 0 {
-		return CenterOfMass(pts)
-	}
-	return c.Scale(1 / tot)
 }

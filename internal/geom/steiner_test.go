@@ -60,7 +60,7 @@ func TestSteinerLengthBounds(t *testing.T) {
 			pts[i] = Pt(float64(rng.Intn(100)), float64(rng.Intn(100)))
 		}
 		l := SteinerLength(pts)
-		if h := HPWL(dedupPoints(pts)); l < h-1e-9 {
+		if h := BoundingBox(pts).HalfPerimeter(); l < h-1e-9 {
 			t.Fatalf("steiner %g below HPWL %g for %v", l, h, pts)
 		}
 		if m := mstLength(dedupPoints(pts)); l > m+1e-9 {

@@ -29,14 +29,6 @@ type Cell struct {
 	InputCap float64
 }
 
-// NumInputs returns the number of distinct pattern variables.
-func (c *Cell) NumInputs() int {
-	if len(c.Patterns) == 0 {
-		return 0
-	}
-	return len(c.Patterns[0].Vars())
-}
-
 // Validate checks the cell's internal consistency: positive area,
 // at least one pattern, and functional equality of all patterns over
 // a common variable set (exhaustive up to 10 inputs).
@@ -153,9 +145,6 @@ func (l *Library) MaxPatternHeight() int {
 
 // Cell returns the named cell, or nil.
 func (l *Library) Cell(name string) *Cell { return l.index[name] }
-
-// Inv returns the inverter cell (guaranteed present).
-func (l *Library) Inv() *Cell { return l.index["INV"] }
 
 // Nand2 returns the two-input NAND cell (guaranteed present).
 func (l *Library) Nand2() *Cell { return l.index["NAND2"] }

@@ -12,15 +12,12 @@ func TestParsePattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Op != OpNand2 || p.Kids[1].Op != OpInv {
+	if p.Op != OpNand2 || p.Kids[1].Op != OpInv || p.Kids[1].Kids[0].Op != OpNand2 {
 		t.Errorf("structure wrong: %s", p)
 	}
 	vars := p.Vars()
 	if len(vars) != 3 || vars[0] != "a" || vars[1] != "b" || vars[2] != "c" {
 		t.Errorf("Vars = %v", vars)
-	}
-	if p.NumGates() != 3 {
-		t.Errorf("NumGates = %d, want 3", p.NumGates())
 	}
 	// Round trip.
 	q, err := ParsePattern(p.String())
@@ -92,7 +89,7 @@ func TestDefaultLibraryValidates(t *testing.T) {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 	}
-	if l.Inv() == nil || l.Nand2() == nil {
+	if l.Cell("INV") == nil || l.Nand2() == nil {
 		t.Fatal("mandatory cells missing")
 	}
 }
@@ -198,7 +195,7 @@ func TestNewLibraryRejectsDuplicatesAndMissingBase(t *testing.T) {
 func TestCellWidth(t *testing.T) {
 	t.Parallel()
 	l := Default()
-	inv := l.Inv()
+	inv := l.Cell("INV")
 	if math.Abs(inv.Width()*RowHeight-inv.Area) > 1e-9 {
 		t.Error("Width × RowHeight must equal Area")
 	}
@@ -209,7 +206,7 @@ func TestNumInputs(t *testing.T) {
 	l := Default()
 	wants := map[string]int{"INV": 1, "NAND2": 2, "NAND3": 3, "NAND4": 4, "AOI21": 3, "XOR2": 2}
 	for name, want := range wants {
-		if got := l.Cell(name).NumInputs(); got != want {
+		if got := len(l.Cell(name).Patterns[0].Vars()); got != want {
 			t.Errorf("%s NumInputs = %d, want %d", name, got, want)
 		}
 	}
@@ -277,7 +274,7 @@ func TestWideCellsAreaPerInputFalls(t *testing.T) {
 	prev := 1e18
 	for _, name := range chain {
 		c := l.Cell(name)
-		per := c.Area / float64(c.NumInputs())
+		per := c.Area / float64(len(c.Patterns[0].Vars()))
 		if per >= prev {
 			t.Errorf("%s area/input %.3f not below predecessor %.3f", name, per, prev)
 		}

@@ -69,20 +69,6 @@ func (p *Pattern) Vars() []string {
 	return out
 }
 
-// NumGates returns the number of internal (NAND2/INV) nodes.
-func (p *Pattern) NumGates() int {
-	switch p.Op {
-	case OpVar:
-		return 0
-	default:
-		n := 1
-		for _, k := range p.Kids {
-			n += k.NumGates()
-		}
-		return n
-	}
-}
-
 // Height returns the number of internal (NAND2/INV) levels on the
 // pattern's deepest root-to-leaf path: 1 for INV(a), 0 for a bare
 // variable. A match of the pattern covers gates at most Height-1 tree

@@ -61,16 +61,6 @@ func ParseCube(s string) (Cube, error) {
 	return c, nil
 }
 
-// MustParseCube is ParseCube that panics on error; for tests and
-// package-internal literals.
-func MustParseCube(s string) Cube {
-	c, err := ParseCube(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Inputs returns the number of inputs the cube is defined over.
 func (c Cube) Inputs() int { return c.n }
 
@@ -118,38 +108,6 @@ func (c Cube) NumLiterals() int {
 	return n
 }
 
-// Contains reports whether c covers d, i.e. every minterm of d is a
-// minterm of c. c covers d iff every literal of c appears in d with
-// the same phase.
-func (c Cube) Contains(d Cube) bool {
-	if c.n != d.n {
-		return false
-	}
-	for i := range c.pos {
-		if c.pos[i]&^d.pos[i] != 0 || c.neg[i]&^d.neg[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersect returns the product c·d and whether it is non-empty. The
-// product is empty when some input appears with opposite phases.
-func (c Cube) Intersect(d Cube) (Cube, bool) {
-	if c.n != d.n {
-		return Cube{}, false
-	}
-	out := NewCube(c.n)
-	for i := range c.pos {
-		out.pos[i] = c.pos[i] | d.pos[i]
-		out.neg[i] = c.neg[i] | d.neg[i]
-		if out.pos[i]&out.neg[i] != 0 {
-			return Cube{}, false
-		}
-	}
-	return out, true
-}
-
 // EvalAssignment evaluates the cube under a full input assignment.
 // assign[i] is the value of input i.
 func (c Cube) EvalAssignment(assign []bool) bool {
@@ -163,19 +121,6 @@ func (c Cube) EvalAssignment(assign []bool) bool {
 			if assign[i] {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// Equal reports whether c and d are the same cube.
-func (c Cube) Equal(d Cube) bool {
-	if c.n != d.n {
-		return false
-	}
-	for i := range c.pos {
-		if c.pos[i] != d.pos[i] || c.neg[i] != d.neg[i] {
-			return false
 		}
 	}
 	return true

@@ -42,7 +42,7 @@ func refCoverEval(c *Cover, assign []bool) bool {
 func randomCover(rng *rand.Rand, n, cubes int) *Cover {
 	c := NewCover(n)
 	for i := 0; i < cubes; i++ {
-		c.Add(randomCube(rng, n))
+		c.Cubes = append(c.Cubes, randomCube(rng, n))
 	}
 	return c
 }

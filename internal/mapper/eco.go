@@ -152,13 +152,6 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	}, nil
 }
 
-// SharesMatches reports whether the successor shares gate g's cached
-// match slice with its parent (pointer identity). Test hook for the
-// copy-on-write contract.
-func (e *ECO) SharesMatches(g int) bool {
-	return cover.SharesMatches(e.parent.prefix, e.Prep.prefix, g)
-}
-
 // CoverState is one K rung's covering result together with its
 // lineage: the Prepared it covered, the K it covered at, and the
 // K-field it covered under. MapStateful produces the initial one;
@@ -172,9 +165,6 @@ type CoverState struct {
 	// replaces it.
 	field *cover.KField
 }
-
-// K returns the congestion factor the state was covered at.
-func (s *CoverState) K() float64 { return s.k }
 
 // coverOptions assembles the covering options of a Prepared at K.
 func (p *Prepared) coverOptions(k float64) cover.Options {

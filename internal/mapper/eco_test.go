@@ -16,6 +16,13 @@ import (
 	"casyn/internal/subject"
 )
 
+// SharesMatches reports whether the successor shares gate g's cached
+// match slice with its parent (pointer identity): the probe for the
+// copy-on-write contract.
+func (e *ECO) SharesMatches(g int) bool {
+	return cover.SharesMatches(e.parent.prefix, e.Prep.prefix, g)
+}
+
 // exampleCircuits globs the example PLA suite the ECO properties run
 // over.
 func exampleCircuits(t *testing.T) []string {
@@ -203,7 +210,7 @@ func mapUnderField(t *testing.T, ctx context.Context, prep *Prepared, k float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]bool, prep.prefix.NumTrees())
+	all := make([]bool, len(prep.forest.Roots))
 	for i := range all {
 		all[i] = true
 	}

@@ -53,12 +53,6 @@ func (p *Prepared) Pos() []geom.Point { return p.in.Pos }
 // POPads exposes the PO pad map of the placement context (read-only).
 func (p *Prepared) POPads() map[int][]geom.Point { return p.in.POPads }
 
-// Forest exposes the partition the prefix was built on.
-func (p *Prepared) Forest() *partition.Forest { return p.forest }
-
-// NumMatches returns the total cached match count (reporting only).
-func (p *Prepared) NumMatches() int { return p.prefix.NumMatches() }
-
 // Compatible reports whether the Prepared can serve a mapping request
 // with the given partition method and library. Libraries compare by
 // content (library.Library.Fingerprint), so a fresh library.Default()

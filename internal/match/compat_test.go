@@ -73,7 +73,7 @@ func TestMatchesAreFunctionCompatibleRandom(t *testing.T) {
 			}
 		}
 		for _, tr := range f.Trees(d) {
-			mr := NewMatcher(d, lib, f.Father, tr.InTree())
+			mr := NewMatcher(d, lib, f.Father, inTree(tr))
 			for _, g := range tr.Gates {
 				for _, mt := range mr.MatchesAt(g) {
 					matches++
@@ -116,7 +116,7 @@ func TestMatchCoveredSetIsConsistentRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tr := range f.Trees(d) {
-			inTree := tr.InTree()
+			inTree := inTree(tr)
 			mr := NewMatcher(d, lib, f.Father, inTree)
 			for _, g := range tr.Gates {
 				for _, mt := range mr.MatchesAt(g) {

@@ -31,9 +31,6 @@ type Match struct {
 	Covered []int
 }
 
-// NumCovered returns the number of base gates the match replaces.
-func (m *Match) NumCovered() int { return len(m.Covered) }
-
 // Matcher finds matches within one subject tree.
 type Matcher struct {
 	dag *subject.DAG

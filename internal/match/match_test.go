@@ -18,11 +18,20 @@ func treeMatcher(t *testing.T, d *subject.DAG, root int) *Matcher {
 	}
 	for _, tr := range f.Trees(d) {
 		if tr.Root == root {
-			return NewMatcher(d, library.Default(), f.Father, tr.InTree())
+			return NewMatcher(d, library.Default(), f.Father, inTree(tr))
 		}
 	}
 	t.Fatalf("no tree rooted at %d", root)
 	return nil
+}
+
+// inTree returns a membership test for tr's gates.
+func inTree(tr partition.Tree) func(gate int) bool {
+	set := make(map[int]bool, len(tr.Gates))
+	for _, g := range tr.Gates {
+		set[g] = true
+	}
+	return func(g int) bool { return set[g] }
 }
 
 func cellNames(ms []Match) map[string]bool {
@@ -166,7 +175,7 @@ func TestMatchStopsAtTreeBoundary(t *testing.T) {
 	if rootTree == nil {
 		t.Fatal("root tree missing")
 	}
-	m := NewMatcher(d, library.Default(), f.Father, rootTree.InTree())
+	m := NewMatcher(d, library.Default(), f.Father, inTree(*rootTree))
 	names := cellNames(m.MatchesAt(root))
 	if names["NAND3"] {
 		t.Error("NAND3 matched across a tree boundary")
@@ -252,7 +261,7 @@ func TestEveryTreeVertexHasAMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range f.Trees(d) {
-		m := NewMatcher(d, library.Default(), f.Father, tr.InTree())
+		m := NewMatcher(d, library.Default(), f.Father, inTree(tr))
 		for _, g := range tr.Gates {
 			if len(m.MatchesAt(g)) == 0 {
 				t.Errorf("no match at gate %d (%s)", g, d.Gate(g).Type)
@@ -283,7 +292,7 @@ func TestMatchFunctionalCorrectness(t *testing.T) {
 	}
 	lib := library.Default()
 	for _, tr := range f.Trees(d) {
-		m := NewMatcher(d, lib, f.Father, tr.InTree())
+		m := NewMatcher(d, lib, f.Father, inTree(tr))
 		for _, g := range tr.Gates {
 			for _, mt := range m.MatchesAt(g) {
 				pat := mt.Cell.Patterns[mt.PatternIndex]

@@ -7,7 +7,6 @@ package netlist
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"casyn/internal/geom"
 	"casyn/internal/library"
@@ -350,19 +349,4 @@ func (n *Netlist) ToPlacement(piPads, poPads []geom.Point) *PlacementNetlist {
 		}
 	}
 	return pn
-}
-
-// Summary is a one-line report of the netlist.
-func (n *Netlist) Summary() string {
-	counts := n.CellCounts()
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	s := fmt.Sprintf("%d cells, %.3f µm²:", n.NumCells(), n.CellArea())
-	for _, name := range names {
-		s += fmt.Sprintf(" %s×%d", name, counts[name])
-	}
-	return s
 }

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"strings"
 	"testing"
 
 	"casyn/internal/geom"
@@ -37,9 +36,6 @@ func TestNetlistBasics(t *testing.T) {
 	}
 	if err := n.Check(); err != nil {
 		t.Errorf("Check: %v", err)
-	}
-	if !strings.Contains(n.Summary(), "2 cells") {
-		t.Errorf("Summary = %q", n.Summary())
 	}
 }
 

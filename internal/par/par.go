@@ -131,20 +131,3 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// Map runs fn over [0, n) with ForEach's dispatch rules and returns
-// the results in index order. On error the partial slice is returned:
-// entries for tasks that completed are filled, the rest are zero
-// values.
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
-}

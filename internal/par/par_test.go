@@ -159,46 +159,15 @@ func TestForEachTaskErrorBeatsCtxError(t *testing.T) {
 	}
 }
 
-func TestMapOrderedResults(t *testing.T) {
-	t.Parallel()
-	for _, workers := range []int{1, 8} {
-		out, err := Map(context.Background(), workers, 100, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestMapPartialOnError(t *testing.T) {
-	t.Parallel()
-	out, err := Map(context.Background(), 1, 10, func(i int) (int, error) {
-		if i == 4 {
-			return 0, errors.New("stop")
-		}
-		return i + 1, nil
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if len(out) != 10 || out[3] != 4 || out[4] != 0 {
-		t.Errorf("partial results wrong: %v", out)
-	}
-}
-
 func TestForEachDeterministicReduction(t *testing.T) {
 	t.Parallel()
 	// The same computation under different worker counts must reduce to
 	// identical results.
 	run := func(workers int) []int {
-		out, err := Map(context.Background(), workers, 64, func(i int) (int, error) {
-			return i*31 + 7, nil
+		out := make([]int, 64)
+		err := ForEach(context.Background(), workers, len(out), func(i int) error {
+			out[i] = i*31 + 7
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

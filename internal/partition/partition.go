@@ -77,7 +77,7 @@ type Forest struct {
 	Roots []int
 
 	// Caches computed once at finish() time. Every partitioner funnels
-	// through finish, so Trees/RootOf/Stats serve these instead of
+	// through finish, so Trees/RootOf serve these instead of
 	// re-deriving liveness and tree membership per call — the repeated
 	// per-tree sweeps in mapper.Prepare were paying that recomputation
 	// on every prefix build. The caches are populated eagerly (never
@@ -85,7 +85,6 @@ type Forest struct {
 	// concurrent K ladder; a lazy memo would race.
 	trees  []Tree
 	rootOf []int
-	stats  Stats
 	cached bool
 }
 
@@ -128,7 +127,7 @@ func poDrivers(d *subject.DAG) []bool {
 	return set
 }
 
-// finish fills Roots from Father, precomputes the tree/root-of/stats
+// finish fills Roots from Father, precomputes the tree and root-of
 // caches, and returns the forest. live is d.LiveGates().
 func finish(d *subject.DAG, father, live []int) *Forest {
 	f := &Forest{Father: father}
@@ -140,7 +139,6 @@ func finish(d *subject.DAG, father, live []int) *Forest {
 	sort.Ints(f.Roots)
 	f.trees = f.materializeTrees()
 	f.rootOf = f.computeRootOf(len(father))
-	f.stats = statsOf(f.trees)
 	f.cached = true
 	return f
 }
@@ -412,44 +410,4 @@ func (f *Forest) computeRootOf(n int) []int {
 		}
 	}
 	return rootOf
-}
-
-// InTree returns a membership test for the tree.
-func (t *Tree) InTree() func(gate int) bool {
-	set := make(map[int]bool, len(t.Gates))
-	for _, g := range t.Gates {
-		set[g] = true
-	}
-	return func(g int) bool { return set[g] }
-}
-
-// Stats summarizes a forest for reporting and tests.
-type Stats struct {
-	Trees        int
-	TreeGates    int
-	MaxTreeSize  int
-	MeanTreeSize float64
-}
-
-// Stats returns forest statistics (the finish()-time cache when
-// available).
-func (f *Forest) Stats(d *subject.DAG) Stats {
-	if f.cached {
-		return f.stats
-	}
-	return statsOf(f.Trees(d))
-}
-
-func statsOf(trees []Tree) Stats {
-	s := Stats{Trees: len(trees)}
-	for _, t := range trees {
-		s.TreeGates += len(t.Gates)
-		if len(t.Gates) > s.MaxTreeSize {
-			s.MaxTreeSize = len(t.Gates)
-		}
-	}
-	if s.Trees > 0 {
-		s.MeanTreeSize = float64(s.TreeGates) / float64(s.Trees)
-	}
-	return s
 }

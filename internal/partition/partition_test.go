@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"casyn/internal/geom"
@@ -378,13 +379,17 @@ func TestTreesTopologicalAndChildren(t *testing.T) {
 	if len(kids) != 2 {
 		t.Errorf("children of root = %v", kids)
 	}
-	inTree := big.InTree()
-	if !inTree(n[1]) || !inTree(n[2]) || inTree(n[0]) {
-		t.Error("InTree membership wrong")
+	if !slices.Contains(big.Gates, n[1]) || !slices.Contains(big.Gates, n[2]) || slices.Contains(big.Gates, n[0]) {
+		t.Error("tree membership wrong")
 	}
-	s := f.Stats(d)
-	if s.Trees != 2 || s.TreeGates != 4 || s.MaxTreeSize != 3 {
-		t.Errorf("Stats = %+v", s)
+	trees = f.Trees(d)
+	treeGates, maxTree := 0, 0
+	for _, tr := range trees {
+		treeGates += len(tr.Gates)
+		maxTree = max(maxTree, len(tr.Gates))
+	}
+	if len(trees) != 2 || treeGates != 4 || maxTree != 3 {
+		t.Errorf("trees = %d, tree gates = %d, largest tree = %d", len(trees), treeGates, maxTree)
 	}
 }
 

@@ -82,24 +82,6 @@ type Placement struct {
 	Row []int
 }
 
-// HPWL returns the total half-perimeter wirelength of the netlist
-// under placement p, including pad locations.
-func (nl *Netlist) HPWL(p *Placement) float64 {
-	total := 0.0
-	for i := range nl.Nets {
-		total += nl.NetHPWL(p, i)
-	}
-	return total
-}
-
-// NetHPWL returns the half-perimeter wirelength of one net.
-func (nl *Netlist) NetHPWL(p *Placement, net int) float64 {
-	if nl.Nets[net].Degree() < 2 {
-		return 0
-	}
-	return nl.netBox(p, net).HalfPerimeter()
-}
-
 // netBox returns the bounding box of a net's cell and pad pins. The net
 // must have at least one pin.
 func (nl *Netlist) netBox(p *Placement, net int) geom.Rect {

@@ -135,9 +135,11 @@ func TestPlaceChainLegality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every cell inside the die, on a row center.
+	d := layout.Die
+	die := geom.R(d.Min.X-1e-6, d.Min.Y-1e-6, d.Max.X+1e-6, d.Max.Y+1e-6)
 	for c := 0; c < nl.NumCells(); c++ {
 		pt := p.Pos[c]
-		if !layout.Die.Expand(1e-6).Contains(pt) {
+		if !die.Contains(pt) {
 			t.Fatalf("cell %d at %v outside die %v", c, pt, layout.Die)
 		}
 		if math.Abs(pt.Y-layout.RowY(p.Row[c])) > 1e-6 {

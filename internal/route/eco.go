@@ -50,9 +50,6 @@ type State struct {
 	res      *Result
 }
 
-// Result returns the routing result the state captured.
-func (s *State) Result() *Result { return s.res }
-
 // netSlots groups the canonical slots sortSegs returned by net: for
 // each of nets nets, the positions its segments take in the sorted
 // list, in emission (mstPairs) order. segs must be the unsorted input,

@@ -149,9 +149,6 @@ func TestRouteECOUnchangedReturnsPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Result() != res {
-		t.Fatal("State.Result does not return the captured result")
-	}
 	res2, st2, err := RouteECO(ctx, st, nl, pl, identityNets(nl))
 	if err != nil {
 		t.Fatal(err)

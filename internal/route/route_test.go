@@ -5,7 +5,6 @@ import (
 
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"casyn/internal/geom"
@@ -274,35 +273,6 @@ func TestCongestionGrowsWithDemand(t *testing.T) {
 	}
 	if hi.MaxCongestion <= lo.MaxCongestion {
 		t.Errorf("congestion did not grow with demand: %g vs %g", lo.MaxCongestion, hi.MaxCongestion)
-	}
-}
-
-func TestCongestionMapRenderAndHotspots(t *testing.T) {
-	t.Parallel()
-	layout := testLayout(t)
-	g, err := NewGrid(layout, Options{GCellSize: 10}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Saturate one edge and nearly fill another.
-	g.addUsage(edge{x: 2, y: 2, horizontal: true}, g.capH[2][2]*1.5)
-	g.addUsage(edge{x: 5, y: 5, horizontal: false}, g.capV[5][5]*0.8)
-	var buf strings.Builder
-	if err := g.WriteCongestionMap(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "█") {
-		t.Error("overflow cell not rendered as full block")
-	}
-	if !strings.Contains(out, "▓") {
-		t.Error("80% cell not rendered as dark shade")
-	}
-	if got := g.HotspotCount(1.0); got < 1 || got > 4 {
-		t.Errorf("HotspotCount(1.0) = %d, want the saturated neighborhood", got)
-	}
-	if g.HotspotCount(0.1) <= g.HotspotCount(1.0) {
-		t.Error("lower threshold must count at least as many hotspots")
 	}
 }
 

@@ -40,7 +40,7 @@ func runPhase(b *testing.B, s *Server, specs []JobSpec, wantCache string) loadPh
 			b.Fatal(err)
 		}
 		select {
-		case <-job.Done():
+		case <-job.done:
 		case <-time.After(120 * time.Second):
 			b.Fatalf("job %s stuck", job.ID)
 		}

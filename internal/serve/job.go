@@ -180,9 +180,6 @@ func (j *Job) Result() (*JobResult, *JobError) {
 	return j.result, j.jerr
 }
 
-// Done exposes the terminal-state signal.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // start transitions queued → running, returning false when the job was
 // canceled while waiting in the queue (the worker must skip it).
 func (j *Job) start(cancel context.CancelFunc) bool {
@@ -235,14 +232,4 @@ func (j *Job) Cancel() bool {
 	}
 	j.mu.Unlock()
 	return false
-}
-
-// wall returns the job's run duration (0 until it ran).
-func (j *Job) wall() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.startAt.IsZero() || j.finishAt.IsZero() {
-		return 0
-	}
-	return j.finishAt.Sub(j.startAt)
 }

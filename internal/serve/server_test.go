@@ -78,7 +78,7 @@ func waitTerminal(t *testing.T, s *Server, id string) *Job {
 		t.Fatalf("no job %q", id)
 	}
 	select {
-	case <-job.Done():
+	case <-job.done:
 	case <-time.After(60 * time.Second):
 		t.Fatalf("job %s stuck in %s", id, job.Status())
 	}

@@ -49,9 +49,6 @@ func (r *Result) Slacks(requiredNs float64) *SlackReport {
 	return rep
 }
 
-// Met reports whether every endpoint meets the required time.
-func (s *SlackReport) Met() bool { return s.FailingEndpoints == 0 }
-
 // Write emits the report, PrimeTime-style: worst paths first, capped
 // at maxEndpoints rows (0 = all).
 func (s *SlackReport) Write(w io.Writer, maxEndpoints int) error {

@@ -16,37 +16,23 @@ import (
 	"casyn/internal/netlist"
 )
 
-// Options sets the interconnect and boundary parameters.
-type Options struct {
-	// WireCapPerUm is wire capacitance in pF/µm (default 0.00025,
-	// a 0.18 µm-class value where wire cap dominates gate cap).
-	WireCapPerUm float64
-	// WireResPerUm is wire resistance in kΩ/µm (default 0.0001).
-	WireResPerUm float64
-	// POLoadCap is the load on each primary output in pF (default
-	// 0.03).
-	POLoadCap float64
-	// PIDrive is the resistance of the input drivers in kΩ (default
-	// 1.5).
-	PIDrive float64
-	// PIDelay is the arrival time at the primary inputs in ns.
-	PIDelay float64
-}
+// The interconnect and boundary parameters. Primary inputs arrive at
+// time 0.
+const (
+	// wireCapPerUm is wire capacitance in pF/µm, a 0.18 µm-class value
+	// where wire cap dominates gate cap.
+	wireCapPerUm = 0.00025
+	// wireResPerUm is wire resistance in kΩ/µm.
+	wireResPerUm = 0.0001
+	// poLoadCap is the load on each primary output in pF.
+	poLoadCap = 0.03
+	// piDrive is the resistance of the input drivers in kΩ.
+	piDrive = 1.5
+)
 
-func (o *Options) defaults() {
-	if o.WireCapPerUm == 0 {
-		o.WireCapPerUm = 0.00025
-	}
-	if o.WireResPerUm == 0 {
-		o.WireResPerUm = 0.0001
-	}
-	if o.POLoadCap == 0 {
-		o.POLoadCap = 0.03
-	}
-	if o.PIDrive == 0 {
-		o.PIDrive = 1.5
-	}
-}
+// Options has no settable field; the analyzer's parameters are the
+// constants above. It stays because cmd/casynbench passes one.
+type Options struct{}
 
 // PathPoint is one element of a reported timing path.
 type PathPoint struct {
@@ -85,8 +71,7 @@ func (r *Result) String() string {
 // Analyze runs STA on the netlist. netLenOfSig gives the routed length
 // in µm of each signal's net (indexed by SigID); nil entries or a nil
 // slice fall back to zero wirelength (pre-route timing).
-func Analyze(nl *netlist.Netlist, netLenOfSig []float64, opts Options) (*Result, error) {
-	opts.defaults()
+func Analyze(nl *netlist.Netlist, netLenOfSig []float64, _ Options) (*Result, error) {
 	order, err := nl.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -108,20 +93,20 @@ func Analyze(nl *netlist.Netlist, netLenOfSig []float64, opts Options) (*Result,
 		}
 	}
 	for _, po := range nl.POs {
-		pinCap[po.Sig] += opts.POLoadCap
+		pinCap[po.Sig] += poLoadCap
 	}
 
 	res := &Result{ArrivalByPO: make(map[string]float64, len(nl.POs))}
 
 	// loadOf is the total capacitance a driver of signal s sees.
 	loadOf := func(s netlist.SigID) float64 {
-		return wireLen(s)*opts.WireCapPerUm + pinCap[s]
+		return wireLen(s)*wireCapPerUm + pinCap[s]
 	}
 	// wireDelay is the lumped Elmore delay across signal s's net.
 	wireDelay := func(s netlist.SigID) float64 {
 		l := wireLen(s)
-		rw := l * opts.WireResPerUm
-		return rw * (l*opts.WireCapPerUm/2 + pinCap[s])
+		rw := l * wireResPerUm
+		return rw * (l*wireCapPerUm/2 + pinCap[s])
 	}
 
 	arrival := make([]float64, nSig) // at the driver output
@@ -133,7 +118,7 @@ func Analyze(nl *netlist.Netlist, netLenOfSig []float64, opts Options) (*Result,
 
 	// Primary inputs and constants.
 	for _, s := range nl.PIs {
-		arrival[s] = opts.PIDelay + opts.PIDrive*loadOf(s)
+		arrival[s] = piDrive * loadOf(s)
 		atSink[s] = arrival[s] + wireDelay(s)
 	}
 	for si := range nl.Signals {
@@ -161,7 +146,7 @@ func Analyze(nl *netlist.Netlist, netLenOfSig []float64, opts Options) (*Result,
 	}
 	// Accumulate total switching cap once per signal.
 	for si := range nl.Signals {
-		res.TotalNetSwitchingCap += wireLen(netlist.SigID(si)) * opts.WireCapPerUm
+		res.TotalNetSwitchingCap += wireLen(netlist.SigID(si)) * wireCapPerUm
 	}
 
 	// Worst PO.

@@ -267,21 +267,6 @@ func (d *DAG) rebuildFanouts() {
 	}
 }
 
-// IsMultiFanout reports whether the gate drives more than one sink,
-// counting primary-output pins.
-func (d *DAG) IsMultiFanout(id int) bool {
-	n := len(d.Fanouts(id))
-	for _, o := range d.outputs {
-		if o.Gate == id {
-			n++
-			if n > 1 {
-				return true
-			}
-		}
-	}
-	return n > 1
-}
-
 // TopoOrder returns all gate IDs in topological order (fanins first).
 // The DAG is acyclic by construction, so no error case exists.
 func (d *DAG) TopoOrder() []int {
@@ -367,27 +352,4 @@ func (d *DAG) LiveGates() []int {
 		}
 	}
 	return out
-}
-
-// Stats summarizes the DAG for reporting.
-type Stats struct {
-	PIs, Outputs, Nand2s, Invs, Consts int
-}
-
-// Stats returns gate-type counts over the whole DAG.
-func (d *DAG) Stats() Stats {
-	var s Stats
-	s.PIs = len(d.pis)
-	s.Outputs = len(d.outputs)
-	for i := range d.gates {
-		switch d.gates[i].Type {
-		case Nand2:
-			s.Nand2s++
-		case Inv:
-			s.Invs++
-		case Const0, Const1:
-			s.Consts++
-		}
-	}
-	return s
 }

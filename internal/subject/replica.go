@@ -3,8 +3,8 @@ package subject
 // Gate replication for the k-way partitioner: duplicating a cheap
 // multi-fanout driver into a second placement region removes its cut
 // net outright (the RePart idea). A replica is a verbatim copy of a
-// base gate — same type, same fanins — appended to the DAG with
-// ReplicaOf lineage, deliberately bypassing structural hashing (the
+// base gate — same type, same fanins — appended to the DAG with its
+// lineage recorded, deliberately bypassing structural hashing (the
 // duplicate shape is the point). Sinks are then moved onto the replica
 // with RewireFanin.
 //
@@ -46,18 +46,6 @@ func (d *DAG) AddReplicaOf(id int) (int, error) {
 	d.fanouts = nil
 	return rid, nil
 }
-
-// ReplicaOf returns the original gate a replica was cloned from, or -1
-// when id is not a replica.
-func (d *DAG) ReplicaOf(id int) int {
-	if o, ok := d.replicaOf[id]; ok {
-		return o
-	}
-	return -1
-}
-
-// NumReplicas returns the number of replica gates in the DAG.
-func (d *DAG) NumReplicas() int { return len(d.replicaOf) }
 
 // Replicated reports whether any replica exists — and therefore
 // whether ascending gate IDs are still a topological order (they are

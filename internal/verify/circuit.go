@@ -78,9 +78,6 @@ func (c *Circuit) NumInputs() int { return len(c.inputs) }
 // NumOutputs returns the primary-output count.
 func (c *Circuit) NumOutputs() int { return len(c.outputs) }
 
-// NumNodes returns the IR node count (inputs and constants included).
-func (c *Circuit) NumNodes() int { return len(c.nodes) }
-
 // InputNames returns the input names in input-ordinal order.
 func (c *Circuit) InputNames() []string { return c.inputs }
 

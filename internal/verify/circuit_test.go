@@ -54,12 +54,12 @@ func TestCircuitFolding(t *testing.T) {
 		t.Error("binary ops not canonicalized for commutativity")
 	}
 	// Structural hashing: rebuilding the same expression adds nothing.
-	before := c.NumNodes()
+	before := len(c.nodes)
 	c.And(x, y)
 	c.Or(x, y)
 	c.Nand(x, y)
-	if c.NumNodes() != before {
-		t.Errorf("structural hash missed: %d nodes, had %d", c.NumNodes(), before)
+	if len(c.nodes) != before {
+		t.Errorf("structural hash missed: %d nodes, had %d", len(c.nodes), before)
 	}
 }
 

@@ -30,9 +30,6 @@ type Options struct {
 	// RandomBatches is the number of 64-vector random simulation
 	// batches (default 64, i.e. 4096 random vectors).
 	RandomBatches int
-	// SensitizeBases is the number of random base vectors expanded
-	// into single-input-flip neighborhoods (default 8).
-	SensitizeBases int
 	// BDDNodeBudget caps the ROBDD node table (default 1<<20). On
 	// overflow the checker falls back to exhaustive enumeration when
 	// the input count permits.
@@ -45,15 +42,16 @@ type Options struct {
 	SimOnly bool
 }
 
+// sensitizeBases is the number of random base vectors the directed
+// simulation expands into single-input-flip neighborhoods.
+const sensitizeBases = 8
+
 func (o *Options) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.RandomBatches == 0 {
 		o.RandomBatches = 64
-	}
-	if o.SensitizeBases == 0 {
-		o.SensitizeBases = 8
 	}
 	if o.BDDNodeBudget == 0 {
 		o.BDDNodeBudget = 1 << 20
@@ -190,7 +188,7 @@ func Equivalent(ctx context.Context, a, b any, opts Options) (*Report, error) {
 	n := ca.NumInputs()
 	exhaustiveCheap := n <= 11 && !opts.SimOnly // ≤ 32 word evaluations
 	if !exhaustiveCheap {
-		cex, err := s.runDirected(ctx, rng, opts.SensitizeBases)
+		cex, err := s.runDirected(ctx, rng, sensitizeBases)
 		if err != nil {
 			return nil, err
 		}
