@@ -32,11 +32,26 @@
 // matters: within a tree, parent matches see their input subtrees'
 // centers of mass through the DP solutions, and Result.Pos carries
 // every tree's committed positions for downstream consumers.
+//
+// # Delta covering
+//
+// The DP is bottom-up: a vertex's solution depends only on its own
+// cached matches and on the solutions of the subtree leaves they bind,
+// which lie at most MaxPatternHeight father steps below it. CoverDelta
+// exploits that at two levels. A clean tree (see eco.go and
+// fielddelta.go) carries its solutions over whole. Inside a dirty tree
+// a gate mask narrows the DP further: a gate whose matches were not
+// re-enumerated, and below which no re-solved gate within reach
+// changed its DP terms, keeps the previous *Solution pointer. A
+// single-gate edit then re-solves tens of vertices rather than its
+// dirty trees' thousands.
 package cover
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"casyn/internal/geom"
 	"casyn/internal/match"
@@ -58,6 +73,9 @@ type instruments struct {
 	solutions *obs.Counter   // DP vertices solved ("cover.solutions")
 	matches   *obs.Counter   // candidate matches evaluated ("cover.matches")
 	perGate   *obs.Histogram // matches per vertex ("cover.matches_per_gate")
+	// reusedSolutions counts dirty-tree vertices that kept the previous
+	// cover's solution ("cover.reused_solutions"); nil without a prev.
+	reusedSolutions *obs.Counter
 }
 
 // Options tunes the coverer.
@@ -93,6 +111,12 @@ const wireUnit = 0.5
 // Solution is the optimal cover decision at one tree vertex.
 type Solution struct {
 	Match match.Match
+	// SubLeaf has bit i set when Match.Leaves[i] heads an in-tree input
+	// subtree, whose own solution the cover selected too: the walk of
+	// the chosen cover descends exactly these leaves. One word holds
+	// every leaf, since a library pattern has at most 10 variables
+	// (library.Cell.Validate).
+	SubLeaf uint64
 	// AreaCost is Eq. 1 evaluated for the selected match.
 	AreaCost float64
 	// WireCost is the stored wireCost(v): WIRE1 of the selected match
@@ -108,6 +132,10 @@ type Solution struct {
 	// Pos is the selected match's center of mass.
 	Pos geom.Point
 }
+
+// SubtreeLeaf reports whether leaf i of the selected match heads an
+// in-tree input subtree (bit i of SubLeaf).
+func (s *Solution) SubtreeLeaf(i int) bool { return s.SubLeaf>>i&1 != 0 }
 
 // Result is the cover of the whole forest.
 type Result struct {
@@ -137,36 +165,52 @@ type Result struct {
 // cancellation point: a canceled ctx stops the DP promptly with a
 // wrapped ctx error.
 func CoverWithPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, opts Options) (*Result, error) {
-	return coverTrees(ctx, dag, forest, prefix, nil, opts, nil)
+	return coverTrees(ctx, dag, forest, prefix, nil, opts, nil, nil)
 }
 
-// CoverDelta re-runs the covering DP on only the trees dirty marks,
-// copying every other tree's solutions and committed positions from
-// prev. dirty is indexed like the prefix's trees. The result is
-// byte-identical to CoverWithPrefix over the whole prefix at opts
-// provided every clean tree's DP reads exactly what it read when prev
-// was covered: the same enumeration, frozen snapshot and K, and field
-// samples unchanged inside its territory. The caller owns that lineage
-// (mapper.CoverState threads it); two dirty sources produce such masks:
+// CoverDelta re-covers against a previous same-K cover, re-running
+// the DP only where its inputs can have changed and carrying every
+// other solution over. dirty is indexed like the prefix's trees: a
+// clean tree copies its solutions and committed positions from prev.
+// Inside a dirty tree, reenumerated narrows the DP to the solution
+// level. Indexed by gate ID, it marks the gates whose matches the
+// prefix enumerated afresh (Rebuild.Reenumerated); a nil mask re-runs
+// the whole tree. With a mask, a dirty tree's gate is re-solved when
+// it is marked, has no previous solution, or lies within
+// MaxPatternHeight father steps above a re-solved gate whose DP terms
+// (AreaCost, WireCost, WireCostW, Pos) differ bitwise from prev's: a
+// match reads the solutions of subtree leaves at most that far below
+// its root, and nothing else of the DP. Every other gate keeps prev's
+// *Solution, which is immutable after covering.
 //
-//   - a structural ECO, where the tree's enumeration was rebuilt
-//     (Rebuild.Dirty; see eco.go);
+// The result is byte-identical to CoverWithPrefix over the whole
+// prefix at opts provided every carried-over solution's DP reads
+// exactly what it read when prev was covered: the same enumeration,
+// frozen snapshot and K, and field samples unchanged inside its
+// territory. The caller owns that lineage (mapper.CoverState threads
+// it); two dirty sources produce such masks:
+//
+//   - a structural ECO, where the tree's edit cone was re-enumerated
+//     (Rebuild.Dirty and Rebuild.Reenumerated; see eco.go);
 //   - a K-field update, where a changed gcell meets the tree's
-//     territory (DirtyTreesForField; see fielddelta.go).
-//
-// Clean trees' solutions are immutable after covering, so the pointers
-// themselves carry over.
-func CoverDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty []bool) (*Result, error) {
+//     territory (DirtyTreesForField; see fielddelta.go). Every cached
+//     match is unchanged but any span may be weighted anew, so it
+//     passes a nil gate mask.
+func CoverDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty, reenumerated []bool) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("cover: CoverDelta needs a previous cover (use CoverWithPrefix)")
 	}
-	return coverTrees(ctx, dag, forest, prefix, prev, opts, dirty)
+	if reenumerated != nil && len(reenumerated) != dag.NumGates() {
+		return nil, fmt.Errorf("cover: %d re-enumeration flags for %d gates", len(reenumerated), dag.NumGates())
+	}
+	return coverTrees(ctx, dag, forest, prefix, prev, opts, dirty, reenumerated)
 }
 
 // coverTrees is the one covering loop: it runs the DP on every tree —
 // or, with a prev, on the dirty trees only, copying the rest from prev
-// — and reduces the roots.
-func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty []bool) (*Result, error) {
+// — and reduces the roots. A non-nil reenumerated narrows each dirty
+// tree's DP to its stale gates (see CoverDelta).
+func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty, reenumerated []bool) (*Result, error) {
 	if prefix == nil || prefix.dag != dag {
 		return nil, fmt.Errorf("cover: prefix built for a different DAG")
 	}
@@ -193,13 +237,20 @@ func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest,
 	}
 	rec := obs.From(ctx)
 	rec.Add("cover.trees", int64(len(prefix.trees)))
-	if prev != nil {
-		rec.Add("cover.reused_trees", int64(reused))
-	}
 	ins := instruments{
 		solutions: rec.Counter("cover.solutions"),
 		matches:   rec.Counter("cover.matches"),
 		perGate:   rec.Histogram("cover.matches_per_gate", matchesPerGateBounds),
+	}
+	// stale marks the gates a masked delta must re-solve; the tree
+	// goroutines only write their own trees' entries.
+	var stale []bool
+	if prev != nil {
+		rec.Add("cover.reused_trees", int64(reused))
+		ins.reusedSolutions = rec.Counter("cover.reused_solutions")
+		if reenumerated != nil {
+			stale = slices.Clone(reenumerated)
+		}
 	}
 	err := par.ForEach(ctx, opts.Workers, len(prefix.trees), func(ti int) error {
 		t := &prefix.trees[ti]
@@ -210,7 +261,7 @@ func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest,
 			}
 			return nil
 		}
-		return coverTree(dag, forest, prefix, t, res, opts, ins)
+		return coverTree(dag, forest, prefix, t, res, prev, stale, opts, ins)
 	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -230,83 +281,48 @@ func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest,
 // matches and commits the chosen cover's placement updates. Every
 // K-invariant term (match sets, centers of mass, leaf classification,
 // cross-leaf distances) comes from the prefix; only Eq. 5's K-weighted
-// combination and the child-solution terms are evaluated here. The
-// only writes are to this tree's own res.Best and res.Pos entries,
-// which no other tree touches.
-func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *partition.Tree, res *Result, opts Options, ins instruments) error {
-	inTree := prefix.inTreeFunc(t.Root)
-	field := opts.KField
-	// One slab holds the tree's solutions: res.Best[v] points into it.
-	sols := make([]Solution, len(t.Gates))
+// combination and the child-solution terms are evaluated here. With a
+// stale mask (a delta against prev), only the stale gates are solved
+// and every other gate keeps prev's solution; a re-solved gate whose
+// DP terms changed marks the gates whose matches can read it. The
+// only writes are to this tree's own res.Best, res.Pos and stale
+// entries, which no other tree touches.
+func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *partition.Tree, res, prev *Result, stale []bool, opts Options, ins instruments) error {
+	// Solutions live in slabs: one the size of the tree for a whole-tree
+	// DP, small doubling ones for a masked delta, so a carried-over
+	// solution never keeps a tree-sized slab alive.
+	var slab []Solution
+	reused := 0
 	for gi, v := range t.Gates {
-		matches := prefix.matches[v]
-		if len(matches) == 0 {
-			return fmt.Errorf("cover: no match at gate %d (%s)", v, dag.Gate(v).Type)
+		var old *Solution
+		if prev != nil {
+			old = prev.Best[v]
 		}
-		ins.solutions.Add(1)
-		ins.matches.Add(int64(len(matches)))
-		ins.perGate.Observe(float64(len(matches)))
-		best := &sols[gi]
-		var bestCost float64
-		for i := range matches {
-			pm := &matches[i]
-			area := pm.m.Cell.Area
-			// wire1/wire2 are Eqs. 2 and 3 as reported; wire1W/wire2W are
-			// the K-field-weighted terms K multiplies, each span's length
-			// scaled by the field multiplier sampled along it. Both run in
-			// the same order, so under the uniform field — a nil one
-			// included — they agree bit-for-bit (×1.0 is exact in IEEE
-			// 754).
-			wire1, wire2, wire1W, wire2W := 0.0, 0.0, 0.0, 0.0
-			for li, l := range pm.m.Leaves {
-				if pm.subLeaf[li] {
-					// The leaf heads an input subtree of this match:
-					// accumulate its DP solution (Eqs. 1 and 3).
-					sub := res.Best[l]
-					area += sub.AreaCost
-					d := pm.com.Manhattan(sub.Pos) / wireUnit
-					wire1 += d
-					wire1W += field.SpanMult(pm.com, sub.Pos) * d
-					wire2 += sub.WireCost
-					wire2W += sub.WireCostW
-				} else {
-					// Cross reference (PI, another tree, or a side
-					// branch): its area and wire are paid elsewhere.
-					// The cached distance reads the frozen snapshot,
-					// keeping this tree independent of every other
-					// tree's committed updates.
-					d := pm.crossDist[li] / wireUnit
-					wire1 += d
-					wire1W += field.SpanMult(pm.com, prefix.pos[l]) * d
-				}
-			}
-			// wire is Eq. 4; kw is the wire term K multiplies (Eq. 5').
-			wire, kw := wire1, wire1W
-			if !opts.NoWire2 {
-				wire += wire2
-				kw += wire2W
-			}
-			// Eq. 5; the first of equal-cost matches wins.
-			cost := area + opts.K*kw
-			if i == 0 || cost < bestCost {
-				stored, storedW := wire1, wire1W
-				if opts.TransitiveWire {
-					// accumulates transitively via children
-					stored, storedW = wire, kw
-				}
-				*best = Solution{
-					Match:     pm.m,
-					AreaCost:  area,
-					WireCost:  stored,
-					WireCostW: storedW,
-					Wire:      wire,
-					Pos:       pm.com,
-				}
-				bestCost = cost
+		if stale != nil && !stale[v] && old != nil {
+			res.Best[v] = old
+			reused++
+			continue
+		}
+		sol, err := solveGate(dag, prefix, v, res, opts, ins)
+		if err != nil {
+			return err
+		}
+		if stale != nil && !sameTerms(&sol, old) {
+			for f, steps := forest.Father[v], prefix.height; f >= 0 && steps > 0; f, steps = forest.Father[f], steps-1 {
+				stale[f] = true
 			}
 		}
-		res.Best[v] = best
+		if len(slab) == cap(slab) {
+			size := len(t.Gates) - gi
+			if stale != nil {
+				size = min(size, max(4, 2*cap(slab)))
+			}
+			slab = make([]Solution, 0, size)
+		}
+		slab = append(slab, sol)
+		res.Best[v] = &slab[len(slab)-1]
 	}
+	ins.reusedSolutions.Add(int64(reused))
 	// Commit: walk the chosen cover from the root and replace covered
 	// gates' positions with their match's center of mass. Explicit
 	// stack — tree depth is unbounded on full-size circuits.
@@ -318,40 +334,95 @@ func coverTree(dag *subject.DAG, forest *partition.Forest, prefix *Prefix, t *pa
 		for _, c := range sol.Match.Covered {
 			res.Pos[c] = sol.Pos
 		}
-		stack = append(stack, SelectedLeafSubtrees(forest, inTree, sol)...)
+		for li, l := range sol.Match.Leaves {
+			if sol.SubtreeLeaf(li) {
+				stack = append(stack, l)
+			}
+		}
 	}
 	return nil
 }
 
-// SelectedLeafSubtrees returns, for a solution in the forest, which of
-// its match leaves head in-tree input subtrees (and therefore have
-// their own committed solutions). Reconstruction uses this to walk the
-// chosen cover.
-func SelectedLeafSubtrees(forest *partition.Forest, inTree func(int) bool, sol *Solution) []int {
-	var out []int
-	for _, l := range sol.Match.Leaves {
-		if HeadsSubtree(forest, inTree, sol, l) {
-			out = append(out, l)
+// solveGate runs Eqs. 1–5 over every cached match at v against the
+// solutions already in res.Best and returns the cheapest.
+func solveGate(dag *subject.DAG, prefix *Prefix, v int, res *Result, opts Options, ins instruments) (Solution, error) {
+	matches := prefix.matches[v]
+	if len(matches) == 0 {
+		return Solution{}, fmt.Errorf("cover: no match at gate %d (%s)", v, dag.Gate(v).Type)
+	}
+	ins.solutions.Add(1)
+	ins.matches.Add(int64(len(matches)))
+	ins.perGate.Observe(float64(len(matches)))
+	field := opts.KField
+	var best Solution
+	var bestCost float64
+	for i := range matches {
+		pm := &matches[i]
+		area := pm.m.Cell.Area
+		// wire1/wire2 are Eqs. 2 and 3 as reported; wire1W/wire2W are
+		// the K-field-weighted terms K multiplies, each span's length
+		// scaled by the field multiplier sampled along it. Both run in
+		// the same order, so under the uniform field — a nil one
+		// included — they agree bit-for-bit (×1.0 is exact in IEEE
+		// 754).
+		wire1, wire2, wire1W, wire2W := 0.0, 0.0, 0.0, 0.0
+		for li, l := range pm.m.Leaves {
+			if pm.subLeaf>>li&1 != 0 {
+				// The leaf heads an input subtree of this match:
+				// accumulate its DP solution (Eqs. 1 and 3).
+				sub := res.Best[l]
+				area += sub.AreaCost
+				d := pm.com.Manhattan(sub.Pos) / wireUnit
+				wire1 += d
+				wire1W += field.SpanMult(pm.com, sub.Pos) * d
+				wire2 += sub.WireCost
+				wire2W += sub.WireCostW
+			} else {
+				// Cross reference (PI, another tree, or a side
+				// branch): its area and wire are paid elsewhere.
+				// The cached distance reads the frozen snapshot,
+				// keeping this tree independent of every other
+				// tree's committed updates.
+				d := pm.crossDist[li] / wireUnit
+				wire1 += d
+				wire1W += field.SpanMult(pm.com, prefix.pos[l]) * d
+			}
+		}
+		// wire is Eq. 4; kw is the wire term K multiplies (Eq. 5').
+		wire, kw := wire1, wire1W
+		if !opts.NoWire2 {
+			wire += wire2
+			kw += wire2W
+		}
+		// Eq. 5; the first of equal-cost matches wins.
+		cost := area + opts.K*kw
+		if i == 0 || cost < bestCost {
+			stored, storedW := wire1, wire1W
+			if opts.TransitiveWire {
+				// accumulates transitively via children
+				stored, storedW = wire, kw
+			}
+			best = Solution{
+				Match:     pm.m,
+				SubLeaf:   pm.subLeaf,
+				AreaCost:  area,
+				WireCost:  stored,
+				WireCostW: storedW,
+				Wire:      wire,
+				Pos:       pm.com,
+			}
+			bestCost = cost
 		}
 	}
-	return out
+	return best, nil
 }
 
-// HeadsSubtree reports whether leaf l of sol's match heads an in-tree
-// input subtree: l is in the tree and its father is a gate the match
-// covers. It is SelectedLeafSubtrees' test for one leaf, without the
-// slice.
-func HeadsSubtree(forest *partition.Forest, inTree func(int) bool, sol *Solution, l int) bool {
-	return inTree(l) && covers(sol.Match.Covered, forest.Father[l])
-}
-
-// covers reports whether g is among a match's covered gates. A linear
-// scan: a match covers at most a few gates.
-func covers(covered []int, g int) bool {
-	for _, c := range covered {
-		if c == g {
-			return true
-		}
-	}
-	return false
+// sameTerms reports whether a and b agree bit for bit on every term a
+// parent's DP reads: AreaCost, WireCost, WireCostW and Pos. A nil b
+// never agrees.
+func sameTerms(a, b *Solution) bool {
+	bits := math.Float64bits
+	return b != nil && bits(a.AreaCost) == bits(b.AreaCost) &&
+		bits(a.WireCost) == bits(b.WireCost) && bits(a.WireCostW) == bits(b.WireCostW) &&
+		bits(a.Pos.X) == bits(b.Pos.X) && bits(a.Pos.Y) == bits(b.Pos.Y)
 }

@@ -2,8 +2,8 @@ package cover
 
 import (
 	"context"
-
 	"math"
+	"slices"
 	"testing"
 
 	"casyn/internal/geom"
@@ -234,15 +234,45 @@ func TestCoverErrorOnShortPositions(t *testing.T) {
 	}
 }
 
+// TestSelectedLeafSubtrees: a solution's subtree-leaf flags name the
+// leaves the walk of the chosen cover descends into.
 func TestSelectedLeafSubtrees(t *testing.T) {
 	t.Parallel()
 	d, root := nand3Chain()
-	res, f := coverIt(t, d, nil, Options{K: 0})
-	inTree := func(g int) bool { return f.Father[g] >= 0 || g == root }
-	subs := SelectedLeafSubtrees(f, inTree, res.Best[root])
+	res, _ := coverIt(t, d, nil, Options{K: 0})
+	sol := res.Best[root]
 	// NAND3 covers the whole tree: all leaves are PIs → no subtrees.
-	if len(subs) != 0 {
-		t.Errorf("subtrees = %v, want none", subs)
+	if sol.SubLeaf != 0 {
+		t.Errorf("subtree leaves %b, want none", sol.SubLeaf)
+	}
+	// On a multi-tree circuit, a leaf heads a subtree iff it is in the
+	// solution's tree and its father is a gate the match covers.
+	bd, forest, prefix, _, _ := benchPrefix(t)
+	bres, err := CoverWithPrefix(context.Background(), bd, forest, prefix, Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootOf := forest.RootOf(bd)
+	subtrees := 0
+	for v, sol := range bres.Best {
+		if sol == nil {
+			continue
+		}
+		if sol.SubLeaf>>len(sol.Match.Leaves) != 0 {
+			t.Fatalf("gate %d: subtree flags %b beyond its %d leaves", v, sol.SubLeaf, len(sol.Match.Leaves))
+		}
+		for li, l := range sol.Match.Leaves {
+			want := rootOf[l] == rootOf[v] && slices.Contains(sol.Match.Covered, forest.Father[l])
+			if sol.SubtreeLeaf(li) != want {
+				t.Fatalf("gate %d leaf %d (gate %d): subtree flag %v, want %v", v, li, l, sol.SubtreeLeaf(li), want)
+			}
+			if want {
+				subtrees++
+			}
+		}
+	}
+	if subtrees == 0 {
+		t.Fatal("no solution has a subtree leaf; the check is vacuous")
 	}
 }
 

@@ -3,10 +3,10 @@ package cover
 // This file implements the incremental (ECO) side of the shared
 // covering prefix: rebuilding a Prefix after a local edit by
 // recomputing only the match enumerations the edit can have changed
-// (copy-on-write of everything else), and re-running the covering DP
-// on just the dirtied trees against a previous same-K cover.
+// (copy-on-write of everything else). CoverDelta then re-solves, in
+// the dirtied trees only, the DP vertices the edit reaches.
 //
-// Invalidation has two granularities. The tree mask decides which
+// Invalidation has three granularities. The tree mask decides which
 // trees the covering DP re-runs on. A tree rooted at r is clean iff:
 //
 //  1. its member set is identical to the old tree at r (every member's
@@ -31,6 +31,13 @@ package cover
 // old father is one of its fanouts, so seeding the fanouts covers the
 // old forest's chain too. Every other gate of a dirty tree shares
 // prev's match slice exactly as a clean tree does.
+//
+// The solution level is CoverDelta's (cover.go): the cone's gates
+// (Rebuild.Reenumerated) seed it, and a re-solved gate whose DP terms
+// changed marks the MaxPatternHeight gates above it, transitively. A
+// gate outside the cone that nothing below it marked reads the same
+// matches and the same child terms as in prev, so it keeps prev's
+// solution.
 
 import (
 	"context"
@@ -58,8 +65,12 @@ type Rebuild struct {
 	// order — the mapper's dirty region for downstream incremental
 	// routing.
 	DirtyRoots []int
-	// ReenumeratedGates counts the gates of dirty trees whose matches
-	// were enumerated afresh; every other gate shares prev's slice.
+	// Reenumerated[g] reports whether gate g's matches were enumerated
+	// afresh: g is in a dirty tree and in the edit cone. Every other
+	// gate shares prev's slice. Indexed by gate ID; it is the gate mask
+	// CoverDelta narrows a dirty tree's DP with.
+	Reenumerated []bool
+	// ReenumeratedGates counts the Reenumerated gates.
 	ReenumeratedGates int
 }
 
@@ -114,10 +125,11 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		rootOf:  forest.RootOf(dag),
 		pos:     append([]geom.Point(nil), pos...),
 		matches: make([][]preparedMatch, n),
+		height:  lib.MaxPatternHeight(),
 	}
 	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
-	cone := editCone(dag, forest, prevForest, prev.rootOf, p.rootOf, structEdited, posChanged, lib.MaxPatternHeight())
-	rb := &Rebuild{Prefix: p, Dirty: make([]bool, len(p.trees))}
+	cone := editCone(dag, forest, prevForest, prev.rootOf, p.rootOf, structEdited, posChanged, p.height)
+	rb := &Rebuild{Prefix: p, Dirty: make([]bool, len(p.trees)), Reenumerated: make([]bool, n)}
 	var dirty []int
 	for ti := range p.trees {
 		t := &p.trees[ti]
@@ -146,6 +158,7 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 			if clean || cone[v] == 0 {
 				p.matches[v] = prev.matches[v]
 			} else {
+				rb.Reenumerated[v] = true
 				rb.ReenumeratedGates++
 			}
 		}
@@ -156,9 +169,8 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		dirty = append(dirty, ti)
 		rb.DirtyRoots = append(rb.DirtyRoots, t.Root)
 	}
-	inCone := func(v int) bool { return cone[v] > 0 }
 	err := par.ForEach(ctx, workers, len(dirty), func(di int) error {
-		p.enumerateTree(dag, forest, lib, dirty[di], inCone)
+		p.enumerateTree(dag, forest, lib, dirty[di], rb.Reenumerated)
 		return nil
 	})
 	if err != nil {
@@ -237,8 +249,8 @@ func DiffMatches(a, b *Prefix, g int) error {
 			return fmt.Errorf("gate %d match %d: covered %v vs %v", g, i, pa.m.Covered, pb.m.Covered)
 		case !bitsEq(pa.com.X, pb.com.X) || !bitsEq(pa.com.Y, pb.com.Y):
 			return fmt.Errorf("gate %d match %d: center of mass %v vs %v", g, i, pa.com, pb.com)
-		case !slices.Equal(pa.subLeaf, pb.subLeaf):
-			return fmt.Errorf("gate %d match %d: subtree leaves %v vs %v", g, i, pa.subLeaf, pb.subLeaf)
+		case pa.subLeaf != pb.subLeaf:
+			return fmt.Errorf("gate %d match %d: subtree leaves %b vs %b", g, i, pa.subLeaf, pb.subLeaf)
 		case !slices.EqualFunc(pa.crossDist, pb.crossDist, bitsEq):
 			return fmt.Errorf("gate %d match %d: cross distances %v vs %v", g, i, pa.crossDist, pb.crossDist)
 		}

@@ -257,7 +257,7 @@ func TestCoverDeltaField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := CoverDelta(context.Background(), d, forest, prefix, base, fopts, dirty)
+	delta, err := CoverDelta(context.Background(), d, forest, prefix, base, fopts, dirty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCoverDeltaField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta2, err := CoverDelta(context.Background(), d, forest, prefix, delta, fopts2, dirty2)
+	delta2, err := CoverDelta(context.Background(), d, forest, prefix, delta, fopts2, dirty2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCoverDeltaValidation(t *testing.T) {
 		dirty[ti] = ti%2 == 0
 	}
 	drec, frec := obs.New(), obs.New()
-	delta, err := CoverDelta(obs.WithRecorder(context.Background(), drec), d, forest, prefix, base, opts, dirty)
+	delta, err := CoverDelta(obs.WithRecorder(context.Background(), drec), d, forest, prefix, base, opts, dirty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +340,10 @@ func TestCoverDeltaValidation(t *testing.T) {
 	if _, ok := frec.Snapshot().Counters["cover.reused_trees"]; ok {
 		t.Error("a full cover recorded cover.reused_trees")
 	}
-	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty[:1]); err == nil {
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty[:1], nil); err == nil {
 		t.Error("dirty length mismatch must error")
 	}
-	if _, err := CoverDelta(context.Background(), d, forest, prefix, nil, opts, dirty); err == nil {
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, nil, opts, dirty, nil); err == nil {
 		t.Error("nil previous cover must error")
 	}
 }

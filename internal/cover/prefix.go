@@ -3,6 +3,7 @@ package cover
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"casyn/internal/geom"
 	"casyn/internal/library"
@@ -21,11 +22,11 @@ type preparedMatch struct {
 	// com is Eq. 2's pos(m,v): the center of mass of the covered base
 	// gates on the frozen pre-cover placement snapshot.
 	com geom.Point
-	// subLeaf[i] reports whether m.Leaves[i] heads an in-tree input
+	// subLeaf has bit i set when m.Leaves[i] heads an in-tree input
 	// subtree of this match (inTree(l) && covered[father[l]]) — the
 	// leaf classification the DP otherwise recomputes per K with a
 	// scratch map per match.
-	subLeaf []bool
+	subLeaf uint64
 	// crossDist[i] is com.Manhattan(base[m.Leaves[i]]) for
 	// cross-reference leaves; unused (zero) for subtree leaves, whose
 	// distance depends on the K-dependent child solution.
@@ -53,6 +54,10 @@ type Prefix struct {
 	// matches[g] holds every library match rooted at gate g (nil for
 	// PIs, constants, and gates outside every tree).
 	matches [][]preparedMatch
+	// height is the library's MaxPatternHeight: a match at v reads the
+	// solutions of subtree leaves at most this many father steps below
+	// v, which bounds how far up a changed solution can matter.
+	height int
 }
 
 // NumMatches returns the total number of cached matches.
@@ -90,6 +95,7 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 		rootOf:  forest.RootOf(dag),
 		pos:     append([]geom.Point(nil), pos...),
 		matches: make([][]preparedMatch, dag.NumGates()),
+		height:  lib.MaxPatternHeight(),
 	}
 	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
 	err := par.ForEach(ctx, workers, len(p.trees), func(ti int) error {
@@ -106,17 +112,17 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 }
 
 // enumerateTree fills p.matches for the vertices of tree ti that only
-// accepts (every vertex when only is nil): the complete match
+// marks (every vertex when only is nil): the complete match
 // enumeration with cached K-invariant geometry. It writes only tree
 // ti's own vertices' match lists, so disjoint trees enumerate
 // concurrently. Shared by BuildPrefix (all trees, no filter) and
 // RebuildPrefix (the edit cone of each dirty tree).
-func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *library.Library, ti int, only func(v int) bool) {
+func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *library.Library, ti int, only []bool) {
 	t := &p.trees[ti]
 	inTree := p.inTreeFunc(t.Root)
 	m := match.NewMatcher(dag, lib, forest.Father, inTree)
 	for _, v := range t.Gates {
-		if only != nil && !only(v) {
+		if only != nil && !only[v] {
 			continue
 		}
 		ms := m.MatchesAt(v)
@@ -131,12 +137,11 @@ func (p *Prefix) enumerateTree(dag *subject.DAG, forest *partition.Forest, lib *
 			pm := preparedMatch{
 				m:         *mt,
 				com:       com,
-				subLeaf:   make([]bool, len(mt.Leaves)),
 				crossDist: make([]float64, len(mt.Leaves)),
 			}
 			for li, l := range mt.Leaves {
-				if inTree(l) && covers(mt.Covered, forest.Father[l]) {
-					pm.subLeaf[li] = true
+				if inTree(l) && slices.Contains(mt.Covered, forest.Father[l]) {
+					pm.subLeaf |= 1 << li
 				} else {
 					pm.crossDist[li] = com.Manhattan(p.pos[l])
 				}

@@ -88,12 +88,18 @@ type Library struct {
 	fingerprint [sha256.Size]byte
 }
 
-// NewLibrary builds a library from cells, validating each.
+// NewLibrary builds a library from cells, validating each, and
+// caches every pattern's variable list (Pattern.Vars).
 func NewLibrary(name string, cells []*Cell) (*Library, error) {
 	l := &Library{Name: name, index: make(map[string]*Cell, len(cells))}
 	for _, c := range cells {
 		if err := c.Validate(); err != nil {
 			return nil, err
+		}
+		for _, p := range c.Patterns {
+			if p.vars == nil {
+				p.vars = p.walkVars()
+			}
 		}
 		if _, dup := l.index[c.Name]; dup {
 			return nil, fmt.Errorf("library: duplicate cell %s", c.Name)

@@ -2,6 +2,7 @@ package library
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -279,5 +280,25 @@ func TestWideCellsAreaPerInputFalls(t *testing.T) {
 			t.Errorf("%s area/input %.3f not below predecessor %.3f", name, per, prev)
 		}
 		prev = per
+	}
+}
+
+// TestVarsCached: every Default() pattern carries the variable list
+// NewLibrary computed, equal to a fresh walk of the pattern, and Vars
+// returns it without allocating.
+func TestVarsCached(t *testing.T) {
+	t.Parallel()
+	for _, c := range Default().Cells() {
+		for pi, p := range c.Patterns {
+			if p.vars == nil {
+				t.Fatalf("%s pattern %d: no cached variable list", c.Name, pi)
+			}
+			if got, want := p.Vars(), p.walkVars(); !slices.Equal(got, want) {
+				t.Errorf("%s pattern %d: cached Vars %v, fresh walk %v", c.Name, pi, got, want)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { _ = p.Vars() }); allocs != 0 {
+				t.Errorf("%s pattern %d: Vars allocates %v times", c.Name, pi, allocs)
+			}
+		}
 	}
 }

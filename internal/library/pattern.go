@@ -35,6 +35,9 @@ type Pattern struct {
 	Op   PatternOp
 	Var  string     // for OpVar
 	Kids []*Pattern // 1 for OpInv, 2 for OpNand2
+	// vars is Vars' result, computed once by NewLibrary for every
+	// pattern of a library; nil until then.
+	vars []string
 }
 
 // Var returns a leaf pattern.
@@ -47,8 +50,18 @@ func Inv(k *Pattern) *Pattern { return &Pattern{Op: OpInv, Kids: []*Pattern{k}} 
 func Nand(a, b *Pattern) *Pattern { return &Pattern{Op: OpNand2, Kids: []*Pattern{a, b}} }
 
 // Vars returns the distinct variable names of the pattern in first-
-// appearance order.
+// appearance order. For a pattern of a built library the list is the
+// one NewLibrary computed, shared by every caller: treat it as
+// read-only.
 func (p *Pattern) Vars() []string {
+	if p.vars != nil {
+		return p.vars
+	}
+	return p.walkVars()
+}
+
+// walkVars computes Vars by walking the pattern tree.
+func (p *Pattern) walkVars() []string {
 	var out []string
 	seen := map[string]bool{}
 	var walk func(*Pattern)

@@ -35,5 +35,5 @@ func MapFieldDelta(ctx context.Context, prev *CoverState, k float64, field *cove
 	if prev == nil {
 		return nil, nil, fmt.Errorf("mapper: MapFieldDelta needs a previous cover state")
 	}
-	return mapCover(ctx, prev.prep, k, field, prev, dirty, "map.cover_field_delta")
+	return mapCover(ctx, prev.prep, k, field, prev, dirty, nil, "map.cover_field_delta")
 }

@@ -4,12 +4,12 @@ package mapper
 // a gate-function change, a net reconnect, a placement nudge or swap —
 // Invalidate builds a successor Prepared that re-enumerates only the
 // matches inside the edit's cone (copy-on-write of every other gate,
-// see cover/eco.go), and MapECO re-covers just the dirtied trees
-// against a previous same-K cover. The original Prepared is never
-// mutated: concurrent readers keep mapping against it while its
-// successor is built. The successor does not point back at it: only
-// the transient ECO does, so a chain that keeps only its latest state
-// lets every ancestor go.
+// see cover/eco.go), and MapECO re-solves, against a previous same-K
+// cover, just the DP vertices of the dirtied trees that the edit
+// reaches. The original Prepared is never mutated: concurrent readers
+// keep mapping against it while its successor is built. The successor
+// does not point back at it: only the transient ECO does, so a chain
+// that keeps only its latest state lets every ancestor go.
 
 import (
 	"context"
@@ -180,17 +180,20 @@ func (p *Prepared) coverOptions(k float64) cover.Options {
 // later start from. The cover is recorded under a "map.cover_only"
 // span.
 func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *CoverState, error) {
-	return mapCover(ctx, prep, k, nil, nil, nil, "map.cover_only")
+	return mapCover(ctx, prep, k, nil, nil, nil, nil, "map.cover_only")
 }
 
 // MapECO maps the invalidated context at K. When prev carries a cover
-// of the parent Prepared at the same K, only the trees Invalidate
-// marked dirty run the covering DP, under prev's K-field — the clean
-// trees' solutions carry over — and the result is byte-identical to a
-// full cover of the successor under that field. With no usable prev
-// (nil, different K, or different lineage) it falls back to a full
-// cover under the uniform field, counted on "eco.cover_full". Either
-// way the returned CoverState chains further ECOs.
+// of the parent Prepared at the same K, it re-covers under prev's
+// K-field at the solution level: in the trees Invalidate marked dirty,
+// the DP re-solves the re-enumerated gates and, transitively, the
+// gates within the deepest pattern's height above a re-solved gate
+// whose DP terms changed; every other solution carries over
+// (cover.CoverDelta). The result is byte-identical to a full cover of
+// the successor under that field. With no usable prev (nil, different
+// K, or different lineage) it falls back to a full cover under the
+// uniform field, counted on "eco.cover_full". Either way the returned
+// CoverState chains further ECOs.
 func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, *CoverState, error) {
 	if e == nil || e.Prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil ECO")
@@ -201,15 +204,18 @@ func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, 
 		return MapStateful(ctx, &e.Prep.Prepared, k)
 	}
 	rec.Add("eco.cover_delta", 1)
-	return mapCover(ctx, &e.Prep.Prepared, k, prev.field, prev, e.Prep.rebuild.Dirty, "eco.cover_delta")
+	rb := e.Prep.rebuild
+	return mapCover(ctx, &e.Prep.Prepared, k, prev.field, prev, rb.Dirty, rb.Reenumerated, "eco.cover_delta")
 }
 
 // mapCover covers prep's prefix at K under field (nil is the uniform
 // field) and reconstructs the netlist. With a prev it re-covers only
-// the trees dirty marks and copies the rest from prev's cover, whose
-// clean trees must read what they read in prev (cover.CoverDelta). The
-// cover is recorded under the named span.
-func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KField, prev *CoverState, dirty []bool, span string) (*Result, *CoverState, error) {
+// the trees dirty marks, narrowed to the solution level by the
+// reenumerated gate mask when that is non-nil, and carries the rest
+// over from prev's cover, whose carried-over solutions must read what
+// they read in prev (cover.CoverDelta). The cover is recorded under
+// the named span.
+func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KField, prev *CoverState, dirty, reenumerated []bool, span string) (*Result, *CoverState, error) {
 	if prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil Prepared")
 	}
@@ -225,7 +231,7 @@ func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KFiel
 	if prev == nil {
 		cov, err = cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, opts)
 	} else {
-		cov, err = cover.CoverDelta(cctx, prep.dag, prep.forest, prep.prefix, prev.cov, opts, dirty)
+		cov, err = cover.CoverDelta(cctx, prep.dag, prep.forest, prep.prefix, prev.cov, opts, dirty, reenumerated)
 	}
 	cSpan.End(err)
 	if err != nil {

@@ -2,9 +2,11 @@ package mapper
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -591,4 +593,163 @@ func inf() float64 {
 		f *= 2
 	}
 	return f
+}
+
+// TestCoverDeltaSolutionLevel is the solution-level delta property: on
+// every example circuit, over chains of single random edits at K=0 and
+// K=1, MapECO's masked CoverDelta equals CoverWithPrefix on the
+// successor field by field, and it re-solves exactly the gates the
+// marking rule names — re-enumerated, without a previous solution, or
+// within MaxPatternHeight father steps above a re-solved gate whose DP
+// terms changed — keeping every other previous *Solution.
+func TestCoverDeltaSolutionLevel(t *testing.T) {
+	t.Parallel()
+	lib := library.Default()
+	h := lib.MaxPatternHeight()
+	var mu sync.Mutex
+	reused, resolved := 0, 0
+	t.Cleanup(func() {
+		if !t.Failed() && (reused == 0 || resolved == 0) {
+			t.Errorf("dirty trees reused %d solutions and re-solved %d; want some of each", reused, resolved)
+		}
+	})
+	for _, pla := range exampleCircuits(t) {
+		pla := pla
+		t.Run(strings.TrimSuffix(filepath.Base(pla), ".pla"), func(t *testing.T) {
+			t.Parallel()
+			d, in := placedCircuit(t, pla)
+			ctx := context.Background()
+			for _, k := range []float64{0, 1} {
+				prep, err := Prepare(ctx, d, in, Options{Lib: lib})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, st, err := MapStateful(ctx, prep, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(7 + k)))
+				for step := 0; step < 12; step++ {
+					edits := RandomEdits(prep, rng, 1)
+					eco, err := prep.Invalidate(ctx, edits)
+					if err != nil {
+						t.Fatalf("K=%g step %d: Invalidate: %v", k, step, err)
+					}
+					_, next, err := MapECO(ctx, eco, st, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					succ := &eco.Prep.Prepared
+					full, err := cover.CoverWithPrefix(ctx, succ.dag, succ.forest, succ.prefix, succ.coverOptions(k))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := diffCovers(next.cov, full); err != nil {
+						t.Fatalf("K=%g step %d: delta cover differs from a full cover: %v", k, step, err)
+					}
+					want := wantResolved(eco, st.cov, full, h)
+					r, u := 0, 0
+					for ti, tr := range succ.forest.Trees(succ.dag) {
+						for _, v := range tr.Gates {
+							got := next.cov.Best[v] != st.cov.Best[v]
+							if got != want[v] {
+								t.Fatalf("K=%g step %d: gate %d re-solved=%v, want %v", k, step, v, got, want[v])
+							}
+							switch {
+							case !eco.Prep.rebuild.Dirty[ti]:
+							case got:
+								r++
+							default:
+								u++
+							}
+						}
+					}
+					mu.Lock()
+					resolved += r
+					reused += u
+					mu.Unlock()
+					prep, st = succ, next
+				}
+			}
+		})
+	}
+}
+
+// wantResolved names the gates a solution-level delta must re-solve,
+// computed from the previous cover and a full cover of the successor:
+// in each dirty tree, bottom-up, a gate is re-solved when it was
+// re-enumerated, has no previous solution, or lies within h father
+// steps above a re-solved gate whose full-cover DP terms differ
+// bitwise from its previous ones.
+func wantResolved(e *ECO, prev, full *cover.Result, h int) []bool {
+	prep := &e.Prep.Prepared
+	want := make([]bool, len(full.Best))
+	above := make([]bool, len(full.Best))
+	for ti, t := range prep.forest.Trees(prep.dag) {
+		if !e.Prep.rebuild.Dirty[ti] {
+			continue
+		}
+		for _, v := range t.Gates {
+			if !e.Prep.rebuild.Reenumerated[v] && prev.Best[v] != nil && !above[v] {
+				continue
+			}
+			want[v] = true
+			if old, now := prev.Best[v], full.Best[v]; old == nil ||
+				!bitsEqual(old.AreaCost, now.AreaCost) || !bitsEqual(old.WireCost, now.WireCost) ||
+				!bitsEqual(old.WireCostW, now.WireCostW) || !bitsEqual(old.Pos.X, now.Pos.X) ||
+				!bitsEqual(old.Pos.Y, now.Pos.Y) {
+				f := prep.forest.Father[v]
+				for s := 0; s < h && f >= 0; s++ {
+					above[f] = true
+					f = prep.forest.Father[f]
+				}
+			}
+		}
+	}
+	return want
+}
+
+func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// diffCovers compares two covers field by field, floats by their bits:
+// every gate's solution (the match by cell, pattern, root, leaves and
+// covered gates, its subtree-leaf flags, every cost term and its
+// position), the committed positions and the root reductions. It
+// describes the first difference, or returns nil.
+func diffCovers(a, b *cover.Result) error {
+	if len(a.Best) != len(b.Best) || len(a.Pos) != len(b.Pos) {
+		return fmt.Errorf("shapes differ: %d/%d solutions, %d/%d positions", len(a.Best), len(b.Best), len(a.Pos), len(b.Pos))
+	}
+	for v := range a.Best {
+		sa, sb := a.Best[v], b.Best[v]
+		if (sa == nil) != (sb == nil) {
+			return fmt.Errorf("gate %d: solution presence %v vs %v", v, sa != nil, sb != nil)
+		}
+		if sa == nil {
+			continue
+		}
+		ma, mb := &sa.Match, &sb.Match
+		switch {
+		case ma.Cell != mb.Cell || ma.PatternIndex != mb.PatternIndex || ma.Root != mb.Root:
+			return fmt.Errorf("gate %d: match %s/%d@%d vs %s/%d@%d", v,
+				ma.Cell.Name, ma.PatternIndex, ma.Root, mb.Cell.Name, mb.PatternIndex, mb.Root)
+		case !slices.Equal(ma.Leaves, mb.Leaves) || !slices.Equal(ma.Covered, mb.Covered):
+			return fmt.Errorf("gate %d: leaves %v covered %v vs leaves %v covered %v", v, ma.Leaves, ma.Covered, mb.Leaves, mb.Covered)
+		case sa.SubLeaf != sb.SubLeaf:
+			return fmt.Errorf("gate %d: subtree leaves %b vs %b", v, sa.SubLeaf, sb.SubLeaf)
+		case !bitsEqual(sa.AreaCost, sb.AreaCost) || !bitsEqual(sa.WireCost, sb.WireCost) ||
+			!bitsEqual(sa.WireCostW, sb.WireCostW) || !bitsEqual(sa.Wire, sb.Wire) ||
+			!bitsEqual(sa.Pos.X, sb.Pos.X) || !bitsEqual(sa.Pos.Y, sb.Pos.Y):
+			return fmt.Errorf("gate %d: terms %+v vs %+v", v, *sa, *sb)
+		}
+	}
+	for v := range a.Pos {
+		if !bitsEqual(a.Pos[v].X, b.Pos[v].X) || !bitsEqual(a.Pos[v].Y, b.Pos[v].Y) {
+			return fmt.Errorf("gate %d: committed position %v vs %v", v, a.Pos[v], b.Pos[v])
+		}
+	}
+	if !bitsEqual(a.RootArea, b.RootArea) || !bitsEqual(a.RootWire, b.RootWire) {
+		return fmt.Errorf("root reductions (%v, %v) vs (%v, %v)", a.RootArea, a.RootWire, b.RootArea, b.RootWire)
+	}
+	return nil
 }

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"casyn/internal/bench"
+	"casyn/internal/cover"
 	"casyn/internal/geom"
 	"casyn/internal/library"
 	"casyn/internal/logic"
+	"casyn/internal/obs"
 	"casyn/internal/place"
 	"casyn/internal/subject"
 )
@@ -22,11 +24,18 @@ var fuzzTarget struct {
 	once sync.Once
 	err  error
 	prep *Prepared
+	// st is a cover of prep at fuzzK that every fuzz execution's delta
+	// cover starts from.
+	st *CoverState
 	// gates / pos snapshot what the shared context looked like before
 	// any fuzz input ran.
 	gates []subject.Gate
 	pos   []geom.Point
 }
+
+// fuzzK is the K the fuzz target's delta covers run at: high enough
+// that the wire terms, and so every position change, reach the DP.
+const fuzzK = 1
 
 func fuzzPrepared(f *testing.F) *Prepared {
 	fuzzTarget.once.Do(func() {
@@ -64,7 +73,12 @@ func fuzzPrepared(f *testing.F) *Prepared {
 			fuzzTarget.err = err
 			return
 		}
-		fuzzTarget.prep = prep
+		_, st, err := MapStateful(context.Background(), prep, fuzzK)
+		if err != nil {
+			fuzzTarget.err = err
+			return
+		}
+		fuzzTarget.prep, fuzzTarget.st = prep, st
 		for g := 0; g < d.NumGates(); g++ {
 			fuzzTarget.gates = append(fuzzTarget.gates, *d.Gate(g))
 		}
@@ -80,7 +94,9 @@ func fuzzPrepared(f *testing.F) *Prepared {
 // arbitrary bytes must either fail to parse, fail validation with an
 // error, or produce a coherent successor — and in every case the
 // shared Prepared (its DAG and placement) must come through
-// bit-identical. Out-of-range gate IDs, edits to dead or non-base
+// bit-identical. A coherent successor's delta cover must equal a full
+// cover of it and solve no more DP vertices than its dirty trees hold.
+// Out-of-range gate IDs, edits to dead or non-base
 // gates, duplicate and overlapping edits, and empty sets are all
 // reachable from the seed corpus.
 func FuzzEditSet(f *testing.F) {
@@ -141,6 +157,22 @@ func FuzzEditSet(f *testing.F) {
 				if eco.ReenumeratedGates > dirtyGates || (len(eco.DirtyRoots) == 0 && eco.ReenumeratedGates != 0) {
 					t.Fatalf("%d gates re-enumerated, but the %d dirty trees hold %d",
 						eco.ReenumeratedGates, len(eco.DirtyRoots), dirtyGates)
+				}
+				rec := obs.New()
+				_, st, err := MapECO(obs.WithRecorder(ctx, rec), eco, fuzzTarget.st, fuzzK)
+				if err != nil {
+					t.Fatalf("MapECO: %v", err)
+				}
+				succ := &eco.Prep.Prepared
+				full, err := cover.CoverWithPrefix(ctx, succ.dag, succ.forest, succ.prefix, succ.coverOptions(fuzzK))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := diffCovers(st.cov, full); err != nil {
+					t.Fatalf("delta cover differs from a full cover: %v", err)
+				}
+				if solved := rec.Snapshot().Counters["cover.solutions"]; solved > int64(dirtyGates) {
+					t.Fatalf("delta cover solved %d DP vertices, but the dirty trees hold %d", solved, dirtyGates)
 				}
 			}
 		}

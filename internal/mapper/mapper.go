@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"casyn/internal/cover"
 	"casyn/internal/geom"
@@ -107,33 +108,25 @@ func Map(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Result, 
 // indexed by gate ID, and the cover walks use explicit stacks — tree
 // depth is unbounded on the full-size circuits.
 func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*Result, error) {
-	// rootOf[g] is the root of the tree g belongs to (-1 for PIs and
-	// constants). inTree tests membership in the tree rooted at tree,
-	// the shape cover.HeadsSubtree expects; set tree to the covered
-	// gate's root before each test. One closure serves the whole
-	// reconstruction.
-	rootOf := forest.RootOf(d)
-	tree := -1
-	inTree := func(x int) bool { return tree >= 0 && rootOf[x] == tree }
-
 	// Visible gates: match roots of every tree's chosen cover. Their
-	// signals exist without duplication.
+	// signals exist without duplication. A solution's subtree-leaf
+	// flags name the leaves the chosen cover descends into.
 	visible := make([]bool, d.NumGates())
-	numVisible := 0
+	numVisible, numPins := 0, 0
 	var walk []int
 	for _, root := range forest.Roots {
 		walk = append(walk[:0], root)
 		for len(walk) > 0 {
 			v := walk[len(walk)-1]
 			walk = walk[:len(walk)-1]
+			sol := cov.Best[v]
 			if !visible[v] {
 				visible[v] = true
 				numVisible++
+				numPins += len(sol.Match.Leaves)
 			}
-			sol := cov.Best[v]
-			tree = rootOf[v]
-			for _, l := range sol.Match.Leaves {
-				if cover.HeadsSubtree(forest, inTree, sol, l) {
+			for li, l := range sol.Match.Leaves {
+				if sol.SubtreeLeaf(li) {
 					walk = append(walk, l)
 				}
 			}
@@ -146,7 +139,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 	// are not re-copied as they fill; an overrun costs one regrowth.
 	numCells := numVisible + numVisible/4
 	nl := netlist.New()
-	nl.Reserve(len(d.PIs())+numCells, numCells)
+	nl.Reserve(len(d.PIs())+numCells, numCells, numPins+numPins/4)
 	res := &Result{Netlist: nl, Forest: forest, WireEstimate: cov.RootWire,
 		InstGate: slices.Grow([]int(nil), numCells),
 		SigGate:  slices.Grow([]int(nil), len(d.PIs())+numCells)}
@@ -184,7 +177,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 	}
 	var stack []frame
 	var inputs []netlist.SigID // leaf signals; AddInstance copies them
-	var name []byte            // "u<instance index>", one allocation per name
+	names := instanceNames{batch: numCells}
 	instantiate := func(g int, dup bool) error {
 		stack = append(stack[:0], frame{g: g, dup: dup})
 		for len(stack) > 0 {
@@ -199,7 +192,6 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 			}
 			if !f.expanded {
 				f.expanded = true
-				tree = rootOf[f.g]
 				leaves := sol.Match.Leaves
 				for i := len(leaves) - 1; i >= 0; i-- {
 					l := leaves[i]
@@ -211,7 +203,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 					// duplicate only if its signal is not already
 					// visible.
 					leafDup := f.dup
-					if !cover.HeadsSubtree(forest, inTree, sol, l) {
+					if !sol.SubtreeLeaf(i) {
 						leafDup = !visible[l] && d.Gate(l).Type != subject.PI &&
 							d.Gate(l).Type != subject.Const0 && d.Gate(l).Type != subject.Const1
 					}
@@ -225,8 +217,7 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 			for _, l := range sol.Match.Leaves {
 				inputs = append(inputs, sigOf[l])
 			}
-			name = strconv.AppendInt(append(name[:0], 'u'), int64(nl.NumCells()), 10)
-			_, out := nl.AddInstance(string(name), sol.Match.Cell, sol.Match.PatternIndex, inputs, sol.Pos)
+			_, out := nl.AddInstance(names.next(), sol.Match.Cell, sol.Match.PatternIndex, inputs, sol.Pos)
 			res.InstGate = append(res.InstGate, f.g)
 			if f.dup {
 				res.DuplicatedCells++
@@ -261,6 +252,42 @@ func reconstruct(d *subject.DAG, forest *partition.Forest, cov *cover.Result) (*
 		return nil, err
 	}
 	return res, nil
+}
+
+// instanceNames hands out the instance names "u0", "u1", … in order,
+// as substrings of one string per batch of names: naming a netlist's
+// instances costs an allocation per batch, not one per instance.
+type instanceNames struct {
+	// batch is how many names the next string holds.
+	batch int
+	// rest holds the names built but not yet handed out, back to back;
+	// each starts with its 'u'. from is the index of the first.
+	rest string
+	from int
+}
+
+// next returns the name of the next instance.
+func (n *instanceNames) next() string {
+	if n.rest == "" {
+		var sb strings.Builder
+		end := n.from + max(n.batch, 64)
+		sb.Grow((end - n.from) * (1 + len(strconv.Itoa(end))))
+		var digits [20]byte
+		for i := n.from; i < end; i++ {
+			sb.WriteByte('u')
+			sb.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		}
+		n.rest = sb.String()
+		n.batch /= 4 // an overrun is the few percent of duplicated logic
+	}
+	end := strings.IndexByte(n.rest[1:], 'u') + 1
+	if end == 0 {
+		end = len(n.rest)
+	}
+	name := n.rest[:end]
+	n.rest = n.rest[end:]
+	n.from++
+	return name
 }
 
 // SubjectPlacement places the technology-independent netlist on the

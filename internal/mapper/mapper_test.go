@@ -2,8 +2,8 @@ package mapper
 
 import (
 	"context"
-
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"casyn/internal/bnet"
@@ -262,5 +262,17 @@ func TestMapSummaryMentionsCells(t *testing.T) {
 	}
 	if len(res.InstGate) != res.NumCells {
 		t.Error("InstGate length mismatch")
+	}
+}
+
+// TestInstanceNames: the batched names are "u0", "u1", … in order,
+// across batch refills too.
+func TestInstanceNames(t *testing.T) {
+	t.Parallel()
+	names := instanceNames{batch: 70}
+	for i := 0; i < 300; i++ {
+		if got, want := names.next(), "u"+strconv.Itoa(i); got != want {
+			t.Fatalf("name %d = %q, want %q", i, got, want)
+		}
 	}
 }

@@ -48,7 +48,9 @@ type Instance struct {
 	// PatternIndex selects the cell pattern whose variable order the
 	// Inputs follow.
 	PatternIndex int
-	// Inputs are the input signals in pattern-variable order.
+	// Inputs are the input signals in pattern-variable order: a
+	// window of an array the netlist owns, capacity-clipped so an
+	// append to it copies instead of overwriting a neighbor.
 	Inputs []SigID
 	// Output is the driven signal.
 	Output SigID
@@ -69,6 +71,11 @@ type Netlist struct {
 	Instances []Instance
 	PIs       []SigID
 	POs       []PO
+
+	// inputs backs the instances' Inputs windows. When it fills,
+	// AddInstance starts a fresh array rather than growing this one,
+	// so the windows already handed out never move.
+	inputs []SigID
 }
 
 // New returns an empty netlist.
@@ -85,22 +92,32 @@ func (n *Netlist) AddSignal(name string, kind SigKind) SigID {
 }
 
 // Reserve grows the netlist's capacity for at least signals more
-// signals and instances more instances, so a builder that knows its
-// size up front does not re-copy the arrays as they fill.
-func (n *Netlist) Reserve(signals, instances int) {
+// signals, instances more instances and pins more instance inputs, so
+// a builder that knows its size up front does not re-copy the arrays
+// as they fill.
+func (n *Netlist) Reserve(signals, instances, pins int) {
 	n.Signals = slices.Grow(n.Signals, signals)
 	n.Instances = slices.Grow(n.Instances, instances)
+	if cap(n.inputs)-len(n.inputs) < pins {
+		n.inputs = make([]SigID, 0, pins)
+	}
 }
 
 // AddInstance appends a cell instance driving a fresh signal and
-// returns the instance index and output signal.
+// returns the instance index and output signal. The instance keeps a
+// copy of inputs.
 func (n *Netlist) AddInstance(name string, cell *library.Cell, patternIndex int, inputs []SigID, pos geom.Point) (int, SigID) {
 	out := SigID(len(n.Signals))
 	inst := len(n.Instances)
+	if cap(n.inputs)-len(n.inputs) < len(inputs) {
+		n.inputs = make([]SigID, 0, max(2*cap(n.inputs), len(inputs), 64))
+	}
+	lo := len(n.inputs)
+	n.inputs = append(n.inputs, inputs...)
 	n.Signals = append(n.Signals, Signal{ID: out, Name: name, Kind: SigGate, Driver: inst})
 	n.Instances = append(n.Instances, Instance{
 		ID: inst, Name: name, Cell: cell, PatternIndex: patternIndex,
-		Inputs: append([]SigID(nil), inputs...), Output: out, Pos: pos,
+		Inputs: n.inputs[lo:len(n.inputs):len(n.inputs)], Output: out, Pos: pos,
 	})
 	return inst, out
 }

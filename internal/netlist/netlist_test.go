@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"testing"
 
 	"casyn/internal/geom"
@@ -167,5 +168,35 @@ func TestToPlacementDedupesPins(t *testing.T) {
 	}
 	if got := len(pn.Cells.Nets[ni].Cells); got != 1 {
 		t.Errorf("net for a has %d cell pins, want 1", got)
+	}
+}
+
+// TestInstanceInputsWindows: instance inputs are copies held in
+// netlist-owned windows that never alias. Rewriting the caller's slice,
+// appending to one instance's inputs or overflowing the reserved array
+// leaves every other instance's inputs as they were.
+func TestInstanceInputsWindows(t *testing.T) {
+	t.Parallel()
+	lib := library.Default()
+	n := New()
+	n.Reserve(0, 0, 3)
+	a := n.AddSignal("a", SigPI)
+	b := n.AddSignal("b", SigPI)
+	in := []SigID{a, b}
+	_, u0 := n.AddInstance("u0", lib.Cell("NAND2"), 0, in, geom.Point{})
+	in[0] = b
+	_, u1 := n.AddInstance("u1", lib.Cell("NAND2"), 0, in, geom.Point{}) // overflows the reserve
+	_, u2 := n.AddInstance("u2", lib.Cell("NAND2"), 0, []SigID{u0, u1}, geom.Point{})
+	n.AddPO("o", u2)
+	grown := append(n.Instances[0].Inputs, u1)
+	grown[0] = u1
+	want := [][]SigID{{a, b}, {b, b}, {u0, u1}}
+	for i, w := range want {
+		if got := n.Instances[i].Inputs; !slices.Equal(got, w) {
+			t.Errorf("instance %d inputs %v, want %v", i, got, w)
+		}
+	}
+	if err := n.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
