@@ -16,6 +16,14 @@
 //	})
 //	fmt.Println(result.Report())
 //
+// Other front ends (cmd/casyn's ECO mode, the casynd service) drive
+// the flow themselves from the same building blocks Synthesize uses:
+// SubjectFor, LayoutFor, FlowConfig and ResultFrom. They hold no flow
+// policy of their own. The chained drivers (flow.RunStateful, RunECO,
+// RunAdaptive) choose seeded placement themselves, and ResultFrom
+// reads the multi-die facts off the prepared context, so a result is
+// the same whichever front end built it.
+//
 // Lower-level control — running individual pipeline stages, sweeping
 // K, reproducing the paper's tables — is available through the
 // internal packages; see the examples/ directory and DESIGN.md.
@@ -30,7 +38,6 @@ import (
 	"time"
 
 	"casyn/internal/bench"
-	"casyn/internal/bnet"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
@@ -55,8 +62,8 @@ type Options struct {
 	// K, route, inflate a spatial K-field only where the routed
 	// congestion map is over capacity, and re-cover just the affected
 	// region — at most 3 routed iterations instead of sweeping a K
-	// ladder. Placement is seeded rather than re-annealed per
-	// iteration (the controller's operating mode).
+	// ladder. The controller places seeded rather than re-annealing
+	// per iteration (its operating mode, chosen by flow.RunAdaptive).
 	// Result.AdaptiveIterations records the routed iterations used.
 	Adaptive bool
 	// Dies synthesizes for a multi-die target when > 1: the die is
@@ -89,11 +96,6 @@ type Options struct {
 	Seed int64
 	// RunTiming enables static timing analysis of the routed design.
 	RunTiming bool
-	// IterationTimeout bounds the wall-clock time of the synthesis
-	// iteration (map+place+route+sta); zero means no bound. On expiry
-	// Synthesize returns a *runstage.StageError whose Timeout() method
-	// reports true.
-	IterationTimeout time.Duration
 	// StageTimeout bounds each individual pipeline stage; zero means
 	// no bound.
 	StageTimeout time.Duration
@@ -104,16 +106,13 @@ type Options struct {
 	// value; only wall-clock time changes.
 	Workers int
 	// Verify runs the combinational equivalence checker over the
-	// pipeline: the decomposed subject DAG is checked against the
-	// input Boolean network (when synthesis starts from a network or
-	// PLA) and the mapped netlist against the subject DAG. An
-	// inequivalence aborts synthesis with the counterexample in the
-	// error; the proof report lands in Result.Verify.
+	// pipeline, with its library defaults (seeded simulation, 2^20-node
+	// BDD budget, exhaustive fallback up to 20 inputs): the decomposed
+	// subject DAG is checked against the input PLA and the mapped
+	// netlist against the subject DAG. An inequivalence aborts
+	// synthesis with the counterexample in the error; the proof report
+	// lands in Result.Verify.
 	Verify bool
-	// VerifyOpts tunes the checker when Verify is set (zero value =
-	// library defaults: seeded simulation, 2^20-node BDD budget,
-	// exhaustive fallback up to 20 inputs).
-	VerifyOpts verify.Options
 }
 
 // Result is a completed synthesis run.
@@ -158,7 +157,7 @@ type Result struct {
 	// AdaptiveIterations is the number of routed iterations the
 	// closed-loop controller used (0 for fixed-K synthesis).
 	AdaptiveIterations int
-	// Dies echoes the multi-die region count (0 or 1 for single-die).
+	// Dies echoes the multi-die region count (0 for single-die).
 	Dies int
 	// ReplicatedGates counts subject gates the k-way partitioner
 	// duplicated across die regions (multi-die runs only).
@@ -225,7 +224,7 @@ func SynthesizeContext(ctx context.Context, p *logic.PLA, opts Options) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return SynthesizeSubjectContext(ctx, dag, opts)
+	return synthesizeSubject(ctx, dag, opts)
 }
 
 // SubjectFor runs the technology-independent front end on a PLA:
@@ -245,7 +244,7 @@ func SubjectFor(ctx context.Context, p *logic.PLA, opts Options) (*subject.DAG, 
 	if opts.Verify {
 		// Checks the whole technology-independent front end at once:
 		// extraction, sweep, and decomposition.
-		rep, err := verify.Equivalent(ctx, p, dag, opts.VerifyOpts)
+		rep, err := verify.Equivalent(ctx, p, dag, verify.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -256,43 +255,9 @@ func SubjectFor(ctx context.Context, p *logic.PLA, opts Options) (*subject.DAG, 
 	return dag, nil
 }
 
-// SynthesizeNetwork runs the flow on an already-built Boolean network.
-func SynthesizeNetwork(n *bnet.Network, opts Options) (*Result, error) {
-	return SynthesizeNetworkContext(context.Background(), n, opts)
-}
-
-// SynthesizeNetworkContext is SynthesizeNetwork with cooperative
-// cancellation (see SynthesizeContext).
-func SynthesizeNetworkContext(ctx context.Context, n *bnet.Network, opts Options) (*Result, error) {
-	if opts.OptimizeTechIndependent {
-		bnet.FastExtract(n, bnet.FastExtractOptions{})
-		n.Sweep()
-	}
-	dag, err := subject.Decompose(n)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Verify {
-		rep, err := verify.Equivalent(ctx, n, dag, opts.VerifyOpts)
-		if err != nil {
-			return nil, err
-		}
-		if !rep.Equivalent {
-			return nil, fmt.Errorf("casyn: decomposition changed the function: %s", rep)
-		}
-	}
-	return SynthesizeSubjectContext(ctx, dag, opts)
-}
-
-// SynthesizeSubject runs placement, mapping, routing, and timing on a
-// decomposed subject DAG.
-func SynthesizeSubject(dag *subject.DAG, opts Options) (*Result, error) {
-	return SynthesizeSubjectContext(context.Background(), dag, opts)
-}
-
-// SynthesizeSubjectContext is SynthesizeSubject with cooperative
-// cancellation (see SynthesizeContext).
-func SynthesizeSubjectContext(ctx context.Context, dag *subject.DAG, opts Options) (*Result, error) {
+// synthesizeSubject runs placement, mapping, routing, and timing on a
+// decomposed subject DAG: the back half of SynthesizeContext.
+func synthesizeSubject(ctx context.Context, dag *subject.DAG, opts Options) (*Result, error) {
 	if opts.Adaptive && opts.Dies > 1 {
 		// The adaptive controller's K-field feedback is die-local; it
 		// has no multi-die model yet. Fail loudly instead of silently
@@ -304,25 +269,14 @@ func SynthesizeSubjectContext(ctx context.Context, dag *subject.DAG, opts Option
 		return nil, err
 	}
 	cfg := FlowConfig(layout, opts)
-	if opts.IterationTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.IterationTimeout)
-		defer cancel()
-	}
-	if opts.Adaptive {
-		// The closed loop runs with seeded placement: its feedback is
-		// region-local, and a fresh anneal per iteration would reshuffle
-		// the placement out from under the inflated windows.
-		cfg.FreshPlacement = false
-	}
 	pc, err := flow.Prepare(ctx, dag, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Dies > 1 {
 		// Prepare the k-way prefix here (rather than letting RunOnce do
-		// it on a private copy) so the replication outcome is visible
-		// for the Result.
+		// it on a private copy) so ResultFrom finds the replication
+		// outcome on pc.
 		if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
 			return nil, err
 		}
@@ -336,7 +290,7 @@ func SynthesizeSubjectContext(ctx context.Context, dag *subject.DAG, opts Option
 		if best == nil {
 			return nil, fmt.Errorf("casyn: adaptive synthesis produced no iterations")
 		}
-		res := ResultFrom(dag, layout, best)
+		res := ResultFrom(dag, layout, pc, best)
 		res.AdaptiveIterations = ares.RoutedIterations()
 		return res, nil
 	}
@@ -345,15 +299,7 @@ func SynthesizeSubjectContext(ctx context.Context, dag *subject.DAG, opts Option
 		return nil, err
 	}
 	flow.MergeMetrics(ctx, it.Metrics)
-	res := ResultFrom(dag, layout, &it)
-	if opts.Dies > 1 {
-		res.Dies = opts.Dies
-		res.CrossRegionNets = it.CrossRegionNets
-		if pc.KWay != nil {
-			res.ReplicatedGates = pc.KWay.Replicas
-		}
-	}
-	return res, nil
+	return ResultFrom(dag, layout, pc, &it), nil
 }
 
 // LayoutFor sizes the floorplan for a decomposed subject DAG under
@@ -393,13 +339,17 @@ func FlowConfig(layout place.Layout, opts Options) flow.Config {
 		StageTimeout:   opts.StageTimeout,
 		Workers:        opts.Workers,
 		Verify:         opts.Verify,
-		VerifyOpts:     opts.VerifyOpts,
 	}
 }
 
 // ResultFrom condenses a completed flow iteration into the public
-// Result shape (the assembly step of Synthesize, shared with casynd).
-func ResultFrom(dag *subject.DAG, layout place.Layout, it *flow.Iteration) *Result {
+// Result shape (the assembly step of Synthesize, shared with casynd
+// and cmd/casyn's ECO mode). When pc carries a k-way prefix
+// (flow.PrepareMapping with Dies > 1), the multi-die facts come from
+// it: the die count and replicated gates from pc.KWay, the
+// cross-region nets from the iteration. A context without one yields
+// a single-die result.
+func ResultFrom(dag *subject.DAG, layout place.Layout, pc *flow.Context, it *flow.Iteration) *Result {
 	res := &Result{
 		BaseGates:   dag.BaseGateCount(),
 		CellArea:    it.CellArea,
@@ -416,11 +366,12 @@ func ResultFrom(dag *subject.DAG, layout place.Layout, it *flow.Iteration) *Resu
 		res.CriticalPath = it.Timing.String()
 		res.Timing = it.Timing
 	}
+	if kw := pc.KWay; kw != nil {
+		res.Dies = len(kw.Regions)
+		res.ReplicatedGates = kw.Replicas
+		res.CrossRegionNets = it.CrossRegionNets
+	}
 	res.Verify = it.Verify
 	res.Metrics = it.Metrics
 	return res
 }
-
-// FromPLA builds the multi-level Boolean network for a PLA, the input
-// to SynthesizeNetwork.
-func FromPLA(p *logic.PLA) (*bnet.Network, error) { return bnet.FromPLA(p) }

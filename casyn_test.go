@@ -1,7 +1,6 @@
 package casyn
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -108,42 +107,5 @@ func TestSynthesizeDeterminism(t *testing.T) {
 	}
 	if a.CellArea != b.CellArea || a.Violations != b.Violations || a.WireLength != b.WireLength {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestSynthesizeFunctionalEquivalenceViaNetwork(t *testing.T) {
-	t.Parallel()
-	// The mapped result is validated inside the pipeline; here check
-	// the network entry point works and respects the SIS flag.
-	rng := rand.New(rand.NewSource(5))
-	p := logic.NewPLA(5, 2)
-	for k := 0; k < 8; k++ {
-		cb := logic.NewCube(5)
-		for i := 0; i < 5; i++ {
-			switch rng.Intn(3) {
-			case 0:
-				cb.SetPos(i)
-			case 1:
-				cb.SetNeg(i)
-			}
-		}
-		row := []bool{rng.Intn(2) == 0, rng.Intn(2) == 0}
-		if !row[0] && !row[1] {
-			row[0] = true
-		}
-		if err := p.AddTerm(cb, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := FromPLA(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SynthesizeNetwork(n, Options{OptimizeTechIndependent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumCells == 0 {
-		t.Error("network path mapped to nothing")
 	}
 }

@@ -85,15 +85,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	classes := []bench.Class{bench.SPLA, bench.PDC}
 	if *benchName != "" {
-		switch *benchName {
-		case "spla":
-			classes = []bench.Class{bench.SPLA}
-		case "pdc":
-			classes = []bench.Class{bench.PDC}
-		default:
+		class, ok := bench.ParseClass(*benchName)
+		if !ok || class == bench.TooLarge {
 			fail("unknown benchmark %q (want spla or pdc; too_large is a layered netlist, not a PLA)", *benchName)
 			return exitUsage
 		}
+		classes = []bench.Class{class}
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fail("%v", err)

@@ -100,14 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		StageTimeout:            *stageTO,
 		Workers:                 *workers,
 	}
-	switch *method {
-	case "pdp":
-		opts.Partition = partition.PDP
-	case "dagon":
-		opts.Partition = partition.Dagon
-	case "cone":
-		opts.Partition = partition.Cone
-	default:
+	var ok bool
+	if opts.Partition, ok = partition.ParseMethod(*method); !ok {
 		fail("unknown partition method %q", *method)
 		return exitUsage
 	}
@@ -154,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitErr
 		}
 	case *benchName != "":
-		class, ok := classByName(*benchName)
+		class, ok := bench.ParseClass(*benchName)
 		if !ok {
 			fail("unknown benchmark %q (want spla, pdc, too_large)", *benchName)
 			finish()
@@ -299,12 +293,6 @@ func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casy
 	}
 	cfg := casyn.FlowConfig(layout, opts)
 	cfg.FastECORoute = fast
-	// The ECO chain runs the paper's seeded-placement methodology: the
-	// mapper's center-of-mass seeds are legalized rather than re-placed
-	// by bisection, so the captured placement state is reusable — fast
-	// mode keeps unmoved cells verbatim and the routing dirty region
-	// stays local to the edit.
-	cfg.FreshPlacement = false
 	pc, err := flow.Prepare(ctx, dag, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -314,24 +302,11 @@ func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casy
 	if err != nil {
 		return nil, nil, err
 	}
-	base := casyn.ResultFrom(dag, layout, &it)
+	base := casyn.ResultFrom(dag, layout, pc, &it)
 	eit, _, err := flow.RunECO(ctx, pc, st, edits, cfg)
 	flow.MergeMetrics(ctx, eit.Metrics)
 	if err != nil {
 		return base, nil, err
 	}
-	return base, casyn.ResultFrom(dag, layout, &eit), nil
-}
-
-func classByName(name string) (bench.Class, bool) {
-	switch name {
-	case "spla":
-		return bench.SPLA, true
-	case "pdc":
-		return bench.PDC, true
-	case "too_large":
-		return bench.TooLarge, true
-	default:
-		return 0, false
-	}
+	return base, casyn.ResultFrom(dag, layout, pc, &eit), nil
 }

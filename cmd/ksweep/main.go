@@ -52,13 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	var class bench.Class
-	switch *benchName {
-	case "spla":
-		class = bench.SPLA
-	case "pdc":
-		class = bench.PDC
-	default:
+	class, ok := bench.ParseClass(*benchName)
+	if !ok || class == bench.TooLarge {
 		fail("unknown benchmark %q (want spla or pdc)", *benchName)
 		return exitUsage
 	}

@@ -25,7 +25,7 @@ func main() {
 
 	// The optimized Boolean network, in BLIF for interchange with
 	// SIS/ABC-style tools.
-	n, err := casyn.FromPLA(pla)
+	n, err := bnet.FromPLA(pla)
 	if err != nil {
 		log.Fatal(err)
 	}

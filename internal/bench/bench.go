@@ -45,6 +45,17 @@ func (c Class) String() string {
 	}
 }
 
+// ParseClass is the inverse of String: the class named name, false
+// when no class has that name.
+func ParseClass(name string) (Class, bool) {
+	for c := SPLA; c <= TooLarge; c++ {
+		if c.String() == name {
+			return c, true
+		}
+	}
+	return 0, false
+}
+
 // Spec parameterizes a synthetic PLA.
 type Spec struct {
 	Name    string

@@ -126,7 +126,10 @@ func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }
 // file comment for the loop and the controller law). pc must be
 // Prepare'd; when it lacks a compatible mapping prefix, one is built
 // on a private copy before the loop. cfg.KSchedule is ignored — the
-// loop fixes K at acfg.BaseK and steers the spatial field instead.
+// loop fixes K at acfg.BaseK and steers the spatial field instead —
+// and so is cfg.FreshPlacement: every iteration places seeded, because
+// a fresh placement per iteration would reshuffle the cells out from
+// under the inflated windows.
 //
 // The loop is recorded under a "flow.adaptive" span: each routed
 // iteration bumps the "flow.adaptive_iterations" counter and lands its
@@ -141,6 +144,7 @@ func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }
 func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConfig) (res *AdaptiveResult, err error) {
 	acfg.defaults()
 	cfg.defaults()
+	cfg.FreshPlacement = false
 	if pc, err = withPrefix(ctx, pc, cfg); err != nil {
 		return nil, err
 	}

@@ -37,8 +37,8 @@ type ECOState struct {
 	// placement of this iteration's netlist. Fast-mode ECO reuses them:
 	// cells whose identity, width and seed are unchanged keep their
 	// legalized position verbatim (place.PlaceECO), which keeps the
-	// dirtied routing region genuinely local. Seeds is nil when the
-	// iteration ran with FreshPlacement.
+	// dirtied routing region genuinely local. RunStateful and RunECO
+	// always place seeded, so their states always carry Seeds.
 	Seeds []geom.Point
 	Place *place.Placement
 	// Widths are the cells' widths; CellKeys and NetKeys are the
@@ -53,11 +53,14 @@ type ECOState struct {
 }
 
 // RunStateful is RunOnce at a fixed K that additionally returns the
-// ECOState subsequent edits are applied against. The Iteration is
-// byte-identical to RunOnce's at the same K (the state capture is
-// passive). Like RunOnce, it builds the mapping prefix on a private
-// copy of pc when pc lacks a compatible one; the state carries it.
+// ECOState subsequent edits are applied against. It always places
+// seeded, whatever cfg.FreshPlacement says, so the Iteration is
+// byte-identical to a seeded RunOnce's at the same K (the state
+// capture is passive). Like RunOnce, it builds the mapping prefix on a
+// private copy of pc when pc lacks a compatible one; the state carries
+// it.
 func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration, *ECOState, error) {
+	cfg.FreshPlacement = false
 	it, st, _, err := iterate(ctx, pc, cfg, k, iterIn{capture: true})
 	return it, st, err
 }
@@ -67,11 +70,12 @@ func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Itera
 // matches of the gates within the edit's cone (StageECO), MapECO
 // re-covers only the dirtied partition trees against the previous
 // same-K cover (StageMap), and the mapped netlist is verified, placed,
-// routed, and timed exactly as a RunOnce iteration. The returned
+// routed, and timed exactly as a seeded RunOnce iteration (like
+// RunStateful, RunECO ignores cfg.FreshPlacement). The returned
 // Iteration and the mapped netlist are byte-identical to a
-// from-scratch synthesis of the edited design in the same placement
-// context (the differential ECO harness proves this across circuits,
-// edit streams, K values, and worker counts).
+// from-scratch seeded synthesis of the edited design in the same
+// placement context (the differential ECO harness proves this across
+// circuits, edit streams, K values, and worker counts).
 //
 // Placement and routing run from scratch by default, which is what
 // makes the byte-identity exact. With cfg.FastECORoute set, both go
@@ -95,6 +99,7 @@ func RunECO(ctx context.Context, pc *Context, st *ECOState, edits mapper.EditSet
 		return Iteration{Err: err, Skipped: true}, nil, err
 	}
 	cfg.defaults()
+	cfg.FreshPlacement = false
 	if !st.Prep.Compatible(cfg.Method, cfg.Lib) {
 		err := fmt.Errorf("flow: ECO state was prepared with a different method or library")
 		return Iteration{K: st.K, Err: err, Skipped: true}, nil, err

@@ -120,3 +120,65 @@ func TestFastECOChainAligned(t *testing.T) {
 		t.Fatalf("only %d edits changed the cell count; the aligned path was not exercised", countChanged)
 	}
 }
+
+// TestChainedDriversPlaceSeeded pins the placement policy on the
+// drivers themselves: RunStateful, exact and fast RunECO, and
+// RunAdaptive place seeded whatever Config.FreshPlacement says, so no
+// caller has to remember to turn it off.
+func TestChainedDriversPlaceSeeded(t *testing.T) {
+	pc, seeded := prepared(t, 0.55)
+	seeded.FreshPlacement = false
+	fresh := seeded
+	fresh.FreshPlacement = true
+	ctx := context.Background()
+	if err := PrepareMapping(ctx, pc, seeded); err != nil {
+		t.Fatal(err)
+	}
+
+	a, st, err := RunStateful(ctx, pc, 0.001, seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, fst, err := RunStateful(ctx, pc, 0.001, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameIteration(t, "RunStateful", a, b)
+	if !reflect.DeepEqual(st.Place, fst.Place) {
+		t.Error("RunStateful: FreshPlacement changed the placement")
+	}
+
+	edits := mapper.RandomEdits(st.Prep, rand.New(rand.NewSource(3)), 1)
+	for _, fast := range []bool{false, true} {
+		scfg, fcfg := seeded, fresh
+		scfg.FastECORoute, fcfg.FastECORoute = fast, fast
+		a, ast, err := RunECO(ctx, pc, st, edits, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, bst, err := RunECO(ctx, pc, st, edits, fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("RunECO fast=%v", fast)
+		sameIteration(t, tag, a, b)
+		if !reflect.DeepEqual(ast.Place, bst.Place) {
+			t.Errorf("%s: FreshPlacement changed the placement", tag)
+		}
+	}
+
+	ares, err := RunAdaptive(ctx, pc, seeded, AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err := RunAdaptive(ctx, pc, fresh, AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ares.Iterations) != len(bres.Iterations) {
+		t.Fatalf("RunAdaptive: %d vs %d iterations", len(ares.Iterations), len(bres.Iterations))
+	}
+	for i := range ares.Iterations {
+		sameIteration(t, fmt.Sprintf("RunAdaptive iteration %d", i), ares.Iterations[i].Iteration, bres.Iterations[i].Iteration)
+	}
+}

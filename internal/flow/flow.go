@@ -68,16 +68,17 @@ type Config struct {
 	PlaceOpts place.Options
 	RouteOpts route.Options
 	// FreshPlacement re-places the mapped netlist from scratch instead
-	// of legalizing the mapper's center-of-mass seeds. The seeded path
-	// (the zero value) carries the companion placement through mapping,
-	// as the paper's methodology does, but it is not what one-shot runs
-	// use: the casyn facade, casynd and the experiments set
-	// FreshPlacement, because on the full-size oneshot designs (seed 1)
-	// seeded placement is 26% faster in gates/s yet routes 14.8% more
-	// wirelength. The seeded users are ECO chains — fast ECO keeps a
-	// cell's previous position while its seed is unchanged — and the
-	// closed-loop adaptive driver, whose region-local feedback a fresh
-	// placement per iteration would undo.
+	// of legalizing the mapper's center-of-mass seeds. Only Run and
+	// RunOnce read it. The seeded path (the zero value) carries the
+	// companion placement through mapping, as the paper's methodology
+	// does, but it is not what one-shot runs use: the casyn facade,
+	// casynd and the experiments set FreshPlacement, because on the
+	// full-size oneshot designs (seed 1) seeded placement is 26% faster
+	// in gates/s yet routes 14.8% more wirelength. The chained drivers
+	// always place seeded and ignore the field: RunStateful and RunECO,
+	// because fast ECO keeps a cell's previous position while its seed
+	// is unchanged, and RunAdaptive, whose region-local feedback a
+	// fresh placement per iteration would undo.
 	FreshPlacement bool
 	// FastECORoute makes RunECO place and route incrementally, with the
 	// edited netlist's cells and nets aligned to the previous
@@ -119,11 +120,9 @@ type Config struct {
 	// with a StageVerify error — functional corruption never degrades
 	// silently into a metrics row. The report (including unproven
 	// verdicts on designs too wide for the exact engines) lands in
-	// Iteration.Verify.
+	// Iteration.Verify. The checker runs with its library defaults
+	// (verify.Options{}).
 	Verify bool
-	// VerifyOpts forwards to the equivalence checker when Verify is
-	// set (zero value = library defaults).
-	VerifyOpts verify.Options
 	// Workers bounds the goroutines of the K sweep (0 =
 	// runtime.GOMAXPROCS, 1 = serial). Iterations for different K
 	// values are independent, so the ladder fans out across the pool
@@ -254,7 +253,7 @@ func PrepareMapping(ctx context.Context, pc *Context, cfg Config) error {
 					// Replication edits the subject itself, so prove the
 					// replicated DAG equivalent to the original before any
 					// mapping happens on it.
-					rep, err := verify.Equivalent(ctx, pc.DAG, kres.DAG, cfg.VerifyOpts)
+					rep, err := verify.Equivalent(ctx, pc.DAG, kres.DAG, verify.Options{})
 					if err != nil {
 						return mprep{}, err
 					}
@@ -627,7 +626,7 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 	if cfg.Verify {
 		rep, err := runstage.Run(ctx, runstage.StageVerify, k, cfg.StageTimeout, cfg.Hooks,
 			func(ctx context.Context) (*verify.Report, error) {
-				rep, err := verify.Equivalent(ctx, prep.DAG(), mres.Netlist, cfg.VerifyOpts)
+				rep, err := verify.Equivalent(ctx, prep.DAG(), mres.Netlist, verify.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -660,21 +659,19 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 			// cell the edit left alone and drop the rest into the nearest
 			// free gap. Keeps the routing dirty region local, at the cost
 			// of exact placement identity (fast mode is already non-exact).
-			// A previous state placed fresh has no seeds to compare and
-			// falls back to a full placement, as does an edit that leaves
-			// some cell no room.
+			// An edit that leaves some cell no room falls back to a full
+			// placement.
 			if fastECO {
-				if prev := in.prev; prev.Seeds != nil {
-					base := place.ECOBase{Place: prev.Place, Widths: prev.Widths, Seeds: prev.Seeds}
-					oldOf := alignKeys(prev.CellKeys, mres.InstGate)
-					p, moved, err := place.PlaceECO(pn.Cells, cfg.Layout, base, seeds, oldOf)
-					if !errors.Is(err, place.ErrNoRoom) {
-						if err == nil && rec != nil {
-							rec.Add("eco.place_incremental", 1)
-							rec.Add("eco.place_moved_cells", int64(moved))
-						}
-						return p, err
+				prev := in.prev
+				base := place.ECOBase{Place: prev.Place, Widths: prev.Widths, Seeds: prev.Seeds}
+				oldOf := alignKeys(prev.CellKeys, mres.InstGate)
+				p, moved, err := place.PlaceECO(pn.Cells, cfg.Layout, base, seeds, oldOf)
+				if !errors.Is(err, place.ErrNoRoom) {
+					if err == nil && rec != nil {
+						rec.Add("eco.place_incremental", 1)
+						rec.Add("eco.place_moved_cells", int64(moved))
 					}
+					return p, err
 				}
 				if rec != nil {
 					rec.Add("eco.place_full", 1)

@@ -97,24 +97,3 @@ func TestVerifyStageFaultDegrades(t *testing.T) {
 		t.Errorf("ok=%d failed=%d, want 1/1", ok, failed)
 	}
 }
-
-// TestVerifyOptsFlowThrough: VerifyOpts reach the checker (a SimOnly
-// run can never prove equivalence).
-func TestVerifyOptsFlowThrough(t *testing.T) {
-	pc, cfg := prepared(t, 0.55)
-	cfg.Verify = true
-	cfg.VerifyOpts = verify.Options{SimOnly: true}
-	it, err := RunOnce(context.Background(), pc, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Verify == nil {
-		t.Fatal("no verification report")
-	}
-	if !it.Verify.Equivalent {
-		t.Fatalf("simulation found a mismatch: %s", it.Verify)
-	}
-	if it.Verify.Proven {
-		t.Error("SimOnly run claims a proof")
-	}
-}

@@ -27,7 +27,7 @@ import (
 type ECO struct {
 	// Prep is the successor prepared context: edited DAG, edited
 	// placement, fresh partition, copy-on-write covering prefix. It is
-	// a full Prepared — MapPrepared works against it directly, and a
+	// a full Prepared — MapStateful works against it directly, and a
 	// further Invalidate chains off it.
 	Prep *ECOPrepared
 	// DirtyRoots lists the roots (edited-forest gate IDs) of the dirty
@@ -55,7 +55,7 @@ type ECO struct {
 // ECOPrepared is a Prepared carrying the per-tree dirty mask of the
 // Invalidate that built it, which is what lets MapECO re-cover only
 // the dirty trees. It embeds Prepared, so every Prepared consumer
-// (MapPrepared, Compatible, a further Invalidate) accepts it
+// (MapStateful, Compatible, a further Invalidate) accepts it
 // unchanged.
 type ECOPrepared struct {
 	Prepared
@@ -176,9 +176,11 @@ func (p *Prepared) coverOptions(k float64) cover.Options {
 	}
 }
 
-// MapStateful is MapPrepared plus the covering state an ECO delta can
-// later start from. The cover is recorded under a "map.cover_only"
-// span.
+// MapStateful maps the prepared DAG at one congestion factor K and
+// returns the covering state an ECO delta can later start from. The
+// covering DP consumes the cached matches and re-evaluates only the
+// K-weighted cost combination. The cover is recorded under a
+// "map.cover_only" span.
 func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *CoverState, error) {
 	return mapCover(ctx, prep, k, nil, nil, nil, nil, "map.cover_only")
 }

@@ -39,7 +39,7 @@ func exampleCircuits(t *testing.T) []string {
 // TestMapECOMatchesFresh is the incremental-mapping determinism
 // property: on every example circuit, applying a random edit set via
 // Invalidate + MapECO (both the delta-cover path and the full-cover
-// fallback) is byte-identical to a from-scratch Prepare + MapPrepared
+// fallback) is byte-identical to a from-scratch Prepare + MapStateful
 // of the edited design in the same placement context — including when
 // a second edit set chains off the first ECO.
 func TestMapECOMatchesFresh(t *testing.T) {
@@ -62,12 +62,12 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					direct, err := MapPrepared(ctx, prep, k)
+					direct, _, err := MapStateful(ctx, prep, k)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if resultKey(base) != resultKey(direct) {
-						t.Fatalf("K=%g: MapStateful differs from MapPrepared", k)
+						t.Fatalf("K=%g: MapStateful is not repeatable", k)
 					}
 
 					edits := RandomEdits(prep, rng, 4)
@@ -87,7 +87,7 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					refRes, err := MapPrepared(ctx, ref, k)
+					refRes, _, err := MapStateful(ctx, ref, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +120,7 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref2Res, err := MapPrepared(ctx, ref2, k)
+					ref2Res, _, err := MapStateful(ctx, ref2, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,7 +170,7 @@ func TestMapECOUnderField(t *testing.T) {
 		if resultKey(inc) != resultKey(ref) {
 			t.Errorf("%s: ECO under a K-field differs from a full cover of the successor under it", name)
 		}
-		uniform, err := MapPrepared(ctx, &eco.Prep.Prepared, k)
+		uniform, _, err := MapStateful(ctx, &eco.Prep.Prepared, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestInvalidateDirtySetExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseRes, err := MapPrepared(ctx, prep, 0.5)
+			baseRes, _, err := MapStateful(ctx, prep, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,13 +265,13 @@ func TestInvalidateDirtySetExact(t *testing.T) {
 							return
 						default:
 						}
-						res, err := MapPrepared(ctx, prep, 0.5)
+						res, _, err := MapStateful(ctx, prep, 0.5)
 						if err != nil {
 							errs <- err.Error()
 							return
 						}
 						if resultKey(res) != baseKey {
-							errs <- "concurrent MapPrepared result changed during Invalidate"
+							errs <- "concurrent MapStateful result changed during Invalidate"
 							return
 						}
 					}
@@ -537,7 +537,7 @@ func TestInvalidateRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := MapPrepared(ctx, prep, 0.5)
+	baseRes, _, err := MapStateful(ctx, prep, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestInvalidateRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: Invalidate accepted an invalid edit set", tc.name)
 		}
 	}
-	res, err := MapPrepared(ctx, prep, 0.5)
+	res, _, err := MapStateful(ctx, prep, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ type Result struct {
 }
 
 // Map runs the full pipeline on an already-placed subject DAG at
-// opts.K: Prepare, then MapPrepared. The expensive covering DP checks
+// opts.K: Prepare, then MapStateful. The expensive covering DP checks
 // ctx cooperatively; a canceled ctx returns promptly with a wrapped
 // ctx error.
 func Map(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Result, error) {
@@ -99,7 +99,8 @@ func Map(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return MapPrepared(ctx, prep, opts.K)
+	res, _, err := MapStateful(ctx, prep, opts.K)
+	return res, err
 }
 
 // reconstruct builds the mapped netlist from the covering solutions,

@@ -5,7 +5,7 @@ package mapper
 // partition forest, the per-tree topological orders, and the complete
 // per-vertex match enumeration with pattern/leaf bindings and cached
 // geometry are all functions of (DAG, placement, partition method,
-// library) alone. Prepared computes that prefix once; MapPrepared
+// library) alone. Prepared computes that prefix once; MapStateful
 // replays only the K-dependent covering and reconstruction against
 // it, which is what makes a K ladder sweep cheap.
 
@@ -64,7 +64,7 @@ func (p *Prepared) Compatible(method partition.Method, lib *library.Library) boo
 
 // Prepare runs the K-invariant mapping prefix: partitioning and the
 // complete match enumeration. opts.K is ignored — K enters only at
-// MapPrepared time. The work is recorded under a "map.prepare" span
+// MapStateful time. The work is recorded under a "map.prepare" span
 // with nested "map.partition"; the cached match total lands on the
 // "map.prepare.matches" counter.
 func Prepare(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Prepared, error) {
@@ -109,12 +109,4 @@ func prepare(ctx context.Context, d *subject.DAG, forest *partition.Forest, in I
 	}
 	rec.Add("map.prepare.matches", int64(prefix.NumMatches()))
 	return &Prepared{dag: d, forest: forest, prefix: prefix, opts: opts, in: in}, nil
-}
-
-// MapPrepared maps the prepared DAG at one congestion factor K: it is
-// MapStateful without the state. The covering DP consumes the cached
-// matches and re-evaluates only the K-weighted cost combination.
-func MapPrepared(ctx context.Context, prep *Prepared, k float64) (*Result, error) {
-	res, _, err := MapStateful(ctx, prep, k)
-	return res, err
 }

@@ -66,7 +66,7 @@ func resultKey(r *Result) string {
 }
 
 // TestMapPreparedMatchesMap is the shared-prefix determinism property:
-// on every example circuit, MapPrepared over the K ladder is
+// on every example circuit, MapStateful over the K ladder is
 // byte-identical — netlist Verilog, cell area, instance bookkeeping —
 // to a fresh mapper.Map call at the same K.
 func TestMapPreparedMatchesMap(t *testing.T) {
@@ -100,9 +100,9 @@ func TestMapPreparedMatchesMap(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Map K=%g: %v", k, err)
 				}
-				pr, err := MapPrepared(ctx, prep, k)
+				pr, _, err := MapStateful(ctx, prep, k)
 				if err != nil {
-					t.Fatalf("MapPrepared K=%g: %v", k, err)
+					t.Fatalf("MapStateful K=%g: %v", k, err)
 				}
 				if fk, pk := resultKey(fresh), resultKey(pr); fk != pk {
 					t.Errorf("K=%g: prepared mapping differs from fresh Map\n--- fresh\n%.400s\n--- prepared\n%.400s", k, fk, pk)
@@ -146,7 +146,7 @@ func TestMapPreparedSharedRace(t *testing.T) {
 	}
 	want := make(map[float64]string, len(preparedKs))
 	for _, k := range preparedKs {
-		r, err := MapPrepared(ctx, prep, k)
+		r, _, err := MapStateful(ctx, prep, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestMapPreparedSharedRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(preparedKs)*2; i++ {
 				k := preparedKs[(g+i)%len(preparedKs)]
-				r, err := MapPrepared(ctx, prep, k)
+				r, _, err := MapStateful(ctx, prep, k)
 				if err != nil {
 					errs[g] = fmt.Errorf("goroutine %d K=%g: %w", g, k, err)
 					return

@@ -55,6 +55,17 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod is the inverse of String: the method named name, false
+// when no method has that name.
+func ParseMethod(name string) (Method, bool) {
+	for m := PDP; m <= Cone; m++ {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // Input bundles what the partitioners need.
 type Input struct {
 	DAG *subject.DAG

@@ -229,6 +229,17 @@ func TestEcoAnnotatesKMode(t *testing.T) {
 		t.Errorf("adaptive-parent eco ran at K=%g, want the baseline 0.001", ares.ECO.K)
 	}
 
+	// With k omitted the loop runs at the calibrated default baseline,
+	// as its iteration rows say, and the edits must run there too —
+	// not at the spec's K=0, which is DAGON min-area covering.
+	dflt := submit(`{"pla":` + strconv.Quote(tinyPLA) + `,"k_mode":"adaptive"}`)
+	if pres, _ := dflt.Result(); pres == nil || len(pres.Iterations) == 0 || pres.Iterations[0].K != 0.001 {
+		t.Fatalf("k-omitted adaptive parent rows %+v, want the 0.001 baseline", pres)
+	}
+	if dres := eco(dflt.ID); dres.ECO.K != 0.001 {
+		t.Errorf("k-omitted adaptive-parent eco ran at K=%g, want the parent's 0.001 baseline", dres.ECO.K)
+	}
+
 	fixed := submit(`{"pla":` + strconv.Quote(tinyPLA) + `,"k":0.001}`)
 	fres := eco(fixed.ID)
 	if fres.ECO.KMode != "fixed" || fres.ECO.ParentKMode != "" {

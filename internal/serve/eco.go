@@ -151,8 +151,15 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 		return nil, ErrEcoMultiDie
 	}
 	k := parent.Spec.K
-	if res, _ := parent.Result(); res != nil && res.BestK != nil {
-		k = *res.BestK
+	if res, _ := parent.Result(); res != nil {
+		switch {
+		case res.BestK != nil:
+			k = *res.BestK
+		case parent.Spec.adaptive() && len(res.Iterations) > 0:
+			// The loop's rows carry the baseline it actually ran at,
+			// the calibrated default when the spec left k unset.
+			k = res.Iterations[0].K
+		}
 	}
 	if spec.K != nil {
 		k = *spec.K
@@ -196,33 +203,17 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 			parentKMode: parent.Spec.kmode()})
 }
 
-// runJobECO executes one incremental job: result cache, prepared
-// context by the parent's PrepKey, cached baseline state, then
-// flow.RunECO.
+// runJobECO executes one incremental job after runJob's result-cache
+// miss: prepared context by the parent's PrepKey, cached baseline
+// state, then flow.RunECO.
 func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 	spec := &job.Spec
-	if !spec.NoResultCache {
-		if cached, ok := s.resCache.get(job.resultKey); ok {
-			s.rec.Add("serve.cache.result_hits", 1)
-			res := cached.clone()
-			res.Cache = "result"
-			res.StageWallMS = nil
-			return res, nil
-		}
-		s.rec.Add("serve.cache.result_misses", 1)
-	}
-
 	entry, cacheTag, err := s.prepared(ctx, spec, job.prepKey)
 	if err != nil {
 		return nil, err
 	}
 	cfg := s.flowConfig(spec, entry.layout)
 	cfg.FastECORoute = job.eco.fast
-	// The ECO chain runs with seeded placement, like cmd/casyn -eco: the
-	// mapper's center-of-mass seeds are legalized rather than re-placed,
-	// so the baseline's captured placement is reusable and fast mode
-	// keeps unmoved cells where they were routed.
-	cfg.FreshPlacement = false
 
 	st, err := s.ecoBaseline(ctx, entry, cfg, job.prepKey, job.eco.k)
 	if err != nil {
@@ -233,7 +224,7 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.buildResult(entry, &it, nil, nil)
+	res, err := s.buildResult(entry, &it, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -224,7 +224,7 @@ func TestEcoJobSeededPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := casyn.ResultFrom(dag, layout, &eit).Report()
+	want := casyn.ResultFrom(dag, layout, pc, &eit).Report()
 
 	s, ts := testServer(t, Config{})
 	resp, m := postJob(t, ts, specJSON)

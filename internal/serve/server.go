@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -512,24 +513,16 @@ func (s *Server) runJobIsolated(ctx context.Context, job *Job) (res *JobResult, 
 }
 
 // runJob executes one job: result cache, prepared-prefix cache, then
-// the flow. Cache keys were computed once at Submit (hashing an inline
-// PLA is not free) and ride on the job.
+// the flow (runJobECO for an ECO job). Cache keys were computed once
+// at Submit (hashing an inline PLA is not free) and ride on the job.
 func (s *Server) runJob(ctx context.Context, job *Job) (*JobResult, error) {
+	if res, ok := s.cachedResult(job); ok {
+		return res, nil
+	}
 	if job.eco != nil {
 		return s.runJobECO(ctx, job)
 	}
 	spec := &job.Spec
-	if !spec.NoResultCache {
-		if cached, ok := s.resCache.get(job.resultKey); ok {
-			s.rec.Add("serve.cache.result_hits", 1)
-			res := cached.clone()
-			res.Cache = "result"
-			res.StageWallMS = nil // this request did not run those stages
-			return res, nil
-		}
-		s.rec.Add("serve.cache.result_misses", 1)
-	}
-
 	entry, cacheTag, err := s.prepared(ctx, spec, job.prepKey)
 	if err != nil {
 		return nil, err
@@ -555,6 +548,25 @@ func (s *Server) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	// struct would be a write/read race under -race and in fact.
 	s.resCache.add(job.resultKey, res.clone())
 	return res, nil
+}
+
+// cachedResult serves an exact repeat of job from the result cache,
+// unless the spec opts out: a private copy tagged "result", without
+// stage timings (this request did not run those stages).
+func (s *Server) cachedResult(job *Job) (*JobResult, bool) {
+	if job.Spec.NoResultCache {
+		return nil, false
+	}
+	cached, ok := s.resCache.get(job.resultKey)
+	if !ok {
+		s.rec.Add("serve.cache.result_misses", 1)
+		return nil, false
+	}
+	s.rec.Add("serve.cache.result_hits", 1)
+	res := cached.clone()
+	res.Cache = "result"
+	res.StageWallMS = nil
+	return res, true
 }
 
 // prepared returns the job's K-invariant prefix — from cache when a
@@ -632,7 +644,7 @@ func (s *Server) runSingle(ctx context.Context, entry *prepEntry, cfg flow.Confi
 	if err != nil {
 		return nil, err
 	}
-	return s.buildResult(entry, &it, nil, nil)
+	return s.buildResult(entry, &it, nil, nil, 0)
 }
 
 // runSweep runs the K ladder and reports every rung plus the accepted
@@ -656,35 +668,17 @@ func (s *Server) runSweep(ctx context.Context, entry *prepEntry, cfg flow.Config
 	}
 	sums := make([]IterationSummary, 0, len(res.Iterations))
 	for i := range res.Iterations {
-		it := &res.Iterations[i]
-		sum := IterationSummary{
-			K:                 it.K,
-			NumCells:          it.NumCells,
-			CellArea:          it.CellArea,
-			Utilization:       it.Utilization,
-			Violations:        it.Violations,
-			FailedConnections: it.FailedConnections,
-			WireLength:        it.WireLength,
-			Routable:          it.Routable,
-			Skipped:           it.Skipped,
-		}
-		if it.Err != nil {
-			sum.Err = it.Err.Error()
-		}
-		sums = append(sums, sum)
+		sums = append(sums, summarize(&res.Iterations[i]))
 	}
 	best := res.Best()
-	return s.buildResult(entry, best, sums, &best.K)
+	return s.buildResult(entry, best, sums, &best.K, 0)
 }
 
 // runAdaptive runs the closed-loop congestion controller: one baseline
 // iteration at spec.K (0 = the calibrated default) plus up to two
 // steered steps, the spatial K-field inflated from each routed
-// congestion map. The loop's operating mode is seeded placement — the
-// region-local feedback is meaningless if every iteration re-anneals —
-// so FreshPlacement is forced off, matching cmd/casyn -adaptive.
+// congestion map.
 func (s *Server) runAdaptive(ctx context.Context, entry *prepEntry, cfg flow.Config, spec *JobSpec) (*JobResult, error) {
-	cfg.FreshPlacement = false
 	ares, err := flow.RunAdaptive(ctx, entry.pc, cfg, flow.AdaptiveConfig{BaseK: spec.K})
 	if err != nil {
 		return nil, err
@@ -696,55 +690,57 @@ func (s *Server) runAdaptive(ctx context.Context, entry *prepEntry, cfg flow.Con
 	}
 	sums := make([]IterationSummary, 0, len(ares.Iterations))
 	for i := range ares.Iterations {
-		it := &ares.Iterations[i].Iteration
-		sums = append(sums, IterationSummary{
-			K:                 it.K,
-			NumCells:          it.NumCells,
-			CellArea:          it.CellArea,
-			Utilization:       it.Utilization,
-			Violations:        it.Violations,
-			FailedConnections: it.FailedConnections,
-			WireLength:        it.WireLength,
-			Routable:          it.Routable,
-		})
+		sums = append(sums, summarize(&ares.Iterations[i].Iteration))
 	}
-	res, err := s.buildResult(entry, best, sums, nil)
-	if err != nil {
-		return nil, err
+	return s.buildResult(entry, best, sums, nil, ares.RoutedIterations())
+}
+
+// summarize is one flow iteration's row in a job result.
+func summarize(it *flow.Iteration) IterationSummary {
+	sum := IterationSummary{
+		K:                 it.K,
+		NumCells:          it.NumCells,
+		CellArea:          it.CellArea,
+		Utilization:       it.Utilization,
+		Violations:        it.Violations,
+		FailedConnections: it.FailedConnections,
+		WireLength:        it.WireLength,
+		Routable:          it.Routable,
+		Skipped:           it.Skipped,
 	}
-	res.AdaptiveIterations = ares.RoutedIterations()
-	return res, nil
+	if it.Err != nil {
+		sum.Err = it.Err.Error()
+	}
+	return sum
 }
 
 // buildResult condenses an accepted iteration into the response shape.
-func (s *Server) buildResult(entry *prepEntry, it *flow.Iteration, sums []IterationSummary, bestK *float64) (*JobResult, error) {
-	r := casyn.ResultFrom(entry.dag, entry.layout, it)
-	if kw := entry.pc.KWay; kw != nil {
-		// Multi-die job: fill the k-way facts before Report() renders
-		// so the daemon's report stays byte-identical to cmd/casyn.
-		r.Dies = len(kw.Regions)
-		r.ReplicatedGates = kw.Replicas
-		r.CrossRegionNets = it.CrossRegionNets
-	}
+// adaptive is the closed loop's routed iteration count (0 for fixed-K
+// jobs); it is set before the report renders, as casyn.Synthesize
+// does, so the two reports stay byte-identical.
+func (s *Server) buildResult(entry *prepEntry, it *flow.Iteration, sums []IterationSummary, bestK *float64, adaptive int) (*JobResult, error) {
+	r := casyn.ResultFrom(entry.dag, entry.layout, entry.pc, it)
+	r.AdaptiveIterations = adaptive
 	res := &JobResult{
-		BaseGates:       r.BaseGates,
-		NumCells:        r.NumCells,
-		CellArea:        r.CellArea,
-		Utilization:     r.Utilization,
-		Violations:      r.Violations,
-		Routable:        r.Routable,
-		WireLength:      r.WireLength,
-		CriticalPathNs:  r.CriticalPathNs,
-		CriticalPath:    r.CriticalPath,
-		Verified:        r.Verify != nil && r.Verify.Equivalent,
-		Dies:            r.Dies,
-		ReplicatedGates: r.ReplicatedGates,
-		CrossRegionNets: r.CrossRegionNets,
-		Report:          r.Report(),
-		Iterations:      sums,
-		BestK:           bestK,
+		BaseGates:          r.BaseGates,
+		NumCells:           r.NumCells,
+		CellArea:           r.CellArea,
+		Utilization:        r.Utilization,
+		Violations:         r.Violations,
+		Routable:           r.Routable,
+		WireLength:         r.WireLength,
+		CriticalPathNs:     r.CriticalPathNs,
+		CriticalPath:       r.CriticalPath,
+		Verified:           r.Verify != nil && r.Verify.Equivalent,
+		Dies:               r.Dies,
+		ReplicatedGates:    r.ReplicatedGates,
+		CrossRegionNets:    r.CrossRegionNets,
+		Report:             r.Report(),
+		Iterations:         sums,
+		BestK:              bestK,
+		AdaptiveIterations: r.AdaptiveIterations,
 	}
-	var vb writerBuilder
+	var vb strings.Builder
 	if err := r.Mapped.WriteVerilog(&vb, "casyn_top"); err != nil {
 		return nil, &runstage.StageError{Stage: StageServe, Err: err}
 	}
@@ -842,16 +838,3 @@ func (s *Server) Close() error {
 	}
 	return nil
 }
-
-// writerBuilder is a strings.Builder that satisfies io.Writer without
-// importing strings here.
-type writerBuilder struct {
-	buf []byte
-}
-
-func (w *writerBuilder) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *writerBuilder) String() string { return string(w.buf) }

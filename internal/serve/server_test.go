@@ -414,9 +414,9 @@ func TestResultCacheByteIdentical(t *testing.T) {
 }
 
 // TestDaemonMatchesCLI is the differential acceptance suite: every
-// example circuit × K ∈ {0, 1}, synthesized by the daemon (cold, then
-// warm through both caches), must be byte-identical to the one-shot
-// casyn.Synthesize path.
+// example circuit × {K=0, K=1, adaptive}, synthesized by the daemon
+// (cold, then warm through both caches), must be byte-identical to the
+// one-shot casyn.Synthesize path.
 func TestDaemonMatchesCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes every example circuit twice per K")
@@ -426,30 +426,42 @@ func TestDaemonMatchesCLI(t *testing.T) {
 		t.Fatalf("no example circuits: %v", err)
 	}
 
+	// Each mode is a library options value and the job-spec fields
+	// that ask the daemon for the same run.
+	modes := []struct {
+		name string
+		opts casyn.Options
+		spec string
+	}{
+		{"K=0", casyn.Options{K: 0}, `"k":0`},
+		{"K=1", casyn.Options{K: 1}, `"k":1`},
+		{"adaptive", casyn.Options{Adaptive: true}, `"k_mode":"adaptive"`},
+	}
+
 	s, ts := testServer(t, Config{Workers: 2})
 	var mu sync.Mutex
-	refs := make(map[string]*casyn.Result) // path|k → one-shot result
+	refs := make(map[string]*casyn.Result) // path|mode → one-shot result
 
 	var wg sync.WaitGroup
 	for _, path := range circuits {
-		for _, k := range []float64{0, 1} {
+		for _, mode := range modes {
 			wg.Add(1)
-			go func(path string, k float64) {
+			go func(path, name string, opts casyn.Options) {
 				defer wg.Done()
 				p, err := casyn.ReadPLAFile(path)
 				if err != nil {
 					t.Errorf("%s: %v", path, err)
 					return
 				}
-				res, err := casyn.Synthesize(p, casyn.Options{K: k})
+				res, err := casyn.Synthesize(p, opts)
 				if err != nil {
-					t.Errorf("%s K=%g: %v", path, k, err)
+					t.Errorf("%s %s: %v", path, name, err)
 					return
 				}
 				mu.Lock()
-				refs[fmt.Sprintf("%s|%g", path, k)] = res
+				refs[path+"|"+name] = res
 				mu.Unlock()
-			}(path, k)
+			}(path, mode.name, mode.opts)
 		}
 	}
 	wg.Wait()
@@ -463,34 +475,34 @@ func TestDaemonMatchesCLI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []float64{0, 1} {
-				body := fmt.Sprintf(`{"pla":%s,"k":%g,"verilog":true}`, strconv.Quote(string(raw)), k)
+			for _, mode := range modes {
+				body := fmt.Sprintf(`{"pla":%s,%s,"verilog":true}`, strconv.Quote(string(raw)), mode.spec)
 				_, m := postJob(t, ts, body)
 				job := waitTerminal(t, s, m["id"].(string))
 				got, jerr := job.Result()
 				if got == nil {
-					t.Fatalf("[%s] %s K=%g failed: %+v", pass, path, k, jerr)
+					t.Fatalf("[%s] %s %s failed: %+v", pass, path, mode.name, jerr)
 				}
 				if !wantCache[got.Cache] {
-					t.Errorf("[%s] %s K=%g served from %q cache", pass, path, k, got.Cache)
+					t.Errorf("[%s] %s %s served from %q cache", pass, path, mode.name, got.Cache)
 				}
-				ref := refs[fmt.Sprintf("%s|%g", path, k)]
+				ref := refs[path+"|"+mode.name]
 				if got.Report != ref.Report() {
-					t.Errorf("[%s] %s K=%g report mismatch:\ndaemon:\n%s\ncli:\n%s",
-						pass, path, k, got.Report, ref.Report())
+					t.Errorf("[%s] %s %s report mismatch:\ndaemon:\n%s\ncli:\n%s",
+						pass, path, mode.name, got.Report, ref.Report())
 				}
 				var vb strings.Builder
 				if err := ref.Mapped.WriteVerilog(&vb, "casyn_top"); err != nil {
 					t.Fatal(err)
 				}
 				if got.Verilog != vb.String() {
-					t.Errorf("[%s] %s K=%g verilog mismatch", pass, path, k)
+					t.Errorf("[%s] %s %s verilog mismatch", pass, path, mode.name)
 				}
 			}
 		}
 	}
-	// Cold pass: K=0 builds the prefix, K=1 of the same circuit may
-	// already share it. Warm pass: everything repeats exactly.
+	// Cold pass: K=0 builds the prefix, the other modes of the same
+	// circuit may already share it. Warm pass: everything repeats exactly.
 	check("cold", map[string]bool{"cold": true, "prepared": true})
 	check("warm", map[string]bool{"result": true})
 }

@@ -164,7 +164,7 @@ func (s *JobSpec) Validate() error {
 		s.parsed = p
 	}
 	if s.Bench != "" {
-		if _, ok := benchClass(s.Bench); !ok {
+		if _, ok := bench.ParseClass(s.Bench); !ok {
 			return fmt.Errorf("unknown bench %q (want spla, pdc, too_large)", s.Bench)
 		}
 		if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale < 0 || s.Scale > MaxScale {
@@ -212,9 +212,7 @@ func (s *JobSpec) Validate() error {
 		(math.IsNaN(s.AspectRatio) || s.AspectRatio < 0.1 || s.AspectRatio > 10) {
 		return fmt.Errorf("aspect_ratio must be 0 or in [0.1, 10] (got %g)", s.AspectRatio)
 	}
-	switch s.Partition {
-	case "", "pdp", "dagon", "cone":
-	default:
+	if _, ok := partition.ParseMethod(s.Partition); s.Partition != "" && !ok {
 		return fmt.Errorf("unknown partition %q (want pdp, dagon, cone)", s.Partition)
 	}
 	if s.TimeoutMS < 0 || time.Duration(s.TimeoutMS)*time.Millisecond > MaxTimeout {
@@ -241,34 +239,12 @@ func (s *JobSpec) kmode() string {
 // adaptive reports the closed-loop mode.
 func (s *JobSpec) adaptive() bool { return s.KMode == "adaptive" }
 
-func benchClass(name string) (bench.Class, bool) {
-	switch name {
-	case "spla":
-		return bench.SPLA, true
-	case "pdc":
-		return bench.PDC, true
-	case "too_large":
-		return bench.TooLarge, true
-	default:
-		return 0, false
-	}
-}
-
-func (s *JobSpec) partitionMethod() partition.Method {
-	switch s.Partition {
-	case "dagon":
-		return partition.Dagon
-	case "cone":
-		return partition.Cone
-	default:
-		return partition.PDP
-	}
-}
-
 // options maps the spec onto the casyn Options the daemon shares with
 // the one-shot CLI — the single source of the calibrated operating
 // point, so daemon results are byte-identical to cmd/casyn.
 func (s *JobSpec) options() casyn.Options {
+	// Validate admitted the name; "" parses to the zero Method, PDP.
+	method, _ := partition.ParseMethod(s.Partition)
 	return casyn.Options{
 		K:                       s.K,
 		Dies:                    s.Dies,
@@ -276,7 +252,7 @@ func (s *JobSpec) options() casyn.Options {
 		DieArea:                 s.DieArea,
 		AspectRatio:             s.AspectRatio,
 		OptimizeTechIndependent: s.SIS,
-		Partition:               s.partitionMethod(),
+		Partition:               method,
 		Seed:                    s.Seed,
 		RunTiming:               s.Timing,
 		Verify:                  s.Verify,
@@ -294,7 +270,7 @@ func (s *JobSpec) subjectPLA() (*logic.PLA, error) {
 	if s.PLA != "" {
 		return logic.ReadPLA(strings.NewReader(s.PLA))
 	}
-	class, ok := benchClass(s.Bench)
+	class, ok := bench.ParseClass(s.Bench)
 	if !ok {
 		return nil, fmt.Errorf("unknown bench %q", s.Bench)
 	}
