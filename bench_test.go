@@ -260,7 +260,7 @@ func BenchmarkECO(b *testing.B) {
 	fcfg := flow.Config{
 		Layout:    layout,
 		Lib:       library.Default(),
-		PlaceOpts: place.Options{Seed: 1, RefinePasses: 8},
+		PlaceOpts: experiments.PlaceOpts(),
 		RouteOpts: experiments.RouteOpts(),
 		KSchedule: []float64{k},
 	}

@@ -38,13 +38,13 @@ import (
 	"time"
 
 	"casyn/internal/bench"
+	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
 	"casyn/internal/netlist"
 	"casyn/internal/partition"
 	"casyn/internal/place"
-	"casyn/internal/route"
 	"casyn/internal/sta"
 	"casyn/internal/subject"
 	"casyn/internal/verify"
@@ -70,8 +70,8 @@ type Options struct {
 	// tiled into Dies regions, the subject is partitioned directly
 	// k-way with cut-driver replication (partition.KWay), and routing
 	// enforces the inter-die pin budget on region-crossing nets.
-	// Incompatible with Adaptive. 0 or 1 is the classic single-die
-	// flow.
+	// Composes with Adaptive: the controller steers the k-way prefix.
+	// 0 or 1 is the classic single-die flow.
 	Dies int
 	// InterDiePinBudget caps region-crossing nets at route admission
 	// when Dies > 1: 0 derives the budget from the derated boundary
@@ -258,12 +258,6 @@ func SubjectFor(ctx context.Context, p *logic.PLA, opts Options) (*subject.DAG, 
 // synthesizeSubject runs placement, mapping, routing, and timing on a
 // decomposed subject DAG: the back half of SynthesizeContext.
 func synthesizeSubject(ctx context.Context, dag *subject.DAG, opts Options) (*Result, error) {
-	if opts.Adaptive && opts.Dies > 1 {
-		// The adaptive controller's K-field feedback is die-local; it
-		// has no multi-die model yet. Fail loudly instead of silently
-		// ignoring one of the two switches.
-		return nil, fmt.Errorf("casyn: Adaptive and Dies > 1 are mutually exclusive")
-	}
 	layout, err := LayoutFor(dag, opts)
 	if err != nil {
 		return nil, err
@@ -323,16 +317,18 @@ func LayoutFor(dag *subject.DAG, opts Options) (place.Layout, error) {
 // results. The schedule is the single rung opts.K; callers sweeping K
 // replace cfg.KSchedule.
 func FlowConfig(layout place.Layout, opts Options) flow.Config {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
+	popts := experiments.PlaceOpts()
+	if opts.Seed != 0 {
+		popts.Seed = opts.Seed
 	}
+	ropts := experiments.RouteOpts()
+	ropts.RegionPinBudget = opts.InterDiePinBudget
 	return flow.Config{
 		Layout:         layout,
 		Method:         opts.Partition,
 		Dies:           opts.Dies,
-		PlaceOpts:      place.Options{Seed: seed, RefinePasses: 8},
-		RouteOpts:      route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98, RegionPinBudget: opts.InterDiePinBudget},
+		PlaceOpts:      popts,
+		RouteOpts:      ropts,
 		FreshPlacement: true,
 		RunSTA:         opts.RunTiming,
 		KSchedule:      []float64{opts.K},

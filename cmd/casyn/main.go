@@ -10,8 +10,8 @@
 //	casyn -bench spla -timeout 2m -stage-timeout 30s
 //	casyn -pla design.pla -metrics run.jsonl -trace -pprof cpu
 //	casyn -bench spla -scale 0.05 -k 0.5 -eco edits.json -eco-fast
-//	casyn -bench spla -scale 0.05 -adaptive
-//	casyn -bench spla -scale 0.05 -dies 4
+//	casyn -bench spla -scale 0.05 -adaptive -eco edits.json
+//	casyn -bench spla -scale 0.05 -dies 4 -adaptive
 //
 // Exit codes identify the failure: 0 success, 1 generic error, 2 usage,
 // 3 map stage, 4 place stage, 5 route stage, 6 sta stage, 7 timeout or
@@ -105,19 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fail("unknown partition method %q", *method)
 		return exitUsage
 	}
-	if *adaptive && *ecoPath != "" {
-		fail("-adaptive and -eco are mutually exclusive (the ECO chain is fixed-K)")
+	if *dies > 1 && *ecoPath != "" {
+		fail("-eco and -dies are mutually exclusive (the ECO chain is single-die)")
 		return exitUsage
-	}
-	if *dies > 1 {
-		if *adaptive {
-			fail("-adaptive and -dies are mutually exclusive (the K-field controller has no multi-die model)")
-			return exitUsage
-		}
-		if *ecoPath != "" {
-			fail("-eco and -dies are mutually exclusive (the ECO chain is single-die)")
-			return exitUsage
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -269,11 +259,13 @@ func reportFailure(fail func(string, ...any), err error) int {
 	}
 }
 
-// runECO synthesizes the base design statefully at K, then applies the
-// edit-set file incrementally (flow.RunECO): only the partition trees
-// and covering regions the edits dirtied are recomputed and — with
-// fast set — only the cells and nets the edits changed are re-placed
-// and rerouted. Returns the base and post-ECO results.
+// runECO synthesizes the base design statefully — at K, or with
+// opts.Adaptive by the closed loop, whose accepted iteration's state
+// carries its K-field — then applies the edit-set file incrementally
+// (flow.RunECO): only the partition trees and covering regions the
+// edits dirtied are recomputed and — with fast set — only the cells
+// and nets the edits changed are re-placed and rerouted. Returns the
+// base and post-ECO results.
 func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casyn.Options) (*casyn.Result, *casyn.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -297,12 +289,23 @@ func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casy
 	if err != nil {
 		return nil, nil, err
 	}
-	it, st, err := flow.RunStateful(ctx, pc, opts.K, cfg)
-	flow.MergeMetrics(ctx, it.Metrics)
-	if err != nil {
-		return nil, nil, err
+	var base *casyn.Result
+	var st *flow.ECOState
+	if opts.Adaptive {
+		ares, err := flow.RunAdaptive(ctx, pc, cfg, flow.AdaptiveConfig{BaseK: opts.K})
+		if err != nil {
+			return nil, nil, err
+		}
+		base, st = casyn.ResultFrom(dag, layout, pc, ares.Best()), ares.State
+		base.AdaptiveIterations = ares.RoutedIterations()
+	} else {
+		it, stK, err := flow.RunStateful(ctx, pc, opts.K, cfg)
+		flow.MergeMetrics(ctx, it.Metrics)
+		if err != nil {
+			return nil, nil, err
+		}
+		base, st = casyn.ResultFrom(dag, layout, pc, &it), stK
 	}
-	base := casyn.ResultFrom(dag, layout, pc, &it)
 	eit, _, err := flow.RunECO(ctx, pc, st, edits, cfg)
 	flow.MergeMetrics(ctx, eit.Metrics)
 	if err != nil {

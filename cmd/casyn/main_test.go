@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"casyn"
+	"casyn/internal/bench"
 	"casyn/internal/obs"
+	"casyn/internal/subject"
 )
 
 const add2PLA = "../../examples/circuits/add2.pla"
@@ -122,6 +127,7 @@ func TestUsageErrors(t *testing.T) {
 		"bad bench":     {"-bench", "nonesuch"},
 		"bad partition": {"-pla", add2PLA, "-partition", "nonesuch"},
 		"bad flag":      {"-definitely-not-a-flag"},
+		"eco with dies": {"-pla", add2PLA, "-eco", "edits.json", "-dies", "2"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -159,5 +165,59 @@ func TestVerilogExportUnchangedByMetrics(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Error("-metrics changed the exported Verilog")
+	}
+}
+
+// TestAdaptiveComposes: -adaptive runs with -dies and with -eco. The
+// multi-die report, and the base report of the ECO run, are the
+// library's for the same options; the ECO chains from the loop's
+// accepted state and prints its own report.
+func TestAdaptiveComposes(t *testing.T) {
+	p, err := bench.Generate(bench.SPLA.ScaledSpec(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(opts casyn.Options) string {
+		t.Helper()
+		res, err := casyn.Synthesize(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report()
+	}
+
+	code, out, errb := runCLI(t, "-bench", "spla", "-scale", "0.1", "-die", "11600", "-adaptive", "-dies", "2")
+	if code != exitOK {
+		t.Fatalf("-adaptive -dies 2: exit %d: %s", code, errb)
+	}
+	if want := report(casyn.Options{Adaptive: true, Dies: 2, DieArea: 11600}); !strings.HasPrefix(out, want) {
+		t.Errorf("-adaptive -dies 2 report differs from the library:\n%s\nwant:\n%s", out, want)
+	}
+
+	dag, err := casyn.SubjectFor(context.Background(), p, casyn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := -1
+	for _, g := range dag.LiveGates() {
+		if tp := dag.Gate(g).Type; tp == subject.Nand2 || tp == subject.Inv {
+			gate = g
+			break
+		}
+	}
+	edits := filepath.Join(t.TempDir(), "edits.json")
+	if err := os.WriteFile(edits, []byte(fmt.Sprintf(`{"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]}`, gate)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb = runCLI(t, "-bench", "spla", "-scale", "0.1", "-die", "12281", "-adaptive", "-eco", edits)
+	if code != exitOK {
+		t.Fatalf("-adaptive -eco: exit %d: %s", code, errb)
+	}
+	base, eco, ok := strings.Cut(out, "\n--- after ECO ---\n")
+	if !ok || !strings.Contains(eco, "routed wirelength:") {
+		t.Fatalf("-adaptive -eco printed no ECO report:\n%s", out)
+	}
+	if want := report(casyn.Options{Adaptive: true, DieArea: 12281}); base != want {
+		t.Errorf("-adaptive -eco base report differs from the library:\n%s\nwant:\n%s", base, want)
 	}
 }

@@ -78,24 +78,13 @@ func FastExtract(n *Network, opts FastExtractOptions) ExtractReport {
 // in two or more node functions (or twice in one) into a node of its
 // own, replacing the occurrences with a single literal.
 func shareIdenticalCubes(n *Network) int {
-	type occ struct {
-		count int
-		width int
-	}
-	counts := map[string]*occ{}
+	counts := map[string]int{}
 	ids := n.InternalIDs()
 	for _, id := range ids {
 		for _, c := range n.Node(id).Fn {
-			if len(c) < 2 {
-				continue
+			if len(c) >= 2 {
+				counts[c.key()]++
 			}
-			k := c.key()
-			o := counts[k]
-			if o == nil {
-				o = &occ{width: len(c)}
-				counts[k] = o
-			}
-			o.count++
 		}
 	}
 	made := 0
@@ -107,7 +96,7 @@ func shareIdenticalCubes(n *Network) int {
 		for _, c := range fn {
 			if len(c) >= 2 {
 				k := c.key()
-				if o := counts[k]; o != nil && o.count >= 2 {
+				if counts[k] >= 2 {
 					nid, ok := nodeOf[k]
 					if !ok {
 						nid = n.AddInternal(autoName(n), Sop{c.Clone()})

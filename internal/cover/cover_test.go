@@ -252,7 +252,7 @@ func TestSelectedLeafSubtrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootOf := forest.RootOf(bd)
+	rootOf := forest.RootOf()
 	subtrees := 0
 	for v, sol := range bres.Best {
 		if sol == nil {

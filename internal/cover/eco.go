@@ -121,8 +121,8 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 
 	p := &Prefix{
 		dag:     dag,
-		trees:   forest.Trees(dag),
-		rootOf:  forest.RootOf(dag),
+		trees:   forest.Trees(),
+		rootOf:  forest.RootOf(),
 		pos:     append([]geom.Point(nil), pos...),
 		matches: make([][]preparedMatch, n),
 		height:  lib.MaxPatternHeight(),

@@ -45,7 +45,7 @@ type preparedMatch struct {
 // matches and distances, and the caller must build a new one.
 type Prefix struct {
 	dag *subject.DAG
-	// trees/rootOf mirror forest.Trees(dag) / forest.RootOf(dag).
+	// trees/rootOf mirror forest.Trees() / forest.RootOf().
 	trees  []partition.Tree
 	rootOf []int
 	// pos is the frozen pre-cover placement the geometry was cached
@@ -91,8 +91,8 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 	}
 	p := &Prefix{
 		dag:     dag,
-		trees:   forest.Trees(dag),
-		rootOf:  forest.RootOf(dag),
+		trees:   forest.Trees(),
+		rootOf:  forest.RootOf(),
 		pos:     append([]geom.Point(nil), pos...),
 		matches: make([][]preparedMatch, dag.NumGates()),
 		height:  lib.MaxPatternHeight(),

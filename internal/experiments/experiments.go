@@ -83,6 +83,19 @@ func PlaceOpts() place.Options {
 // KSchedule is the paper's Table 2/4 K ladder.
 func KSchedule() []float64 { return flow.DefaultKSchedule() }
 
+// flowConfig is the calibrated flow configuration every experiment
+// runs on layout: the shared placer and router options, fresh
+// placement, and the K schedule ks.
+func flowConfig(layout place.Layout, ks []float64) flow.Config {
+	return flow.Config{
+		Layout:         layout,
+		PlaceOpts:      PlaceOpts(),
+		RouteOpts:      RouteOpts(),
+		FreshPlacement: true,
+		KSchedule:      ks,
+	}
+}
+
 // buildSubject generates the class circuit at the given scale and
 // lowers it to a subject DAG under the chosen synthesis style.
 func buildSubject(class bench.Class, scale float64, style bench.SynthesisStyle) (*subject.DAG, error) {
@@ -114,13 +127,7 @@ func minAreaCellArea(ctx context.Context, d *subject.DAG) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := flow.Config{
-		Layout:         layout,
-		PlaceOpts:      PlaceOpts(),
-		RouteOpts:      RouteOpts(),
-		FreshPlacement: true,
-		KSchedule:      []float64{0},
-	}
+	cfg := flowConfig(layout, []float64{0})
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
 		return 0, err
@@ -203,14 +210,8 @@ func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) 
 	if err != nil {
 		return nil, err
 	}
-	cfg := flow.Config{
-		Layout:         layout,
-		PlaceOpts:      PlaceOpts(),
-		RouteOpts:      RouteOpts(),
-		FreshPlacement: true,
-		KSchedule:      KSchedule(),
-		Workers:        workers,
-	}
+	cfg := flowConfig(layout, KSchedule())
+	cfg.Workers = workers
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, err
@@ -288,13 +289,7 @@ func Table1(ctx context.Context, scale float64) ([]Table1Row, place.Layout, erro
 		{"SIS", sisDAG},
 		{"DAGON", dagonDAG},
 	} {
-		cfg := flow.Config{
-			Layout:         layout,
-			PlaceOpts:      PlaceOpts(),
-			RouteOpts:      RouteOpts(),
-			FreshPlacement: true,
-			KSchedule:      []float64{0},
-		}
+		cfg := flowConfig(layout, []float64{0})
 		pc, err := flow.Prepare(ctx, tc.dag, cfg)
 		if err != nil {
 			return nil, layout, err
@@ -409,15 +404,9 @@ func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.
 		if err != nil {
 			return row, err
 		}
-		cfg := flow.Config{
-			Layout:         layout,
-			PlaceOpts:      PlaceOpts(),
-			RouteOpts:      RouteOpts(),
-			FreshPlacement: true,
-			RunSTA:         true,
-			KSchedule:      []float64{k},
-			Workers:        workers,
-		}
+		cfg := flowConfig(layout, []float64{k})
+		cfg.RunSTA = true
+		cfg.Workers = workers
 		byRows := ctxCache[d]
 		if byRows == nil {
 			byRows = map[int]*flow.Context{}

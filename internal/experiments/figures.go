@@ -111,14 +111,8 @@ func Figure3(ctx context.Context, class bench.Class, scale, tighten float64) (*F
 			return nil, err
 		}
 	}
-	cfg := flow.Config{
-		Layout:              layout,
-		PlaceOpts:           PlaceOpts(),
-		RouteOpts:           RouteOpts(),
-		FreshPlacement:      true,
-		KSchedule:           KSchedule(),
-		StopAtFirstRoutable: true,
-	}
+	cfg := flowConfig(layout, KSchedule())
+	cfg.StopAtFirstRoutable = true
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, err

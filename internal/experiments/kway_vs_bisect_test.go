@@ -146,7 +146,7 @@ func KWayVsBisect(ctx context.Context, class bench.Class, scale float64, dies, w
 	}
 
 	treeGates := 0
-	for _, tr := range forest.Trees(pc.DAG) {
+	for _, tr := range forest.Trees() {
 		treeGates += len(tr.Gates)
 	}
 	return &KWayRow{
@@ -194,7 +194,7 @@ func KWayPressure(gates, pis, dies int, seed int64) (*KWayRow, error) {
 		return nil, err
 	}
 	treeGates := 0
-	for _, tr := range forest.Trees(d) {
+	for _, tr := range forest.Trees() {
 		treeGates += len(tr.Gates)
 	}
 	return &KWayRow{

@@ -108,6 +108,12 @@ type AdaptiveResult struct {
 	// Field is the final K-field (reporting; nil if the baseline
 	// iteration failed before routing).
 	Field *cover.KField
+	// State is the ECO state of the accepted iteration (BestIndex), so
+	// an ECO chains from the design the loop reported: its cover
+	// carries the K-field it was covered under, which RunECO re-covers
+	// the dirtied trees with, and its K is BaseK. It holds no routing
+	// state, so the first fast-mode edit routes in full.
+	State *ECOState
 }
 
 // Best returns the accepted iteration, nil when none completed.
@@ -129,7 +135,8 @@ func (r *AdaptiveResult) RoutedIterations() int { return len(r.Iterations) }
 // loop fixes K at acfg.BaseK and steers the spatial field instead —
 // and so is cfg.FreshPlacement: every iteration places seeded, because
 // a fresh placement per iteration would reshuffle the cells out from
-// under the inflated windows.
+// under the inflated windows. A multi-die context runs the same loop
+// over its k-way prefix, routed with the die regions.
 //
 // The loop is recorded under a "flow.adaptive" span: each routed
 // iteration bumps the "flow.adaptive_iterations" counter and lands its
@@ -156,13 +163,14 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 	overflowHist := rec.Histogram("flow.adaptive.overflow", adaptiveOverflowBounds)
 
 	res = &AdaptiveResult{BestIndex: -1}
-	record := func(ai AdaptiveIteration) {
+	record := func(ai AdaptiveIteration, st *ECOState) {
 		MergeMetrics(ctx, ai.Metrics)
 		res.Iterations = append(res.Iterations, ai)
 		rec.Add("flow.adaptive_iterations", 1)
 		overflowHist.Observe(float64(ai.Violations))
 		if beats(&ai.Iteration, res.Best()) {
 			res.BestIndex = len(res.Iterations) - 1
+			res.State = st
 		}
 	}
 
@@ -172,7 +180,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		MergeMetrics(ctx, it.Metrics)
 		return res, fmt.Errorf("flow: adaptive baseline: %w", err)
 	}
-	record(AdaptiveIteration{Iteration: it, MaxMult: 1})
+	record(AdaptiveIteration{Iteration: it, MaxMult: 1}, st)
 
 	grid := routed.Grid
 	field, err := cover.NewKField(grid.Origin, grid.CellW, grid.CellH, grid.NX, grid.NY)
@@ -229,7 +237,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 			MaxMult:       next.MaxMult(),
 			DirtyTrees:    nDirty,
 			ReusedTrees:   len(dirty) - nDirty,
-		})
+		}, stN)
 		field, st, grid = next, stN, routedN.Grid
 		res.Field = field
 		if !it.Routable && it.Violations >= prevViolations {

@@ -10,9 +10,15 @@ package flow
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"casyn/internal/bench"
+	"casyn/internal/cover"
+	"casyn/internal/mapper"
+	"casyn/internal/verify"
 )
 
 // adaptiveCase is one congested operating point. The expectations were
@@ -243,4 +249,128 @@ func TestAdaptiveBaselineMatchesStateful(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameIteration(t, "baseline", it, res.Iterations[0].Iteration)
+}
+
+// TestAdaptiveECOChain: an ECO chains from AdaptiveResult.State, the
+// accepted iteration's state, and re-covers under that iteration's
+// K-field. Each exact edit of a 3-edit chain is byte-identical to the
+// reference, a uniform full cover of the edited design followed by a
+// field re-cover with every tree dirty, placed and routed the same
+// way, at 1 and 4 workers. On some edit the field changes the netlist,
+// so the chain is not a fixed-K rerun. A fast-mode chain from the same
+// state stays equivalent to its edited subject.
+func TestAdaptiveECOChain(t *testing.T) {
+	fieldMatters := 0
+	for _, tc := range adaptiveCases {
+		for _, workers := range []int{1, 4} {
+			tag := fmt.Sprintf("%s workers=%d", tc.name(), workers)
+			pc, cfg := tc.prepare(t)
+			cfg.Workers = workers
+			ctx := context.Background()
+			ares, err := RunAdaptive(ctx, pc, cfg, AdaptiveConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The accepted iteration's field: the baseline's is uniform,
+			// the last one's is the final field.
+			var field *cover.KField
+			switch ares.BestIndex {
+			case 0:
+			case len(ares.Iterations) - 1:
+				field = ares.Field
+			default:
+				t.Fatalf("%s: accepted iteration %d of %d; its field is not observable", tag, ares.BestIndex, len(ares.Iterations))
+			}
+			st := ares.State
+			if st.K != 0.001 || st.Route != nil {
+				t.Fatalf("%s: state K=%g route=%v, want the baseline K and no routing state", tag, st.K, st.Route != nil)
+			}
+			rng := rand.New(rand.NewSource(11))
+			for i := 0; i < 3; i++ {
+				edits := mapper.RandomEdits(st.Prep, rng, 3)
+				it, next, err := RunECO(ctx, pc, st, edits, cfg)
+				if err != nil {
+					t.Fatalf("%s edit %d: %v", tag, i, err)
+				}
+				eco, err := st.Prep.Invalidate(ctx, edits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edited := *pc
+				edited.Prep = &eco.Prep.Prepared
+				uniform, base, err := mapper.MapStateful(ctx, edited.Prep, st.K)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := iterIn{}
+				if field != nil {
+					all := make([]bool, len(edited.Prep.TreeTerritories()))
+					for j := range all {
+						all[j] = true
+					}
+					in = iterIn{field: field, fieldPrev: base, fieldDirty: all}
+				}
+				ref, _, _, err := iterate(ctx, &edited, cfg, st.K, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameIteration(t, fmt.Sprintf("%s edit %d", tag, i), it, ref)
+				if !reflect.DeepEqual(uniform.Netlist, it.Netlist) {
+					fieldMatters++
+				}
+				st = next
+			}
+		}
+	}
+	if fieldMatters == 0 {
+		t.Fatal("no accepted K-field changed an ECO; the chain is indistinguishable from a fixed-K rerun")
+	}
+
+	pc, cfg := adaptiveCases[0].prepare(t)
+	cfg.FastECORoute = true
+	ctx := context.Background()
+	ares, err := RunAdaptive(ctx, pc, cfg, AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, rng := ares.State, rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		it, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
+		if err != nil {
+			t.Fatalf("fast edit %d: %v", i, err)
+		}
+		rep, err := verify.Equivalent(ctx, next.Prep.DAG(), it.Netlist, verify.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Equivalent {
+			t.Fatalf("fast edit %d: netlist differs from its edited subject: %s", i, rep)
+		}
+		st = next
+	}
+}
+
+// TestECORefusesMultiDie: the ECO chain is single-die, because an edit
+// re-partitions the edited DAG single-die and would drop the k-way
+// forest. RunStateful on a multi-die run and RunECO from a multi-die
+// adaptive state are errors, not a silently single-die successor.
+func TestECORefusesMultiDie(t *testing.T) {
+	pc, cfg := prepared(t, 0.55)
+	cfg.Dies = 2
+	cfg.RouteOpts.RegionPinBudget = -1
+	ctx := context.Background()
+	if err := PrepareMapping(ctx, pc, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunStateful(ctx, pc, 0.001, cfg); err == nil {
+		t.Error("RunStateful on a 2-die run: no error")
+	}
+	ares, err := RunAdaptive(ctx, pc, cfg, AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := mapper.RandomEdits(ares.State.Prep, rand.New(rand.NewSource(1)), 1)
+	if _, _, err := RunECO(ctx, pc, ares.State, edits, cfg); err == nil {
+		t.Error("RunECO from a 2-die adaptive state: no error")
+	}
 }

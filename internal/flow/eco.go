@@ -37,7 +37,7 @@ type ECOState struct {
 	// placement of this iteration's netlist. Fast-mode ECO reuses them:
 	// cells whose identity, width and seed are unchanged keep their
 	// legalized position verbatim (place.PlaceECO), which keeps the
-	// dirtied routing region genuinely local. RunStateful and RunECO
+	// dirtied routing region genuinely local. The chained drivers
 	// always place seeded, so their states always carry Seeds.
 	Seeds []geom.Point
 	Place *place.Placement
@@ -58,20 +58,36 @@ type ECOState struct {
 // byte-identical to a seeded RunOnce's at the same K (the state
 // capture is passive). Like RunOnce, it builds the mapping prefix on a
 // private copy of pc when pc lacks a compatible one; the state carries
-// it.
+// it. The ECO chain is single-die: a multi-die config or context is
+// an error.
 func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration, *ECOState, error) {
+	if err := singleDie(pc, cfg); err != nil {
+		return Iteration{K: k, Err: err, Skipped: true}, nil, err
+	}
 	cfg.FreshPlacement = false
 	it, st, _, err := iterate(ctx, pc, cfg, k, iterIn{capture: true})
 	return it, st, err
 }
 
-// RunECO applies an edit set against a previous iteration's state and
+// singleDie refuses an ECO chain on a multi-die run. Invalidate
+// re-partitions the edited DAG single-die, so an edit would silently
+// drop the k-way forest and its die assignment.
+func singleDie(pc *Context, cfg Config) error {
+	if cfg.Dies > 1 || pc.KWay != nil {
+		return fmt.Errorf("flow: the ECO chain is single-die; the run is multi-die")
+	}
+	return nil
+}
+
+// RunECO applies an edit set against a previous iteration's state (a
+// RunStateful or RunECO result, or AdaptiveResult.State) and
 // re-synthesizes incrementally: Invalidate re-enumerates only the
 // matches of the gates within the edit's cone (StageECO), MapECO
 // re-covers only the dirtied partition trees against the previous
-// same-K cover (StageMap), and the mapped netlist is verified, placed,
-// routed, and timed exactly as a seeded RunOnce iteration (like
-// RunStateful, RunECO ignores cfg.FreshPlacement). The returned
+// same-K cover and under its K-field (StageMap), and the mapped
+// netlist is verified, placed, routed, and timed exactly as a seeded
+// RunOnce iteration (like RunStateful, RunECO ignores
+// cfg.FreshPlacement). The returned
 // Iteration and the mapped netlist are byte-identical to a
 // from-scratch seeded synthesis of the edited design in the same
 // placement context (the differential ECO harness proves this across
@@ -95,8 +111,11 @@ func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Itera
 // the same baseline).
 func RunECO(ctx context.Context, pc *Context, st *ECOState, edits mapper.EditSet, cfg Config) (Iteration, *ECOState, error) {
 	if st == nil || st.Prep == nil || st.Cover == nil {
-		err := fmt.Errorf("flow: RunECO needs the state of a previous RunStateful/RunECO")
+		err := fmt.Errorf("flow: RunECO needs the state of a previous RunStateful/RunECO/RunAdaptive")
 		return Iteration{Err: err, Skipped: true}, nil, err
+	}
+	if err := singleDie(pc, cfg); err != nil {
+		return Iteration{K: st.K, Err: err, Skipped: true}, nil, err
 	}
 	cfg.defaults()
 	cfg.FreshPlacement = false

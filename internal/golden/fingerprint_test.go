@@ -27,12 +27,12 @@ import (
 	"strings"
 
 	"casyn/internal/bench"
+	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
 	"casyn/internal/obs"
 	"casyn/internal/place"
-	"casyn/internal/route"
 )
 
 // Fingerprint is the deterministic condensation of one flow iteration.
@@ -67,8 +67,8 @@ type Fingerprint struct {
 func Config(layout place.Layout) flow.Config {
 	return flow.Config{
 		Layout:         layout,
-		PlaceOpts:      place.Options{Seed: 1, RefinePasses: 8},
-		RouteOpts:      route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98},
+		PlaceOpts:      experiments.PlaceOpts(),
+		RouteOpts:      experiments.RouteOpts(),
 		FreshPlacement: true,
 	}
 }

@@ -307,9 +307,9 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 	t.Helper()
 	succ := &eco.Prep.Prepared
 	oldForest, newForest := parent.forest, succ.forest
-	oldRootOf := oldForest.RootOf(parent.dag)
+	oldRootOf := oldForest.RootOf()
 	oldSize := make(map[int]int)
-	for _, tr := range oldForest.Trees(parent.dag) {
+	for _, tr := range oldForest.Trees() {
 		oldSize[tr.Root] = len(tr.Gates)
 	}
 	structEdited := make(map[int]bool)
@@ -320,7 +320,7 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 	for _, g := range eco.MovedGates {
 		posChanged[g] = true
 	}
-	newTrees := newForest.Trees(succ.dag)
+	newTrees := newForest.Trees()
 	if len(eco.Prep.rebuild.Dirty) != len(newTrees) {
 		t.Fatalf("dirty mask has %d entries for %d trees", len(eco.Prep.rebuild.Dirty), len(newTrees))
 	}
@@ -415,9 +415,9 @@ func TestInvalidateConeExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rootOf := succ.forest.RootOf(succ.dag)
+					rootOf := succ.forest.RootOf()
 					inDirty := make([]bool, len(rootOf))
-					for ti, tr := range succ.forest.Trees(succ.dag) {
+					for ti, tr := range succ.forest.Trees() {
 						for _, v := range tr.Gates {
 							inDirty[v] = eco.Prep.rebuild.Dirty[ti]
 							if !inDirty[v] && !eco.SharesMatches(v) {
@@ -649,7 +649,7 @@ func TestCoverDeltaSolutionLevel(t *testing.T) {
 					}
 					want := wantResolved(eco, st.cov, full, h)
 					r, u := 0, 0
-					for ti, tr := range succ.forest.Trees(succ.dag) {
+					for ti, tr := range succ.forest.Trees() {
 						for _, v := range tr.Gates {
 							got := next.cov.Best[v] != st.cov.Best[v]
 							if got != want[v] {
@@ -685,7 +685,7 @@ func wantResolved(e *ECO, prev, full *cover.Result, h int) []bool {
 	prep := &e.Prep.Prepared
 	want := make([]bool, len(full.Best))
 	above := make([]bool, len(full.Best))
-	for ti, t := range prep.forest.Trees(prep.dag) {
+	for ti, t := range prep.forest.Trees() {
 		if !e.Prep.rebuild.Dirty[ti] {
 			continue
 		}

@@ -149,7 +149,7 @@ func FuzzEditSet(f *testing.F) {
 						eco.Trees, eco.ReusedTrees, len(eco.DirtyRoots))
 				}
 				dirtyGates := 0
-				for ti, tr := range eco.Prep.forest.Trees(eco.Prep.dag) {
+				for ti, tr := range eco.Prep.forest.Trees() {
 					if eco.Prep.rebuild.Dirty[ti] {
 						dirtyGates += len(tr.Gates)
 					}

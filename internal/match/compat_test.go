@@ -72,7 +72,7 @@ func TestMatchesAreFunctionCompatibleRandom(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, tr := range f.Trees(d) {
+		for _, tr := range f.Trees() {
 			mr := NewMatcher(d, lib, f.Father, inTree(tr))
 			for _, g := range tr.Gates {
 				for _, mt := range mr.MatchesAt(g) {
@@ -115,7 +115,7 @@ func TestMatchCoveredSetIsConsistentRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tr := range f.Trees(d) {
+		for _, tr := range f.Trees() {
 			inTree := inTree(tr)
 			mr := NewMatcher(d, lib, f.Father, inTree)
 			for _, g := range tr.Gates {

@@ -16,7 +16,7 @@ func treeMatcher(t *testing.T, d *subject.DAG, root int) *Matcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range f.Trees(d) {
+	for _, tr := range f.Trees() {
 		if tr.Root == root {
 			return NewMatcher(d, library.Default(), f.Father, inTree(tr))
 		}
@@ -166,8 +166,8 @@ func TestMatchStopsAtTreeBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rootTree *partition.Tree
-	for i := range f.Trees(d) {
-		trees := f.Trees(d)
+	for i := range f.Trees() {
+		trees := f.Trees()
 		if trees[i].Root == root {
 			rootTree = &trees[i]
 		}
@@ -260,7 +260,7 @@ func TestEveryTreeVertexHasAMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range f.Trees(d) {
+	for _, tr := range f.Trees() {
 		m := NewMatcher(d, library.Default(), f.Father, inTree(tr))
 		for _, g := range tr.Gates {
 			if len(m.MatchesAt(g)) == 0 {
@@ -291,7 +291,7 @@ func TestMatchFunctionalCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := library.Default()
-	for _, tr := range f.Trees(d) {
+	for _, tr := range f.Trees() {
 		m := NewMatcher(d, lib, f.Father, inTree(tr))
 		for _, g := range tr.Gates {
 			for _, mt := range m.MatchesAt(g) {

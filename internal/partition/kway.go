@@ -232,7 +232,7 @@ func (s *kwayState) regionOfPoint(p geom.Point) int {
 // seed assigns every tree to the region containing its center of mass
 // — the recursive-bisection baseline a zero-move run reproduces.
 func (s *kwayState) seed(d *subject.DAG, f *Forest) {
-	trees := f.Trees(d)
+	trees := f.Trees()
 	s.vertexOf = make([]int, d.NumGates())
 	for g := range s.vertexOf {
 		s.vertexOf[g] = -1
@@ -626,7 +626,7 @@ func (s *kwayState) regionOfGates(d *subject.DAG, f *Forest) []int {
 	for g := range out {
 		out[g] = -1
 	}
-	rootOf := f.RootOf(d)
+	rootOf := f.RootOf()
 	for g := range out {
 		if r := rootOf[g]; r >= 0 {
 			out[g] = s.assign[s.vertexOf[r]]

@@ -166,7 +166,7 @@ func TestKWayInvariants(t *testing.T) {
 			}
 			// Region assignment is per tree: every gate of a tree lands
 			// in its root's region, and only PIs/consts/dead are -1.
-			rootOf := res.Forest.RootOf(res.DAG)
+			rootOf := res.Forest.RootOf()
 			for g, reg := range res.RegionOf {
 				if r := rootOf[g]; r >= 0 {
 					if reg < 0 || reg != res.RegionOf[r] {
@@ -327,14 +327,14 @@ func TestDeepChainNoStackOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees := f.Trees(d)
+		trees := f.Trees()
 		if len(trees) != 1 {
 			t.Fatalf("%v: %d trees for a single chain", m, len(trees))
 		}
 		if got := len(trees[0].Gates); got != depth+1 {
 			t.Fatalf("%v: chain tree has %d gates, want %d", m, got, depth+1)
 		}
-		rootOf := f.RootOf(d)
+		rootOf := f.RootOf()
 		if rootOf[trees[0].Gates[0]] != prev {
 			t.Fatalf("%v: deepest gate not rooted at the chain head", m)
 		}
@@ -353,11 +353,8 @@ func TestStatsCachedMatchesRecomputed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !f.cached {
-			t.Fatal("finish() must populate the caches eagerly")
-		}
 		fresh := f.computeRootOf(d.NumGates())
-		cached := f.RootOf(d)
+		cached := f.RootOf()
 		for g := range fresh {
 			if fresh[g] != cached[g] {
 				t.Fatalf("rootOf[%d]: cached %d, recomputed %d", g, cached[g], fresh[g])

@@ -96,7 +96,6 @@ type Forest struct {
 	// concurrent K ladder; a lazy memo would race.
 	trees  []Tree
 	rootOf []int
-	cached bool
 }
 
 // Partition cuts the subject DAG with the chosen method.
@@ -150,7 +149,6 @@ func finish(d *subject.DAG, father, live []int) *Forest {
 	sort.Ints(f.Roots)
 	f.trees = f.materializeTrees()
 	f.rootOf = f.computeRootOf(len(father))
-	f.cached = true
 	return f
 }
 
@@ -319,12 +317,7 @@ type Tree struct {
 // Trees returns the forest's trees. The result is the finish()-time
 // cache and must be treated read-only (it is shared by every caller,
 // including the concurrent covering fan-out).
-func (f *Forest) Trees(d *subject.DAG) []Tree {
-	if f.cached {
-		return f.trees
-	}
-	return f.materializeTrees()
-}
+func (f *Forest) Trees() []Tree { return f.trees }
 
 // materializeTrees builds the tree list from Father/Roots with an
 // explicit-stack post-order DFS (children before parents, sibling
@@ -383,12 +376,7 @@ func (f *Forest) materializeTrees() []Tree {
 // RootOf returns, per gate ID, the root of the tree the gate belongs
 // to (-1 for PIs, constants, and dead gates). The result is the
 // finish()-time cache and must be treated read-only.
-func (f *Forest) RootOf(d *subject.DAG) []int {
-	if f.cached {
-		return f.rootOf
-	}
-	return f.computeRootOf(d.NumGates())
-}
+func (f *Forest) RootOf() []int { return f.rootOf }
 
 // computeRootOf resolves every father chain by iterative path walking
 // with memoization. It makes no assumption about ID ordering along a

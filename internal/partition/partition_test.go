@@ -216,7 +216,7 @@ func checkForestInvariants(t *testing.T, d *subject.DAG, f *Forest, method Metho
 	}
 	// Every live tree gate is in exactly one tree (reachable from
 	// exactly one root via father links).
-	trees := f.Trees(d)
+	trees := f.Trees()
 	seen := map[int]int{}
 	for ti, tr := range trees {
 		for _, g := range tr.Gates {
@@ -357,7 +357,7 @@ func TestTreesTopologicalAndChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := f.Trees(d)
+	trees := f.Trees()
 	var big *Tree
 	for i := range trees {
 		if trees[i].Root == n[3] {
@@ -382,7 +382,7 @@ func TestTreesTopologicalAndChildren(t *testing.T) {
 	if !slices.Contains(big.Gates, n[1]) || !slices.Contains(big.Gates, n[2]) || slices.Contains(big.Gates, n[0]) {
 		t.Error("tree membership wrong")
 	}
-	trees = f.Trees(d)
+	trees = f.Trees()
 	treeGates, maxTree := 0, 0
 	for _, tr := range trees {
 		treeGates += len(tr.Gates)

@@ -4,8 +4,8 @@ package serve
 // field must validate, shape the cache keys, run the k-way partition
 // end to end with a report byte-identical to cmd/casyn, and be
 // rejected as an ECO lineage. The ECO k_mode annotation regression
-// also lives here: an adaptive parent's ECO runs fixed-K, and the
-// result must say so instead of silently dropping the mode.
+// also lives here: an adaptive parent's ECO runs under the parent's
+// K-field, and the result says so.
 
 import (
 	"context"
@@ -26,7 +26,6 @@ func TestDiesSpecValidation(t *testing.T) {
 	cases := []string{
 		`{"bench":"spla","dies":-1}`,                         // negative
 		`{"bench":"spla","dies":65}`,                         // over MaxDies
-		`{"bench":"spla","dies":2,"k_mode":"adaptive"}`,      // no multi-die model
 		`{"bench":"spla","die_pin_budget":8}`,                // budget without dies
 		`{"bench":"spla","dies":1,"die_pin_budget":8}`,       // single die is not multi-die
 		`{"bench":"spla","dies":2,"die_pin_budget":-2}`,      // below the -1 sentinel
@@ -36,6 +35,14 @@ func TestDiesSpecValidation(t *testing.T) {
 		resp, m := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400 (%v)", body, resp.StatusCode, m)
+		}
+	}
+	accepted := []string{
+		`{"bench":"spla","dies":2,"k_mode":"adaptive"}`, // the controller steers the k-way prefix
+	}
+	for _, body := range accepted {
+		if _, err := ParseJobSpec(strings.NewReader(body)); err != nil {
+			t.Errorf("body %q rejected: %v", body, err)
 		}
 	}
 }
@@ -181,13 +188,15 @@ func TestEcoMultiDieParentRejected(t *testing.T) {
 	}
 }
 
-// TestEcoAnnotatesKMode is the regression for the silent KMode clear:
-// an ECO against an adaptive parent runs fixed-K by design, and the
-// result annotation must report both the effective mode and the
-// parent's. The two lineages must not share a result-cache entry.
+// TestEcoAnnotatesKMode is the regression for the ECO k_mode
+// annotation: an ECO against an adaptive parent chains from the state
+// of the loop's accepted iteration, so it runs under the parent's mode
+// at the loop's baseline K (the calibrated default when the spec left
+// k unset, the ECO's k when it sets one), and the annotation reports
+// both. The two lineages must not share a result-cache entry.
 func TestEcoAnnotatesKMode(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	edits := fmt.Sprintf(`{"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]}`, tinyEditableGate(t))
+	edits := fmt.Sprintf(`"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]`, tinyEditableGate(t))
 
 	submit := func(spec string) *Job {
 		t.Helper()
@@ -202,9 +211,9 @@ func TestEcoAnnotatesKMode(t *testing.T) {
 		}
 		return job
 	}
-	eco := func(parent string) *JobResult {
+	eco := func(parent, extra string) *JobResult {
 		t.Helper()
-		r, em := postEco(t, ts, parent, edits)
+		r, em := postEco(t, ts, parent, "{"+edits+extra+"}")
 		if r.StatusCode != http.StatusAccepted {
 			t.Fatalf("eco submit: %d (%v)", r.StatusCode, em)
 		}
@@ -219,37 +228,34 @@ func TestEcoAnnotatesKMode(t *testing.T) {
 		}
 		return res
 	}
+	check := func(tag string, res *JobResult, mode string, k float64) {
+		t.Helper()
+		if res.ECO.KMode != mode || res.ECO.K != k {
+			t.Errorf("%s: eco annotation %+v, want k_mode %s at K=%g", tag, res.ECO, mode, k)
+		}
+	}
 
 	adaptive := submit(`{"pla":` + strconv.Quote(tinyPLA) + `,"k":0.001,"k_mode":"adaptive"}`)
-	ares := eco(adaptive.ID)
-	if ares.ECO.KMode != "fixed" || ares.ECO.ParentKMode != "adaptive" {
-		t.Errorf("adaptive-parent eco annotation %+v, want k_mode fixed / parent_k_mode adaptive", ares.ECO)
-	}
-	if ares.ECO.K != 0.001 {
-		t.Errorf("adaptive-parent eco ran at K=%g, want the baseline 0.001", ares.ECO.K)
-	}
+	check("adaptive parent", eco(adaptive.ID, ""), "adaptive", 0.001)
+	// An explicit k is the baseline the loop reruns at.
+	check("adaptive parent, k 0.002", eco(adaptive.ID, `,"k":0.002`), "adaptive", 0.002)
 
 	// With k omitted the loop runs at the calibrated default baseline,
-	// as its iteration rows say, and the edits must run there too —
-	// not at the spec's K=0, which is DAGON min-area covering.
+	// as its iteration rows say, and the edits run there too — not at
+	// the spec's K=0, which is DAGON min-area covering.
 	dflt := submit(`{"pla":` + strconv.Quote(tinyPLA) + `,"k_mode":"adaptive"}`)
 	if pres, _ := dflt.Result(); pres == nil || len(pres.Iterations) == 0 || pres.Iterations[0].K != 0.001 {
 		t.Fatalf("k-omitted adaptive parent rows %+v, want the 0.001 baseline", pres)
 	}
-	if dres := eco(dflt.ID); dres.ECO.K != 0.001 {
-		t.Errorf("k-omitted adaptive-parent eco ran at K=%g, want the parent's 0.001 baseline", dres.ECO.K)
-	}
+	check("k-omitted adaptive parent", eco(dflt.ID, ""), "adaptive", 0.001)
 
 	fixed := submit(`{"pla":` + strconv.Quote(tinyPLA) + `,"k":0.001}`)
-	fres := eco(fixed.ID)
-	if fres.ECO.KMode != "fixed" || fres.ECO.ParentKMode != "" {
-		t.Errorf("fixed-parent eco annotation %+v, want k_mode fixed and no parent_k_mode", fres.ECO)
-	}
+	fres := eco(fixed.ID, "")
+	check("fixed parent", fres, "fixed", 0.001)
 
 	// Same prefix, same K, same edits — but differently-moded parents
-	// must not serve each other's cached result (the annotation
-	// differs).
-	if fres.Cache == "result" && fres.ECO.ParentKMode != "" {
+	// must not serve each other's cached result.
+	if fres.Cache == "result" {
 		t.Error("fixed-parent eco served the adaptive-parent cache entry")
 	}
 }

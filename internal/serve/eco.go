@@ -4,10 +4,11 @@ package serve
 // against a completed job's synthesis lineage. The parent job's
 // PrepKey locates the shared prepared context in the LRU (the
 // decomposed DAG, placed technology-independent netlist, and the
-// K-invariant match enumeration); a per-(prefix, K) baseline state —
-// the covering and routing residue of the unedited design — is built
-// once and cached; flow.RunECO then re-prepares, re-covers, and
-// re-routes only what the edits dirtied. The ECO job rides the same
+// K-invariant match enumeration); a per-(prefix, K, k_mode) baseline
+// state — the covering and routing residue of the unedited design, for
+// an adaptive parent the state of the closed loop's accepted
+// iteration — is built once and cached; flow.RunECO then re-prepares,
+// re-covers, and re-routes only what the edits dirtied. The ECO job rides the same
 // bounded queue, admission control, retry, and panic isolation as any
 // submission.
 
@@ -30,7 +31,8 @@ type EcoSpec struct {
 	// reconnect, nudge, swap operations.
 	Edits json.RawMessage `json:"edits"`
 	// K overrides the congestion factor; default is the parent job's K
-	// (a sweep parent's accepted rung).
+	// (a sweep parent's accepted rung; for an adaptive parent, the
+	// baseline the loop reruns at).
 	K *float64 `json:"k,omitempty"`
 	// Fast selects incremental placement and rerouting (only the cells
 	// and nets the edit changed move, against the persisted congestion
@@ -102,12 +104,7 @@ var ErrEcoMultiDie = fmt.Errorf("eco: parent is a multi-die job; the eco chain i
 type ecoJob struct {
 	parent string
 	edits  mapper.EditSet
-	k      float64
 	fast   bool
-	// parentKMode is the parent job's canonical k_mode, carried so the
-	// result can state how the effective fixed K relates to the
-	// parent's mode (an adaptive parent's edits run at its baseline K).
-	parentKMode string
 }
 
 // ECOInfo annotates an ECO job's result.
@@ -117,26 +114,22 @@ type ECOInfo struct {
 	Parent string `json:"parent"`
 	// Edits is the number of operations in the applied set.
 	Edits int `json:"edits"`
-	// K is the congestion factor the incremental synthesis ran at.
+	// K is the congestion factor the incremental synthesis ran at; for
+	// an adaptive parent, the baseline its K-field multiplies.
 	K float64 `json:"k"`
-	// KMode is the effective K-selection mode of the incremental run.
-	// Always "fixed": the ECO chain diffs against a fixed-K residue,
-	// whatever mode the parent ran in.
+	// KMode is the parent's K-selection mode, which the edits run
+	// under: an adaptive parent's edits re-cover under the K-field of
+	// the iteration the parent reported.
 	KMode string `json:"k_mode"`
-	// ParentKMode records the parent's mode when it differed from the
-	// effective one — an adaptive parent's edits run open-loop at the
-	// fixed K above, and the result must say so rather than silently
-	// dropping the mode.
-	ParentKMode string `json:"parent_k_mode,omitempty"`
 	// FastRoute reports the incremental (territory-scoped) reroute.
 	FastRoute bool `json:"fast_route,omitempty"`
 }
 
 // SubmitECO validates and admits an incremental job against a
 // completed parent. The derived job inherits the parent's circuit and
-// synthesis options (so its PrepKey — and therefore its prepared
-// context — is the parent's), fixes a single K, and carries the edit
-// set to the worker.
+// synthesis options, k_mode included (so its PrepKey — and therefore
+// its prepared context — is the parent's), fixes a single K, and
+// carries the edit set to the worker.
 func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 	if parent.eco != nil {
 		s.rec.Add("serve.jobs_invalid", 1)
@@ -151,15 +144,8 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 		return nil, ErrEcoMultiDie
 	}
 	k := parent.Spec.K
-	if res, _ := parent.Result(); res != nil {
-		switch {
-		case res.BestK != nil:
-			k = *res.BestK
-		case parent.Spec.adaptive() && len(res.Iterations) > 0:
-			// The loop's rows carry the baseline it actually ran at,
-			// the calibrated default when the spec left k unset.
-			k = res.Iterations[0].K
-		}
+	if res, _ := parent.Result(); res != nil && res.BestK != nil {
+		k = *res.BestK
 	}
 	if spec.K != nil {
 		k = *spec.K
@@ -173,11 +159,6 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 	derived.K = k
 	derived.KSchedule = nil
 	derived.StopAtFirstRoutable = false
-	// The ECO chain is fixed-K (the incremental state is a fixed-K
-	// residue); an adaptive parent's edits run at its baseline K. The
-	// mode change is not silent: the result's ECOInfo reports the
-	// effective k_mode and, when it differed, the parent's.
-	derived.KMode = ""
 	derived.Verilog = spec.Verilog
 	derived.NoResultCache = spec.NoResultCache
 	if spec.TimeoutMS > 0 {
@@ -191,16 +172,14 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 		return nil, err
 	}
 	h := sha256.New()
-	// The parent's k_mode rides in the key: it is annotated on the
-	// result (ECOInfo.ParentKMode), so two otherwise-identical ECOs
-	// off differently-moded parents must not share a cache entry.
+	// The k_mode rides in the key: an adaptive parent's edits re-cover
+	// under its K-field, so they differ from a fixed-K parent's.
 	fmt.Fprintf(h, "eco %s k %g fast %v timing %v verify %v kmode %s edits %s\n",
-		parent.prepKey, k, spec.Fast, derived.Timing, derived.Verify, parent.Spec.kmode(), canon)
+		parent.prepKey, k, spec.Fast, derived.Timing, derived.Verify, derived.kmode(), canon)
 	resultKey := hex.EncodeToString(h.Sum(nil))
 
 	return s.admit(derived, parent.prepKey, resultKey,
-		&ecoJob{parent: parent.ID, edits: spec.edits, k: k, fast: spec.Fast,
-			parentKMode: parent.Spec.kmode()})
+		&ecoJob{parent: parent.ID, edits: spec.edits, fast: spec.Fast})
 }
 
 // runJobECO executes one incremental job after runJob's result-cache
@@ -215,7 +194,7 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 	cfg := s.flowConfig(spec, entry.layout)
 	cfg.FastECORoute = job.eco.fast
 
-	st, err := s.ecoBaseline(ctx, entry, cfg, job.prepKey, job.eco.k)
+	st, err := s.ecoBaseline(ctx, entry, cfg, job.prepKey, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -229,32 +208,40 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 	res.Cache = cacheTag
-	info := &ECOInfo{Parent: job.eco.parent, Edits: len(job.eco.edits.Edits),
-		K: job.eco.k, KMode: "fixed", FastRoute: job.eco.fast}
-	if job.eco.parentKMode != "fixed" {
-		info.ParentKMode = job.eco.parentKMode
-	}
-	res.ECO = info
+	res.ECO = &ECOInfo{Parent: job.eco.parent, Edits: len(job.eco.edits.Edits),
+		K: st.K, KMode: spec.kmode(), FastRoute: job.eco.fast}
 	s.resCache.add(job.resultKey, res.clone())
 	return res, nil
 }
 
-// ecoBaseline returns the cached baseline state for (prefix, K) — the
-// unedited design's covering and routing residue every ECO against
-// this lineage is diffed from — computing and caching it on first use.
-// The state is immutable after construction (RunECO never mutates its
-// input state), so concurrent ECO jobs share it freely.
-func (s *Server) ecoBaseline(ctx context.Context, entry *prepEntry, cfg flow.Config, prepKey string, k float64) (*flow.ECOState, error) {
-	key := fmt.Sprintf("%s|k=%g", prepKey, k)
+// ecoBaseline returns the cached baseline state for (prefix, K,
+// k_mode) — the unedited design's covering and routing residue every
+// ECO against this lineage is diffed from — computing and caching it
+// on first use: flow.RunStateful at K, or for an adaptive parent the
+// accepted iteration of flow.RunAdaptive from baseline K. The state is
+// immutable after construction (RunECO never mutates its input state),
+// so concurrent ECO jobs share it freely.
+func (s *Server) ecoBaseline(ctx context.Context, entry *prepEntry, cfg flow.Config, prepKey string, spec *JobSpec) (*flow.ECOState, error) {
+	key := fmt.Sprintf("%s|k=%g|%s", prepKey, spec.K, spec.kmode())
 	if st, ok := s.ecoCache.get(key); ok {
 		s.rec.Add("serve.cache.eco_hits", 1)
 		return st, nil
 	}
 	s.rec.Add("serve.cache.eco_misses", 1)
-	it, st, err := flow.RunStateful(ctx, entry.pc, k, cfg)
-	flow.MergeMetrics(ctx, it.Metrics)
-	if err != nil {
-		return nil, err
+	var st *flow.ECOState
+	if spec.adaptive() {
+		ares, err := flow.RunAdaptive(ctx, entry.pc, cfg, flow.AdaptiveConfig{BaseK: spec.K})
+		if err != nil {
+			return nil, err
+		}
+		st = ares.State
+	} else {
+		it, stK, err := flow.RunStateful(ctx, entry.pc, spec.K, cfg)
+		flow.MergeMetrics(ctx, it.Metrics)
+		if err != nil {
+			return nil, err
+		}
+		st = stK
 	}
 	s.ecoCache.add(key, st)
 	return st, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -259,5 +260,81 @@ func TestEcoJobSeededPlacement(t *testing.T) {
 	runEco(true)
 	if n := s.Metrics().Counters["eco.place_incremental"]; n != 1 {
 		t.Errorf("fast eco: eco.place_incremental = %d, want 1", n)
+	}
+}
+
+// TestEcoAdaptiveParentMatchesLibrary: an ECO against an adaptive
+// parent chains from the state of the loop's accepted iteration, so its
+// Verilog equals flow.RunECO applied to RunAdaptive(...).State. The
+// die is tightened until the loop accepts a steered iteration, so the
+// edits re-cover under a non-uniform K-field.
+func TestEcoAdaptiveParentMatchesLibrary(t *testing.T) {
+	const specJSON = `{"bench":"spla","scale":0.1,"die_area":12281,"k_mode":"adaptive"}`
+	spec, err := ParseJobSpec(strings.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.subjectPLA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := spec.options()
+	dag, err := casyn.SubjectFor(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := casyn.LayoutFor(dag, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := casyn.FlowConfig(layout, opts)
+	pc, err := flow.Prepare(ctx, dag, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := flow.RunAdaptive(ctx, pc, cfg, flow.AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ares.Iterations[ares.BestIndex].MaxMult <= 1 {
+		t.Fatalf("the loop accepted iteration %d, which has a uniform field", ares.BestIndex)
+	}
+	edits := mapper.RandomEdits(ares.State.Prep, rand.New(rand.NewSource(2)), 3)
+	editsJSON, err := json.Marshal(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eit, _, err := flow.RunECO(ctx, pc, ares.State, edits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := eit.Netlist.WriteVerilog(&want, "casyn_top"); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := testServer(t, Config{})
+	resp, m := postJob(t, ts, specJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+	}
+	parent := m["id"].(string)
+	if job := waitTerminal(t, s, parent); job.Status() != StatusDone {
+		t.Fatalf("parent finished %s", job.Status())
+	}
+	r, em := postEco(t, ts, parent, fmt.Sprintf(`{%s,"verilog":true}`, strings.Trim(string(editsJSON), "{}")))
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("eco submit: %d (%v)", r.StatusCode, em)
+	}
+	res, jerr := waitTerminal(t, s, em["id"].(string)).Result()
+	if res == nil {
+		t.Fatalf("eco failed: %+v", jerr)
+	}
+	if res.ECO.KMode != "adaptive" || res.ECO.K != ares.State.K {
+		t.Errorf("eco annotation %+v, want k_mode adaptive at K=%g", res.ECO, ares.State.K)
+	}
+	if res.Verilog != want.String() {
+		t.Error("adaptive-parent eco verilog differs from RunECO on the loop's accepted state")
 	}
 }

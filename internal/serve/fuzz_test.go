@@ -18,6 +18,12 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add(`{"bench":"pdc","k_schedule":[0,0.25,0.5,1],"stop_at_first_routable":true}`)
 	f.Add(`{"bench":"too_large","timing":true,"verify":true,"verilog":true,"seed":7}`)
 	f.Add(`{"pla":` + strconv.Quote(tinyPLA) + `,"die_area":5000,"aspect_ratio":2,"workers":4}`)
+	// Combined modes: the closed loop over a k-way prefix.
+	f.Add(`{"bench":"spla","scale":0.1,"k_mode":"adaptive","dies":2}`)
+	f.Add(`{"bench":"pdc","k":0.002,"k_mode":"adaptive","dies":4,"die_pin_budget":-1,"verify":true,"timing":true}`)
+	f.Add(`{"pla":` + strconv.Quote(tinyPLA) + `,"k_mode":"adaptive","dies":2,"die_pin_budget":64,"partition":"cone","sis":true}`)
+	f.Add(`{"bench":"spla","k_mode":"adaptive","dies":2,"k_schedule":[0,1]}`) // adaptive excludes a sweep
+	f.Add(`{"bench":"spla","k_mode":"adaptive","dies":65}`)                   // over MaxDies
 	// Malformed JSON.
 	f.Add(`{`)
 	f.Add(`{"pla":`)

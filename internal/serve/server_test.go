@@ -436,6 +436,10 @@ func TestDaemonMatchesCLI(t *testing.T) {
 		{"K=0", casyn.Options{K: 0}, `"k":0`},
 		{"K=1", casyn.Options{K: 1}, `"k":1`},
 		{"adaptive", casyn.Options{Adaptive: true}, `"k_mode":"adaptive"`},
+		// An example circuit's die is too small for a derived inter-die
+		// pin budget, so the multi-die row leaves it unchecked.
+		{"adaptive dies=2", casyn.Options{Adaptive: true, Dies: 2, InterDiePinBudget: -1},
+			`"k_mode":"adaptive","dies":2,"die_pin_budget":-1`},
 	}
 
 	s, ts := testServer(t, Config{Workers: 2})

@@ -70,7 +70,7 @@ type JobSpec struct {
 	// Dies tiles the die into N regions and partitions the subject
 	// directly k-way with cut-driver replication; routing enforces the
 	// inter-die pin budget on region-crossing nets (0/1 = single die).
-	// Excludes adaptive k_mode and the ECO chain.
+	// Excludes the ECO chain.
 	Dies int `json:"dies,omitempty"`
 	// DiePinBudget overrides the inter-die pin budget with dies > 1
 	// (0 = derive from the derated boundary capacity, -1 = unchecked).
@@ -187,9 +187,6 @@ func (s *JobSpec) Validate() error {
 	case "adaptive":
 		if len(s.KSchedule) > 0 {
 			return fmt.Errorf("k_mode adaptive and k_schedule are mutually exclusive (the controller steers K itself)")
-		}
-		if s.Dies > 1 {
-			return fmt.Errorf("k_mode adaptive and dies are mutually exclusive (the K-field controller has no multi-die model)")
 		}
 	default:
 		return fmt.Errorf("unknown k_mode %q (want fixed, adaptive)", s.KMode)

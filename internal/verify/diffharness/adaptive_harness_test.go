@@ -12,11 +12,11 @@ import (
 	"fmt"
 
 	"casyn/internal/bnet"
+	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
 	"casyn/internal/place"
-	"casyn/internal/route"
 	"casyn/internal/subject"
 	"casyn/internal/verify"
 )
@@ -44,9 +44,17 @@ func prepareFlow(ctx context.Context, name string, p *logic.PLA, cfg Config) (*s
 	}
 	fcfg := flow.Config{
 		Layout:         layout,
-		PlaceOpts:      place.Options{Seed: 1, RefinePasses: 8},
-		RouteOpts:      route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98},
+		PlaceOpts:      experiments.PlaceOpts(),
+		RouteOpts:      experiments.RouteOpts(),
 		FreshPlacement: true,
+		Dies:           cfg.Dies,
+	}
+	if cfg.Dies > 1 {
+		// An example circuit's die is a handful of gcells, whose derated
+		// boundary capacity truncates the derived inter-die pin budget
+		// to 0; the harness checks function and determinism, not
+		// admission.
+		fcfg.RouteOpts.RegionPinBudget = -1
 	}
 	pc, err := flow.Prepare(ctx, d, fcfg)
 	if err != nil {
@@ -73,10 +81,12 @@ type AdaptiveSweepResult struct {
 	Name string
 	// Runs maps each worker count to its per-iteration checks.
 	Runs map[int][]AdaptiveCheck
-	// Converged / RoutedIterations describe the first worker count's
-	// run (all counts are identical — the sweep errors otherwise).
+	// Converged / RoutedIterations / Best describe the first worker
+	// count's run (all counts are identical — the sweep errors
+	// otherwise); Best is its accepted iteration.
 	Converged        bool
 	RoutedIterations int
+	Best             *flow.Iteration
 }
 
 // RunAdaptiveSweep drives one circuit through flow.RunAdaptive at
@@ -122,6 +132,7 @@ func RunAdaptiveSweep(ctx context.Context, name string, p *logic.PLA, cfg Config
 		if w == cfg.Workers[0] {
 			res.Converged = ares.Converged
 			res.RoutedIterations = ares.RoutedIterations()
+			res.Best = ares.Best()
 		}
 	}
 	base := res.Runs[cfg.Workers[0]]

@@ -14,12 +14,12 @@ import (
 	"math/rand"
 
 	"casyn/internal/bnet"
+	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
 	"casyn/internal/mapper"
 	"casyn/internal/place"
-	"casyn/internal/route"
 	"casyn/internal/subject"
 	"casyn/internal/verify"
 )
@@ -119,8 +119,8 @@ func RunECOSweep(ctx context.Context, name string, p *logic.PLA, cfg ECOConfig) 
 	// the routed result, not just the cover's wire estimates.
 	fcfg := flow.Config{
 		Layout:    layout,
-		PlaceOpts: place.Options{Seed: 1, RefinePasses: 8},
-		RouteOpts: route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98},
+		PlaceOpts: experiments.PlaceOpts(),
+		RouteOpts: experiments.RouteOpts(),
 		KSchedule: cfg.Ks,
 	}
 	pc, err := flow.Prepare(ctx, d, fcfg)

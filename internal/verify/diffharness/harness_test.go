@@ -29,11 +29,11 @@ import (
 	"strings"
 
 	"casyn/internal/bnet"
+	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
 	"casyn/internal/place"
-	"casyn/internal/route"
 	"casyn/internal/subject"
 	"casyn/internal/verify"
 )
@@ -51,6 +51,9 @@ type Config struct {
 	// Utilization sets the die sizing fraction (0 = the calibrated
 	// 0.58 used by the top-level API).
 	Utilization float64
+	// Dies > 1 prepares a multi-die run over a k-way prefix
+	// (RunAdaptiveSweep only).
+	Dies int
 }
 
 // Default is the sweep the acceptance tests run: the paper-relevant K
@@ -124,8 +127,8 @@ func Run(ctx context.Context, name string, p *logic.PLA, cfg Config) (*Result, e
 	}
 	fcfg := flow.Config{
 		Layout:         layout,
-		PlaceOpts:      place.Options{Seed: 1, RefinePasses: 8},
-		RouteOpts:      route.Options{GCellSize: 26.6, RipupIterations: 6, CapacityScale: 1.98},
+		PlaceOpts:      experiments.PlaceOpts(),
+		RouteOpts:      experiments.RouteOpts(),
 		FreshPlacement: true,
 		KSchedule:      cfg.Ks,
 	}
