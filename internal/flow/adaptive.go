@@ -105,8 +105,9 @@ type AdaptiveResult struct {
 	// overflow no longer improving, or nothing left above the trigger
 	// — rather than exhausting adaptiveMaxIterations.
 	Converged bool
-	// Field is the final K-field (reporting; nil if the baseline
-	// iteration failed before routing).
+	// Field is the K-field the accepted iteration (BestIndex) was
+	// covered under: nil when that is the uniform baseline, or when no
+	// iteration completed.
 	Field *cover.KField
 	// State is the ECO state of the accepted iteration (BestIndex), so
 	// an ECO chains from the design the loop reported: its cover
@@ -163,14 +164,14 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 	overflowHist := rec.Histogram("flow.adaptive.overflow", adaptiveOverflowBounds)
 
 	res = &AdaptiveResult{BestIndex: -1}
-	record := func(ai AdaptiveIteration, st *ECOState) {
+	record := func(ai AdaptiveIteration, st *ECOState, field *cover.KField) {
 		MergeMetrics(ctx, ai.Metrics)
 		res.Iterations = append(res.Iterations, ai)
 		rec.Add("flow.adaptive_iterations", 1)
 		overflowHist.Observe(float64(ai.Violations))
 		if beats(&ai.Iteration, res.Best()) {
 			res.BestIndex = len(res.Iterations) - 1
-			res.State = st
+			res.State, res.Field = st, field
 		}
 	}
 
@@ -180,14 +181,13 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		MergeMetrics(ctx, it.Metrics)
 		return res, fmt.Errorf("flow: adaptive baseline: %w", err)
 	}
-	record(AdaptiveIteration{Iteration: it, MaxMult: 1}, st)
+	record(AdaptiveIteration{Iteration: it, MaxMult: 1}, st, nil)
 
 	grid := routed.Grid
 	field, err := cover.NewKField(grid.Origin, grid.CellW, grid.CellH, grid.NX, grid.NY)
 	if err != nil {
 		return res, err
 	}
-	res.Field = field
 	// hot is the hysteresis memory: cells that have inflated at least
 	// once. terr is computed once — the prefix (and so every tree's
 	// territory) is fixed across the loop; only the field moves.
@@ -237,9 +237,8 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 			MaxMult:       next.MaxMult(),
 			DirtyTrees:    nDirty,
 			ReusedTrees:   len(dirty) - nDirty,
-		}, stN)
+		}, stN, next)
 		field, st, grid = next, stN, routedN.Grid
-		res.Field = field
 		if !it.Routable && it.Violations >= prevViolations {
 			// Overflow stopped improving: stop and keep the best seen.
 			res.Converged = true

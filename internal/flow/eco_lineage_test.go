@@ -10,13 +10,17 @@ import (
 	"weak"
 
 	"casyn/internal/mapper"
+	"casyn/internal/route"
 	"casyn/internal/subject"
 )
 
 // TestECOChainReleasesAncestors: a chain that keeps only its latest
 // state retains no ancestor. After ten chained RunECOs, the first
-// successor's DAG is unreachable, so a weak pointer to it reads nil
-// once the collector has run.
+// successor's DAG and routing state are unreachable, so weak pointers
+// to them read nil once the collector has run. The routing state
+// guards the edit-local reroute: a successor copies what it keeps of
+// its parent's segments and terminals rather than holding the
+// parent's arrays.
 func TestECOChainReleasesAncestors(t *testing.T) {
 	pc, cfg := prepared(t, 0.55)
 	cfg.FreshPlacement = false
@@ -28,6 +32,7 @@ func TestECOChainReleasesAncestors(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	var first weak.Pointer[subject.DAG]
+	var firstRoute weak.Pointer[route.State]
 	for i := 0; i < 10; i++ {
 		_, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
 		if err != nil {
@@ -35,12 +40,16 @@ func TestECOChainReleasesAncestors(t *testing.T) {
 		}
 		if i == 0 {
 			first = weak.Make(next.Prep.DAG())
+			firstRoute = weak.Make(next.Route)
 		}
 		st = next
 	}
 	runtime.GC()
 	if first.Value() != nil {
 		t.Error("the first successor's DAG is still reachable from the last state of the chain")
+	}
+	if firstRoute.Value() != nil {
+		t.Error("the first successor's routing state is still reachable from the last state of the chain")
 	}
 	runtime.KeepAlive(st)
 }

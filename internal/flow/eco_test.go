@@ -182,3 +182,40 @@ func TestChainedDriversPlaceSeeded(t *testing.T) {
 		sameIteration(t, fmt.Sprintf("RunAdaptive iteration %d", i), ares.Iterations[i].Iteration, bres.Iterations[i].Iteration)
 	}
 }
+
+// TestFastECOSpans: a fast-mode edit records its incremental placement
+// under "place.eco", and the reroute's grid build and result
+// collection under "route.grid" and "route.collect", once each.
+func TestFastECOSpans(t *testing.T) {
+	pc, cfg := prepared(t, 0.55)
+	cfg.FreshPlacement = false
+	cfg.FastECORoute = true
+	ctx := obs.WithRecorder(context.Background(), obs.New())
+	_, st, err := RunStateful(ctx, pc, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 10; i++ {
+		it, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := it.Metrics.Events
+		if ev.Counters["eco.route_nets_ripped"] == 0 {
+			st = next
+			continue // the reroute kept every net; try another edit
+		}
+		spans := make(map[string]int)
+		for _, sp := range ev.Spans {
+			spans[sp.Name]++
+		}
+		for _, name := range []string{"place.eco", "route.grid", "route.collect"} {
+			if spans[name] != 1 {
+				t.Errorf("edit %d recorded %d %q spans, want 1", i, spans[name], name)
+			}
+		}
+		return
+	}
+	t.Fatal("no edit ripped a net")
+}

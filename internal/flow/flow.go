@@ -665,7 +665,9 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 				prev := in.prev
 				base := place.ECOBase{Place: prev.Place, Widths: prev.Widths, Seeds: prev.Seeds}
 				oldOf := alignKeys(prev.CellKeys, mres.InstGate)
+				_, ecoSpan := rec.StartSpan(ctx, "place.eco")
 				p, moved, err := place.PlaceECO(pn.Cells, cfg.Layout, base, seeds, oldOf)
+				ecoSpan.End(err)
 				if !errors.Is(err, place.ErrNoRoom) {
 					if err == nil && rec != nil {
 						rec.Add("eco.place_incremental", 1)

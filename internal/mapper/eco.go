@@ -74,11 +74,12 @@ type ECOPrepared struct {
 // of a member moved. Inside a dirty tree only the edit cone is
 // re-enumerated: the gates within H-1 father steps above a touched
 // gate or its fanouts, H being the library's deepest pattern.
-// Partitioning itself is recomputed in full, with the tree
-// materialization; with enumeration cut to the cone, that is the
-// largest part of the invalidation time (about half of it on a
-// full-size design), the rest being the DAG clone, edit validation
-// and the cone rebuild.
+// A PDP forest is re-partitioned edit-locally
+// (partition.RepartitionPDP): only the fathers the edit can flip are
+// re-decided and only the trees they touch are rebuilt, equal to a
+// full re-partition of the edited design. A Prepared built over a
+// caller's forest (PrepareForest), or with another method, is
+// re-partitioned in full.
 //
 // The work is recorded under an "eco.invalidate" span; dirty/reused
 // tree counts land on "eco.dirty_trees" / "eco.reused_trees", and the
@@ -102,7 +103,7 @@ func (p *Prepared) Invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 }
 
 func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) {
-	if err := edits.validate(p.dag); err != nil {
+	if err := edits.validate(p.dag, p.liveBase()); err != nil {
 		return nil, err
 	}
 	// Private clones: the parent's DAG and placement stay untouched no
@@ -113,15 +114,18 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Re-partition the edited design in full. PDP fathers are
-	// nearest-consumer selections, so one moved gate can flip fathers
-	// anywhere along its nets; recomputing the whole forest (linear in
-	// the DAG) and diffing per tree is both simpler and sound.
-	forest, err := partition.Partition(partition.Input{
-		DAG:    dag,
-		Pos:    pos,
-		POPads: p.in.POPads,
-	}, p.opts.Method)
+	// Re-partition the edited design. PDP fathers are nearest-consumer
+	// selections, so only the gates an edit rewired, moved or
+	// (un)killed, and their fanins, can flip: a PDP forest this context
+	// partitioned itself is patched at those gates. Other methods, and a
+	// caller's forest, are re-partitioned in full.
+	in := partition.Input{DAG: dag, Pos: pos, POPads: p.in.POPads}
+	var forest *partition.Forest
+	if p.partitioned && p.opts.Method == partition.PDP {
+		forest, err = partition.RepartitionPDP(p.forest, p.dag, in, structEdited, moved)
+	} else {
+		forest, err = partition.Partition(in, p.opts.Method)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -132,11 +136,12 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	}
 	succ := &ECOPrepared{
 		Prepared: Prepared{
-			dag:    dag,
-			forest: forest,
-			prefix: rb.Prefix,
-			opts:   p.opts,
-			in:     Input{Pos: pos, POPads: p.in.POPads},
+			dag:         dag,
+			forest:      forest,
+			prefix:      rb.Prefix,
+			opts:        p.opts,
+			in:          Input{Pos: pos, POPads: p.in.POPads},
+			partitioned: true,
 		},
 		rebuild: rb,
 	}
@@ -150,6 +155,22 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 		ReenumeratedGates: rb.ReenumeratedGates,
 		parent:            p,
 	}, nil
+}
+
+// liveBase reports whether a base gate drives an output. Every
+// partitioning method puts exactly the live base gates in trees, so a
+// forest this context partitioned itself answers without a liveness
+// sweep.
+func (p *Prepared) liveBase() func(g int) bool {
+	if p.partitioned {
+		rootOf := p.forest.RootOf()
+		return func(g int) bool { return rootOf[g] >= 0 }
+	}
+	live := make([]bool, p.dag.NumGates())
+	for _, g := range p.dag.LiveGates() {
+		live[g] = true
+	}
+	return func(g int) bool { return live[g] }
 }
 
 // CoverState is one K rung's covering result together with its

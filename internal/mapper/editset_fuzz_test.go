@@ -3,7 +3,9 @@ package mapper
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"casyn/internal/library"
 	"casyn/internal/logic"
 	"casyn/internal/obs"
+	"casyn/internal/partition"
 	"casyn/internal/place"
 	"casyn/internal/subject"
 )
@@ -95,8 +98,9 @@ func fuzzPrepared(f *testing.F) *Prepared {
 // error, or produce a coherent successor — and in every case the
 // shared Prepared (its DAG and placement) must come through
 // bit-identical. A coherent successor's delta cover must equal a full
-// cover of it and solve no more DP vertices than its dirty trees hold.
-// Out-of-range gate IDs, edits to dead or non-base
+// cover of it and solve no more DP vertices than its dirty trees hold,
+// and its edit-local re-partition must equal a full partition of the
+// edited design (fathers, roots, trees). Out-of-range gate IDs, edits to dead or non-base
 // gates, duplicate and overlapping edits, and empty sets are all
 // reachable from the seed corpus.
 func FuzzEditSet(f *testing.F) {
@@ -148,6 +152,14 @@ func FuzzEditSet(f *testing.F) {
 					t.Fatalf("tree bookkeeping inconsistent: %d trees, %d reused, %d dirty",
 						eco.Trees, eco.ReusedTrees, len(eco.DirtyRoots))
 				}
+				succ := &eco.Prep.Prepared
+				full, err := partition.Partition(partition.Input{DAG: succ.dag, Pos: succ.in.Pos, POPads: succ.in.POPads}, succ.opts.Method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := diffForests(succ.forest, full); err != nil {
+					t.Fatalf("edit-local re-partition differs from a full partition: %v", err)
+				}
 				dirtyGates := 0
 				for ti, tr := range eco.Prep.forest.Trees() {
 					if eco.Prep.rebuild.Dirty[ti] {
@@ -163,12 +175,11 @@ func FuzzEditSet(f *testing.F) {
 				if err != nil {
 					t.Fatalf("MapECO: %v", err)
 				}
-				succ := &eco.Prep.Prepared
-				full, err := cover.CoverWithPrefix(ctx, succ.dag, succ.forest, succ.prefix, succ.coverOptions(fuzzK))
+				fullCov, err := cover.CoverWithPrefix(ctx, succ.dag, succ.forest, succ.prefix, succ.coverOptions(fuzzK))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := diffCovers(st.cov, full); err != nil {
+				if err := diffCovers(st.cov, fullCov); err != nil {
 					t.Fatalf("delta cover differs from a full cover: %v", err)
 				}
 				if solved := rec.Snapshot().Counters["cover.solutions"]; solved > int64(dirtyGates) {
@@ -190,4 +201,28 @@ func FuzzEditSet(f *testing.F) {
 			}
 		}
 	})
+}
+
+// diffForests describes the first difference between two forests'
+// fathers, roots, trees and root-of maps.
+func diffForests(got, want *partition.Forest) error {
+	if !slices.Equal(got.Father, want.Father) {
+		return fmt.Errorf("fathers differ")
+	}
+	if !slices.Equal(got.Roots, want.Roots) {
+		return fmt.Errorf("roots %v, want %v", got.Roots, want.Roots)
+	}
+	gt, wt := got.Trees(), want.Trees()
+	if len(gt) != len(wt) {
+		return fmt.Errorf("%d trees, want %d", len(gt), len(wt))
+	}
+	for i := range wt {
+		if gt[i].Root != wt[i].Root || !slices.Equal(gt[i].Gates, wt[i].Gates) {
+			return fmt.Errorf("tree %d differs (root %d, want %d)", i, gt[i].Root, wt[i].Root)
+		}
+	}
+	if !slices.Equal(got.RootOf(), want.RootOf()) {
+		return fmt.Errorf("root-of maps differ")
+	}
+	return nil
 }

@@ -40,6 +40,10 @@ type Prepared struct {
 	// in is the placement context the prefix was built against; the
 	// incremental path (Invalidate) re-partitions edited clones of it.
 	in Input
+	// partitioned reports that forest is partition.Partition of (dag,
+	// in) under opts.Method, not a caller's forest: an edit can then
+	// re-partition it locally (partition.RepartitionPDP).
+	partitioned bool
 }
 
 // DAG exposes the subject DAG the prefix was built for (read-only).
@@ -91,7 +95,8 @@ func prepare(ctx context.Context, d *subject.DAG, forest *partition.Forest, in I
 	pctx, span := rec.StartSpan(ctx, "map.prepare")
 	var prefix *cover.Prefix
 	var err error
-	if forest == nil {
+	partitioned := forest == nil
+	if partitioned {
 		_, pSpan := rec.StartSpan(pctx, "map.partition")
 		forest, err = partition.Partition(partition.Input{
 			DAG:    d,
@@ -108,5 +113,5 @@ func prepare(ctx context.Context, d *subject.DAG, forest *partition.Forest, in I
 		return nil, err
 	}
 	rec.Add("map.prepare.matches", int64(prefix.NumMatches()))
-	return &Prepared{dag: d, forest: forest, prefix: prefix, opts: opts, in: in}, nil
+	return &Prepared{dag: d, forest: forest, prefix: prefix, opts: opts, in: in, partitioned: partitioned}, nil
 }

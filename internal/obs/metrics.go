@@ -96,6 +96,24 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.observe(v)
+}
+
+// ObserveAll records each value of vs, in order, under one lock: the
+// same state as calling Observe on each.
+func (h *Histogram) ObserveAll(vs []float64) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, v := range vs {
+		h.observe(v)
+	}
+}
+
+// observe records one value; the caller holds h.mu.
+func (h *Histogram) observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++

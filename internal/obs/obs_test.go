@@ -154,6 +154,23 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveAll: a batch observation leaves the histogram
+// exactly as observing each value in order does, and a nil histogram
+// ignores it.
+func TestHistogramObserveAll(t *testing.T) {
+	vs := []float64{3, 0.5, 100, 2, -1, 4.5, 0.25}
+	one, all := New(), New()
+	for _, v := range vs {
+		one.Observe("h", []float64{1, 2, 4}, v)
+	}
+	all.Histogram("h", []float64{1, 2, 4}).ObserveAll(vs)
+	if got, want := all.Snapshot().Histograms["h"], one.Snapshot().Histograms["h"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("ObserveAll gave %+v, one by one %+v", got, want)
+	}
+	var h *Histogram
+	h.ObserveAll(vs)
+}
+
 // TestSpanNesting checks parent links follow the context chain, and
 // that sibling spans of the same parent don't nest under each other.
 func TestSpanNesting(t *testing.T) {

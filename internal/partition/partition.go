@@ -246,33 +246,38 @@ func partitionPDP(in Input) *Forest {
 			continue
 		}
 		fos = liveFanouts(d, g, isLive, fos[:0])
-		bestDist := -1.0
-		bestFather := -1
-		for _, fo := range fos {
-			dist := in.Pos[g].Manhattan(in.Pos[fo])
-			if bestDist < 0 || dist < bestDist || (dist == bestDist && fo < bestFather) {
-				bestDist = dist
-				bestFather = fo
-			}
-		}
-		for _, pad := range in.POPads[g] {
-			dist := in.Pos[g].Manhattan(pad)
-			if bestDist < 0 || dist < bestDist {
-				bestDist = dist
-				bestFather = -1 // nearest consumer is an output pad: root
-			}
-		}
-		if bestFather < 0 {
-			continue // pad-nearest or no consumers: stays a root
-		}
-		if isPODriver[g] && len(in.POPads[g]) == 0 {
-			// PO driver without pad information: keep it a root so the
-			// output signal is always visible without duplication.
-			continue
-		}
-		father[g] = bestFather
+		father[g] = pdpFather(g, fos, in.Pos, in.POPads[g], isPODriver[g])
 	}
 	return finish(d, father, live)
+}
+
+// pdpFather is the PDP father of gate g given its live consumers fos:
+// the nearest consumer, ties to the lowest gate ID. It is -1 (g is a
+// root) when an output pad of g is strictly nearer than every
+// consumer, when g has no consumer, or when g drives a primary output
+// whose pad is unknown — such a driver stays a root so the output
+// signal is always visible without duplication.
+func pdpFather(g int, fos []int, pos []geom.Point, pads []geom.Point, poDriver bool) int {
+	bestDist := -1.0
+	bestFather := -1
+	for _, fo := range fos {
+		dist := pos[g].Manhattan(pos[fo])
+		if bestDist < 0 || dist < bestDist || (dist == bestDist && fo < bestFather) {
+			bestDist = dist
+			bestFather = fo
+		}
+	}
+	for _, pad := range pads {
+		dist := pos[g].Manhattan(pad)
+		if bestDist < 0 || dist < bestDist {
+			bestDist = dist
+			bestFather = -1 // nearest consumer is an output pad: root
+		}
+	}
+	if bestFather < 0 || (poDriver && len(pads) == 0) {
+		return -1
+	}
+	return bestFather
 }
 
 func newFatherSlice(d *subject.DAG) []int {

@@ -215,14 +215,20 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 		return nil, nil, err
 	}
 
-	res := collectResult(g, nl, segs, rounds)
+	var segLen []float64
+	var segFailed []bool
+	if capture {
+		segLen, segFailed = make([]float64, len(segs)), make([]bool, len(segs))
+	}
+	res := collectResult(g, nl, segs, rounds, segLen, segFailed)
 	res.CrossRegionNets = crossRegion
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, res)
 	}
 	var st *State
 	if capture {
-		st = &State{layout: layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: netTerms, res: res}
+		st = &State{layout: layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: netTerms,
+			segLen: segLen, segFailed: segFailed, nl: nl, cellGCell: cellGCells(g, pl), res: res}
 	}
 	return res, st, nil
 }
@@ -300,28 +306,47 @@ func (r *router) firstPass(ctx context.Context, segs []twoPin, route []bool) err
 }
 
 // collectResult assembles a Result from the settled grid and segment
-// paths.
-func collectResult(g *Grid, nl *place.Netlist, segs []twoPin, rounds int) *Result {
+// paths. When segLen and failed are non-nil, they receive each
+// segment's routed length and whether its path crosses an
+// over-capacity edge.
+func collectResult(g *Grid, nl *place.Netlist, segs []twoPin, rounds int, segLen []float64, failed []bool) *Result {
 	res := &Result{Grid: g, NetLength: make([]float64, len(nl.Nets)), RipupRounds: rounds}
 	for i := range segs {
-		l := 0.0
-		failed := false
-		for _, e := range segs[i].path {
-			if e.horizontal {
-				l += g.CellW
-			} else {
-				l += g.CellH
-			}
-			if g.overflowOf(e) > 0 {
-				failed = true
-			}
+		l, f := pathStats(g, segs[i].path)
+		if segLen != nil {
+			segLen[i], failed[i] = l, f
 		}
-		if failed {
+		if f {
 			res.FailedConnections++
 		}
 		res.NetLength[segs[i].net] += l
 		res.WireLength += l
 	}
+	gridTotals(g, res)
+	return res
+}
+
+// pathStats returns a path's routed length in µm, summed edge by edge
+// in path order, and whether it crosses an over-capacity edge.
+func pathStats(g *Grid, path []edge) (float64, bool) {
+	l := 0.0
+	failed := false
+	for _, e := range path {
+		if e.horizontal {
+			l += g.CellW
+		} else {
+			l += g.CellH
+		}
+		if g.overflowOf(e) > 0 {
+			failed = true
+		}
+	}
+	return l, failed
+}
+
+// gridTotals fills the Result's whole-grid figures: total overflow,
+// worst congestion and the over-capacity edge count.
+func gridTotals(g *Grid, res *Result) {
 	res.Violations = g.TotalOverflow()
 	res.MaxCongestion = g.MaxCongestion()
 	for y := 0; y < g.NY; y++ {
@@ -334,7 +359,6 @@ func collectResult(g *Grid, nl *place.Netlist, segs []twoPin, rounds int) *Resul
 			}
 		}
 	}
-	return res
 }
 
 // negotiate is the congestion negotiation: rip up and reroute every
@@ -388,16 +412,22 @@ func (r *router) negotiate(ctx context.Context, rec *obs.Recorder, segs []twoPin
 		// fail a segment — only overflow the edit introduced does.
 		var fail []int
 		var terr []gridRect
-		for i := range segs {
-			if r.eligible != nil && !r.eligible[i] {
-				continue
-			}
+		try := func(i int) {
 			for _, e := range segs[i].path {
 				if ov := g.overflowOf(e); ov > 0 && ov > r.overflowFloor(e) {
 					fail = append(fail, i)
 					terr = append(terr, g.territory(segs[i].a, segs[i].b))
-					break
+					return
 				}
+			}
+		}
+		if r.eligible == nil {
+			for i := range segs {
+				try(i)
+			}
+		} else {
+			for _, i := range r.eligible {
+				try(i)
 			}
 		}
 		if len(fail) == 0 {
@@ -470,37 +500,36 @@ func (r *router) reroute(s *mazeScratch, sg *twoPin) {
 func recordRouteMetrics(rec *obs.Recorder, nl *place.Netlist, pl *place.Placement, g *Grid, res *Result) {
 	ch := rec.Histogram("route.congestion", congestionBounds)
 	for _, row := range g.CongestionMap() {
-		for _, v := range row {
-			ch.Observe(v)
-		}
+		ch.ObserveAll(row)
 	}
-	hh := rec.Histogram("route.net_hpwl_um", hpwlBounds)
+	hpwl := make([]float64, 0, len(nl.Nets))
 	for ni := range nl.Nets {
-		n := &nl.Nets[ni]
-		if n.Degree() < 2 {
-			continue
+		if n := &nl.Nets[ni]; n.Degree() >= 2 {
+			hpwl = append(hpwl, netHPWL(n, pl))
 		}
-		first := true
-		var box geom.Rect
-		grow := func(p geom.Point) {
-			if first {
-				box = geom.Rect{Min: p, Max: p}
-				first = false
-				return
-			}
-			box = box.Union(geom.Rect{Min: p, Max: p})
-		}
-		for _, c := range n.Cells {
-			grow(pl.Pos[c])
-		}
-		for _, p := range n.Pads {
-			grow(p)
-		}
-		hh.Observe(box.HalfPerimeter())
 	}
+	rec.Histogram("route.net_hpwl_um", hpwlBounds).ObserveAll(hpwl)
 	rec.Add("route.overflow_tracks", int64(res.Violations))
 	rec.Add("route.overflow_edges", int64(res.OverflowEdges))
 	rec.Add("route.failed_connections", int64(res.FailedConnections))
+}
+
+// netHPWL is the half-perimeter of a net's pin bounding box (the net
+// has a pin).
+func netHPWL(n *place.Net, pl *place.Placement) float64 {
+	var box geom.Rect
+	if len(n.Cells) > 0 {
+		box = geom.Rect{Min: pl.Pos[n.Cells[0]], Max: pl.Pos[n.Cells[0]]}
+	} else {
+		box = geom.Rect{Min: n.Pads[0], Max: n.Pads[0]}
+	}
+	for _, c := range n.Cells {
+		box = box.Union(geom.Rect{Min: pl.Pos[c], Max: pl.Pos[c]})
+	}
+	for _, p := range n.Pads {
+		box = box.Union(geom.Rect{Min: p, Max: p})
+	}
+	return box.HalfPerimeter()
 }
 
 // netSpansRegions reports whether net ni has pins (cells or pads) in
@@ -560,6 +589,17 @@ func cellDensity(nl *place.Netlist, pl *place.Placement, layout place.Layout, op
 		m[y][x] += nl.Widths[c] * layout.RowHeight / gArea
 	}
 	return m, nil
+}
+
+// cellGCells returns the index (y*NX + x) of the gcell holding each
+// placed cell.
+func cellGCells(g *Grid, pl *place.Placement) []int32 {
+	out := make([]int32, len(pl.Pos))
+	for c, p := range pl.Pos {
+		x, y := g.GCellOf(p)
+		out[c] = int32(y*g.NX + x)
+	}
+	return out
 }
 
 // terminalCells maps a net's endpoints to distinct gcells, appending
@@ -702,14 +742,14 @@ type router struct {
 	// negotiation ended with residual congestion would re-fight that
 	// entire congestion every time, globally.
 	floorGrid *Grid
-	// eligible, when set (incremental ECO rerouting), restricts rip-up
-	// to the marked segments — the edited nets. On a saturated design
-	// an edited net has no overflow-free path, so its +1 through a hot
-	// edge would otherwise drag that edge's every co-user into the
-	// negotiation and cascade across the die; instead the kept nets'
-	// paths are preserved verbatim and the marginal overflow is
-	// reported honestly in the Result.
-	eligible []bool
+	// eligible, when non-nil (incremental ECO rerouting), restricts
+	// rip-up to the listed segments, ascending — the edited nets. On a
+	// saturated design an edited net has no overflow-free path, so its
+	// +1 through a hot edge would otherwise drag that edge's every
+	// co-user into the negotiation and cascade across the die; instead
+	// the kept nets' paths are preserved verbatim and the marginal
+	// overflow is reported honestly in the Result.
+	eligible []int
 	// scratch pools the per-worker maze-routing buffers.
 	scratch sync.Pool
 }

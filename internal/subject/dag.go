@@ -10,6 +10,7 @@ package subject
 
 import (
 	"fmt"
+	"slices"
 )
 
 // GateType is the type of a subject-DAG vertex.
@@ -80,7 +81,10 @@ type DAG struct {
 	pis     []int
 	outputs []Output
 	hash    map[[3]int]int
-	fanouts [][]int // lazily built; nil means stale
+	// The reader index, built lazily (nil foOff means stale): the
+	// gates reading gate g are foAll[foOff[g]:foOff[g+1]], ascending.
+	foOff []int32
+	foAll []int
 	// replicaOf maps a replica gate to the original it was cloned
 	// from (see replica.go). Non-empty means ascending IDs are no
 	// longer a topological order.
@@ -121,7 +125,7 @@ func (d *DAG) AddPI(name string) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: PI, Name: name, In: [2]int{-1, -1}})
 	d.pis = append(d.pis, id)
-	d.fanouts = nil
+	d.foOff = nil
 	return id
 }
 
@@ -139,7 +143,7 @@ func (d *DAG) Const(v bool) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: t, In: [2]int{-1, -1}})
 	d.hash[key] = id
-	d.fanouts = nil
+	d.foOff = nil
 	return id
 }
 
@@ -162,7 +166,7 @@ func (d *DAG) AddInv(a int) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: Inv, In: [2]int{a, -1}})
 	d.hash[key] = id
-	d.fanouts = nil
+	d.foOff = nil
 	return id
 }
 
@@ -191,7 +195,7 @@ func (d *DAG) AddNand2(a, b int) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: Nand2, In: [2]int{a, b}})
 	d.hash[key] = id
-	d.fanouts = nil
+	d.foOff = nil
 	return id
 }
 
@@ -219,14 +223,15 @@ func (d *DAG) Fanins(id int) []int {
 	}
 }
 
-// Fanouts returns the gates that read id's output. Output pins are not
-// included; use OutputCount for net degree. The result is cached until
-// the DAG is mutated.
+// Fanouts returns the gates that read id's output, ascending. Output
+// pins are not included; use OutputCount for net degree. The result is
+// cached until the DAG is mutated and must not be modified.
 func (d *DAG) Fanouts(id int) []int {
-	if d.fanouts == nil {
+	if d.foOff == nil {
 		d.rebuildFanouts()
 	}
-	return d.fanouts[id]
+	lo, hi := d.foOff[id], d.foOff[id+1]
+	return d.foAll[lo:hi:hi]
 }
 
 // PrecomputeFanouts builds the fanout cache eagerly. Concurrent
@@ -234,37 +239,34 @@ func (d *DAG) Fanouts(id int) []int {
 // read-only DAG) must not race on the lazy rebuild inside Fanouts, so
 // parallel sections call this once before fanning out.
 func (d *DAG) PrecomputeFanouts() {
-	if d.fanouts == nil {
+	if d.foOff == nil {
 		d.rebuildFanouts()
 	}
 }
 
-// rebuildFanouts lists each gate's readers in ascending order. Every
-// list is a window of one backing array, sized by a counting pass, so
-// the rebuild makes three allocations however many gates drive.
+// rebuildFanouts lists each gate's readers in ascending order, as
+// offsets into one array: a counting pass sizes the lists, a second
+// pass fills them.
 func (d *DAG) rebuildFanouts() {
-	count := make([]int, len(d.gates))
-	total := 0
+	n := len(d.gates)
+	off := make([]int32, n+1)
 	for i := range d.gates {
 		for _, fi := range d.Fanins(i) {
-			count[fi]++
-			total++
+			off[fi+1]++
 		}
 	}
-	all := make([]int, total)
-	d.fanouts = make([][]int, len(d.gates))
-	start := 0
-	for g, c := range count {
-		if c > 0 {
-			d.fanouts[g] = all[start : start : start+c]
-			start += c
-		}
+	for g := 0; g < n; g++ {
+		off[g+1] += off[g]
 	}
+	all := make([]int, off[n])
+	next := slices.Clone(off[:n])
 	for i := range d.gates {
 		for _, fi := range d.Fanins(i) {
-			d.fanouts[fi] = append(d.fanouts[fi], i)
+			all[next[fi]] = i
+			next[fi]++
 		}
 	}
+	d.foOff, d.foAll = off, all
 }
 
 // TopoOrder returns all gate IDs in topological order (fanins first).

@@ -1,12 +1,15 @@
 package subject
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Clone returns an independent deep copy of the DAG. The copy shares
-// no mutable state with the original: gates, PI and output lists, and
-// the structural-hash table are all duplicated, and the fanout cache
-// starts stale. ECO edits mutate a clone so the original can keep
-// serving concurrent readers.
+// no mutable state with the original: gates, PI and output lists, the
+// structural-hash table and a built fanout cache are all duplicated.
+// ECO edits mutate a clone so the original can keep serving concurrent
+// readers.
 func (d *DAG) Clone() *DAG {
 	cp := &DAG{
 		gates:   append([]Gate(nil), d.gates...),
@@ -22,6 +25,9 @@ func (d *DAG) Clone() *DAG {
 		for k, v := range d.replicaOf {
 			cp.replicaOf[k] = v
 		}
+	}
+	if d.foOff != nil {
+		cp.foOff, cp.foAll = slices.Clone(d.foOff), slices.Clone(d.foAll)
 	}
 	return cp
 }
@@ -65,8 +71,40 @@ func (d *DAG) SetGate(id int, t GateType, in [2]int) error {
 	}
 	g := Gate{ID: id, Type: t, In: [2]int{-1, -1}}
 	copy(g.In[:n], in[:n])
+	old := d.gates[id]
 	d.gates[id] = g
 	d.hash = make(map[[3]int]int)
-	d.fanouts = nil
+	if d.foOff != nil {
+		// Patch the fanout cache: id stops reading its old fanins and
+		// starts reading its new ones.
+		for _, fi := range old.In[:old.Type.NumInputs()] {
+			d.moveReader(fi, id, false)
+		}
+		for _, fi := range g.In[:n] {
+			d.moveReader(fi, id, true)
+		}
+	}
 	return nil
+}
+
+// moveReader inserts reader r into gate g's fanout list (add) or
+// removes it, keeping the list ascending and shifting the lists after
+// g's.
+func (d *DAG) moveReader(g, r int, add bool) {
+	lo, hi := d.foOff[g], d.foOff[g+1]
+	at, found := slices.BinarySearch(d.foAll[lo:hi], r)
+	p := int(lo) + at
+	delta := int32(1)
+	if add {
+		d.foAll = slices.Insert(d.foAll, p, r)
+	} else {
+		if !found {
+			return
+		}
+		d.foAll = slices.Delete(d.foAll, p, p+1)
+		delta = -1
+	}
+	for i := g + 1; i < len(d.foOff); i++ {
+		d.foOff[i] += delta
+	}
 }

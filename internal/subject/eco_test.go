@@ -1,0 +1,72 @@
+package subject
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// readers lists, by scanning every gate's fanins, the gates reading
+// each gate, ascending: what Fanouts must return.
+func readers(d *DAG) [][]int {
+	out := make([][]int, d.NumGates())
+	for i := 0; i < d.NumGates(); i++ {
+		for _, fi := range d.Fanins(i) {
+			out[fi] = append(out[fi], i)
+		}
+	}
+	return out
+}
+
+// TestSetGatePatchesClonedFanouts: a clone carries its original's
+// fanout cache, SetGate patches it in place, and the patched cache
+// lists exactly the readers of the edited DAG while the original's
+// stays as it was.
+func TestSetGatePatchesClonedFanouts(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	d := New()
+	ids := []int{d.AddPI("a"), d.AddPI("b"), d.AddPI("c")}
+	for len(ids) < 120 {
+		a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+		if rng.Intn(3) == 0 {
+			ids = append(ids, d.AddInv(a))
+		} else if a != b {
+			ids = append(ids, d.AddNand2(a, b))
+		}
+	}
+	d.AddOutput("o", ids[len(ids)-1])
+	d.PrecomputeFanouts()
+	want := readers(d)
+	cur := d
+	for step := 0; step < 40; step++ {
+		next := cur.Clone()
+		for e := 0; e < 1+rng.Intn(3); e++ {
+			g := rng.Intn(next.NumGates())
+			if t := next.Gate(g).Type; (t != Nand2 && t != Inv) || g < 2 {
+				continue
+			}
+			a, b := rng.Intn(g), rng.Intn(g)
+			var err error
+			if a == b {
+				err = next.SetGate(g, Inv, [2]int{a, -1})
+			} else {
+				err = next.SetGate(g, Nand2, [2]int{a, b})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g, rs := range readers(next) {
+			if got := next.Fanouts(g); !slices.Equal(got, rs) {
+				t.Fatalf("step %d: gate %d fanouts %v, readers %v", step, g, got, rs)
+			}
+		}
+		cur = next
+	}
+	for g := range want {
+		if got := d.Fanouts(g); !slices.Equal(got, want[g]) {
+			t.Fatalf("original gate %d fanouts %v changed from %v", g, got, want[g])
+		}
+	}
+}
