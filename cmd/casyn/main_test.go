@@ -10,6 +10,7 @@ import (
 
 	"casyn"
 	"casyn/internal/bench"
+	"casyn/internal/logic"
 	"casyn/internal/obs"
 	"casyn/internal/subject"
 )
@@ -194,6 +195,24 @@ func TestAdaptiveComposes(t *testing.T) {
 		t.Errorf("-adaptive -dies 2 report differs from the library:\n%s\nwant:\n%s", out, want)
 	}
 
+	edits := nudgeEdits(t, p)
+	code, out, errb = runCLI(t, "-bench", "spla", "-scale", "0.1", "-die", "12281", "-adaptive", "-eco", edits)
+	if code != exitOK {
+		t.Fatalf("-adaptive -eco: exit %d: %s", code, errb)
+	}
+	base, eco, ok := strings.Cut(out, "\n--- after ECO ---\n")
+	if !ok || !strings.Contains(eco, "routed wirelength:") {
+		t.Fatalf("-adaptive -eco printed no ECO report:\n%s", out)
+	}
+	if want := report(casyn.Options{Adaptive: true, DieArea: 12281}); base != want {
+		t.Errorf("-adaptive -eco base report differs from the library:\n%s\nwant:\n%s", base, want)
+	}
+}
+
+// nudgeEdits writes an edit-set file that nudges p's first live NAND2
+// or inverter gate, and returns its path.
+func nudgeEdits(t *testing.T, p *logic.PLA) string {
+	t.Helper()
 	dag, err := casyn.SubjectFor(context.Background(), p, casyn.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -209,15 +228,46 @@ func TestAdaptiveComposes(t *testing.T) {
 	if err := os.WriteFile(edits, []byte(fmt.Sprintf(`{"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]}`, gate)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, out, errb = runCLI(t, "-bench", "spla", "-scale", "0.1", "-die", "12281", "-adaptive", "-eco", edits)
-	if code != exitOK {
-		t.Fatalf("-adaptive -eco: exit %d: %s", code, errb)
+	return edits
+}
+
+// TestAdaptiveFastECOReroutesIncrementally: -adaptive -eco -eco-fast
+// chains from the loop's accepted state, routing state included, so
+// the edit reroutes incrementally (nets kept, no full reroute), and the
+// output is the same at 1 and 4 workers.
+func TestAdaptiveFastECOReroutesIncrementally(t *testing.T) {
+	p, err := bench.Generate(bench.SPLA.ScaledSpec(0.1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	base, eco, ok := strings.Cut(out, "\n--- after ECO ---\n")
-	if !ok || !strings.Contains(eco, "routed wirelength:") {
-		t.Fatalf("-adaptive -eco printed no ECO report:\n%s", out)
+	edits := nudgeEdits(t, p)
+	var outs []string
+	for _, workers := range []string{"1", "4"} {
+		path := filepath.Join(t.TempDir(), "metrics.jsonl")
+		code, out, errb := runCLI(t, "-bench", "spla", "-scale", "0.1", "-die", "12281", "-adaptive",
+			"-eco", edits, "-eco-fast", "-workers", workers, "-metrics", path)
+		if code != exitOK {
+			t.Fatalf("workers=%s: exit %d: %s", workers, code, errb)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := obs.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := snap.Counters; c["eco.route_nets_kept"] == 0 || c["eco.route_full"] != 0 {
+			t.Errorf("workers=%s: route_nets_kept=%d route_full=%d, want an incremental reroute",
+				workers, c["eco.route_nets_kept"], c["eco.route_full"])
+		}
+		// The reports match up to the wall-clock line, which names the
+		// worker count.
+		report, _, _ := strings.Cut(out, "wall-clock:")
+		outs = append(outs, report)
 	}
-	if want := report(casyn.Options{Adaptive: true, DieArea: 12281}); base != want {
-		t.Errorf("-adaptive -eco base report differs from the library:\n%s\nwant:\n%s", base, want)
+	if outs[0] != outs[1] {
+		t.Errorf("reports differ between 1 and 4 workers:\n%s\nvs\n%s", outs[0], outs[1])
 	}
 }

@@ -112,8 +112,8 @@ type AdaptiveResult struct {
 	// State is the ECO state of the accepted iteration (BestIndex), so
 	// an ECO chains from the design the loop reported: its cover
 	// carries the K-field it was covered under, which RunECO re-covers
-	// the dirtied trees with, and its K is BaseK. It holds no routing
-	// state, so the first fast-mode edit routes in full.
+	// the dirtied trees with, and its K is BaseK. Its routing state
+	// lets a fast-mode edit reroute incrementally from the first edit.
 	State *ECOState
 }
 

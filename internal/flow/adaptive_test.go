@@ -17,6 +17,7 @@ import (
 
 	"casyn/internal/bench"
 	"casyn/internal/mapper"
+	"casyn/internal/obs"
 	"casyn/internal/verify"
 )
 
@@ -256,8 +257,10 @@ func TestAdaptiveBaselineMatchesStateful(t *testing.T) {
 // reference, a uniform full cover of the edited design followed by a
 // field re-cover with every tree dirty, placed and routed the same
 // way, at 1 and 4 workers. On some edit the field changes the netlist,
-// so the chain is not a fixed-K rerun. A fast-mode chain from the same
-// state stays equivalent to its edited subject.
+// so the chain is not a fixed-K rerun. The state carries the accepted
+// iteration's routing, so a fast-mode chain from it reroutes
+// incrementally from its first edit; it stays equivalent to its edited
+// subject and byte-identical at 1 and 4 workers.
 func TestAdaptiveECOChain(t *testing.T) {
 	fieldMatters := 0
 	for _, tc := range adaptiveCases {
@@ -277,8 +280,8 @@ func TestAdaptiveECOChain(t *testing.T) {
 				t.Fatalf("%s: accepted iteration %d of %d carries field %v", tag, ares.BestIndex, len(ares.Iterations), field != nil)
 			}
 			st := ares.State
-			if st.K != 0.001 || st.Route != nil {
-				t.Fatalf("%s: state K=%g route=%v, want the baseline K and no routing state", tag, st.K, st.Route != nil)
+			if st.K != 0.001 || st.Route == nil {
+				t.Fatalf("%s: state K=%g route=%v, want the baseline K and a routing state", tag, st.K, st.Route != nil)
 			}
 			rng := rand.New(rand.NewSource(11))
 			for i := 0; i < 3; i++ {
@@ -321,27 +324,41 @@ func TestAdaptiveECOChain(t *testing.T) {
 		t.Fatal("no accepted K-field changed an ECO; the chain is indistinguishable from a fixed-K rerun")
 	}
 
-	pc, cfg := adaptiveCases[0].prepare(t)
-	cfg.FastECORoute = true
-	ctx := context.Background()
-	ares, err := RunAdaptive(ctx, pc, cfg, AdaptiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, rng := ares.State, rand.New(rand.NewSource(5))
-	for i := 0; i < 3; i++ {
-		it, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
-		if err != nil {
-			t.Fatalf("fast edit %d: %v", i, err)
-		}
-		rep, err := verify.Equivalent(ctx, next.Prep.DAG(), it.Netlist, verify.Options{})
+	fastChain := func(workers int) []Iteration {
+		pc, cfg := adaptiveCases[0].prepare(t)
+		cfg.FastECORoute = true
+		cfg.Workers = workers
+		ctx := obs.WithRecorder(context.Background(), obs.New())
+		ares, err := RunAdaptive(ctx, pc, cfg, AdaptiveConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Equivalent {
-			t.Fatalf("fast edit %d: netlist differs from its edited subject: %s", i, rep)
+		var out []Iteration
+		st, rng := ares.State, rand.New(rand.NewSource(5))
+		for i := 0; i < 3; i++ {
+			it, next, err := RunECO(ctx, pc, st, mapper.RandomEdits(st.Prep, rng, 1), cfg)
+			if err != nil {
+				t.Fatalf("workers=%d fast edit %d: %v", workers, i, err)
+			}
+			if c := it.Metrics.Events.Counters; c["eco.route_nets_kept"] == 0 || c["eco.route_full"] != 0 {
+				t.Errorf("workers=%d fast edit %d: route_nets_kept=%d route_full=%d, want an incremental reroute",
+					workers, i, c["eco.route_nets_kept"], c["eco.route_full"])
+			}
+			rep, err := verify.Equivalent(ctx, next.Prep.DAG(), it.Netlist, verify.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Equivalent {
+				t.Fatalf("workers=%d fast edit %d: netlist differs from its edited subject: %s", workers, i, rep)
+			}
+			out = append(out, it)
+			st = next
 		}
-		st = next
+		return out
+	}
+	serial, parallel := fastChain(1), fastChain(4)
+	for i := range serial {
+		sameIteration(t, fmt.Sprintf("fast edit %d", i), serial[i], parallel[i])
 	}
 }
 

@@ -45,8 +45,7 @@ type ECOState struct {
 	// identities fast-mode ECO aligns the next netlist's cells and
 	// nets with: a cell's root subject gate (mapper.Result.InstGate)
 	// and the subject gate driving a net's signal. Edits rewrite gates
-	// in place, so the keys survive them. NetKeys is set only on
-	// states RunStateful and RunECO return.
+	// in place, so the keys survive them.
 	Widths   []float64
 	CellKeys []int
 	NetKeys  []int
@@ -65,7 +64,7 @@ func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Itera
 		return Iteration{K: k, Err: err, Skipped: true}, nil, err
 	}
 	cfg.FreshPlacement = false
-	it, st, _, err := iterate(ctx, pc, cfg, k, iterIn{capture: true})
+	it, st, _, err := iterate(ctx, pc, cfg, k, iterIn{})
 	return it, st, err
 }
 
@@ -123,6 +122,6 @@ func RunECO(ctx context.Context, pc *Context, st *ECOState, edits mapper.EditSet
 		err := fmt.Errorf("flow: ECO state was prepared with a different method or library")
 		return Iteration{K: st.K, Err: err, Skipped: true}, nil, err
 	}
-	it, next, _, err := iterate(ctx, pc, cfg, st.K, iterIn{prev: st, edits: edits, capture: true})
+	it, next, _, err := iterate(ctx, pc, cfg, st.K, iterIn{prev: st, edits: edits})
 	return it, next, err
 }

@@ -289,9 +289,13 @@ type Iteration struct {
 	NumCells        int
 	DuplicatedCells int
 	Utilization     float64 // fraction of die area
-	Violations      int
+	// Violations is the total track overflow of the routed grid
+	// (route.Result.Violations), rounded to whole tracks. The tables'
+	// "routing violations" column is FailedConnections, not this.
+	Violations int
 	// FailedConnections counts two-pin route segments through
-	// over-capacity edges — the detailed-router-violation analogue.
+	// over-capacity edges — the detailed-router-violation analogue the
+	// tables, the CLI and casynd print as "routing violations".
 	FailedConnections int
 	MaxCongestion     float64
 	WireLength        float64 // routed, µm
@@ -388,22 +392,27 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 	pc.DAG.PrecomputeFanouts()
 
 	// Under StopAtFirstRoutable, a completed routable iteration lowers
-	// the claim cutoff and cancels every higher-K iteration already in
-	// flight; their slots are never examined, because assembly stops at
-	// the routable K first.
+	// the cutoff and cancels every higher-K iteration already in
+	// flight; indices past the cutoff are skipped, and their slots are
+	// never examined, because assembly stops at the routable K first.
+	// par dispatches in ascending index order and stops dispatching on
+	// parent cancellation, which assembly reports, so its error carries
+	// nothing more.
 	var mu sync.Mutex
-	next, cutoff := 0, n
-	claim := func() int {
+	cutoff := n
+	_ = par.ForEach(ctx, cfg.Workers, n, func(i int) error {
 		mu.Lock()
-		defer mu.Unlock()
-		if next >= cutoff || ctx.Err() != nil {
-			return -1
+		skip := i >= cutoff
+		mu.Unlock()
+		if skip {
+			return nil
 		}
-		i := next
-		next++
-		return i
-	}
-	complete := func(i int, it Iteration, err error) {
+		itCtx, cancel := ctxs[i], context.CancelFunc(func() {})
+		if cfg.IterationTimeout > 0 {
+			itCtx, cancel = context.WithTimeout(itCtx, cfg.IterationTimeout)
+		}
+		it, err := RunOnce(itCtx, pc, cfg.KSchedule[i], cfg)
+		cancel()
 		mu.Lock()
 		defer mu.Unlock()
 		slots[i] = slot{it: it, err: err, done: true}
@@ -413,28 +422,8 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 				cancels[j]()
 			}
 		}
-	}
-	var wg sync.WaitGroup
-	for w := par.Workers(cfg.Workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				itCtx, cancel := ctxs[i], context.CancelFunc(func() {})
-				if cfg.IterationTimeout > 0 {
-					itCtx, cancel = context.WithTimeout(itCtx, cfg.IterationTimeout)
-				}
-				it, err := RunOnce(itCtx, pc, cfg.KSchedule[i], cfg)
-				cancel()
-				complete(i, it, err)
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 
 	res := &Result{BestIndex: -1}
 	var failures []error
@@ -536,13 +525,11 @@ func withPrefix(ctx context.Context, pc *Context, cfg Config) (*Context, error) 
 	return &run, nil
 }
 
-// iterIn selects how one iteration maps and what it keeps. The zero
-// value is a full cover against pc's prefix. prev/edits make it an ECO
-// iteration (invalidate, then re-cover the dirtied trees against
-// prev); fieldPrev/field/fieldDirty a K-field delta that re-covers
-// fieldDirty trees against fieldPrev (adaptive.go). capture keeps the
-// routing state an ECOState needs; only the entry points that return
-// one set it, because the capture costs a pass over every routed net.
+// iterIn selects how one iteration maps. The zero value is a full
+// cover against pc's prefix. prev/edits make it an ECO iteration
+// (invalidate, then re-cover the dirtied trees against prev);
+// fieldPrev/field/fieldDirty a K-field delta that re-covers fieldDirty
+// trees against fieldPrev (adaptive.go).
 type iterIn struct {
 	prev  *ECOState
 	edits mapper.EditSet
@@ -550,16 +537,13 @@ type iterIn struct {
 	field      *cover.KField
 	fieldPrev  *mapper.CoverState
 	fieldDirty []bool
-
-	capture bool
 }
 
 // iterate is the one iteration body behind every entry point: map,
 // verify, place, route (with multi-die admission), and time, each
-// stage under runstage.Run. It returns the iteration row, the state
-// the next ECO or K-field delta chains from (Route set only with
-// in.capture), and the routing result. The state and result are nil
-// on error.
+// stage under runstage.Run. It returns the iteration row, the complete
+// state the next ECO or K-field delta chains from, and the routing
+// result. The state and result are nil on error.
 func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn) (it Iteration, st *ECOState, routed *route.Result, err error) {
 	cfg.defaults()
 	it = Iteration{K: k}
@@ -684,13 +668,10 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 	if err != nil {
 		return it, nil, nil, err
 	}
-	var netKeys []int
-	if in.capture {
-		netKeys = make([]int, len(pn.Cells.Nets))
-		for s, ni := range pn.SigNet {
-			if ni >= 0 {
-				netKeys[ni] = mres.SigGate[s]
-			}
+	netKeys := make([]int, len(pn.Cells.Nets))
+	for s, ni := range pn.SigNet {
+		if ni >= 0 {
+			netKeys[ni] = mres.SigGate[s]
 		}
 	}
 
@@ -709,14 +690,11 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		func(ctx context.Context) (routeOut, error) {
 			var o routeOut
 			var err error
-			switch {
-			case fastECO && in.prev.Route != nil:
+			if fastECO {
 				oldNet := alignKeys(in.prev.NetKeys, netKeys)
 				o.res, o.st, err = route.RouteECO(ctx, in.prev.Route, pn.Cells, pl, oldNet)
-			case in.capture:
+			} else {
 				o.res, o.st, err = route.RouteNetlistState(ctx, pn.Cells, pl, cfg.Layout, ropts)
-			default:
-				o.res, err = route.RouteNetlist(ctx, pn.Cells, pl, cfg.Layout, ropts)
 			}
 			return o, err
 		})

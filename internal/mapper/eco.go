@@ -206,25 +206,32 @@ func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *Cove
 	return mapCover(ctx, prep, k, nil, nil, nil, nil, "map.cover_only")
 }
 
-// MapECO maps the invalidated context at K. When prev carries a cover
-// of the parent Prepared at the same K, it re-covers under prev's
-// K-field at the solution level: in the trees Invalidate marked dirty,
-// the DP re-solves the re-enumerated gates and, transitively, the
-// gates within the deepest pattern's height above a re-solved gate
-// whose DP terms changed; every other solution carries over
-// (cover.CoverDelta). The result is byte-identical to a full cover of
-// the successor under that field. With no usable prev (nil, different
-// K, or different lineage) it falls back to a full cover under the
-// uniform field, counted on "eco.cover_full". Either way the returned
-// CoverState chains further ECOs.
+// MapECO maps the invalidated context at K. When prev is a cover of
+// the parent Prepared at the same K, it re-covers under prev's K-field
+// at the solution level: in the trees Invalidate marked dirty, the DP
+// re-solves the re-enumerated gates and, transitively, the gates
+// within the deepest pattern's height above a re-solved gate whose DP
+// terms changed; every other solution carries over (cover.CoverDelta).
+// The result is byte-identical to a full cover of the successor under
+// that field. A nil prev asks for a full cover under the uniform
+// field, counted on "eco.cover_full". A prev at another K or of
+// another lineage is an error: re-covering it in full would silently
+// drop its K-field. Either way the returned CoverState chains further
+// ECOs.
 func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, *CoverState, error) {
 	if e == nil || e.Prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil ECO")
 	}
 	rec := obs.From(ctx)
-	if prev == nil || prev.k != k || prev.prep != e.parent {
+	if prev == nil {
 		rec.Add("eco.cover_full", 1)
 		return MapStateful(ctx, &e.Prep.Prepared, k)
+	}
+	if prev.k != k {
+		return nil, nil, fmt.Errorf("mapper: ECO at K=%g against a K=%g cover", k, prev.k)
+	}
+	if prev.prep != e.parent {
+		return nil, nil, fmt.Errorf("mapper: ECO against a cover of another Prepared")
 	}
 	rec.Add("eco.cover_delta", 1)
 	rb := e.Prep.rebuild

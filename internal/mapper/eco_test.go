@@ -183,6 +183,41 @@ func TestMapECOUnderField(t *testing.T) {
 	}
 }
 
+// TestMapECORefusesForeignCover: a field cover used as prev at another
+// K, or from another lineage, is an error — re-covering in full would
+// silently drop its K-field — and records no cover.
+func TestMapECORefusesForeignCover(t *testing.T) {
+	t.Parallel()
+	const k = 1
+	d, in := placedCircuit(t, exampleCircuits(t)[0])
+	rec := obs.New()
+	ctx := obs.WithRecorder(context.Background(), rec)
+	prep, err := Prepare(ctx, d, in, Options{Lib: library.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Prepare(ctx, d, in, Options{Lib: library.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fieldCov := mapUnderField(t, ctx, prep, k, checkerField(t, in.Pos))
+	_, foreignCov := mapUnderField(t, ctx, other, k, checkerField(t, in.Pos))
+	eco, err := prep.Invalidate(ctx, RandomEdits(prep, rand.New(rand.NewSource(3)), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := MapECO(ctx, eco, fieldCov, k/2); err == nil {
+		t.Error("MapECO accepted a field cover at another K")
+	}
+	if _, _, err := MapECO(ctx, eco, foreignCov, k); err == nil {
+		t.Error("MapECO accepted a field cover of another Prepared")
+	}
+	c := rec.Snapshot().Counters
+	if c["eco.cover_full"] != 0 || c["eco.cover_delta"] != 0 {
+		t.Errorf("refused ECOs counted covers: full=%d delta=%d", c["eco.cover_full"], c["eco.cover_delta"])
+	}
+}
+
 // checkerField returns a K-field over the bounding box of pos whose
 // 4×4 cells alternate between multipliers 1 and 50.
 func checkerField(t *testing.T, pos []geom.Point) *cover.KField {

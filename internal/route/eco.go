@@ -222,8 +222,9 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	}
 	gridSpan.End(nil)
 	if g.NX != st.grid.NX || g.NY != st.grid.NY {
-		rec.Add("eco.route_full", 1)
-		return RouteNetlistState(ctx, nl, pl, st.layout, st.opts)
+		// The grid derives from st.layout and st.opts alone, so its
+		// size cannot change between the routings.
+		return nil, nil, fmt.Errorf("route: ECO grid %dx%d, previous grid %dx%d", g.NX, g.NY, st.grid.NX, st.grid.NY)
 	}
 
 	// New nets and nets whose terminals changed are ripped directly;
@@ -571,7 +572,6 @@ func (g *Grid) copyUsageFrom(o *Grid) {
 		copy(g.usageH[y], o.usageH[y])
 		copy(g.usageV[y], o.usageV[y])
 	}
-	g.congDirty.Store(true)
 }
 
 // collect assembles st's Result from its settled grid and segments —

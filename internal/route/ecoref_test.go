@@ -202,7 +202,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 	if err != nil {
 		return nil, nil, err
 	}
-	res := collectResult(g, nl, segs, rounds, nil, nil)
+	res := collectResult(g, nl, segs, rounds, make([]float64, len(segs)), make([]bool, len(segs)))
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, res)
 	}

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"casyn/internal/geom"
 	"casyn/internal/place"
@@ -107,16 +105,6 @@ type Grid struct {
 	// the edges crossing die-region boundaries — the auto inter-die
 	// pin budget. Zero unless Options.Regions held > 1 region.
 	CrossRegionCapacity float64
-
-	// Congestion-map cache: congMap is the last map computed by
-	// CongestionMap, valid while congDirty is false. Every usage write
-	// funnels through addUsage, which marks the cache dirty; the flag
-	// is atomic because rip-up negotiation calls addUsage concurrently
-	// from disjoint-region workers. congMu serializes recomputation so
-	// concurrent readers share one map.
-	congDirty atomic.Bool
-	congMu    sync.Mutex
-	congMap   [][]float64
 }
 
 // NewGrid builds the routing grid for a layout. cellDensity, if
@@ -247,16 +235,13 @@ type edge struct {
 	horizontal bool
 }
 
-// addUsage adjusts an edge's occupancy by delta tracks. It is the
-// single usage-write chokepoint, so it also invalidates the cached
-// congestion map.
+// addUsage adjusts an edge's occupancy by delta tracks.
 func (g *Grid) addUsage(e edge, delta float64) {
 	if e.horizontal {
 		g.usageH[e.y][e.x] += delta
 	} else {
 		g.usageV[e.y][e.x] += delta
 	}
-	g.congDirty.Store(true)
 }
 
 // overflowOf returns the edge's overflow in tracks.
@@ -286,24 +271,11 @@ func (g *Grid) TotalOverflow() int {
 
 // CongestionMap returns, per gcell, the maximum of the adjacent edges'
 // usage/capacity ratios — the congestion map the methodology inspects.
-// The map is cached on the grid and invalidated by every usage write
-// (addUsage), so repeated calls between routing passes are free; each
-// recomputation builds a fresh slice, so a previously returned map
-// stays a consistent snapshot of the usage it was computed from and
-// callers must not mutate it. Safe to call concurrently with other
-// CongestionMap calls. Usage writes must be ordered before the read
-// (the router only reads between negotiation rounds); the dirty flag
-// is atomic so invalidations from concurrent disjoint-region workers
-// are never lost, not to license reading mid-write.
+// Every call computes a fresh map from the current usage, so a
+// returned map is a snapshot the caller owns. It only reads the grid:
+// concurrent calls are safe, but usage writes must be ordered before
+// it (its callers read after routing ends).
 func (g *Grid) CongestionMap() [][]float64 {
-	g.congMu.Lock()
-	defer g.congMu.Unlock()
-	if g.congMap != nil && !g.congDirty.Load() {
-		return g.congMap
-	}
-	// Clear before reading usage: a concurrent addUsage after this
-	// point re-dirties the flag and forces the next call to recompute.
-	g.congDirty.Store(false)
 	m := make([][]float64, g.NY)
 	for y := range m {
 		m[y] = make([]float64, g.NX)
@@ -329,7 +301,6 @@ func (g *Grid) CongestionMap() [][]float64 {
 			m[y][x] = r
 		}
 	}
-	g.congMap = m
 	return m
 }
 

@@ -59,14 +59,16 @@ func (c *cancelChecker) tick() error {
 // Result is a completed global routing.
 type Result struct {
 	Grid *Grid
-	// Violations is the total track overflow (the "routing violations"
-	// column of the paper's tables).
+	// Violations is the total track overflow: usage above capacity,
+	// summed over every edge and rounded to whole tracks. The "routing
+	// violations" column of the paper's tables is FailedConnections.
 	Violations int
 	// OverflowEdges counts distinct over-capacity edges.
 	OverflowEdges int
 	// FailedConnections counts two-pin route segments whose final path
 	// crosses at least one over-capacity edge — the closest analogue
-	// of a detailed router's unroutable-connection count.
+	// of a detailed router's unroutable-connection count, and what the
+	// tables print as "routing violations".
 	FailedConnections int
 	// WireLength is the total routed wirelength in µm.
 	WireLength float64
@@ -82,8 +84,9 @@ type Result struct {
 	CrossRegionNets int
 }
 
-// Routable reports whether the layout routed without violations: no
-// connection crosses an over-capacity edge.
+// Routable reports whether the layout routed cleanly: no connection
+// crosses an over-capacity edge (FailedConnections == 0) and no edge
+// carries overflow (Violations == 0).
 func (r *Result) Routable() bool { return r.FailedConnections == 0 && r.Violations == 0 }
 
 // twoPin is one routed two-pin segment of a net's spanning tree.
@@ -93,9 +96,9 @@ type twoPin struct {
 	path []edge
 }
 
-// RouteNetlist globally routes the placed netlist. Pads participate as
-// ordinary terminals. The cell-density capacity derate is computed
-// from the placement itself.
+// RouteNetlist globally routes the placed netlist: RouteNetlistState
+// with the State dropped. Pads participate as ordinary terminals. The
+// cell-density capacity derate is computed from the placement itself.
 //
 // Cancellation is cooperative: the initial pattern-routing sweep and
 // every rip-up/reroute round check ctx periodically (every
@@ -106,18 +109,14 @@ type twoPin struct {
 // across opts.Workers goroutines; results are byte-identical for every
 // worker count (see the package comment in regions.go for why).
 func RouteNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, layout place.Layout, opts Options) (*Result, error) {
-	res, _, err := routeNetlist(ctx, nl, pl, layout, opts, false)
+	res, _, err := RouteNetlistState(ctx, nl, pl, layout, opts)
 	return res, err
 }
 
-// RouteNetlistState is RouteNetlist plus a captured State for
-// incremental ECO rerouting (RouteECO). The Result is byte-identical
-// to RouteNetlist's — capture only records, it never alters routing.
+// RouteNetlistState routes the placed netlist and returns, with the
+// Result, the State an incremental ECO reroute (RouteECO) resumes
+// from. Recording the State never alters the routing.
 func RouteNetlistState(ctx context.Context, nl *place.Netlist, pl *place.Placement, layout place.Layout, opts Options) (*Result, *State, error) {
-	return routeNetlist(ctx, nl, pl, layout, opts, true)
-}
-
-func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, layout place.Layout, opts Options, capture bool) (*Result, *State, error) {
 	if len(pl.Pos) != nl.NumCells() {
 		return nil, nil, fmt.Errorf("route: placement for %d cells, netlist has %d", len(pl.Pos), nl.NumCells())
 	}
@@ -163,17 +162,12 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 	rec := obs.From(ctx)
 	_, decSpan := rec.StartSpan(ctx, "route.decompose")
 	var segs []twoPin
-	var terms netTerminals
-	if capture {
-		terms = newNetTerminals(nl)
-	}
+	terms := newNetTerminals(nl)
 	var ptsBuf [][2]int
 	for ni := range nl.Nets {
 		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
 		ptsBuf = pts
-		if capture {
-			terms.add(pts)
-		}
+		terms.add(pts)
 		if len(pts) < 2 {
 			continue
 		}
@@ -183,12 +177,7 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 	}
 	// Longer segments first: they have the least routing flexibility.
 	sorted, slots := sortSegs(segs)
-	var segsOfNet [][]int
-	var netTerms [][][2]int
-	if capture {
-		segsOfNet = netSlots(segs, slots, len(nl.Nets))
-		netTerms = terms.perNet()
-	}
+	segsOfNet := netSlots(segs, slots, len(nl.Nets))
 	segs = sorted
 	decSpan.End(nil)
 
@@ -215,22 +204,14 @@ func routeNetlist(ctx context.Context, nl *place.Netlist, pl *place.Placement, l
 		return nil, nil, err
 	}
 
-	var segLen []float64
-	var segFailed []bool
-	if capture {
-		segLen, segFailed = make([]float64, len(segs)), make([]bool, len(segs))
-	}
-	res := collectResult(g, nl, segs, rounds, segLen, segFailed)
-	res.CrossRegionNets = crossRegion
+	st := &State{layout: layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: terms.perNet(),
+		segLen: make([]float64, len(segs)), segFailed: make([]bool, len(segs)), nl: nl, cellGCell: cellGCells(g, pl)}
+	st.res = collectResult(g, nl, segs, rounds, st.segLen, st.segFailed)
+	st.res.CrossRegionNets = crossRegion
 	if rec != nil {
-		recordRouteMetrics(rec, nl, pl, g, res)
+		recordRouteMetrics(rec, nl, pl, g, st.res)
 	}
-	var st *State
-	if capture {
-		st = &State{layout: layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: netTerms,
-			segLen: segLen, segFailed: segFailed, nl: nl, cellGCell: cellGCells(g, pl), res: res}
-	}
-	return res, st, nil
+	return st.res, st, nil
 }
 
 // sortSegs returns segs in the canonical global routing order shared
@@ -306,16 +287,13 @@ func (r *router) firstPass(ctx context.Context, segs []twoPin, route []bool) err
 }
 
 // collectResult assembles a Result from the settled grid and segment
-// paths. When segLen and failed are non-nil, they receive each
-// segment's routed length and whether its path crosses an
-// over-capacity edge.
+// paths. segLen and failed receive each segment's routed length and
+// whether its path crosses an over-capacity edge.
 func collectResult(g *Grid, nl *place.Netlist, segs []twoPin, rounds int, segLen []float64, failed []bool) *Result {
 	res := &Result{Grid: g, NetLength: make([]float64, len(nl.Nets)), RipupRounds: rounds}
 	for i := range segs {
 		l, f := pathStats(g, segs[i].path)
-		if segLen != nil {
-			segLen[i], failed[i] = l, f
-		}
+		segLen[i], failed[i] = l, f
 		if f {
 			res.FailedConnections++
 		}

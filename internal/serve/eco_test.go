@@ -338,3 +338,76 @@ func TestEcoAdaptiveParentMatchesLibrary(t *testing.T) {
 		t.Error("adaptive-parent eco verilog differs from RunECO on the loop's accepted state")
 	}
 }
+
+// TestEcoFastAdaptiveParentReroutesIncrementally: a fast ECO against an
+// adaptive parent chains from the accepted iteration's routing state,
+// so it reroutes incrementally (nets kept, no full reroute) and its
+// Verilog equals fast flow.RunECO applied to RunAdaptive(...).State.
+func TestEcoFastAdaptiveParentReroutesIncrementally(t *testing.T) {
+	const specJSON = `{"bench":"spla","scale":0.1,"die_area":12281,"k_mode":"adaptive"}`
+	spec, err := ParseJobSpec(strings.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.subjectPLA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := spec.options()
+	dag, err := casyn.SubjectFor(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := casyn.LayoutFor(dag, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := casyn.FlowConfig(layout, opts)
+	cfg.FastECORoute = true
+	pc, err := flow.Prepare(ctx, dag, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := flow.RunAdaptive(ctx, pc, cfg, flow.AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := mapper.RandomEdits(ares.State.Prep, rand.New(rand.NewSource(2)), 3)
+	editsJSON, err := json.Marshal(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eit, _, err := flow.RunECO(ctx, pc, ares.State, edits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := eit.Netlist.WriteVerilog(&want, "casyn_top"); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := testServer(t, Config{})
+	resp, m := postJob(t, ts, specJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+	}
+	parent := m["id"].(string)
+	if job := waitTerminal(t, s, parent); job.Status() != StatusDone {
+		t.Fatalf("parent finished %s", job.Status())
+	}
+	r, em := postEco(t, ts, parent, fmt.Sprintf(`{%s,"fast":true,"verilog":true}`, strings.Trim(string(editsJSON), "{}")))
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("eco submit: %d (%v)", r.StatusCode, em)
+	}
+	res, jerr := waitTerminal(t, s, em["id"].(string)).Result()
+	if res == nil {
+		t.Fatalf("eco failed: %+v", jerr)
+	}
+	if c := s.Metrics().Counters; c["eco.route_nets_kept"] == 0 || c["eco.route_full"] != 0 {
+		t.Errorf("route_nets_kept=%d route_full=%d, want an incremental reroute", c["eco.route_nets_kept"], c["eco.route_full"])
+	}
+	if res.Verilog != want.String() {
+		t.Error("fast adaptive-parent eco verilog differs from fast RunECO on the loop's accepted state")
+	}
+}
