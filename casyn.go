@@ -128,9 +128,8 @@ type Result struct {
 	Utilization float64
 	// Violations counts failed routing connections (two-pin segments
 	// through over-capacity edges, the detailed-router-violation
-	// analogue). Routable uses the flow's single routability
-	// definition: zero failed connections AND zero raw track overflow
-	// violations (route.Result.Routable, same as flow.Iteration).
+	// analogue). Routable is Violations == 0, the flow's single
+	// routability definition (route.Result.Routable).
 	Violations int
 	Routable   bool
 	// WireLength is the routed wirelength in µm.

@@ -119,7 +119,7 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 			NumCells:    it.NumCells,
 			Utilization: it.Utilization,
 			Violations:  it.FailedConnections,
-			Overflow:    it.Violations,
+			Overflow:    it.Overflow,
 			Routable:    it.Routable,
 			Failed:      it.Skipped,
 			Err:         it.Err,
@@ -139,7 +139,7 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 			NumCells:      ai.NumCells,
 			Utilization:   ai.Utilization,
 			Violations:    ai.FailedConnections,
-			Overflow:      ai.Violations,
+			Overflow:      ai.Overflow,
 			Routable:      ai.Routable,
 			ChangedCells:  ai.ChangedCells,
 			InflatedCells: ai.InflatedCells,

@@ -182,10 +182,6 @@ type KSweepResult struct {
 	Class  bench.Class
 	Layout place.Layout
 	Rows   []KRow
-	// Context is retained so the STA experiments can reuse the
-	// prepared subject placement and mapped netlists.
-	Context *flow.Context
-	Config  flow.Config
 }
 
 // KSweep reproduces Table 2 (SPLA) or Table 4 (PDC): the full K ladder
@@ -217,12 +213,11 @@ func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) 
 		return nil, err
 	}
 	// One K-invariant mapping prefix (partition + match enumeration)
-	// serves all 14 rungs of the ladder; storing it on the retained
-	// Context lets callers rerun the sweep without re-preparing.
+	// serves all 14 rungs of the ladder.
 	if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
 		return nil, fmt.Errorf("experiments: %s sweep: %w", class, err)
 	}
-	res := &KSweepResult{Class: class, Layout: layout, Context: pc, Config: cfg}
+	res := &KSweepResult{Class: class, Layout: layout}
 	fres, err := flow.Run(ctx, pc, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s sweep: %w", class, err)
@@ -234,7 +229,7 @@ func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) 
 			NumCells:    it.NumCells,
 			Utilization: it.Utilization,
 			Violations:  it.FailedConnections,
-			Overflow:    it.Violations,
+			Overflow:    it.Overflow,
 			Routable:    it.Routable,
 			Failed:      it.Skipped,
 			Err:         it.Err,
@@ -305,7 +300,7 @@ func Table1(ctx context.Context, scale float64) ([]Table1Row, place.Layout, erro
 			NumRows:     layout.NumRows,
 			Utilization: it.Utilization,
 			Violations:  it.FailedConnections,
-			Overflow:    it.Violations,
+			Overflow:    it.Overflow,
 		})
 	}
 	return rows, layout, nil

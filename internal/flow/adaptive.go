@@ -7,8 +7,8 @@ package flow
 // multipliers, cover/kfield.go) only where the smoothed congestion map
 // is over capacity — then re-cover just the partition trees whose
 // territory intersects the inflated windows (mapper.MapFieldDelta) and
-// re-route, iterating until the design routes, the overflow stops
-// improving, or the routed-iteration budget is spent.
+// re-route, iterating until the design routes, the failed connections
+// stop improving, or the routed-iteration budget is spent.
 //
 // Controller law (inflateField): the congestion map is smoothed with a
 // 3×3 box filter (one inflation step reaches one gcell beyond the hot
@@ -98,17 +98,13 @@ type AdaptiveIteration struct {
 type AdaptiveResult struct {
 	Iterations []AdaptiveIteration
 	// BestIndex points at the accepted iteration under the sweep's
-	// rules: first routable, else minimum violations. -1 when none
+	// rule: the first with the fewest failed connections. -1 when none
 	// completed.
 	BestIndex int
-	// Converged reports the loop stopped on its own — routable,
-	// overflow no longer improving, or nothing left above the trigger
-	// — rather than exhausting adaptiveMaxIterations.
+	// Converged reports the loop stopped on its own — routable, failed
+	// connections no longer improving, or nothing left above the
+	// trigger — rather than exhausting adaptiveMaxIterations.
 	Converged bool
-	// Field is the K-field the accepted iteration (BestIndex) was
-	// covered under: nil when that is the uniform baseline, or when no
-	// iteration completed.
-	Field *cover.KField
 	// State is the ECO state of the accepted iteration (BestIndex), so
 	// an ECO chains from the design the loop reported: its cover
 	// carries the K-field it was covered under, which RunECO re-covers
@@ -164,14 +160,14 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 	overflowHist := rec.Histogram("flow.adaptive.overflow", adaptiveOverflowBounds)
 
 	res = &AdaptiveResult{BestIndex: -1}
-	record := func(ai AdaptiveIteration, st *ECOState, field *cover.KField) {
+	record := func(ai AdaptiveIteration, st *ECOState) {
 		MergeMetrics(ctx, ai.Metrics)
 		res.Iterations = append(res.Iterations, ai)
 		rec.Add("flow.adaptive_iterations", 1)
-		overflowHist.Observe(float64(ai.Violations))
+		overflowHist.Observe(float64(ai.Overflow))
 		if beats(&ai.Iteration, res.Best()) {
 			res.BestIndex = len(res.Iterations) - 1
-			res.State, res.Field = st, field
+			res.State = st
 		}
 	}
 
@@ -181,7 +177,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		MergeMetrics(ctx, it.Metrics)
 		return res, fmt.Errorf("flow: adaptive baseline: %w", err)
 	}
-	record(AdaptiveIteration{Iteration: it, MaxMult: 1}, st, nil)
+	record(AdaptiveIteration{Iteration: it, MaxMult: 1}, st)
 
 	grid := routed.Grid
 	field, err := cover.NewKField(grid.Origin, grid.CellW, grid.CellH, grid.NX, grid.NY)
@@ -223,7 +219,7 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		}
 		rec.Add("flow.adaptive.dirty_trees", int64(nDirty))
 
-		prevViolations := last.Violations
+		prevFailed := last.FailedConnections
 		it, stN, routedN, err := iterate(ctx, pc, cfg, acfg.BaseK,
 			iterIn{field: next, fieldPrev: st.Cover, fieldDirty: dirty})
 		if err != nil {
@@ -237,10 +233,11 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 			MaxMult:       next.MaxMult(),
 			DirtyTrees:    nDirty,
 			ReusedTrees:   len(dirty) - nDirty,
-		}, stN, next)
+		}, stN)
 		field, st, grid = next, stN, routedN.Grid
-		if !it.Routable && it.Violations >= prevViolations {
-			// Overflow stopped improving: stop and keep the best seen.
+		if !it.Routable && it.FailedConnections >= prevFailed {
+			// Failed connections stopped improving: stop and keep the
+			// best seen.
 			res.Converged = true
 			break
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestAdaptiveFieldOfEarlierIteration: when the loop stops after an
-// iteration worse than an earlier one, AdaptiveResult.Field is the
-// accepted iteration's field, not the last one's. Scaled SPLA on two
+// iteration worse than an earlier one, the accepted state's cover
+// carries the accepted iteration's field, not the last one's. Scaled SPLA on two
 // dies at 11,600 µm² accepts the middle of three routed iterations;
 // re-covering the prefix at the loop's K under Field, with every tree
 // dirty, must reproduce the accepted netlist, which differs from the
@@ -53,7 +53,8 @@ func TestAdaptiveFieldOfEarlierIteration(t *testing.T) {
 	if reflect.DeepEqual(best.Netlist, ares.Iterations[n-1].Netlist) {
 		t.Fatal("the accepted and the last iteration mapped the same netlist; their fields cannot be told apart")
 	}
-	if ares.Field == nil {
+	field := ares.State.Cover.Field()
+	if field == nil {
 		t.Fatal("a steered accepted iteration reports no field")
 	}
 	k := ares.State.K
@@ -65,7 +66,7 @@ func TestAdaptiveFieldOfEarlierIteration(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	res, _, err := mapper.MapFieldDelta(ctx, base, k, ares.Field, all)
+	res, _, err := mapper.MapFieldDelta(ctx, base, k, field, all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,15 +99,15 @@ func TestAdaptiveConvergence(t *testing.T) {
 			if abest == nil {
 				t.Fatal("adaptive produced no iterations")
 			}
-			t.Logf("ladder best K=%g viol=%d routable=%v over %d rungs; adaptive viol=%d routable=%v in %d iterations",
-				lbest.K, lbest.Violations, lbest.Routable, len(ladder.Iterations),
-				abest.Violations, abest.Routable, res.RoutedIterations())
+			t.Logf("ladder best K=%g failed=%d overflow=%d over %d rungs; adaptive failed=%d overflow=%d in %d iterations",
+				lbest.K, lbest.FailedConnections, lbest.Overflow, len(ladder.Iterations),
+				abest.FailedConnections, abest.Overflow, res.RoutedIterations())
 			if lbest.Routable && !abest.Routable {
-				t.Errorf("ladder routed (K=%g) but adaptive did not (viol=%d)", lbest.K, abest.Violations)
+				t.Errorf("ladder routed (K=%g) but adaptive did not (failed=%d)", lbest.K, abest.FailedConnections)
 			}
-			if !abest.Routable && abest.Violations > lbest.Violations {
-				t.Errorf("adaptive final overflow %d worse than best ladder rung %d",
-					abest.Violations, lbest.Violations)
+			if abest.FailedConnections > lbest.FailedConnections {
+				t.Errorf("adaptive accepted %d failed connections, worse than the best ladder rung's %d",
+					abest.FailedConnections, lbest.FailedConnections)
 			}
 			// ≥3× fewer covering iterations than the 14-rung ladder.
 			if got := res.RoutedIterations() * 3; got > len(ladder.Iterations) {
@@ -151,8 +151,8 @@ func TestAdaptiveBeatsLadderOnFlagship(t *testing.T) {
 		t.Fatal("adaptive produced no best iteration")
 	}
 	if !res.Best().Routable {
-		t.Fatalf("adaptive failed to route the flagship config (best viol=%d over %d iterations)",
-			res.Best().Violations, res.RoutedIterations())
+		t.Fatalf("adaptive failed to route the flagship config (best failed=%d over %d iterations)",
+			res.Best().FailedConnections, res.RoutedIterations())
 	}
 	if res.RoutedIterations() > 2 {
 		t.Errorf("flagship config routed in %d iterations, regression baseline is 2", res.RoutedIterations())
@@ -217,16 +217,17 @@ func sameAdaptive(t *testing.T, tag string, a, b *AdaptiveResult) {
 		t.Errorf("%s: verdicts diverged: best %d/%d converged %v/%v",
 			tag, a.BestIndex, b.BestIndex, a.Converged, b.Converged)
 	}
-	if (a.Field == nil) != (b.Field == nil) {
+	af, bf := a.State.Cover.Field(), b.State.Cover.Field()
+	if (af == nil) != (bf == nil) {
 		t.Fatalf("%s: field presence differs", tag)
 	}
-	if a.Field != nil {
-		if len(a.Field.Mult) != len(b.Field.Mult) {
+	if af != nil {
+		if len(af.Mult) != len(bf.Mult) {
 			t.Fatalf("%s: field shapes differ", tag)
 		}
-		for i := range a.Field.Mult {
-			if a.Field.Mult[i] != b.Field.Mult[i] {
-				t.Fatalf("%s: field cell %d: %g vs %g", tag, i, a.Field.Mult[i], b.Field.Mult[i])
+		for i := range af.Mult {
+			if af.Mult[i] != bf.Mult[i] {
+				t.Fatalf("%s: field cell %d: %g vs %g", tag, i, af.Mult[i], bf.Mult[i])
 			}
 		}
 	}
@@ -275,7 +276,7 @@ func TestAdaptiveECOChain(t *testing.T) {
 			}
 			// The accepted iteration's field: nil for the uniform
 			// baseline, the steered field of any later iteration.
-			field := ares.Field
+			field := ares.State.Cover.Field()
 			if (ares.BestIndex == 0) != (field == nil) {
 				t.Fatalf("%s: accepted iteration %d of %d carries field %v", tag, ares.BestIndex, len(ares.Iterations), field != nil)
 			}
@@ -340,9 +341,8 @@ func TestAdaptiveECOChain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d fast edit %d: %v", workers, i, err)
 			}
-			if c := it.Metrics.Events.Counters; c["eco.route_nets_kept"] == 0 || c["eco.route_full"] != 0 {
-				t.Errorf("workers=%d fast edit %d: route_nets_kept=%d route_full=%d, want an incremental reroute",
-					workers, i, c["eco.route_nets_kept"], c["eco.route_full"])
+			if c := it.Metrics.Events.Counters; c["eco.route_nets_kept"] == 0 {
+				t.Errorf("workers=%d fast edit %d: route_nets_kept=0, want an incremental reroute", workers, i)
 			}
 			rep, err := verify.Equivalent(ctx, next.Prep.DAG(), it.Netlist, verify.Options{})
 			if err != nil {

@@ -289,24 +289,22 @@ type Iteration struct {
 	NumCells        int
 	DuplicatedCells int
 	Utilization     float64 // fraction of die area
-	// Violations is the total track overflow of the routed grid
-	// (route.Result.Violations), rounded to whole tracks. The tables'
-	// "routing violations" column is FailedConnections, not this.
-	Violations int
+	// Overflow is the total track overflow of the routed grid
+	// (route.Result.Overflow), rounded to whole tracks: a diagnostic.
+	Overflow int
 	// FailedConnections counts two-pin route segments through
 	// over-capacity edges — the detailed-router-violation analogue the
-	// tables, the CLI and casynd print as "routing violations".
+	// tables, the CLI and casynd print as "routing violations", and
+	// the quantity the flow accepts iterations by.
 	FailedConnections int
-	MaxCongestion     float64
 	WireLength        float64 // routed, µm
 	// CrossRegionNets counts nets spanning more than one die region
 	// (multi-die runs only; 0 otherwise).
 	CrossRegionNets int
 	// Routable is the flow's single routability definition: the global
-	// route completed with FailedConnections == 0 AND Violations == 0
-	// (route.Result.Routable). All consumers — the sweep's Best()
-	// selection, StopAtFirstRoutable, and the casyn package — share
-	// this definition.
+	// route completed with FailedConnections == 0 (route.Result.Routable).
+	// All consumers — the sweep's Best() selection, StopAtFirstRoutable,
+	// and the casyn package — share this definition.
 	Routable bool
 	Timing   *sta.Result
 	Netlist  *netlist.Netlist
@@ -331,9 +329,10 @@ type Iteration struct {
 // Result is the full flow outcome.
 type Result struct {
 	Iterations []Iteration
-	// BestIndex points at the accepted iteration: the first routable
-	// one, else the minimum-violation one, considering only iterations
-	// that completed (Skipped == false). -1 when none completed.
+	// BestIndex points at the accepted iteration: the first one with
+	// the fewest failed connections (so the first routable one when any
+	// routed), considering only iterations that completed (Skipped ==
+	// false). -1 when none completed.
 	BestIndex int
 }
 
@@ -472,12 +471,10 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 }
 
 // beats is the sweep's acceptance rule: a completed iteration replaces
-// the current best (nil before the first) when it is routable and the
-// best is not, or when both agree on routability and it has fewer
-// violations. Ties keep the earlier iteration.
+// the current best (nil before the first) when it has fewer failed
+// connections. Ties keep the earlier iteration.
 func beats(it, best *Iteration) bool {
-	return best == nil || (it.Routable && !best.Routable) ||
-		(it.Routable == best.Routable && it.Violations < best.Violations)
+	return best == nil || it.FailedConnections < best.FailedConnections
 }
 
 // RunOnce maps, places, and routes for a single K. Each stage runs
@@ -702,9 +699,8 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		return it, nil, nil, err
 	}
 	rres := ro.res
-	it.Violations = rres.Violations
+	it.Overflow = rres.Overflow
 	it.FailedConnections = rres.FailedConnections
-	it.MaxCongestion = rres.MaxCongestion
 	it.WireLength = rres.WireLength
 	it.CrossRegionNets = rres.CrossRegionNets
 	it.Routable = rres.Routable()

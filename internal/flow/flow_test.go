@@ -59,7 +59,7 @@ func TestRunOnceProducesConsistentIteration(t *testing.T) {
 	if it.Timing == nil || it.Timing.MaxArrival <= 0 {
 		t.Error("STA requested but missing")
 	}
-	if it.Routable != (it.FailedConnections == 0 && it.Violations == 0) {
+	if it.Routable != (it.FailedConnections == 0) {
 		t.Error("Routable flag inconsistent")
 	}
 }
@@ -155,7 +155,7 @@ func TestFlowDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.CellArea != b.CellArea || a.WireLength != b.WireLength ||
-		a.Violations != b.Violations || a.FailedConnections != b.FailedConnections {
+		a.Overflow != b.Overflow || a.FailedConnections != b.FailedConnections {
 		t.Errorf("flow not deterministic: %+v vs %+v", a, b)
 	}
 }

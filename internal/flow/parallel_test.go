@@ -54,8 +54,8 @@ func sameIteration(t *testing.T, tag string, a, b Iteration) {
 	t.Helper()
 	if a.K != b.K || a.CellArea != b.CellArea || a.NumCells != b.NumCells ||
 		a.DuplicatedCells != b.DuplicatedCells || a.Utilization != b.Utilization ||
-		a.Violations != b.Violations || a.FailedConnections != b.FailedConnections ||
-		a.MaxCongestion != b.MaxCongestion || a.WireLength != b.WireLength ||
+		a.Overflow != b.Overflow || a.FailedConnections != b.FailedConnections ||
+		a.WireLength != b.WireLength ||
 		a.Routable != b.Routable || a.Skipped != b.Skipped {
 		t.Errorf("%s: K=%g iterations diverged:\nserial   %+v\nparallel %+v", tag, a.K, a, b)
 	}

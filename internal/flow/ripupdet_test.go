@@ -39,13 +39,13 @@ func TestRipupWorkersDeterminism(t *testing.T) {
 			if ref.Metrics.Events.Counters["route.ripup_iterations"] == 0 {
 				t.Fatal("capacity not tight enough: rip-up never ran, determinism unexercised")
 			}
-			t.Logf("%s: ripup_iterations=%d reroutes=%d regions=%d boundary=%d violations=%d",
+			t.Logf("%s: ripup_iterations=%d reroutes=%d regions=%d boundary=%d overflow=%d",
 				class,
 				ref.Metrics.Events.Counters["route.ripup_iterations"],
 				ref.Metrics.Events.Counters["route.reroutes"],
 				ref.Metrics.Events.Counters["route.regions"],
 				ref.Metrics.Events.Counters["route.boundary_nets"],
-				ref.Violations)
+				ref.Overflow)
 			for _, w := range []int{2, 8} {
 				it, got := run(w)
 				sameIteration(t, class.String(), ref, it)

@@ -49,7 +49,7 @@ type Fingerprint struct {
 	Utilization       string `json:"utilization"`
 	WireLength        string `json:"wire_length_um"`
 	FailedConnections int    `json:"failed_connections"`
-	Violations        int    `json:"violations"`
+	Overflow          int    `json:"violations"`
 	Routable          bool   `json:"routable"`
 	// CongestionBounds/Counts are the route.congestion histogram's
 	// bucket layout and deterministic bucket counts (the float sum is
@@ -127,7 +127,7 @@ func FromIteration(circuit string, it *flow.Iteration) (*Fingerprint, error) {
 		Utilization:       fmt.Sprintf("%.6f", it.Utilization),
 		WireLength:        fmt.Sprintf("%.6f", it.WireLength),
 		FailedConnections: it.FailedConnections,
-		Violations:        it.Violations,
+		Overflow:          it.Overflow,
 		Routable:          it.Routable,
 	}
 	if m := it.Metrics; m != nil {

@@ -64,7 +64,7 @@ func TestGolden(t *testing.T) {
 					withObs.Utilization != plain.Utilization ||
 					withObs.WireLength != plain.WireLength ||
 					withObs.FailedConnections != plain.FailedConnections ||
-					withObs.Violations != plain.Violations ||
+					withObs.Overflow != plain.Overflow ||
 					withObs.Routable != plain.Routable {
 					t.Errorf("enabling metrics perturbed results:\nwith:    %+v\nwithout: %+v",
 						withObs, plain)

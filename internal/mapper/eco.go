@@ -187,6 +187,10 @@ type CoverState struct {
 	field *cover.KField
 }
 
+// Field returns the K-field the cover ran with: nil for the uniform
+// field.
+func (c *CoverState) Field() *cover.KField { return c.field }
+
 // coverOptions assembles the covering options of a Prepared at K.
 func (p *Prepared) coverOptions(k float64) cover.Options {
 	return cover.Options{

@@ -316,8 +316,10 @@ func dedupInt32(xs []int32) []int32 {
 
 // netCost returns the net's cut flag and Steiner cost under the
 // current assignment, with vertex `movedV` (when >= 0) evaluated at
-// region `movedR` instead.
-func (s *kwayState) netCost(n *kNet, movedV, movedR int) (bool, float64) {
+// region `movedR` instead, and with the pin set additionally spanning
+// region `extra` when extra >= 0 (a prospective replica pin scored
+// before its vertex exists).
+func (s *kwayState) netCost(n *kNet, movedV, movedR, extra int) (bool, float64) {
 	span := s.spanBuf[:0]
 	add := func(r int32) {
 		if !s.seen[r] {
@@ -334,6 +336,9 @@ func (s *kwayState) netCost(n *kNet, movedV, movedR int) (bool, float64) {
 	}
 	for _, r := range n.fixed {
 		add(r)
+	}
+	if extra >= 0 {
+		add(int32(extra))
 	}
 	for _, r := range span {
 		s.seen[r] = false
@@ -354,7 +359,7 @@ func (s *kwayState) netCost(n *kNet, movedV, movedR int) (bool, float64) {
 func (s *kwayState) totals() (int, float64) {
 	cut, st := 0, 0.0
 	for i := range s.nets {
-		c, l := s.netCost(&s.nets[i], -1, -1)
+		c, l := s.netCost(&s.nets[i], -1, -1, -1)
 		if c {
 			cut++
 			st += l
@@ -376,7 +381,7 @@ func (s *kwayState) movePass(res *KWayResult) int {
 		cur := s.assign[v]
 		curCut, curSt := 0, 0.0
 		for _, ni := range s.incident[v] {
-			c, l := s.netCost(&s.nets[ni], -1, -1)
+			c, l := s.netCost(&s.nets[ni], -1, -1, -1)
 			if c {
 				curCut++
 				curSt += l
@@ -389,7 +394,7 @@ func (s *kwayState) movePass(res *KWayResult) int {
 			}
 			dCut, dSt := -curCut, -curSt
 			for _, ni := range s.incident[v] {
-				c, l := s.netCost(&s.nets[ni], v, r)
+				c, l := s.netCost(&s.nets[ni], v, r, -1)
 				if c {
 					dCut++
 					dSt += l
@@ -433,7 +438,7 @@ func (s *kwayState) replicate(d *subject.DAG, f *Forest, res *KWayResult) error 
 		if res.Replicas >= budget {
 			break
 		}
-		cut, _ := s.netCost(&s.nets[ni], -1, -1)
+		cut, _ := s.netCost(&s.nets[ni], -1, -1, -1)
 		if !cut {
 			continue
 		}
@@ -464,7 +469,7 @@ func (s *kwayState) replicate(d *subject.DAG, f *Forest, res *KWayResult) error 
 			// every tree-gate fanin net gains a pin in region b.
 			oldCut, oldSt := 0, 0.0
 			newCut, newSt := 0, 0.0
-			c, l := s.netCost(&s.nets[ni], -1, -1)
+			c, l := s.netCost(&s.nets[ni], -1, -1, -1)
 			if c {
 				oldCut++
 				oldSt += l
@@ -472,7 +477,7 @@ func (s *kwayState) replicate(d *subject.DAG, f *Forest, res *KWayResult) error 
 			trial := s.nets[ni]
 			trial.sinkGates = kept
 			trial.vertices = s.recomputeVertices(&trial)
-			c, l = s.netCost(&trial, -1, -1)
+			c, l = s.netCost(&trial, -1, -1, -1)
 			if c {
 				newCut++
 				newSt += l
@@ -482,13 +487,13 @@ func (s *kwayState) replicate(d *subject.DAG, f *Forest, res *KWayResult) error 
 				if fn < 0 {
 					continue
 				}
-				c, l = s.netCost(&s.nets[fn], -1, -1)
+				c, l = s.netCost(&s.nets[fn], -1, -1, -1)
 				if c {
 					oldCut++
 					oldSt += l
 				}
 				// The fanin net gains the replica as a pin in region b.
-				c, l = s.netCostWithExtra(&s.nets[fn], b)
+				c, l = s.netCost(&s.nets[fn], -1, -1, b)
 				if c {
 					newCut++
 					newSt += l
@@ -582,41 +587,6 @@ func (s *kwayState) recomputeVertices(n *kNet) []int32 {
 		vs = append(vs, int32(s.vertexOf[sg]))
 	}
 	return dedupInt32(vs)
-}
-
-// netCostWithExtra scores a net whose pin set additionally spans
-// region extra (used to evaluate a prospective replica pin before the
-// vertex exists).
-func (s *kwayState) netCostWithExtra(n *kNet, extra int) (bool, float64) {
-	span := s.spanBuf[:0]
-	add := func(r int32) {
-		if !s.seen[r] {
-			s.seen[r] = true
-			span = append(span, r)
-		}
-	}
-	for _, v := range n.vertices {
-		if int(v) < len(s.assign) {
-			add(int32(s.assign[v]))
-		}
-	}
-	for _, r := range n.fixed {
-		add(r)
-	}
-	add(int32(extra))
-	for _, r := range span {
-		s.seen[r] = false
-	}
-	s.spanBuf = span
-	if len(span) < 2 {
-		return false, 0
-	}
-	pts := s.ptsBuf[:0]
-	for _, r := range span {
-		pts = append(pts, s.centers[r])
-	}
-	s.ptsBuf = pts
-	return true, geom.SteinerLength(pts)
 }
 
 // regionOfGates maps every gate of the (possibly replicated) DAG to

@@ -24,12 +24,11 @@ func fingerprint(res *route.Result) string {
 		h.Write(b[:])
 	}
 	f64 := func(v float64) { word(uint64(int64(v * 1e6)) /* fixed-point, exact for µm sums */) }
-	word(uint64(res.Violations))
+	word(uint64(res.Overflow))
 	word(uint64(res.OverflowEdges))
 	word(uint64(res.FailedConnections))
 	word(uint64(res.RipupRounds))
 	f64(res.WireLength)
-	f64(res.MaxCongestion)
 	for _, l := range res.NetLength {
 		f64(l)
 	}
@@ -70,12 +69,12 @@ func TestRipupWorkersByteIdentical(t *testing.T) {
 		t.Fatal("generator produced no congestion; the determinism check never exercised rip-up")
 	}
 	want := fingerprint(ref)
-	t.Logf("workers=1: rounds=%d violations=%d fingerprint=%s…", ref.RipupRounds, ref.Violations, want[:16])
+	t.Logf("workers=1: rounds=%d overflow=%d fingerprint=%s…", ref.RipupRounds, ref.Overflow, want[:16])
 	for _, w := range []int{2, 8} {
 		res := run(w)
 		if got := fingerprint(res); got != want {
-			t.Errorf("workers=%d fingerprint %s != workers=1 %s (violations %d vs %d, rounds %d vs %d)",
-				w, got[:16], want[:16], res.Violations, ref.Violations, res.RipupRounds, ref.RipupRounds)
+			t.Errorf("workers=%d fingerprint %s != workers=1 %s (overflow %d vs %d, rounds %d vs %d)",
+				w, got[:16], want[:16], res.Overflow, ref.Overflow, res.RipupRounds, ref.RipupRounds)
 		}
 	}
 }

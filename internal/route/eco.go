@@ -169,10 +169,7 @@ func equalTerms(a, b [][2]int) bool {
 //
 // An unchanged design (identity map, identical terminals and
 // capacities) returns the previous Result and State verbatim. A nil
-// oldNet means the nets cannot be aligned: RouteECO falls back to a
-// full RouteNetlistState — same signature, counted on
-// "eco.route_full". An out-of-range or duplicate oldNet entry is an
-// error.
+// oldNet, or an out-of-range or duplicate oldNet entry, is an error.
 func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Placement, oldNet []int) (*Result, *State, error) {
 	rec := obs.From(ctx)
 	if st == nil {
@@ -182,8 +179,7 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 		return nil, nil, fmt.Errorf("route: placement for %d cells, netlist has %d", len(pl.Pos), nl.NumCells())
 	}
 	if oldNet == nil {
-		rec.Add("eco.route_full", 1)
-		return RouteNetlistState(ctx, nl, pl, st.layout, st.opts)
+		return nil, nil, fmt.Errorf("route: RouteECO needs a net map")
 	}
 	if len(oldNet) != len(nl.Nets) {
 		return nil, nil, fmt.Errorf("route: net map has %d entries, netlist has %d nets", len(oldNet), len(nl.Nets))

@@ -30,8 +30,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 		return nil, nil, fmt.Errorf("route: placement for %d cells, netlist has %d", len(pl.Pos), nl.NumCells())
 	}
 	if oldNet == nil {
-		rec.Add("eco.route_full", 1)
-		return RouteNetlistState(ctx, nl, pl, st.layout, st.opts)
+		return nil, nil, fmt.Errorf("route: RouteECO needs a net map")
 	}
 	if len(oldNet) != len(nl.Nets) {
 		return nil, nil, fmt.Errorf("route: net map has %d entries, netlist has %d nets", len(oldNet), len(nl.Nets))
@@ -61,8 +60,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 		return nil, nil, err
 	}
 	if g.NX != st.grid.NX || g.NY != st.grid.NY {
-		rec.Add("eco.route_full", 1)
-		return RouteNetlistState(ctx, nl, pl, st.layout, st.opts)
+		return nil, nil, fmt.Errorf("route: ECO grid %dx%d, previous grid %dx%d", g.NX, g.NY, st.grid.NX, st.grid.NY)
 	}
 
 	// New nets and nets whose terminals changed are ripped directly;
@@ -241,10 +239,10 @@ func diffGrids(a, b *Grid) error {
 // Results and States: segment order, endpoints and paths, slot
 // windows, terminals, grids, and every Result figure bit for bit.
 func diffRouting(res *Result, st *State, wantRes *Result, want *State) error {
-	if res.Violations != wantRes.Violations || res.OverflowEdges != wantRes.OverflowEdges ||
+	if res.Overflow != wantRes.Overflow || res.OverflowEdges != wantRes.OverflowEdges ||
 		res.FailedConnections != wantRes.FailedConnections || res.RipupRounds != wantRes.RipupRounds ||
 		res.CrossRegionNets != wantRes.CrossRegionNets ||
-		!sameFloat(res.WireLength, wantRes.WireLength) || !sameFloat(res.MaxCongestion, wantRes.MaxCongestion) {
+		!sameFloat(res.WireLength, wantRes.WireLength) || !sameFloat(maxCongestion(res.Grid), maxCongestion(wantRes.Grid)) {
 		return fmt.Errorf("result %+v, reference %+v", *res, *wantRes)
 	}
 	if len(res.NetLength) != len(wantRes.NetLength) {
@@ -325,40 +323,7 @@ func checkRouteECOReference(t *testing.T, capScale float64, workers int) {
 	rng := rand.New(rand.NewSource(int64(31 + workers)))
 	rounds, failed := 0, 0
 	for step := 0; step < 24; step++ {
-		nl2 := &place.Netlist{Widths: nl.Widths}
-		pl2 := &place.Placement{Pos: append([]geom.Point(nil), pl.Pos...), Row: append([]int(nil), pl.Row...)}
-		var oldNet []int
-		drop := -1
-		if step%4 == 2 {
-			drop = rng.Intn(len(nl.Nets))
-		}
-		for ni, n := range nl.Nets {
-			if ni != drop {
-				nl2.Nets = append(nl2.Nets, n)
-				oldNet = append(oldNet, ni)
-			}
-		}
-		if step%4 == 1 {
-			at := rng.Intn(len(nl2.Nets) + 1)
-			n := place.Net{Cells: []int{rng.Intn(len(nl.Widths)), rng.Intn(len(nl.Widths))}}
-			nl2.Nets = append(nl2.Nets[:at], append([]place.Net{n}, nl2.Nets[at:]...)...)
-			oldNet = append(oldNet[:at], append([]int{-1}, oldNet[at:]...)...)
-		}
-		if step%6 == 5 {
-			i, j := rng.Intn(len(nl2.Nets)), rng.Intn(len(nl2.Nets))
-			nl2.Nets[i], nl2.Nets[j] = nl2.Nets[j], nl2.Nets[i]
-			oldNet[i], oldNet[j] = oldNet[j], oldNet[i]
-		}
-		if step%4 != 3 {
-			for m := 0; m < 1+rng.Intn(3); m++ {
-				c := rng.Intn(len(pl2.Pos))
-				p := pl2.Pos[c].Add(geom.Pt(rng.Float64()*40-20, rng.Float64()*20-10))
-				p.X = math.Min(math.Max(p.X, layout.Die.Min.X), layout.Die.Max.X)
-				p.Y = math.Min(math.Max(p.Y, layout.Die.Min.Y), layout.Die.Max.Y)
-				pl2.Pos[c] = p
-				pl2.Row[c] = layout.RowOf(p.Y)
-			}
-		}
+		nl2, pl2, oldNet := ecoEdit(rng, step, nl, pl, layout)
 		refRec, stepRec := obs.New(), obs.New()
 		wantRes, want, err := referenceRouteECO(obs.WithRecorder(ctx, refRec), st, nl2, pl2, oldNet)
 		if err != nil {
@@ -390,5 +355,91 @@ func checkRouteECOReference(t *testing.T, capScale float64, workers int) {
 	}
 	if rec.Counter("eco.route_sort_full").Value() == 0 {
 		t.Error("no step broke the alignment's order; the full sort was not exercised")
+	}
+}
+
+// ecoEdit derives step's edit of a RouteECO chain from the previous
+// design: by step, it drops a net, inserts a new one, swaps two nets'
+// order and moves one to three cells. oldNet aligns the edited nets
+// with the previous ones.
+func ecoEdit(rng *rand.Rand, step int, nl *place.Netlist, pl *place.Placement, layout place.Layout) (*place.Netlist, *place.Placement, []int) {
+	nl2 := &place.Netlist{Widths: nl.Widths}
+	pl2 := &place.Placement{Pos: append([]geom.Point(nil), pl.Pos...), Row: append([]int(nil), pl.Row...)}
+	var oldNet []int
+	drop := -1
+	if step%4 == 2 {
+		drop = rng.Intn(len(nl.Nets))
+	}
+	for ni, n := range nl.Nets {
+		if ni != drop {
+			nl2.Nets = append(nl2.Nets, n)
+			oldNet = append(oldNet, ni)
+		}
+	}
+	if step%4 == 1 {
+		at := rng.Intn(len(nl2.Nets) + 1)
+		n := place.Net{Cells: []int{rng.Intn(len(nl.Widths)), rng.Intn(len(nl.Widths))}}
+		nl2.Nets = append(nl2.Nets[:at], append([]place.Net{n}, nl2.Nets[at:]...)...)
+		oldNet = append(oldNet[:at], append([]int{-1}, oldNet[at:]...)...)
+	}
+	if step%6 == 5 {
+		i, j := rng.Intn(len(nl2.Nets)), rng.Intn(len(nl2.Nets))
+		nl2.Nets[i], nl2.Nets[j] = nl2.Nets[j], nl2.Nets[i]
+		oldNet[i], oldNet[j] = oldNet[j], oldNet[i]
+	}
+	if step%4 != 3 {
+		for m := 0; m < 1+rng.Intn(3); m++ {
+			c := rng.Intn(len(pl2.Pos))
+			p := pl2.Pos[c].Add(geom.Pt(rng.Float64()*40-20, rng.Float64()*20-10))
+			p.X = math.Min(math.Max(p.X, layout.Die.Min.X), layout.Die.Max.X)
+			p.Y = math.Min(math.Max(p.Y, layout.Die.Min.Y), layout.Die.Max.Y)
+			pl2.Pos[c] = p
+			pl2.Row[c] = layout.RowOf(p.Y)
+		}
+	}
+	return nl2, pl2, oldNet
+}
+
+// TestOverflowImpliesFailedConnections pins why Result.Routable reads
+// only FailedConnections: every edge capacity is positive and its usage
+// is the sum of the routed paths through it, so an over-capacity edge
+// carries a path, and that path's segment is a failed connection. It
+// checks the implication on a congested from-scratch route and at
+// every step of a congested RouteECO chain.
+func TestOverflowImpliesFailedConnections(t *testing.T) {
+	t.Parallel()
+	nl, pl, layout := ecoDesign(t, 60, 21)
+	ctx := context.Background()
+	opts := Options{GCellSize: 10, RipupIterations: 4, CapacityScale: 0.1}
+	res, st, err := RouteNetlistState(ctx, nl, pl, layout, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overflow == 0 {
+		t.Fatal("the from-scratch route has no overflow; the implication was not exercised")
+	}
+	check := func(step int, res *Result) {
+		t.Helper()
+		if (res.Overflow > 0 || res.OverflowEdges > 0) && res.FailedConnections == 0 {
+			t.Errorf("step %d: overflow %d on %d edges but no failed connection", step, res.Overflow, res.OverflowEdges)
+		}
+	}
+	check(-1, res)
+	rng := rand.New(rand.NewSource(41))
+	congested := 0
+	for step := 0; step < 24; step++ {
+		nl2, pl2, oldNet := ecoEdit(rng, step, nl, pl, layout)
+		res, st2, err := RouteECO(ctx, st, nl2, pl2, oldNet)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		check(step, res)
+		if res.Overflow > 0 {
+			congested++
+		}
+		nl, pl, st = nl2, pl2, st2
+	}
+	if congested == 0 {
+		t.Error("no ECO step left overflow; the chain did not exercise the implication")
 	}
 }

@@ -348,19 +348,3 @@ func (g *Grid) HotSpots(n int) []HotSpot {
 	}
 	return out
 }
-
-// MaxCongestion returns the worst usage/capacity ratio on any edge.
-func (g *Grid) MaxCongestion() float64 {
-	worst := 0.0
-	for y := 0; y < g.NY; y++ {
-		for x := 0; x < g.NX; x++ {
-			if g.capH[y][x] > 0 {
-				worst = math.Max(worst, g.usageH[y][x]/g.capH[y][x])
-			}
-			if g.capV[y][x] > 0 {
-				worst = math.Max(worst, g.usageV[y][x]/g.capV[y][x])
-			}
-		}
-	}
-	return worst
-}

@@ -20,6 +20,22 @@ func testLayout(t *testing.T) place.Layout {
 	return l
 }
 
+// maxCongestion is the worst usage/capacity ratio on any edge.
+func maxCongestion(g *Grid) float64 {
+	worst := 0.0
+	for y := 0; y < g.NY; y++ {
+		for x := 0; x < g.NX; x++ {
+			if g.capH[y][x] > 0 {
+				worst = math.Max(worst, g.usageH[y][x]/g.capH[y][x])
+			}
+			if g.capV[y][x] > 0 {
+				worst = math.Max(worst, g.usageV[y][x]/g.capV[y][x])
+			}
+		}
+	}
+	return worst
+}
+
 func TestNewGridGeometry(t *testing.T) {
 	t.Parallel()
 	layout := testLayout(t)
@@ -87,8 +103,8 @@ func TestOverflowAccounting(t *testing.T) {
 	if ov := g.overflowOf(e); math.Abs(ov-5) > 1e-9 {
 		t.Errorf("overflowOf = %g", ov)
 	}
-	if mc := g.MaxCongestion(); mc <= 1 {
-		t.Errorf("MaxCongestion = %g, want > 1", mc)
+	if mc := maxCongestion(g); mc <= 1 {
+		t.Errorf("maxCongestion = %g, want > 1", mc)
 	}
 	cm := g.CongestionMap()
 	if cm[3][3] <= 1 {
@@ -118,7 +134,7 @@ func TestRouteSingleNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Routable() {
-		t.Errorf("single net unroutable: %d violations", res.Violations)
+		t.Errorf("single net unroutable: %d failed connections", res.FailedConnections)
 	}
 	// Manhattan distance is 150 µm; the routed length must match the
 	// gcell-quantized distance (10 edges horizontal + 5 vertical).
@@ -139,7 +155,7 @@ func TestRouteSameGCellNetIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.WireLength != 0 || !res.Routable() {
-		t.Errorf("intra-gcell net: len=%g violations=%d", res.WireLength, res.Violations)
+		t.Errorf("intra-gcell net: len=%g failed connections=%d", res.WireLength, res.FailedConnections)
 	}
 }
 
@@ -211,10 +227,10 @@ func TestRipupRepairsHotspot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withRipup.Violations > noRipup.Violations {
-		t.Errorf("rip-up increased violations: %d -> %d", noRipup.Violations, withRipup.Violations)
+	if withRipup.Overflow > noRipup.Overflow {
+		t.Errorf("rip-up increased overflow: %d -> %d", noRipup.Overflow, withRipup.Overflow)
 	}
-	t.Logf("violations: initial %d, after rip-up %d", noRipup.Violations, withRipup.Violations)
+	t.Logf("overflow: initial %d, after rip-up %d", noRipup.Overflow, withRipup.Overflow)
 }
 
 func TestRipupIterationsContract(t *testing.T) {
@@ -271,8 +287,8 @@ func TestCongestionGrowsWithDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hi.MaxCongestion <= lo.MaxCongestion {
-		t.Errorf("congestion did not grow with demand: %g vs %g", lo.MaxCongestion, hi.MaxCongestion)
+	if maxCongestion(hi.Grid) <= maxCongestion(lo.Grid) {
+		t.Errorf("congestion did not grow with demand: %g vs %g", maxCongestion(lo.Grid), maxCongestion(hi.Grid))
 	}
 }
 
@@ -307,11 +323,11 @@ func TestRouteWorkersDeterminism(t *testing.T) {
 	ref := route(1)
 	for _, w := range []int{0, 2, 8} {
 		got := route(w)
-		if got.Violations != ref.Violations ||
+		if got.Overflow != ref.Overflow ||
 			got.OverflowEdges != ref.OverflowEdges ||
 			got.FailedConnections != ref.FailedConnections ||
 			got.WireLength != ref.WireLength ||
-			got.MaxCongestion != ref.MaxCongestion {
+			maxCongestion(got.Grid) != maxCongestion(ref.Grid) {
 			t.Errorf("workers=%d diverged: %+v vs %+v", w, got, ref)
 		}
 		for i := range ref.NetLength {

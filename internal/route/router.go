@@ -59,10 +59,10 @@ func (c *cancelChecker) tick() error {
 // Result is a completed global routing.
 type Result struct {
 	Grid *Grid
-	// Violations is the total track overflow: usage above capacity,
-	// summed over every edge and rounded to whole tracks. The "routing
-	// violations" column of the paper's tables is FailedConnections.
-	Violations int
+	// Overflow is the total track overflow: usage above capacity,
+	// summed over every edge and rounded to whole tracks. It is a
+	// diagnostic; FailedConnections is the verdict.
+	Overflow int
 	// OverflowEdges counts distinct over-capacity edges.
 	OverflowEdges int
 	// FailedConnections counts two-pin route segments whose final path
@@ -75,8 +75,6 @@ type Result struct {
 	// NetLength is the routed length per net (µm), indexed like
 	// nl.Nets; STA uses it for wire RC.
 	NetLength []float64
-	// MaxCongestion is the worst edge usage/capacity ratio.
-	MaxCongestion float64
 	// RipupRounds is the number of negotiation rounds that ran.
 	RipupRounds int
 	// CrossRegionNets counts nets whose pins span more than one die
@@ -85,9 +83,11 @@ type Result struct {
 }
 
 // Routable reports whether the layout routed cleanly: no connection
-// crosses an over-capacity edge (FailedConnections == 0) and no edge
-// carries overflow (Violations == 0).
-func (r *Result) Routable() bool { return r.FailedConnections == 0 && r.Violations == 0 }
+// crosses an over-capacity edge. No overflow condition is needed: every
+// edge's capacity is positive and its usage is the sum of the routed
+// paths through it, so an over-capacity edge always carries a path,
+// and that path's segment is a failed connection.
+func (r *Result) Routable() bool { return r.FailedConnections == 0 }
 
 // twoPin is one routed two-pin segment of a net's spanning tree.
 type twoPin struct {
@@ -322,11 +322,10 @@ func pathStats(g *Grid, path []edge) (float64, bool) {
 	return l, failed
 }
 
-// gridTotals fills the Result's whole-grid figures: total overflow,
-// worst congestion and the over-capacity edge count.
+// gridTotals fills the Result's whole-grid figures: total overflow
+// and the over-capacity edge count.
 func gridTotals(g *Grid, res *Result) {
-	res.Violations = g.TotalOverflow()
-	res.MaxCongestion = g.MaxCongestion()
+	res.Overflow = g.TotalOverflow()
 	for y := 0; y < g.NY; y++ {
 		for x := 0; x < g.NX; x++ {
 			if g.usageH[y][x] > g.capH[y][x] {
@@ -487,7 +486,7 @@ func recordRouteMetrics(rec *obs.Recorder, nl *place.Netlist, pl *place.Placemen
 		}
 	}
 	rec.Histogram("route.net_hpwl_um", hpwlBounds).ObserveAll(hpwl)
-	rec.Add("route.overflow_tracks", int64(res.Violations))
+	rec.Add("route.overflow_tracks", int64(res.Overflow))
 	rec.Add("route.overflow_edges", int64(res.OverflowEdges))
 	rec.Add("route.failed_connections", int64(res.FailedConnections))
 }

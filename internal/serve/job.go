@@ -54,13 +54,15 @@ func newJobError(err error) *JobError {
 	return je
 }
 
-// IterationSummary is one K rung of a sweep job's result.
+// IterationSummary is one K rung of a sweep job's result. Overflow is
+// the rung's total track overflow, a diagnostic; FailedConnections is
+// what the flow accepts rungs by.
 type IterationSummary struct {
 	K                 float64 `json:"k"`
 	NumCells          int     `json:"num_cells,omitempty"`
 	CellArea          float64 `json:"cell_area,omitempty"`
 	Utilization       float64 `json:"utilization,omitempty"`
-	Violations        int     `json:"violations"`
+	Overflow          int     `json:"overflow"`
 	FailedConnections int     `json:"failed_connections"`
 	WireLength        float64 `json:"wire_length,omitempty"`
 	Routable          bool    `json:"routable"`

@@ -702,7 +702,7 @@ func summarize(it *flow.Iteration) IterationSummary {
 		NumCells:          it.NumCells,
 		CellArea:          it.CellArea,
 		Utilization:       it.Utilization,
-		Violations:        it.Violations,
+		Overflow:          it.Overflow,
 		FailedConnections: it.FailedConnections,
 		WireLength:        it.WireLength,
 		Routable:          it.Routable,

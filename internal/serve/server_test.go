@@ -413,6 +413,54 @@ func TestResultCacheByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEquivalentSpecsShareCache: spellings of one computation — a zero
+// scale, partition, seed or aspect ratio beside its explicit default,
+// and k beside a k_schedule that ignores it — share prep and result
+// keys, so the second submission is served from the result cache.
+func TestEquivalentSpecsShareCache(t *testing.T) {
+	pla := `"pla":` + strconv.Quote(tinyPLA)
+	pairs := [][2]string{
+		{`{"bench":"spla"}`, `{"bench":"spla","scale":1}`},
+		{`{` + pla + `}`, `{` + pla + `,"partition":"pdp"}`},
+		{`{` + pla + `}`, `{` + pla + `,"seed":1}`},
+		{`{` + pla + `}`, `{` + pla + `,"aspect_ratio":1}`},
+		{`{` + pla + `,"k":0.5,"k_schedule":[0,0.001]}`, `{` + pla + `,"k_schedule":[0,0.001]}`},
+	}
+	for i, pair := range pairs {
+		var keys [2][2]string
+		for j, body := range pair {
+			spec, err := ParseJobSpec(strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keys[j][0], err = spec.PrepKey(); err != nil {
+				t.Fatal(err)
+			}
+			if keys[j][1], err = spec.ResultKey(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("pair %d: %s and %s have different keys", i, pair[0], pair[1])
+		}
+		if i == 0 {
+			continue // a full-size benchmark: the keys are the contract
+		}
+		s, ts := testServer(t, Config{})
+		var res [2]*JobResult
+		for j, body := range pair {
+			_, m := postJob(t, ts, body)
+			res[j], _ = waitTerminal(t, s, m["id"].(string)).Result()
+			if res[j] == nil {
+				t.Fatalf("pair %d: job %s failed", i, body)
+			}
+		}
+		if res[1].Cache != "result" || res[1].Report != res[0].Report {
+			t.Errorf("pair %d: second job served %q, want the first job's result from cache", i, res[1].Cache)
+		}
+	}
+}
+
 // TestDaemonMatchesCLI is the differential acceptance suite: every
 // example circuit × {K=0, K=1, adaptive}, synthesized by the daemon
 // (cold, then warm through both caches), must be byte-identical to the

@@ -14,6 +14,7 @@ import (
 	"casyn/internal/bench"
 	"casyn/internal/logic"
 	"casyn/internal/partition"
+	"casyn/internal/place"
 )
 
 // Request-size limits. A synthesis service must bound what it accepts:
@@ -283,6 +284,8 @@ func (s *JobSpec) subjectPLA() (*logic.PLA, error) {
 // placement, and the match enumeration — circuit bytes (canonicalized
 // through the parser, so formatting differences share an entry),
 // synthesis style, partition method, placement seed, and floorplan.
+// A zero scale, partition, seed or aspect ratio is keyed as the value
+// it runs with, so it shares an entry with its explicit spelling.
 // K, budgets, worker counts, and output options are deliberately
 // excluded: they do not change the prefix.
 func (s *JobSpec) PrepKey() (string, error) {
@@ -297,10 +300,19 @@ func (s *JobSpec) PrepKey() (string, error) {
 			return "", err
 		}
 	} else {
-		fmt.Fprintf(h, "bench %s scale %g\n", s.Bench, s.Scale)
+		scale := s.Scale
+		if scale == 0 {
+			scale = 1
+		}
+		fmt.Fprintf(h, "bench %s scale %g\n", s.Bench, scale)
 	}
-	fmt.Fprintf(h, "sis %v partition %s seed %d die %g aspect %g\n",
-		s.SIS, s.Partition, s.Seed, s.DieArea, s.AspectRatio)
+	opts := s.options()
+	aspect := opts.AspectRatio
+	if aspect == 0 {
+		aspect = 1 // casyn.LayoutFor's square die
+	}
+	fmt.Fprintf(h, "sis %v partition %s seed %d die %g aspect %g\n", s.SIS, opts.Partition,
+		casyn.FlowConfig(place.Layout{}, opts).PlaceOpts.Seed, s.DieArea, aspect)
 	if s.Dies > 1 {
 		// Multi-die prep partitions the forest k-way, replicates cut
 		// drivers, and — with verify — proves the replicated subject
@@ -314,15 +326,20 @@ func (s *JobSpec) PrepKey() (string, error) {
 // ResultKey identifies the complete deterministic result: the prefix
 // key plus everything K-dependent and report-affecting. Two jobs with
 // equal result keys produce byte-identical results, so the result
-// cache may serve one for the other.
+// cache may serve one for the other. A sweep ignores k, so its key
+// does too.
 func (s *JobSpec) ResultKey() (string, error) {
 	pk, err := s.PrepKey()
 	if err != nil {
 		return "", err
 	}
+	k := s.K
+	if len(s.KSchedule) > 0 {
+		k = 0
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "prep %s k %g sched %v stop %v kmode %s timing %v verify %v\n",
-		pk, s.K, s.KSchedule, s.StopAtFirstRoutable, s.kmode(), s.Timing, s.Verify)
+		pk, k, s.KSchedule, s.StopAtFirstRoutable, s.kmode(), s.Timing, s.Verify)
 	if s.DiePinBudget != 0 {
 		// The pin budget gates route admission, not the prefix.
 		fmt.Fprintf(h, "diepins %d\n", s.DiePinBudget)

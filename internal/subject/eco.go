@@ -6,19 +6,18 @@ import (
 )
 
 // Clone returns an independent deep copy of the DAG. The copy shares
-// no mutable state with the original: gates, PI and output lists, the
-// structural-hash table and a built fanout cache are all duplicated.
-// ECO edits mutate a clone so the original can keep serving concurrent
-// readers.
+// no mutable state with the original: gates, PI and output lists and a
+// built fanout cache are duplicated. The structural-hash table is not:
+// the clone starts with an empty one, as SetGate would leave it, so
+// later Add* calls on the clone stay correct but do not re-share the
+// original's structure. ECO edits mutate a clone so the original can
+// keep serving concurrent readers.
 func (d *DAG) Clone() *DAG {
 	cp := &DAG{
 		gates:   append([]Gate(nil), d.gates...),
 		pis:     append([]int(nil), d.pis...),
 		outputs: append([]Output(nil), d.outputs...),
-		hash:    make(map[[3]int]int, len(d.hash)),
-	}
-	for k, v := range d.hash {
-		cp.hash[k] = v
+		hash:    make(map[[3]int]int),
 	}
 	if len(d.replicaOf) > 0 {
 		cp.replicaOf = make(map[int]int, len(d.replicaOf))

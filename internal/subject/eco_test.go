@@ -70,3 +70,29 @@ func TestSetGatePatchesClonedFanouts(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneRewireDoesNotReshare: a clone starts without the original's
+// structural-hash entries, so after rewiring a gate on the clone,
+// building the gate's old shape yields a new gate rather than the
+// rewired one, while the original still shares its own.
+func TestCloneRewireDoesNotReshare(t *testing.T) {
+	t.Parallel()
+	d := New()
+	a, b, c := d.AddPI("a"), d.AddPI("b"), d.AddPI("c")
+	n := d.AddNand2(a, b)
+	cl := d.Clone()
+	if err := cl.RewireFanin(n, a, c); err != nil {
+		t.Fatal(err)
+	}
+	m := cl.AddNand2(a, b)
+	if m == n {
+		t.Fatalf("clone's NAND2(a, b) returned the rewired gate %d, now %v", n, cl.Fanins(n))
+	}
+	if got := cl.Fanins(m); !slices.Equal(got, []int{a, b}) {
+		t.Errorf("clone's new gate %d reads %v, want [%d %d]", m, got, a, b)
+	}
+	gates := d.NumGates()
+	if got := d.AddNand2(a, b); got != n || d.NumGates() != gates {
+		t.Errorf("original's NAND2(a, b) = %d with %d gates, want the shared gate %d with %d", got, d.NumGates(), n, gates)
+	}
+}

@@ -209,7 +209,7 @@ func fingerprint(it *flow.Iteration) (string, error) {
 	}
 	fmt.Fprintf(&sb, "\nK=%g cells=%d area=%.6f util=%.6f wl=%.6f failed=%d viol=%d routable=%v\n",
 		it.K, it.NumCells, it.CellArea, it.Utilization, it.WireLength,
-		it.FailedConnections, it.Violations, it.Routable)
+		it.FailedConnections, it.Overflow, it.Routable)
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:]), nil
 }

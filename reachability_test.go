@@ -48,6 +48,7 @@ var reachAllowlist = map[string]string{
 	"casyn/internal/cover.SharesMatches":       "test support: proves ECO covers share the parent's matches in cover and mapper tests",
 	"casyn/internal/mapper.Prepared.Pos":       "test support: reads the prepared placement in mapper and diffharness tests",
 	"casyn/internal/mapper.Prepared.POPads":    "test support: reads the prepared pad positions in mapper and diffharness tests",
+	"casyn/internal/mapper.CoverState.Field":   "test support: reads the field an adaptive run's accepted cover ran with in flow tests",
 }
 
 // stdIfaceMethods are standard-library interface methods a module type
