@@ -60,8 +60,8 @@ type Options struct {
 	// Adaptive replaces the fixed-K mapping with the closed-loop
 	// congestion controller (flow.RunAdaptive): map at a low baseline
 	// K, route, inflate a spatial K-field only where the routed
-	// congestion map is over capacity, and re-cover just the affected
-	// region — at most 3 routed iterations instead of sweeping a K
+	// congestion map is over capacity, and re-cover the design under
+	// that field — at most 3 routed iterations instead of sweeping a K
 	// ladder. The controller places seeded rather than re-annealing
 	// per iteration (its operating mode, chosen by flow.RunAdaptive).
 	// Result.AdaptiveIterations records the routed iterations used.

@@ -37,14 +37,14 @@
 //
 // The DP is bottom-up: a vertex's solution depends only on its own
 // cached matches and on the solutions of the subtree leaves they bind,
-// which lie at most MaxPatternHeight father steps below it. CoverDelta
-// exploits that at two levels. A clean tree (see eco.go and
-// fielddelta.go) carries its solutions over whole. Inside a dirty tree
-// a gate mask narrows the DP further: a gate whose matches were not
-// re-enumerated, and below which no re-solved gate within reach
+// which lie at most MaxPatternHeight father steps below it. CoverDelta,
+// the structural ECO's cover, exploits that at two levels. A clean
+// tree (see eco.go) carries its solutions over whole. Inside a dirty
+// tree a gate mask narrows the DP further: a gate whose matches were
+// not re-enumerated, and below which no re-solved gate within reach
 // changed its DP terms, keeps the previous *Solution pointer. A
 // single-gate edit then re-solves tens of vertices rather than its
-// dirty trees' thousands.
+// dirty trees' thousands. A new K-field is always a full cover.
 package cover
 
 import (
@@ -168,14 +168,14 @@ func CoverWithPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fo
 	return coverTrees(ctx, dag, forest, prefix, nil, opts, nil, nil)
 }
 
-// CoverDelta re-covers against a previous same-K cover, re-running
-// the DP only where its inputs can have changed and carrying every
-// other solution over. dirty is indexed like the prefix's trees: a
-// clean tree copies its solutions and committed positions from prev.
-// Inside a dirty tree, reenumerated narrows the DP to the solution
-// level. Indexed by gate ID, it marks the gates whose matches the
-// prefix enumerated afresh (Rebuild.Reenumerated); a nil mask re-runs
-// the whole tree. With a mask, a dirty tree's gate is re-solved when
+// CoverDelta re-covers after a structural edit against a previous
+// cover at the same K and under the same field, re-running the DP only
+// where its inputs can have changed and carrying every other solution
+// over. dirty is indexed like the prefix's trees: a clean tree copies
+// its solutions and committed positions from prev. Inside a dirty
+// tree, reenumerated narrows the DP to the solution level. Indexed by
+// gate ID, it marks the gates whose matches the prefix enumerated
+// afresh (Rebuild.Reenumerated). A dirty tree's gate is re-solved when
 // it is marked, has no previous solution, or lies within
 // MaxPatternHeight father steps above a re-solved gate whose DP terms
 // (AreaCost, WireCost, WireCostW, Pos) differ bitwise from prev's: a
@@ -186,30 +186,21 @@ func CoverWithPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fo
 // The result is byte-identical to CoverWithPrefix over the whole
 // prefix at opts provided every carried-over solution's DP reads
 // exactly what it read when prev was covered: the same enumeration,
-// frozen snapshot and K, and field samples unchanged inside its
-// territory. The caller owns that lineage (mapper.CoverState threads
-// it); two dirty sources produce such masks:
-//
-//   - a structural ECO, where the tree's edit cone was re-enumerated
-//     (Rebuild.Dirty and Rebuild.Reenumerated; see eco.go);
-//   - a K-field update, where a changed gcell meets the tree's
-//     territory (DirtyTreesForField; see fielddelta.go). Every cached
-//     match is unchanged but any span may be weighted anew, so it
-//     passes a nil gate mask.
+// frozen snapshot, K and field. The caller owns that lineage
+// (mapper.CoverState threads it); RebuildPrefix produces the masks.
 func CoverDelta(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty, reenumerated []bool) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("cover: CoverDelta needs a previous cover (use CoverWithPrefix)")
 	}
-	if reenumerated != nil && len(reenumerated) != dag.NumGates() {
+	if len(reenumerated) != dag.NumGates() {
 		return nil, fmt.Errorf("cover: %d re-enumeration flags for %d gates", len(reenumerated), dag.NumGates())
 	}
 	return coverTrees(ctx, dag, forest, prefix, prev, opts, dirty, reenumerated)
 }
 
 // coverTrees is the one covering loop: it runs the DP on every tree —
-// or, with a prev, on the dirty trees only, copying the rest from prev
-// — and reduces the roots. A non-nil reenumerated narrows each dirty
-// tree's DP to its stale gates (see CoverDelta).
+// or, with a prev, on the stale gates of the dirty trees only, copying
+// the rest from prev (see CoverDelta) — and reduces the roots.
 func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest, prefix *Prefix, prev *Result, opts Options, dirty, reenumerated []bool) (*Result, error) {
 	if prefix == nil || prefix.dag != dag {
 		return nil, fmt.Errorf("cover: prefix built for a different DAG")
@@ -242,15 +233,13 @@ func coverTrees(ctx context.Context, dag *subject.DAG, forest *partition.Forest,
 		matches:   rec.Counter("cover.matches"),
 		perGate:   rec.Histogram("cover.matches_per_gate", matchesPerGateBounds),
 	}
-	// stale marks the gates a masked delta must re-solve; the tree
-	// goroutines only write their own trees' entries.
+	// stale marks the gates a delta must re-solve; the tree goroutines
+	// only write their own trees' entries.
 	var stale []bool
 	if prev != nil {
 		rec.Add("cover.reused_trees", int64(reused))
 		ins.reusedSolutions = rec.Counter("cover.reused_solutions")
-		if reenumerated != nil {
-			stale = slices.Clone(reenumerated)
-		}
+		stale = slices.Clone(reenumerated)
 	}
 	err := par.ForEach(ctx, opts.Workers, len(prefix.trees), func(ti int) error {
 		t := &prefix.trees[ti]

@@ -94,11 +94,8 @@ func (f *KField) MultAt(p geom.Point) float64 {
 // SpanMult returns the multiplier applied to a wire term spanning a–b:
 // the maximum of the field sampled at both endpoints and the span's
 // midpoint. Three samples keep the DP cost O(1) per term; the midpoint
-// catches a hot window strictly between two cool endpoints. All three
-// samples lie on the segment a–b, so they stay inside any convex
-// region containing both endpoints — the tree-territory soundness
-// argument in fielddelta.go depends on exactly this. A nil field is the
-// uniform field: its multiplier is 1 everywhere.
+// catches a hot window strictly between two cool endpoints. A nil
+// field is the uniform field: its multiplier is 1 everywhere.
 func (f *KField) SpanMult(a, b geom.Point) float64 {
 	if f == nil {
 		return 1

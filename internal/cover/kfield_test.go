@@ -157,8 +157,9 @@ func TestUniformFieldBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameCover(t, "uniform", classic, uniform)
-		// The classic cover must also carry the WireCostW invariant so
-		// field deltas can chain off it.
+		// The classic cover must also carry the WireCostW invariant:
+		// under the uniform field the weighted term a parent's WIRE2
+		// reads is the unweighted one.
 		for v, sol := range classic.Best {
 			if sol != nil && sol.WireCostW != sol.WireCost {
 				t.Fatalf("classic cover gate %d: WireCostW %v != WireCost %v",
@@ -202,113 +203,9 @@ func TestNonUniformFieldChangesCover(t *testing.T) {
 	}
 }
 
-// TestTreeTerritoryContainsReads: every position a tree's DP can read
-// (members, their fanins) lies inside its territory box.
-func TestTreeTerritoryContainsReads(t *testing.T) {
-	t.Parallel()
-	d, _, prefix, pos, _ := benchPrefix(t)
-	terr := prefix.TreeTerritories()
-	if len(terr) != len(prefix.trees) {
-		t.Fatalf("%d territories for %d trees", len(terr), len(prefix.trees))
-	}
-	for ti := range prefix.trees {
-		r := terr[ti]
-		for _, v := range prefix.trees[ti].Gates {
-			if !r.Contains(pos[v]) {
-				t.Fatalf("tree %d: member %d at %v outside territory %v", ti, v, pos[v], r)
-			}
-			for _, l := range d.Fanins(v) {
-				if !r.Contains(pos[l]) {
-					t.Fatalf("tree %d: fanin %d at %v outside territory %v", ti, l, pos[l], r)
-				}
-			}
-		}
-	}
-}
-
-// TestCoverDeltaField: re-covering only the territory-dirty trees
-// after a field inflation must be byte-identical to a full cover under
-// the new field — chained twice to cover the delta-off-delta path.
-func TestCoverDeltaField(t *testing.T) {
-	t.Parallel()
-	d, forest, prefix, _, die := benchPrefix(t)
-	const k = 0.001
-	opts := Options{K: k}
-	base, err := CoverWithPrefix(context.Background(), d, forest, prefix, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	terr := prefix.TreeTerritories()
-
-	// Step 1: inflate a 2×2 window in the middle of the die.
-	field, err := NewKField(die.Min, die.W()/16, die.H()/16, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := make([]bool, len(field.Mult))
-	for _, i := range []int{8*16 + 8, 8*16 + 9, 9*16 + 8, 9*16 + 9} {
-		field.Mult[i] = 50
-		changed[i] = true
-	}
-	dirty := cover1(t, terr, field, changed)
-	fopts := opts
-	fopts.KField = field
-	full, err := CoverWithPrefix(context.Background(), d, forest, prefix, fopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := CoverDelta(context.Background(), d, forest, prefix, base, fopts, dirty, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCover(t, "delta-1", full, delta)
-
-	// Step 2: inflate a second, disjoint window; delta chains off the
-	// previous delta result.
-	field2 := field.Clone()
-	changed2 := make([]bool, len(field2.Mult))
-	for _, i := range []int{2*16 + 2, 2*16 + 3} {
-		field2.Mult[i] = 20
-		changed2[i] = true
-	}
-	dirty2 := cover1(t, terr, field2, changed2)
-	fopts2 := opts
-	fopts2.KField = field2
-	full2, err := CoverWithPrefix(context.Background(), d, forest, prefix, fopts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta2, err := CoverDelta(context.Background(), d, forest, prefix, delta, fopts2, dirty2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCover(t, "delta-2", full2, delta2)
-}
-
-// cover1 wraps DirtyTreesForField, failing the test if the
-// classification is degenerate in either direction (all clean would
-// make the equivalence vacuous, all dirty would not exercise reuse).
-func cover1(t *testing.T, terr []geom.Rect, f *KField, changed []bool) []bool {
-	t.Helper()
-	dirty := DirtyTreesForField(terr, f, changed)
-	nd := 0
-	for _, d := range dirty {
-		if d {
-			nd++
-		}
-	}
-	if nd == 0 {
-		t.Fatal("no dirty trees: inflation missed every territory")
-	}
-	if nd == len(dirty) {
-		t.Log("warning: every tree dirty (no reuse exercised)")
-	}
-	return dirty
-}
-
 // TestCoverDeltaValidation pins the delta contract: a nil field is the
-// uniform one on the delta path too, and a malformed mask or a missing
-// previous cover is an error.
+// uniform one on the delta path too, and a malformed tree or gate mask,
+// a missing gate mask or a missing previous cover is an error.
 func TestCoverDeltaValidation(t *testing.T) {
 	t.Parallel()
 	d, forest, prefix, _, _ := benchPrefix(t)
@@ -317,14 +214,19 @@ func TestCoverDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-cover every other tree under the nil field: the clean half
-	// copies base, the dirty half recomputes it.
+	// Re-cover every other tree under the nil field, re-solving every
+	// gate of it: the clean half copies base, the dirty half recomputes
+	// it.
 	dirty := make([]bool, len(prefix.trees))
 	for ti := range dirty {
 		dirty[ti] = ti%2 == 0
 	}
+	all := make([]bool, d.NumGates())
+	for i := range all {
+		all[i] = true
+	}
 	drec, frec := obs.New(), obs.New()
-	delta, err := CoverDelta(obs.WithRecorder(context.Background(), drec), d, forest, prefix, base, opts, dirty, nil)
+	delta, err := CoverDelta(obs.WithRecorder(context.Background(), drec), d, forest, prefix, base, opts, dirty, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +242,16 @@ func TestCoverDeltaValidation(t *testing.T) {
 	if _, ok := frec.Snapshot().Counters["cover.reused_trees"]; ok {
 		t.Error("a full cover recorded cover.reused_trees")
 	}
-	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty[:1], nil); err == nil {
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty[:1], all); err == nil {
 		t.Error("dirty length mismatch must error")
 	}
-	if _, err := CoverDelta(context.Background(), d, forest, prefix, nil, opts, dirty, nil); err == nil {
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty, all[:1]); err == nil {
+		t.Error("gate mask length mismatch must error")
+	}
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, base, opts, dirty, nil); err == nil {
+		t.Error("nil gate mask must error")
+	}
+	if _, err := CoverDelta(context.Background(), d, forest, prefix, nil, opts, dirty, all); err == nil {
 		t.Error("nil previous cover must error")
 	}
 }

@@ -30,13 +30,11 @@ type AdaptiveRow struct {
 	Overflow    int     // raw track overflow
 	Routable    bool
 	// Controller state that produced this iteration (zero for the
-	// baseline): cells inflated this step / in total, the field's
-	// largest multiplier, and the re-cover's dirty/reused tree split.
+	// baseline): cells inflated this step / in total, and the field's
+	// largest multiplier.
 	ChangedCells  int
 	InflatedCells int
 	MaxMult       float64
-	DirtyTrees    int
-	ReusedTrees   int
 }
 
 // AdaptiveVsLadderResult is the full comparison on one operating
@@ -144,8 +142,6 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 			ChangedCells:  ai.ChangedCells,
 			InflatedCells: ai.InflatedCells,
 			MaxMult:       ai.MaxMult,
-			DirtyTrees:    ai.DirtyTrees,
-			ReusedTrees:   ai.ReusedTrees,
 		})
 	}
 	return res, nil
@@ -171,16 +167,16 @@ func (r *AdaptiveVsLadderResult) WriteTable(w io.Writer) {
 			mark, row.K, row.CellArea, row.NumCells, row.Utilization*100, row.Violations)
 	}
 	fmt.Fprintf(w, "\nclosed loop (%d routed iterations, converged=%v):\n", len(r.Adaptive), r.Converged)
-	fmt.Fprintf(w, "  %-4s %-12s %-9s %-8s %-10s %-8s %-9s %-12s\n",
-		"it", "Cell Area", "Cells", "Util%", "Violations", "MaxMult", "Inflated", "Dirty/Reused")
+	fmt.Fprintf(w, "  %-4s %-12s %-9s %-8s %-10s %-8s %-9s\n",
+		"it", "Cell Area", "Cells", "Util%", "Violations", "MaxMult", "Inflated")
 	for i, row := range r.Adaptive {
 		mark := " "
 		if i == r.AdaptiveBest {
 			mark = "*"
 		}
-		fmt.Fprintf(w, " %s%-4d %-12.0f %-9d %-8.2f %-10d %-8.1f %-9d %d/%d\n",
+		fmt.Fprintf(w, " %s%-4d %-12.0f %-9d %-8.2f %-10d %-8.1f %d\n",
 			mark, row.Iteration, row.CellArea, row.NumCells, row.Utilization*100,
-			row.Violations, row.MaxMult, row.InflatedCells, row.DirtyTrees, row.ReusedTrees)
+			row.Violations, row.MaxMult, row.InflatedCells)
 	}
 	fmt.Fprintf(w, "\ncovering iterations: ladder %d, adaptive %d (%.1fx fewer)\n",
 		len(r.Ladder), len(r.Adaptive), r.CoveringIterationsSaved())

@@ -13,11 +13,11 @@ import (
 
 // TestAdaptiveFieldOfEarlierIteration: when the loop stops after an
 // iteration worse than an earlier one, the accepted state's cover
-// carries the accepted iteration's field, not the last one's. Scaled SPLA on two
-// dies at 11,600 µm² accepts the middle of three routed iterations;
-// re-covering the prefix at the loop's K under Field, with every tree
-// dirty, must reproduce the accepted netlist, which differs from the
-// last iteration's.
+// carries the accepted iteration's field, not the last one's. Scaled
+// SPLA on two dies at 11,600 µm² accepts the middle of three routed
+// iterations; covering the prefix at the loop's K under Field must
+// reproduce the accepted netlist, which differs from the last
+// iteration's.
 func TestAdaptiveFieldOfEarlierIteration(t *testing.T) {
 	p, err := bench.Generate(bench.SPLA.ScaledSpec(0.1))
 	if err != nil {
@@ -58,15 +58,7 @@ func TestAdaptiveFieldOfEarlierIteration(t *testing.T) {
 		t.Fatal("a steered accepted iteration reports no field")
 	}
 	k := ares.State.K
-	_, base, err := mapper.MapStateful(ctx, pc.Prep, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]bool, len(pc.Prep.TreeTerritories()))
-	for i := range all {
-		all[i] = true
-	}
-	res, _, err := mapper.MapFieldDelta(ctx, base, k, field, all)
+	res, _, err := mapper.MapStateful(ctx, pc.Prep, k, field)
 	if err != nil {
 		t.Fatal(err)
 	}

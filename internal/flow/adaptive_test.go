@@ -28,10 +28,6 @@ type adaptiveCase struct {
 	class     bench.Class
 	tightness float64
 	capScale  float64
-	// wantReuse asserts the first inflation re-covers only a strict
-	// subset of the trees. False where the calibrated hot window spans
-	// every territory (PDC is small and congests wall to wall).
-	wantReuse bool
 }
 
 func (c adaptiveCase) name() string {
@@ -49,9 +45,9 @@ func (c adaptiveCase) name() string {
 // region-local, and a fresh anneal per iteration would reshuffle the
 // whole placement out from under the inflated windows.
 var adaptiveCases = []adaptiveCase{
-	{bench.SPLA, 0.45, 1.3, true},
-	{bench.SPLA, 0.55, 1.3, true},
-	{bench.PDC, 0.55, 1.1, false},
+	{bench.SPLA, 0.45, 1.3},
+	{bench.SPLA, 0.55, 1.3},
+	{bench.PDC, 0.55, 1.1},
 }
 
 func (c adaptiveCase) prepare(t *testing.T) (*Context, Config) {
@@ -66,7 +62,8 @@ func (c adaptiveCase) prepare(t *testing.T) (*Context, Config) {
 // TestAdaptiveConvergence is the satellite-3 regression: on each
 // congested config the closed loop must converge within its routed
 // budget and end with overflow no worse than the best rung the full
-// open-loop ladder finds — while re-covering a fraction of the trees.
+// open-loop ladder finds, in at most a third of its covering
+// iterations.
 func TestAdaptiveConvergence(t *testing.T) {
 	for _, tc := range adaptiveCases {
 		tc := tc
@@ -114,20 +111,11 @@ func TestAdaptiveConvergence(t *testing.T) {
 				t.Errorf("adaptive used %d covering iterations, not ≥3× fewer than the %d-rung ladder",
 					res.RoutedIterations(), len(ladder.Iterations))
 			}
-			// The controller must actually act on these congested configs
-			// (the first inflation step exists and re-covers only a
-			// fraction of the trees).
+			// The controller must actually act on these congested configs.
 			if len(res.Iterations) > 1 {
 				it1 := res.Iterations[1]
 				if it1.ChangedCells == 0 || it1.InflatedCells == 0 {
 					t.Error("controller inflated nothing on a congested config")
-				}
-				if it1.DirtyTrees == 0 {
-					t.Error("inflation dirtied no trees")
-				}
-				if tc.wantReuse && it1.ReusedTrees == 0 {
-					t.Errorf("field delta reused no trees (%d dirty): the re-cover was not local",
-						it1.DirtyTrees)
 				}
 				if it1.MaxMult <= 1 {
 					t.Errorf("field MaxMult %g after inflation", it1.MaxMult)
@@ -142,7 +130,7 @@ func TestAdaptiveConvergence(t *testing.T) {
 // routable design while the entire 14-rung ladder never does.
 func TestAdaptiveBeatsLadderOnFlagship(t *testing.T) {
 	t.Parallel()
-	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3, true}.prepare(t)
+	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3}.prepare(t)
 	res, err := RunAdaptive(context.Background(), pc, cfg, AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +152,7 @@ func TestAdaptiveBeatsLadderOnFlagship(t *testing.T) {
 // inputs (satellite 3's seeded-determinism clause).
 func TestAdaptiveDeterministic(t *testing.T) {
 	t.Parallel()
-	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3, true}.prepare(t)
+	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3}.prepare(t)
 	a, err := RunAdaptive(context.Background(), pc, cfg, AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +168,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // decisions included — is byte-identical at 1 and 8 workers.
 func TestAdaptiveWorkerIndependence(t *testing.T) {
 	t.Parallel()
-	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3, true}.prepare(t)
+	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3}.prepare(t)
 	serial := cfg
 	serial.Workers = 1
 	a, err := RunAdaptive(context.Background(), pc, serial, AdaptiveConfig{})
@@ -208,8 +196,7 @@ func sameAdaptive(t *testing.T, tag string, a, b *AdaptiveResult) {
 		ai, bi := a.Iterations[i], b.Iterations[i]
 		sameIteration(t, tag, ai.Iteration, bi.Iteration)
 		if ai.ChangedCells != bi.ChangedCells || ai.InflatedCells != bi.InflatedCells ||
-			ai.MaxMult != bi.MaxMult || ai.DirtyTrees != bi.DirtyTrees ||
-			ai.ReusedTrees != bi.ReusedTrees {
+			ai.MaxMult != bi.MaxMult {
 			t.Errorf("%s: iteration %d controller state diverged:\n%+v\n%+v", tag, i, ai, bi)
 		}
 	}
@@ -238,7 +225,7 @@ func sameAdaptive(t *testing.T, tag string, a, b *AdaptiveResult) {
 // so the controller's deltas chain off the classic path.
 func TestAdaptiveBaselineMatchesStateful(t *testing.T) {
 	t.Parallel()
-	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3, true}.prepare(t)
+	pc, cfg := adaptiveCase{bench.SPLA, 0.55, 1.3}.prepare(t)
 	acfg := AdaptiveConfig{}
 	acfg.defaults()
 	it, _, err := RunStateful(context.Background(), pc, acfg.BaseK, cfg)
@@ -255,9 +242,8 @@ func TestAdaptiveBaselineMatchesStateful(t *testing.T) {
 // TestAdaptiveECOChain: an ECO chains from AdaptiveResult.State, the
 // accepted iteration's state, and re-covers under that iteration's
 // K-field. Each exact edit of a 3-edit chain is byte-identical to the
-// reference, a uniform full cover of the edited design followed by a
-// field re-cover with every tree dirty, placed and routed the same
-// way, at 1 and 4 workers. On some edit the field changes the netlist,
+// reference, a full cover of the edited design under that field,
+// placed and routed the same way, at 1 and 4 workers. On some edit the field changes the netlist,
 // so the chain is not a fixed-K rerun. The state carries the accepted
 // iteration's routing, so a fast-mode chain from it reroutes
 // incrementally from its first edit; it stays equivalent to its edited
@@ -297,19 +283,11 @@ func TestAdaptiveECOChain(t *testing.T) {
 				}
 				edited := *pc
 				edited.Prep = &eco.Prep.Prepared
-				uniform, base, err := mapper.MapStateful(ctx, edited.Prep, st.K)
+				uniform, _, err := mapper.MapStateful(ctx, edited.Prep, st.K, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				in := iterIn{}
-				if field != nil {
-					all := make([]bool, len(edited.Prep.TreeTerritories()))
-					for j := range all {
-						all[j] = true
-					}
-					in = iterIn{field: field, fieldPrev: base, fieldDirty: all}
-				}
-				ref, _, _, err := iterate(ctx, &edited, cfg, st.K, in)
+				ref, _, _, err := iterate(ctx, &edited, cfg, st.K, iterIn{field: field})
 				if err != nil {
 					t.Fatal(err)
 				}

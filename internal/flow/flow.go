@@ -523,24 +523,21 @@ func withPrefix(ctx context.Context, pc *Context, cfg Config) (*Context, error) 
 }
 
 // iterIn selects how one iteration maps. The zero value is a full
-// cover against pc's prefix. prev/edits make it an ECO iteration
-// (invalidate, then re-cover the dirtied trees against prev);
-// fieldPrev/field/fieldDirty a K-field delta that re-covers fieldDirty
-// trees against fieldPrev (adaptive.go).
+// cover of pc's prefix under the uniform field; field covers it under
+// a K-field instead (adaptive.go). prev/edits make it an ECO iteration
+// (invalidate, then re-cover the dirtied trees against prev, under
+// prev's field).
 type iterIn struct {
 	prev  *ECOState
 	edits mapper.EditSet
-
-	field      *cover.KField
-	fieldPrev  *mapper.CoverState
-	fieldDirty []bool
+	field *cover.KField
 }
 
 // iterate is the one iteration body behind every entry point: map,
 // verify, place, route (with multi-die admission), and time, each
 // stage under runstage.Run. It returns the iteration row, the complete
-// state the next ECO or K-field delta chains from, and the routing
-// result. The state and result are nil on error.
+// state the next ECO chains from, and the routing result. The state
+// and result are nil on error.
 func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn) (it Iteration, st *ECOState, routed *route.Result, err error) {
 	cfg.defaults()
 	it = Iteration{K: k}
@@ -558,7 +555,7 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 	}
 
 	// Mapping side: invalidate + delta cover against an ECO parent, or
-	// a cover of pc's prefix — whole, or only the field-dirty trees.
+	// a full cover of pc's prefix under in.field.
 	var prep *mapper.Prepared
 	var eco *mapper.ECO
 	if in.prev != nil {
@@ -584,13 +581,10 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		func(ctx context.Context) (mapOut, error) {
 			var o mapOut
 			var err error
-			switch {
-			case eco != nil:
+			if eco != nil {
 				o.res, o.cov, err = mapper.MapECO(ctx, eco, in.prev.Cover, k)
-			case in.fieldPrev != nil:
-				o.res, o.cov, err = mapper.MapFieldDelta(ctx, in.fieldPrev, k, in.field, in.fieldDirty)
-			default:
-				o.res, o.cov, err = mapper.MapStateful(ctx, prep, k)
+			} else {
+				o.res, o.cov, err = mapper.MapStateful(ctx, prep, k, in.field)
 			}
 			return o, err
 		})

@@ -175,15 +175,15 @@ func (p *Prepared) liveBase() func(g int) bool {
 
 // CoverState is one K rung's covering result together with its
 // lineage: the Prepared it covered, the K it covered at, and the
-// K-field it covered under. MapStateful produces the initial one;
-// MapECO and MapFieldDelta re-cover only dirty trees against it.
+// K-field it covered under. MapStateful produces it; MapECO re-covers
+// only what an edit dirtied against it, under its field. A new field
+// is a new MapStateful call.
 type CoverState struct {
 	prep *Prepared
 	k    float64
 	cov  *cover.Result
 	// field is the K-field the cover ran with (nil is the uniform
-	// field). A structural ECO re-covers under it; a field delta
-	// replaces it.
+	// field). A structural ECO re-covers under it.
 	field *cover.KField
 }
 
@@ -201,60 +201,48 @@ func (p *Prepared) coverOptions(k float64) cover.Options {
 	}
 }
 
-// MapStateful maps the prepared DAG at one congestion factor K and
-// returns the covering state an ECO delta can later start from. The
-// covering DP consumes the cached matches and re-evaluates only the
-// K-weighted cost combination. The cover is recorded under a
-// "map.cover_only" span.
-func MapStateful(ctx context.Context, prep *Prepared, k float64) (*Result, *CoverState, error) {
-	return mapCover(ctx, prep, k, nil, nil, nil, nil, "map.cover_only")
+// MapStateful maps the prepared DAG at one congestion factor K under a
+// K-field (nil is the uniform field) and returns the covering state an
+// ECO delta can later start from. The covering DP consumes the cached
+// matches and re-evaluates only the K- and field-weighted cost
+// combination. The cover is recorded under a "map.cover_only" span.
+func MapStateful(ctx context.Context, prep *Prepared, k float64, field *cover.KField) (*Result, *CoverState, error) {
+	return mapCover(ctx, prep, k, field, nil, nil, "map.cover_only")
 }
 
-// MapECO maps the invalidated context at K. When prev is a cover of
-// the parent Prepared at the same K, it re-covers under prev's K-field
+// MapECO maps the invalidated context at K against prev, a cover of
+// the parent Prepared at the same K. It re-covers under prev's K-field
 // at the solution level: in the trees Invalidate marked dirty, the DP
 // re-solves the re-enumerated gates and, transitively, the gates
 // within the deepest pattern's height above a re-solved gate whose DP
 // terms changed; every other solution carries over (cover.CoverDelta).
 // The result is byte-identical to a full cover of the successor under
-// that field. A nil prev asks for a full cover under the uniform
-// field, counted on "eco.cover_full". A prev at another K or of
-// another lineage is an error: re-covering it in full would silently
-// drop its K-field. Either way the returned CoverState chains further
-// ECOs.
+// that field. A nil prev, a prev at another K or one of another
+// lineage is an error: a full cover would silently drop its K-field.
+// The returned CoverState chains further ECOs.
 func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, *CoverState, error) {
-	if e == nil || e.Prep == nil {
+	switch {
+	case e == nil || e.Prep == nil:
 		return nil, nil, fmt.Errorf("mapper: nil ECO")
-	}
-	rec := obs.From(ctx)
-	if prev == nil {
-		rec.Add("eco.cover_full", 1)
-		return MapStateful(ctx, &e.Prep.Prepared, k)
-	}
-	if prev.k != k {
+	case prev == nil:
+		return nil, nil, fmt.Errorf("mapper: ECO needs the parent's cover state")
+	case prev.k != k:
 		return nil, nil, fmt.Errorf("mapper: ECO at K=%g against a K=%g cover", k, prev.k)
-	}
-	if prev.prep != e.parent {
+	case prev.prep != e.parent:
 		return nil, nil, fmt.Errorf("mapper: ECO against a cover of another Prepared")
 	}
-	rec.Add("eco.cover_delta", 1)
-	rb := e.Prep.rebuild
-	return mapCover(ctx, &e.Prep.Prepared, k, prev.field, prev, rb.Dirty, rb.Reenumerated, "eco.cover_delta")
+	obs.From(ctx).Add("eco.cover_delta", 1)
+	return mapCover(ctx, &e.Prep.Prepared, k, prev.field, prev, e.Prep.rebuild, "eco.cover_delta")
 }
 
 // mapCover covers prep's prefix at K under field (nil is the uniform
-// field) and reconstructs the netlist. With a prev it re-covers only
-// the trees dirty marks, narrowed to the solution level by the
-// reenumerated gate mask when that is non-nil, and carries the rest
-// over from prev's cover, whose carried-over solutions must read what
-// they read in prev (cover.CoverDelta). The cover is recorded under
-// the named span.
-func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KField, prev *CoverState, dirty, reenumerated []bool, span string) (*Result, *CoverState, error) {
+// field) and reconstructs the netlist. With a prev it re-covers, under
+// prev's field, only what rb dirtied and carries the rest over from
+// prev's cover (cover.CoverDelta). The cover is recorded under the
+// named span.
+func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KField, prev *CoverState, rb *cover.Rebuild, span string) (*Result, *CoverState, error) {
 	if prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil Prepared")
-	}
-	if prev != nil && prev.k != k {
-		return nil, nil, fmt.Errorf("mapper: delta at K=%g against a K=%g cover", k, prev.k)
 	}
 	opts := prep.coverOptions(k)
 	opts.KField = field
@@ -265,7 +253,7 @@ func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KFiel
 	if prev == nil {
 		cov, err = cover.CoverWithPrefix(cctx, prep.dag, prep.forest, prep.prefix, opts)
 	} else {
-		cov, err = cover.CoverDelta(cctx, prep.dag, prep.forest, prep.prefix, prev.cov, opts, dirty, reenumerated)
+		cov, err = cover.CoverDelta(cctx, prep.dag, prep.forest, prep.prefix, prev.cov, opts, rb.Dirty, rb.Reenumerated)
 	}
 	cSpan.End(err)
 	if err != nil {

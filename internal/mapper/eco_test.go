@@ -38,8 +38,8 @@ func exampleCircuits(t *testing.T) []string {
 
 // TestMapECOMatchesFresh is the incremental-mapping determinism
 // property: on every example circuit, applying a random edit set via
-// Invalidate + MapECO (both the delta-cover path and the full-cover
-// fallback) is byte-identical to a from-scratch Prepare + MapStateful
+// Invalidate + MapECO (and a full MapStateful cover of the successor)
+// is byte-identical to a from-scratch Prepare + MapStateful
 // of the edited design in the same placement context — including when
 // a second edit set chains off the first ECO.
 func TestMapECOMatchesFresh(t *testing.T) {
@@ -58,11 +58,11 @@ func TestMapECOMatchesFresh(t *testing.T) {
 			for _, k := range []float64{0, 1} {
 				for seed := int64(1); seed <= 2; seed++ {
 					rng := rand.New(rand.NewSource(seed))
-					base, cov, err := MapStateful(ctx, prep, k)
+					base, cov, err := MapStateful(ctx, prep, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					direct, _, err := MapStateful(ctx, prep, k)
+					direct, _, err := MapStateful(ctx, prep, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -87,19 +87,19 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					refRes, _, err := MapStateful(ctx, ref, k)
+					refRes, _, err := MapStateful(ctx, ref, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if resultKey(inc) != resultKey(refRes) {
 						t.Errorf("K=%g seed=%d: delta-cover ECO differs from fresh synthesis of the edited design", k, seed)
 					}
-					full, _, err := MapECO(ctx, eco, nil, k)
+					full, _, err := MapStateful(ctx, &eco.Prep.Prepared, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if resultKey(full) != resultKey(refRes) {
-						t.Errorf("K=%g seed=%d: full-fallback ECO differs from fresh synthesis", k, seed)
+						t.Errorf("K=%g seed=%d: full cover of the successor differs from fresh synthesis", k, seed)
 					}
 
 					// Chain a second edit set off the successor.
@@ -120,7 +120,7 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref2Res, _, err := MapStateful(ctx, ref2, k)
+					ref2Res, _, err := MapStateful(ctx, ref2, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,7 +170,7 @@ func TestMapECOUnderField(t *testing.T) {
 		if resultKey(inc) != resultKey(ref) {
 			t.Errorf("%s: ECO under a K-field differs from a full cover of the successor under it", name)
 		}
-		uniform, _, err := MapStateful(ctx, &eco.Prep.Prepared, k)
+		uniform, _, err := MapStateful(ctx, &eco.Prep.Prepared, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestMapECOUnderField(t *testing.T) {
 
 // TestMapECORefusesForeignCover: a field cover used as prev at another
 // K, or from another lineage, is an error — re-covering in full would
-// silently drop its K-field — and records no cover.
+// silently drop its K-field — and records no delta cover.
 func TestMapECORefusesForeignCover(t *testing.T) {
 	t.Parallel()
 	const k = 1
@@ -212,9 +212,31 @@ func TestMapECORefusesForeignCover(t *testing.T) {
 	if _, _, err := MapECO(ctx, eco, foreignCov, k); err == nil {
 		t.Error("MapECO accepted a field cover of another Prepared")
 	}
-	c := rec.Snapshot().Counters
-	if c["eco.cover_full"] != 0 || c["eco.cover_delta"] != 0 {
-		t.Errorf("refused ECOs counted covers: full=%d delta=%d", c["eco.cover_full"], c["eco.cover_delta"])
+	if c := rec.Snapshot().Counters; c["eco.cover_delta"] != 0 {
+		t.Errorf("refused ECOs counted %d delta covers", c["eco.cover_delta"])
+	}
+}
+
+// TestMapECORefusesNilCover: an ECO without the parent's cover state is
+// an error, not a full cover under the uniform field, and covers
+// nothing.
+func TestMapECORefusesNilCover(t *testing.T) {
+	t.Parallel()
+	d, in := placedCircuit(t, exampleCircuits(t)[0])
+	prep, err := Prepare(context.Background(), d, in, Options{Lib: library.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, err := prep.Invalidate(context.Background(), RandomEdits(prep, rand.New(rand.NewSource(3)), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	if _, _, err := MapECO(obs.WithRecorder(context.Background(), rec), eco, nil, 1); err == nil {
+		t.Error("MapECO accepted a nil cover state")
+	}
+	if n := rec.Snapshot().SpanCounts()["map.reconstruct"]; n != 0 {
+		t.Errorf("a refused ECO mapped %d netlists", n)
 	}
 }
 
@@ -239,19 +261,10 @@ func checkerField(t *testing.T, pos []geom.Point) *cover.KField {
 	return f
 }
 
-// mapUnderField covers every tree of prep under field: a field delta
-// off the uniform cover with every tree dirty.
+// mapUnderField covers prep under field.
 func mapUnderField(t *testing.T, ctx context.Context, prep *Prepared, k float64, field *cover.KField) (*Result, *CoverState) {
 	t.Helper()
-	_, base, err := MapStateful(ctx, prep, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]bool, len(prep.forest.Roots))
-	for i := range all {
-		all[i] = true
-	}
-	res, st, err := MapFieldDelta(ctx, base, k, field, all)
+	res, st, err := MapStateful(ctx, prep, k, field)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +293,7 @@ func TestInvalidateDirtySetExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseRes, _, err := MapStateful(ctx, prep, 0.5)
+			baseRes, _, err := MapStateful(ctx, prep, 0.5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +313,7 @@ func TestInvalidateDirtySetExact(t *testing.T) {
 							return
 						default:
 						}
-						res, _, err := MapStateful(ctx, prep, 0.5)
+						res, _, err := MapStateful(ctx, prep, 0.5, nil)
 						if err != nil {
 							errs <- err.Error()
 							return
@@ -497,7 +510,7 @@ func TestMapECORepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cov, err := MapStateful(ctx, prep, k)
+	_, cov, err := MapStateful(ctx, prep, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +527,8 @@ func TestMapECORepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := rec.Snapshot().Counters
-	if c["eco.cover_delta"] != 2 || c["eco.cover_full"] != 0 {
-		t.Fatalf("eco.cover_delta=%d eco.cover_full=%d, want 2 and 0", c["eco.cover_delta"], c["eco.cover_full"])
+	if c["eco.cover_delta"] != 2 {
+		t.Fatalf("eco.cover_delta=%d, want 2", c["eco.cover_delta"])
 	}
 	if resultKey(first) != resultKey(second) {
 		t.Error("a repeated MapECO on the same ECO returned a different result")
@@ -572,7 +585,7 @@ func TestInvalidateRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, _, err := MapStateful(ctx, prep, 0.5)
+	baseRes, _, err := MapStateful(ctx, prep, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +626,7 @@ func TestInvalidateRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: Invalidate accepted an invalid edit set", tc.name)
 		}
 	}
-	res, _, err := MapStateful(ctx, prep, 0.5)
+	res, _, err := MapStateful(ctx, prep, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +672,7 @@ func TestCoverDeltaSolutionLevel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, st, err := MapStateful(ctx, prep, k)
+				_, st, err := MapStateful(ctx, prep, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

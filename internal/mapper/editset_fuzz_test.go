@@ -76,7 +76,7 @@ func fuzzPrepared(f *testing.F) *Prepared {
 			fuzzTarget.err = err
 			return
 		}
-		_, st, err := MapStateful(context.Background(), prep, fuzzK)
+		_, st, err := MapStateful(context.Background(), prep, fuzzK, nil)
 		if err != nil {
 			fuzzTarget.err = err
 			return

@@ -99,7 +99,7 @@ func Map(ctx context.Context, d *subject.DAG, in Input, opts Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := MapStateful(ctx, prep, opts.K)
+	res, _, err := MapStateful(ctx, prep, opts.K, nil)
 	return res, err
 }
 

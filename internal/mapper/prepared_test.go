@@ -100,7 +100,7 @@ func TestMapPreparedMatchesMap(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Map K=%g: %v", k, err)
 				}
-				pr, _, err := MapStateful(ctx, prep, k)
+				pr, _, err := MapStateful(ctx, prep, k, nil)
 				if err != nil {
 					t.Fatalf("MapStateful K=%g: %v", k, err)
 				}
@@ -146,7 +146,7 @@ func TestMapPreparedSharedRace(t *testing.T) {
 	}
 	want := make(map[float64]string, len(preparedKs))
 	for _, k := range preparedKs {
-		r, _, err := MapStateful(ctx, prep, k)
+		r, _, err := MapStateful(ctx, prep, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestMapPreparedSharedRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(preparedKs)*2; i++ {
 				k := preparedKs[(g+i)%len(preparedKs)]
-				r, _, err := MapStateful(ctx, prep, k)
+				r, _, err := MapStateful(ctx, prep, k, nil)
 				if err != nil {
 					errs[g] = fmt.Errorf("goroutine %d K=%g: %w", g, k, err)
 					return
