@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"casyn"
+	"casyn/internal/flow"
 	"casyn/internal/runstage"
 )
 
@@ -415,8 +416,10 @@ func TestResultCacheByteIdentical(t *testing.T) {
 
 // TestEquivalentSpecsShareCache: spellings of one computation — a zero
 // scale, partition, seed or aspect ratio beside its explicit default,
-// and k beside a k_schedule that ignores it — share prep and result
-// keys, so the second submission is served from the result cache.
+// k beside a k_schedule that ignores it, an adaptive job's zero k
+// beside the BaseK it runs with, and stop_at_first_routable on a job
+// that runs no sweep — share prep and result keys, so the second
+// submission is served from the result cache.
 func TestEquivalentSpecsShareCache(t *testing.T) {
 	pla := `"pla":` + strconv.Quote(tinyPLA)
 	pairs := [][2]string{
@@ -425,6 +428,8 @@ func TestEquivalentSpecsShareCache(t *testing.T) {
 		{`{` + pla + `}`, `{` + pla + `,"seed":1}`},
 		{`{` + pla + `}`, `{` + pla + `,"aspect_ratio":1}`},
 		{`{` + pla + `,"k":0.5,"k_schedule":[0,0.001]}`, `{` + pla + `,"k_schedule":[0,0.001]}`},
+		{`{` + pla + `,"k_mode":"adaptive"}`, `{` + pla + `,"k_mode":"adaptive","k":` + strconv.FormatFloat(flow.DefaultAdaptiveBaseK, 'g', -1, 64) + `}`},
+		{`{` + pla + `,"k":0.5}`, `{` + pla + `,"k":0.5,"stop_at_first_routable":true}`},
 	}
 	for i, pair := range pairs {
 		var keys [2][2]string

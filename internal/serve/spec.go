@@ -12,6 +12,7 @@ import (
 
 	"casyn"
 	"casyn/internal/bench"
+	"casyn/internal/flow"
 	"casyn/internal/logic"
 	"casyn/internal/partition"
 	"casyn/internal/place"
@@ -327,19 +328,24 @@ func (s *JobSpec) PrepKey() (string, error) {
 // key plus everything K-dependent and report-affecting. Two jobs with
 // equal result keys produce byte-identical results, so the result
 // cache may serve one for the other. A sweep ignores k, so its key
-// does too.
+// does too; only a sweep reads stop_at_first_routable, so only its key
+// does; and an adaptive job's zero k is keyed as the BaseK it runs
+// with.
 func (s *JobSpec) ResultKey() (string, error) {
 	pk, err := s.PrepKey()
 	if err != nil {
 		return "", err
 	}
-	k := s.K
-	if len(s.KSchedule) > 0 {
-		k = 0
+	k, stop := s.K, false
+	switch {
+	case len(s.KSchedule) > 0:
+		k, stop = 0, s.StopAtFirstRoutable
+	case s.adaptive() && k <= 0:
+		k = flow.DefaultAdaptiveBaseK
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "prep %s k %g sched %v stop %v kmode %s timing %v verify %v\n",
-		pk, k, s.KSchedule, s.StopAtFirstRoutable, s.kmode(), s.Timing, s.Verify)
+		pk, k, s.KSchedule, stop, s.kmode(), s.Timing, s.Verify)
 	if s.DiePinBudget != 0 {
 		// The pin budget gates route admission, not the prefix.
 		fmt.Fprintf(h, "diepins %d\n", s.DiePinBudget)
