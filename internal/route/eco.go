@@ -272,7 +272,6 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 
 	rec.Add("route.nets", int64(len(nl.Nets)))
 	rec.Add("route.segments", int64(len(segs)))
-	rec.Add("eco.route_nets_changed", int64(len(changed)))
 	rec.Add("eco.route_nets_ripped", int64(len(changed)))
 	rec.Add("eco.route_nets_kept", int64(len(nl.Nets)-len(changed)))
 

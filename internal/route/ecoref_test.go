@@ -143,7 +143,6 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 
 	rec.Add("route.nets", int64(len(nl.Nets)))
 	rec.Add("route.segments", int64(len(segs)))
-	rec.Add("eco.route_nets_changed", int64(len(changed)))
 	rec.Add("eco.route_nets_ripped", int64(ripped))
 	rec.Add("eco.route_nets_kept", int64(len(nl.Nets)-ripped))
 
