@@ -41,6 +41,10 @@ type ECOState struct {
 	// always place seeded, so their states always carry Seeds.
 	Seeds []geom.Point
 	Place *place.Placement
+	// Rows are Place's sorted row spans when a fast-mode ECO placed
+	// it (place.PlaceECO), so the next fast edit copies them rather
+	// than re-sorting every row; nil after a full placement.
+	Rows *place.RowSpans
 	// Widths are the cells' widths; CellKeys and NetKeys are the
 	// identities fast-mode ECO aligns the next netlist's cells and
 	// nets with: a cell's root subject gate (mapper.Result.InstGate)

@@ -625,10 +625,15 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		}
 	}
 	fastECO := eco != nil && cfg.FastECORoute
-	pl, err := runstage.Run(ctx, runstage.StagePlace, k, cfg.StageTimeout, cfg.Hooks,
-		func(ctx context.Context) (*place.Placement, error) {
+	type placeOut struct {
+		pl   *place.Placement
+		rows *place.RowSpans
+	}
+	po, err := runstage.Run(ctx, runstage.StagePlace, k, cfg.StageTimeout, cfg.Hooks,
+		func(ctx context.Context) (placeOut, error) {
 			if cfg.FreshPlacement {
-				return place.PlaceNetlist(ctx, pn.Cells, cfg.Layout, cfg.PlaceOpts)
+				pl, err := place.PlaceNetlist(ctx, pn.Cells, cfg.Layout, cfg.PlaceOpts)
+				return placeOut{pl: pl}, err
 			}
 			// Fast-mode ECO: keep the previous legalized position of every
 			// cell the edit left alone and drop the rest into the nearest
@@ -638,27 +643,29 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 			// placement.
 			if fastECO {
 				prev := in.prev
-				base := place.ECOBase{Place: prev.Place, Widths: prev.Widths, Seeds: prev.Seeds}
+				base := place.ECOBase{Place: prev.Place, Widths: prev.Widths, Seeds: prev.Seeds, Rows: prev.Rows}
 				oldOf := alignKeys(prev.CellKeys, mres.InstGate)
 				_, ecoSpan := rec.StartSpan(ctx, "place.eco")
-				p, moved, err := place.PlaceECO(pn.Cells, cfg.Layout, base, seeds, oldOf)
+				pl, rows, moved, err := place.PlaceECO(pn.Cells, cfg.Layout, base, seeds, oldOf)
 				ecoSpan.End(err)
 				if !errors.Is(err, place.ErrNoRoom) {
 					if err == nil && rec != nil {
 						rec.Add("eco.place_incremental", 1)
 						rec.Add("eco.place_moved_cells", int64(moved))
 					}
-					return p, err
+					return placeOut{pl: pl, rows: rows}, err
 				}
 				if rec != nil {
 					rec.Add("eco.place_full", 1)
 				}
 			}
-			return place.PlaceSeeded(ctx, pn.Cells, cfg.Layout, seeds, cfg.PlaceOpts)
+			pl, err := place.PlaceSeeded(ctx, pn.Cells, cfg.Layout, seeds, cfg.PlaceOpts)
+			return placeOut{pl: pl}, err
 		})
 	if err != nil {
 		return it, nil, nil, err
 	}
+	pl := po.pl
 	netKeys := make([]int, len(pn.Cells.Nets))
 	for s, ni := range pn.SigNet {
 		if ni >= 0 {
@@ -713,7 +720,7 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		}
 		it.Timing = timing
 	}
-	return it, &ECOState{Prep: prep, Cover: mo.cov, Route: ro.st, K: k, Seeds: seeds, Place: pl,
+	return it, &ECOState{Prep: prep, Cover: mo.cov, Route: ro.st, K: k, Seeds: seeds, Place: pl, Rows: po.rows,
 		Widths: pn.Cells.Widths, CellKeys: mres.InstGate, NetKeys: netKeys}, rres, nil
 }
 

@@ -6,10 +6,11 @@ package mapper
 // matches inside the edit's cone (copy-on-write of every other gate,
 // see cover/eco.go), and MapECO re-solves, against a previous same-K
 // cover, just the DP vertices of the dirtied trees that the edit
-// reaches. The original Prepared is never mutated: concurrent readers
-// keep mapping against it while its successor is built. The successor
-// does not point back at it: only the transient ECO does, so a chain
-// that keeps only its latest state lets every ancestor go.
+// reaches, then patches the previous netlist (emit.go). The original
+// Prepared is never mutated: concurrent readers keep mapping against
+// it while its successor is built. The successor does not point back
+// at it: only the transient ECO does, so a chain that keeps only its
+// latest state lets every ancestor go.
 
 import (
 	"context"
@@ -185,6 +186,10 @@ type CoverState struct {
 	// field is the K-field the cover ran with (nil is the uniform
 	// field). A structural ECO re-covers under it.
 	field *cover.KField
+	// res is the netlist built from cov and emission the record of its
+	// layout: a successor patches it rather than rebuilding it.
+	res      *Result
+	emission *emission
 }
 
 // Field returns the K-field the cover ran with: nil for the uniform
@@ -217,9 +222,12 @@ func MapStateful(ctx context.Context, prep *Prepared, k float64, field *cover.KF
 // within the deepest pattern's height above a re-solved gate whose DP
 // terms changed; every other solution carries over (cover.CoverDelta).
 // The result is byte-identical to a full cover of the successor under
-// that field. A nil prev, a prev at another K or one of another
-// lineage is an error: a full cover would silently drop its K-field.
-// The returned CoverState chains further ECOs.
+// that field. The netlist is patched rather than rebuilt: the segments
+// of prev's netlist the edit left alone are copied (emit.go). prev is
+// only read, so concurrent MapECO calls against one prev are safe. A
+// nil prev, a prev at another K or one of another lineage is an error:
+// a full cover would silently drop its K-field. The returned
+// CoverState chains further ECOs.
 func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, *CoverState, error) {
 	switch {
 	case e == nil || e.Prep == nil:
@@ -236,10 +244,10 @@ func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, 
 }
 
 // mapCover covers prep's prefix at K under field (nil is the uniform
-// field) and reconstructs the netlist. With a prev it re-covers, under
+// field) and builds the netlist. With a prev it re-covers, under
 // prev's field, only what rb dirtied and carries the rest over from
-// prev's cover (cover.CoverDelta). The cover is recorded under the
-// named span.
+// prev's cover (cover.CoverDelta), then patches prev's netlist. The
+// cover is recorded under the named span.
 func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KField, prev *CoverState, rb *cover.Rebuild, span string) (*Result, *CoverState, error) {
 	if prep == nil {
 		return nil, nil, fmt.Errorf("mapper: nil Prepared")
@@ -259,13 +267,22 @@ func mapCover(ctx context.Context, prep *Prepared, k float64, field *cover.KFiel
 	if err != nil {
 		return nil, nil, err
 	}
+	// An ECO patches prev's netlist: it walks only what the edit can
+	// have changed and copies the rest (emit.go).
+	var base *patchBase
+	if prev != nil {
+		base = &patchBase{res: prev.res, cov: prev.cov, rec: prev.emission, dirtyRoots: rb.DirtyRoots}
+	}
 	_, rSpan := rec.StartSpan(ctx, "map.reconstruct")
-	res, err := reconstruct(prep.dag, prep.forest, cov)
+	res, em, err := emit(prep.dag, prep.forest, cov, base)
 	rSpan.End(err)
 	if err != nil {
 		return nil, nil, err
 	}
 	rec.Add("map.cells", int64(res.NumCells))
 	rec.Add("map.duplicated_cells", int64(res.DuplicatedCells))
-	return res, &CoverState{prep: prep, k: k, cov: cov, field: field}, nil
+	if prev != nil {
+		rec.Add("eco.copied_cells", int64(em.copied))
+	}
+	return res, &CoverState{prep: prep, k: k, cov: cov, field: field, res: res, emission: em}, nil
 }

@@ -99,10 +99,12 @@ func fuzzPrepared(f *testing.F) *Prepared {
 // shared Prepared (its DAG and placement) must come through
 // bit-identical. A coherent successor's delta cover must equal a full
 // cover of it and solve no more DP vertices than its dirty trees hold,
-// and its edit-local re-partition must equal a full partition of the
-// edited design (fathers, roots, trees). Out-of-range gate IDs, edits to dead or non-base
-// gates, duplicate and overlapping edits, and empty sets are all
-// reachable from the seed corpus.
+// its patched netlist must equal the reference full rebuild of that
+// full cover, and its edit-local re-partition must equal a full
+// partition of the edited design (fathers, roots, trees).
+// Out-of-range gate IDs, edits to dead or non-base gates, duplicate
+// and overlapping edits, and empty sets are all reachable from the
+// seed corpus.
 func FuzzEditSet(f *testing.F) {
 	seeds := []string{
 		`{"edits":[{"op":"nudge","gate":12,"dx":1.5,"dy":-2}]}`,
@@ -121,6 +123,13 @@ func FuzzEditSet(f *testing.F) {
 		`{"edits":[{"op":"warp","gate":12}]}`,
 		`not json`,
 		`{"edits":[{"op":"nudge","gate":12,"dx":1,"dy":2}]}trailing`,
+		// Edits whose patch must walk segments its parent also has: a
+		// copied segment would read a gate that lost its signal, a
+		// duplicate whose solution changed, or a gate another segment
+		// now duplicates first.
+		`{"edits":[{"op":"gate_func","gate":10,"new_type":"nand2","new_in":[0,2]}]}`,
+		`{"edits":[{"op":"gate_func","gate":8,"new_type":"inv","new_in":[4]},{"op":"gate_func","gate":11,"new_type":"nand2","new_in":[6,1]}]}`,
+		`{"edits":[{"op":"reconnect","gate":14,"pin":0,"new_fanin":6},{"op":"nudge","gate":4,"dx":-9.7,"dy":17.6}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -171,7 +180,7 @@ func FuzzEditSet(f *testing.F) {
 						eco.ReenumeratedGates, len(eco.DirtyRoots), dirtyGates)
 				}
 				rec := obs.New()
-				_, st, err := MapECO(obs.WithRecorder(ctx, rec), eco, fuzzTarget.st, fuzzK)
+				res, st, err := MapECO(obs.WithRecorder(ctx, rec), eco, fuzzTarget.st, fuzzK)
 				if err != nil {
 					t.Fatalf("MapECO: %v", err)
 				}
@@ -181,6 +190,9 @@ func FuzzEditSet(f *testing.F) {
 				}
 				if err := diffCovers(st.cov, fullCov); err != nil {
 					t.Fatalf("delta cover differs from a full cover: %v", err)
+				}
+				if err := diffReconstruct(succ, fullCov, res); err != nil {
+					t.Fatalf("patched netlist differs from a full rebuild of the full cover: %v", err)
 				}
 				if solved := rec.Snapshot().Counters["cover.solutions"]; solved > int64(dirtyGates) {
 					t.Fatalf("delta cover solved %d DP vertices, but the dirty trees hold %d", solved, dirtyGates)

@@ -152,6 +152,10 @@ func (n *Netlist) CellCounts() map[string]int {
 // with arity matching the cell, every signal driven consistently, and
 // acyclicity of the instance graph.
 func (n *Netlist) Check() error {
+	// ordered records that every instance reads only signals driven
+	// before it, the order the mapper emits in: such a netlist has no
+	// cycle, and only another order needs the search in TopoOrder.
+	ordered := true
 	for i := range n.Instances {
 		inst := &n.Instances[i]
 		want := len(inst.Cell.Patterns[inst.PatternIndex].Vars())
@@ -162,6 +166,9 @@ func (n *Netlist) Check() error {
 		for _, s := range inst.Inputs {
 			if s < 0 || int(s) >= len(n.Signals) {
 				return fmt.Errorf("netlist: instance %s input signal %d out of range", inst.Name, s)
+			}
+			if n.Signals[s].Driver >= i {
+				ordered = false
 			}
 		}
 		if inst.Output < 0 || int(inst.Output) >= len(n.Signals) {
@@ -184,8 +191,10 @@ func (n *Netlist) Check() error {
 			return fmt.Errorf("netlist: non-gate signal %d has a driver", si)
 		}
 	}
-	if _, err := n.TopoOrder(); err != nil {
-		return err
+	if !ordered {
+		if _, err := n.TopoOrder(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -120,6 +120,26 @@ func TestCheckCatchesCorruption(t *testing.T) {
 	if err := n.Check(); err == nil {
 		t.Error("cycle not caught")
 	}
+	n, _ = buildSmall()
+	// Self loop.
+	n.Instances[1].Inputs[1] = n.Instances[1].Output
+	if err := n.Check(); err == nil {
+		t.Error("self loop not caught")
+	}
+}
+
+// TestCheckAcceptsOutOfOrder: an acyclic netlist whose instance reads a
+// later instance's signal passes Check.
+func TestCheckAcceptsOutOfOrder(t *testing.T) {
+	t.Parallel()
+	n, _ := buildSmall()
+	// u0 = AND2(a, b) now reads u1 = NAND2(a, c) (u1's first input was
+	// u0's output).
+	n.Instances[1].Inputs[0] = n.PIs[0]
+	n.Instances[0].Inputs[1] = n.Instances[1].Output
+	if err := n.Check(); err != nil {
+		t.Errorf("Check: %v", err)
+	}
 }
 
 func TestToPlacement(t *testing.T) {

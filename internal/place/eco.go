@@ -30,6 +30,21 @@ type ECOBase struct {
 	Place  *Placement
 	Widths []float64
 	Seeds  []geom.Point
+	// Rows optionally carries Place's row spans, as returned by the
+	// PlaceECO call that made Place; nil builds them from Place and
+	// Widths.
+	Rows *RowSpans
+}
+
+// RowSpans holds the occupied x extents of every row of one placement,
+// each row sorted by (lo, hi) — what PlaceECO searches for free gaps.
+// PlaceECO returns the spans of the placement it makes, so that the
+// next call on that placement copies them instead of rebuilding and
+// sorting every row.
+type RowSpans struct {
+	rows [][]span
+	// cells is the placement's cell count.
+	cells int
 }
 
 // ErrNoRoom reports that a re-placed cell fits in no row's free gaps;
@@ -39,6 +54,16 @@ var ErrNoRoom = errors.New("place: no row has a free gap for a re-placed cell")
 // span is the occupied x extent of one placed cell.
 type span struct{ lo, hi float64 }
 
+// cmpSpan orders spans by (lo, hi), so a zero-width span touching a
+// cell's left edge sorts before it and every gap lies between
+// neighbors. Equal spans are interchangeable.
+func cmpSpan(a, b span) int {
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.hi, b.hi)
+}
+
 // PlaceECO incrementally updates base.Place for an edited netlist.
 // oldOf maps each cell of nl to the previous cell with the same
 // identity, or -1 for an inserted cell. Cell i keeps the previous
@@ -46,31 +71,39 @@ type span struct{ lo, hi float64 }
 // the previous cell's; every other cell is placed, in index order, at
 // the position nearest seeds[i] (Manhattan, x clamped inside the die)
 // in a free gap of any row. Previous cells nothing maps to are
-// removed. Returns the new placement and the number of re-placed
-// cells. An out-of-range or duplicate oldOf entry, or inputs that do
-// not cover their netlists, are an error; ErrNoRoom means some cell
-// fits nowhere and the caller must fall back to a full placement.
+// removed. Returns the new placement, its row spans (the next call's
+// ECOBase.Rows) and the number of re-placed cells. An out-of-range or
+// duplicate oldOf entry, inputs that do not cover their netlists, or
+// row spans of another placement are an error; ErrNoRoom means some
+// cell fits nowhere and the caller must fall back to a full placement.
 // base is never mutated.
-func PlaceECO(nl *Netlist, layout Layout, base ECOBase, seeds []geom.Point, oldOf []int) (*Placement, int, error) {
+//
+// The previous rows are copied and the spans of the cells not kept
+// deleted, which leaves exactly the sorted spans of the kept cells.
+func PlaceECO(nl *Netlist, layout Layout, base ECOBase, seeds []geom.Point, oldOf []int) (*Placement, *RowSpans, int, error) {
 	n := nl.NumCells()
 	prev := base.Place
 	if prev == nil {
-		return nil, 0, fmt.Errorf("place: PlaceECO needs a previous placement")
+		return nil, nil, 0, fmt.Errorf("place: PlaceECO needs a previous placement")
 	}
 	m := len(prev.Pos)
 	if len(prev.Row) != m || len(base.Widths) != m || len(base.Seeds) != m {
-		return nil, 0, fmt.Errorf("place: previous placement, widths and seeds cover %d, %d and %d cells",
+		return nil, nil, 0, fmt.Errorf("place: previous placement, widths and seeds cover %d, %d and %d cells",
 			m, len(base.Widths), len(base.Seeds))
 	}
 	if len(seeds) != n || len(oldOf) != n {
-		return nil, 0, fmt.Errorf("place: %d seeds and %d map entries for %d cells", len(seeds), len(oldOf), n)
+		return nil, nil, 0, fmt.Errorf("place: %d seeds and %d map entries for %d cells", len(seeds), len(oldOf), n)
 	}
 	if layout.NumRows < 1 {
-		return nil, 0, fmt.Errorf("place: layout has no rows")
+		return nil, nil, 0, fmt.Errorf("place: layout has no rows")
+	}
+	if base.Rows != nil && (len(base.Rows.rows) != layout.NumRows || base.Rows.cells != m) {
+		return nil, nil, 0, fmt.Errorf("place: row spans of %d rows and %d cells for a %d-row placement of %d cells",
+			len(base.Rows.rows), base.Rows.cells, layout.NumRows, m)
 	}
 	p := &Placement{Pos: make([]geom.Point, n), Row: make([]int, n)}
-	rows := make([][]span, layout.NumRows)
 	claimed := make([]bool, m)
+	kept := make([]bool, m)
 	var replace []int
 	for i, o := range oldOf {
 		if o < 0 {
@@ -78,10 +111,10 @@ func PlaceECO(nl *Netlist, layout Layout, base ECOBase, seeds []geom.Point, oldO
 			continue
 		}
 		if o >= m {
-			return nil, 0, fmt.Errorf("place: cell %d maps to previous cell %d of %d", i, o, m)
+			return nil, nil, 0, fmt.Errorf("place: cell %d maps to previous cell %d of %d", i, o, m)
 		}
 		if claimed[o] {
-			return nil, 0, fmt.Errorf("place: previous cell %d is mapped twice", o)
+			return nil, nil, 0, fmt.Errorf("place: previous cell %d is mapped twice", o)
 		}
 		claimed[o] = true
 		r := prev.Row[o]
@@ -89,30 +122,101 @@ func PlaceECO(nl *Netlist, layout Layout, base ECOBase, seeds []geom.Point, oldO
 			replace = append(replace, i)
 			continue
 		}
+		kept[o] = true
 		p.Pos[i], p.Row[i] = prev.Pos[o], r
-		hw := nl.Widths[i] / 2
-		rows[r] = append(rows[r], span{prev.Pos[o].X - hw, prev.Pos[o].X + hw})
 	}
-	for _, row := range rows {
-		// By (lo, hi), so a zero-width span touching a cell's left
-		// edge sorts before it and every gap lies between neighbors.
-		slices.SortFunc(row, func(a, b span) int {
-			if c := cmp.Compare(a.lo, b.lo); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.hi, b.hi)
-		})
+	rows := base.Rows
+	if rows == nil {
+		rows = buildRows(layout, prev, base.Widths)
+	}
+	out, err := rows.without(layout, prev, base.Widths, kept)
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	for _, i := range replace {
-		x, r, g, ok := nearestGap(rows, layout, seeds[i], nl.Widths[i])
+		x, r, g, ok := nearestGap(out.rows, layout, seeds[i], nl.Widths[i])
 		if !ok {
-			return nil, 0, ErrNoRoom
+			return nil, nil, 0, ErrNoRoom
 		}
 		p.Pos[i], p.Row[i] = geom.Pt(x, layout.RowY(r)), r
 		hw := nl.Widths[i] / 2
-		rows[r] = slices.Insert(rows[r], g, span{x - hw, x + hw})
+		out.rows[r] = slices.Insert(out.rows[r], g, span{x - hw, x + hw})
 	}
-	return p, len(replace), nil
+	// Rounding can put an inserted span's lo a hair below its left
+	// neighbor's: sort the rows cells went into, so the next call
+	// starts from exactly the sorted spans a rebuild would make.
+	for _, i := range replace {
+		slices.SortFunc(out.rows[p.Row[i]], cmpSpan)
+	}
+	out.cells = n
+	return p, out, len(replace), nil
+}
+
+// cellSpan is the span of previous cell o.
+func cellSpan(prev *Placement, widths []float64, o int) span {
+	hw := widths[o] / 2
+	return span{prev.Pos[o].X - hw, prev.Pos[o].X + hw}
+}
+
+// buildRows collects and sorts the spans of every cell of a placement
+// that sits on a row of the layout.
+func buildRows(layout Layout, pl *Placement, widths []float64) *RowSpans {
+	rs := &RowSpans{rows: make([][]span, layout.NumRows), cells: len(pl.Pos)}
+	for o, r := range pl.Row {
+		if r >= 0 && r < layout.NumRows {
+			rs.rows[r] = append(rs.rows[r], cellSpan(pl, widths, o))
+		}
+	}
+	for _, row := range rs.rows {
+		slices.SortFunc(row, cmpSpan)
+	}
+	return rs
+}
+
+// without returns a copy of the rows of prev with the spans of the
+// cells not kept deleted. The rows are windows of one array, each with
+// a little room for the cells PlaceECO inserts next.
+func (rs *RowSpans) without(layout Layout, prev *Placement, widths []float64, kept []bool) (*RowSpans, error) {
+	// drop lists the deleted spans by row, then (lo, hi).
+	type dropped struct {
+		row int
+		s   span
+	}
+	var drop []dropped
+	for o, k := range kept {
+		if r := prev.Row[o]; !k && r >= 0 && r < layout.NumRows {
+			drop = append(drop, dropped{r, cellSpan(prev, widths, o)})
+		}
+	}
+	slices.SortFunc(drop, func(a, b dropped) int {
+		if c := cmp.Compare(a.row, b.row); c != 0 {
+			return c
+		}
+		return cmpSpan(a.s, b.s)
+	})
+	const room = 2
+	total := 0
+	for _, row := range rs.rows {
+		total += len(row) + room
+	}
+	flat := make([]span, 0, total)
+	out := &RowSpans{rows: make([][]span, len(rs.rows))}
+	for r, row := range rs.rows {
+		lo := len(flat)
+		for _, s := range row {
+			if len(drop) > 0 && drop[0].row == r && drop[0].s == s {
+				drop = drop[1:]
+				continue
+			}
+			flat = append(flat, s)
+		}
+		if len(drop) > 0 && drop[0].row == r {
+			return nil, fmt.Errorf("place: row spans do not match the previous placement (row %d)", r)
+		}
+		out.rows[r] = flat[lo : len(flat) : len(flat)+room]
+		flat = flat[:len(flat)+room]
+	}
+	return out, nil
 }
 
 // nearestGap finds the free position for a cell of width w nearest

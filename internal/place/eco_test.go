@@ -37,7 +37,7 @@ func TestPlaceECO(t *testing.T) {
 
 	// Unchanged seeds keep the previous legalized placement verbatim.
 	seeds := append([]geom.Point(nil), base.Seeds...)
-	p, moved, err := PlaceECO(nl, layout, base, seeds, identityMap(4))
+	p, _, moved, err := PlaceECO(nl, layout, base, seeds, identityMap(4))
 	if err != nil || moved != 0 {
 		t.Fatalf("err=%v moved=%d, want nil, 0", err, moved)
 	}
@@ -51,7 +51,7 @@ func TestPlaceECO(t *testing.T) {
 	// everything else stays put. The previous placement is never
 	// mutated.
 	seeds[2] = geom.Pt(73, 41)
-	p, moved, err = PlaceECO(nl, layout, base, seeds, identityMap(4))
+	p, _, moved, err = PlaceECO(nl, layout, base, seeds, identityMap(4))
 	if err != nil || moved != 1 {
 		t.Fatalf("err=%v moved=%d, want nil, 1", err, moved)
 	}
@@ -70,7 +70,7 @@ func TestPlaceECO(t *testing.T) {
 
 	// Seeds outside the die clamp to it (by half the cell width).
 	seeds[3] = geom.Pt(150, -9)
-	p, moved, err = PlaceECO(nl, layout, base, seeds, identityMap(4))
+	p, _, moved, err = PlaceECO(nl, layout, base, seeds, identityMap(4))
 	if err != nil || moved != 2 {
 		t.Fatalf("err=%v moved=%d, want nil, 2", err, moved)
 	}
@@ -82,7 +82,7 @@ func TestPlaceECO(t *testing.T) {
 	// others shift down one index, and a new cell seeded on top of the
 	// kept cell at (21, 12.5) lands in the nearest gap beside it.
 	shifted := &Netlist{Widths: []float64{4, 4, 4, 2}}
-	p, moved, err = PlaceECO(shifted, layout, base,
+	p, _, moved, err = PlaceECO(shifted, layout, base,
 		[]geom.Point{base.Seeds[1], base.Seeds[2], base.Seeds[3], geom.Pt(21.5, 12.5)}, []int{1, 2, 3, -1})
 	if err != nil || moved != 1 {
 		t.Fatalf("err=%v moved=%d, want nil, 1", err, moved)
@@ -104,7 +104,7 @@ func TestPlaceECO(t *testing.T) {
 		Seeds:  []geom.Point{geom.Pt(2, 2), geom.Pt(6, 2)},
 	}
 	grown := &Netlist{Widths: []float64{4, 4, 1}}
-	if _, _, err := PlaceECO(grown, one, full, []geom.Point{geom.Pt(2, 2), geom.Pt(6, 2), geom.Pt(4, 2)}, []int{0, 1, -1}); !errors.Is(err, ErrNoRoom) {
+	if _, _, _, err := PlaceECO(grown, one, full, []geom.Point{geom.Pt(2, 2), geom.Pt(6, 2), geom.Pt(4, 2)}, []int{0, 1, -1}); !errors.Is(err, ErrNoRoom) {
 		t.Errorf("insert into a full die: err=%v, want ErrNoRoom", err)
 	}
 
@@ -122,7 +122,7 @@ func TestPlaceECO(t *testing.T) {
 		{"nil previous placement", ECOBase{Widths: base.Widths, Seeds: base.Seeds}, base.Seeds, identityMap(4)},
 		{"short previous widths", ECOBase{Place: prev, Widths: base.Widths[:3], Seeds: base.Seeds}, base.Seeds, identityMap(4)},
 	} {
-		if _, _, err := PlaceECO(nl, layout, tc.base, tc.seeds, tc.oldOf); err == nil || errors.Is(err, ErrNoRoom) {
+		if _, _, _, err := PlaceECO(nl, layout, tc.base, tc.seeds, tc.oldOf); err == nil || errors.Is(err, ErrNoRoom) {
 			t.Errorf("%s: err=%v, want a refusal", tc.name, err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestPlaceECOProperty(t *testing.T) {
 			seeds[i], oldOf[i] = c.seed, c.old
 		}
 
-		p, moved, err := PlaceECO(nl, layout, base, seeds, oldOf)
+		p, _, moved, err := PlaceECO(nl, layout, base, seeds, oldOf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // fmProblem is one bipartitioning instance handed to the
@@ -14,10 +15,13 @@ type fmProblem struct {
 	width []float64 // width of each local cell; its length is the cell count
 	nets  []fmNet
 	// ofStart/ofNets index local cell -> incident local nets in CSR
-	// form: cell i's nets are ofNets[ofStart[i]:ofStart[i+1]]. Built
-	// by linkCells.
+	// form: cell i's nets are ofNets[ofStart[i]:ofStart[i+1]]. ofPos
+	// holds, beside each, the listing's position in the nets' cell
+	// lists laid end to end: net order first, then the position on
+	// the net. Built by linkCells.
 	ofStart []int32
 	ofNets  []int32
+	ofPos   []int32
 	// balance targets: each side's total width must stay within
 	// [targetLo, targetHi].
 	targetLo, targetHi float64
@@ -31,7 +35,8 @@ type fmNet struct {
 
 // linkCells rebuilds the cell -> net index from p.nets, reusing p's
 // buffers. A cell's nets are listed in ascending order, once per
-// listing of the cell on the net.
+// listing of the cell on the net, so its listings' positions ascend
+// too.
 func (p *fmProblem) linkCells() {
 	n := len(p.width)
 	p.ofStart = grow(p.ofStart, n+1)
@@ -45,12 +50,16 @@ func (p *fmProblem) linkCells() {
 		p.ofStart[i] += p.ofStart[i-1]
 	}
 	p.ofNets = grow(p.ofNets, int(p.ofStart[n]))
+	p.ofPos = grow(p.ofPos, int(p.ofStart[n]))
 	// Fill with ofStart[c] as cell c's cursor, which leaves it at the
 	// start of cell c+1; shift back afterwards.
+	pos := int32(0)
 	for ni := range p.nets {
 		for _, c := range p.nets[ni].cells {
 			p.ofNets[p.ofStart[c]] = int32(ni)
+			p.ofPos[p.ofStart[c]] = pos
 			p.ofStart[c]++
+			pos++
 		}
 	}
 	copy(p.ofStart[1:], p.ofStart[:n])
@@ -79,7 +88,10 @@ type fmScratch struct {
 	inBucket   []bool
 	bestSide   []bool
 	touched    []int32
+	netMark    []int32
 	stamp      int32
+	cand       []int32
+	requeued   []int64
 	bucket     [][]int32
 	order      []int
 	moves      []int
@@ -187,10 +199,13 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 	s.inBucket = grow(s.inBucket, n)
 	gain, locked, inBucket := s.gain, s.locked, s.inBucket
 	// touched[j] == stamp marks cells on a net whose side counts
-	// crossed 0 or 1 in the current move. Entries left by earlier
-	// calls hold smaller stamps.
+	// crossed 0 or 1 in the current move, and netMark[ni] == stamp the
+	// moved cell's nets. Entries left by earlier calls hold smaller
+	// stamps.
 	s.touched = grow(s.touched, n)
 	touched := s.touched
+	s.netMark = grow(s.netMark, len(p.nets))
+	netMark := s.netMark
 	// bucket[g+maxDeg] is a stack of cells with gain g.
 	nBuckets := 2*maxDeg + 1
 	for len(s.bucket) < nBuckets {
@@ -274,15 +289,21 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 			// Update net counts and neighbor gains. gainOf reads only
 			// whether a net's side counts are 0 or 1, so only cells on
 			// a net whose counts pass through that range can change
-			// gain. The scan skips the others; its order, and so every
-			// requeue, is unchanged.
+			// gain: those are the candidates, collected as the counts
+			// move. A changed cell is requeued where a scan of every
+			// cell of the moved cell's nets, in net order, would first
+			// meet it: its first listing on one of those nets, the
+			// smallest such position since its listings ascend.
 			if s.stamp == math.MaxInt32 {
 				clear(touched[:cap(touched)])
+				clear(netMark[:cap(netMark)])
 				s.stamp = 0
 			}
 			s.stamp++
 			stamp := s.stamp
+			cand := s.cand[:0]
 			for _, ni := range p.netsOf(i) {
+				netMark[ni] = stamp
 				from, to := cntA, cntB
 				if fromB {
 					from, to = cntB, cntA
@@ -291,23 +312,37 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 				to[ni]++
 				if from[ni] <= 1 || to[ni] <= 2 {
 					for _, j := range p.nets[ni].cells {
-						touched[j] = stamp
+						if touched[j] != stamp {
+							touched[j] = stamp
+							cand = append(cand, j)
+						}
 					}
 				}
 			}
-			for _, ni := range p.netsOf(i) {
-				for _, j32 := range p.nets[ni].cells {
-					j := int(j32)
-					if locked[j] || touched[j] != stamp {
-						continue
-					}
-					ng := gainOf(j)
-					if ng != gain[j] {
-						gain[j] = ng
-						requeue(j)
+			// requeued packs (first listing, cell) as listing·n + cell.
+			requeued := s.requeued[:0]
+			for _, j32 := range cand {
+				j := int(j32)
+				if locked[j] {
+					continue
+				}
+				ng := gainOf(j)
+				if ng == gain[j] {
+					continue
+				}
+				gain[j] = ng
+				for k := p.ofStart[j]; k < p.ofStart[j+1]; k++ {
+					if netMark[p.ofNets[k]] == stamp {
+						requeued = append(requeued, int64(p.ofPos[k])*int64(n)+int64(j))
+						break
 					}
 				}
 			}
+			slices.Sort(requeued)
+			for _, key := range requeued {
+				requeue(int(key % int64(n)))
+			}
+			s.cand, s.requeued = cand, requeued
 			if curCut < passBestCut {
 				passBestCut = curCut
 				passBestStep = len(moves) - 1
