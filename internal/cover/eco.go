@@ -74,20 +74,38 @@ type Rebuild struct {
 	ReenumeratedGates int
 }
 
+// Change is what an edit changed, as RebuildPrefix takes it.
+type Change struct {
+	// Edited lists the gates whose type or fanins changed.
+	Edited []int
+	// Moved lists the gates whose position may have changed, and
+	// Refathered the gates whose father pointer or forest membership
+	// may have changed. Each must include every gate that did;
+	// RebuildPrefix drops the ones that did not.
+	Moved, Refathered []int
+}
+
 // RebuildPrefix builds a Prefix for the edited (dag, forest, pos) by
 // copy-on-write against prev: every gate outside the edit cone shares
 // prev's per-gate match slice (never reallocated, pointer-identical),
 // and the cone's gates in dirty trees are re-enumerated on the edited
-// DAG. editedGates lists the gate IDs whose type or fanins changed;
-// position changes are detected by comparing pos against prev's frozen
-// snapshot. prevForest must be the forest prev was built with (its
-// father pointers feed the clean-tree test and the edit cone). The
-// edited DAG must have the same vertex count as prev's —
-// ECO edits rewrite gates in place, never add or remove them.
+// DAG. ch names the gates the edit touched; the dirty trees and the
+// cone are derived from them alone, without scanning the design.
+// prevForest must be the forest prev was built with (its father
+// pointers feed the clean-tree test and the edit cone). The edited DAG
+// must have the same vertex count as prev's — ECO edits rewrite gates
+// in place, never add or remove them.
+//
+// A tree of the new forest is dirty iff it holds a touched gate, a
+// fanout of a moved gate, or the old father of a touched gate. That is
+// the clean-tree test above: a tree that gained a member holds a gate
+// whose father or membership changed on the member's new father chain,
+// and a tree that lost one holds the old father of the last such gate
+// on the member's old chain.
 //
 // prev is read-only throughout: a shared Prepared can keep serving
 // concurrent covers while its successor is rebuilt.
-func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, workers int, prevForest *partition.Forest, prev *Prefix, editedGates []int) (*Rebuild, error) {
+func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest, lib *library.Library, pos []geom.Point, workers int, prevForest *partition.Forest, prev *Prefix, ch Change) (*Rebuild, error) {
 	if prev == nil || prevForest == nil {
 		return nil, fmt.Errorf("cover: RebuildPrefix needs a previous prefix and forest")
 	}
@@ -99,73 +117,79 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		return nil, fmt.Errorf("cover: %d positions for %d gates", len(pos), dag.NumGates())
 	}
 	n := dag.NumGates()
-	structEdited := make([]bool, n)
-	for _, g := range editedGates {
+	for _, g := range slices.Concat(ch.Edited, ch.Moved, ch.Refathered) {
 		if g < 0 || g >= n {
 			return nil, fmt.Errorf("cover: edited gate %d out of range [0,%d)", g, n)
 		}
-		structEdited[g] = true
 	}
-	posChanged := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if pos[i] != prev.pos[i] {
-			posChanged[i] = true
+	rootOf := forest.RootOf()
+	// A gate is touched when it was structurally edited, moved, changed
+	// its father pointer, or entered or left the forest.
+	var moved []int
+	for _, v := range ch.Moved {
+		if pos[v] != prev.pos[v] {
+			moved = append(moved, v)
 		}
 	}
-	// Old tree sizes by root: membership equality is "every member's
-	// old root is r" plus a size match.
-	oldSize := make(map[int]int, len(prev.trees))
-	for ti := range prev.trees {
-		oldSize[prev.trees[ti].Root] = len(prev.trees[ti].Gates)
+	touched := slices.Concat(ch.Edited, moved)
+	for _, v := range ch.Refathered {
+		if forest.Father[v] != prevForest.Father[v] || (prev.rootOf[v] < 0) != (rootOf[v] < 0) {
+			touched = append(touched, v)
+		}
 	}
 
+	// Copy-on-write: every gate shares the previous enumeration unless
+	// it left the forest or is re-enumerated below. The outer slice is
+	// fresh per prefix; the per-gate match slices are the immutable
+	// payload and are never reallocated.
 	p := &Prefix{
 		dag:     dag,
 		trees:   forest.Trees(),
-		rootOf:  forest.RootOf(),
+		rootOf:  rootOf,
 		pos:     append([]geom.Point(nil), pos...),
-		matches: make([][]preparedMatch, n),
+		matches: slices.Clone(prev.matches),
 		height:  lib.MaxPatternHeight(),
 	}
 	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
-	cone := editCone(dag, forest, prevForest, prev.rootOf, p.rootOf, structEdited, posChanged, p.height)
-	rb := &Rebuild{Prefix: p, Dirty: make([]bool, len(p.trees)), Reenumerated: make([]bool, n)}
-	var dirty []int
+	treeOf := make(map[int]int, len(p.trees))
 	for ti := range p.trees {
-		t := &p.trees[ti]
-		clean := oldSize[t.Root] == len(t.Gates)
-		for _, v := range t.Gates {
-			if !clean {
-				break
-			}
-			if prev.rootOf[v] != t.Root || structEdited[v] ||
-				forest.Father[v] != prevForest.Father[v] || posChanged[v] {
-				clean = false
-				break
-			}
-			for _, l := range dag.Fanins(v) {
-				if posChanged[l] {
-					clean = false
-					break
-				}
-			}
+		treeOf[p.trees[ti].Root] = ti
+	}
+	rb := &Rebuild{Prefix: p, Dirty: make([]bool, len(p.trees)), Reenumerated: make([]bool, n)}
+	mark := func(v int) {
+		if v >= 0 && rootOf[v] >= 0 {
+			rb.Dirty[treeOf[rootOf[v]]] = true
 		}
-		// Copy-on-write: a gate outside the cone shares the previous
-		// enumeration, in a clean tree or a dirty one. The outer slice
-		// is fresh per prefix; the per-gate match slices are the
-		// immutable payload and are never reallocated.
+	}
+	cone := make([]int, n)
+	for _, v := range touched {
+		if rootOf[v] < 0 {
+			p.matches[v] = nil
+		}
+		mark(v)
+		mark(prevForest.Father[v])
+		editCone(cone, forest, v, p.height)
+		for _, w := range dag.Fanouts(v) {
+			editCone(cone, forest, w, p.height)
+		}
+	}
+	for _, v := range moved {
+		for _, w := range dag.Fanouts(v) {
+			mark(w)
+		}
+	}
+	var dirty []int
+	for ti, d := range rb.Dirty {
+		if !d {
+			continue
+		}
+		t := &p.trees[ti]
 		for _, v := range t.Gates {
-			if clean || cone[v] == 0 {
-				p.matches[v] = prev.matches[v]
-			} else {
+			if cone[v] > 0 {
 				rb.Reenumerated[v] = true
 				rb.ReenumeratedGates++
 			}
 		}
-		if clean {
-			continue
-		}
-		rb.Dirty[ti] = true
 		dirty = append(dirty, ti)
 		rb.DirtyRoots = append(rb.DirtyRoots, t.Root)
 	}
@@ -182,33 +206,19 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 	return rb, nil
 }
 
-// editCone marks every gate whose match enumeration an edit can have
-// changed: the gates within h-1 new-forest father steps above a
-// touched gate or above a fanout of one, the start gate included. A
-// gate is touched when it was structurally edited, moved, changed its
-// father pointer, or entered or left the forest (see the file
-// comment for why this is exact). A gate is in the cone iff its entry
-// is positive: one more than the most father steps a walk through it
-// still had left, so a walk arriving with no more stops early.
-func editCone(dag *subject.DAG, forest, prevForest *partition.Forest, prevRootOf, rootOf []int, structEdited, posChanged []bool, h int) []int {
-	n := dag.NumGates()
-	cone := make([]int, n)
-	walk := func(v int) {
-		for steps := h; v >= 0 && cone[v] < steps; steps-- {
-			cone[v] = steps
-			v = forest.Father[v]
-		}
+// editCone marks, in cone, the gates within h-1 new-forest father
+// steps above v, v included: the gates whose match enumeration a
+// touched gate at or below v can have changed (see the file comment
+// for why the touched gates and their fanouts are exact seeds). A gate
+// is in the cone iff its entry is positive: one more than the most
+// father steps a walk through it still had left, so a walk arriving
+// with no more stops early, and the marks do not depend on the order
+// of the walks.
+func editCone(cone []int, forest *partition.Forest, v, h int) {
+	for steps := h; v >= 0 && cone[v] < steps; steps-- {
+		cone[v] = steps
+		v = forest.Father[v]
 	}
-	for v := 0; v < n; v++ {
-		if structEdited[v] || posChanged[v] || forest.Father[v] != prevForest.Father[v] ||
-			(prevRootOf[v] < 0) != (rootOf[v] < 0) {
-			walk(v)
-			for _, w := range dag.Fanouts(v) {
-				walk(w)
-			}
-		}
-	}
-	return cone
 }
 
 // SharesMatches reports whether prefixes a and b hold the identical

@@ -120,7 +120,13 @@ func TestRebuildConeBoundary(t *testing.T) {
 		if newForest.Father[touched] == forest.Father[touched] {
 			t.Fatalf("%d below: the reconnect left gate %d's father unchanged", below, touched)
 		}
-		rb, err := RebuildPrefix(ctx, edited, newForest, lib, pos, 1, forest, prev, []int{spare})
+		var refathered []int
+		for g := range newForest.Father {
+			if newForest.Father[g] != forest.Father[g] || (newForest.RootOf()[g] < 0) != (forest.RootOf()[g] < 0) {
+				refathered = append(refathered, g)
+			}
+		}
+		rb, err := RebuildPrefix(ctx, edited, newForest, lib, pos, 1, forest, prev, Change{Edited: []int{spare}, Refathered: refathered})
 		if err != nil {
 			t.Fatal(err)
 		}

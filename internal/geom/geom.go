@@ -79,11 +79,13 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// Union returns the smallest rectangle containing both r and s.
+// Union returns the smallest rectangle containing both r and s. The
+// min and max builtins equal math.Min and math.Max bit for bit on
+// finite coordinates, signed zeros included, and compile inline.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
+		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
 

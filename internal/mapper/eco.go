@@ -122,16 +122,20 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	// caller's forest, are re-partitioned in full.
 	in := partition.Input{DAG: dag, Pos: pos, POPads: p.in.POPads}
 	var forest *partition.Forest
+	var refathered []int
 	if p.partitioned && p.opts.Method == partition.PDP {
-		forest, err = partition.RepartitionPDP(p.forest, p.dag, in, structEdited, moved)
+		forest, refathered, err = partition.RepartitionPDP(p.forest, p.dag, in, structEdited, moved)
 	} else {
 		forest, err = partition.Partition(in, p.opts.Method)
+		if err == nil {
+			refathered = forestChanges(p.forest, forest)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	rb, err := cover.RebuildPrefix(ctx, dag, forest, p.opts.Lib, pos, p.opts.Workers,
-		p.forest, p.prefix, structEdited)
+		p.forest, p.prefix, cover.Change{Edited: structEdited, Moved: moved, Refathered: refathered})
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +160,19 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 		ReenumeratedGates: rb.ReenumeratedGates,
 		parent:            p,
 	}, nil
+}
+
+// forestChanges lists the gates whose father pointer or tree
+// membership differs between two forests of the same DAG.
+func forestChanges(prev, next *partition.Forest) []int {
+	var out []int
+	prevRoot, nextRoot := prev.RootOf(), next.RootOf()
+	for g := range next.Father {
+		if next.Father[g] != prev.Father[g] || (prevRoot[g] < 0) != (nextRoot[g] < 0) {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // liveBase reports whether a base gate drives an output. Every

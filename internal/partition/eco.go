@@ -36,22 +36,25 @@ import (
 // edited copy, with the same gates, in which edited lists the gates
 // whose type or fanins changed. in.Pos differs from the positions prev
 // was built with exactly at the gates moved lists; in.POPads and the
-// outputs are unchanged. prev is read-only.
-func RepartitionPDP(prev *Forest, prevDAG *subject.DAG, in Input, edited, moved []int) (*Forest, error) {
+// outputs are unchanged. prev is read-only. It also returns the gates
+// whose father or liveness the edit changed, ascending: a superset of
+// the gates whose father pointer or tree membership differs between
+// prev and the result.
+func RepartitionPDP(prev *Forest, prevDAG *subject.DAG, in Input, edited, moved []int) (*Forest, []int, error) {
 	d := in.DAG
 	if d == nil || prevDAG == nil || prev == nil {
-		return nil, fmt.Errorf("partition: RepartitionPDP needs the previous forest and both DAGs")
+		return nil, nil, fmt.Errorf("partition: RepartitionPDP needs the previous forest and both DAGs")
 	}
 	n := d.NumGates()
 	if prevDAG.NumGates() != n || len(prev.Father) != n {
-		return nil, fmt.Errorf("partition: edited DAG has %d gates, previous forest covers %d", n, len(prev.Father))
+		return nil, nil, fmt.Errorf("partition: edited DAG has %d gates, previous forest covers %d", n, len(prev.Father))
 	}
 	if len(in.Pos) < n {
-		return nil, fmt.Errorf("partition: PDP needs positions for all %d gates, got %d", n, len(in.Pos))
+		return nil, nil, fmt.Errorf("partition: PDP needs positions for all %d gates, got %d", n, len(in.Pos))
 	}
 	for _, g := range slices.Concat(edited, moved) {
 		if g < 0 || g >= n {
-			return nil, fmt.Errorf("partition: edited gate %d out of range [0,%d)", g, n)
+			return nil, nil, fmt.Errorf("partition: edited gate %d out of range [0,%d)", g, n)
 		}
 	}
 	isPODriver := poDrivers(d)
@@ -106,7 +109,7 @@ func RepartitionPDP(prev *Forest, prevDAG *subject.DAG, in Input, edited, moved 
 		f.Roots = slices.Clone(prev.Roots)
 		f.trees = copyTrees(prev.trees, prev.Roots, nil)
 		f.rootOf = slices.Clone(prev.rootOf)
-		return f, nil
+		return f, nil, nil
 	}
 	slices.Sort(changed)
 	isRoot := func(g int) bool {
@@ -178,7 +181,7 @@ func RepartitionPDP(prev *Forest, prevDAG *subject.DAG, in Input, edited, moved 
 		}
 	}
 	f.rootOf = rootOf
-	return f, nil
+	return f, changed, nil
 }
 
 // liveFlips returns the tree gates whose liveness the edit changed,

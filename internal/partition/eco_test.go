@@ -130,9 +130,14 @@ func TestRepartitionPDPMatchesPartition(t *testing.T) {
 				}
 			}
 			in := Input{DAG: d2, Pos: pos2, POPads: pads}
-			got, err := RepartitionPDP(f, d, in, edited, moved)
+			got, changed, err := RepartitionPDP(f, d, in, edited, moved)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for g := range got.Father {
+				if (got.Father[g] != f.Father[g] || (got.rootOf[g] < 0) != (f.rootOf[g] < 0)) && !slices.Contains(changed, g) {
+					t.Fatalf("seed %d step %d: gate %d changed father or membership but is not reported", seed, step, g)
+				}
 			}
 			want, err := Partition(in, PDP)
 			if err != nil {

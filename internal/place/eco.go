@@ -262,15 +262,27 @@ func nearestGap(rows [][]span, layout Layout, seed geom.Point, w float64) (float
 
 // rowGap finds, in one row's sorted spans, the gap position for a
 // cell of width w nearest x with horizontal displacement below limit.
-// Gap g lies between spans g-1 and g (the die edges bound the ends).
-// The walk goes outward from the gap at x and stops once a gap's near
-// edge alone is limit away.
+// Gap g lies between spans g-1 and g (the die edges bound the ends),
+// and its left edge is the largest hi of the spans before it: rounding
+// can put a re-placed span's lo a hair below its left neighbor's hi,
+// and a zero-width span that then sorts after it lies inside its
+// extent. The walk goes outward from the gap at x and stops once a
+// gap's near edge alone is limit away.
 func rowGap(row []span, die geom.Rect, x, w, limit float64) (float64, int, float64, bool) {
 	gapLo := func(g int) float64 {
 		if g == 0 {
 			return die.Min.X
 		}
-		return row[g-1].hi
+		// Spans of positive width end in the order they start, so the
+		// running maximum reaches back only over zero-width spans to
+		// the nearest wider one.
+		hi := row[g-1].hi
+		for j := g - 1; j > 0 && row[j].lo == row[j].hi; j-- {
+			if row[j-1].hi > hi {
+				hi = row[j-1].hi
+			}
+		}
+		return hi
 	}
 	gapHi := func(g int) float64 {
 		if g == len(row) {

@@ -93,6 +93,7 @@ func TestPlaceECOChainMatchesReference(t *testing.T) {
 			if moved != wantMoved || !slices.Equal(got.Pos, want.Pos) || !slices.Equal(got.Row, want.Row) {
 				t.Fatalf("trial %d step %d: placement differs from the reference (moved %d, want %d)", trial, step, moved, wantMoved)
 			}
+			checkLegal(t, nl, layout, got)
 			// The reference sorts the rows the next call starts from.
 			for _, row := range wantRows {
 				slices.SortFunc(row, cmpSpan)

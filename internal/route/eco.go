@@ -38,33 +38,6 @@ import (
 	"casyn/internal/place"
 )
 
-// State captures a completed routing for incremental reuse: the
-// settled grid (usage and negotiation history), every segment's final
-// path, length and failure flag, the per-net terminal gcells the next
-// routing is diffed against, and the netlist and cell gcells they were
-// derived from. A State holds no array of the State it was rerouted
-// from, so a chain that keeps only its latest State frees the rest.
-type State struct {
-	layout place.Layout
-	opts   Options // defaulted
-	grid   *Grid
-	segs   []twoPin
-	// segsOfNet[ni] indexes segs for net ni, in mstPairs order.
-	segsOfNet [][]int
-	// netTerms[ni] is net ni's deduped terminal gcells.
-	netTerms [][][2]int
-	// segLen[i] is segs[i]'s routed length (µm) summed in path order,
-	// and segFailed[i] whether its path crosses an over-capacity edge
-	// of grid: what collectResult derives per segment.
-	segLen    []float64
-	segFailed []bool
-	// nl is the routed netlist (not to be mutated afterwards), and
-	// cellGCell[c] the gcell index (y*NX + x) cell c was placed in.
-	nl        *place.Netlist
-	cellGCell []int32
-	res       *Result
-}
-
 // netSlots groups the canonical slots sortSegs returned by net: for
 // each of nets nets, the positions its segments take in the sorted
 // list, in emission (mstPairs) order. segs must be the unsorted input,
@@ -158,14 +131,20 @@ func equalTerms(a, b [][2]int) bool {
 // overflow the edit adds on a saturated design is reported in the
 // Result rather than fought globally.
 //
-// The bookkeeping scales with the edit, not the design: an aligned net
-// whose pins lie in the gcells the previous net's did keeps its
-// terminals without re-deriving them, the canonical segment order is the
-// previous order with the ripped nets' fresh segments merged in, the
-// usage is the previous usage minus the replaced paths, and the
-// Result carries each kept segment's length and failure flag over
-// unless an edge in its territory changed overflow state. The Result
-// and State are bit-identical to rebuilding all of it from scratch.
+// The bookkeeping scales with the edit, not the design. A kept net
+// keeps its stable net ID and segment IDs, so the successor State
+// shares every chunk of per-net and per-segment data the edit does not
+// write (see State): it writes the ripped nets' records and fresh
+// segments, and the failure flags of kept segments an overflow change
+// flipped. An aligned net whose pins lie in the gcells the previous
+// net's did is not re-derived at all. The canonical order is the
+// previous order of segment IDs with the ripped nets' fresh segments
+// merged in, the usage is the previous usage minus the replaced paths,
+// and the failed-connection count is the previous count adjusted by
+// the dropped, fresh and re-derived flags. The Result and State are
+// bit-identical to rebuilding all of it from scratch. The previous
+// State is only read, so concurrent RouteECO calls against one State
+// are safe.
 //
 // An unchanged design (identity map, identical terminals and
 // capacities) returns the previous Result and State verbatim. A nil
@@ -186,8 +165,8 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	}
 	// newOf inverts oldNet: the net each previous net became, or -1
 	// for a removed one.
-	identity := len(nl.Nets) == len(st.netTerms)
-	newOf := make([]int, len(st.netTerms))
+	identity := len(nl.Nets) == len(st.netID)
+	newOf := make([]int, len(st.netID))
 	for o := range newOf {
 		newOf[o] = -1
 	}
@@ -196,8 +175,8 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 		if o < 0 {
 			continue
 		}
-		if o >= len(st.netTerms) {
-			return nil, nil, fmt.Errorf("route: net %d maps to previous net %d of %d", ni, o, len(st.netTerms))
+		if o >= len(st.netID) {
+			return nil, nil, fmt.Errorf("route: net %d maps to previous net %d of %d", ni, o, len(st.netID))
 		}
 		if newOf[o] >= 0 {
 			return nil, nil, fmt.Errorf("route: previous net %d is mapped twice", o)
@@ -229,7 +208,7 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	// post-rip negotiation resolves.
 	_, decSpan := rec.StartSpan(ctx, "route.decompose")
 	gcells := cellGCells(g, pl)
-	terms, changed := st.terminals(g, nl, pl, gcells, oldNet)
+	changed, changedTerms := st.terminals(g, nl, pl, gcells, oldNet)
 	if identity && len(changed) == 0 {
 		if _, shifted := capacityDiffRect(st.grid, g); !shifted {
 			// Nothing moved and nothing reconnected: the previous
@@ -249,39 +228,32 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	for _, ni := range changed {
 		rip[ni] = true
 	}
-	next := &State{layout: st.layout, opts: opts, grid: g, netTerms: terms, nl: nl, cellGCell: gcells}
-	eligible := next.reorder(st, g, oldNet, newOf, rip, rec)
-	segs := next.segs
+	e := st.successor(g, nl, gcells, oldNet, newOf, rip, changed, changedTerms, rec)
 	// Persist the negotiated history — the learned congestion map — so
 	// rerouting resumes rather than relearns. The usage starts as the
 	// previous usage minus every replaced path (the ripped and removed
 	// nets'): usage is integer-valued, so the subtraction is exact.
 	g.copyHistoryFrom(st.grid)
 	g.copyUsageFrom(st.grid)
-	for o, ni := range newOf {
-		if ni >= 0 && !rip[ni] {
-			continue
-		}
-		for _, si := range st.segsOfNet[o] {
-			for _, e := range st.segs[si].path {
-				g.addUsage(e, -1)
-			}
+	for _, id := range e.cut {
+		for _, ed := range st.segs.at(id).path {
+			g.addUsage(ed, -1)
 		}
 	}
 	decSpan.End(nil)
 
 	rec.Add("route.nets", int64(len(nl.Nets)))
-	rec.Add("route.segments", int64(len(segs)))
+	rec.Add("route.segments", int64(len(e.next.order)))
 	rec.Add("eco.route_nets_ripped", int64(len(changed)))
 	rec.Add("eco.route_nets_kept", int64(len(nl.Nets)-len(changed)))
 
 	r := newRouter(g, opts)
 	// Residual overflow the baseline negotiation already settled for is
 	// not this edit's problem (floorGrid), and kept nets' paths are
-	// never ripped (eligible): the rounds below only rework the edited
-	// nets against each other.
+	// never ripped: the router sees only the fresh segments, in
+	// canonical order, so the rounds below only rework the edited nets
+	// against each other.
 	r.floorGrid = st.grid
-	r.eligible = eligible
 	// Ripped segments maze-route directly — serially, in canonical
 	// order, against the kept usage and the persisted history — instead
 	// of the from-scratch flow's pattern-route first pass. An L-shape
@@ -292,22 +264,22 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	_, fpSpan := rec.StartSpan(ctx, "route.first_pass")
 	check := cancelChecker{ctx: ctx}
 	s := r.scratch.Get().(*mazeScratch)
-	for _, i := range eligible {
+	for i := range e.fresh {
 		if err := check.tick(); err != nil {
 			err = fmt.Errorf("route: canceled: %w", err)
 			fpSpan.End(err)
 			return nil, nil, err
 		}
-		r.reroute(s, &segs[i])
+		r.reroute(s, &e.fresh[i])
 	}
 	r.scratch.Put(s)
 	fpSpan.End(nil)
-	rounds, err := r.negotiate(ctx, rec, segs)
+	rounds, err := r.negotiate(ctx, rec, e.fresh)
 	if err != nil {
 		return nil, nil, err
 	}
 	_, colSpan := rec.StartSpan(ctx, "route.collect")
-	next.res = next.collect(st, eligible, oldNet, rip, rounds)
+	next := e.collect(oldNet, rip, rounds)
 	colSpan.End(nil)
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, next.res)
@@ -315,36 +287,29 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	return next.res, next, nil
 }
 
-// terminals returns every net's terminal gcells, in one backing array
-// of its own, and the nets that are new or whose terminals differ from
-// their previous net's. gcells holds each cell's gcell on pl. An
-// aligned net whose pins lie in the gcells the previous net's did, in
-// the same order, has the previous terminals: they are copied instead
-// of re-derived.
-func (st *State) terminals(g *Grid, nl *place.Netlist, pl *place.Placement, gcells []int32, oldNet []int) ([][][2]int, []int) {
-	// Size the backing array for the previous terminals plus slack; an
-	// edit that adds more grows it once.
-	n := 0
-	for _, pts := range st.netTerms {
-		n += len(pts)
-	}
-	nt := netTerminals{flat: make([][2]int, 0, n+64), end: make([]int, 0, len(nl.Nets))}
+// terminals returns the nets that are new or whose terminals differ
+// from their previous net's, ascending, with each one's terminal
+// gcells in a slice of its own. gcells holds each cell's gcell on pl.
+// An aligned net whose pins lie in the gcells the previous net's did,
+// in the same order, has the previous terminals and is not re-derived.
+func (st *State) terminals(g *Grid, nl *place.Netlist, pl *place.Placement, gcells []int32, oldNet []int) ([]int, [][][2]int) {
 	var changed []int
+	var terms [][][2]int
 	var ptsBuf [][2]int
 	for ni := range nl.Nets {
 		o := oldNet[ni]
 		if o >= 0 && samePins(&nl.Nets[ni], gcells, &st.nl.Nets[o], st.cellGCell) {
-			nt.add(st.netTerms[o])
 			continue
 		}
 		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
 		ptsBuf = pts
-		nt.add(pts)
-		if o < 0 || !equalTerms(st.netTerms[o], pts) {
-			changed = append(changed, ni)
+		if o >= 0 && equalTerms(st.nets.at(st.netID[o]).terms, pts) {
+			continue
 		}
+		changed = append(changed, ni)
+		terms = append(terms, slices.Clone(pts))
 	}
-	return nt.perNet(), changed
+	return changed, terms
 }
 
 // samePins reports whether nets a and b have their cell pins in the
@@ -367,54 +332,131 @@ func samePins(a *place.Net, agc []int32, b *place.Net, bgc []int32) bool {
 	return true
 }
 
-// reorder fills st's segment list for the edited design in the
-// canonical order (sortSegs'), with each net's slots in mstPairs order:
-// kept nets take prev's segments, paths, lengths and failure flags,
-// ripped nets (rip, indexed like st's nets) are decomposed afresh over
-// st.netTerms and start pathless. It returns the fresh segments'
-// slots, ascending and non-nil (a nil list would make every segment
-// eligible for rip-up).
+// stateEdit is a successor State while RouteECO builds it: the chunk
+// tables it writes through, and the fresh segments it routes.
+type stateEdit struct {
+	prev, next *State
+	segs       cowEdit[segRec]
+	segLen     cowEdit[float64]
+	failed     cowEdit[bool]
+	nets       cowEdit[netRec]
+	// fresh holds the ripped nets' segments in canonical order, with
+	// their nets' indices in next, and ids their segment IDs.
+	fresh []twoPin
+	ids   []int32
+	// cut lists the IDs of prev's segments the edit drops, the ripped
+	// and removed nets', and cutFailed counts their failed flags.
+	cut       []int32
+	cutFailed int
+}
+
+// successor starts st's successor for the edited design: kept nets
+// keep their net and segment IDs, removed nets free theirs, and each
+// ripped net (rip, indexed like nl's nets; changed lists them with
+// their terminals) is decomposed afresh, reusing its previous segment
+// IDs before taking free ones. The canonical order is then built as
+// sortSegs would build it.
 //
 // When the kept nets keep their relative order, so do their segments,
-// and prev's sorted list with the ripped and removed nets' segments
-// cut out is already the kept segments' canonical order: it is copied
-// in runs, and each fresh segment is inserted where a binary search on
-// (length, emission order) puts it. Otherwise the list is rebuilt in
-// emission order and sorted in full, counted on "eco.route_sort_full".
-func (st *State) reorder(prev *State, g *Grid, oldNet, newOf []int, rip []bool, rec *obs.Recorder) []int {
-	terms := st.netTerms
-	// A spanning tree over n terminals has n-1 edges, which sizes each
-	// net's slot window exactly.
-	total := 0
-	for _, pts := range terms {
-		total += max(len(pts)-1, 0)
+// and st's order with the ripped and removed nets' segments cut out is
+// already the kept segments' canonical order: each fresh segment is
+// merged in where a binary search on (length, emission order) puts it.
+// Otherwise the order is rebuilt in emission order and sorted in full,
+// counted on "eco.route_sort_full".
+func (st *State) successor(g *Grid, nl *place.Netlist, gcells []int32, oldNet, newOf []int, rip []bool, changed []int, changedTerms [][][2]int, rec *obs.Recorder) *stateEdit {
+	next := &State{layout: st.layout, opts: st.opts, grid: g, netID: make([]int32, len(oldNet)),
+		segIDs: st.segIDs, netIDs: st.netIDs, freeSegs: slices.Clone(st.freeSegs), freeNets: slices.Clone(st.freeNets),
+		nl: nl, cellGCell: gcells}
+	e := &stateEdit{prev: st, next: next, segs: st.segs.edit(), segLen: st.segLen.edit(), failed: st.failed.edit(), nets: st.nets.edit()}
+	// cut marks the segment IDs of the ripped and removed nets, which
+	// leave st's order.
+	cut := make([]uint64, (st.segIDs+63)/64)
+	for o, ni := range newOf {
+		if ni >= 0 && !rip[ni] {
+			continue
+		}
+		nr := st.nets.at(st.netID[o])
+		for _, id := range nr.segs {
+			cut[id>>6] |= 1 << (id & 63)
+			if *st.failed.at(id) {
+				e.cutFailed++
+			}
+		}
+		e.cut = append(e.cut, nr.segs...)
+		if ni < 0 {
+			next.freeNets = append(next.freeNets, st.netID[o])
+			next.freeSegs = append(next.freeSegs, nr.segs...)
+		}
+	}
+	for ni, o := range oldNet {
+		if o >= 0 {
+			next.netID[ni] = st.netID[o]
+		}
 	}
 	var fresh []twoPin
-	var freshK []int // fresh[j] is segment freshK[j] of its net
-	monotone, relabel := true, false
+	var freshID []int32
+	for j, ni := range changed {
+		var old []int32
+		if oldNet[ni] >= 0 {
+			old = st.nets.at(next.netID[ni]).segs
+		} else {
+			next.netID[ni] = takeID(&next.freeNets, &next.netIDs)
+		}
+		pairs := mstPairs(g, changedTerms[j])
+		var ids []int32
+		if len(pairs) > 0 {
+			ids = make([]int32, len(pairs))
+		}
+		for k, pr := range pairs {
+			if k < len(old) {
+				ids[k] = old[k]
+			} else {
+				ids[k] = takeID(&next.freeSegs, &next.segIDs)
+			}
+			fresh = append(fresh, twoPin{net: ni, a: pr[0], b: pr[1]})
+			freshID = append(freshID, ids[k])
+		}
+		if len(old) > len(pairs) {
+			next.freeSegs = append(next.freeSegs, old[len(pairs):]...)
+		}
+		e.nets.set(next.netID[ni], netRec{terms: changedTerms[j], segs: ids})
+	}
+
+	monotone := true
 	last := -1
 	for ni, o := range oldNet {
 		if !rip[ni] {
 			monotone = monotone && o > last
-			relabel = relabel || o != ni
 			last = o
-			continue
-		}
-		if pts := terms[ni]; len(pts) >= 2 {
-			for k, pr := range mstPairs(g, pts) {
-				fresh = append(fresh, twoPin{net: ni, a: pr[0], b: pr[1]})
-				freshK = append(freshK, k)
-			}
 		}
 	}
-	st.segLen = make([]float64, total)
-	st.segFailed = make([]bool, total)
-	if !monotone {
+	total := len(st.order) - len(e.cut) + len(fresh)
+	if monotone {
+		e.merge(oldNet, rip, fresh, freshID, cut, total)
+	} else {
 		rec.Add("eco.route_sort_full", 1)
-		return st.resort(prev, oldNet, rip, fresh, total)
+		e.resort(oldNet, rip, fresh, freshID, total)
 	}
-	st.segs = make([]twoPin, total)
+	return e
+}
 
+// takeID returns the last ID of free, removing it, or the next ID of
+// the space of size n, growing it.
+func takeID(free *[]int32, n *int32) int32 {
+	if k := len(*free); k > 0 {
+		id := (*free)[k-1]
+		*free = (*free)[:k-1]
+		return id
+	}
+	*n++
+	return *n - 1
+}
+
+// merge is successor's common case: prev's order with the cut segment
+// IDs dropped and the fresh segments (in emission order, with IDs
+// freshID) inserted at their canonical slots.
+func (e *stateEdit) merge(oldNet []int, rip []bool, fresh []twoPin, freshID []int32, cut []uint64, total int) {
+	prev := e.prev
 	// Fresh segments in canonical order among themselves: longest
 	// first, ties in emission order.
 	ord := make([]int, len(fresh))
@@ -435,129 +477,83 @@ func (st *State) reorder(prev *State, g *Grid, oldNet, newOf []int, rip []bool, 
 		}
 	}
 	at := make([]int, len(ord)) // prev slot each fresh segment goes before
-	for j, fj := range ord {
-		f := &fresh[fj]
-		l, t := f.length(), thr[f.net]
-		at[j] = sort.Search(len(prev.segs), func(si int) bool {
-			old := &prev.segs[si]
-			ol := old.length()
-			return ol < l || (ol == l && old.net >= t)
-		})
-	}
-	// The ripped and removed nets' previous segments are cut out.
-	var cut []int
-	for o, ni := range newOf {
-		if ni < 0 || rip[ni] {
-			cut = append(cut, prev.segsOfNet[o]...)
+	if len(ord) > 0 {
+		prevIdx := make([]int32, prev.netIDs) // previous net index by net ID
+		for o, id := range prev.netID {
+			prevIdx[id] = int32(o)
+		}
+		for j, fj := range ord {
+			f := &fresh[fj]
+			l, t := f.length(), thr[f.net]
+			at[j] = sort.Search(len(prev.order), func(si int) bool {
+				old := prev.segs.at(prev.order[si])
+				ol := old.length()
+				return ol < l || (ol == l && int(prevIdx[old.net]) >= t)
+			})
 		}
 	}
-	slices.Sort(cut)
-
-	newSlot := make([]int32, len(prev.segs))
-	eligible := make([]int, 0, len(fresh))
-	slotOf := make([]int, len(fresh)) // fresh[j]'s slot
-	dst := 0
-	copyRun := func(lo, hi int) {
-		n := copy(st.segs[dst:], prev.segs[lo:hi])
-		copy(st.segLen[dst:], prev.segLen[lo:hi])
-		copy(st.segFailed[dst:], prev.segFailed[lo:hi])
-		for k := 0; k < n; k++ {
-			newSlot[lo+k] = int32(dst + k)
-			if relabel {
-				st.segs[dst+k].net = newOf[st.segs[dst+k].net]
-			}
-		}
-		dst += n
+	order := make([]int32, 0, total)
+	e.fresh = make([]twoPin, len(ord))
+	e.ids = make([]int32, len(ord))
+	ai := 0
+	insert := func() {
+		e.fresh[ai], e.ids[ai] = fresh[ord[ai]], freshID[ord[ai]]
+		order = append(order, e.ids[ai])
+		ai++
 	}
-	si, ai, ci := 0, 0, 0
-	for {
-		stop := len(prev.segs)
-		if ai < len(at) {
-			stop = min(stop, at[ai])
+	for si, id := range prev.order {
+		for ai < len(at) && at[ai] == si {
+			insert()
 		}
-		if ci < len(cut) {
-			stop = min(stop, cut[ci])
-		}
-		copyRun(si, stop)
-		si = stop
-		switch {
-		case ai < len(at) && at[ai] == stop:
-			st.segs[dst] = fresh[ord[ai]]
-			slotOf[ord[ai]] = dst
-			eligible = append(eligible, dst)
-			dst++
-			ai++
-		case ci < len(cut) && cut[ci] == stop:
-			si++
-			ci++
-		default:
-			// Past the last cut and insertion: the copy reached the end.
-			return st.slotWindows(prev, oldNet, rip, newSlot, fresh, freshK, slotOf, eligible)
+		if cut[id>>6]&(1<<(id&63)) == 0 {
+			order = append(order, id)
 		}
 	}
+	for ai < len(at) {
+		insert()
+	}
+	e.next.order = order
 }
 
-// slotWindows fills st.segsOfNet: kept nets map their previous slots
-// through newSlot, ripped nets take their fresh segments' slots. It
-// returns eligible.
-func (st *State) slotWindows(prev *State, oldNet []int, rip []bool, newSlot []int32, fresh []twoPin, freshK, slotOf, eligible []int) []int {
-	flat := make([]int, len(st.segs))
-	st.segsOfNet = make([][]int, len(st.netTerms))
-	start := 0
-	for ni, pts := range st.netTerms {
-		n := max(len(pts)-1, 0)
-		w := flat[start : start+n : start+n]
-		start += n
-		st.segsOfNet[ni] = w
-		if !rip[ni] {
-			for k, si := range prev.segsOfNet[oldNet[ni]] {
-				w[k] = int(newSlot[si])
-			}
-		}
-	}
-	for j := range fresh {
-		st.segsOfNet[fresh[j].net][freshK[j]] = slotOf[j]
-	}
-	return eligible
-}
-
-// resort is reorder's general case: the segment list in emission order
-// — kept nets' previous segments, ripped nets' fresh ones — sorted in
-// full.
-func (st *State) resort(prev *State, oldNet []int, rip []bool, fresh []twoPin, total int) []int {
-	segs := make([]twoPin, 0, total)
-	src := make([]int, 0, total) // prev slot of each segment, -1 if fresh
+// resort is successor's general case: the segment IDs in emission
+// order — kept nets' previous segments, ripped nets' fresh ones —
+// sorted in full.
+func (e *stateEdit) resort(oldNet []int, rip []bool, fresh []twoPin, freshID []int32, total int) {
+	prev, next := e.prev, e.next
+	ids := make([]int32, 0, total)
+	slots := make([]int, 0, total) // each segment's length, then its slot
+	fslot := make([]int, len(fresh))
 	fi := 0
-	for ni := range st.netTerms {
-		if rip[ni] {
-			for ; fi < len(fresh) && fresh[fi].net == ni; fi++ {
-				segs = append(segs, fresh[fi])
-				src = append(src, -1)
+	for ni := range oldNet {
+		if !rip[ni] {
+			for _, id := range prev.nets.at(next.netID[ni]).segs {
+				ids = append(ids, id)
+				slots = append(slots, prev.segs.at(id).length())
 			}
 			continue
 		}
-		for _, si := range prev.segsOfNet[oldNet[ni]] {
-			old := &prev.segs[si]
-			segs = append(segs, twoPin{net: ni, a: old.a, b: old.b, path: old.path})
-			src = append(src, si)
+		for ; fi < len(fresh) && fresh[fi].net == ni; fi++ {
+			fslot[fi] = len(ids)
+			ids = append(ids, freshID[fi])
+			slots = append(slots, fresh[fi].length())
 		}
 	}
-	sorted, slots := sortSegs(segs)
-	st.segs = sorted
-	st.segsOfNet = netSlots(segs, slots, len(st.netTerms))
-	from := make([]int, len(segs))
+	lengthSlots(slots)
+	next.order = make([]int32, len(ids))
 	for i, slot := range slots {
-		from[slot] = src[i]
+		next.order[slot] = ids[i]
 	}
-	eligible := []int{}
-	for i, si := range from {
-		if si < 0 {
-			eligible = append(eligible, i)
-			continue
-		}
-		st.segLen[i], st.segFailed[i] = prev.segLen[si], prev.segFailed[si]
+	ord := make([]int, len(fresh))
+	for j := range ord {
+		ord[j] = j
+		fslot[j] = slots[fslot[j]]
 	}
-	return eligible
+	slices.SortFunc(ord, func(x, y int) int { return cmp.Compare(fslot[x], fslot[y]) })
+	e.fresh = make([]twoPin, len(ord))
+	e.ids = make([]int32, len(ord))
+	for j, fj := range ord {
+		e.fresh[j], e.ids[j] = fresh[fj], freshID[fj]
+	}
 }
 
 // copyUsageFrom copies o's edge usage onto g. Grids must have
@@ -569,15 +565,17 @@ func (g *Grid) copyUsageFrom(o *Grid) {
 	}
 }
 
-// collect assembles st's Result from its settled grid and segments —
-// the figures collectResult derives, summed in the same canonical
-// order — and fills in the fresh segments' lengths and failure flags.
-// eligible lists the fresh segments, ascending; oldNet and rip relate
-// st's nets to prev's. Every other segment carries prev's length, and
-// prev's failure flag unless an edge whose overflow state changed lies
-// in its territory; a kept net keeps prev's net length, which summed
-// the same lengths in the same order.
-func (st *State) collect(prev *State, eligible, oldNet []int, rip []bool, rounds int) *Result {
+// collect finishes the successor once its fresh segments are routed:
+// it stores their records, lengths and failure flags, re-derives the
+// failure flag of every kept segment whose territory holds an edge
+// whose overflow state changed, and assembles the Result — the figures
+// collectResult derives, summed in the same canonical order. oldNet
+// and rip relate the nets to prev's: a kept net keeps prev's net
+// length, which summed the same lengths in the same order, and the
+// failed connections are prev's, less the dropped segments' and
+// adjusted by every flag written.
+func (e *stateEdit) collect(oldNet []int, rip []bool, rounds int) *State {
+	prev, st := e.prev, e.next
 	g := st.grid
 	res := &Result{Grid: g, NetLength: make([]float64, len(oldNet)), RipupRounds: rounds}
 	for ni, o := range oldNet {
@@ -585,30 +583,51 @@ func (st *State) collect(prev *State, eligible, oldNet []int, rip []bool, rounds
 			res.NetLength[ni] = prev.res.NetLength[o]
 		}
 	}
-	for _, i := range eligible {
-		st.segLen[i], st.segFailed[i] = pathStats(g, st.segs[i].path)
-		res.NetLength[st.segs[i].net] += st.segLen[i]
+	failed := prev.res.FailedConnections - e.cutFailed
+	for j := range e.fresh {
+		sg, id := &e.fresh[j], e.ids[j]
+		l, f := pathStats(g, sg.path)
+		e.segs.set(id, segRec{
+			a:    [2]int32{int32(sg.a[0]), int32(sg.a[1])},
+			b:    [2]int32{int32(sg.b[0]), int32(sg.b[1])},
+			net:  st.netID[sg.net],
+			path: sg.path,
+		})
+		e.segLen.set(id, l)
+		e.failed.set(id, f)
+		res.NetLength[sg.net] += l
+		if f {
+			failed++
+		}
 	}
-	if flips := overflowFlips(prev.grid, g); flips.n > 0 {
-		e := 0
-		for i := range st.segs {
-			if e < len(eligible) && eligible[e] == i {
-				e++
-				continue
-			}
-			if sg := &st.segs[i]; flips.hit(g.territory(sg.a, sg.b)) {
-				_, st.segFailed[i] = pathStats(g, sg.path)
+	// A kept segment's failure flag can change only if its path runs
+	// through an edge whose overflow state flipped, and a path stays in
+	// its segment's territory. Re-deriving a fresh segment's flag finds
+	// the one just stored.
+	flips := overflowFlips(prev.grid, g)
+	for _, id := range st.order {
+		res.WireLength += *e.segLen.at(id)
+		if flips.n == 0 {
+			continue
+		}
+		sg := e.segs.at(id)
+		if !flips.hit(g.territory([2]int{int(sg.a[0]), int(sg.a[1])}, [2]int{int(sg.b[0]), int(sg.b[1])})) {
+			continue
+		}
+		if _, f := pathStats(g, sg.path); f != *e.failed.at(id) {
+			e.failed.set(id, f)
+			if f {
+				failed++
+			} else {
+				failed--
 			}
 		}
 	}
-	for i, l := range st.segLen {
-		if st.segFailed[i] {
-			res.FailedConnections++
-		}
-		res.WireLength += l
-	}
+	res.FailedConnections = failed
 	gridTotals(g, res)
-	return res
+	st.segs, st.segLen, st.failed, st.nets = e.segs.cow, e.segLen.cow, e.failed.cow, e.nets.cow
+	st.res = res
+	return st
 }
 
 // flipCount counts the grid edges whose overflow state (over capacity

@@ -90,11 +90,60 @@ func identityNets(nl *place.Netlist) []int {
 	return m
 }
 
+// stateView is a State flattened into canonical order, the form the
+// tests read: segs[i] is the segment at slot i with its net's index,
+// segLen[i] and segFailed[i] its carried length and failure flag,
+// segsOfNet[ni] net ni's slots in mstPairs order (-1 for a segment
+// missing from the order) and netTerms[ni] its terminals. A segment
+// whose net ID no net holds reads net -1.
+type stateView struct {
+	segs      []twoPin
+	segLen    []float64
+	segFailed []bool
+	segsOfNet [][]int
+	netTerms  [][][2]int
+}
+
+func (st *State) view() stateView {
+	n := len(st.order)
+	v := stateView{segs: make([]twoPin, n), segLen: make([]float64, n), segFailed: make([]bool, n),
+		segsOfNet: make([][]int, len(st.netID)), netTerms: make([][][2]int, len(st.netID))}
+	netOf := make(map[int32]int, len(st.netID))
+	for ni, id := range st.netID {
+		netOf[id] = ni
+	}
+	slotOf := make(map[int32]int, n)
+	for i, id := range st.order {
+		sg := st.segs.at(id)
+		ni, ok := netOf[sg.net]
+		if !ok {
+			ni = -1
+		}
+		v.segs[i] = twoPin{net: ni, a: [2]int{int(sg.a[0]), int(sg.a[1])}, b: [2]int{int(sg.b[0]), int(sg.b[1])}, path: sg.path}
+		v.segLen[i], v.segFailed[i] = *st.segLen.at(id), *st.failed.at(id)
+		slotOf[id] = i
+	}
+	for ni, id := range st.netID {
+		nr := st.nets.at(id)
+		v.netTerms[ni] = nr.terms
+		v.segsOfNet[ni] = make([]int, len(nr.segs))
+		for k, sid := range nr.segs {
+			slot, ok := slotOf[sid]
+			if !ok {
+				slot = -1
+			}
+			v.segsOfNet[ni][k] = slot
+		}
+	}
+	return v
+}
+
 // pathsOf returns net ni's segment paths in emission order.
 func pathsOf(st *State, ni int) [][]edge {
+	v := st.view()
 	var out [][]edge
-	for _, si := range st.segsOfNet[ni] {
-		out = append(out, st.segs[si].path)
+	for _, si := range v.segsOfNet[ni] {
+		out = append(out, v.segs[si].path)
 	}
 	return out
 }
@@ -121,7 +170,7 @@ func equalPaths(a, b [][]edge) bool {
 // paths.
 func checkUsageMatchesPaths(t *testing.T, st *State) {
 	t.Helper()
-	want := usageFromPaths(st.segs)
+	want := usageFromPaths(st.view().segs)
 	g := st.grid
 	for y := 0; y < g.NY; y++ {
 		for x := 0; x < g.NX; x++ {
@@ -199,12 +248,13 @@ func TestRouteECOInvariants(t *testing.T) {
 	g2 := st2.grid
 	dirty, anyDirty := capacityDiffRect(st.grid, g2)
 	changed := make(map[int]bool)
+	v, v2 := st.view(), st2.view()
 	for ni := range nl.Nets {
-		if equalTerms(st.netTerms[ni], st2.netTerms[ni]) {
+		if equalTerms(v.netTerms[ni], v2.netTerms[ni]) {
 			continue
 		}
 		changed[ni] = true
-		for _, terms := range [][][2]int{st.netTerms[ni], st2.netTerms[ni]} {
+		for _, terms := range [][][2]int{v.netTerms[ni], v2.netTerms[ni]} {
 			if len(terms) == 0 {
 				continue
 			}
@@ -227,10 +277,10 @@ func TestRouteECOInvariants(t *testing.T) {
 	}
 	cleanNets, changedPaths := 0, 0
 	for ni := range nl.Nets {
-		if changed[ni] || len(st2.netTerms[ni]) < 2 {
+		if changed[ni] || len(v2.netTerms[ni]) < 2 {
 			continue
 		}
-		if termTerritory(g2, st2.netTerms[ni]).intersects(dirty) {
+		if termTerritory(g2, v2.netTerms[ni]).intersects(dirty) {
 			continue
 		}
 		cleanNets++
@@ -285,8 +335,9 @@ func TestRouteECOAlignment(t *testing.T) {
 	checkUsageMatchesPaths(t, st2)
 
 	wantRipped, kept := 0, 0
+	v, v2 := st.view(), st2.view()
 	for ni, o := range oldNet {
-		if o < 0 || !equalTerms(st.netTerms[o], st2.netTerms[ni]) {
+		if o < 0 || !equalTerms(v.netTerms[o], v2.netTerms[ni]) {
 			wantRipped++
 			continue
 		}
@@ -301,8 +352,8 @@ func TestRouteECOAlignment(t *testing.T) {
 	if got := rec.Counter("eco.route_nets_ripped").Value() - before; got != int64(wantRipped) {
 		t.Errorf("ripped %d nets, want %d (the new net and the changed-terminal nets)", got, wantRipped)
 	}
-	if len(st2.segsOfNet) != len(nl2.Nets) {
-		t.Errorf("state tracks %d nets, netlist has %d", len(st2.segsOfNet), len(nl2.Nets))
+	if len(v2.segsOfNet) != len(nl2.Nets) {
+		t.Errorf("state tracks %d nets, netlist has %d", len(v2.segsOfNet), len(nl2.Nets))
 	}
 
 	// Malformed maps are refused.

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"casyn/internal/geom"
@@ -18,9 +20,9 @@ import (
 // for every net, the segment list rebuilt and counting-sorted from
 // scratch, the kept paths' usage replayed onto a zeroed grid,
 // negotiation over every segment with an eligibility mask, and the
-// result collected by walking every path. Its State carries the
-// segments, slot windows, terminals and grid, not the per-segment
-// lengths and flags or the cell gcells.
+// result collected by walking every path. It reads the previous State
+// flattened (stateView) and stores its own as a from-scratch routing
+// (newState) without the cell gcells.
 func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Placement, oldNet []int) (*Result, *State, error) {
 	rec := obs.From(ctx)
 	if st == nil {
@@ -35,15 +37,16 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 	if len(oldNet) != len(nl.Nets) {
 		return nil, nil, fmt.Errorf("route: net map has %d entries, netlist has %d nets", len(oldNet), len(nl.Nets))
 	}
-	identity := len(nl.Nets) == len(st.netTerms)
-	claimed := make([]bool, len(st.netTerms))
+	prev := st.view()
+	identity := len(nl.Nets) == len(prev.netTerms)
+	claimed := make([]bool, len(prev.netTerms))
 	for ni, o := range oldNet {
 		identity = identity && o == ni
 		if o < 0 {
 			continue
 		}
-		if o >= len(st.netTerms) {
-			return nil, nil, fmt.Errorf("route: net %d maps to previous net %d of %d", ni, o, len(st.netTerms))
+		if o >= len(prev.netTerms) {
+			return nil, nil, fmt.Errorf("route: net %d maps to previous net %d of %d", ni, o, len(prev.netTerms))
 		}
 		if claimed[o] {
 			return nil, nil, fmt.Errorf("route: previous net %d is mapped twice", o)
@@ -75,7 +78,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
 		ptsBuf = pts
 		nt.add(pts)
-		if o := oldNet[ni]; o < 0 || !equalTerms(st.netTerms[o], pts) {
+		if o := oldNet[ni]; o < 0 || !equalTerms(prev.netTerms[o], pts) {
 			changed = append(changed, ni)
 		}
 	}
@@ -115,8 +118,8 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 	for ni := range nl.Nets {
 		if !rip[ni] {
 			// A kept net is aligned (oldNet[ni] >= 0): new nets are ripped.
-			for _, si := range st.segsOfNet[oldNet[ni]] {
-				old := &st.segs[si]
+			for _, si := range prev.segsOfNet[oldNet[ni]] {
+				old := &prev.segs[si]
 				segs = append(segs, twoPin{net: ni, a: old.a, b: old.b, path: old.path})
 			}
 			continue
@@ -199,11 +202,12 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 	if err != nil {
 		return nil, nil, err
 	}
-	res := collectResult(g, nl, segs, rounds, make([]float64, len(segs)), make([]bool, len(segs)))
+	segLen, failed := make([]float64, len(segs)), make([]bool, len(segs))
+	res := collectResult(g, nl, segs, rounds, segLen, failed)
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, res)
 	}
-	return res, &State{layout: st.layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: terms, res: res}, nil
+	return res, newState(st.layout, opts, g, segs, segsOfNet, terms, segLen, failed, nl, nil, res), nil
 }
 
 // sameFloat compares floats by their bits.
@@ -258,34 +262,35 @@ func diffRouting(res *Result, st *State, wantRes *Result, want *State) error {
 	if err := diffGrids(st.grid, want.grid); err != nil {
 		return err
 	}
-	if len(st.segs) != len(want.segs) {
-		return fmt.Errorf("%d segments, reference %d", len(st.segs), len(want.segs))
+	got, ref := st.view(), want.view()
+	if len(got.segs) != len(ref.segs) {
+		return fmt.Errorf("%d segments, reference %d", len(got.segs), len(ref.segs))
 	}
-	for i := range st.segs {
-		a, b := &st.segs[i], &want.segs[i]
+	for i := range got.segs {
+		a, b := &got.segs[i], &ref.segs[i]
 		if !sameSeg(a, b) || !equalPaths([][]edge{a.path}, [][]edge{b.path}) {
 			return fmt.Errorf("segment %d: net %d %v-%v %v, reference net %d %v-%v %v",
 				i, a.net, a.a, a.b, a.path, b.net, b.a, b.b, b.path)
 		}
 	}
-	if len(st.segsOfNet) != len(want.segsOfNet) || len(st.netTerms) != len(want.netTerms) {
+	if len(got.segsOfNet) != len(ref.segsOfNet) || len(got.netTerms) != len(ref.netTerms) {
 		return fmt.Errorf("%d/%d nets tracked, reference %d/%d",
-			len(st.segsOfNet), len(st.netTerms), len(want.segsOfNet), len(want.netTerms))
+			len(got.segsOfNet), len(got.netTerms), len(ref.segsOfNet), len(ref.netTerms))
 	}
-	for ni := range st.segsOfNet {
-		if fmt.Sprint(st.segsOfNet[ni]) != fmt.Sprint(want.segsOfNet[ni]) {
-			return fmt.Errorf("net %d slots %v, reference %v", ni, st.segsOfNet[ni], want.segsOfNet[ni])
+	for ni := range got.segsOfNet {
+		if fmt.Sprint(got.segsOfNet[ni]) != fmt.Sprint(ref.segsOfNet[ni]) {
+			return fmt.Errorf("net %d slots %v, reference %v", ni, got.segsOfNet[ni], ref.segsOfNet[ni])
 		}
-		if !equalTerms(st.netTerms[ni], want.netTerms[ni]) {
-			return fmt.Errorf("net %d terminals %v, reference %v", ni, st.netTerms[ni], want.netTerms[ni])
+		if !equalTerms(got.netTerms[ni], ref.netTerms[ni]) {
+			return fmt.Errorf("net %d terminals %v, reference %v", ni, got.netTerms[ni], ref.netTerms[ni])
 		}
 	}
 	// What the next edit carries over must be what collectResult would
 	// derive from the paths on this grid.
-	for i := range st.segs {
-		l, f := pathStats(st.grid, st.segs[i].path)
-		if !sameFloat(st.segLen[i], l) || st.segFailed[i] != f {
-			return fmt.Errorf("segment %d carries length %g failed %v, its path has %g %v", i, st.segLen[i], st.segFailed[i], l, f)
+	for i := range got.segs {
+		l, f := pathStats(st.grid, got.segs[i].path)
+		if !sameFloat(got.segLen[i], l) || got.segFailed[i] != f {
+			return fmt.Errorf("segment %d carries length %g failed %v, its path has %g %v", i, got.segLen[i], got.segFailed[i], l, f)
 		}
 	}
 	return nil
@@ -441,4 +446,94 @@ func TestOverflowImpliesFailedConnections(t *testing.T) {
 	if congested == 0 {
 		t.Error("no ECO step left overflow; the chain did not exercise the implication")
 	}
+}
+
+// TestRouteECOConcurrentFromOneParent reroutes eight different edits
+// of one parent State on eight goroutines at once, on a congested grid
+// and from a parent that is itself a RouteECO successor (so it holds
+// shared chunks and free IDs). Every result equals the same edit
+// rerouted serially, and afterwards the parent's Result and State
+// equal a deep snapshot taken before. Under -race it also proves that
+// RouteECO only reads its parent.
+func TestRouteECOConcurrentFromOneParent(t *testing.T) {
+	t.Parallel()
+	nl, pl, layout := ecoDesign(t, 60, 21)
+	ctx := context.Background()
+	opts := Options{GCellSize: 10, RipupIterations: 4, CapacityScale: 0.1, Workers: 2}
+	res, st, err := RouteNetlistState(ctx, nl, pl, layout, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 3; step++ {
+		nl2, pl2, oldNet := ecoEdit(rng, step, nl, pl, layout)
+		if res, st, err = RouteECO(ctx, st, nl2, pl2, oldNet); err != nil {
+			t.Fatal(err)
+		}
+		nl, pl = nl2, pl2
+	}
+	snapRes, snap := snapshotRouting(res, st)
+
+	const n = 8
+	type edit struct {
+		nl     *place.Netlist
+		pl     *place.Placement
+		oldNet []int
+	}
+	edits := make([]edit, n)
+	wantRes, want := make([]*Result, n), make([]*State, n)
+	for i := range edits {
+		e := &edits[i]
+		e.nl, e.pl, e.oldNet = ecoEdit(rng, i, nl, pl, layout)
+		if wantRes[i], want[i], err = RouteECO(ctx, st, e.nl, e.pl, e.oldNet); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotRes, got, errs := make([]*Result, n), make([]*State, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := range edits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := &edits[i]
+			gotRes[i], got[i], errs[i] = RouteECO(ctx, st, e.nl, e.pl, e.oldNet)
+		}()
+	}
+	wg.Wait()
+	for i := range edits {
+		if errs[i] != nil {
+			t.Fatalf("edit %d: %v", i, errs[i])
+		}
+		if err := diffRouting(gotRes[i], got[i], wantRes[i], want[i]); err != nil {
+			t.Errorf("edit %d: concurrent reroute differs from the serial one: %v", i, err)
+		}
+	}
+	if err := diffRouting(res, st, snapRes, snap); err != nil {
+		t.Errorf("the parent changed under its successors: %v", err)
+	}
+}
+
+// snapshotRouting deep-copies a routing: the grid, the Result and every
+// segment path, stored as a from-scratch State of the same content.
+func snapshotRouting(res *Result, st *State) (*Result, *State) {
+	g := *st.grid
+	for _, m := range []*[][]float64{&g.capH, &g.capV, &g.usageH, &g.usageV, &g.histH, &g.histV} {
+		rows := make([][]float64, len(*m))
+		for y, row := range *m {
+			rows[y] = slices.Clone(row)
+		}
+		*m = rows
+	}
+	r := *res
+	r.Grid = &g
+	r.NetLength = slices.Clone(res.NetLength)
+	v := st.view()
+	for i := range v.segs {
+		v.segs[i].path = slices.Clone(v.segs[i].path)
+	}
+	terms := make([][][2]int, len(v.netTerms))
+	for ni, pts := range v.netTerms {
+		terms[ni] = slices.Clone(pts)
+	}
+	return &r, newState(st.layout, st.opts, &g, v.segs, v.segsOfNet, terms, v.segLen, v.segFailed, st.nl, st.cellGCell, &r)
 }

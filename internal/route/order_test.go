@@ -136,23 +136,24 @@ func TestRouteECOChainedPairsExact(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		checkUsageMatchesPaths(t, st2)
+		v, v2 := st.view(), st2.view()
 		for ni := range nl2.Nets {
 			terms := terminalCells(st2.grid, nl2, pl2, ni, nil)
-			if !equalTerms(st2.netTerms[ni], terms) {
-				t.Fatalf("step %d: net %d stores terminals %v, has %v", step, ni, st2.netTerms[ni], terms)
+			if !equalTerms(v2.netTerms[ni], terms) {
+				t.Fatalf("step %d: net %d stores terminals %v, has %v", step, ni, v2.netTerms[ni], terms)
 			}
 			want := mstPairs(st2.grid, terms)
-			got := st2.segsOfNet[ni]
+			got := v2.segsOfNet[ni]
 			if len(got) != len(want) {
 				t.Fatalf("step %d: net %d has %d segments, mstPairs gives %d", step, ni, len(got), len(want))
 			}
 			for k, si := range got {
-				if sg := &st2.segs[si]; sg.net != ni || sg.a != want[k][0] || sg.b != want[k][1] {
+				if sg := &v2.segs[si]; sg.net != ni || sg.a != want[k][0] || sg.b != want[k][1] {
 					t.Fatalf("step %d: net %d segment %d is %v-%v (net %d), mstPairs gives %v-%v",
 						step, ni, k, sg.a, sg.b, sg.net, want[k][0], want[k][1])
 				}
 			}
-			if o := oldNet[ni]; o >= 0 && len(terms) >= 2 && equalTerms(st.netTerms[o], terms) {
+			if o := oldNet[ni]; o >= 0 && len(terms) >= 2 && equalTerms(v.netTerms[o], terms) {
 				kept++
 			}
 		}

@@ -204,10 +204,10 @@ func RouteNetlistState(ctx context.Context, nl *place.Netlist, pl *place.Placeme
 		return nil, nil, err
 	}
 
-	st := &State{layout: layout, opts: opts, grid: g, segs: segs, segsOfNet: segsOfNet, netTerms: terms.perNet(),
-		segLen: make([]float64, len(segs)), segFailed: make([]bool, len(segs)), nl: nl, cellGCell: cellGCells(g, pl)}
-	st.res = collectResult(g, nl, segs, rounds, st.segLen, st.segFailed)
-	st.res.CrossRegionNets = crossRegion
+	segLen, failed := make([]float64, len(segs)), make([]bool, len(segs))
+	res := collectResult(g, nl, segs, rounds, segLen, failed)
+	res.CrossRegionNets = crossRegion
+	st := newState(layout, opts, g, segs, segsOfNet, terms.perNet(), segLen, failed, nl, cellGCells(g, pl), res)
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, st.res)
 	}
@@ -216,32 +216,42 @@ func RouteNetlistState(ctx context.Context, nl *place.Netlist, pl *place.Placeme
 
 // sortSegs returns segs in the canonical global routing order shared
 // by the full and the incremental paths: longest first (least routing
-// flexibility), equally long segments in their input order. It is a
-// stable counting sort on length. slots[i] is the position segs[i]
-// takes in sorted. The input slice is left as it was.
+// flexibility), equally long segments in their input order. slots[i]
+// is the position segs[i] takes in sorted. The input slice is left as
+// it was.
 func sortSegs(segs []twoPin) (sorted []twoPin, slots []int) {
-	maxLen := 0
-	for i := range segs {
-		maxLen = max(maxLen, segs[i].length())
-	}
-	next := make([]int, maxLen+1)
 	slots = make([]int, len(segs))
 	for i := range segs {
-		l := segs[i].length()
-		slots[i] = l
+		slots[i] = segs[i].length()
+	}
+	lengthSlots(slots)
+	sorted = make([]twoPin, len(segs))
+	for i, slot := range slots {
+		sorted[slot] = segs[i]
+	}
+	return sorted, slots
+}
+
+// lengthSlots turns segment lengths into canonical slots in place: a
+// stable counting sort, longest first, equally long segments in their
+// input order.
+func lengthSlots(slots []int) {
+	maxLen := 0
+	for _, l := range slots {
+		maxLen = max(maxLen, l)
+	}
+	next := make([]int, maxLen+1)
+	for _, l := range slots {
 		next[l]++
 	}
 	// next[l] becomes the slot of the first segment of length l.
 	for l, acc := maxLen, 0; l >= 0; l-- {
 		next[l], acc = acc, acc+next[l]
 	}
-	sorted = make([]twoPin, len(segs))
 	for i, l := range slots {
 		slots[i] = next[l]
 		next[l]++
-		sorted[slots[i]] = segs[i]
 	}
-	return sorted, slots
 }
 
 // length is the segment's Manhattan length in gcells, sortSegs' key.
@@ -719,13 +729,17 @@ type router struct {
 	// negotiation ended with residual congestion would re-fight that
 	// entire congestion every time, globally.
 	floorGrid *Grid
-	// eligible, when non-nil (incremental ECO rerouting), restricts
-	// rip-up to the listed segments, ascending — the edited nets. On a
-	// saturated design an edited net has no overflow-free path, so its
-	// +1 through a hot edge would otherwise drag that edge's every
-	// co-user into the negotiation and cascade across the die; instead
-	// the kept nets' paths are preserved verbatim and the marginal
-	// overflow is reported honestly in the Result.
+	// eligible, when non-nil, restricts rip-up to the listed segments,
+	// ascending — the edited nets of an ECO reroute. On a saturated
+	// design an edited net has no overflow-free path, so its +1 through
+	// a hot edge would otherwise drag that edge's every co-user into the
+	// negotiation and cascade across the die; instead the kept nets'
+	// paths are preserved verbatim and the marginal overflow is reported
+	// honestly in the Result. RouteECO gets the same restriction by
+	// handing negotiate only the fresh segments, in canonical order
+	// (the region plan depends only on the failing segments' order and
+	// territories, so it is the same plan); the mask serves the
+	// whole-design formulation that its reference test keeps.
 	eligible []int
 	// scratch pools the per-worker maze-routing buffers.
 	scratch sync.Pool
@@ -753,12 +767,15 @@ func newRouter(g *Grid, opts Options) *router {
 // through the edge.
 func (r *router) edgeCost(e edge) float64 {
 	g := r.grid
-	var usage, cap2, hist float64
 	if e.horizontal {
-		usage, cap2, hist = g.usageH[e.y][e.x], g.capH[e.y][e.x], g.histH[e.y][e.x]
-	} else {
-		usage, cap2, hist = g.usageV[e.y][e.x], g.capV[e.y][e.x], g.histV[e.y][e.x]
+		return linkCost(g.usageH[e.y][e.x], g.capH[e.y][e.x], g.histH[e.y][e.x])
 	}
+	return linkCost(g.usageV[e.y][e.x], g.capV[e.y][e.x], g.histV[e.y][e.x])
+}
+
+// linkCost is edgeCost for an edge of the given usage, capacity and
+// history cost.
+func linkCost(usage, cap2, hist float64) float64 {
 	cost := 1.0 + hist
 	if cap2 <= 0 {
 		return cost + 64
@@ -937,8 +954,7 @@ func (r *router) mazeRoute(s *mazeScratch, a, b [2]int) []edge {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
 	}
-	id := func(x, y int) int32 { return int32((y-y0)*w + (x - x0)) }
-	start, goal := id(a[0], a[1]), id(b[0], b[1])
+	start, goal := int32((a[1]-y0)*w+(a[0]-x0)), int32((b[1]-y0)*w+(b[0]-x0))
 	dist[start] = 0
 	heapPush(&s.heap, pqItem{node: start})
 	for len(s.heap) > 0 {
@@ -949,28 +965,37 @@ func (r *router) mazeRoute(s *mazeScratch, a, b [2]int) []edge {
 		if it.node == goal {
 			break
 		}
+		// Relax the four neighbors, east, west, north, south, reading
+		// the popped gcell's rows once: its east and west edges are
+		// horizontal edges of row y, its north edge a vertical edge of
+		// row y and its south edge one of row y-1.
 		li := int(it.node)
 		x, y := x0+li%w, y0+li/w
-		try := func(nx, ny int, e edge) {
-			nd := it.cost + r.edgeCost(e)
-			ni := id(nx, ny)
-			if nd < dist[ni] {
-				dist[ni] = nd
-				prev[ni] = it.node
-				heapPush(&s.heap, pqItem{node: ni, cost: nd})
+		uh, ch, hh := g.usageH[y], g.capH[y], g.histH[y]
+		if x < x1 {
+			if nd := it.cost + linkCost(uh[x], ch[x], hh[x]); nd < dist[li+1] {
+				dist[li+1], prev[li+1] = nd, it.node
+				heapPush(&s.heap, pqItem{node: int32(li + 1), cost: nd})
 			}
 		}
-		if x < x1 {
-			try(x+1, y, edge{x: x, y: y, horizontal: true})
-		}
 		if x > x0 {
-			try(x-1, y, edge{x: x - 1, y: y, horizontal: true})
+			if nd := it.cost + linkCost(uh[x-1], ch[x-1], hh[x-1]); nd < dist[li-1] {
+				dist[li-1], prev[li-1] = nd, it.node
+				heapPush(&s.heap, pqItem{node: int32(li - 1), cost: nd})
+			}
 		}
 		if y < y1 {
-			try(x, y+1, edge{x: x, y: y, horizontal: false})
+			if nd := it.cost + linkCost(g.usageV[y][x], g.capV[y][x], g.histV[y][x]); nd < dist[li+w] {
+				dist[li+w], prev[li+w] = nd, it.node
+				heapPush(&s.heap, pqItem{node: int32(li + w), cost: nd})
+			}
 		}
 		if y > y0 {
-			try(x, y-1, edge{x: x, y: y - 1, horizontal: false})
+			uv, cv, hv := g.usageV[y-1], g.capV[y-1], g.histV[y-1]
+			if nd := it.cost + linkCost(uv[x], cv[x], hv[x]); nd < dist[li-w] {
+				dist[li-w], prev[li-w] = nd, it.node
+				heapPush(&s.heap, pqItem{node: int32(li - w), cost: nd})
+			}
 		}
 	}
 	// Reconstruct (capacity hint: the no-detour distance).
