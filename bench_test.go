@@ -2,8 +2,8 @@ package casyn
 
 // The paper-shape benchmarks: one benchmark per table and figure of the
 // paper's evaluation section, each regenerating its experiment on a
-// scaled-down circuit (the full-size tables are printed by the
-// cmd/ksweep, cmd/timing, and cmd/table1 tools), plus per-stage
+// scaled-down circuit (cmd/paper prints the full-size tables and
+// figures that EXPERIMENTS.md embeds), plus per-stage
 // pipeline benchmarks and the exact-mode ECO timing. The DESIGN.md
 // ablation benchmarks live with their experiments in
 // internal/experiments.
@@ -41,27 +41,27 @@ const benchScale = 0.05
 // one fixed die.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Table1(context.Background(), benchScale)
+		sis, dagon, _, err := experiments.Table1(context.Background(), benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[0].CellArea, "sis-area")
-		b.ReportMetric(rows[1].CellArea, "dagon-area")
+		b.ReportMetric(sis.CellArea, "sis-area")
+		b.ReportMetric(dagon.CellArea, "dagon-area")
 	}
 }
 
 // BenchmarkTable2 regenerates Table 2: the SPLA K sweep.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.KSweep(context.Background(), bench.SPLA, benchScale, 1)
+		its, _, err := experiments.KSweep(context.Background(), bench.SPLA, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		first := res.Rows[0]
-		last := res.Rows[len(res.Rows)-1]
+		first := its[0]
+		last := its[len(its)-1]
 		b.ReportMetric(first.CellArea, "area-K0")
 		b.ReportMetric(last.CellArea, "area-K1")
-		b.ReportMetric(float64(last.Violations), "viol-K1")
+		b.ReportMetric(float64(last.FailedConnections), "viol-K1")
 	}
 }
 
@@ -69,7 +69,7 @@ func BenchmarkTable2(b *testing.B) {
 // three synthesis variants at their minimal routable dies.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.STATable(context.Background(), bench.SPLA, benchScale, 0.001, 1)
+		rows, err := experiments.STATable(context.Background(), bench.SPLA, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,19 +82,19 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table 4: the PDC K sweep.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.KSweep(context.Background(), bench.PDC, benchScale, 1)
+		its, _, err := experiments.KSweep(context.Background(), bench.PDC, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Rows[0].CellArea, "area-K0")
-		b.ReportMetric(float64(res.Rows[len(res.Rows)-1].Violations), "viol-K1")
+		b.ReportMetric(its[0].CellArea, "area-K0")
+		b.ReportMetric(float64(its[len(its)-1].FailedConnections), "viol-K1")
 	}
 }
 
 // BenchmarkTable5 regenerates Table 5: PDC static timing.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.STATable(context.Background(), bench.PDC, benchScale, 0.001, 1)
+		rows, err := experiments.STATable(context.Background(), bench.PDC, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,10 +30,10 @@ func TestAdaptiveVsLadderScaled(t *testing.T) {
 	}
 	lbest, abest := res.Ladder[res.LadderBest], res.Adaptive[res.AdaptiveBest]
 	if lbest.Routable && !abest.Routable {
-		t.Errorf("ladder routed but adaptive did not (viol=%d)", abest.Violations)
+		t.Errorf("ladder routed but adaptive did not (failed=%d)", abest.FailedConnections)
 	}
-	if !abest.Routable && abest.Violations > lbest.Violations {
-		t.Errorf("adaptive best %d violations, ladder best %d", abest.Violations, lbest.Violations)
+	if !abest.Routable && abest.FailedConnections > lbest.FailedConnections {
+		t.Errorf("adaptive best %d failed connections, ladder best %d", abest.FailedConnections, lbest.FailedConnections)
 	}
 	if saved := res.CoveringIterationsSaved(); saved < 3 {
 		t.Errorf("covering-iteration saving %.1fx, want >= 3x", saved)

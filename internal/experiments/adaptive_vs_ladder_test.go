@@ -20,35 +20,18 @@ import (
 	"casyn/internal/place"
 )
 
-// AdaptiveRow is one routed iteration of the closed loop.
-type AdaptiveRow struct {
-	Iteration   int
-	CellArea    float64 // µm²
-	NumCells    int
-	Utilization float64 // fraction
-	Violations  int     // failed connections (detailed-router analogue)
-	Overflow    int     // raw track overflow
-	Routable    bool
-	// Controller state that produced this iteration (zero for the
-	// baseline): cells inflated this step / in total, and the field's
-	// largest multiplier.
-	ChangedCells  int
-	InflatedCells int
-	MaxMult       float64
-}
-
 // AdaptiveVsLadderResult is the full comparison on one operating
 // point.
 type AdaptiveVsLadderResult struct {
 	Class  bench.Class
 	Layout place.Layout
-	// Ladder is the open-loop table (one row per K rung) and
+	// Ladder is the open-loop table (one iteration per K rung) and
 	// LadderBest the index of its accepted rung.
-	Ladder     []KRow
+	Ladder     []flow.Iteration
 	LadderBest int
 	// Adaptive is the closed-loop trajectory and AdaptiveBest the index
 	// of its accepted iteration.
-	Adaptive     []AdaptiveRow
+	Adaptive     []flow.AdaptiveIteration
 	AdaptiveBest int
 	Converged    bool
 }
@@ -109,41 +92,13 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s ladder arm: %w", class, err)
 	}
-	res.LadderBest = fres.BestIndex
-	for _, it := range fres.Iterations {
-		res.Ladder = append(res.Ladder, KRow{
-			K:           it.K,
-			CellArea:    it.CellArea,
-			NumCells:    it.NumCells,
-			Utilization: it.Utilization,
-			Violations:  it.FailedConnections,
-			Overflow:    it.Overflow,
-			Routable:    it.Routable,
-			Failed:      it.Skipped,
-			Err:         it.Err,
-		})
-	}
+	res.Ladder, res.LadderBest = fres.Iterations, fres.BestIndex
 
 	ares, err := flow.RunAdaptive(ctx, pc, cfg, flow.AdaptiveConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s adaptive arm: %w", class, err)
 	}
-	res.AdaptiveBest = ares.BestIndex
-	res.Converged = ares.Converged
-	for i, ai := range ares.Iterations {
-		res.Adaptive = append(res.Adaptive, AdaptiveRow{
-			Iteration:     i,
-			CellArea:      ai.CellArea,
-			NumCells:      ai.NumCells,
-			Utilization:   ai.Utilization,
-			Violations:    ai.FailedConnections,
-			Overflow:      ai.Overflow,
-			Routable:      ai.Routable,
-			ChangedCells:  ai.ChangedCells,
-			InflatedCells: ai.InflatedCells,
-			MaxMult:       ai.MaxMult,
-		})
-	}
+	res.Adaptive, res.AdaptiveBest, res.Converged = ares.Iterations, ares.BestIndex, ares.Converged
 	return res, nil
 }
 
@@ -159,12 +114,12 @@ func (r *AdaptiveVsLadderResult) WriteTable(w io.Writer) {
 		if i == r.LadderBest {
 			mark = "*"
 		}
-		if row.Failed {
+		if row.Skipped {
 			fmt.Fprintf(w, " %s%-9g FAILED: %v\n", mark, row.K, row.Err)
 			continue
 		}
 		fmt.Fprintf(w, " %s%-9g %-12.0f %-9d %-8.2f %-10d\n",
-			mark, row.K, row.CellArea, row.NumCells, row.Utilization*100, row.Violations)
+			mark, row.K, row.CellArea, row.NumCells, row.Utilization*100, row.FailedConnections)
 	}
 	fmt.Fprintf(w, "\nclosed loop (%d routed iterations, converged=%v):\n", len(r.Adaptive), r.Converged)
 	fmt.Fprintf(w, "  %-4s %-12s %-9s %-8s %-10s %-8s %-9s\n",
@@ -175,8 +130,8 @@ func (r *AdaptiveVsLadderResult) WriteTable(w io.Writer) {
 			mark = "*"
 		}
 		fmt.Fprintf(w, " %s%-4d %-12.0f %-9d %-8.2f %-10d %-8.1f %d\n",
-			mark, row.Iteration, row.CellArea, row.NumCells, row.Utilization*100,
-			row.Violations, row.MaxMult, row.InflatedCells)
+			mark, i, row.CellArea, row.NumCells, row.Utilization*100,
+			row.FailedConnections, row.MaxMult, row.InflatedCells)
 	}
 	fmt.Fprintf(w, "\ncovering iterations: ladder %d, adaptive %d (%.1fx fewer)\n",
 		len(r.Ladder), len(r.Adaptive), r.CoveringIterationsSaved())

@@ -1,6 +1,7 @@
 // Package experiments encodes the paper's evaluation section: one
-// entry point per table and figure, each returning structured rows
-// that the cmd tools and benchmarks print in the paper's format.
+// entry point per table and figure, each returning the flow's own
+// iterations or structured rows that cmd/paper and the benchmarks
+// print in the paper's format.
 //
 // Calibration. Absolute numbers cannot match the paper's (its
 // substrate was Silicon Ensemble, PrimeTime, CORELIB8DHS and the real
@@ -161,149 +162,92 @@ func sweepLayout(ctx context.Context, class bench.Class, scale float64, d *subje
 	return dieFor(a0, frac)
 }
 
-// KRow is one row of Tables 2 and 4.
-type KRow struct {
-	K           float64
-	CellArea    float64 // µm²
-	NumCells    int
-	Utilization float64 // fraction
-	Violations  int     // failed connections (detailed-router analogue)
-	Overflow    int     // raw track overflow
-	Routable    bool
-	// Failed marks a row whose iteration errored out (stage failure,
-	// panic, or timeout); its metric columns are invalid and Err holds
-	// the cause. The sweep degrades: later K rows still run.
-	Failed bool
-	Err    error
-}
-
-// KSweepResult carries a whole K-sweep table plus its floorplan.
-type KSweepResult struct {
-	Class  bench.Class
-	Layout place.Layout
-	Rows   []KRow
-}
-
 // KSweep reproduces Table 2 (SPLA) or Table 4 (PDC): the full K ladder
-// against a fixed die sized from the paper's K = 0 utilization.
+// against a fixed die sized from the paper's K = 0 utilization. It
+// returns one flow iteration per rung, in ladder order, and the die.
 // scale = 1.0 runs the full circuit; smaller scales shrink it for unit
 // tests and Go benchmarks.
 //
 // The sweep runs through flow.Run and inherits its degrade-don't-abort
-// semantics: a K iteration that fails produces a KRow with Failed set
-// (and Err holding the cause) while the remaining ladder still runs.
-// KSweep itself errors only when preparation fails, the ctx is
-// canceled, or every K fails.
+// semantics: a rung that fails is Skipped (Err holds the cause) while
+// the remaining ladder still runs. KSweep itself errors only when
+// preparation fails, the ctx is canceled, or every K fails.
 // workers bounds the goroutines of the K sweep and the per-iteration
 // covering/routing fan-outs (0 = runtime.GOMAXPROCS, 1 = serial); the
 // table is identical for every value.
-func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) (*KSweepResult, error) {
+func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) ([]flow.Iteration, place.Layout, error) {
 	d, err := buildSubject(class, scale, bench.Direct)
 	if err != nil {
-		return nil, err
+		return nil, place.Layout{}, err
 	}
 	layout, err := sweepLayout(ctx, class, scale, d)
 	if err != nil {
-		return nil, err
+		return nil, place.Layout{}, err
 	}
 	cfg := flowConfig(layout, KSchedule())
 	cfg.Workers = workers
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
-		return nil, err
+		return nil, layout, err
 	}
 	// One K-invariant mapping prefix (partition + match enumeration)
 	// serves all 14 rungs of the ladder.
 	if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
-		return nil, fmt.Errorf("experiments: %s sweep: %w", class, err)
+		return nil, layout, fmt.Errorf("experiments: %s sweep: %w", class, err)
 	}
-	res := &KSweepResult{Class: class, Layout: layout}
-	fres, err := flow.Run(ctx, pc, cfg)
+	res, err := flow.Run(ctx, pc, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s sweep: %w", class, err)
+		return nil, layout, fmt.Errorf("experiments: %s sweep: %w", class, err)
 	}
-	for _, it := range fres.Iterations {
-		res.Rows = append(res.Rows, KRow{
-			K:           it.K,
-			CellArea:    it.CellArea,
-			NumCells:    it.NumCells,
-			Utilization: it.Utilization,
-			Violations:  it.FailedConnections,
-			Overflow:    it.Overflow,
-			Routable:    it.Routable,
-			Failed:      it.Skipped,
-			Err:         it.Err,
-		})
-	}
-	return res, nil
-}
-
-// Table1Row is one row of Table 1 (TOO_LARGE routing results).
-type Table1Row struct {
-	Label       string
-	CellArea    float64
-	NumRows     int
-	Utilization float64
-	Violations  int
-	Overflow    int
+	return res.Iterations, layout, nil
 }
 
 // Table1 reproduces the TOO_LARGE comparison: the SIS-optimized
 // netlist (smaller cell area, aggressive sharing) against the
 // structure-preserving DAGON mapping, both placed and routed in the
-// same fixed die. The paper's point: the lower-utilization SIS netlist
-// is unroutable where DAGON's routes cleanly. (In this substrate the
-// area relation reproduces but the routability inversion does not —
-// see EXPERIMENTS.md for the analysis.)
-func Table1(ctx context.Context, scale float64) ([]Table1Row, place.Layout, error) {
+// same fixed die, which it returns alongside. The paper's point: the
+// lower-utilization SIS netlist is unroutable where DAGON's routes
+// cleanly. (In this substrate the area relation reproduces but the
+// routability inversion does not — see EXPERIMENTS.md for the
+// analysis.)
+func Table1(ctx context.Context, scale float64) (sis, dagon flow.Iteration, layout place.Layout, err error) {
 	spec := bench.TooLargeLayered()
 	if scale != 1.0 {
 		spec = spec.Scaled(scale)
 	}
 	dagonDAG, err := bench.BuildLayeredSubject(spec, bench.Direct)
 	if err != nil {
-		return nil, place.Layout{}, err
+		return
 	}
 	sisDAG, err := bench.BuildLayeredSubject(spec, bench.SISOptimized)
 	if err != nil {
-		return nil, place.Layout{}, err
+		return
 	}
 	aDagon, err := minAreaCellArea(ctx, dagonDAG)
 	if err != nil {
-		return nil, place.Layout{}, err
+		return
 	}
-	layout, err := dieFor(aDagon, tooLargeDieFraction)
-	if err != nil {
-		return nil, place.Layout{}, err
+	if layout, err = dieFor(aDagon, tooLargeDieFraction); err != nil {
+		return
 	}
-	var rows []Table1Row
-	for _, tc := range []struct {
-		label string
-		dag   *subject.DAG
-	}{
-		{"SIS", sisDAG},
-		{"DAGON", dagonDAG},
-	} {
-		cfg := flowConfig(layout, []float64{0})
-		pc, err := flow.Prepare(ctx, tc.dag, cfg)
+	cfg := flowConfig(layout, []float64{0})
+	run := func(d *subject.DAG) (flow.Iteration, error) {
+		pc, err := flow.Prepare(ctx, d, cfg)
 		if err != nil {
-			return nil, layout, err
+			return flow.Iteration{}, err
 		}
 		it, err := flow.RunOnce(ctx, pc, 0, cfg)
 		if err != nil {
-			return nil, layout, err
+			return flow.Iteration{}, err
 		}
 		flow.MergeMetrics(ctx, it.Metrics)
-		rows = append(rows, Table1Row{
-			Label:       tc.label,
-			CellArea:    it.CellArea,
-			NumRows:     layout.NumRows,
-			Utilization: it.Utilization,
-			Violations:  it.FailedConnections,
-			Overflow:    it.Overflow,
-		})
+		return it, nil
 	}
-	return rows, layout, nil
+	if sis, err = run(sisDAG); err != nil {
+		return
+	}
+	dagon, err = run(dagonDAG)
+	return
 }
 
 // STARow is one row of Tables 3 and 5.
@@ -328,13 +272,17 @@ type STARow struct {
 	timing *sta.Result
 }
 
+// staMidK is the congestion-aware row of Tables 3 and 5: the paper's
+// mid-ladder K.
+const staMidK = 0.001
+
 // STATable reproduces Table 3 (SPLA) or Table 5 (PDC): static timing
-// of the K = 0 mapping, a routable mid-K mapping, and the SIS
+// of the K = 0 mapping, the mid-ladder K = 0.001 mapping, and the SIS
 // baseline, each placed and routed in the smallest die (row count)
 // that routes it cleanly, starting from the K-sweep floorplan.
 // workers parallelizes each variant's covering and routing
 // (0 = runtime.GOMAXPROCS, 1 = serial) without changing the rows.
-func STATable(ctx context.Context, class bench.Class, scale float64, midK float64, workers int) ([]STARow, error) {
+func STATable(ctx context.Context, class bench.Class, scale float64, workers int) ([]STARow, error) {
 	d, err := buildSubject(class, scale, bench.Direct)
 	if err != nil {
 		return nil, err
@@ -355,7 +303,7 @@ func STATable(ctx context.Context, class bench.Class, scale float64, midK float6
 	}
 	variants := []variant{
 		{"K=0", d, 0},
-		{fmt.Sprintf("K=%g", midK), d, midK},
+		{fmt.Sprintf("K=%g", staMidK), d, staMidK},
 		{"SIS", sisDAG, 0},
 	}
 	// The K=0 and mid-K variants share the DAG and walk the same die
@@ -393,7 +341,7 @@ func STATable(ctx context.Context, class bench.Class, scale float64, midK float6
 func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.Layout, workers int, ctxCache map[*subject.DAG]map[int]*flow.Context) (STARow, error) {
 	const maxExtraRows = 10
 	row := STARow{}
-	for extra := 0; extra <= maxExtraRows; extra++ {
+	for extra := 0; ; extra++ {
 		rowsN := base.NumRows + extra
 		layout, err := place.LayoutWithRows(rowsN, base.Die.W(), base.RowHeight)
 		if err != nil {
@@ -435,5 +383,4 @@ func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.
 			return row, nil
 		}
 	}
-	return row, fmt.Errorf("experiments: no routable die found")
 }

@@ -7,24 +7,25 @@ import (
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/library"
+	"casyn/internal/obs"
 	"casyn/internal/place"
 	"casyn/internal/subject"
 )
 
 // Scaled-down experiment runs keep the suite fast; the full-size runs
-// live in the cmd tools and the repository benchmarks.
+// are cmd/paper's.
 const testScale = 0.08
 
 func TestKSweepScaledShape(t *testing.T) {
 	t.Parallel()
-	res, err := KSweep(context.Background(), bench.SPLA, testScale, 0)
+	its, _, err := KSweep(context.Background(), bench.SPLA, testScale, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(KSchedule()) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(KSchedule()))
+	if len(its) != len(KSchedule()) {
+		t.Fatalf("rows = %d, want %d", len(its), len(KSchedule()))
 	}
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
+	first, last := its[0], its[len(its)-1]
 	// Cell area and count grow substantially across the ladder.
 	if last.CellArea <= first.CellArea*1.1 {
 		t.Errorf("area did not grow across ladder: %.0f -> %.0f", first.CellArea, last.CellArea)
@@ -36,32 +37,52 @@ func TestKSweepScaledShape(t *testing.T) {
 	if last.Utilization <= first.Utilization {
 		t.Error("utilization did not grow")
 	}
-	for _, r := range res.Rows {
-		if r.Routable != (r.Violations == 0) {
+	for _, r := range its {
+		if r.Routable != (r.FailedConnections == 0) {
 			t.Errorf("K=%g: Routable flag inconsistent", r.K)
 		}
 	}
 }
 
+// TestKSweepSharesOnePrefix: the 14 ladder rungs share one mapping
+// prefix. The scaled sweep also sizes its die with one single-K
+// iteration (minAreaCellArea), which builds the second; each nests its
+// map.partition in map.prepare, and every iteration, ladder rung or
+// not, maps through a prefix.
+func TestKSweepSharesOnePrefix(t *testing.T) {
+	t.Parallel()
+	rec := obs.New()
+	if _, _, err := KSweep(obs.WithRecorder(context.Background(), rec), bench.SPLA, 0.05, 0); err != nil {
+		t.Fatal(err)
+	}
+	counts := rec.Snapshot().SpanCounts()
+	if counts["stage.map_prepare"] != 2 || counts["map.prepare"] != 2 || counts["map.partition"] != 2 {
+		t.Errorf("want one mapping prefix for the ladder and one for die sizing: %v", counts)
+	}
+	if counts["map.cover_only"] != 15 || counts["map.cover"] != 0 {
+		t.Errorf("per-K repartitioning survived the shared prefix: %v", counts)
+	}
+	if counts["flow.iteration"] != 15 {
+		t.Errorf("flow.iteration = %d, want 14 ladder rungs + 1 die-sizing run", counts["flow.iteration"])
+	}
+}
+
 func TestTable1Scaled(t *testing.T) {
 	t.Parallel()
-	rows, layout, err := Table1(context.Background(), testScale)
+	sis, dagon, layout, err := Table1(context.Background(), testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Label != "SIS" || rows[1].Label != "DAGON" {
-		t.Fatalf("rows = %+v", rows)
-	}
 	// The paper's area relation: SIS cell area below DAGON's.
-	if rows[0].CellArea >= rows[1].CellArea {
-		t.Errorf("SIS area %.0f not below DAGON %.0f", rows[0].CellArea, rows[1].CellArea)
+	if sis.CellArea >= dagon.CellArea {
+		t.Errorf("SIS area %.0f not below DAGON %.0f", sis.CellArea, dagon.CellArea)
 	}
 	if layout.NumRows == 0 {
 		t.Error("degenerate layout")
 	}
-	for _, r := range rows {
-		if r.Utilization <= 0 || r.Utilization > 1.1 {
-			t.Errorf("%s utilization %.3f out of range", r.Label, r.Utilization)
+	for label, it := range map[string]flow.Iteration{"SIS": sis, "DAGON": dagon} {
+		if it.Utilization <= 0 || it.Utilization > 1.1 {
+			t.Errorf("%s utilization %.3f out of range", label, it.Utilization)
 		}
 	}
 }
@@ -164,7 +185,7 @@ func TestMinimalDieRelaxation(t *testing.T) {
 
 func TestSTATableScaled(t *testing.T) {
 	t.Parallel()
-	rows, err := STATable(context.Background(), bench.SPLA, testScale, 0.001, 0)
+	rows, err := STATable(context.Background(), bench.SPLA, testScale, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,17 @@ import (
 // TestAdaptiveFieldOfEarlierIteration: when the loop stops after an
 // iteration worse than an earlier one, the accepted state's cover
 // carries the accepted iteration's field, not the last one's. Scaled
-// SPLA on two dies at 11,600 µm² accepts the middle of three routed
-// iterations; covering the prefix at the loop's K under Field must
-// reproduce the accepted netlist, which differs from the last
-// iteration's.
+// SPLA on two dies at 11,400 µm² accepts the middle of three routed
+// iterations, with the router as it is and with rip-up skipping
+// segments earlier reroutes relieved; covering the prefix at the loop's
+// K under Field must reproduce the accepted netlist, which differs from
+// the last iteration's.
 func TestAdaptiveFieldOfEarlierIteration(t *testing.T) {
 	p, err := bench.Generate(bench.SPLA.ScaledSpec(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := casyn.Options{Adaptive: true, Dies: 2, DieArea: 11600}
+	opts := casyn.Options{Adaptive: true, Dies: 2, DieArea: 11400}
 	ctx := context.Background()
 	dag, err := casyn.SubjectFor(ctx, p, opts)
 	if err != nil {

@@ -154,6 +154,11 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 		s.rec.Add("serve.jobs_invalid", 1)
 		return nil, err
 	}
+	if parent.Spec.adaptive() && k == 0 {
+		// The loop runs a zero BaseK at its default; key it so, as
+		// ResultKey does, or equivalent parents split the ECO caches.
+		k = flow.DefaultAdaptiveBaseK
+	}
 
 	derived := parent.Spec
 	derived.K = k

@@ -266,10 +266,11 @@ func TestEcoJobSeededPlacement(t *testing.T) {
 // TestEcoAdaptiveParentMatchesLibrary: an ECO against an adaptive
 // parent chains from the state of the loop's accepted iteration, so its
 // Verilog equals flow.RunECO applied to RunAdaptive(...).State. The
-// die is tightened until the loop accepts a steered iteration, so the
-// edits re-cover under a non-uniform K-field.
+// die is one where the loop accepts a steered iteration, with the
+// router as it is and with rip-up skipping segments earlier reroutes
+// relieved, so the edits re-cover under a non-uniform K-field.
 func TestEcoAdaptiveParentMatchesLibrary(t *testing.T) {
-	const specJSON = `{"bench":"spla","scale":0.1,"die_area":12281,"k_mode":"adaptive"}`
+	const specJSON = `{"bench":"spla","scale":0.1,"die_area":15600,"k_mode":"adaptive"}`
 	spec, err := ParseJobSpec(strings.NewReader(specJSON))
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +337,70 @@ func TestEcoAdaptiveParentMatchesLibrary(t *testing.T) {
 	}
 	if res.Verilog != want.String() {
 		t.Error("adaptive-parent eco verilog differs from RunECO on the loop's accepted state")
+	}
+}
+
+// TestEcoAdaptiveParentDefaultK: an adaptive parent runs an omitted k
+// at flow.DefaultAdaptiveBaseK, so parents with k omitted and with k
+// spelled out share one result, and an ECO against either is one job:
+// the second ECO is served from the result cache, naming its own
+// parent, and the closed loop runs for one ECO baseline only.
+func TestEcoAdaptiveParentDefaultK(t *testing.T) {
+	const base = `"bench":"spla","scale":0.05,"k_mode":"adaptive"`
+	spec, err := ParseJobSpec(strings.NewReader("{" + base + "}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.subjectPLA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag, err := casyn.SubjectFor(context.Background(), p, spec.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := -1
+	for _, g := range dag.LiveGates() {
+		if tp := dag.Gate(g).Type; tp == subject.Nand2 || tp == subject.Inv {
+			gate = g
+			break
+		}
+	}
+	edits := fmt.Sprintf(`{"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]}`, gate)
+
+	s, ts := testServer(t, Config{})
+	var parents []string
+	var ecos []*JobResult
+	for _, k := range []string{"", `,"k":` + strconv.FormatFloat(flow.DefaultAdaptiveBaseK, 'g', -1, 64)} {
+		resp, m := postJob(t, ts, "{"+base+k+"}")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+		}
+		parent := m["id"].(string)
+		if job := waitTerminal(t, s, parent); job.Status() != StatusDone {
+			t.Fatalf("parent finished %s", job.Status())
+		}
+		r, em := postEco(t, ts, parent, edits)
+		if r.StatusCode != http.StatusAccepted {
+			t.Fatalf("eco submit: %d (%v)", r.StatusCode, em)
+		}
+		res, jerr := waitTerminal(t, s, em["id"].(string)).Result()
+		if res == nil {
+			t.Fatalf("eco failed: %+v", jerr)
+		}
+		parents = append(parents, parent)
+		ecos = append(ecos, res)
+	}
+	for i, res := range ecos {
+		if res.ECO.K != flow.DefaultAdaptiveBaseK || res.ECO.Parent != parents[i] {
+			t.Errorf("eco %d annotation %+v, want parent %s at K=%g", i, res.ECO, parents[i], flow.DefaultAdaptiveBaseK)
+		}
+	}
+	if ecos[1].Cache != "result" || ecos[1].Report != ecos[0].Report {
+		t.Errorf("second eco was not served from the result cache (cache %q)", ecos[1].Cache)
+	}
+	if n := s.Metrics().Counters["serve.cache.eco_misses"]; n != 1 {
+		t.Errorf("serve.cache.eco_misses = %d, want 1", n)
 	}
 }
 

@@ -566,6 +566,13 @@ func (s *Server) cachedResult(job *Job) (*JobResult, bool) {
 	res := cached.clone()
 	res.Cache = "result"
 	res.StageWallMS = nil
+	if job.eco != nil {
+		// An equivalent parent's ECO shares the key; name this job's
+		// parent, not the one the cached result was computed against.
+		eco := *res.ECO
+		eco.Parent = job.eco.parent
+		res.ECO = &eco
+	}
 	return res, true
 }
 
