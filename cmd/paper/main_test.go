@@ -7,9 +7,18 @@ import (
 	"strings"
 	"testing"
 
-	"casyn/internal/experiments"
 	"casyn/internal/obs"
 )
+
+// The exit codes paper.Run returns.
+const (
+	exitOK    = 0
+	exitErr   = 1
+	exitUsage = 2
+)
+
+// order is every block the command prints, in EXPERIMENTS.md's order.
+var order = []string{"Table 2", "Table 4", "Table 1", "Table 3", "Table 5", "Figure 1", "Figure 3"}
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -50,12 +59,12 @@ func checkBlocks(t *testing.T, out string) []string {
 	if strings.Join(got, "\n") != out {
 		t.Fatalf("stdout is not its blocks joined by blank lines:\n%s", out)
 	}
-	if len(got) != len(blocks) {
-		t.Fatalf("%d blocks printed, want %d:\n%s", len(got), len(blocks), out)
+	if len(got) != len(order) {
+		t.Fatalf("%d blocks printed, want %d:\n%s", len(got), len(order), out)
 	}
 	for i, b := range got {
-		if blockName(b) != blocks[i].name {
-			t.Errorf("block %d is %q, want %q", i, blockName(b), blocks[i].name)
+		if blockName(b) != order[i] {
+			t.Errorf("block %d is %q, want %q", i, blockName(b), order[i])
 		}
 	}
 	for _, line := range strings.Split(out, "\n") {
@@ -134,22 +143,5 @@ func TestUsageErrors(t *testing.T) {
 				t.Errorf("exit = %d, want %d", code, exitUsage)
 			}
 		})
-	}
-}
-
-// TestUnroutedRowFlagged pins the Routed column: a variant whose die
-// never routed is printed with "no", not passed off as a minimal
-// routable die.
-func TestUnroutedRowFlagged(t *testing.T) {
-	var out strings.Builder
-	writeSTARows(&out, []experiments.STARow{
-		{Label: "K=0", CriticalPI: "in1", CriticalPO: "out2", Arrival: 11.5, SameK0PathArrival: 11.5, ChipArea: 150000, NumRows: 60, Routable: true},
-		{Label: "K=0.001", CriticalPI: "in3", CriticalPO: "out4", Arrival: 12.25, SameK0PathArrival: 12, ChipArea: 160000, NumRows: 70},
-	})
-	want := "K         Critical Path Arrival Time         Same path as K=0       Chip Area / rows    Routed\n" +
-		"K=0       in1(in) out2(out)   11.50 ns            11.50 ns       150000 µm² / 60  yes\n" +
-		"K=0.001   in3(in) out4(out)   12.25 ns            12.00 ns       160000 µm² / 70  no\n"
-	if out.String() != want {
-		t.Errorf("rows =\n%s\nwant\n%s", out.String(), want)
 	}
 }

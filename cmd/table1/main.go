@@ -1,33 +1,18 @@
-// Command table1 reproduces the paper's Table 1: the TOO_LARGE circuit
-// synthesized with SIS-style optimization versus the
-// structure-preserving DAGON mapping, both placed and routed in the
-// same fixed die.
+// Command table1 prints Table 1: SIS against DAGON on the TOO_LARGE
+// circuit in one fixed die. It is cmd/paper restricted to that block,
+// with the same flags and exit codes.
 //
 // Usage:
 //
-//	table1
-//	table1 -scale 0.2
-//
-// Exit codes: 0 success, 1 error (including a failed -metrics/-trace
-// flush after an otherwise clean run), 2 usage.
+//	table1               # full size, ≈5 s on 2 vCPUs
+//	table1 -scale 0.1    # scaled down
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
 	"io"
 	"os"
-	"os/signal"
 
-	"casyn/internal/cliobs"
-	"casyn/internal/experiments"
-)
-
-const (
-	exitOK    = 0
-	exitErr   = 1
-	exitUsage = 2
+	"casyn/internal/paper"
 )
 
 func main() {
@@ -35,45 +20,5 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fail := func(format string, a ...any) { fmt.Fprintf(stderr, "table1: "+format+"\n", a...) }
-	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	scale := fs.Float64("scale", 1.0, "benchmark scale factor")
-	ob := cliobs.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	ctx, finish, oerr := ob.Start(ctx)
-	if oerr != nil {
-		fail("%v", oerr)
-		return exitErr
-	}
-	rows, layout, err := experiments.Table1(ctx, *scale)
-	// Flush the observability outputs first, but let the pipeline's own
-	// failure decide the exit code; a flush failure alone exits 1.
-	ferr := finish()
-	if ferr != nil {
-		fail("%v", ferr)
-	}
-	if err != nil {
-		fail("%v", err)
-		return exitErr
-	}
-	fmt.Fprintln(stdout, "Table 1: TOO_LARGE routing results")
-	fmt.Fprintf(stdout, "die %.0f µm², %d rows, 3 metal layers\n\n", layout.Area(), layout.NumRows)
-	fmt.Fprintf(stdout, "%-7s %-12s %-8s %-14s %-10s\n", "", "Cell Area", "No. of", "Area", "Routing")
-	fmt.Fprintf(stdout, "%-7s %-12s %-8s %-14s %-10s\n", "", "(µm²)", "Rows", "Utilization%", "violations")
-	for _, r := range rows {
-		fmt.Fprintf(stdout, "%-7s %-12.0f %-8d %-14.2f %-10d\n",
-			r.Label, r.CellArea, r.NumRows, r.Utilization*100, r.Violations)
-	}
-	fmt.Fprintln(stdout, "\nNote: the cell-area relation (SIS < DAGON) reproduces the paper;")
-	fmt.Fprintln(stdout, "the routability inversion does not in this substrate — see EXPERIMENTS.md.")
-	if ferr != nil {
-		return exitErr
-	}
-	return exitOK
+	return paper.Run("table1", []string{"Table 1"}, args, stdout, stderr)
 }

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// The exit codes paper.Run returns.
+const (
+	exitOK    = 0
+	exitErr   = 1
+	exitUsage = 2
+)
+
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errb strings.Builder
@@ -13,13 +20,17 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestTableRuns checks the happy path at test scale.
+// TestTableRuns checks the happy path at test scale: Table 1 and
+// nothing else.
 func TestTableRuns(t *testing.T) {
 	code, out, errb := runCLI(t, "-scale", "0.08")
 	if code != exitOK {
 		t.Fatalf("exit = %d, want %d (stderr %q)", code, exitOK, errb)
 	}
-	for _, want := range []string{"Table 1", "SIS", "DAGON"} {
+	if !strings.HasPrefix(out, "Table 1: ") || strings.Count(out, "Table ") != 1 || strings.Contains(out, "Figure") {
+		t.Errorf("stdout is not Table 1 alone: %q", out)
+	}
+	for _, want := range []string{"\nSIS ", "\nDAGON "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q: %q", want, out)
 		}
