@@ -262,7 +262,6 @@ func BenchmarkECO(b *testing.B) {
 		Lib:       library.Default(),
 		PlaceOpts: experiments.PlaceOpts(),
 		RouteOpts: experiments.RouteOpts(),
-		KSchedule: []float64{k},
 	}
 	ctx := context.Background()
 	pc, err := flow.Prepare(ctx, d, fcfg)

@@ -291,7 +291,6 @@ func synthesizeSubject(ctx context.Context, dag *subject.DAG, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	flow.MergeMetrics(ctx, it.Metrics)
 	return ResultFrom(dag, layout, pc, &it), nil
 }
 
@@ -313,8 +312,9 @@ func LayoutFor(dag *subject.DAG, opts Options) (place.Layout, error) {
 // FlowConfig builds the calibrated flow operating point for opts on a
 // fixed layout — the exact configuration Synthesize runs, exported so
 // other front ends (the casynd service) produce byte-identical
-// results. The schedule is the single rung opts.K; callers sweeping K
-// replace cfg.KSchedule.
+// results. It sets no K schedule: the single-iteration drivers take
+// opts.K as an argument, and callers sweeping K with flow.Run set
+// cfg.KSchedule.
 func FlowConfig(layout place.Layout, opts Options) flow.Config {
 	popts := experiments.PlaceOpts()
 	if opts.Seed != 0 {
@@ -330,7 +330,6 @@ func FlowConfig(layout place.Layout, opts Options) flow.Config {
 		RouteOpts:      ropts,
 		FreshPlacement: true,
 		RunSTA:         opts.RunTiming,
-		KSchedule:      []float64{opts.K},
 		StageTimeout:   opts.StageTimeout,
 		Workers:        opts.Workers,
 		Verify:         opts.Verify,

@@ -76,12 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cellRep   = fs.Bool("cells", false, "print the per-cell usage report")
 		timeout   = fs.Duration("timeout", 0, "overall wall-clock budget for the run (0 = none)")
 		stageTO   = fs.Duration("stage-timeout", 0, "wall-clock budget per pipeline stage (0 = none)")
-		// -iteration-timeout is an alias for -timeout: a casyn run is a
-		// single flow iteration, so the two budgets coincide.
-		iterTO  = fs.Duration("iteration-timeout", 0, "alias for -timeout (one run = one flow iteration)")
-		workers = fs.Int("workers", 0, "covering/routing goroutines (0 = all CPUs, 1 = serial)")
-		ecoPath = fs.String("eco", "", "after the base synthesis, apply the ECO edit-set JSON FILE incrementally and print both reports")
-		ecoFast = fs.Bool("eco-fast", false, "with -eco: incremental placement and edit-scoped reroute instead of the byte-identical full place/route")
+		workers   = fs.Int("workers", 0, "covering/routing goroutines (0 = all CPUs, 1 = serial)")
+		ecoPath   = fs.String("eco", "", "after the base synthesis, apply the ECO edit-set JSON FILE incrementally and print both reports")
+		ecoFast   = fs.Bool("eco-fast", false, "with -eco: incremental placement and edit-scoped reroute instead of the byte-identical full place/route")
 	)
 	ob := cliobs.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -112,13 +109,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	budget := *timeout
-	if budget == 0 {
-		budget = *iterTO
-	}
-	if budget > 0 {
+	if *timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 	ctx, finish, oerr := ob.Start(ctx)
@@ -300,14 +293,12 @@ func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casy
 		base.AdaptiveIterations = ares.RoutedIterations()
 	} else {
 		it, stK, err := flow.RunStateful(ctx, pc, opts.K, cfg)
-		flow.MergeMetrics(ctx, it.Metrics)
 		if err != nil {
 			return nil, nil, err
 		}
 		base, st = casyn.ResultFrom(dag, layout, pc, &it), stK
 	}
 	eit, _, err := flow.RunECO(ctx, pc, st, edits, cfg)
-	flow.MergeMetrics(ctx, eit.Metrics)
 	if err != nil {
 		return base, nil, err
 	}

@@ -114,7 +114,7 @@ func (r *AdaptiveVsLadderResult) WriteTable(w io.Writer) {
 		if i == r.LadderBest {
 			mark = "*"
 		}
-		if row.Skipped {
+		if row.Err != nil {
 			fmt.Fprintf(w, " %s%-9g FAILED: %v\n", mark, row.K, row.Err)
 			continue
 		}

@@ -137,7 +137,6 @@ func minAreaCellArea(ctx context.Context, d *subject.DAG) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	flow.MergeMetrics(ctx, it.Metrics)
 	return it.CellArea, nil
 }
 
@@ -169,8 +168,8 @@ func sweepLayout(ctx context.Context, class bench.Class, scale float64, d *subje
 // tests and Go benchmarks.
 //
 // The sweep runs through flow.Run and inherits its degrade-don't-abort
-// semantics: a rung that fails is Skipped (Err holds the cause) while
-// the remaining ladder still runs. KSweep itself errors only when
+// semantics: a rung that fails carries its cause in Err while the
+// remaining ladder still runs. KSweep itself errors only when
 // preparation fails, the ctx is canceled, or every K fails.
 // workers bounds the goroutines of the K sweep and the per-iteration
 // covering/routing fan-outs (0 = runtime.GOMAXPROCS, 1 = serial); the
@@ -240,7 +239,6 @@ func Table1(ctx context.Context, scale float64) (sis, dagon flow.Iteration, layo
 		if err != nil {
 			return flow.Iteration{}, err
 		}
-		flow.MergeMetrics(ctx, it.Metrics)
 		return it, nil
 	}
 	if sis, err = run(sisDAG); err != nil {
@@ -370,7 +368,6 @@ func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.
 		if err != nil {
 			return row, err
 		}
-		flow.MergeMetrics(ctx, it.Metrics)
 		routable := it.Routable
 		if routable || extra == maxExtraRows {
 			row.CriticalPI = it.Timing.CriticalPI

@@ -135,12 +135,10 @@ func KWayVsBisect(ctx context.Context, class bench.Class, scale float64, dies, w
 	pcB.KWay = seed
 
 	itB, err := flow.RunOnce(ctx, &pcB, 0, cfg)
-	flow.MergeMetrics(ctx, itB.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bisection arm: %w", err)
 	}
 	itK, err := flow.RunOnce(ctx, &pcK, 0, cfg)
-	flow.MergeMetrics(ctx, itK.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: k-way arm: %w", err)
 	}

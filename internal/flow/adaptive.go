@@ -166,7 +166,6 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 
 	res = &AdaptiveResult{BestIndex: -1}
 	record := func(ai AdaptiveIteration, st *ECOState) {
-		MergeMetrics(ctx, ai.Metrics)
 		res.Iterations = append(res.Iterations, ai)
 		rec.Add("flow.adaptive_iterations", 1)
 		overflowHist.Observe(float64(ai.Overflow))
@@ -179,7 +178,6 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 	// Baseline iteration: uniform cover at BaseK.
 	it, st, routed, err := iterate(ctx, pc, cfg, acfg.BaseK, iterIn{})
 	if err != nil {
-		MergeMetrics(ctx, it.Metrics)
 		return res, fmt.Errorf("flow: adaptive baseline: %w", err)
 	}
 	record(AdaptiveIteration{Iteration: it, MaxMult: 1}, st)
@@ -216,7 +214,6 @@ func RunAdaptive(ctx context.Context, pc *Context, cfg Config, acfg AdaptiveConf
 		prevFailed := last.FailedConnections
 		it, stN, routedN, err := iterate(ctx, pc, cfg, acfg.BaseK, iterIn{field: next})
 		if err != nil {
-			MergeMetrics(ctx, it.Metrics)
 			return res, fmt.Errorf("flow: adaptive iteration %d: %w", len(res.Iterations), err)
 		}
 		record(AdaptiveIteration{

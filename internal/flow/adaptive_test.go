@@ -282,7 +282,7 @@ func TestAdaptiveECOChain(t *testing.T) {
 					t.Fatal(err)
 				}
 				edited := *pc
-				edited.Prep = &eco.Prep.Prepared
+				edited.Prep = eco.Prep
 				uniform, _, err := mapper.MapStateful(ctx, edited.Prep, st.K, nil)
 				if err != nil {
 					t.Fatal(err)

@@ -62,10 +62,10 @@ type ECOState struct {
 // capture is passive). Like RunOnce, it builds the mapping prefix on a
 // private copy of pc when pc lacks a compatible one; the state carries
 // it. The ECO chain is single-die: a multi-die config or context is
-// an error.
+// refused with an error before any stage runs.
 func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration, *ECOState, error) {
 	if err := singleDie(pc, cfg); err != nil {
-		return Iteration{K: k, Err: err, Skipped: true}, nil, err
+		return Iteration{}, nil, err
 	}
 	cfg.FreshPlacement = false
 	it, st, _, err := iterate(ctx, pc, cfg, k, iterIn{})
@@ -111,20 +111,20 @@ func singleDie(pc *Context, cfg Config) error {
 //
 // st is read-only: on error the caller's state is still valid, and on
 // success it remains usable (e.g. to try a different edit set against
-// the same baseline).
+// the same baseline). A missing state, a multi-die run or a state of
+// another method or library is refused with an error before any stage
+// runs.
 func RunECO(ctx context.Context, pc *Context, st *ECOState, edits mapper.EditSet, cfg Config) (Iteration, *ECOState, error) {
 	if st == nil || st.Prep == nil || st.Cover == nil {
-		err := fmt.Errorf("flow: RunECO needs the state of a previous RunStateful/RunECO/RunAdaptive")
-		return Iteration{Err: err, Skipped: true}, nil, err
+		return Iteration{}, nil, fmt.Errorf("flow: RunECO needs the state of a previous RunStateful/RunECO/RunAdaptive")
 	}
 	if err := singleDie(pc, cfg); err != nil {
-		return Iteration{K: st.K, Err: err, Skipped: true}, nil, err
+		return Iteration{}, nil, err
 	}
 	cfg.defaults()
 	cfg.FreshPlacement = false
 	if !st.Prep.Compatible(cfg.Method, cfg.Lib) {
-		err := fmt.Errorf("flow: ECO state was prepared with a different method or library")
-		return Iteration{K: st.K, Err: err, Skipped: true}, nil, err
+		return Iteration{}, nil, fmt.Errorf("flow: ECO state was prepared with a different method or library")
 	}
 	it, next, _, err := iterate(ctx, pc, cfg, st.K, iterIn{prev: st, edits: edits})
 	return it, next, err

@@ -6,6 +6,11 @@
 // the fixed die, or the growing cell-area penalty makes congestion
 // worse again.
 //
+// Every driver — Run, RunOnce, RunStateful, RunECO, RunAdaptive —
+// hands back finished iterations: each iteration's events are already
+// merged into the recorder ctx carries (Run merges its rungs in ladder
+// order), and an iteration failed iff its error is non-nil.
+//
 // # Robustness
 //
 // Every entry point takes a context.Context and stops promptly (within
@@ -15,8 +20,8 @@
 // *runstage.StageError values and enforces the per-stage wall-clock
 // budget. The K sweep degrades instead of aborting: a failed, panicked
 // or timed-out iteration is recorded in Result.Iterations with its Err
-// set and Skipped=true, the ladder moves on to the next K, and Best()
-// only considers iterations that completed. Run returns an error only
+// set, the ladder moves on to the next K, and Best() only considers
+// iterations that completed. Run returns an error only
 // when the parent context is canceled (partial results are still
 // returned) or when every K in the schedule failed.
 package flow
@@ -318,12 +323,11 @@ type Iteration struct {
 	// *obs.Recorder (nil otherwise). Failed iterations keep the
 	// metrics of the stages that ran.
 	Metrics *Metrics
-	// Err is non-nil when this iteration failed (stage error, panic,
-	// or per-iteration timeout); typically a *runstage.StageError.
+	// Err is non-nil when this ladder rung failed (stage error, panic,
+	// or per-iteration timeout; typically a *runstage.StageError): its
+	// other columns are then incomplete, and Best() never selects it.
+	// Only Run sets it; the single-iteration drivers return the error.
 	Err error
-	// Skipped marks an iteration whose metrics are invalid because it
-	// failed before completing. Best() never selects it.
-	Skipped bool
 }
 
 // Result is the full flow outcome.
@@ -331,8 +335,8 @@ type Result struct {
 	Iterations []Iteration
 	// BestIndex points at the accepted iteration: the first one with
 	// the fewest failed connections (so the first routable one when any
-	// routed), considering only iterations that completed (Skipped ==
-	// false). -1 when none completed.
+	// routed), considering only iterations that completed (Err ==
+	// nil). -1 when none completed.
 	BestIndex int
 }
 
@@ -346,7 +350,7 @@ func (r *Result) Best() *Iteration {
 
 // Run executes the flow on a prepared context, degrading rather than
 // aborting: an iteration that errors, panics, or exceeds
-// cfg.IterationTimeout is recorded with Err/Skipped set and the ladder
+// cfg.IterationTimeout is recorded with Err set and the ladder
 // continues at the next K. Run itself returns a non-nil error in three
 // cases only: the mapping prefix could not be built (its
 // StageMapPrepare error), the parent ctx was canceled (the partial
@@ -410,7 +414,7 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 		if cfg.IterationTimeout > 0 {
 			itCtx, cancel = context.WithTimeout(itCtx, cfg.IterationTimeout)
 		}
-		it, err := RunOnce(itCtx, pc, cfg.KSchedule[i], cfg)
+		it, _, _, err := iterate(itCtx, pc, cfg, cfg.KSchedule[i], iterIn{ladder: true})
 		cancel()
 		mu.Lock()
 		defer mu.Unlock()
@@ -440,7 +444,9 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 		// Ladder-order merge keeps the run-level event stream the same
 		// for every worker count; slots past the routable cutoff are
 		// never examined, so discarded speculative work leaves no trace.
-		MergeMetrics(ctx, s.it.Metrics)
+		if m := s.it.Metrics; m != nil {
+			obs.From(ctx).Merge(m.Events)
+		}
 		if s.err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				// Parent canceled: stop the whole ladder, keep the
@@ -451,7 +457,6 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 			it := s.it
 			it.K = k
 			it.Err = s.err
-			it.Skipped = true
 			res.Iterations = append(res.Iterations, it)
 			failures = append(failures, fmt.Errorf("K=%g: %w", k, s.err))
 			continue
@@ -487,12 +492,10 @@ func beats(it, best *Iteration) bool {
 // StageMapPrepare error).
 //
 // When ctx carries an *obs.Recorder, the iteration runs against its
-// own child recorder under a "flow.iteration" span; the snapshot lands
-// in Iteration.Metrics on every exit path, so even a stage failure or
-// budget timeout reports the stage timings measured up to that point.
-// The child's events are not merged into the parent recorder here —
-// Run does that in ladder order (and direct callers use MergeMetrics)
-// so the parent stream is deterministic for any worker count.
+// own child recorder under a "flow.iteration" span; on every exit
+// path the snapshot lands in Iteration.Metrics and its events are
+// merged into ctx's recorder, so even a stage failure or budget
+// timeout reports the stage timings measured up to that point.
 func RunOnce(ctx context.Context, pc *Context, k float64, cfg Config) (Iteration, error) {
 	it, _, _, err := iterate(ctx, pc, cfg, k, iterIn{})
 	return it, err
@@ -526,11 +529,14 @@ func withPrefix(ctx context.Context, pc *Context, cfg Config) (*Context, error) 
 // cover of pc's prefix under the uniform field; field covers it under
 // a K-field instead (adaptive.go). prev/edits make it an ECO iteration
 // (invalidate, then re-cover the dirtied trees against prev, under
-// prev's field).
+// prev's field). ladder leaves the iteration's events out of ctx's
+// recorder: Run merges its rungs in ladder order instead, so the run's
+// stream is the same for every worker count.
 type iterIn struct {
-	prev  *ECOState
-	edits mapper.EditSet
-	field *cover.KField
+	prev   *ECOState
+	edits  mapper.EditSet
+	field  *cover.KField
+	ladder bool
 }
 
 // iterate is the one iteration body behind every entry point: map,
@@ -542,7 +548,8 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 	cfg.defaults()
 	it = Iteration{K: k}
 	var hotspots []route.HotSpot
-	rec := obs.From(ctx).Child()
+	parent := obs.From(ctx)
+	rec := parent.Child()
 	if rec != nil {
 		ctx = obs.WithRecorder(ctx, rec)
 		var span *obs.Span
@@ -551,6 +558,9 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		defer func() {
 			span.End(err)
 			it.Metrics = buildMetrics(rec, hotspots)
+			if !in.ladder {
+				parent.Merge(it.Metrics.Events)
+			}
 		}()
 	}
 
@@ -566,7 +576,7 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 		if err != nil {
 			return it, nil, nil, err
 		}
-		prep = &eco.Prep.Prepared
+		prep = eco.Prep
 	} else {
 		if pc, err = withPrefix(ctx, pc, cfg); err != nil {
 			return it, nil, nil, err

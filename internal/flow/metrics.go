@@ -10,11 +10,13 @@ import (
 	"casyn/internal/runstage"
 )
 
-// Metrics is the observability snapshot of one K iteration, populated
-// whenever the context given to RunOnce (or Run) carries an
-// *obs.Recorder. It is built from the iteration's own child recorder,
-// so concurrent iterations of a parallel sweep never interleave, and a
-// speculative iteration that is discarded leaves no trace.
+// Metrics is the observability snapshot of one iteration, populated
+// whenever the context given to a driver carries an *obs.Recorder. It
+// is built from the iteration's own child recorder, so concurrent
+// iterations of a parallel sweep never interleave, and a speculative
+// iteration that is discarded leaves no trace. The driver has already
+// merged Events into the context's recorder; Metrics is the
+// iteration's own view of them.
 //
 // The deterministic fields — counters, histogram bucket counts, span
 // multiset, hot spots — are byte-identical for every Config.Workers
@@ -47,17 +49,11 @@ type StageTiming struct {
 	Err string
 }
 
-// MergeMetrics folds an iteration's event stream into the recorder
-// carried by ctx (no-op when either is absent). Run does this
-// automatically in ladder order; callers driving RunOnce directly
-// (casyn, experiments) use it to surface iteration events in their
-// run-level recorder.
-func MergeMetrics(ctx context.Context, m *Metrics) {
-	if m == nil {
-		return
-	}
-	obs.From(ctx).Merge(m.Events)
-}
+// MergeMetrics does nothing: every driver already merges its
+// iterations' events into ctx's recorder. It stays only because
+// cmd/casynbench, which changes only with a benchmark revision, calls
+// it by name.
+func MergeMetrics(context.Context, *Metrics) {}
 
 // buildMetrics assembles the Metrics snapshot from an iteration's
 // child recorder. Stage timings come from the "stage.*" spans recorded

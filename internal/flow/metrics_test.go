@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"casyn/internal/mapper"
 	"casyn/internal/obs"
 	"casyn/internal/runstage"
 )
@@ -245,6 +248,73 @@ func TestRunMergesIterationEvents(t *testing.T) {
 	for i := 1; i < len(ks); i++ {
 		if ks[i] < ks[i-1] {
 			t.Errorf("iteration spans out of ladder order: %v", ks)
+		}
+	}
+}
+
+// TestDriversMergeOwnEvents checks that RunOnce, RunStateful and RunECO
+// leave their iteration's events in ctx's recorder exactly once, on
+// success and on an injected stage failure: the recorder holds what
+// Iteration.Metrics holds, and a further MergeMetrics changes nothing.
+func TestDriversMergeOwnEvents(t *testing.T) {
+	pc, cfg := prepared(t, 0.55)
+	const k = 0.001
+	_, base, err := RunStateful(context.Background(), pc, k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := mapper.RandomEdits(base.Prep, rand.New(rand.NewSource(1)), 1)
+	drivers := []struct {
+		name string
+		run  func(context.Context, Config) (Iteration, error)
+	}{
+		{"RunOnce", func(ctx context.Context, cfg Config) (Iteration, error) {
+			return RunOnce(ctx, pc, k, cfg)
+		}},
+		{"RunStateful", func(ctx context.Context, cfg Config) (Iteration, error) {
+			it, _, err := RunStateful(ctx, pc, k, cfg)
+			return it, err
+		}},
+		{"RunECO", func(ctx context.Context, cfg Config) (Iteration, error) {
+			it, _, err := RunECO(ctx, pc, base, edits, cfg)
+			return it, err
+		}},
+	}
+	injected := errors.New("injected route failure")
+	for _, d := range drivers {
+		for _, fail := range []bool{false, true} {
+			c := cfg
+			if fail {
+				c.Hooks = &runstage.Hooks{Faults: []runstage.Fault{
+					{Stage: runstage.StageRoute, AllK: true, Err: injected},
+				}}
+			}
+			rec := obs.New()
+			ctx := obs.WithRecorder(context.Background(), rec)
+			it, err := d.run(ctx, c)
+			tag := fmt.Sprintf("%s (fail=%v)", d.name, fail)
+			if fail != errors.Is(err, injected) || (!fail && err != nil) {
+				t.Fatalf("%s: err = %v", tag, err)
+			}
+			if it.Metrics == nil {
+				t.Fatalf("%s: no iteration metrics", tag)
+			}
+			got := rec.Snapshot()
+			if n := got.SpanCounts()["flow.iteration"]; n != 1 {
+				t.Errorf("%s: recorder holds %d flow.iteration spans, want 1", tag, n)
+			}
+			if !reflect.DeepEqual(got.SpanCounts(), it.Metrics.Events.SpanCounts()) {
+				t.Errorf("%s: recorder spans %v, iteration spans %v", tag,
+					got.SpanCounts(), it.Metrics.Events.SpanCounts())
+			}
+			if got.Fingerprint() != it.Metrics.Events.Fingerprint() {
+				t.Errorf("%s: recorder events differ from the iteration's:\n%s\nvs\n%s", tag,
+					got.Fingerprint(), it.Metrics.Events.Fingerprint())
+			}
+			MergeMetrics(ctx, it.Metrics)
+			if after := rec.Snapshot().Fingerprint(); after != got.Fingerprint() {
+				t.Errorf("%s: MergeMetrics changed the recorder", tag)
+			}
 		}
 	}
 }

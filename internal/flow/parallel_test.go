@@ -56,7 +56,7 @@ func sameIteration(t *testing.T, tag string, a, b Iteration) {
 		a.DuplicatedCells != b.DuplicatedCells || a.Utilization != b.Utilization ||
 		a.Overflow != b.Overflow || a.FailedConnections != b.FailedConnections ||
 		a.WireLength != b.WireLength ||
-		a.Routable != b.Routable || a.Skipped != b.Skipped {
+		a.Routable != b.Routable || (a.Err != nil) != (b.Err != nil) {
 		t.Errorf("%s: K=%g iterations diverged:\nserial   %+v\nparallel %+v", tag, a.K, a, b)
 	}
 	if !reflect.DeepEqual(a.Netlist, b.Netlist) {
@@ -117,17 +117,17 @@ func TestParallelSweepDegradesOnInjectedFailure(t *testing.T) {
 		t.Fatalf("iterations = %d, want 3", len(res.Iterations))
 	}
 	bad := res.Iterations[1]
-	if !bad.Skipped || !errors.Is(bad.Err, injected) {
+	if !errors.Is(bad.Err, injected) {
 		t.Fatalf("K=0.001 not recorded as the injected failure: %+v", bad.Err)
 	}
 	se := runstage.AsStage(bad.Err)
 	if se == nil || se.Stage != runstage.StageRoute || se.K != 0.001 {
 		t.Errorf("StageError = %+v, want route/0.001", se)
 	}
-	if res.Iterations[0].Skipped || res.Iterations[2].Skipped {
+	if res.Iterations[0].Err != nil || res.Iterations[2].Err != nil {
 		t.Error("healthy iterations must survive a sibling worker's failure")
 	}
-	if best := res.Best(); best == nil || best.Skipped {
+	if best := res.Best(); best == nil || best.Err != nil {
 		t.Error("Best() must come from the survivors")
 	}
 }
@@ -149,7 +149,7 @@ func TestParallelSweepIsolatesPanic(t *testing.T) {
 	if se == nil || !se.Panicked || se.PanicValue != "injected placer panic" {
 		t.Fatalf("panic not preserved through the pool: %+v", res.Iterations[2].Err)
 	}
-	if res.Best() == nil || res.Best().Skipped {
+	if res.Best() == nil || res.Best().Err != nil {
 		t.Error("Best() must come from the surviving iterations")
 	}
 }

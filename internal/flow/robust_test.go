@@ -31,7 +31,7 @@ func TestSweepDegradesOnInjectedFailure(t *testing.T) {
 		t.Fatalf("iterations = %d, want 3 (ladder must continue past the failure)", len(res.Iterations))
 	}
 	bad := res.Iterations[1]
-	if !bad.Skipped || bad.Err == nil {
+	if bad.Err == nil {
 		t.Fatalf("K=0.001 iteration not recorded as failed: %+v", bad)
 	}
 	se := runstage.AsStage(bad.Err)
@@ -45,7 +45,7 @@ func TestSweepDegradesOnInjectedFailure(t *testing.T) {
 		t.Error("injected cause lost from the error chain")
 	}
 	for _, i := range []int{0, 2} {
-		if res.Iterations[i].Skipped || res.Iterations[i].NumCells == 0 {
+		if res.Iterations[i].Err != nil || res.Iterations[i].NumCells == 0 {
 			t.Errorf("K=%g iteration should have completed: %+v", res.Iterations[i].K, res.Iterations[i])
 		}
 	}
@@ -53,12 +53,12 @@ func TestSweepDegradesOnInjectedFailure(t *testing.T) {
 	if best == nil {
 		t.Fatal("no best iteration among the survivors")
 	}
-	if best.Skipped {
+	if best.Err != nil {
 		t.Error("Best() selected a skipped iteration")
 	}
 	var failed []Iteration
 	for _, it := range res.Iterations {
-		if it.Skipped {
+		if it.Err != nil {
 			failed = append(failed, it)
 		}
 	}
@@ -94,7 +94,7 @@ func TestSweepIsolatesInjectedPanic(t *testing.T) {
 	if se.Stage != runstage.StagePlace || len(se.Stack) == 0 {
 		t.Errorf("stage/stack not recorded: stage=%q stack=%d bytes", se.Stage, len(se.Stack))
 	}
-	if res.Best() == nil || res.Best().Skipped {
+	if res.Best() == nil || res.Best().Err != nil {
 		t.Error("Best() must come from the surviving iterations")
 	}
 }
@@ -153,7 +153,7 @@ func TestStageTimeoutDegrades(t *testing.T) {
 	if !errors.Is(bad.Err, context.DeadlineExceeded) {
 		t.Error("timeout must satisfy errors.Is(err, context.DeadlineExceeded)")
 	}
-	if res.Iterations[0].Skipped {
+	if res.Iterations[0].Err != nil {
 		t.Error("K=0 iteration should be untouched by the K=0.001 stall")
 	}
 }
@@ -179,10 +179,10 @@ func TestIterationTimeoutDegrades(t *testing.T) {
 		t.Fatalf("iterations = %d, want 3", len(res.Iterations))
 	}
 	bad := res.Iterations[1]
-	if !bad.Skipped || !errors.Is(bad.Err, context.DeadlineExceeded) {
+	if !errors.Is(bad.Err, context.DeadlineExceeded) {
 		t.Fatalf("stalled iteration not recorded as timeout: %+v", bad.Err)
 	}
-	if res.Iterations[0].Skipped || res.Iterations[2].Skipped {
+	if res.Iterations[0].Err != nil || res.Iterations[2].Err != nil {
 		t.Error("healthy iterations must complete under the same budget")
 	}
 }

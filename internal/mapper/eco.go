@@ -30,7 +30,7 @@ type ECO struct {
 	// placement, fresh partition, copy-on-write covering prefix. It is
 	// a full Prepared — MapStateful works against it directly, and a
 	// further Invalidate chains off it.
-	Prep *ECOPrepared
+	Prep *Prepared
 	// DirtyRoots lists the roots (edited-forest gate IDs) of the dirty
 	// trees, ascending: the trees MapECO re-covers.
 	DirtyRoots []int
@@ -48,18 +48,11 @@ type ECO struct {
 	ReenumeratedGates int
 
 	// parent is the Prepared this ECO was invalidated from: MapECO's
-	// lineage check. It lives here, not on the successor, so a chain
-	// that drops its ECOs retains no ancestor.
-	parent *Prepared
-}
-
-// ECOPrepared is a Prepared carrying the per-tree dirty mask of the
-// Invalidate that built it, which is what lets MapECO re-cover only
-// the dirty trees. It embeds Prepared, so every Prepared consumer
-// (MapStateful, Compatible, a further Invalidate) accepts it
-// unchanged.
-type ECOPrepared struct {
-	Prepared
+	// lineage check. rebuild is the per-tree dirty mask that lets
+	// MapECO re-cover only the dirty trees. Both live here, not on the
+	// successor, so a chain that drops its ECOs retains neither an
+	// ancestor nor an edit's masks.
+	parent  *Prepared
 	rebuild *cover.Rebuild
 }
 
@@ -139,16 +132,13 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	if err != nil {
 		return nil, err
 	}
-	succ := &ECOPrepared{
-		Prepared: Prepared{
-			dag:         dag,
-			forest:      forest,
-			prefix:      rb.Prefix,
-			opts:        p.opts,
-			in:          Input{Pos: pos, POPads: p.in.POPads},
-			partitioned: true,
-		},
-		rebuild: rb,
+	succ := &Prepared{
+		dag:         dag,
+		forest:      forest,
+		prefix:      rb.Prefix,
+		opts:        p.opts,
+		in:          Input{Pos: pos, POPads: p.in.POPads},
+		partitioned: true,
 	}
 	return &ECO{
 		Prep:              succ,
@@ -159,6 +149,7 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 		ReusedTrees:       len(rb.Dirty) - len(rb.DirtyRoots),
 		ReenumeratedGates: rb.ReenumeratedGates,
 		parent:            p,
+		rebuild:           rb,
 	}, nil
 }
 
@@ -257,7 +248,7 @@ func MapECO(ctx context.Context, e *ECO, prev *CoverState, k float64) (*Result, 
 		return nil, nil, fmt.Errorf("mapper: ECO against a cover of another Prepared")
 	}
 	obs.From(ctx).Add("eco.cover_delta", 1)
-	return mapCover(ctx, &e.Prep.Prepared, k, prev.field, prev, e.Prep.rebuild, "eco.cover_delta")
+	return mapCover(ctx, e.Prep, k, prev.field, prev, e.rebuild, "eco.cover_delta")
 }
 
 // mapCover covers prep's prefix at K under field (nil is the uniform

@@ -94,7 +94,7 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					if resultKey(inc) != resultKey(refRes) {
 						t.Errorf("K=%g seed=%d: delta-cover ECO differs from fresh synthesis of the edited design", k, seed)
 					}
-					full, _, err := MapStateful(ctx, &eco.Prep.Prepared, k, nil)
+					full, _, err := MapStateful(ctx, eco.Prep, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -103,7 +103,7 @@ func TestMapECOMatchesFresh(t *testing.T) {
 					}
 
 					// Chain a second edit set off the successor.
-					edits2 := RandomEdits(&eco.Prep.Prepared, rng, 3)
+					edits2 := RandomEdits(eco.Prep, rng, 3)
 					if len(edits2.Edits) == 0 {
 						continue
 					}
@@ -166,11 +166,11 @@ func TestMapECOUnderField(t *testing.T) {
 		if incCov.field != field {
 			t.Fatalf("%s: the delta's state dropped the parent's field", name)
 		}
-		ref, _ := mapUnderField(t, ctx, &eco.Prep.Prepared, k, field)
+		ref, _ := mapUnderField(t, ctx, eco.Prep, k, field)
 		if resultKey(inc) != resultKey(ref) {
 			t.Errorf("%s: ECO under a K-field differs from a full cover of the successor under it", name)
 		}
-		uniform, _, err := MapStateful(ctx, &eco.Prep.Prepared, k, nil)
+		uniform, _, err := MapStateful(ctx, eco.Prep, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestInvalidateDirtySetExact(t *testing.T) {
 // independent clean-tree criterion.
 func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 	t.Helper()
-	succ := &eco.Prep.Prepared
+	succ := eco.Prep
 	oldForest, newForest := parent.forest, succ.forest
 	oldRootOf := oldForest.RootOf()
 	oldSize := make(map[int]int)
@@ -369,8 +369,8 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 		posChanged[g] = true
 	}
 	newTrees := newForest.Trees()
-	if len(eco.Prep.rebuild.Dirty) != len(newTrees) {
-		t.Fatalf("dirty mask has %d entries for %d trees", len(eco.Prep.rebuild.Dirty), len(newTrees))
+	if len(eco.rebuild.Dirty) != len(newTrees) {
+		t.Fatalf("dirty mask has %d entries for %d trees", len(eco.rebuild.Dirty), len(newTrees))
 	}
 	dirtyRoots := make(map[int]bool)
 	for _, r := range eco.DirtyRoots {
@@ -396,7 +396,7 @@ func checkDirtySet(t *testing.T, parent *Prepared, eco *ECO) {
 				}
 			}
 		}
-		if got := eco.Prep.rebuild.Dirty[ti]; got == clean {
+		if got := eco.rebuild.Dirty[ti]; got == clean {
 			t.Errorf("tree %d (root %d): Dirty=%v, independent criterion says clean=%v", ti, tr.Root, got, clean)
 		}
 		if clean {
@@ -458,7 +458,7 @@ func TestInvalidateConeExact(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d link %d: Invalidate: %v", seed, link, err)
 					}
-					succ := &eco.Prep.Prepared
+					succ := eco.Prep
 					fresh, err := cover.BuildPrefix(ctx, succ.dag, succ.forest, lib, succ.Pos(), 1)
 					if err != nil {
 						t.Fatal(err)
@@ -467,7 +467,7 @@ func TestInvalidateConeExact(t *testing.T) {
 					inDirty := make([]bool, len(rootOf))
 					for ti, tr := range succ.forest.Trees() {
 						for _, v := range tr.Gates {
-							inDirty[v] = eco.Prep.rebuild.Dirty[ti]
+							inDirty[v] = eco.rebuild.Dirty[ti]
 							if !inDirty[v] && !eco.SharesMatches(v) {
 								t.Errorf("seed %d link %d: clean tree %d: gate %d does not share", seed, link, tr.Root, v)
 							}
@@ -687,7 +687,7 @@ func TestCoverDeltaSolutionLevel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					succ := &eco.Prep.Prepared
+					succ := eco.Prep
 					full, err := cover.CoverWithPrefix(ctx, succ.dag, succ.forest, succ.prefix, succ.coverOptions(k))
 					if err != nil {
 						t.Fatal(err)
@@ -704,7 +704,7 @@ func TestCoverDeltaSolutionLevel(t *testing.T) {
 								t.Fatalf("K=%g step %d: gate %d re-solved=%v, want %v", k, step, v, got, want[v])
 							}
 							switch {
-							case !eco.Prep.rebuild.Dirty[ti]:
+							case !eco.rebuild.Dirty[ti]:
 							case got:
 								r++
 							default:
@@ -730,15 +730,15 @@ func TestCoverDeltaSolutionLevel(t *testing.T) {
 // steps above a re-solved gate whose full-cover DP terms differ
 // bitwise from its previous ones.
 func wantResolved(e *ECO, prev, full *cover.Result, h int) []bool {
-	prep := &e.Prep.Prepared
+	prep := e.Prep
 	want := make([]bool, len(full.Best))
 	above := make([]bool, len(full.Best))
 	for ti, t := range prep.forest.Trees() {
-		if !e.Prep.rebuild.Dirty[ti] {
+		if !e.rebuild.Dirty[ti] {
 			continue
 		}
 		for _, v := range t.Gates {
-			if !e.Prep.rebuild.Reenumerated[v] && prev.Best[v] != nil && !above[v] {
+			if !e.rebuild.Reenumerated[v] && prev.Best[v] != nil && !above[v] {
 				continue
 			}
 			want[v] = true

@@ -161,7 +161,7 @@ func FuzzEditSet(f *testing.F) {
 					t.Fatalf("tree bookkeeping inconsistent: %d trees, %d reused, %d dirty",
 						eco.Trees, eco.ReusedTrees, len(eco.DirtyRoots))
 				}
-				succ := &eco.Prep.Prepared
+				succ := eco.Prep
 				full, err := partition.Partition(partition.Input{DAG: succ.dag, Pos: succ.in.Pos, POPads: succ.in.POPads}, succ.opts.Method)
 				if err != nil {
 					t.Fatal(err)
@@ -171,7 +171,7 @@ func FuzzEditSet(f *testing.F) {
 				}
 				dirtyGates := 0
 				for ti, tr := range eco.Prep.forest.Trees() {
-					if eco.Prep.rebuild.Dirty[ti] {
+					if eco.rebuild.Dirty[ti] {
 						dirtyGates += len(tr.Gates)
 					}
 				}

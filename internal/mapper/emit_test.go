@@ -111,7 +111,7 @@ func TestMapECOChainMatchesReconstruct(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: MapECO: %v", step, err)
 				}
-				if err := diffReconstruct(&eco.Prep.Prepared, nst.cov, next); err != nil {
+				if err := diffReconstruct(eco.Prep, nst.cov, next); err != nil {
 					t.Fatalf("step %d (%v): patched netlist differs from the reference rebuild: %v", step, edits.Edits, err)
 				}
 				if next.NumCells != res.NumCells {
@@ -161,7 +161,7 @@ func TestMapECOConcurrentPatches(t *testing.T) {
 		go func() {
 			res, nst, err := MapECO(ctx, eco, st, k)
 			if err == nil {
-				err = diffReconstruct(&eco.Prep.Prepared, nst.cov, res)
+				err = diffReconstruct(eco.Prep, nst.cov, res)
 			}
 			errs <- err
 		}()

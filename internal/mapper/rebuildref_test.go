@@ -24,7 +24,7 @@ import (
 // It returns the dirty mask by tree, the dirty roots in tree order and
 // the re-enumerated gate mask.
 func referenceRebuild(parent *Prepared, e *ECO) ([]bool, []int, []bool) {
-	succ := &e.Prep.Prepared
+	succ := e.Prep
 	dag, forest, prevForest := succ.dag, succ.forest, parent.forest
 	n := dag.NumGates()
 	structEdited := make([]bool, n)
@@ -138,7 +138,7 @@ func checkRebuildChain(t *testing.T, prep *Prepared, seeds int64, links int) {
 			if err != nil {
 				t.Fatalf("seed %d link %d: %v", seed, link, err)
 			}
-			rb := eco.Prep.rebuild
+			rb := eco.rebuild
 			dirty, roots, reen := referenceRebuild(cur, eco)
 			if !slices.Equal(rb.Dirty, dirty) {
 				t.Fatalf("seed %d link %d: dirty trees %v, scan %v", seed, link, rb.Dirty, dirty)
@@ -152,7 +152,7 @@ func checkRebuildChain(t *testing.T, prep *Prepared, seeds int64, links int) {
 			if len(roots) > 0 {
 				dirtyLinks++
 			}
-			cur = &eco.Prep.Prepared
+			cur = eco.Prep
 		}
 	}
 	for _, k := range []EditKind{EditGateFunc, EditReconnect, EditNudge, EditSwap} {

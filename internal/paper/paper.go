@@ -160,7 +160,7 @@ func writeKSweep(ctx context.Context, w io.Writer, title string, class bench.Cla
 	fmt.Fprintf(w, "%-9s %-12s %-9s %-14s %s\n", "K", "Cell Area", "No. of", "Area", "Routing")
 	fmt.Fprintf(w, "%-9s %-12s %-9s %-14s %s\n", "", "(µm²)", "Cells", "Utilization%", "violations")
 	for _, it := range its {
-		if it.Skipped {
+		if it.Err != nil {
 			fmt.Fprintf(w, "%-9g FAILED: %v\n", it.K, it.Err)
 			continue
 		}

@@ -12,7 +12,8 @@ import (
 // (~30k base gates). Besides random 2-pin nets it carries 16 PI-style
 // hub nets, each spanning about 1/8 of the cells, the shape that makes
 // refinement's per-move wirelength evaluation expensive on the subject
-// DAG. It is skipped under -short.
+// DAG. Its 60 s bound is raceSlowdown times longer under -race. It is
+// skipped under -short.
 func TestScale30k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in short mode")
@@ -44,7 +45,7 @@ func TestScale30k(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	t.Logf("placed %d cells in %v, HPWL=%g", n, elapsed, nl.HPWL(p))
-	if elapsed > 60*time.Second {
-		t.Errorf("placement took %v, want < 60s", elapsed)
+	if bound := raceSlowdown * 60 * time.Second; elapsed > bound {
+		t.Errorf("placement took %v, want < %v", elapsed, bound)
 	}
 }

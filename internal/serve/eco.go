@@ -154,14 +154,12 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 		s.rec.Add("serve.jobs_invalid", 1)
 		return nil, err
 	}
-	if parent.Spec.adaptive() && k == 0 {
-		// The loop runs a zero BaseK at its default; key it so, as
-		// ResultKey does, or equivalent parents split the ECO caches.
-		k = flow.DefaultAdaptiveBaseK
-	}
 
 	derived := parent.Spec
 	derived.K = k
+	// An adaptive zero K runs at the loop's default; key it so, as
+	// ResultKey does, or equivalent parents split the ECO caches.
+	derived.K = derived.runK()
 	derived.KSchedule = nil
 	derived.StopAtFirstRoutable = false
 	derived.Verilog = spec.Verilog
@@ -180,7 +178,7 @@ func (s *Server) SubmitECO(parent *Job, spec *EcoSpec) (*Job, error) {
 	// The k_mode rides in the key: an adaptive parent's edits re-cover
 	// under its K-field, so they differ from a fixed-K parent's.
 	fmt.Fprintf(h, "eco %s k %g fast %v timing %v verify %v kmode %s edits %s\n",
-		parent.prepKey, k, spec.Fast, derived.Timing, derived.Verify, derived.kmode(), canon)
+		parent.prepKey, derived.K, spec.Fast, derived.Timing, derived.Verify, derived.kmode(), canon)
 	resultKey := hex.EncodeToString(h.Sum(nil))
 
 	return s.admit(derived, parent.prepKey, resultKey,
@@ -204,7 +202,6 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 	it, _, err := flow.RunECO(ctx, entry.pc, st, job.eco.edits, cfg)
-	flow.MergeMetrics(ctx, it.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +224,7 @@ func (s *Server) runJobECO(ctx context.Context, job *Job) (*JobResult, error) {
 // immutable after construction (RunECO never mutates its input state),
 // so concurrent ECO jobs share it freely.
 func (s *Server) ecoBaseline(ctx context.Context, entry *prepEntry, cfg flow.Config, prepKey string, spec *JobSpec) (*flow.ECOState, error) {
-	key := fmt.Sprintf("%s|k=%g|%s", prepKey, spec.K, spec.kmode())
+	key := ecoKey(prepKey, spec)
 	if st, ok := s.ecoCache.get(key); ok {
 		s.rec.Add("serve.cache.eco_hits", 1)
 		return st, nil
@@ -241,8 +238,7 @@ func (s *Server) ecoBaseline(ctx context.Context, entry *prepEntry, cfg flow.Con
 		}
 		st = ares.State
 	} else {
-		it, stK, err := flow.RunStateful(ctx, entry.pc, spec.K, cfg)
-		flow.MergeMetrics(ctx, it.Metrics)
+		_, stK, err := flow.RunStateful(ctx, entry.pc, spec.K, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -250,4 +246,11 @@ func (s *Server) ecoBaseline(ctx context.Context, entry *prepEntry, cfg flow.Con
 	}
 	s.ecoCache.add(key, st)
 	return st, nil
+}
+
+// ecoKey is the ecoCache key of a lineage's baseline state: prefix,
+// run K and k_mode, so an adaptive parent's stored state is the one
+// its ECOs look up.
+func ecoKey(prepKey string, spec *JobSpec) string {
+	return fmt.Sprintf("%s|k=%g|%s", prepKey, spec.runK(), spec.kmode())
 }

@@ -340,14 +340,11 @@ func TestEcoAdaptiveParentMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestEcoAdaptiveParentDefaultK: an adaptive parent runs an omitted k
-// at flow.DefaultAdaptiveBaseK, so parents with k omitted and with k
-// spelled out share one result, and an ECO against either is one job:
-// the second ECO is served from the result cache, naming its own
-// parent, and the closed loop runs for one ECO baseline only.
-func TestEcoAdaptiveParentDefaultK(t *testing.T) {
-	const base = `"bench":"spla","scale":0.05,"k_mode":"adaptive"`
-	spec, err := ParseJobSpec(strings.NewReader("{" + base + "}"))
+// firstGateNudge is an edit set moving the first live NAND2 or
+// inverter of the circuit specJSON describes 5 µm right.
+func firstGateNudge(t *testing.T, specJSON string) string {
+	t.Helper()
+	spec, err := ParseJobSpec(strings.NewReader(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +356,58 @@ func TestEcoAdaptiveParentDefaultK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := -1
 	for _, g := range dag.LiveGates() {
 		if tp := dag.Gate(g).Type; tp == subject.Nand2 || tp == subject.Inv {
-			gate = g
-			break
+			return fmt.Sprintf(`{"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]}`, g)
 		}
 	}
-	edits := fmt.Sprintf(`{"edits":[{"op":"nudge","gate":%d,"dx":5,"dy":0}]}`, gate)
+	t.Fatal("no NAND2 or inverter to nudge")
+	return ""
+}
+
+// TestEcoAdaptiveParentSeedsBaseline: an adaptive parent stores its
+// accepted state as its lineage's ECO baseline, so the first ECO
+// against it neither misses the baseline cache nor re-runs the loop.
+func TestEcoAdaptiveParentSeedsBaseline(t *testing.T) {
+	const specJSON = `{"bench":"spla","scale":0.05,"k_mode":"adaptive"}`
+	edits := firstGateNudge(t, specJSON)
+	s, ts := testServer(t, Config{})
+	resp, m := postJob(t, ts, specJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%v)", resp.StatusCode, m)
+	}
+	parent := m["id"].(string)
+	if job := waitTerminal(t, s, parent); job.Status() != StatusDone {
+		t.Fatalf("parent finished %s", job.Status())
+	}
+	loops := s.Metrics().Counters["flow.adaptive_iterations"]
+	if loops == 0 {
+		t.Fatal("the parent ran no adaptive iteration")
+	}
+	r, em := postEco(t, ts, parent, edits)
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("eco submit: %d (%v)", r.StatusCode, em)
+	}
+	if res, jerr := waitTerminal(t, s, em["id"].(string)).Result(); res == nil {
+		t.Fatalf("eco failed: %+v", jerr)
+	}
+	c := s.Metrics().Counters
+	if n := c["serve.cache.eco_misses"]; n != 0 {
+		t.Errorf("serve.cache.eco_misses = %d, want 0", n)
+	}
+	if n := c["flow.adaptive_iterations"]; n != loops {
+		t.Errorf("flow.adaptive_iterations %d -> %d: the eco re-ran the loop", loops, n)
+	}
+}
+
+// TestEcoAdaptiveParentDefaultK: an adaptive parent runs an omitted k
+// at flow.DefaultAdaptiveBaseK, so parents with k omitted and with k
+// spelled out share one result, and an ECO against either is one job:
+// the second ECO is served from the result cache, naming its own
+// parent, and no ECO baseline re-runs the closed loop.
+func TestEcoAdaptiveParentDefaultK(t *testing.T) {
+	const base = `"bench":"spla","scale":0.05,"k_mode":"adaptive"`
+	edits := firstGateNudge(t, "{"+base+"}")
 
 	s, ts := testServer(t, Config{})
 	var parents []string
@@ -399,8 +440,8 @@ func TestEcoAdaptiveParentDefaultK(t *testing.T) {
 	if ecos[1].Cache != "result" || ecos[1].Report != ecos[0].Report {
 		t.Errorf("second eco was not served from the result cache (cache %q)", ecos[1].Cache)
 	}
-	if n := s.Metrics().Counters["serve.cache.eco_misses"]; n != 1 {
-		t.Errorf("serve.cache.eco_misses = %d, want 1", n)
+	if n := s.Metrics().Counters["serve.cache.eco_misses"]; n != 0 {
+		t.Errorf("serve.cache.eco_misses = %d, want 0", n)
 	}
 }
 

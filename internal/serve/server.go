@@ -168,10 +168,11 @@ type Server struct {
 
 	prepCache *lru[*prepEntry]
 	resCache  *lru[*JobResult]
-	// ecoCache holds per-(prefix, K) baseline synthesis states for the
-	// incremental ECO path: the mapping/covering/routing residue an
-	// edit set is diffed against. Keyed by prepKey + K, so every ECO
-	// against the same parent lineage reuses one baseline.
+	// ecoCache holds per-(prefix, K, k_mode) baseline synthesis states
+	// for the incremental ECO path: the mapping/covering/routing residue
+	// an edit set is diffed against. Keyed by ecoKey, so every ECO
+	// against the same parent lineage reuses one baseline; an adaptive
+	// parent stores its accepted state there itself.
 	ecoCache *lru[*flow.ECOState]
 
 	// ewmaNs tracks the exponentially-weighted moving average of job
@@ -532,7 +533,7 @@ func (s *Server) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	var res *JobResult
 	switch {
 	case spec.adaptive():
-		res, err = s.runAdaptive(ctx, entry, cfg, spec)
+		res, err = s.runAdaptive(ctx, entry, cfg, spec, job.prepKey)
 	case len(spec.KSchedule) > 0:
 		res, err = s.runSweep(ctx, entry, cfg, spec)
 	default:
@@ -645,9 +646,6 @@ func (s *Server) flowConfig(spec *JobSpec, layout place.Layout) flow.Config {
 // runSingle maps, places, and routes one K rung.
 func (s *Server) runSingle(ctx context.Context, entry *prepEntry, cfg flow.Config, k float64) (*JobResult, error) {
 	it, err := flow.RunOnce(ctx, entry.pc, k, cfg)
-	// Merge before the error check: a failed iteration's events (stage
-	// timings, injected-fault counts) still belong in the job's stream.
-	flow.MergeMetrics(ctx, it.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -684,8 +682,10 @@ func (s *Server) runSweep(ctx context.Context, entry *prepEntry, cfg flow.Config
 // runAdaptive runs the closed-loop congestion controller: one baseline
 // iteration at spec.K (0 = the calibrated default) plus up to two
 // steered steps, the spatial K-field inflated from each routed
-// congestion map.
-func (s *Server) runAdaptive(ctx context.Context, entry *prepEntry, cfg flow.Config, spec *JobSpec) (*JobResult, error) {
+// congestion map. A single-die run's accepted state becomes its
+// lineage's ECO baseline, so an ECO against this job does not re-run
+// the loop.
+func (s *Server) runAdaptive(ctx context.Context, entry *prepEntry, cfg flow.Config, spec *JobSpec, prepKey string) (*JobResult, error) {
 	ares, err := flow.RunAdaptive(ctx, entry.pc, cfg, flow.AdaptiveConfig{BaseK: spec.K})
 	if err != nil {
 		return nil, err
@@ -694,6 +694,9 @@ func (s *Server) runAdaptive(ctx context.Context, entry *prepEntry, cfg flow.Con
 	if best == nil {
 		return nil, &runstage.StageError{Stage: StageServe,
 			Err: fmt.Errorf("adaptive loop completed no iterations")}
+	}
+	if spec.Dies <= 1 {
+		s.ecoCache.add(ecoKey(prepKey, spec), ares.State)
 	}
 	sums := make([]IterationSummary, 0, len(ares.Iterations))
 	for i := range ares.Iterations {
@@ -713,10 +716,9 @@ func summarize(it *flow.Iteration) IterationSummary {
 		FailedConnections: it.FailedConnections,
 		WireLength:        it.WireLength,
 		Routable:          it.Routable,
-		Skipped:           it.Skipped,
 	}
 	if it.Err != nil {
-		sum.Err = it.Err.Error()
+		sum.Skipped, sum.Err = true, it.Err.Error()
 	}
 	return sum
 }

@@ -238,6 +238,15 @@ func (s *JobSpec) kmode() string {
 // adaptive reports the closed-loop mode.
 func (s *JobSpec) adaptive() bool { return s.KMode == "adaptive" }
 
+// runK is the K the job runs at: an adaptive job's zero k is the
+// loop's default BaseK. Keys use it, so equivalent jobs share entries.
+func (s *JobSpec) runK() float64 {
+	if s.adaptive() && s.K <= 0 {
+		return flow.DefaultAdaptiveBaseK
+	}
+	return s.K
+}
+
 // options maps the spec onto the casyn Options the daemon shares with
 // the one-shot CLI — the single source of the calibrated operating
 // point, so daemon results are byte-identical to cmd/casyn.
@@ -336,12 +345,9 @@ func (s *JobSpec) ResultKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	k, stop := s.K, false
-	switch {
-	case len(s.KSchedule) > 0:
+	k, stop := s.runK(), false
+	if len(s.KSchedule) > 0 {
 		k, stop = 0, s.StopAtFirstRoutable
-	case s.adaptive() && k <= 0:
-		k = flow.DefaultAdaptiveBaseK
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "prep %s k %g sched %v stop %v kmode %s timing %v verify %v\n",
