@@ -20,9 +20,10 @@
 // the flow themselves from the same building blocks Synthesize uses:
 // SubjectFor, LayoutFor, FlowConfig and ResultFrom. They hold no flow
 // policy of their own. The chained drivers (flow.RunStateful, RunECO,
-// RunAdaptive) choose seeded placement themselves, and ResultFrom
-// reads the multi-die facts off the prepared context, so a result is
-// the same whichever front end built it.
+// RunAdaptive) choose seeded placement themselves, and every driver
+// builds the mapping prefix it needs and reports its multi-die facts
+// on the iteration, so a result is the same whichever front end built
+// it.
 //
 // Lower-level control — running individual pipeline stages, sweeping
 // K, reproducing the paper's tables — is available through the
@@ -266,14 +267,6 @@ func synthesizeSubject(ctx context.Context, dag *subject.DAG, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if opts.Dies > 1 {
-		// Prepare the k-way prefix here (rather than letting RunOnce do
-		// it on a private copy) so ResultFrom finds the replication
-		// outcome on pc.
-		if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
-			return nil, err
-		}
-	}
 	if opts.Adaptive {
 		ares, err := flow.RunAdaptive(ctx, pc, cfg, flow.AdaptiveConfig{BaseK: opts.K})
 		if err != nil {
@@ -283,7 +276,7 @@ func synthesizeSubject(ctx context.Context, dag *subject.DAG, opts Options) (*Re
 		if best == nil {
 			return nil, fmt.Errorf("casyn: adaptive synthesis produced no iterations")
 		}
-		res := ResultFrom(dag, layout, pc, best)
+		res := ResultFrom(dag, layout, best)
 		res.AdaptiveIterations = ares.RoutedIterations()
 		return res, nil
 	}
@@ -291,7 +284,7 @@ func synthesizeSubject(ctx context.Context, dag *subject.DAG, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return ResultFrom(dag, layout, pc, &it), nil
+	return ResultFrom(dag, layout, &it), nil
 }
 
 // LayoutFor sizes the floorplan for a decomposed subject DAG under
@@ -338,12 +331,10 @@ func FlowConfig(layout place.Layout, opts Options) flow.Config {
 
 // ResultFrom condenses a completed flow iteration into the public
 // Result shape (the assembly step of Synthesize, shared with casynd
-// and cmd/casyn's ECO mode). When pc carries a k-way prefix
-// (flow.PrepareMapping with Dies > 1), the multi-die facts come from
-// it: the die count and replicated gates from pc.KWay, the
-// cross-region nets from the iteration. A context without one yields
-// a single-die result.
-func ResultFrom(dag *subject.DAG, layout place.Layout, pc *flow.Context, it *flow.Iteration) *Result {
+// and cmd/casyn's ECO mode). The multi-die facts — die count,
+// replicated gates, cross-region nets — are the iteration's own; a
+// single-die iteration yields a single-die result.
+func ResultFrom(dag *subject.DAG, layout place.Layout, it *flow.Iteration) *Result {
 	res := &Result{
 		BaseGates:   dag.BaseGateCount(),
 		CellArea:    it.CellArea,
@@ -354,16 +345,15 @@ func ResultFrom(dag *subject.DAG, layout place.Layout, pc *flow.Context, it *flo
 		WireLength:  it.WireLength,
 		Die:         layout,
 		Mapped:      it.Netlist,
+
+		Dies:            it.Dies,
+		ReplicatedGates: it.ReplicatedGates,
+		CrossRegionNets: it.CrossRegionNets,
 	}
 	if it.Timing != nil {
 		res.CriticalPathNs = it.Timing.MaxArrival
 		res.CriticalPath = it.Timing.String()
 		res.Timing = it.Timing
-	}
-	if kw := pc.KWay; kw != nil {
-		res.Dies = len(kw.Regions)
-		res.ReplicatedGates = kw.Replicas
-		res.CrossRegionNets = it.CrossRegionNets
 	}
 	res.Verify = it.Verify
 	res.Metrics = it.Metrics

@@ -289,18 +289,18 @@ func runECO(ctx context.Context, p *logic.PLA, path string, fast bool, opts casy
 		if err != nil {
 			return nil, nil, err
 		}
-		base, st = casyn.ResultFrom(dag, layout, pc, ares.Best()), ares.State
+		base, st = casyn.ResultFrom(dag, layout, ares.Best()), ares.State
 		base.AdaptiveIterations = ares.RoutedIterations()
 	} else {
 		it, stK, err := flow.RunStateful(ctx, pc, opts.K, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		base, st = casyn.ResultFrom(dag, layout, pc, &it), stK
+		base, st = casyn.ResultFrom(dag, layout, &it), stK
 	}
 	eit, _, err := flow.RunECO(ctx, pc, st, edits, cfg)
 	if err != nil {
 		return base, nil, err
 	}
-	return base, casyn.ResultFrom(dag, layout, pc, &eit), nil
+	return base, casyn.ResultFrom(dag, layout, &eit), nil
 }

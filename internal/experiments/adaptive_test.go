@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"casyn/internal/bench"
+	"casyn/internal/flow"
 )
 
 // TestAdaptiveVsLadderScaled runs the comparison on the calibrated
@@ -19,8 +20,8 @@ func TestAdaptiveVsLadderScaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ladder) != len(KSchedule()) {
-		t.Fatalf("%d ladder rows, want %d", len(res.Ladder), len(KSchedule()))
+	if len(res.Ladder) != len(flow.DefaultKSchedule()) {
+		t.Fatalf("%d ladder rows, want %d", len(res.Ladder), len(flow.DefaultKSchedule()))
 	}
 	if len(res.Adaptive) == 0 || len(res.Adaptive) > 3 {
 		t.Fatalf("%d adaptive iterations, budget is 3", len(res.Adaptive))

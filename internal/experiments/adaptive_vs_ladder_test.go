@@ -76,7 +76,7 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 		PlaceOpts:      PlaceOpts(),
 		RouteOpts:      ropts,
 		FreshPlacement: false,
-		KSchedule:      KSchedule(),
+		KSchedule:      flow.DefaultKSchedule(),
 		Workers:        workers,
 	}
 	pc, err := flow.Prepare(ctx, d, cfg)

@@ -30,6 +30,7 @@ import (
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/library"
+	"casyn/internal/mapper"
 	"casyn/internal/place"
 	"casyn/internal/route"
 	"casyn/internal/sta"
@@ -81,19 +82,16 @@ func PlaceOpts() place.Options {
 	return place.Options{Seed: PlacementSeed, RefinePasses: RefinePasses}
 }
 
-// KSchedule is the paper's Table 2/4 K ladder.
-func KSchedule() []float64 { return flow.DefaultKSchedule() }
-
 // flowConfig is the calibrated flow configuration every experiment
-// runs on layout: the shared placer and router options, fresh
-// placement, and the K schedule ks.
-func flowConfig(layout place.Layout, ks []float64) flow.Config {
+// runs on layout: the shared placer and router options and fresh
+// placement. A flow.Run over it climbs the paper's Table 2/4 ladder
+// unless the caller sets KSchedule.
+func flowConfig(layout place.Layout) flow.Config {
 	return flow.Config{
 		Layout:         layout,
 		PlaceOpts:      PlaceOpts(),
 		RouteOpts:      RouteOpts(),
 		FreshPlacement: true,
-		KSchedule:      ks,
 	}
 }
 
@@ -121,23 +119,24 @@ func dieFor(cellArea, utilization float64) (place.Layout, error) {
 // and returns the mapped cell area — the anchor the experiment dies
 // are derived from. The provisional layout assumes 50% utilization of
 // a base-gate-count area estimate; the K = 0 cell area is insensitive
-// to the provisional die (placement only affects tie-breaks).
+// to the provisional die (placement only affects tie-breaks). Only the
+// area is read, so the netlist is mapped with the flow's method and
+// library but neither placed nor routed.
 func minAreaCellArea(ctx context.Context, d *subject.DAG) (float64, error) {
 	baseEstimate := float64(d.BaseGateCount()) * 4.6 // µm² per base gate, mapped
 	layout, err := place.NewLayout(baseEstimate/0.5, 1.0, library.RowHeight)
 	if err != nil {
 		return 0, err
 	}
-	cfg := flowConfig(layout, []float64{0})
-	pc, err := flow.Prepare(ctx, d, cfg)
+	pc, err := flow.Prepare(ctx, d, flowConfig(layout))
 	if err != nil {
 		return 0, err
 	}
-	it, err := flow.RunOnce(ctx, pc, 0, cfg)
+	res, err := mapper.Map(ctx, pc.DAG, mapper.Input{Pos: pc.Pos, POPads: pc.POPads}, mapper.Options{})
 	if err != nil {
 		return 0, err
 	}
-	return it.CellArea, nil
+	return res.CellArea, nil
 }
 
 // sweepLayout returns the fixed floorplan at full scale, or a
@@ -183,16 +182,11 @@ func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) 
 	if err != nil {
 		return nil, place.Layout{}, err
 	}
-	cfg := flowConfig(layout, KSchedule())
+	cfg := flowConfig(layout)
 	cfg.Workers = workers
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, layout, err
-	}
-	// One K-invariant mapping prefix (partition + match enumeration)
-	// serves all 14 rungs of the ladder.
-	if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
-		return nil, layout, fmt.Errorf("experiments: %s sweep: %w", class, err)
 	}
 	res, err := flow.Run(ctx, pc, cfg)
 	if err != nil {
@@ -229,7 +223,7 @@ func Table1(ctx context.Context, scale float64) (sis, dagon flow.Iteration, layo
 	if layout, err = dieFor(aDagon, tooLargeDieFraction); err != nil {
 		return
 	}
-	cfg := flowConfig(layout, []float64{0})
+	cfg := flowConfig(layout)
 	run := func(d *subject.DAG) (flow.Iteration, error) {
 		pc, err := flow.Prepare(ctx, d, cfg)
 		if err != nil {
@@ -274,11 +268,15 @@ type STARow struct {
 // mid-ladder K.
 const staMidK = 0.001
 
+// maxExtraRows bounds the minimal-die search of Tables 3 and 5: the
+// most rows it adds to the K-sweep floorplan.
+const maxExtraRows = 10
+
 // STATable reproduces Table 3 (SPLA) or Table 5 (PDC): static timing
 // of the K = 0 mapping, the mid-ladder K = 0.001 mapping, and the SIS
 // baseline, each placed and routed in the smallest die (row count)
 // that routes it cleanly, starting from the K-sweep floorplan.
-// workers parallelizes each variant's covering and routing
+// workers parallelizes each ladder and its covering and routing
 // (0 = runtime.GOMAXPROCS, 1 = serial) without changing the rows.
 func STATable(ctx context.Context, class bench.Class, scale float64, workers int) ([]STARow, error) {
 	d, err := buildSubject(class, scale, bench.Direct)
@@ -293,91 +291,76 @@ func STATable(ctx context.Context, class bench.Class, scale float64, workers int
 	if err != nil {
 		return nil, err
 	}
-
-	type variant struct {
-		label string
-		dag   *subject.DAG
-		k     float64
+	rows, err := staAtMinimalDie(ctx, d, []float64{0, staMidK}, baseLayout, workers)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: STA: %w", err)
 	}
-	variants := []variant{
-		{"K=0", d, 0},
-		{fmt.Sprintf("K=%g", staMidK), d, staMidK},
-		{"SIS", sisDAG, 0},
+	sis, err := staAtMinimalDie(ctx, sisDAG, []float64{0}, baseLayout, workers)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: STA SIS: %w", err)
 	}
-	// The K=0 and mid-K variants share the DAG and walk the same die
-	// progression, so their per-(DAG, row-count) flow contexts — the
-	// subject placement and the K-invariant mapping prefix — are
-	// prepared once and reused.
-	ctxCache := map[*subject.DAG]map[int]*flow.Context{}
-	var rows []STARow
-	var k0PO string
-	for vi, v := range variants {
-		row, err := staAtMinimalDie(ctx, v.dag, v.k, baseLayout, workers, ctxCache)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: STA %s: %w", v.label, err)
-		}
-		row.Label = v.label
-		if vi == 0 {
-			k0PO = row.CriticalPO
-		}
-		rows = append(rows, row)
-	}
-	// Fill the same-path column now that the K=0 critical PO is known.
-	for i := range rows {
-		if rows[i].timing != nil {
-			rows[i].SameK0PathArrival = rows[i].timing.ArrivalByPO[k0PO]
-		}
+	rows = append(rows, sis...)
+	for i, label := range []string{"K=0", fmt.Sprintf("K=%g", staMidK), "SIS"} {
+		rows[i].Label = label
+		// The same-path column reads the K=0 netlist's critical PO.
+		rows[i].SameK0PathArrival = rows[i].timing.ArrivalByPO[rows[0].CriticalPO]
 	}
 	return rows, nil
 }
 
-// staAtMinimalDie maps the DAG at k, then grows the floorplan one row
-// at a time from the base layout until routing is clean (bounded), and
-// runs STA on the routed result. ctxCache shares the prepared flow
-// contexts — subject placement plus the K-invariant mapping prefix —
-// across variants keyed by (DAG, row count).
-func staAtMinimalDie(ctx context.Context, d *subject.DAG, k float64, base place.Layout, workers int, ctxCache map[*subject.DAG]map[int]*flow.Context) (STARow, error) {
-	const maxExtraRows = 10
-	row := STARow{}
-	for extra := 0; ; extra++ {
-		rowsN := base.NumRows + extra
-		layout, err := place.LayoutWithRows(rowsN, base.Die.W(), base.RowHeight)
+// staAtMinimalDie times d at each K of ks in the smallest floorplan
+// that routes it. It grows the floorplan one row at a time from the
+// base layout; at each row count it places d once and runs the Ks not
+// yet routed as one flow.Run ladder with STA. A K stops searching when
+// it routes or when the floorplan reaches maxExtraRows extra rows, and
+// its row describes that floorplan. A failed rung fails the search.
+// The rows come back in ks order.
+func staAtMinimalDie(ctx context.Context, d *subject.DAG, ks []float64, base place.Layout, workers int) ([]STARow, error) {
+	rows := make([]STARow, len(ks))
+	open := make([]int, len(ks)) // indices into ks still searching
+	for i := range open {
+		open[i] = i
+	}
+	for extra := 0; len(open) > 0; extra++ {
+		layout, err := place.LayoutWithRows(base.NumRows+extra, base.Die.W(), base.RowHeight)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		cfg := flowConfig(layout, []float64{k})
+		cfg := flowConfig(layout)
 		cfg.RunSTA = true
 		cfg.Workers = workers
-		byRows := ctxCache[d]
-		if byRows == nil {
-			byRows = map[int]*flow.Context{}
-			ctxCache[d] = byRows
+		cfg.KSchedule = make([]float64, len(open))
+		for j, i := range open {
+			cfg.KSchedule[j] = ks[i]
 		}
-		pc := byRows[rowsN]
-		if pc == nil {
-			pc, err = flow.Prepare(ctx, d, cfg)
-			if err != nil {
-				return row, err
-			}
-			if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
-				return row, err
-			}
-			byRows[rowsN] = pc
-		}
-		it, err := flow.RunOnce(ctx, pc, k, cfg)
+		pc, err := flow.Prepare(ctx, d, cfg)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		routable := it.Routable
-		if routable || extra == maxExtraRows {
-			row.CriticalPI = it.Timing.CriticalPI
-			row.CriticalPO = it.Timing.CriticalPO
-			row.Arrival = it.Timing.MaxArrival
-			row.ChipArea = layout.Area()
-			row.NumRows = layout.NumRows
-			row.Routable = routable
-			row.timing = it.Timing
-			return row, nil
+		res, err := flow.Run(ctx, pc, cfg)
+		if err != nil {
+			return nil, err
 		}
+		var next []int
+		for j, it := range res.Iterations {
+			if it.Err != nil {
+				return nil, fmt.Errorf("K=%g: %w", it.K, it.Err)
+			}
+			if !it.Routable && extra < maxExtraRows {
+				next = append(next, open[j])
+				continue
+			}
+			rows[open[j]] = STARow{
+				CriticalPI: it.Timing.CriticalPI,
+				CriticalPO: it.Timing.CriticalPO,
+				Arrival:    it.Timing.MaxArrival,
+				ChipArea:   layout.Area(),
+				NumRows:    layout.NumRows,
+				Routable:   it.Routable,
+				timing:     it.Timing,
+			}
+		}
+		open = next
 	}
+	return rows, nil
 }

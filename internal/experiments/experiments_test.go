@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"casyn/internal/bench"
@@ -22,8 +23,8 @@ func TestKSweepScaledShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(its) != len(KSchedule()) {
-		t.Fatalf("rows = %d, want %d", len(its), len(KSchedule()))
+	if len(its) != len(flow.DefaultKSchedule()) {
+		t.Fatalf("rows = %d, want %d", len(its), len(flow.DefaultKSchedule()))
 	}
 	first, last := its[0], its[len(its)-1]
 	// Cell area and count grow substantially across the ladder.
@@ -45,10 +46,11 @@ func TestKSweepScaledShape(t *testing.T) {
 }
 
 // TestKSweepSharesOnePrefix: the 14 ladder rungs share one mapping
-// prefix. The scaled sweep also sizes its die with one single-K
-// iteration (minAreaCellArea), which builds the second; each nests its
-// map.partition in map.prepare, and every iteration, ladder rung or
-// not, maps through a prefix.
+// prefix, which flow.Run builds before the first rung. The scaled
+// sweep also sizes its die with one K = 0 mapping (minAreaCellArea),
+// which builds the second prefix but neither places nor routes; each
+// nests its map.partition in map.prepare, and every cover, ladder rung
+// or not, maps through a prefix.
 func TestKSweepSharesOnePrefix(t *testing.T) {
 	t.Parallel()
 	rec := obs.New()
@@ -56,14 +58,14 @@ func TestKSweepSharesOnePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := rec.Snapshot().SpanCounts()
-	if counts["stage.map_prepare"] != 2 || counts["map.prepare"] != 2 || counts["map.partition"] != 2 {
+	if counts["stage.map_prepare"] != 1 || counts["map.prepare"] != 2 || counts["map.partition"] != 2 {
 		t.Errorf("want one mapping prefix for the ladder and one for die sizing: %v", counts)
 	}
 	if counts["map.cover_only"] != 15 || counts["map.cover"] != 0 {
 		t.Errorf("per-K repartitioning survived the shared prefix: %v", counts)
 	}
-	if counts["flow.iteration"] != 15 {
-		t.Errorf("flow.iteration = %d, want 14 ladder rungs + 1 die-sizing run", counts["flow.iteration"])
+	if counts["flow.iteration"] != 14 || counts["stage.place"] != 14 || counts["stage.route"] != 14 {
+		t.Errorf("want 14 placed and routed ladder rungs and no die-sizing iteration: %v", counts)
 	}
 }
 
@@ -156,11 +158,11 @@ func TestMinimalDieRelaxation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := map[*subject.DAG]map[int]*flow.Context{}
-	row, err := staAtMinimalDie(ctx, d, 0.001, base, 0, cache)
+	rows, err := staAtMinimalDie(ctx, d, []float64{0.001}, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := rows[0]
 	if !row.Routable {
 		t.Fatalf("no routable die within the row budget: %+v", row)
 	}
@@ -174,12 +176,12 @@ func TestMinimalDieRelaxation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := staAtMinimalDie(ctx, d, 0.001, smaller, 0, cache)
+	again, err := staAtMinimalDie(ctx, d, []float64{0.001}, smaller, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.NumRows != row.NumRows {
-		t.Errorf("%d rows routed, below the accepted minimal die of %d", again.NumRows, row.NumRows)
+	if again[0].NumRows != row.NumRows {
+		t.Errorf("%d rows routed, below the accepted minimal die of %d", again[0].NumRows, row.NumRows)
 	}
 }
 
@@ -210,6 +212,129 @@ func TestSTATableScaled(t *testing.T) {
 	// The same-path column of the K=0 row is its own critical path.
 	if rows[0].SameK0PathArrival != rows[0].Arrival {
 		t.Errorf("K=0 same-path %.3f != arrival %.3f", rows[0].SameK0PathArrival, rows[0].Arrival)
+	}
+}
+
+// TestSTATableMatchesPerKWalk holds STATable's rows to the search its
+// shared per-row ladders replace, one single-K iteration per K per row
+// count, at one and two workers.
+func TestSTATableMatchesPerKWalk(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	const class, scale = bench.SPLA, testScale
+	d, err := buildSubject(class, scale, bench.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sisDAG, err := buildSubject(class, scale, bench.SISOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sweepLayout(ctx, class, scale, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []STARow
+	for _, v := range []struct {
+		dag *subject.DAG
+		k   float64
+	}{{d, 0}, {d, staMidK}, {sisDAG, 0}} {
+		row, err := perKWalk(ctx, v.dag, v.k, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	for i, label := range []string{"K=0", fmt.Sprintf("K=%g", staMidK), "SIS"} {
+		want[i].Label = label
+		want[i].SameK0PathArrival = want[i].timing.ArrivalByPO[want[0].CriticalPO]
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := STATable(ctx, class, scale, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSTARows(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+}
+
+// TestMinimalDieLadderMatchesPerKWalk: from TestMinimalDieRelaxation's
+// tight die, K = 0 routes on fewer rows than the mid K, so the mid K
+// keeps growing the die alone after K = 0 has left the ladder; each K
+// still lands where its own single-K search does.
+func TestMinimalDieLadderMatchesPerKWalk(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	d, err := buildSubject(bench.SPLA, 0.05, bench.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := place.NewLayout(float64(d.BaseGateCount())*4.6/1.6, 1.0, library.RowHeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := []float64{0, staMidK}
+	var want []STARow
+	for _, k := range ks {
+		row, err := perKWalk(ctx, d, k, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	if want[0].NumRows >= want[1].NumRows {
+		t.Fatalf("K=0 ends on %d rows, K=%g on %d: K=0 does not leave the ladder first", want[0].NumRows, staMidK, want[1].NumRows)
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := staAtMinimalDie(ctx, d, ks, base, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSTARows(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+}
+
+// perKWalk is the minimal-die search for one K as one flow.RunOnce per
+// row count: it grows the floorplan from base until the netlist routes
+// or the row budget runs out.
+func perKWalk(ctx context.Context, d *subject.DAG, k float64, base place.Layout) (STARow, error) {
+	for extra := 0; ; extra++ {
+		layout, err := place.LayoutWithRows(base.NumRows+extra, base.Die.W(), base.RowHeight)
+		if err != nil {
+			return STARow{}, err
+		}
+		cfg := flowConfig(layout)
+		cfg.RunSTA = true
+		cfg.Workers = 1
+		pc, err := flow.Prepare(ctx, d, cfg)
+		if err != nil {
+			return STARow{}, err
+		}
+		it, err := flow.RunOnce(ctx, pc, k, cfg)
+		if err != nil {
+			return STARow{}, err
+		}
+		if it.Routable || extra == maxExtraRows {
+			return STARow{CriticalPI: it.Timing.CriticalPI, CriticalPO: it.Timing.CriticalPO,
+				Arrival: it.Timing.MaxArrival, ChipArea: layout.Area(), NumRows: layout.NumRows,
+				Routable: it.Routable, timing: it.Timing}, nil
+		}
+	}
+}
+
+// sameSTARows fails the test when got and want differ in any printed
+// column.
+func sameSTARows(t *testing.T, label string, got, want []STARow) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		g.timing, w.timing = nil, nil
+		if g != w {
+			t.Errorf("%s: row %d = %+v, want %+v", label, i, g, w)
+		}
 	}
 }
 

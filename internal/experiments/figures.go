@@ -111,7 +111,7 @@ func Figure3(ctx context.Context, class bench.Class, scale, tighten float64) (*F
 			return nil, err
 		}
 	}
-	cfg := flowConfig(layout, KSchedule())
+	cfg := flowConfig(layout)
 	cfg.StopAtFirstRoutable = true
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {

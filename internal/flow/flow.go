@@ -306,6 +306,11 @@ type Iteration struct {
 	// CrossRegionNets counts nets spanning more than one die region
 	// (multi-die runs only; 0 otherwise).
 	CrossRegionNets int
+	// Dies and ReplicatedGates describe the k-way prefix a multi-die
+	// iteration mapped against: its region count and the subject gates
+	// the partitioner replicated. Both are 0 for single-die.
+	Dies            int
+	ReplicatedGates int
 	// Routable is the flow's single routability definition: the global
 	// route completed with FailedConnections == 0 (route.Result.Routable).
 	// All consumers — the sweep's Best() selection, StopAtFirstRoutable,
@@ -582,6 +587,9 @@ func iterate(ctx context.Context, pc *Context, cfg Config, k float64, in iterIn)
 			return it, nil, nil, err
 		}
 		prep = pc.Prep
+		if kw := pc.KWay; kw != nil {
+			it.Dies, it.ReplicatedGates = len(kw.Regions), kw.Replicas
+		}
 	}
 	type mapOut struct {
 		res *mapper.Result

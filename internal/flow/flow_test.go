@@ -185,3 +185,47 @@ func TestRunOnceDieCountMismatch(t *testing.T) {
 		t.Errorf("degenerate 2-die iteration: %+v", it)
 	}
 }
+
+// TestRunOnceBuildsKWayPrefix: a multi-die RunOnce on a context
+// prepared without PrepareMapping builds the k-way prefix itself and
+// reports the same die facts and iteration as one on a context that
+// carries the prefix; a single-die iteration reports none.
+func TestRunOnceBuildsKWayPrefix(t *testing.T) {
+	ctx := context.Background()
+	pc, cfg := prepared(t, 0.55)
+	cfg.Dies = 2
+	cfg.RouteOpts.RegionPinBudget = -1
+	got, err := RunOnce(ctx, pc, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.KWay != nil || pc.Prep != nil {
+		t.Error("RunOnce wrote its prefix onto the caller's context")
+	}
+	withPrep, _ := prepared(t, 0.55)
+	if err := PrepareMapping(ctx, withPrep, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunOnce(ctx, withPrep, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Dies != 2 || want.Dies != 2 {
+		t.Errorf("Dies = %d and %d, want 2", got.Dies, want.Dies)
+	}
+	if got.ReplicatedGates != withPrep.KWay.Replicas || want.ReplicatedGates != withPrep.KWay.Replicas {
+		t.Errorf("ReplicatedGates = %d and %d, want the prefix's %d", got.ReplicatedGates, want.ReplicatedGates, withPrep.KWay.Replicas)
+	}
+	if got.CellArea != want.CellArea || got.WireLength != want.WireLength ||
+		got.FailedConnections != want.FailedConnections || got.CrossRegionNets != want.CrossRegionNets {
+		t.Errorf("iteration differs with the prefix built inside RunOnce: %+v vs %+v", got, want)
+	}
+	cfg.Dies = 0
+	single, err := RunOnce(ctx, pc, 0.001, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Dies != 0 || single.ReplicatedGates != 0 {
+		t.Errorf("single-die iteration reports Dies=%d ReplicatedGates=%d", single.Dies, single.ReplicatedGates)
+	}
+}

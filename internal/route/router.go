@@ -193,7 +193,7 @@ func RouteNetlistState(ctx context.Context, nl *place.Netlist, pl *place.Placeme
 	// boundaries depend only on the segment indices — never on the
 	// worker count — so the routing is byte-identical for any Workers
 	// value, and the serial apply loop is the cancellation point.
-	if err := r.firstPass(ctx, segs, nil); err != nil {
+	if err := r.firstPass(ctx, segs); err != nil {
 		fpSpan.End(err)
 		return nil, nil, err
 	}
@@ -259,11 +259,9 @@ func (s *twoPin) length() int { return abs(s.a[0]-s.b[0]) + abs(s.a[1]-s.b[1]) }
 
 // firstPass pattern-routes segments in fixed 256-segment batches
 // against the congestion frozen at each batch boundary, applying usage
-// serially in segment order between batches. When route is non-nil,
-// only segments with route[i] true are pattern-routed — the others
-// already carry a path whose usage was applied by the caller (the
-// incremental path's kept nets). Byte-identical for any worker count.
-func (r *router) firstPass(ctx context.Context, segs []twoPin, route []bool) error {
+// serially in segment order between batches. Byte-identical for any
+// worker count.
+func (r *router) firstPass(ctx context.Context, segs []twoPin) error {
 	const firstPassBatch = 256
 	g := r.grid
 	applyCheck := cancelChecker{ctx: ctx}
@@ -274,9 +272,7 @@ func (r *router) firstPass(ctx context.Context, segs []twoPin, route []bool) err
 		}
 		batch := segs[start:end]
 		if err := par.ForEach(ctx, r.opts.Workers, len(batch), func(j int) error {
-			if route == nil || route[start+j] {
-				batch[j].path = r.patternRoute(batch[j].a, batch[j].b)
-			}
+			batch[j].path = r.patternRoute(batch[j].a, batch[j].b)
 			return nil
 		}); err != nil {
 			return fmt.Errorf("route: canceled: %w", err)
@@ -284,9 +280,6 @@ func (r *router) firstPass(ctx context.Context, segs []twoPin, route []bool) err
 		for j := range batch {
 			if err := applyCheck.tick(); err != nil {
 				return fmt.Errorf("route: canceled: %w", err)
-			}
-			if route != nil && !route[start+j] {
-				continue
 			}
 			for _, e := range batch[j].path {
 				g.addUsage(e, 1)

@@ -225,7 +225,7 @@ func TestEcoJobSeededPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := casyn.ResultFrom(dag, layout, pc, &eit).Report()
+	want := casyn.ResultFrom(dag, layout, &eit).Report()
 
 	s, ts := testServer(t, Config{})
 	resp, m := postJob(t, ts, specJSON)

@@ -728,7 +728,7 @@ func summarize(it *flow.Iteration) IterationSummary {
 // jobs); it is set before the report renders, as casyn.Synthesize
 // does, so the two reports stay byte-identical.
 func (s *Server) buildResult(entry *prepEntry, it *flow.Iteration, sums []IterationSummary, bestK *float64, adaptive int) (*JobResult, error) {
-	r := casyn.ResultFrom(entry.dag, entry.layout, entry.pc, it)
+	r := casyn.ResultFrom(entry.dag, entry.layout, it)
 	r.AdaptiveIterations = adaptive
 	res := &JobResult{
 		BaseGates:          r.BaseGates,
