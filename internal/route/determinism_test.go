@@ -2,9 +2,6 @@ package route_test
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"testing"
 
 	"casyn/internal/bench"
@@ -12,33 +9,9 @@ import (
 	"casyn/internal/route"
 )
 
-// fingerprint hashes every deterministic byte of a routing result: the
-// scalar outcome fields, each net's routed length, and the full final
-// congestion map (which pins the grid's edge usage, i.e. the actual
-// paths, not just their summary statistics).
-func fingerprint(res *route.Result) string {
-	h := sha256.New()
-	word := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	f64 := func(v float64) { word(uint64(int64(v * 1e6)) /* fixed-point, exact for µm sums */) }
-	word(uint64(res.Overflow))
-	word(uint64(res.OverflowEdges))
-	word(uint64(res.FailedConnections))
-	word(uint64(res.RipupRounds))
-	f64(res.WireLength)
-	for _, l := range res.NetLength {
-		f64(l)
-	}
-	for _, row := range res.Grid.CongestionMap() {
-		for _, v := range row {
-			f64(v)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// fingerprint hashes every deterministic bit of a routing result,
+// floats by their exact bits (route.Fingerprint).
+var fingerprint = route.Fingerprint
 
 // TestRipupWorkersByteIdentical is the tentpole acceptance check at the
 // route level: on a congested paper-scale-generator circuit, the
