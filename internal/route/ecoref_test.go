@@ -71,18 +71,15 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 	// or a capacity shift under a moved cell causes is exactly what the
 	// post-rip negotiation resolves.
 	_, decSpan := rec.StartSpan(ctx, "route.decompose")
-	nt := newNetTerminals(nl)
+	terms := make([][][2]int, len(nl.Nets))
 	var changed []int
-	var ptsBuf [][2]int
 	for ni := range nl.Nets {
-		pts := terminalCells(g, nl, pl, ni, ptsBuf[:0])
-		ptsBuf = pts
-		nt.add(pts)
+		pts := terminalCells(g, nl, pl, ni, nil)
+		terms[ni] = pts
 		if o := oldNet[ni]; o < 0 || !equalTerms(prev.netTerms[o], pts) {
 			changed = append(changed, ni)
 		}
 	}
-	terms := nt.perNet()
 	if identity && len(changed) == 0 {
 		if _, shifted := capacityDiffRect(st.grid, g); !shifted {
 			// Nothing moved and nothing reconnected: the previous
@@ -128,7 +125,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 		if len(pts) < 2 {
 			continue
 		}
-		for _, pr := range mstPairs(g, pts) {
+		for _, pr := range mstPairs(pts) {
 			segs = append(segs, twoPin{net: ni, a: pr[0], b: pr[1]})
 		}
 	}
@@ -203,7 +200,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 		return nil, nil, err
 	}
 	segLen, failed := make([]float64, len(segs)), make([]bool, len(segs))
-	res := collectResult(g, nl, segs, rounds, segLen, failed)
+	res := collectResult(opts.Workers, g, nl, segs, rounds, segLen, failed)
 	if rec != nil {
 		recordRouteMetrics(rec, nl, pl, g, res)
 	}

@@ -35,13 +35,15 @@ type Options struct {
 	// the paper measured with (whose placement and routing are
 	// stronger than this substrate's).
 	CapacityScale float64
-	// Workers bounds the goroutines of the initial routing sweep and of
-	// the rip-up/reroute negotiation: 0 = runtime.GOMAXPROCS,
+	// Workers bounds the goroutines of every design-wide pass — the
+	// decomposition, the initial routing sweep, the rip-up/reroute
+	// negotiation and the result assembly: 0 = runtime.GOMAXPROCS,
 	// 1 = serial. Results are byte-identical for every value — the
-	// sweep works in fixed batches against an immutable congestion
-	// snapshot, and rip-up routes spatially disjoint regions whose
-	// partition never depends on the worker count — so only wall-clock
-	// time changes.
+	// passes over nets and segments work in fixed blocks joined in
+	// index order, the sweep in fixed batches against an immutable
+	// congestion snapshot, and rip-up routes spatially disjoint regions
+	// whose partition never depends on the worker count — so only
+	// wall-clock time changes.
 	Workers int
 	// Regions, when it holds more than one rectangle, declares the die
 	// regions of a multi-die workload (partition.DieRegions). Grid

@@ -59,6 +59,8 @@ func (g *Grid) territory(a, b [2]int) gridRect {
 // regionPlan is one round's partition: per-region segment index lists
 // (each ascending) with their rectangles (pairwise cell-disjoint), and
 // the per-level boundary buckets of segments straddling cut lines.
+// Every list is a window of the failing set's array, which the
+// partition permutes in place; a plan is reused from round to round.
 type regionPlan struct {
 	Regions [][]int
 	Rects   []gridRect
@@ -68,6 +70,10 @@ type regionPlan struct {
 	// disjoint; the scheduler runs levels deepest-first.
 	BoundaryLevels [][][]int
 	BoundaryRects  [][]gridRect
+	// items, terr and the cut scan's arrays are split's scratch.
+	items          []int
+	terr           []gridRect
+	strad, leftEnd []int
 }
 
 // boundaryCount returns the total number of straddler segments.
@@ -98,18 +104,23 @@ const (
 	maxRegionDepth = 12
 )
 
-// partitionRegions bisects the failing segments (ascending indices)
-// into the round's region plan. terr[i] must be the territory of
-// segment fail[i]'s terminals within bounds.
-func partitionRegions(fail []int, terr []gridRect, bounds gridRect) regionPlan {
-	var plan regionPlan
-	plan.split(fail, terr, bounds, 0)
-	return plan
+// partition replaces the plan with the bisection of the failing
+// segments (ascending indices) within bounds. terr[i] must be the
+// territory of segment fail[i]'s terminals. fail and terr are permuted
+// in place, and the plan's lists are windows of fail.
+func (p *regionPlan) partition(fail []int, terr []gridRect, bounds gridRect) {
+	p.Regions, p.Rects = p.Regions[:0], p.Rects[:0]
+	p.BoundaryLevels, p.BoundaryRects = p.BoundaryLevels[:0], p.BoundaryRects[:0]
+	if cap(p.items) < len(fail) {
+		p.items, p.terr = make([]int, len(fail)), make([]gridRect, len(fail))
+	}
+	p.split(fail, terr, bounds, 0)
 }
 
 // split recursively bisects one rectangle. items and terr are parallel
-// slices; both are consumed (the callee may reuse their backing
-// arrays for the sub-partitions).
+// slices, ascending in items; split reorders them so that the left
+// half's come first, then the right half's, then the straddlers, each
+// group still ascending, and recurses on the halves' windows.
 func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth int) {
 	if len(items) == 0 {
 		return
@@ -127,7 +138,7 @@ func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth in
 	// blob, while the scan slides the line into the gap beside it. The
 	// scan depends only on the territories and the rectangle, so every
 	// worker count sees the same plan.
-	cut, horiz, straddle := bestCutOf(items, terr, rect)
+	cut, horiz, straddle := p.bestCutOf(items, terr, rect)
 	// A congestion blob — overlapping territories around one hot spot —
 	// straddles every line through it. When even the best cut strands
 	// most of the items, keep the cluster whole as one region (it runs
@@ -146,25 +157,32 @@ func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth in
 		left = gridRect{X0: rect.X0, Y0: rect.Y0, X1: cut - 1, Y1: rect.Y1}
 		right = gridRect{X0: cut, Y0: rect.Y0, X1: rect.X1, Y1: rect.Y1}
 	}
-	var ri int
-	lItems := make([]int, 0, len(items)/2)
-	lTerr := make([]gridRect, 0, len(items)/2)
-	var bucket []int
+	// A stable three-way partition: the left half's items move to the
+	// front in place, the right half's go through the scratch from its
+	// start and the straddlers from its end, and both come back after
+	// the left half's.
+	n := len(items)
+	tmpI, tmpT := p.items[:n], p.terr[:n]
+	li, ri, bi := 0, 0, n
 	for k, it := range items {
 		t := terr[k]
 		switch {
 		case left.contains(t):
-			lItems = append(lItems, it)
-			lTerr = append(lTerr, t)
+			items[li], terr[li] = it, t
+			li++
 		case right.contains(t):
-			// Compact the right half in place; items/terr are ours to
-			// reuse (the caller handed them off).
-			items[ri] = it
-			terr[ri] = t
+			tmpI[ri], tmpT[ri] = it, t
 			ri++
 		default:
-			bucket = append(bucket, it)
+			bi--
+			tmpI[bi] = it
 		}
+	}
+	copy(items[li:], tmpI[:ri])
+	copy(terr[li:], tmpT[:ri])
+	bucket := items[li+ri:]
+	for k := range bucket {
+		bucket[k] = tmpI[n-1-k]
 	}
 	if len(bucket) > 0 {
 		for len(p.BoundaryLevels) <= depth {
@@ -174,8 +192,8 @@ func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth in
 		p.BoundaryLevels[depth] = append(p.BoundaryLevels[depth], bucket)
 		p.BoundaryRects[depth] = append(p.BoundaryRects[depth], rect)
 	}
-	p.split(lItems, lTerr, left, depth+1)
-	p.split(items[:ri], terr[:ri], right, depth+1)
+	p.split(items[:li], terr[:li], left, depth+1)
+	p.split(items[li:li+ri], terr[li:li+ri], right, depth+1)
 }
 
 // bestCutOf scans every admissible cut position on both axes and
@@ -188,7 +206,7 @@ func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth in
 // first) so the choice is deterministic. A cut is admissible when both
 // halves keep at least minRegionSpan cells; if neither axis admits one
 // the fallback is the vertical midline with everything stranded.
-func bestCutOf(items []int, terr []gridRect, rect gridRect) (cut int, horizontal bool, straddle int) {
+func (p *regionPlan) bestCutOf(items []int, terr []gridRect, rect gridRect) (cut int, horizontal bool, straddle int) {
 	bestCut, bestHoriz := -1, false
 	bestStraddle, bestCost := len(items), len(items)*8
 	// scan sweeps cuts c in [lo+minRegionSpan, hi+1-minRegionSpan]
@@ -200,8 +218,12 @@ func bestCutOf(items []int, terr []gridRect, rect gridRect) (cut int, horizontal
 			return
 		}
 		span := hi - lo + 1
-		strad := make([]int, span+2)
-		leftEnd := make([]int, span+2)
+		if cap(p.strad) < span+2 {
+			p.strad, p.leftEnd = make([]int, span+2), make([]int, span+2)
+		}
+		strad, leftEnd := p.strad[:span+2], p.leftEnd[:span+2]
+		clear(strad)
+		clear(leftEnd)
 		for k := range items {
 			t := terr[k]
 			a, b := t.X0, t.X1

@@ -42,7 +42,7 @@ func TestPartitionRegionsInvariantsPaperScale(t *testing.T) {
 		if len(pts) < 2 {
 			continue
 		}
-		for _, pr := range mstPairs(g, pts) {
+		for _, pr := range mstPairs(pts) {
 			segIdx = append(segIdx, len(segIdx))
 			terrAll = append(terrAll, g.territory(pr[0], pr[1]))
 		}

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// partitionRegions is a fresh plan's partition of the failing set.
+func partitionRegions(fail []int, terr []gridRect, bounds gridRect) regionPlan {
+	var plan regionPlan
+	plan.partition(fail, terr, bounds)
+	return plan
+}
+
 func rectsDisjoint(a, b gridRect) bool {
 	return a.X1 < b.X0 || b.X1 < a.X0 || a.Y1 < b.Y0 || b.Y1 < a.Y0
 }
