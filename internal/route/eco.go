@@ -215,9 +215,12 @@ func RouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *place.Place
 	// Persist the negotiated history — the learned congestion map — so
 	// rerouting resumes rather than relearns. The usage starts as the
 	// previous usage minus every replaced path (the ripped and removed
-	// nets'): usage is integer-valued, so the subtraction is exact.
+	// nets'): usage is integer-valued, so the subtraction is exact. The
+	// copies bypass the cost cache, so it is refreshed before the
+	// subtraction, whose addUsage calls keep it current.
 	g.copyHistoryFrom(st.grid)
 	g.copyUsageFrom(st.grid)
+	g.refreshCosts()
 	for _, id := range e.cut {
 		for _, ed := range st.segs.at(id).path {
 			g.addUsage(ed, -1)
@@ -506,24 +509,24 @@ func (e *stateEdit) merge(oldNet []int, rip []bool, fresh []twoPin, freshID []in
 func (e *stateEdit) resort(oldNet []int, rip []bool, fresh []twoPin, freshID []int32, total int) {
 	prev, next := e.prev, e.next
 	ids := make([]int32, 0, total)
-	slots := make([]int, 0, total) // each segment's length, then its slot
+	slots := make([]int32, 0, total) // each segment's length, then its slot
 	fslot := make([]int, len(fresh))
 	fi := 0
 	for ni := range oldNet {
 		if !rip[ni] {
 			for _, id := range prev.nets.at(next.netID[ni]).segs {
 				ids = append(ids, id)
-				slots = append(slots, prev.segs.at(id).length())
+				slots = append(slots, int32(prev.segs.at(id).length()))
 			}
 			continue
 		}
 		for ; fi < len(fresh) && fresh[fi].net == ni; fi++ {
 			fslot[fi] = len(ids)
 			ids = append(ids, freshID[fi])
-			slots = append(slots, fresh[fi].length())
+			slots = append(slots, int32(fresh[fi].length()))
 		}
 	}
-	blockSlots(1, [][]int{slots})
+	blockSlots(1, [][]int32{slots})
 	next.order = make([]int32, len(ids))
 	for i, slot := range slots {
 		next.order[slot] = ids[i]
@@ -531,7 +534,7 @@ func (e *stateEdit) resort(oldNet []int, rip []bool, fresh []twoPin, freshID []i
 	ord := make([]int, len(fresh))
 	for j := range ord {
 		ord[j] = j
-		fslot[j] = slots[fslot[j]]
+		fslot[j] = int(slots[fslot[j]])
 	}
 	slices.SortFunc(ord, func(x, y int) int { return cmp.Compare(fslot[x], fslot[y]) })
 	e.fresh = make([]twoPin, len(ord))

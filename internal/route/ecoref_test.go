@@ -134,8 +134,10 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 	segs = sorted
 	decSpan.End(nil)
 	// Persist the negotiated history — the learned congestion map — so
-	// rerouting resumes rather than relearns.
+	// rerouting resumes rather than relearns. The copy bypasses the
+	// cost cache; the replay below goes through addUsage.
 	g.copyHistoryFrom(st.grid)
+	g.refreshCosts()
 	reroute := make([]bool, len(segs))
 	for i := range segs {
 		reroute[i] = segs[i].path == nil
@@ -211,7 +213,7 @@ func referenceRouteECO(ctx context.Context, st *State, nl *place.Netlist, pl *pl
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // diffGrids describes the first difference between two grids' edge
-// capacities, usage and history, compared bitwise.
+// capacities, usage, history and cached costs, compared bitwise.
 func diffGrids(a, b *Grid) error {
 	if a.NX != b.NX || a.NY != b.NY {
 		return fmt.Errorf("grid %dx%d vs %dx%d", a.NX, a.NY, b.NX, b.NY)
@@ -223,6 +225,7 @@ func diffGrids(a, b *Grid) error {
 		{"capH", a.capH, b.capH}, {"capV", a.capV, b.capV},
 		{"usageH", a.usageH, b.usageH}, {"usageV", a.usageV, b.usageV},
 		{"histH", a.histH, b.histH}, {"histV", a.histV, b.histV},
+		{"costH", a.costH, b.costH}, {"costV", a.costV, b.costV},
 	} {
 		for y := range m.x {
 			for x := range m.x[y] {
@@ -332,6 +335,9 @@ func checkRouteECOReference(t *testing.T, capScale float64, workers int) {
 		}
 		res, st2, err := RouteECO(obs.WithRecorder(ctx, stepRec), st, nl2, pl2, oldNet)
 		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := diffCostCache(st2.grid); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		rec.Add("eco.route_sort_full", stepRec.Counter("eco.route_sort_full").Value())
@@ -504,6 +510,9 @@ func TestRouteECOConcurrentFromOneParent(t *testing.T) {
 		if err := diffRouting(gotRes[i], got[i], wantRes[i], want[i]); err != nil {
 			t.Errorf("edit %d: concurrent reroute differs from the serial one: %v", i, err)
 		}
+		if err := diffCostCache(got[i].grid); err != nil {
+			t.Errorf("edit %d: %v", i, err)
+		}
 	}
 	if err := diffRouting(res, st, snapRes, snap); err != nil {
 		t.Errorf("the parent changed under its successors: %v", err)
@@ -514,7 +523,7 @@ func TestRouteECOConcurrentFromOneParent(t *testing.T) {
 // segment path, stored as a from-scratch State of the same content.
 func snapshotRouting(res *Result, st *State) (*Result, *State) {
 	g := *st.grid
-	for _, m := range []*[][]float64{&g.capH, &g.capV, &g.usageH, &g.usageV, &g.histH, &g.histV} {
+	for _, m := range []*[][]float64{&g.capH, &g.capV, &g.usageH, &g.usageV, &g.histH, &g.histV, &g.costH, &g.costV} {
 		rows := make([][]float64, len(*m))
 		for y, row := range *m {
 			rows[y] = slices.Clone(row)
@@ -529,8 +538,12 @@ func snapshotRouting(res *Result, st *State) (*Result, *State) {
 		v.segs[i].path = slices.Clone(v.segs[i].path)
 	}
 	terms := make([][][2]int, len(v.netTerms))
+	segsOfNet := make([][]int32, len(v.segsOfNet))
 	for ni, pts := range v.netTerms {
 		terms[ni] = slices.Clone(pts)
+		for _, slot := range v.segsOfNet[ni] {
+			segsOfNet[ni] = append(segsOfNet[ni], int32(slot))
+		}
 	}
-	return &r, newState(st.layout, st.opts, &g, v.segs, v.segsOfNet, terms, v.segLen, v.segFailed, st.nl, st.cellGCell, &r)
+	return &r, newState(st.layout, st.opts, &g, v.segs, segsOfNet, terms, v.segLen, v.segFailed, st.nl, st.cellGCell, &r)
 }

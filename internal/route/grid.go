@@ -102,6 +102,11 @@ type Grid struct {
 	capH, capV     [][]float64
 	usageH, usageV [][]float64
 	histH, histV   [][]float64 // rip-up history cost
+	// costH and costV cache each edge's linkCost(usage, cap, hist), the
+	// price the maze and pattern routers read. addUsage and bumpHistory
+	// keep it current; code that writes usage, capacity or history
+	// directly calls refreshCosts afterwards.
+	costH, costV [][]float64
 
 	// CrossRegionCapacity is the summed (derated) track capacity of
 	// the edges crossing die-region boundaries — the auto inter-die
@@ -140,6 +145,7 @@ func NewGrid(layout place.Layout, opts Options, cellDensity [][]float64) (*Grid,
 	g.capH, g.capV = alloc(), alloc()
 	g.usageH, g.usageV = alloc(), alloc()
 	g.histH, g.histV = alloc(), alloc()
+	g.costH, g.costV = alloc(), alloc()
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
 			derate := 1.0
@@ -157,7 +163,19 @@ func NewGrid(layout place.Layout, opts Options, cellDensity [][]float64) (*Grid,
 	if len(opts.Regions) > 1 {
 		g.derateRegionBoundaries(opts)
 	}
+	g.refreshCosts()
 	return g, nil
+}
+
+// refreshCosts recomputes every edge's cached cost from its usage,
+// capacity and history.
+func (g *Grid) refreshCosts() {
+	for y := 0; y < g.NY; y++ {
+		for x := 0; x < g.NX; x++ {
+			g.costH[y][x] = linkCost(g.usageH[y][x], g.capH[y][x], g.histH[y][x])
+			g.costV[y][x] = linkCost(g.usageV[y][x], g.capV[y][x], g.histV[y][x])
+		}
+	}
 }
 
 // derateRegionBoundaries scales down the capacity of every edge whose
@@ -237,12 +255,17 @@ type edge struct {
 	horizontal bool
 }
 
-// addUsage adjusts an edge's occupancy by delta tracks.
+// addUsage adjusts an edge's occupancy by delta tracks and its cached
+// cost with it.
 func (g *Grid) addUsage(e edge, delta float64) {
 	if e.horizontal {
-		g.usageH[e.y][e.x] += delta
+		u := g.usageH[e.y][e.x] + delta
+		g.usageH[e.y][e.x] = u
+		g.costH[e.y][e.x] = linkCost(u, g.capH[e.y][e.x], g.histH[e.y][e.x])
 	} else {
-		g.usageV[e.y][e.x] += delta
+		u := g.usageV[e.y][e.x] + delta
+		g.usageV[e.y][e.x] = u
+		g.costV[e.y][e.x] = linkCost(u, g.capV[e.y][e.x], g.histV[e.y][e.x])
 	}
 }
 

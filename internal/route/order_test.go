@@ -22,12 +22,12 @@ func referenceSort(segs []twoPin) []twoPin {
 // decompose builds: segs counting-sorted on length as one block,
 // with slots[i] the position segs[i] takes in sorted. The input slice
 // is left as it was.
-func sortSegs(segs []twoPin) (sorted []twoPin, slots []int) {
-	slots = make([]int, len(segs))
+func sortSegs(segs []twoPin) (sorted []twoPin, slots []int32) {
+	slots = make([]int32, len(segs))
 	for i := range segs {
-		slots[i] = segs[i].length()
+		slots[i] = int32(segs[i].length())
 	}
-	blockSlots(1, [][]int{slots})
+	blockSlots(1, [][]int32{slots})
 	sorted = make([]twoPin, len(segs))
 	for i, slot := range slots {
 		sorted[slot] = segs[i]
@@ -39,8 +39,8 @@ func sortSegs(segs []twoPin) (sorted []twoPin, slots []int) {
 // each of nets nets, the positions its segments take in the sorted
 // list, in emission (mstPairs) order. segs must be the unsorted input,
 // in emission order: net by net, each net's segments contiguous.
-func netSlots(segs []twoPin, slots []int, nets int) [][]int {
-	out := make([][]int, nets)
+func netSlots(segs []twoPin, slots []int32, nets int) [][]int32 {
+	out := make([][]int32, nets)
 	for i := 0; i < len(segs); {
 		j := i + 1
 		for j < len(segs) && segs[j].net == segs[i].net {
@@ -155,12 +155,12 @@ func TestSortSegsCanonicalOrder(t *testing.T) {
 		}
 		// decompose numbers the segments block by block: any split of
 		// the emission order into blocks gives the same slots.
-		var blocks [][]int
+		var blocks [][]int32
 		for lo := 0; lo < len(segs); {
 			hi := min(lo+rng.Intn(40), len(segs))
-			block := make([]int, hi-lo)
+			block := make([]int32, hi-lo)
 			for i := range block {
-				block[i] = segs[lo+i].length()
+				block[i] = int32(segs[lo+i].length())
 			}
 			blocks = append(blocks, block)
 			lo = hi

@@ -1,11 +1,18 @@
 package route
 
+import (
+	"context"
+	"sync"
+
+	"casyn/internal/par"
+)
+
 // Region partitioning for the parallel rip-up/reroute negotiation.
 //
 // Each negotiation round collects the segments whose current path
 // crosses an over-capacity edge and recursively bisects them, by the
-// gcell territory a reroute may touch, into spatially disjoint
-// regions. Two facts make the scheme sound:
+// gcell territory a reroute may touch, into a tree of rectangles. Two
+// facts make the scheme sound:
 //
 //   - A segment's territory is a pure function of its terminals: the
 //     terminal bounding box expanded by the maze router's detour halo.
@@ -17,19 +24,25 @@ package route
 //     to a rectangle only when both endpoint gcells do, so two regions
 //     that share no gcell share no edge.
 //
-// Segments whose territory straddles a cut line form that cut node's
-// boundary bucket. Buckets are scheduled by tree depth, deepest level
-// first, after every leaf region has finished: a bucket's territories
-// all live inside its node's rectangle, and nodes at the same depth
-// have pairwise disjoint rectangles, so the buckets of one level are
-// edge-disjoint and run concurrently (each bucket itself is routed
-// serially — its members may overlap one another). A bucket only ever
-// runs after everything spatially inside its rectangle (descendant
-// regions and deeper buckets) has settled, and before any ancestor
-// bucket that contains it.
+// A leaf of the tree is a region; the segments whose territory
+// straddles a cut line form that cut node's boundary bucket. The round
+// runs as a dependency schedule (regionPlan.run): leaves start ready,
+// and a cut node's bucket becomes ready when the last of its child
+// subtrees finishes. Each list is routed serially in ascending order.
+// The schedule routes every edge's reroutes in the order of the serial
+// level order — every leaf, then the buckets deepest level first —
+// because
 //
-// The partition depends only on the grid geometry and the failing set
-// — never on the worker count — which is what keeps the negotiation
+//   - a bucket's territories lie inside its node's rectangle;
+//   - everything the level order runs before the bucket inside that
+//     rectangle (leaves and deeper buckets) is in its subtree, and the
+//     bucket waits for the subtree;
+//   - nodes that are not ancestor and descendant have edge-disjoint
+//     rectangles, so whatever the schedule runs concurrently touches
+//     disjoint edges.
+//
+// The tree depends only on the grid geometry and the failing set —
+// never on the worker count — which is what keeps the negotiation
 // byte-identical for any Workers value.
 
 // gridRect is an inclusive gcell rectangle [X0,X1]×[Y0,Y1].
@@ -56,35 +69,44 @@ func (g *Grid) territory(a, b [2]int) gridRect {
 	}
 }
 
-// regionPlan is one round's partition: per-region segment index lists
-// (each ascending) with their rectangles (pairwise cell-disjoint), and
-// the per-level boundary buckets of segments straddling cut lines.
-// Every list is a window of the failing set's array, which the
-// partition permutes in place; a plan is reused from round to round.
+// regionNode is one node of a round's bisection tree: a leaf region,
+// whose list is its segments, or a cut node, whose list is its
+// straddler bucket (possibly empty). Every territory of the list and
+// of the node's subtree lies inside rect.
+type regionNode struct {
+	parent   int32 // -1 at the root
+	children int32 // 0 for a leaf
+	rect     gridRect
+	list     []int
+}
+
+// regionPlan is one round's partition: the bisection tree in pre-order
+// (a node precedes its subtree, the left subtree the right), so the
+// leaves appear in plan order. Every list is ascending and a window of
+// the failing set's array, which the partition permutes in place; a
+// plan and its schedule's arrays are reused from round to round.
 type regionPlan struct {
-	Regions [][]int
-	Rects   []gridRect
-	// BoundaryLevels[d] holds the straddler buckets of the cut nodes
-	// at bisection depth d, with their node rectangles in
-	// BoundaryRects[d]. Within one level the rectangles are pairwise
-	// disjoint; the scheduler runs levels deepest-first.
-	BoundaryLevels [][][]int
-	BoundaryRects  [][]gridRect
-	// items, terr and the cut scan's arrays are split's scratch.
+	nodes []regionNode
+	// items, terr and the cut scan's arrays are split's scratch;
+	// pending and ready are run's.
 	items          []int
 	terr           []gridRect
 	strad, leftEnd []int
+	pending        []int32
+	ready          []int32
 }
 
-// boundaryCount returns the total number of straddler segments.
-func (p *regionPlan) boundaryCount() int {
-	n := 0
-	for _, level := range p.BoundaryLevels {
-		for _, bucket := range level {
-			n += len(bucket)
+// counts returns the number of leaf regions and of straddler segments
+// in all boundary buckets.
+func (p *regionPlan) counts() (regions, boundary int) {
+	for i := range p.nodes {
+		if p.nodes[i].children == 0 {
+			regions++
+		} else {
+			boundary += len(p.nodes[i].list)
 		}
 	}
-	return n
+	return regions, boundary
 }
 
 // Partitioning thresholds. All are properties of the workload, not of
@@ -109,27 +131,35 @@ const (
 // territory of segment fail[i]'s terminals. fail and terr are permuted
 // in place, and the plan's lists are windows of fail.
 func (p *regionPlan) partition(fail []int, terr []gridRect, bounds gridRect) {
-	p.Regions, p.Rects = p.Regions[:0], p.Rects[:0]
-	p.BoundaryLevels, p.BoundaryRects = p.BoundaryLevels[:0], p.BoundaryRects[:0]
+	p.nodes = p.nodes[:0]
 	if cap(p.items) < len(fail) {
 		p.items, p.terr = make([]int, len(fail)), make([]gridRect, len(fail))
 	}
-	p.split(fail, terr, bounds, 0)
+	p.split(fail, terr, bounds, -1, 0)
 }
 
-// split recursively bisects one rectangle. items and terr are parallel
-// slices, ascending in items; split reorders them so that the left
-// half's come first, then the right half's, then the straddlers, each
-// group still ascending, and recurses on the halves' windows.
-func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth int) {
+// add appends a node under parent and returns its index.
+func (p *regionPlan) add(parent int32, rect gridRect, list []int) int32 {
+	if parent >= 0 {
+		p.nodes[parent].children++
+	}
+	p.nodes = append(p.nodes, regionNode{parent: parent, rect: rect, list: list})
+	return int32(len(p.nodes) - 1)
+}
+
+// split recursively bisects one rectangle, recording its node under
+// parent. items and terr are parallel slices, ascending in items;
+// split reorders them so that the left half's come first, then the
+// right half's, then the straddlers, each group still ascending, and
+// recurses on the halves' windows.
+func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, parent int32, depth int) {
 	if len(items) == 0 {
 		return
 	}
 	w, h := rect.X1-rect.X0+1, rect.Y1-rect.Y0+1
 	if len(items) <= maxRegionSegments || depth >= maxRegionDepth ||
 		(w < 2*minRegionSpan && h < 2*minRegionSpan) {
-		p.Regions = append(p.Regions, items)
-		p.Rects = append(p.Rects, rect)
+		p.add(parent, rect, items)
 		return
 	}
 	// Pick the cut minimizing stranded territories plus imbalance
@@ -145,8 +175,7 @@ func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth in
 	// on a single worker, concurrently with the other regions) rather
 	// than feeding it to a semi-serial boundary bucket.
 	if 2*straddle > len(items) {
-		p.Regions = append(p.Regions, items)
-		p.Rects = append(p.Rects, rect)
+		p.add(parent, rect, items)
 		return
 	}
 	var left, right gridRect
@@ -184,16 +213,127 @@ func (p *regionPlan) split(items []int, terr []gridRect, rect gridRect, depth in
 	for k := range bucket {
 		bucket[k] = tmpI[n-1-k]
 	}
-	if len(bucket) > 0 {
-		for len(p.BoundaryLevels) <= depth {
-			p.BoundaryLevels = append(p.BoundaryLevels, nil)
-			p.BoundaryRects = append(p.BoundaryRects, nil)
-		}
-		p.BoundaryLevels[depth] = append(p.BoundaryLevels[depth], bucket)
-		p.BoundaryRects[depth] = append(p.BoundaryRects[depth], rect)
+	node := p.add(parent, rect, bucket)
+	p.split(items[:li], terr[:li], left, node, depth+1)
+	p.split(items[li:li+ri], terr[li:li+ri], right, node, depth+1)
+}
+
+// run routes the plan's lists on up to workers goroutines (normalized
+// through par.Workers) as a dependency schedule: every leaf is ready
+// from the start, in plan order, and a cut node's bucket becomes ready
+// when its last child subtree has finished; a ready bucket goes before
+// the next leaf. route is called once per node and must route the list
+// serially. With one worker the round runs in post-order on the
+// calling goroutine. Each node is claimed after a ctx check; the first
+// error (route's or ctx's) stops further claims, run waits for the
+// lists in flight, and returns it.
+func (p *regionPlan) run(ctx context.Context, workers int, route func(list []int) error) error {
+	n := len(p.nodes)
+	if n == 0 {
+		return nil
 	}
-	p.split(items[:li], terr[:li], left, depth+1)
-	p.split(items[li:li+ri], terr[li:li+ri], right, depth+1)
+	if cap(p.pending) < n {
+		p.pending = make([]int32, n)
+	}
+	s := &schedule{plan: p, pending: p.pending[:n], ready: p.ready[:0], left: n}
+	s.wake = sync.NewCond(&s.mu)
+	for i := range p.nodes {
+		s.pending[i] = p.nodes[i].children
+	}
+	workers = min(par.Workers(workers), n)
+	if workers <= 1 {
+		s.work(ctx, route)
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.work(ctx, route)
+			}()
+		}
+		wg.Wait()
+	}
+	p.ready = s.ready
+	return s.err
+}
+
+// schedule is one run of a plan: per node the children still
+// unfinished, the ready buckets (a stack), the next leaf to hand out,
+// and the nodes not yet finished.
+type schedule struct {
+	plan     *regionPlan
+	mu       sync.Mutex
+	wake     *sync.Cond
+	pending  []int32
+	ready    []int32
+	nextLeaf int
+	left     int
+	err      error
+}
+
+// claim returns the next node to route, or -1 when none is ready.
+// Called with mu held.
+func (s *schedule) claim() int {
+	if k := len(s.ready); k > 0 {
+		ni := s.ready[k-1]
+		s.ready = s.ready[:k-1]
+		return int(ni)
+	}
+	nodes := s.plan.nodes
+	for s.nextLeaf < len(nodes) {
+		ni := s.nextLeaf
+		s.nextLeaf++
+		if nodes[ni].children == 0 {
+			return ni
+		}
+	}
+	return -1
+}
+
+// work is one worker: it claims ready nodes and routes them until every
+// node has finished or an error stopped the schedule. A worker waits
+// only when nothing is ready and no leaf is left; a finished node then
+// makes at most its parent ready, and the worker that finished it
+// claims it before releasing the lock, so only the end of the schedule
+// (or an error) has to wake the waiting workers.
+func (s *schedule) work(ctx context.Context, route func(list []int) error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		ni := -1
+		for s.err == nil && s.left > 0 {
+			if ni = s.claim(); ni >= 0 {
+				break
+			}
+			s.wake.Wait()
+		}
+		if ni < 0 {
+			return
+		}
+		s.mu.Unlock()
+		err := ctx.Err()
+		if err == nil {
+			err = route(s.plan.nodes[ni].list)
+		}
+		s.mu.Lock()
+		if err != nil {
+			if s.err == nil {
+				s.err = err
+			}
+			s.wake.Broadcast()
+			return
+		}
+		s.left--
+		if up := s.plan.nodes[ni].parent; up >= 0 {
+			if s.pending[up]--; s.pending[up] == 0 {
+				s.ready = append(s.ready, up)
+			}
+		}
+		if s.left == 0 {
+			s.wake.Broadcast()
+		}
+	}
 }
 
 // bestCutOf scans every admissible cut position on both axes and

@@ -122,8 +122,8 @@ func TestPartitionRegionsInvariantsPaperScale(t *testing.T) {
 	// The whole point of the partitioner at this scale is parallelism:
 	// a paper-scale failing set must split into many independent
 	// regions, and the serialized boundary share must stay a fraction.
-	if len(plan.Regions) < 16 {
-		t.Errorf("failing set of %d split into %d regions, want real parallelism", len(fail), len(plan.Regions))
+	if plan.regionCount() < 16 {
+		t.Errorf("failing set of %d split into %d regions, want real parallelism", len(fail), plan.regionCount())
 	}
 	if n := plan.boundaryCount(); 2*n > len(fail) {
 		t.Errorf("boundary buckets hold %d of %d segments; most work should land in regions", n, len(fail))

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -17,34 +18,68 @@ func rectsDisjoint(a, b gridRect) bool {
 }
 
 // checkPlan asserts the structural invariants every region plan must
-// satisfy: each failing segment lands in exactly one region or one
-// boundary bucket, every territory is contained in its region's (or
-// bucket's node) rectangle, region rectangles are pairwise
-// cell-disjoint, and so are the node rectangles within one boundary
-// level. Cell-disjointness implies edge-disjointness on the grid.
+// satisfy, read off the node tree:
+//   - the nodes are in pre-order (a parent precedes its children) and
+//     each node's child count is its number of children;
+//   - each failing segment sits in exactly one node's list (a leaf
+//     region or a cut node's bucket), and every list is ascending;
+//   - every territory lies inside its node's rectangle;
+//   - sibling rectangles are pairwise cell-disjoint and lie inside
+//     their parent's, so nodes that are not ancestor and descendant
+//     are edge-disjoint;
+//   - counts, which negotiate records as route.regions and
+//     route.boundary_nets, returns the tree's leaf count and bucket
+//     sizes.
 func checkPlan(t *testing.T, plan regionPlan, fail []int, terr []gridRect) {
 	t.Helper()
 	terrOf := make(map[int]gridRect, len(fail))
 	for k, it := range fail {
 		terrOf[it] = terr[k]
 	}
+	nodes := plan.nodes
+	children := make([][]int, len(nodes))
+	roots := 0
+	for i, nd := range nodes {
+		if nd.parent < 0 {
+			roots++
+			continue
+		}
+		if int(nd.parent) >= i {
+			t.Fatalf("node %d has parent %d, want an earlier node", i, nd.parent)
+		}
+		children[nd.parent] = append(children[nd.parent], i)
+	}
+	if len(nodes) > 0 && roots != 1 {
+		t.Errorf("plan has %d roots, want 1", roots)
+	}
 	placed := map[int]int{}
-	for ri, items := range plan.Regions {
-		for _, it := range items {
+	leaves, bucketed := 0, 0
+	for i, nd := range nodes {
+		if int(nd.children) != len(children[i]) {
+			t.Errorf("node %d records %d children, has %d", i, nd.children, len(children[i]))
+		}
+		if len(children[i]) == 0 {
+			leaves++
+		} else {
+			bucketed += len(nd.list)
+		}
+		for k, it := range nd.list {
 			placed[it]++
-			if !plan.Rects[ri].contains(terrOf[it]) {
-				t.Errorf("region %d rect %+v does not contain territory %+v of segment %d",
-					ri, plan.Rects[ri], terrOf[it], it)
+			if k > 0 && nd.list[k-1] >= it {
+				t.Errorf("node %d list not ascending at %d: %d then %d", i, k, nd.list[k-1], it)
+			}
+			if !nd.rect.contains(terrOf[it]) {
+				t.Errorf("node %d rect %+v does not contain territory %+v of segment %d",
+					i, nd.rect, terrOf[it], it)
 			}
 		}
-	}
-	for d, level := range plan.BoundaryLevels {
-		for bi, bucket := range level {
-			for _, it := range bucket {
-				placed[it]++
-				if !plan.BoundaryRects[d][bi].contains(terrOf[it]) {
-					t.Errorf("boundary bucket d=%d #%d rect %+v does not contain territory %+v of segment %d",
-						d, bi, plan.BoundaryRects[d][bi], terrOf[it], it)
+		for a, ci := range children[i] {
+			if !nd.rect.contains(nodes[ci].rect) {
+				t.Errorf("node %d rect %+v does not contain child %d's %+v", i, nd.rect, ci, nodes[ci].rect)
+			}
+			for _, cj := range children[i][a+1:] {
+				if !rectsDisjoint(nodes[ci].rect, nodes[cj].rect) {
+					t.Errorf("siblings %d and %d overlap: %+v vs %+v", ci, cj, nodes[ci].rect, nodes[cj].rect)
 				}
 			}
 		}
@@ -57,24 +92,21 @@ func checkPlan(t *testing.T, plan regionPlan, fail []int, terr []gridRect) {
 	if len(placed) != len(fail) {
 		t.Errorf("plan places %d distinct segments, want %d", len(placed), len(fail))
 	}
-	for i := range plan.Rects {
-		for j := i + 1; j < len(plan.Rects); j++ {
-			if !rectsDisjoint(plan.Rects[i], plan.Rects[j]) {
-				t.Errorf("regions %d and %d overlap: %+v vs %+v",
-					i, j, plan.Rects[i], plan.Rects[j])
-			}
-		}
+	if r, b := plan.counts(); r != leaves || b != bucketed {
+		t.Errorf("counts() = %d regions, %d boundary; the tree has %d leaves, %d bucketed", r, b, leaves, bucketed)
 	}
-	for d, rects := range plan.BoundaryRects {
-		for i := range rects {
-			for j := i + 1; j < len(rects); j++ {
-				if !rectsDisjoint(rects[i], rects[j]) {
-					t.Errorf("level-%d buckets %d and %d overlap: %+v vs %+v",
-						d, i, j, rects[i], rects[j])
-				}
-			}
-		}
-	}
+}
+
+// regionCount is the plan's leaf count.
+func (p *regionPlan) regionCount() int {
+	n, _ := p.counts()
+	return n
+}
+
+// boundaryCount is the plan's total straddler count.
+func (p *regionPlan) boundaryCount() int {
+	_, n := p.counts()
+	return n
 }
 
 func TestPartitionRegionsInvariants(t *testing.T) {
@@ -102,8 +134,8 @@ func TestPartitionRegionsInvariants(t *testing.T) {
 		fail, terr := randTerr(600, 8)
 		plan := partitionRegions(append([]int(nil), fail...), append([]gridRect(nil), terr...), bounds)
 		checkPlan(t, plan, fail, terr)
-		if len(plan.Regions) < 2 {
-			t.Errorf("scattered load split into %d regions, want parallelism", len(plan.Regions))
+		if plan.regionCount() < 2 {
+			t.Errorf("scattered load split into %d regions, want parallelism", plan.regionCount())
 		}
 	})
 
@@ -141,9 +173,9 @@ func TestPartitionRegionsInvariants(t *testing.T) {
 		}
 		plan := partitionRegions(append([]int(nil), fail...), append([]gridRect(nil), terr...), bounds)
 		checkPlan(t, plan, fail, terr)
-		if len(plan.Regions) != 1 || plan.boundaryCount() != 0 {
+		if plan.regionCount() != 1 || plan.boundaryCount() != 0 {
 			t.Errorf("identical territories gave %d regions + %d boundary, want one blob region",
-				len(plan.Regions), plan.boundaryCount())
+				plan.regionCount(), plan.boundaryCount())
 		}
 	})
 
@@ -159,8 +191,8 @@ func TestPartitionRegionsInvariants(t *testing.T) {
 		}
 		plan := partitionRegions(append([]int(nil), fail...), append([]gridRect(nil), terr...), small)
 		checkPlan(t, plan, fail, terr)
-		if len(plan.Regions) != 1 {
-			t.Errorf("rect below the cut span split into %d regions, want leaf", len(plan.Regions))
+		if plan.regionCount() != 1 {
+			t.Errorf("rect below the cut span split into %d regions, want leaf", plan.regionCount())
 		}
 	})
 }
@@ -181,18 +213,17 @@ func TestPartitionRegionsDeterministic(t *testing.T) {
 		return partitionRegions(append([]int(nil), fail...), append([]gridRect(nil), terr...), bounds)
 	}
 	a, b := mk(), mk()
-	if len(a.Regions) != len(b.Regions) || len(a.BoundaryLevels) != len(b.BoundaryLevels) {
-		t.Fatalf("plan shape diverged: %d/%d regions, %d/%d levels",
-			len(a.Regions), len(b.Regions), len(a.BoundaryLevels), len(b.BoundaryLevels))
+	if len(a.nodes) != len(b.nodes) {
+		t.Fatalf("plan shape diverged: %d/%d nodes", len(a.nodes), len(b.nodes))
 	}
-	for ri := range a.Regions {
-		if a.Rects[ri] != b.Rects[ri] || len(a.Regions[ri]) != len(b.Regions[ri]) {
-			t.Fatalf("region %d diverged", ri)
+	for i := range a.nodes {
+		x, y := &a.nodes[i], &b.nodes[i]
+		if x.parent != y.parent || x.children != y.children || x.rect != y.rect || !slices.Equal(x.list, y.list) {
+			t.Fatalf("node %d diverged: %+v vs %+v", i, *x, *y)
 		}
-		for k := range a.Regions[ri] {
-			if a.Regions[ri][k] != b.Regions[ri][k] {
-				t.Fatalf("region %d item %d diverged", ri, k)
-			}
-		}
+	}
+	checkPlan(t, a, fail, terr)
+	if a.regionCount() < 2 || a.boundaryCount() == 0 {
+		t.Errorf("plan has %d regions and %d straddlers, want a tree with buckets", a.regionCount(), a.boundaryCount())
 	}
 }

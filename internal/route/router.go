@@ -242,10 +242,11 @@ func finishBlocks(workers, n, block int, fn func(lo, hi int)) {
 // flexibility), equally long segments in emission order, net by net
 // and each net's in spanning-tree order (mstScratch.pairs) — with
 // segsOfNet[ni] the slots of net ni's segments in spanning-tree order
-// and terms[ni] its terminals.
+// and terms[ni] its terminals. Both are windows of per-block arrays,
+// which the State stores as they are.
 type decomposition struct {
 	segs      []twoPin
-	segsOfNet [][]int
+	segsOfNet [][]int32
 	terms     [][][2]int
 }
 
@@ -258,10 +259,10 @@ type decomposition struct {
 // in net order, so the result is the same at any worker count.
 func decompose(ctx context.Context, workers int, g *Grid, nl *place.Netlist, pl *place.Placement) (decomposition, error) {
 	n := len(nl.Nets)
-	d := decomposition{segsOfNet: make([][]int, n), terms: make([][][2]int, n)}
+	d := decomposition{segsOfNet: make([][]int32, n), terms: make([][][2]int, n)}
 	nb := (n + netBlock - 1) / netBlock
 	pairs := make([][][2][2]int, nb) // each block's segments, in emission order
-	slots := make([][]int, nb)       // their lengths, then their slots
+	slots := make([][]int32, nb)     // their lengths, then their slots
 	if err := forBlocks(ctx, workers, n, netBlock, func(lo, hi int) {
 		// A net has at most one terminal per pin, so the block's
 		// terminals fit flat's capacity and every net's are a window
@@ -282,9 +283,9 @@ func decompose(ctx context.Context, workers int, g *Grid, nl *place.Netlist, pl 
 		for ni := lo; ni < hi; ni++ {
 			pr = mst.pairs(d.terms[ni], pr)
 		}
-		ls := make([]int, len(pr))
+		ls := make([]int32, len(pr))
 		for k, p := range pr {
-			ls[k] = manhattan(p[0], p[1])
+			ls[k] = int32(manhattan(p[0], p[1]))
 		}
 		pairs[lo/netBlock], slots[lo/netBlock] = pr, ls
 	}); err != nil {
@@ -312,12 +313,12 @@ func decompose(ctx context.Context, workers int, g *Grid, nl *place.Netlist, pl 
 // the segment count. Each block counts its lengths on the worker pool,
 // a serial pass turns the counts into every block's first slot per
 // length, and each block then numbers its own segments.
-func blockSlots(workers int, blocks [][]int) int {
+func blockSlots(workers int, blocks [][]int32) int {
 	counts := make([][]int, len(blocks))
 	finishBlocks(workers, len(blocks), 1, func(b, _ int) {
 		maxLen := -1
 		for _, l := range blocks[b] {
-			maxLen = max(maxLen, l)
+			maxLen = max(maxLen, int(l))
 		}
 		c := make([]int, maxLen+1)
 		for _, l := range blocks[b] {
@@ -349,7 +350,7 @@ func blockSlots(workers int, blocks [][]int) int {
 	finishBlocks(workers, len(blocks), 1, func(b, _ int) {
 		c := counts[b]
 		for i, l := range blocks[b] {
-			blocks[b][i] = c[l]
+			blocks[b][i] = int32(c[l])
 			c[l]++
 		}
 	})
@@ -456,25 +457,23 @@ func gridTotals(g *Grid, res *Result) {
 // overflow clears or the round budget runs out. Each round
 //
 //  1. freezes the failing set against the start-of-round congestion,
-//  2. partitions it into spatially disjoint regions plus per-depth
-//     boundary buckets of segments straddling the cut lines
-//     (regions.go),
-//  3. maze-routes the regions concurrently on opts.Workers goroutines
-//     — regions are edge-disjoint, so every worker reads and writes
-//     only its own rectangle of the shared grid: the rest of the grid
-//     is an immutable start-of-round snapshot from its point of view,
-//     and its own writes are the region-local deltas,
-//  4. routes the boundary buckets level by level, deepest first —
-//     buckets within a level are edge-disjoint and run concurrently;
-//     each bucket itself is routed serially against the settled grid.
+//  2. bisects it into a tree of rectangles: leaf regions, and cut
+//     nodes whose boundary buckets hold the segments straddling their
+//     cut lines (regions.go),
+//  3. routes the tree as a dependency schedule on opts.Workers
+//     goroutines: leaves are ready from the start and a bucket once
+//     its node's subtree has finished. Whatever runs concurrently lies
+//     in edge-disjoint rectangles, so every worker reads and writes
+//     only its own rectangle of the shared grid.
 //
 // Within a region and within each boundary bucket, segments negotiate
 // in ascending global index order, each reroute seeing its
 // predecessors' usage — the sequential discipline negotiated
-// congestion requires, applied per disjoint region. The partition, the
-// per-region order, and the phase boundaries depend only on the
-// failing set and the grid geometry, so the outcome is byte-identical
-// at any worker count. Returns the number of rounds that ran.
+// congestion requires, applied per disjoint region. The tree, the
+// per-list order and the order of the lists on every edge depend only
+// on the failing set and the grid geometry, so the outcome is
+// byte-identical at any worker count. Returns the number of rounds
+// that ran.
 func (r *router) negotiate(ctx context.Context, rec *obs.Recorder, segs []twoPin) (int, error) {
 	g := r.grid
 	// Register the negotiation counters up front so a clean routing
@@ -518,40 +517,29 @@ func (r *router) negotiate(ctx context.Context, rec *obs.Recorder, segs []twoPin
 		ripupIters.Add(1)
 		r.bumpHistory()
 		plan.partition(fail, scan.terr, all)
-		regionsTotal.Add(int64(len(plan.Regions)))
-		boundaryTotal.Add(int64(plan.boundaryCount()))
-		for _, reg := range plan.Regions {
-			regionSize.Observe(float64(len(reg)))
+		regions, boundary := plan.counts()
+		regionsTotal.Add(int64(regions))
+		boundaryTotal.Add(int64(boundary))
+		for i := range plan.nodes {
+			if nd := &plan.nodes[i]; nd.children == 0 {
+				regionSize.Observe(float64(len(nd.list)))
+			}
 		}
-		// runBuckets fans a set of edge-disjoint segment lists across
-		// the worker pool, each list routed serially in ascending order.
-		runBuckets := func(buckets [][]int) error {
-			return par.ForEach(ctx, r.opts.Workers, len(buckets), func(bi int) error {
-				s := r.scratch.Get().(*mazeScratch)
-				defer r.scratch.Put(s)
-				check := cancelChecker{ctx: ctx}
-				for _, i := range buckets[bi] {
-					if err := check.tick(); err != nil {
-						return err
-					}
-					r.reroute(s, &segs[i])
+		if err := plan.run(ctx, r.opts.Workers, func(list []int) error {
+			s := r.scratch.Get().(*mazeScratch)
+			defer r.scratch.Put(s)
+			check := cancelChecker{ctx: ctx}
+			for _, i := range list {
+				if err := check.tick(); err != nil {
+					return err
 				}
-				return nil
-			})
-		}
-		if err := runBuckets(plan.Regions); err != nil {
+				r.reroute(s, &segs[i])
+			}
+			return nil
+		}); err != nil {
 			err = fmt.Errorf("route: canceled: %w", err)
 			ripSpan.End(err)
 			return rounds, err
-		}
-		// Boundary buckets: deepest level first, each level's buckets
-		// concurrent, seeing everything inside their rectangles settled.
-		for d := len(plan.BoundaryLevels) - 1; d >= 0; d-- {
-			if err := runBuckets(plan.BoundaryLevels[d]); err != nil {
-				err = fmt.Errorf("route: canceled: %w", err)
-				ripSpan.End(err)
-				return rounds, err
-			}
 		}
 		reroutes.Add(int64(len(fail)))
 	}
@@ -887,18 +875,9 @@ func newRouter(g *Grid, opts Options) *router {
 	return r
 }
 
-// edgeCost is the congestion-aware cost of pushing one more track
-// through the edge.
-func (r *router) edgeCost(e edge) float64 {
-	g := r.grid
-	if e.horizontal {
-		return linkCost(g.usageH[e.y][e.x], g.capH[e.y][e.x], g.histH[e.y][e.x])
-	}
-	return linkCost(g.usageV[e.y][e.x], g.capV[e.y][e.x], g.histV[e.y][e.x])
-}
-
-// linkCost is edgeCost for an edge of the given usage, capacity and
-// history cost.
+// linkCost is the congestion-aware cost of pushing one more track
+// through an edge of the given usage, capacity and history cost. The
+// grid caches it per edge (Grid.costH, Grid.costV).
 func linkCost(usage, cap2, hist float64) float64 {
 	cost := 1.0 + hist
 	if cap2 <= 0 {
@@ -921,9 +900,11 @@ func (r *router) bumpHistory() {
 		for x := 0; x < g.NX; x++ {
 			if g.usageH[y][x] > g.capH[y][x] {
 				g.histH[y][x] += 2
+				g.costH[y][x] = linkCost(g.usageH[y][x], g.capH[y][x], g.histH[y][x])
 			}
 			if g.usageV[y][x] > g.capV[y][x] {
 				g.histV[y][x] += 2
+				g.costV[y][x] = linkCost(g.usageV[y][x], g.capV[y][x], g.histV[y][x])
 			}
 		}
 	}
@@ -941,17 +922,18 @@ func (r *router) patternRoute(a, b [2]int) []edge {
 // lCost is the cost of lPath(a, b, horizontalFirst), summed edge by
 // edge in path order.
 func (r *router) lCost(a, b [2]int, horizontalFirst bool) float64 {
+	g := r.grid
 	c := 0.0
 	hseg := func(y, x0, x1 int) {
 		x0, x1 = minmax(x0, x1)
-		for x := x0; x < x1; x++ {
-			c += r.edgeCost(edge{x: x, y: y, horizontal: true})
+		for _, k := range g.costH[y][x0:x1] {
+			c += k
 		}
 	}
 	vseg := func(x, y0, y1 int) {
 		y0, y1 = minmax(y0, y1)
 		for y := y0; y < y1; y++ {
-			c += r.edgeCost(edge{x: x, y: y, horizontal: false})
+			c += g.costV[y][x]
 		}
 	}
 	if horizontalFirst {
@@ -1108,34 +1090,33 @@ func (r *router) mazeRoute(s *mazeScratch, a, b [2]int) []edge {
 		if it.node == goal {
 			break
 		}
-		// Relax the four neighbors, east, west, north, south, reading
-		// the popped gcell's rows once: its east and west edges are
-		// horizontal edges of row y, its north edge a vertical edge of
-		// row y and its south edge one of row y-1.
+		// Relax the four neighbors, east, west, north, south, at the
+		// edges' cached costs: the east and west edges are horizontal
+		// edges of row y, the north edge a vertical edge of row y and
+		// the south edge one of row y-1.
 		li := int(it.node)
 		x, y := x0+li%w, y0+li/w
-		uh, ch, hh := g.usageH[y], g.capH[y], g.histH[y]
+		ch := g.costH[y]
 		if x < x1 {
-			if nd := it.cost + linkCost(uh[x], ch[x], hh[x]); nd < dist[li+1] {
+			if nd := it.cost + ch[x]; nd < dist[li+1] {
 				dist[li+1], prev[li+1] = nd, it.node
 				heapPush(&s.heap, pqItem{node: int32(li + 1), cost: nd})
 			}
 		}
 		if x > x0 {
-			if nd := it.cost + linkCost(uh[x-1], ch[x-1], hh[x-1]); nd < dist[li-1] {
+			if nd := it.cost + ch[x-1]; nd < dist[li-1] {
 				dist[li-1], prev[li-1] = nd, it.node
 				heapPush(&s.heap, pqItem{node: int32(li - 1), cost: nd})
 			}
 		}
 		if y < y1 {
-			if nd := it.cost + linkCost(g.usageV[y][x], g.capV[y][x], g.histV[y][x]); nd < dist[li+w] {
+			if nd := it.cost + g.costV[y][x]; nd < dist[li+w] {
 				dist[li+w], prev[li+w] = nd, it.node
 				heapPush(&s.heap, pqItem{node: int32(li + w), cost: nd})
 			}
 		}
 		if y > y0 {
-			uv, cv, hv := g.usageV[y-1], g.capV[y-1], g.histV[y-1]
-			if nd := it.cost + linkCost(uv[x], cv[x], hv[x]); nd < dist[li-w] {
+			if nd := it.cost + g.costV[y-1][x]; nd < dist[li-w] {
 				dist[li-w], prev[li-w] = nd, it.node
 				heapPush(&s.heap, pqItem{node: int32(li - w), cost: nd})
 			}

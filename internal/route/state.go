@@ -132,10 +132,11 @@ func (e *cowEdit[T]) set(id int32, v T) {
 // newState stores a from-scratch routing: segs in canonical order,
 // with segsOfNet, terms, segLen and failed as RouteNetlistState
 // derives them. Segment IDs are the canonical slots and net IDs the net
-// indices. Per-net data is stored chunk by chunk, each chunk's
-// terminals and segment IDs in arrays of its own. Chunks are disjoint,
-// so they are made and filled in blocks on opts.Workers.
-func newState(layout place.Layout, opts Options, g *Grid, segs []twoPin, segsOfNet [][]int, terms [][][2]int,
+// indices. Each net's record keeps its terms and segsOfNet slices as
+// they are: decompose makes them windows of per-block arrays, which no
+// successor writes. Chunks are disjoint, so they are made and filled in
+// blocks on opts.Workers.
+func newState(layout place.Layout, opts Options, g *Grid, segs []twoPin, segsOfNet [][]int32, terms [][][2]int,
 	segLen []float64, failed []bool, nl *place.Netlist, cellGCell []int32, res *Result) *State {
 	n, nn := len(segs), len(terms)
 	st := &State{layout: layout, opts: opts, grid: g, order: make([]int32, n), netID: make([]int32, nn),
@@ -166,22 +167,9 @@ func newState(layout place.Layout, opts Options, g *Grid, segs []twoPin, segsOfN
 			ch := new([chunkLen]netRec)
 			st.nets.chunks[ci] = ch
 			base := ci * chunkLen
-			end := min(base+chunkLen, nn)
-			nt, ns := 0, 0
-			for ni := base; ni < end; ni++ {
-				nt += len(terms[ni])
-				ns += len(segsOfNet[ni])
-			}
-			tflat := make([][2]int, 0, nt)
-			sflat := make([]int32, 0, ns)
-			for ni := base; ni < end; ni++ {
+			for ni := base; ni < min(base+chunkLen, nn); ni++ {
 				st.netID[ni] = int32(ni)
-				t0, s0 := len(tflat), len(sflat)
-				tflat = append(tflat, terms[ni]...)
-				for _, si := range segsOfNet[ni] {
-					sflat = append(sflat, int32(si))
-				}
-				ch[ni-base] = netRec{terms: tflat[t0:len(tflat):len(tflat)], segs: sflat[s0:len(sflat):len(sflat)]}
+				ch[ni-base] = netRec{terms: terms[ni], segs: segsOfNet[ni]}
 			}
 		}
 	})
