@@ -93,6 +93,7 @@ type fmScratch struct {
 	cand       []int32
 	requeued   []int64
 	bucket     [][]int32
+	fixA, fixB []int32
 	order      []int
 	moves      []int
 	deferred   []int32
@@ -212,6 +213,12 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 		s.bucket = append(s.bucket, nil)
 	}
 	bucket := s.bucket[:nBuckets]
+	// fixA[ni] and fixB[ni] count net ni's pins on each side that
+	// cannot move again in this pass: its locked cells' listings and
+	// its external terminals.
+	s.fixA = grow(s.fixA, len(p.nets))
+	s.fixB = grow(s.fixB, len(p.nets))
+	fixA, fixB := s.fixA, s.fixB
 
 	for pass := 0; pass < passes; pass++ {
 		// Initialize pass state.
@@ -219,14 +226,47 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 		for b := range bucket {
 			bucket[b] = bucket[b][:0]
 		}
+		// top is the highest bucket that may hold entries; every bucket
+		// above it is empty.
+		top := 0
 		s.order = perm(rng, grow(s.order, n))
+		// Every gain, net by net: the sum gainOf takes over a cell's
+		// listings, taken over each net's listings instead. A net adds
+		// the same to every listing on one side, nothing to most.
+		clear(gain)
+		for ni := range p.nets {
+			a, b := cntA[ni], cntB[ni]
+			gA, gB := oneIf(a == 1)-oneIf(b == 0), oneIf(b == 1)-oneIf(a == 0)
+			if gA == 0 && gB == 0 {
+				continue
+			}
+			for _, c := range p.nets[ni].cells {
+				if side[c] {
+					gain[c] += gB
+				} else {
+					gain[c] += gA
+				}
+			}
+		}
 		for _, i := range s.order {
-			gain[i] = gainOf(i)
-			bucket[gain[i]+maxDeg] = append(bucket[gain[i]+maxDeg], int32(i))
+			b := gain[i] + maxDeg
+			bucket[b] = append(bucket[b], int32(i))
+			top = max(top, b)
 			inBucket[i] = true
 		}
+		// dead counts the nets with fixed pins on both sides: they
+		// stay cut whatever the rest of the pass moves, so no later
+		// prefix cuts fewer than dead nets.
+		dead := 0
+		for ni := range p.nets {
+			fixA[ni], fixB[ni] = int32(p.nets[ni].extA), int32(p.nets[ni].extB)
+			if fixA[ni] > 0 && fixB[ni] > 0 {
+				dead++
+			}
+		}
 		wA := widthA()
-		curCut := cut()
+		// The pass starts from the best sides found so far.
+		curCut := bestCut
 		passBestCut := curCut
 		passBestStep := -1
 		moves := s.moves[:0]
@@ -236,7 +276,8 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 		// split has shifted and they may fit.
 		deferred := s.deferred[:0]
 		popBest := func() int {
-			for b := nBuckets - 1; b >= 0; b-- {
+			for b := top; b >= 0; b-- {
+				top = b
 				lst := bucket[b]
 				for len(lst) > 0 {
 					i := int(lst[len(lst)-1])
@@ -267,10 +308,20 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 		// entries are filtered in popBest by the gain check.
 		requeue := func(j int) {
 			inBucket[j] = true
-			bucket[gain[j]+maxDeg] = append(bucket[gain[j]+maxDeg], int32(j))
+			b := gain[j] + maxDeg
+			bucket[b] = append(bucket[b], int32(j))
+			top = max(top, b)
 		}
 
 		for step := 0; step < n; step++ {
+			// Once dead reaches the pass's best cut, no later prefix
+			// can beat it, and the rollback discards every later move.
+			// curCut never reads below the true cut: gainOf is exact
+			// for a cell listed once on a net and can only undercount
+			// for one listed more often.
+			if dead >= passBestCut {
+				break
+			}
 			i := popBest()
 			if i < 0 {
 				break
@@ -302,6 +353,10 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 			s.stamp++
 			stamp := s.stamp
 			cand := s.cand[:0]
+			fixTo, fixOther := fixB, fixA
+			if fromB {
+				fixTo, fixOther = fixA, fixB
+			}
 			for _, ni := range p.netsOf(i) {
 				netMark[ni] = stamp
 				from, to := cntA, cntB
@@ -310,6 +365,9 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 				}
 				from[ni]--
 				to[ni]++
+				if fixTo[ni]++; fixTo[ni] == 1 && fixOther[ni] > 0 {
+					dead++
+				}
 				if from[ni] <= 1 || to[ni] <= 2 {
 					for _, j := range p.nets[ni].cells {
 						if touched[j] != stamp {
@@ -358,22 +416,38 @@ func runFM(p *fmProblem, side []bool, passes int, rng *rand.Rand, s *fmScratch) 
 			deferred = deferred[:0]
 		}
 		s.moves, s.deferred = moves, deferred
-		// Roll back moves after the best prefix.
+		// Roll back moves after the best prefix, and their nets' side
+		// counts with them.
 		for k := len(moves) - 1; k > passBestStep; k-- {
 			i := moves[k]
+			from, to := cntA, cntB
+			if side[i] {
+				from, to = cntB, cntA
+			}
+			for _, ni := range p.netsOf(i) {
+				from[ni]--
+				to[ni]++
+			}
 			side[i] = !side[i]
 		}
-		recount()
 		if got := cut(); got < bestCut {
 			bestCut = got
 			copy(bestSide, side)
 		} else {
-			// No improvement this pass: restore best and stop.
+			// No improvement this pass: restore best and stop. The
+			// side counts are not read again.
 			copy(side, bestSide)
-			recount()
 			break
 		}
 	}
 	copy(side, bestSide)
 	return fmResult{side: side, cutNets: bestCut}
+}
+
+// oneIf is 1 when b holds, else 0.
+func oneIf(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,10 +1,12 @@
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"casyn/internal/geom"
@@ -69,33 +71,7 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 	}
 	for r := range rows {
 		row := rows[r]
-		sort.Slice(row, func(i, j int) bool { return p.Pos[row[i]].X < p.Pos[row[j]].X })
-	}
-
-	// target returns the median of the other pins of c's nets.
-	var xs, ys []float64
-	target := func(c int) (geom.Point, bool) {
-		xs, ys = xs[:0], ys[:0]
-		for _, ni := range cellNets[c] {
-			net := &nl.Nets[ni]
-			if len(net.Cells)+len(net.Pads) > 64 {
-				continue // hub nets barely move with one cell
-			}
-			for _, oc := range net.Cells {
-				if oc != c {
-					xs = append(xs, p.Pos[oc].X)
-					ys = append(ys, p.Pos[oc].Y)
-				}
-			}
-			for _, pad := range net.Pads {
-				xs = append(xs, pad.X)
-				ys = append(ys, pad.Y)
-			}
-		}
-		if len(xs) == 0 {
-			return geom.Point{}, false
-		}
-		return geom.Pt(nth(xs, len(xs)/2), nth(ys, len(ys)/2)), true
+		sortRow(row, p.Pos)
 	}
 
 	order := make([]int, n)
@@ -115,7 +91,8 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 					return fmt.Errorf("place: refinement canceled: %w", cerr)
 				}
 			}
-			tgt, ok := target(c)
+			// The median of the other pins of c's small nets.
+			tgt, ok := cache.med.target(p.Pos[c], cellNets[c])
 			if !ok {
 				continue
 			}
@@ -161,7 +138,7 @@ func refine(ctx context.Context, nl *Netlist, layout Layout, p *Placement, passe
 				return fmt.Errorf("place: refinement canceled: %w", cerr)
 			}
 			row := rows[r]
-			sort.Slice(row, func(i, j int) bool { return p.Pos[row[i]].X < p.Pos[row[j]].X })
+			sortRow(row, p.Pos)
 			for i := 0; i+1 < len(row); i++ {
 				a, b := int(row[i]), int(row[i+1])
 				// Combined span: [left edge of a, right edge of b].
@@ -313,7 +290,9 @@ func (ix *classIndex) move(c int, to geom.Point) {
 
 // hpwlCache holds every net's exact pin bounding box and HPWL under the
 // current placement, so a tried move costs time proportional to the
-// moved cells' nets rather than to those nets' pin counts.
+// moved cells' nets rather than to those nets' pin counts. It owns the
+// medianIndex, whose sorted windows give a small net's box after a
+// move without reading its pins' positions, and re-keys it on commit.
 //
 // Invariant: outside try/commit, box[ni] and hp[ni] equal what
 // Netlist.NetHPWL computes from scratch for p (hp is 0 below degree 2).
@@ -322,18 +301,25 @@ func (ix *classIndex) move(c int, to geom.Point) {
 type hpwlCache struct {
 	nl  *Netlist
 	p   *Placement
+	med *medianIndex
 	box []geom.Rect
 	hp  []float64
 
 	// Scratch for the move being tried: the tentative box and HPWL of
-	// each touched net, stamped with the move's epoch; on records which
-	// moved cells sit on the net (bit 0 the first, bit 1 the second).
+	// each touched net, stamped with the move's epoch; on counts the
+	// listings of each moved cell on the net (the first, the second);
+	// last is the move itself.
 	tryBox  []geom.Rect
 	tryHP   []float64
 	stamp   []int32
-	on      []uint8
+	on      [][2]int32
 	epoch   int32
 	touched []int32
+	last    struct {
+		a, b         int
+		oldA, oldB   geom.Point
+		netsA, netsB []int32
+	}
 }
 
 func newHPWLCache(nl *Netlist, p *Placement) *hpwlCache {
@@ -341,12 +327,13 @@ func newHPWLCache(nl *Netlist, p *Placement) *hpwlCache {
 	h := &hpwlCache{
 		nl:     nl,
 		p:      p,
+		med:    newMedianIndex(nl, p),
 		box:    make([]geom.Rect, m),
 		hp:     make([]float64, m),
 		tryBox: make([]geom.Rect, m),
 		tryHP:  make([]float64, m),
 		stamp:  make([]int32, m),
-		on:     make([]uint8, m),
+		on:     make([][2]int32, m),
 	}
 	for ni := range nl.Nets {
 		if nl.Nets[ni].Degree() >= 2 {
@@ -372,17 +359,22 @@ func leaves(bb geom.Rect, from, to geom.Point) bool {
 func (h *hpwlCache) try(a, b int, oldA, oldB geom.Point, netsA, netsB []int32) (before, after float64) {
 	h.epoch++
 	h.touched = h.touched[:0]
-	h.mark(netsA, 1)
-	h.mark(netsB, 2)
+	h.mark(netsA, 0)
+	h.mark(netsB, 1)
+	h.last.a, h.last.b, h.last.oldA, h.last.oldB, h.last.netsA, h.last.netsB = a, b, oldA, oldB, netsA, netsB
 	for _, ni := range h.touched {
 		if h.nl.Nets[ni].Degree() < 2 {
 			h.tryHP[ni] = 0
 			continue
 		}
 		bb := h.box[ni]
-		onA, onB := h.on[ni]&1 != 0, h.on[ni]&2 != 0
+		on := h.on[ni]
+		onA, onB := on[0] > 0, on[1] > 0
 		if onA && leaves(bb, oldA, h.p.Pos[a]) || onB && leaves(bb, oldB, h.p.Pos[b]) {
-			bb = h.nl.netBox(h.p, int(ni))
+			var ok bool
+			if bb, ok = h.med.boxAfter(ni, on, oldA, h.p.Pos[a], oldB, h.p.Pos[b]); !ok {
+				bb = h.nl.netBox(h.p, int(ni))
+			}
 		} else {
 			if onA {
 				bb = extend(bb, h.p.Pos[a])
@@ -399,7 +391,7 @@ func (h *hpwlCache) try(a, b int, oldA, oldB geom.Point, netsA, netsB []int32) (
 		after += h.tryHP[ni]
 	}
 	for _, ni := range netsB {
-		if h.on[ni]&1 == 0 {
+		if h.on[ni][0] == 0 {
 			before += h.hp[ni]
 			after += h.tryHP[ni]
 		}
@@ -407,64 +399,288 @@ func (h *hpwlCache) try(a, b int, oldA, oldB geom.Point, netsA, netsB []int32) (
 	return before, after
 }
 
-// mark records that the cell owning nets sits on each of them.
-func (h *hpwlCache) mark(nets []int32, bit uint8) {
+// mark counts the listings of moved cell `which` (0 or 1), whose nets
+// are nets, on each of them.
+func (h *hpwlCache) mark(nets []int32, which int) {
 	for _, ni := range nets {
 		if h.stamp[ni] != h.epoch {
 			h.stamp[ni] = h.epoch
-			h.on[ni] = 0
+			h.on[ni] = [2]int32{}
 			h.touched = append(h.touched, ni)
 		}
-		h.on[ni] |= bit
+		h.on[ni][which]++
 	}
 }
 
-// commit adopts the last tried move's boxes.
+// commit adopts the last tried move's boxes and re-keys the moved
+// cells in the median windows.
 func (h *hpwlCache) commit() {
 	for _, ni := range h.touched {
 		h.box[ni] = h.tryBox[ni]
 		h.hp[ni] = h.tryHP[ni]
 	}
+	m := &h.last
+	h.med.move(m.oldA, h.p.Pos[m.a], m.netsA)
+	h.med.move(m.oldB, h.p.Pos[m.b], m.netsB)
 }
 
-// nth returns the k-th smallest element of xs — xs[k] of sorted order —
-// reordering xs in place. It is a quickselect with median-of-three
-// pivots and three-way partitioning, so duplicate-heavy inputs stay
-// linear.
-func nth(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
-		if a > b {
-			a, b = b, a
+// sortRow sorts a row's cells by x. slices.SortFunc runs the same
+// pdqsort as sort.Slice, so ties land in the same order.
+func sortRow(row []int32, at []geom.Point) {
+	slices.SortFunc(row, func(a, b int32) int { return cmp.Compare(at[a].X, at[b].X) })
+}
+
+// medianIndex keeps, for every net of at most 64 pins, its pins' x and
+// y coordinates sorted in per-net windows of one flat array: one entry
+// per cell listing and one per pad. A net of L pins has its x window
+// and then its y window, each of L entries, so a small net's two sit
+// in one or two cache lines. A hub net's windows are empty; hub nets
+// barely move with one cell, so targets ignore them.
+//
+// Invariant: outside a move, each window of net ni holds exactly the
+// multiset of its listings' committed coordinates and its pads' on
+// that axis, in ascending order.
+type medianIndex struct {
+	// Net ni's windows are L = start[ni+1]-start[ni] entries each,
+	// starting at vals[2*start[ni]].
+	start []int32
+	vals  []float64
+	heads []medianHead // target's scratch
+	walk  []walkHead   // kth's scratch
+}
+
+// medianHead is one net in a target query: its x window starts at lo
+// and its y window at lo+l, each l entries long, and the cell's
+// multiplicity m on the net is the weight of each entry.
+type medianHead struct {
+	lo, l, m int32
+}
+
+// walkHead is a medianHead during kth's walk: v is the entry at cur,
+// the next unread one, and skip counts the copies of the cell's own
+// coordinate still to pass over.
+type walkHead struct {
+	v       float64
+	cur, hi int32
+	m, skip int32
+}
+
+// maxTargetPins is the largest net, in pins, that steers a target and
+// keeps sorted windows.
+const maxTargetPins = 64
+
+func newMedianIndex(nl *Netlist, p *Placement) *medianIndex {
+	ix := &medianIndex{start: make([]int32, len(nl.Nets)+1)}
+	for ni := range nl.Nets {
+		k := ix.start[ni]
+		if d := nl.Nets[ni].Degree(); d <= maxTargetPins {
+			k += int32(d)
 		}
-		if b > c {
-			b = c
+		ix.start[ni+1] = k
+	}
+	ix.vals = make([]float64, 2*ix.start[len(nl.Nets)])
+	for ni := range nl.Nets {
+		lo, l := 2*int(ix.start[ni]), int(ix.start[ni+1]-ix.start[ni])
+		if l == 0 {
+			continue
 		}
-		pivot := max(a, b)
-		// [lo,lt) < pivot, [lt,gt] == pivot, (gt,hi] > pivot.
-		lt, i, gt := lo, lo, hi
-		for i <= gt {
-			switch x := xs[i]; {
-			case x < pivot:
-				xs[lt], xs[i] = x, xs[lt]
-				lt++
-				i++
-			case x > pivot:
-				xs[i], xs[gt] = xs[gt], x
-				gt--
-			default:
-				i++
-			}
+		xs, ys := ix.vals[lo:lo+l], ix.vals[lo+l:lo+2*l]
+		k := 0
+		for _, c := range nl.Nets[ni].Cells {
+			xs[k], ys[k] = p.Pos[c].X, p.Pos[c].Y
+			k++
 		}
-		switch {
-		case k < lt:
-			hi = lt - 1
-		case k > gt:
-			lo = gt + 1
-		default:
-			return xs[k]
+		for _, pad := range nl.Nets[ni].Pads {
+			xs[k], ys[k] = pad.X, pad.Y
+			k++
+		}
+		slices.Sort(xs)
+		slices.Sort(ys)
+	}
+	return ix
+}
+
+// move re-keys a committed move of the cell whose nets are nets (once
+// per listing) from `from` to `to`: each listing's window trades one
+// copy of the old coordinate for the new one.
+func (ix *medianIndex) move(from, to geom.Point, nets []int32) {
+	for _, ni := range nets {
+		lo, l := 2*ix.start[ni], ix.start[ni+1]-ix.start[ni]
+		if l == 0 {
+			continue
+		}
+		if from.X != to.X {
+			replaceSorted(ix.vals[lo:lo+l], from.X, to.X)
+		}
+		if from.Y != to.Y {
+			replaceSorted(ix.vals[lo+l:lo+2*l], from.Y, to.Y)
 		}
 	}
-	return xs[k]
+}
+
+// boxAfter returns net ni's pin bounding box after a tried move: on[0]
+// listings move from oldA to newA and on[1] from oldB to newB, while
+// the windows still hold the committed coordinates. ok is false for a
+// hub net, which has no windows. The box is the min and max of the
+// same multiset of coordinates a scan of the moved pins gives.
+func (ix *medianIndex) boxAfter(ni int32, on [2]int32, oldA, newA, oldB, newB geom.Point) (bb geom.Rect, ok bool) {
+	lo, l := 2*ix.start[ni], ix.start[ni+1]-ix.start[ni]
+	if l == 0 {
+		return geom.Rect{}, false
+	}
+	xs, ys := ix.vals[lo:lo+l], ix.vals[lo+l:lo+2*l]
+	// The windows without the moved listings' old coordinates; either
+	// both axes keep an entry or neither does.
+	var rest bool
+	bb.Min.X, bb.Max.X, rest = ends(xs, on[0], oldA.X, on[1], oldB.X)
+	bb.Min.Y, bb.Max.Y, _ = ends(ys, on[0], oldA.Y, on[1], oldB.Y)
+	for k, to := range [2]geom.Point{newA, newB} {
+		if on[k] == 0 {
+			continue
+		}
+		if rest {
+			bb = extend(bb, to)
+		} else {
+			bb, rest = geom.Rect{Min: to, Max: to}, true
+		}
+	}
+	return bb, true
+}
+
+// ends returns the smallest and largest entries of the ascending w
+// once ma copies of a and mb copies of b are taken out; ok is false
+// when nothing is left.
+func ends(w []float64, ma int32, a float64, mb int32, b float64) (lo, hi float64, ok bool) {
+	i, ra, rb := 0, ma, mb
+	for ; i < len(w); i++ {
+		if w[i] == a && ra > 0 {
+			ra--
+		} else if w[i] == b && rb > 0 {
+			rb--
+		} else {
+			break
+		}
+	}
+	if i == len(w) {
+		return 0, 0, false
+	}
+	j, ra, rb := len(w)-1, ma, mb
+	for ; ; j-- {
+		if w[j] == a && ra > 0 {
+			ra--
+		} else if w[j] == b && rb > 0 {
+			rb--
+		} else {
+			break
+		}
+	}
+	return w[i], w[j], true
+}
+
+// replaceSorted replaces one entry equal to old in the ascending w by
+// v, shifting the entries between the two places so w stays sorted.
+func replaceSorted(w []float64, old, v float64) {
+	i := 0
+	for i+1 < len(w) && w[i] < old {
+		i++
+	}
+	for ; i > 0 && w[i-1] > v; i-- {
+		w[i] = w[i-1]
+	}
+	for ; i+1 < len(w) && w[i+1] < v; i++ {
+		w[i] = w[i+1]
+	}
+	w[i] = v
+}
+
+// target returns the median of the other pins of a cell's small nets,
+// the cell sitting at `at` with its nets listed in nets (once per
+// listing, a net's listings adjacent). It is the order statistic
+// total/2 of the multiset a gather builds by visiting each listing's
+// net and collecting every pin but the cell's: a net on which the cell
+// has multiplicity m adds each of its other pins m times. ok is false
+// when that multiset is empty.
+func (ix *medianIndex) target(at geom.Point, nets []int32) (tgt geom.Point, ok bool) {
+	heads := ix.heads[:0]
+	total := 0
+	for k := 0; k < len(nets); {
+		ni, m := nets[k], 1
+		for k+m < len(nets) && nets[k+m] == ni {
+			m++
+		}
+		k += m
+		l := int(ix.start[ni+1] - ix.start[ni])
+		if l <= m {
+			continue // a hub net, or no pin but the cell's
+		}
+		total += m * (l - m)
+		heads = append(heads, medianHead{lo: 2 * ix.start[ni], l: int32(l), m: int32(m)})
+	}
+	ix.heads = heads
+	if total == 0 {
+		return geom.Point{}, false
+	}
+	return geom.Pt(ix.kth(0, at.X, total/2), ix.kth(1, at.Y, total/2)), true
+}
+
+// kth walks the axis windows (0 for x, 1 for y) of the nets ix.heads
+// names in merged ascending order, weighting each entry by its net's multiplicity and
+// skipping m copies of self on each net, and returns the entry at
+// weighted rank k (0-based). The weighted count must exceed k.
+//
+// Where several windows hold equal entries, the order the walk takes
+// them in changes neither the count before that value nor the count
+// after it, so the result does not depend on it; an exhausted window
+// leaves the walk by a swap with the last.
+func (ix *medianIndex) kth(axis int32, self float64, k int) float64 {
+	heads, vals := ix.heads, ix.vals
+	if len(heads) == 1 {
+		// One window: rank k is entry k/m of the window without the
+		// m copies of self, which start where self does.
+		h := heads[0]
+		lo := h.lo + axis*h.l
+		w := vals[lo : lo+h.l]
+		j := k / int(h.m)
+		s := 0
+		for w[s] < self {
+			s++
+		}
+		if j >= s {
+			j += int(h.m)
+		}
+		return w[j]
+	}
+	walk := ix.walk[:0]
+	for _, h := range heads {
+		lo := h.lo + axis*h.l
+		walk = append(walk, walkHead{v: vals[lo], cur: lo, hi: lo + h.l, m: h.m, skip: h.m})
+	}
+	ix.walk = walk
+	seen := 0
+	for {
+		best := 0
+		for j := 1; j < len(walk); j++ {
+			if walk[j].v < walk[best].v {
+				best = j
+			}
+		}
+		h := &walk[best]
+		v := h.v
+		// Take the window's whole run of v.
+		for {
+			if v == self && h.skip > 0 {
+				h.skip--
+			} else if seen += int(h.m); seen > k {
+				return v
+			}
+			if h.cur++; h.cur == h.hi {
+				walk[best] = walk[len(walk)-1]
+				walk = walk[:len(walk)-1]
+				break
+			}
+			if h.v = vals[h.cur]; h.v != v {
+				break
+			}
+		}
+	}
 }

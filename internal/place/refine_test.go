@@ -9,6 +9,152 @@ import (
 	"casyn/internal/geom"
 )
 
+// nth returns the k-th smallest element of xs — xs[k] of sorted order —
+// reordering xs in place. It is a quickselect with median-of-three
+// pivots and three-way partitioning, so duplicate-heavy inputs stay
+// linear. With gatherTarget it is refine's median as computed before
+// medianIndex, kept as the index's oracle.
+func nth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		pivot := max(a, b)
+		// [lo,lt) < pivot, [lt,gt] == pivot, (gt,hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				xs[i], xs[gt] = xs[gt], x
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
+// gatherTarget is the median of the other pins of cell c's nets of at
+// most 64 pins, gathered listing by listing and selected with nth: the
+// reference medianIndex.target must match bit for bit.
+func gatherTarget(nl *Netlist, p *Placement, cellNets [][]int32, c int) (geom.Point, bool) {
+	var xs, ys []float64
+	for _, ni := range cellNets[c] {
+		net := &nl.Nets[ni]
+		if len(net.Cells)+len(net.Pads) > 64 {
+			continue
+		}
+		for _, oc := range net.Cells {
+			if oc != c {
+				xs = append(xs, p.Pos[oc].X)
+				ys = append(ys, p.Pos[oc].Y)
+			}
+		}
+		for _, pad := range net.Pads {
+			xs = append(xs, pad.X)
+			ys = append(ys, pad.Y)
+		}
+	}
+	if len(xs) == 0 {
+		return geom.Point{}, false
+	}
+	return geom.Pt(nth(xs, len(xs)/2), nth(ys, len(ys)/2)), true
+}
+
+// TestRefineMedianMatchesGather drives a medianIndex through thousands
+// of random committed moves — position exchanges, as in an equal-width
+// swap, and slides along the row, as in an adjacent-pair swap — and
+// checks after each one that every cell's target is gatherTarget's,
+// bit for bit. The netlist has cells listed two and three times on
+// one net, nets of exactly 64 and 65 pins, pad-only nets, one cell
+// plus pads, a net of one cell listed twice and zero-width cells;
+// positions sit on a coarse grid, so a cell's own coordinate often
+// ties other pins'.
+func TestRefineMedianMatchesGather(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(37))
+	const n = 120
+	nl := &Netlist{Widths: make([]float64, n)}
+	for c := range nl.Widths {
+		if c%11 != 0 {
+			nl.Widths[c] = 1.5
+		}
+	}
+	pad := func() geom.Point { return geom.Pt(float64(rng.Intn(30)), float64(rng.Intn(2)*20)) }
+	cells := func(k int) []int {
+		out := make([]int, k)
+		for i := range out {
+			out[i] = rng.Intn(n)
+		}
+		return out
+	}
+	for i := 0; i < 2*n; i++ {
+		nl.Nets = append(nl.Nets, Net{Cells: cells(2 + rng.Intn(4))})
+	}
+	nl.Nets = append(nl.Nets,
+		Net{Cells: []int{3, 3, 8, 9}},                             // cell 3 listed twice
+		Net{Cells: []int{5, 12, 5, 5}, Pads: []geom.Point{pad()}}, // cell 5 three times
+		Net{Cells: []int{7, 7}},                                   // nothing but cell 7
+		Net{Cells: []int{20}, Pads: []geom.Point{pad(), pad()}},
+		Net{Cells: []int{21}, Pads: []geom.Point{pad()}},
+		Net{Pads: []geom.Point{pad(), pad(), pad()}},
+		Net{Cells: cells(62), Pads: []geom.Point{pad(), pad()}}, // 64 pins: steers
+		Net{Cells: cells(65)},                                   // 65 pins: a hub
+		Net{Cells: append(cells(63), 30, 30)},                   // 65 pins with a repeat
+	)
+	p := &Placement{Pos: make([]geom.Point, n), Row: make([]int, n)}
+	for c := range p.Pos {
+		p.Pos[c] = geom.Pt(float64(rng.Intn(30)), float64(rng.Intn(8))*2.5)
+	}
+	cellNets := nl.cellNets()
+	med := newMedianIndex(nl, p)
+	check := func(step int) {
+		for c := 0; c < n; c++ {
+			got, gotOK := med.target(p.Pos[c], cellNets[c])
+			want, wantOK := gatherTarget(nl, p, cellNets, c)
+			if gotOK != wantOK || math.Float64bits(got.X) != math.Float64bits(want.X) ||
+				math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+				t.Fatalf("step %d, cell %d: index (%v, %v), gather (%v, %v)", step, c, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	check(-1)
+	for step := 0; step < 2000; step++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		oldA, oldB := p.Pos[a], p.Pos[b]
+		if rng.Intn(2) == 0 {
+			p.Pos[a], p.Pos[b] = oldB, oldA
+		} else {
+			p.Pos[a] = geom.Pt(float64(rng.Intn(30)), oldA.Y)
+			p.Pos[b] = geom.Pt(float64(rng.Intn(30)), oldB.Y)
+		}
+		med.move(oldA, p.Pos[a], cellNets[a])
+		med.move(oldB, p.Pos[b], cellNets[b])
+		check(step)
+	}
+}
+
 func TestNth(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(8))

@@ -73,6 +73,25 @@ func TestCostCacheAfterRoute(t *testing.T) {
 	}
 }
 
+// TestCostCacheAfterFirstPass routes with no rip-up round, so the grid
+// is the first pass's: applying several batches' usage must leave every
+// cached cost current.
+func TestCostCacheAfterFirstPass(t *testing.T) {
+	t.Parallel()
+	nl, pl, layout := ecoDesign(t, 300, 21)
+	for _, workers := range []int{1, 2} {
+		opts := Options{GCellSize: 10, RipupIterations: -1, CapacityScale: 0.1, Workers: workers}
+		res, st, err := RouteNetlistState(context.Background(), nl, pl, layout, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(st.order); n <= 256 {
+			t.Fatalf("%d segments fill one batch; the test needs several", n)
+		}
+		checkCostCache(t, res.Grid)
+	}
+}
+
 // TestCostCacheAfterBump overfills one edge of each direction and
 // bumps the history, which must re-price exactly those edges: the
 // rounds read the cache before any reroute touches a bumped edge.
