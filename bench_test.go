@@ -1,4 +1,4 @@
-package casyn
+package casyn_test
 
 // The paper-shape benchmarks: one benchmark per table and figure of the
 // paper's evaluation section, each regenerating its experiment on a
@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/experiments"
 	"casyn/internal/flow"
@@ -145,12 +146,7 @@ func benchContext(b *testing.B) (*flow.Context, flow.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := flow.Config{
-		Layout:         layout,
-		PlaceOpts:      experiments.PlaceOpts(),
-		RouteOpts:      experiments.RouteOpts(),
-		FreshPlacement: true,
-	}
+	cfg := casyn.FlowConfig(layout, casyn.Options{})
 	pc, err := flow.Prepare(context.Background(), d, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -176,7 +172,7 @@ func BenchmarkSubjectPlacement(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := mapper.SubjectPlacement(context.Background(), d, layout, experiments.PlaceOpts()); err != nil {
+		if _, _, _, _, err := mapper.SubjectPlacement(context.Background(), d, layout, casyn.FlowConfig(layout, casyn.Options{}).PlaceOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,12 +253,9 @@ func BenchmarkECO(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fcfg := flow.Config{
-		Layout:    layout,
-		Lib:       library.Default(),
-		PlaceOpts: experiments.PlaceOpts(),
-		RouteOpts: experiments.RouteOpts(),
-	}
+	fcfg := casyn.FlowConfig(layout, casyn.Options{})
+	fcfg.Lib = library.Default()
+	fcfg.FreshPlacement = false
 	ctx := context.Background()
 	pc, err := flow.Prepare(ctx, d, fcfg)
 	if err != nil {

@@ -1,11 +1,14 @@
 package casyn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"casyn/internal/bench"
 	"casyn/internal/logic"
+	"casyn/internal/place"
+	"casyn/internal/route"
 )
 
 // smallPLA builds a modest synthetic PLA for API tests.
@@ -107,5 +110,25 @@ func TestSynthesizeDeterminism(t *testing.T) {
 	}
 	if a.CellArea != b.CellArea || a.Violations != b.Violations || a.WireLength != b.WireLength {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestCalibrationConstants: FlowConfig carries the calibrated placer
+// and router operating point, and Options.Seed overrides only the
+// placement seed.
+func TestCalibrationConstants(t *testing.T) {
+	t.Parallel()
+	cfg := FlowConfig(place.Layout{}, Options{})
+	wantRoute := route.Options{GCellSize: gCellSize, RipupIterations: ripupIterations, CapacityScale: capacityScale}
+	if !reflect.DeepEqual(cfg.RouteOpts, wantRoute) {
+		t.Errorf("RouteOpts = %+v, want %+v", cfg.RouteOpts, wantRoute)
+	}
+	wantPlace := place.Options{Seed: placementSeed, RefinePasses: refinePasses}
+	if cfg.PlaceOpts != wantPlace {
+		t.Errorf("PlaceOpts = %+v, want %+v", cfg.PlaceOpts, wantPlace)
+	}
+	wantPlace.Seed = 7
+	if po := FlowConfig(place.Layout{}, Options{Seed: 7}).PlaceOpts; po != wantPlace {
+		t.Errorf("PlaceOpts with Seed 7 = %+v, want %+v", po, wantPlace)
 	}
 }

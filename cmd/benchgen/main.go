@@ -101,10 +101,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fail("canceled: %v", err)
 			return exitErr
 		}
-		spec := class.Spec()
-		if *scale != 1.0 {
-			spec = class.ScaledSpec(*scale)
-		}
+		spec := class.SpecAt(*scale)
 		p, err := bench.Generate(spec)
 		if err != nil {
 			fail("%v", err)

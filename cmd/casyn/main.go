@@ -137,12 +137,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			finish()
 			return exitUsage
 		}
-		spec := class.Spec()
-		if *scale != 1.0 {
-			spec = class.ScaledSpec(*scale)
-		}
 		var gerr error
-		p, gerr = bench.Generate(spec)
+		p, gerr = bench.Generate(class.SpecAt(*scale))
 		if gerr != nil {
 			fail("%v", gerr)
 			finish()

@@ -139,6 +139,15 @@ func (c Class) ScaledSpec(scale float64) Spec {
 	return s
 }
 
+// SpecAt returns the class spec at a scale: the full-size Spec at 1,
+// else ScaledSpec(scale).
+func (c Class) SpecAt(scale float64) Spec {
+	if scale == 1 {
+		return c.Spec()
+	}
+	return c.ScaledSpec(scale)
+}
+
 // Generate builds the PLA for a spec.
 func Generate(spec Spec) (*logic.PLA, error) {
 	if spec.Inputs <= 0 || spec.Outputs <= 0 || spec.Terms <= 0 {

@@ -50,6 +50,9 @@ func TestClassSpecs(t *testing.T) {
 		if scaled.Terms >= spec.Terms {
 			t.Errorf("%v scaling did not shrink terms", c)
 		}
+		if c.SpecAt(1) != spec || c.SpecAt(0.1) != scaled {
+			t.Errorf("%v SpecAt is not Spec at 1 and ScaledSpec elsewhere", c)
+		}
 	}
 	if SPLA.String() != "spla" || PDC.String() != "pdc" || TooLarge.String() != "too_large" {
 		t.Error("Class.String broken")

@@ -150,7 +150,6 @@ func RebuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Fore
 		matches: slices.Clone(prev.matches),
 		height:  lib.MaxPatternHeight(),
 	}
-	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
 	treeOf := make(map[int]int, len(p.trees))
 	for ti := range p.trees {
 		treeOf[p.trees[ti].Root] = ti

@@ -97,7 +97,6 @@ func BuildPrefix(ctx context.Context, dag *subject.DAG, forest *partition.Forest
 		matches: make([][]preparedMatch, dag.NumGates()),
 		height:  lib.MaxPatternHeight(),
 	}
-	dag.PrecomputeFanouts() // no lazy rebuild race under the fan-out
 	err := par.ForEach(ctx, workers, len(p.trees), func(ti int) error {
 		p.enumerateTree(dag, forest, lib, ti, nil)
 		return nil

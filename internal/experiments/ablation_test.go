@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/cover"
 	"casyn/internal/flow"
@@ -44,13 +45,7 @@ func PartitionAblation(ctx context.Context, class bench.Class, scale, k float64)
 		{"dagon", partition.Dagon},
 		{"cone", partition.Cone},
 	} {
-		cfg := flow.Config{
-			Layout:         layout,
-			PlaceOpts:      PlaceOpts(),
-			RouteOpts:      RouteOpts(),
-			FreshPlacement: true,
-			Method:         m.method,
-		}
+		cfg := casyn.FlowConfig(layout, casyn.Options{Partition: m.method})
 		pc, err := flow.Prepare(ctx, d, cfg)
 		if err != nil {
 			return nil, err
@@ -80,7 +75,7 @@ func WireCostAblation(ctx context.Context, class bench.Class, scale, k float64) 
 	if err != nil {
 		return nil, err
 	}
-	pos, poPads, _, _, err := mapper.SubjectPlacement(ctx, d, layout, PlaceOpts())
+	pos, poPads, _, _, err := mapper.SubjectPlacement(ctx, d, layout, casyn.FlowConfig(layout, casyn.Options{}).PlaceOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/library"
@@ -67,18 +68,12 @@ func AdaptiveVsLadder(ctx context.Context, class bench.Class, scale, tightness, 
 	if err != nil {
 		return nil, err
 	}
-	ropts := RouteOpts()
+	cfg := casyn.FlowConfig(layout, casyn.Options{Workers: workers})
 	if capacityScale > 0 {
-		ropts.CapacityScale = capacityScale
+		cfg.RouteOpts.CapacityScale = capacityScale
 	}
-	cfg := flow.Config{
-		Layout:         layout,
-		PlaceOpts:      PlaceOpts(),
-		RouteOpts:      ropts,
-		FreshPlacement: false,
-		KSchedule:      flow.DefaultKSchedule(),
-		Workers:        workers,
-	}
+	cfg.FreshPlacement = false
+	cfg.KSchedule = flow.DefaultKSchedule()
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, err

@@ -3,18 +3,12 @@
 // iterations or structured rows that cmd/paper and the benchmarks
 // print in the paper's format.
 //
-// Calibration. Absolute numbers cannot match the paper's (its
-// substrate was Silicon Ensemble, PrimeTime, CORELIB8DHS and the real
-// IWLS93 netlists; ours is a self-contained simulator stack), so the
-// experiments pin down the *shape*: who wins, the three routability
-// regions of the K sweep, and where the crossovers fall. Three
-// constants calibrate the substrate against the paper's operating
-// point and are shared by every experiment:
+// Calibration. Absolute numbers cannot match the paper's, so the
+// experiments pin down the *shape* of its results. Every experiment
+// runs casyn.FlowConfig, the facade's calibrated placer and router
+// operating point (grid pitch, capacity scale, rip-up and refinement
+// budgets, seed), and two more choices position the substrate:
 //
-//   - CapacityScale 1.98: compensates the weaker placement/routing of
-//     this substrate relative to the commercial flow, positioning the
-//     K = 0 netlists at the same marginally-unroutable point the paper
-//     reports at ~61% utilization.
 //   - a wire unit of 0.5 µm (the coverer's fixed unit): expresses WIRE
 //     in routing half-pitches so the paper's K ladder hits the same
 //     regions.
@@ -27,6 +21,7 @@ import (
 	"context"
 	"fmt"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/library"
@@ -35,20 +30,6 @@ import (
 	"casyn/internal/route"
 	"casyn/internal/sta"
 	"casyn/internal/subject"
-)
-
-// Substrate calibration shared by all experiments.
-const (
-	// GCellSize is the routing grid pitch in µm.
-	GCellSize = 26.6
-	// CapacityScale calibrates grid capacity to the paper's flow.
-	CapacityScale = 1.98
-	// RipupIterations is the router's rip-up and reroute budget.
-	RipupIterations = 6
-	// RefinePasses is the placer's greedy refinement budget.
-	RefinePasses = 8
-	// PlacementSeed makes every experiment deterministic.
-	PlacementSeed = 1
 )
 
 // Fixed full-size floorplans, like the paper's ("the die size was
@@ -69,40 +50,12 @@ const (
 )
 
 // RouteOpts returns the calibrated router options.
-func RouteOpts() route.Options {
-	return route.Options{
-		GCellSize:       GCellSize,
-		RipupIterations: RipupIterations,
-		CapacityScale:   CapacityScale,
-	}
-}
-
-// PlaceOpts returns the calibrated placer options.
-func PlaceOpts() place.Options {
-	return place.Options{Seed: PlacementSeed, RefinePasses: RefinePasses}
-}
-
-// flowConfig is the calibrated flow configuration every experiment
-// runs on layout: the shared placer and router options and fresh
-// placement. A flow.Run over it climbs the paper's Table 2/4 ladder
-// unless the caller sets KSchedule.
-func flowConfig(layout place.Layout) flow.Config {
-	return flow.Config{
-		Layout:         layout,
-		PlaceOpts:      PlaceOpts(),
-		RouteOpts:      RouteOpts(),
-		FreshPlacement: true,
-	}
-}
+func RouteOpts() route.Options { return casyn.FlowConfig(place.Layout{}, casyn.Options{}).RouteOpts }
 
 // buildSubject generates the class circuit at the given scale and
 // lowers it to a subject DAG under the chosen synthesis style.
 func buildSubject(class bench.Class, scale float64, style bench.SynthesisStyle) (*subject.DAG, error) {
-	spec := class.Spec()
-	if scale != 1.0 {
-		spec = class.ScaledSpec(scale)
-	}
-	p, err := bench.Generate(spec)
+	p, err := bench.Generate(class.SpecAt(scale))
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +81,7 @@ func minAreaCellArea(ctx context.Context, d *subject.DAG) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pc, err := flow.Prepare(ctx, d, flowConfig(layout))
+	pc, err := flow.Prepare(ctx, d, casyn.FlowConfig(layout, casyn.Options{}))
 	if err != nil {
 		return 0, err
 	}
@@ -182,7 +135,7 @@ func KSweep(ctx context.Context, class bench.Class, scale float64, workers int) 
 	if err != nil {
 		return nil, place.Layout{}, err
 	}
-	cfg := flowConfig(layout)
+	cfg := casyn.FlowConfig(layout, casyn.Options{})
 	cfg.Workers = workers
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
@@ -223,7 +176,7 @@ func Table1(ctx context.Context, scale float64) (sis, dagon flow.Iteration, layo
 	if layout, err = dieFor(aDagon, tooLargeDieFraction); err != nil {
 		return
 	}
-	cfg := flowConfig(layout)
+	cfg := casyn.FlowConfig(layout, casyn.Options{})
 	run := func(d *subject.DAG) (flow.Iteration, error) {
 		pc, err := flow.Prepare(ctx, d, cfg)
 		if err != nil {
@@ -326,7 +279,7 @@ func staAtMinimalDie(ctx context.Context, d *subject.DAG, ks []float64, base pla
 		if err != nil {
 			return nil, err
 		}
-		cfg := flowConfig(layout)
+		cfg := casyn.FlowConfig(layout, casyn.Options{})
 		cfg.RunSTA = true
 		cfg.Workers = workers
 		cfg.KSchedule = make([]float64, len(open))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/library"
@@ -303,7 +304,7 @@ func perKWalk(ctx context.Context, d *subject.DAG, k float64, base place.Layout)
 		if err != nil {
 			return STARow{}, err
 		}
-		cfg := flowConfig(layout)
+		cfg := casyn.FlowConfig(layout, casyn.Options{})
 		cfg.RunSTA = true
 		cfg.Workers = 1
 		pc, err := flow.Prepare(ctx, d, cfg)
@@ -335,17 +336,5 @@ func sameSTARows(t *testing.T, label string, got, want []STARow) {
 		if g != w {
 			t.Errorf("%s: row %d = %+v, want %+v", label, i, g, w)
 		}
-	}
-}
-
-func TestCalibrationConstants(t *testing.T) {
-	t.Parallel()
-	ro := RouteOpts()
-	if ro.CapacityScale != CapacityScale || ro.GCellSize != GCellSize {
-		t.Error("RouteOpts does not carry the calibration")
-	}
-	po := PlaceOpts()
-	if po.Seed != PlacementSeed || po.RefinePasses != RefinePasses {
-		t.Error("PlaceOpts does not carry the calibration")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/geom"
@@ -111,7 +112,7 @@ func Figure3(ctx context.Context, class bench.Class, scale, tighten float64) (*F
 			return nil, err
 		}
 	}
-	cfg := flowConfig(layout)
+	cfg := casyn.FlowConfig(layout, casyn.Options{})
 	cfg.StopAtFirstRoutable = true
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 
+	"casyn"
 	"casyn/internal/bench"
 	"casyn/internal/flow"
 	"casyn/internal/geom"
@@ -81,18 +82,13 @@ func KWayVsBisect(ctx context.Context, class bench.Class, scale float64, dies, w
 	if err != nil {
 		return nil, err
 	}
-	ropts := RouteOpts()
-	ropts.RegionPinBudget = -1 // measure overflow, not admission
-	cfg := flow.Config{
-		Layout:         layout,
-		Dies:           dies,
-		PlaceOpts:      PlaceOpts(),
-		RouteOpts:      ropts,
-		FreshPlacement: true,
-		KSchedule:      []float64{0},
-		Workers:        workers,
-		Verify:         true, // prove the replicated subject equivalent
-	}
+	cfg := casyn.FlowConfig(layout, casyn.Options{
+		Dies:              dies,
+		InterDiePinBudget: -1, // measure overflow, not admission
+		Workers:           workers,
+		Verify:            true, // prove the replicated subject equivalent
+	})
+	cfg.KSchedule = []float64{0}
 	pc, err := flow.Prepare(ctx, d, cfg)
 	if err != nil {
 		return nil, err

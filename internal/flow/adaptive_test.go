@@ -340,10 +340,11 @@ func TestAdaptiveECOChain(t *testing.T) {
 	}
 }
 
-// TestECORefusesMultiDie: the ECO chain is single-die, because an edit
-// re-partitions the edited DAG single-die and would drop the k-way
-// forest. RunStateful on a multi-die run and RunECO from a multi-die
-// adaptive state are errors, not a silently single-die successor.
+// TestECORefusesMultiDie: the ECO chain is single-die, because the
+// mapper cannot re-partition the k-way forest after an edit
+// (mapper.ErrForestNotRepartitionable). RunStateful on a multi-die run
+// and RunECO from a multi-die adaptive state are errors, not a
+// silently single-die successor.
 func TestECORefusesMultiDie(t *testing.T) {
 	pc, cfg := prepared(t, 0.55)
 	cfg.Dies = 2

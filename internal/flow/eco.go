@@ -72,9 +72,10 @@ func RunStateful(ctx context.Context, pc *Context, k float64, cfg Config) (Itera
 	return it, st, err
 }
 
-// singleDie refuses an ECO chain on a multi-die run. Invalidate
-// re-partitions the edited DAG single-die, so an edit would silently
-// drop the k-way forest and its die assignment.
+// singleDie refuses an ECO chain on a multi-die run before any stage
+// runs. A multi-die run maps over the k-way forest (PrepareForest),
+// and Invalidate refuses a caller's forest
+// (mapper.ErrForestNotRepartitionable).
 func singleDie(pc *Context, cfg Config) error {
 	if cfg.Dies > 1 || pc.KWay != nil {
 		return fmt.Errorf("flow: the ECO chain is single-die; the run is multi-die")

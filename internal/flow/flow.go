@@ -395,9 +395,6 @@ func Run(ctx context.Context, pc *Context, cfg Config) (*Result, error) {
 			c()
 		}
 	}()
-	// The workers share the DAG read-only; warm the lazy fanout cache
-	// so they cannot race on its rebuild.
-	pc.DAG.PrecomputeFanouts()
 
 	// Under StopAtFirstRoutable, a completed routable iteration lowers
 	// the cutoff and cancels every higher-K iteration already in

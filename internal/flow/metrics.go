@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"strings"
 	"time"
 
 	"casyn/internal/obs"
@@ -66,9 +65,9 @@ func buildMetrics(rec *obs.Recorder, hotspots []route.HotSpot) *Metrics {
 	snap := rec.Snapshot()
 	m := &Metrics{Events: snap, HotSpots: hotspots}
 	for _, sp := range snap.Spans {
-		if name, ok := strings.CutPrefix(sp.Name, "stage."); ok {
+		if stage, ok := runstage.StageOf(sp.Name); ok {
 			m.Stages = append(m.Stages, StageTiming{
-				Stage: runstage.Stage(name),
+				Stage: stage,
 				Wall:  sp.Wall,
 				CPU:   sp.CPU,
 				Err:   sp.Err,

@@ -26,8 +26,8 @@ import (
 	"os"
 	"strings"
 
+	"casyn"
 	"casyn/internal/bench"
-	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
@@ -62,15 +62,10 @@ type Fingerprint struct {
 	Counters   map[string]int64 `json:"counters,omitempty"`
 }
 
-// Config pins the flow operating point of the suite — the same
-// calibrated configuration casyn and the diffharness use.
+// Config pins the flow operating point of the suite: casyn's
+// calibrated configuration, which the diffharness runs too.
 func Config(layout place.Layout) flow.Config {
-	return flow.Config{
-		Layout:         layout,
-		PlaceOpts:      experiments.PlaceOpts(),
-		RouteOpts:      experiments.RouteOpts(),
-		FreshPlacement: true,
-	}
+	return casyn.FlowConfig(layout, casyn.Options{})
 }
 
 // Compute synthesizes the PLA at plaPath for one K and returns its

@@ -14,6 +14,7 @@ package mapper
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"casyn/internal/cover"
@@ -71,9 +72,11 @@ type ECO struct {
 // A PDP forest is re-partitioned edit-locally
 // (partition.RepartitionPDP): only the fathers the edit can flip are
 // re-decided and only the trees they touch are rebuilt, equal to a
-// full re-partition of the edited design. A Prepared built over a
-// caller's forest (PrepareForest), or with another method, is
-// re-partitioned in full.
+// full re-partition of the edited design. A forest of another method
+// is re-partitioned in full. A Prepared built over a caller's forest
+// (PrepareForest, the k-way prefix) is refused with
+// ErrForestNotRepartitionable before anything is touched: the mapper
+// cannot rebuild that forest for the edited design.
 //
 // The work is recorded under an "eco.invalidate" span; dirty/reused
 // tree counts land on "eco.dirty_trees" / "eco.reused_trees", and the
@@ -81,6 +84,9 @@ type ECO struct {
 func (p *Prepared) Invalidate(ctx context.Context, edits EditSet) (*ECO, error) {
 	if p == nil {
 		return nil, fmt.Errorf("eco: nil Prepared")
+	}
+	if !p.partitioned {
+		return nil, ErrForestNotRepartitionable
 	}
 	rec := obs.From(ctx)
 	ectx, span := rec.StartSpan(ctx, "eco.invalidate")
@@ -96,8 +102,14 @@ func (p *Prepared) Invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	return e, nil
 }
 
+// ErrForestNotRepartitionable is Invalidate's refusal of a Prepared
+// built over a caller's forest (PrepareForest): an edit would need
+// that forest rebuilt for the edited design, which only its builder
+// (the k-way partitioner) can do.
+var ErrForestNotRepartitionable = errors.New("eco: a caller's forest cannot be re-partitioned after an edit")
+
 func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) {
-	if err := edits.validate(p.dag, p.liveBase()); err != nil {
+	if err := edits.validate(p.dag, p.forest.RootOf()); err != nil {
 		return nil, err
 	}
 	// Private clones: the parent's DAG and placement stay untouched no
@@ -110,13 +122,12 @@ func (p *Prepared) invalidate(ctx context.Context, edits EditSet) (*ECO, error) 
 	}
 	// Re-partition the edited design. PDP fathers are nearest-consumer
 	// selections, so only the gates an edit rewired, moved or
-	// (un)killed, and their fanins, can flip: a PDP forest this context
-	// partitioned itself is patched at those gates. Other methods, and a
-	// caller's forest, are re-partitioned in full.
+	// (un)killed, and their fanins, can flip: a PDP forest is patched
+	// at those gates. Other methods are re-partitioned in full.
 	in := partition.Input{DAG: dag, Pos: pos, POPads: p.in.POPads}
 	var forest *partition.Forest
 	var refathered []int
-	if p.partitioned && p.opts.Method == partition.PDP {
+	if p.opts.Method == partition.PDP {
 		forest, refathered, err = partition.RepartitionPDP(p.forest, p.dag, in, structEdited, moved)
 	} else {
 		forest, err = partition.Partition(in, p.opts.Method)
@@ -164,22 +175,6 @@ func forestChanges(prev, next *partition.Forest) []int {
 		}
 	}
 	return out
-}
-
-// liveBase reports whether a base gate drives an output. Every
-// partitioning method puts exactly the live base gates in trees, so a
-// forest this context partitioned itself answers without a liveness
-// sweep.
-func (p *Prepared) liveBase() func(g int) bool {
-	if p.partitioned {
-		rootOf := p.forest.RootOf()
-		return func(g int) bool { return rootOf[g] >= 0 }
-	}
-	live := make([]bool, p.dag.NumGates())
-	for _, g := range p.dag.LiveGates() {
-		live[g] = true
-	}
-	return func(g int) bool { return live[g] }
 }
 
 // CoverState is one K rung's covering result together with its

@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,6 +16,8 @@ import (
 	"casyn/internal/geom"
 	"casyn/internal/library"
 	"casyn/internal/obs"
+	"casyn/internal/partition"
+	"casyn/internal/place"
 	"casyn/internal/subject"
 )
 
@@ -632,6 +635,60 @@ func TestInvalidateRejectsInvalid(t *testing.T) {
 	}
 	if resultKey(res) != baseKey {
 		t.Fatal("shared Prepared changed after rejected edit sets")
+	}
+}
+
+// TestInvalidateRefusesCallerForest: an edit against a Prepared built
+// over the k-way partitioner's forest (PrepareForest) is refused with
+// ErrForestNotRepartitionable, not answered with a single-die
+// re-partition, before any invalidation work is recorded; the context
+// still maps as before.
+func TestInvalidateRefusesCallerForest(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	d, in := placedCircuit(t, exampleCircuits(t)[0])
+	layout, err := place.NewLayout(float64(d.BaseGateCount())*4.6/0.58, 1.0, library.RowHeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := partition.Partition(partition.Input{DAG: d, Pos: in.Pos, POPads: in.POPads}, partition.PDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw, err := partition.KWay(d, forest, partition.KWayOptions{
+		K: 2, Die: layout.Die, Pos: in.Pos, POPads: in.POPads, Replicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := PrepareForest(ctx, kw.DAG, kw.Forest, Input{Pos: kw.Pos, POPads: in.POPads}, Options{Lib: library.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := MapStateful(ctx, prep, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := prep.DAG().NumGates()
+	rec := obs.New()
+	for seed := int64(1); seed <= 3; seed++ {
+		edits := RandomEdits(prep, rand.New(rand.NewSource(seed)), 3)
+		eco, err := prep.Invalidate(obs.WithRecorder(ctx, rec), edits)
+		if !errors.Is(err, ErrForestNotRepartitionable) || eco != nil {
+			t.Fatalf("seed %d: Invalidate on a k-way forest = (%v, %v), want ErrForestNotRepartitionable", seed, eco, err)
+		}
+	}
+	if snap := rec.Snapshot(); len(snap.Spans) != 0 || len(snap.Counters) != 0 {
+		t.Errorf("refused edits recorded spans %v and counters %v", snap.Spans, snap.Counters)
+	}
+	if prep.DAG() != kw.DAG || prep.forest != kw.Forest || prep.DAG().NumGates() != gates {
+		t.Error("a refused edit changed the Prepared's DAG or forest")
+	}
+	res, _, err := MapStateful(ctx, prep, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultKey(res) != resultKey(base) {
+		t.Error("the Prepared maps differently after a refused edit")
 	}
 }
 

@@ -195,15 +195,16 @@ func (es EditSet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(raw)
 }
 
-// validate checks the edit set against a concrete subject DAG, whose
-// live base gates live reports, without modifying anything: every
-// target must be a live base gate, structural rewrites must preserve
+// validate checks the edit set against a concrete subject DAG and its
+// forest's tree membership rootOf (partitioning puts exactly the live
+// base gates in trees), without modifying anything: every target must
+// be a live base gate, structural rewrites must preserve
 // the topological-ID invariant, placement deltas must be finite, and
 // no gate may be the target of two structural edits or of two
 // placement edits (a swap claims both of its gates). An empty set is
 // an error — ECO semantics are "apply this change", and an empty
 // change is a caller bug worth surfacing.
-func (es EditSet) validate(d *subject.DAG, live func(g int) bool) error {
+func (es EditSet) validate(d *subject.DAG, rootOf []int) error {
 	if len(es.Edits) == 0 {
 		return fmt.Errorf("eco: empty edit set")
 	}
@@ -214,7 +215,7 @@ func (es EditSet) validate(d *subject.DAG, live func(g int) bool) error {
 		if t := d.Gate(g).Type; t != subject.Nand2 && t != subject.Inv {
 			return fmt.Errorf("eco: edit %d: gate %d is a %s, not an editable base gate", i, g, t)
 		}
-		if !live(g) {
+		if rootOf[g] < 0 {
 			return fmt.Errorf("eco: edit %d: gate %d is dead (drives no output)", i, g)
 		}
 		return nil

@@ -41,8 +41,8 @@ type Prepared struct {
 	// incremental path (Invalidate) re-partitions edited clones of it.
 	in Input
 	// partitioned reports that forest is partition.Partition of (dag,
-	// in) under opts.Method, not a caller's forest: an edit can then
-	// re-partition it locally (partition.RepartitionPDP).
+	// in) under opts.Method, not a caller's forest: only then can
+	// Invalidate re-partition it for an edited design.
 	partitioned bool
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -192,7 +193,16 @@ func (h *Hooks) fire(ctx context.Context, stage Stage, k float64) error {
 // SpanName is the observability span a stage records under
 // ("stage.<name>"); flow.Metrics and the golden fingerprints key stage
 // timings by it.
-func SpanName(stage Stage) string { return "stage." + string(stage) }
+func SpanName(stage Stage) string { return spanPrefix + string(stage) }
+
+// StageOf is SpanName's inverse: the stage a span name records, and
+// whether it names one.
+func StageOf(span string) (Stage, bool) {
+	name, ok := strings.CutPrefix(span, spanPrefix)
+	return Stage(name), ok && name != ""
+}
+
+const spanPrefix = "stage."
 
 // Run executes one pipeline stage with fault isolation: an optional
 // wall-clock budget (0 means none) is applied as a context deadline, a

@@ -248,3 +248,18 @@ func TestNilHooksAndAsStageMisses(t *testing.T) {
 		t.Error("AsStage(nil) != nil")
 	}
 }
+
+// TestStageOfInvertsSpanName: StageOf returns the stage SpanName
+// encoded, and refuses a span that names no stage.
+func TestStageOfInvertsSpanName(t *testing.T) {
+	for _, st := range []Stage{StagePrepare, StageMap, StageVerify, StagePlace, StageRoute} {
+		if got, ok := StageOf(SpanName(st)); !ok || got != st {
+			t.Errorf("StageOf(%q) = %q, %v; want %q, true", SpanName(st), got, ok, st)
+		}
+	}
+	for _, span := range []string{"stage.", "map.cover_only", "stage", ""} {
+		if got, ok := StageOf(span); ok {
+			t.Errorf("StageOf(%q) = %q, true; want false", span, got)
+		}
+	}
+}

@@ -475,8 +475,8 @@ func (s *Server) foldJobMetrics(rec *obs.Recorder, res *JobResult, wall time.Dur
 	snap := rec.Snapshot()
 	s.rec.Merge(obs.Snapshot{Counters: snap.Counters, Histograms: snap.Histograms})
 	for _, sp := range snap.Spans {
-		if stage, ok := cutStagePrefix(sp.Name); ok {
-			s.rec.Observe("serve.stage_ms."+stage, stageWallBoundsMS,
+		if stage, ok := runstage.StageOf(sp.Name); ok {
+			s.rec.Observe("serve.stage_ms."+string(stage), stageWallBoundsMS,
 				float64(sp.Wall)/float64(time.Millisecond))
 		}
 	}
@@ -484,14 +484,6 @@ func (s *Server) foldJobMetrics(rec *obs.Recorder, res *JobResult, wall time.Dur
 	if res != nil && res.Cache != "" {
 		s.rec.Add("serve.jobs_cache_"+res.Cache, 1)
 	}
-}
-
-func cutStagePrefix(name string) (string, bool) {
-	const p = "stage."
-	if len(name) > len(p) && name[:len(p)] == p {
-		return name[len(p):], true
-	}
-	return "", false
 }
 
 // runJobIsolated is runJob behind a recover: a panic anywhere in the
@@ -613,9 +605,6 @@ func (s *Server) prepared(ctx context.Context, spec *JobSpec, prepKey string) (*
 	if err := flow.PrepareMapping(ctx, pc, cfg); err != nil {
 		return nil, "", err
 	}
-	// Concurrent jobs share the DAG read-only; warm the lazy fanout
-	// cache so they cannot race on its rebuild.
-	dag.PrecomputeFanouts()
 	entry := &prepEntry{dag: dag, layout: layout, pc: pc}
 	s.prepCache.add(prepKey, entry)
 	return entry, "cold", nil

@@ -282,11 +282,15 @@ func (s *JobSpec) subjectPLA() (*logic.PLA, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown bench %q", s.Bench)
 	}
-	spec := class.Spec()
-	if s.Scale != 0 && s.Scale != 1.0 {
-		spec = class.ScaledSpec(s.Scale)
+	return bench.Generate(class.SpecAt(s.scale()))
+}
+
+// scale is the benchmark scale the job runs at: 1 when unset.
+func (s *JobSpec) scale() float64 {
+	if s.Scale == 0 {
+		return 1
 	}
-	return bench.Generate(spec)
+	return s.Scale
 }
 
 // PrepKey identifies the K-invariant prefix of the job: everything
@@ -310,11 +314,7 @@ func (s *JobSpec) PrepKey() (string, error) {
 			return "", err
 		}
 	} else {
-		scale := s.Scale
-		if scale == 0 {
-			scale = 1
-		}
-		fmt.Fprintf(h, "bench %s scale %g\n", s.Bench, scale)
+		fmt.Fprintf(h, "bench %s scale %g\n", s.Bench, s.scale())
 	}
 	opts := s.options()
 	aspect := opts.AspectRatio

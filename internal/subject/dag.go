@@ -11,6 +11,7 @@ package subject
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // GateType is the type of a subject-DAG vertex.
@@ -81,10 +82,11 @@ type DAG struct {
 	pis     []int
 	outputs []Output
 	hash    map[[3]int]int
-	// The reader index, built lazily (nil foOff means stale): the
-	// gates reading gate g are foAll[foOff[g]:foOff[g+1]], ascending.
-	foOff []int32
-	foAll []int
+	// fo is the reader index, nil while stale. Fanouts builds and
+	// publishes it on first use, so any number of goroutines may read
+	// a DAG that nobody warmed. The mutators clear it; SetGate patches
+	// it, on a private copy if a clone shares it.
+	fo atomic.Pointer[fanoutIndex]
 	// replicaOf maps a replica gate to the original it was cloned
 	// from (see replica.go). Non-empty means ascending IDs are no
 	// longer a topological order.
@@ -125,7 +127,7 @@ func (d *DAG) AddPI(name string) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: PI, Name: name, In: [2]int{-1, -1}})
 	d.pis = append(d.pis, id)
-	d.foOff = nil
+	d.fo.Store(nil)
 	return id
 }
 
@@ -143,7 +145,7 @@ func (d *DAG) Const(v bool) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: t, In: [2]int{-1, -1}})
 	d.hash[key] = id
-	d.foOff = nil
+	d.fo.Store(nil)
 	return id
 }
 
@@ -166,7 +168,7 @@ func (d *DAG) AddInv(a int) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: Inv, In: [2]int{a, -1}})
 	d.hash[key] = id
-	d.foOff = nil
+	d.fo.Store(nil)
 	return id
 }
 
@@ -195,7 +197,7 @@ func (d *DAG) AddNand2(a, b int) int {
 	id := len(d.gates)
 	d.gates = append(d.gates, Gate{ID: id, Type: Nand2, In: [2]int{a, b}})
 	d.hash[key] = id
-	d.foOff = nil
+	d.fo.Store(nil)
 	return id
 }
 
@@ -225,29 +227,34 @@ func (d *DAG) Fanins(id int) []int {
 
 // Fanouts returns the gates that read id's output, ascending. Output
 // pins are not included; use OutputCount for net degree. The result is
-// cached until the DAG is mutated and must not be modified.
+// cached until the DAG is mutated and must not be modified. Concurrent
+// calls are safe: the first callers build the index, one publishes it,
+// and all of them read the published lists.
 func (d *DAG) Fanouts(id int) []int {
-	if d.foOff == nil {
-		d.rebuildFanouts()
+	x := d.fo.Load()
+	if x == nil {
+		x = d.buildFanouts()
+		if !d.fo.CompareAndSwap(nil, x) {
+			x = d.fo.Load()
+		}
 	}
-	lo, hi := d.foOff[id], d.foOff[id+1]
-	return d.foAll[lo:hi:hi]
+	lo, hi := x.off[id], x.off[id+1]
+	return x.all[lo:hi:hi]
 }
 
-// PrecomputeFanouts builds the fanout cache eagerly. Concurrent
-// readers (the parallel K sweep and per-tree covering share one
-// read-only DAG) must not race on the lazy rebuild inside Fanouts, so
-// parallel sections call this once before fanning out.
-func (d *DAG) PrecomputeFanouts() {
-	if d.foOff == nil {
-		d.rebuildFanouts()
-	}
+// fanoutIndex lists the gates reading gate g as all[off[g]:off[g+1]],
+// ascending. shared is set once a Clone holds the same index, after
+// which SetGate copies it before patching.
+type fanoutIndex struct {
+	off    []int32
+	all    []int
+	shared atomic.Bool
 }
 
-// rebuildFanouts lists each gate's readers in ascending order, as
+// buildFanouts lists each gate's readers in ascending order, as
 // offsets into one array: a counting pass sizes the lists, a second
 // pass fills them.
-func (d *DAG) rebuildFanouts() {
+func (d *DAG) buildFanouts() *fanoutIndex {
 	n := len(d.gates)
 	off := make([]int32, n+1)
 	for i := range d.gates {
@@ -266,7 +273,7 @@ func (d *DAG) rebuildFanouts() {
 			next[fi]++
 		}
 	}
-	d.foOff, d.foAll = off, all
+	return &fanoutIndex{off: off, all: all}
 }
 
 // TopoOrder returns all gate IDs in topological order (fanins first).

@@ -6,8 +6,9 @@ import (
 )
 
 // Clone returns an independent deep copy of the DAG. The copy shares
-// no mutable state with the original: gates, PI and output lists and a
-// built fanout cache are duplicated. The structural-hash table is not:
+// no mutable state with the original: gates, PI and output lists are
+// duplicated, and a built reader index is shared read-only until one
+// side's SetGate copies it. The structural-hash table is not copied:
 // the clone starts with an empty one, as SetGate would leave it, so
 // later Add* calls on the clone stay correct but do not re-share the
 // original's structure. ECO edits mutate a clone so the original can
@@ -25,8 +26,9 @@ func (d *DAG) Clone() *DAG {
 			cp.replicaOf[k] = v
 		}
 	}
-	if d.foOff != nil {
-		cp.foOff, cp.foAll = slices.Clone(d.foOff), slices.Clone(d.foAll)
+	if x := d.fo.Load(); x != nil {
+		x.shared.Store(true)
+		cp.fo.Store(x)
 	}
 	return cp
 }
@@ -73,14 +75,19 @@ func (d *DAG) SetGate(id int, t GateType, in [2]int) error {
 	old := d.gates[id]
 	d.gates[id] = g
 	d.hash = make(map[[3]int]int)
-	if d.foOff != nil {
-		// Patch the fanout cache: id stops reading its old fanins and
-		// starts reading its new ones.
+	if x := d.fo.Load(); x != nil {
+		// Patch the reader index, on a private copy if a clone shares
+		// it: id stops reading its old fanins and starts reading its
+		// new ones.
+		if x.shared.Load() {
+			x = &fanoutIndex{off: slices.Clone(x.off), all: slices.Clone(x.all)}
+			d.fo.Store(x)
+		}
 		for _, fi := range old.In[:old.Type.NumInputs()] {
-			d.moveReader(fi, id, false)
+			x.moveReader(fi, id, false)
 		}
 		for _, fi := range g.In[:n] {
-			d.moveReader(fi, id, true)
+			x.moveReader(fi, id, true)
 		}
 	}
 	return nil
@@ -89,21 +96,21 @@ func (d *DAG) SetGate(id int, t GateType, in [2]int) error {
 // moveReader inserts reader r into gate g's fanout list (add) or
 // removes it, keeping the list ascending and shifting the lists after
 // g's.
-func (d *DAG) moveReader(g, r int, add bool) {
-	lo, hi := d.foOff[g], d.foOff[g+1]
-	at, found := slices.BinarySearch(d.foAll[lo:hi], r)
+func (x *fanoutIndex) moveReader(g, r int, add bool) {
+	lo, hi := x.off[g], x.off[g+1]
+	at, found := slices.BinarySearch(x.all[lo:hi], r)
 	p := int(lo) + at
 	delta := int32(1)
 	if add {
-		d.foAll = slices.Insert(d.foAll, p, r)
+		x.all = slices.Insert(x.all, p, r)
 	} else {
 		if !found {
 			return
 		}
-		d.foAll = slices.Delete(d.foAll, p, p+1)
+		x.all = slices.Delete(x.all, p, p+1)
 		delta = -1
 	}
-	for i := g + 1; i < len(d.foOff); i++ {
-		d.foOff[i] += delta
+	for i := g + 1; i < len(x.off); i++ {
+		x.off[i] += delta
 	}
 }

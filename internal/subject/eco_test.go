@@ -3,6 +3,7 @@ package subject
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -18,16 +19,12 @@ func readers(d *DAG) [][]int {
 	return out
 }
 
-// TestSetGatePatchesClonedFanouts: a clone carries its original's
-// fanout cache, SetGate patches it in place, and the patched cache
-// lists exactly the readers of the edited DAG while the original's
-// stays as it was.
-func TestSetGatePatchesClonedFanouts(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(1))
+// randomDAG builds a random base-gate DAG of about n gates over three
+// PIs, with one output on its last gate. Nothing reads its fanouts.
+func randomDAG(rng *rand.Rand, n int) *DAG {
 	d := New()
 	ids := []int{d.AddPI("a"), d.AddPI("b"), d.AddPI("c")}
-	for len(ids) < 120 {
+	for len(ids) < n {
 		a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
 		if rng.Intn(3) == 0 {
 			ids = append(ids, d.AddInv(a))
@@ -36,7 +33,18 @@ func TestSetGatePatchesClonedFanouts(t *testing.T) {
 		}
 	}
 	d.AddOutput("o", ids[len(ids)-1])
-	d.PrecomputeFanouts()
+	return d
+}
+
+// TestSetGatePatchesClonedFanouts: a clone shares its original's
+// reader index, SetGate patches a private copy of it, and the patched
+// index lists exactly the readers of the edited DAG while the
+// original's stays as it was.
+func TestSetGatePatchesClonedFanouts(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	d := randomDAG(rng, 120)
+	d.Fanouts(0)
 	want := readers(d)
 	cur := d
 	for step := 0; step < 40; step++ {
@@ -69,6 +77,81 @@ func TestSetGatePatchesClonedFanouts(t *testing.T) {
 			t.Fatalf("original gate %d fanouts %v changed from %v", g, got, want[g])
 		}
 	}
+}
+
+// TestConcurrentFirstFanouts: goroutines that all call Fanouts first
+// on a DAG nobody warmed — a fresh one, a clone edited by SetGate read
+// beside its original, and a clone grown by AddReplicaOf — each get
+// the readers a serial scan lists, and all of them the same lists.
+func TestConcurrentFirstFanouts(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	d := randomDAG(rng, 400)
+	want := readers(d)
+	check := func(name string, dags []*DAG, wants [][][]int) {
+		t.Helper()
+		const readersN = 8
+		got := make([][][][]int, readersN)
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[r] = make([][][]int, len(dags))
+				for i, dd := range dags {
+					got[r][i] = make([][]int, dd.NumGates())
+					for g := range got[r][i] {
+						got[r][i][g] = dd.Fanouts(g)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range dags {
+			for g, rs := range wants[i] {
+				for r := range got {
+					lst := got[r][i][g]
+					if !slices.Equal(lst, rs) {
+						t.Fatalf("%s: DAG %d gate %d reader %d: fanouts %v, readers %v", name, i, g, r, lst, rs)
+					}
+					if len(lst) > 0 && &lst[0] != &got[0][i][g][0] {
+						t.Fatalf("%s: DAG %d gate %d: readers %d and 0 got different lists", name, i, g, r)
+					}
+				}
+			}
+		}
+	}
+	check("fresh", []*DAG{d}, [][][]int{want})
+
+	edited := d.Clone()
+	for e := 0; e < 20; e++ {
+		g := 3 + rng.Intn(edited.NumGates()-3)
+		if t := edited.Gate(g).Type; t != Nand2 && t != Inv {
+			continue
+		}
+		a, b := rng.Intn(g), rng.Intn(g)
+		var err error
+		if a == b {
+			err = edited.SetGate(g, Inv, [2]int{a, -1})
+		} else {
+			err = edited.SetGate(g, Nand2, [2]int{a, b})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("SetGate clone", []*DAG{edited, d}, [][][]int{readers(edited), want})
+
+	replicated := d.Clone()
+	for _, g := range []int{len(want) - 1, len(want) / 2} {
+		if t := replicated.Gate(g).Type; t != Nand2 && t != Inv {
+			continue
+		}
+		if _, err := replicated.AddReplicaOf(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("AddReplicaOf clone", []*DAG{replicated, d}, [][][]int{readers(replicated), want})
 }
 
 // TestCloneRewireDoesNotReshare: a clone starts without the original's

@@ -43,7 +43,7 @@ func (d *DAG) AddReplicaOf(id int) (int, error) {
 		src = o
 	}
 	d.replicaOf[rid] = src
-	d.foOff = nil
+	d.fo.Store(nil)
 	return rid, nil
 }
 
@@ -94,7 +94,7 @@ func (d *DAG) RewireFanin(sink, from, to int) error {
 	if !found {
 		return fmt.Errorf("subject: RewireFanin sink %d has no fanin %d", sink, from)
 	}
-	d.foOff = nil
+	d.fo.Store(nil)
 	return nil
 }
 

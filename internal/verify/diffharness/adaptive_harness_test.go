@@ -11,8 +11,8 @@ import (
 	"context"
 	"fmt"
 
+	"casyn"
 	"casyn/internal/bnet"
-	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
@@ -42,13 +42,7 @@ func prepareFlow(ctx context.Context, name string, p *logic.PLA, cfg Config) (*s
 	if err != nil {
 		return nil, nil, flow.Config{}, fmt.Errorf("diffharness: %s: %w", name, err)
 	}
-	fcfg := flow.Config{
-		Layout:         layout,
-		PlaceOpts:      experiments.PlaceOpts(),
-		RouteOpts:      experiments.RouteOpts(),
-		FreshPlacement: true,
-		Dies:           cfg.Dies,
-	}
+	fcfg := casyn.FlowConfig(layout, casyn.Options{Dies: cfg.Dies})
 	if cfg.Dies > 1 {
 		// An example circuit's die is a handful of gcells, whose derated
 		// boundary capacity truncates the derived inter-die pin budget

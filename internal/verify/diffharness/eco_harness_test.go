@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"casyn"
 	"casyn/internal/bnet"
-	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
@@ -117,12 +117,9 @@ func RunECOSweep(ctx context.Context, name string, p *logic.PLA, cfg ECOConfig) 
 	// Seeded placement (the paper's methodology and the top-level API
 	// default) so nudge and swap edits flow through legalization into
 	// the routed result, not just the cover's wire estimates.
-	fcfg := flow.Config{
-		Layout:    layout,
-		PlaceOpts: experiments.PlaceOpts(),
-		RouteOpts: experiments.RouteOpts(),
-		KSchedule: cfg.Ks,
-	}
+	fcfg := casyn.FlowConfig(layout, casyn.Options{})
+	fcfg.FreshPlacement = false
+	fcfg.KSchedule = cfg.Ks
 	pc, err := flow.Prepare(ctx, d, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("diffharness: %s: %w", name, err)

@@ -28,8 +28,8 @@ import (
 	"fmt"
 	"strings"
 
+	"casyn"
 	"casyn/internal/bnet"
-	"casyn/internal/experiments"
 	"casyn/internal/flow"
 	"casyn/internal/library"
 	"casyn/internal/logic"
@@ -125,13 +125,8 @@ func Run(ctx context.Context, name string, p *logic.PLA, cfg Config) (*Result, e
 	if err != nil {
 		return nil, fmt.Errorf("diffharness: %s: %w", name, err)
 	}
-	fcfg := flow.Config{
-		Layout:         layout,
-		PlaceOpts:      experiments.PlaceOpts(),
-		RouteOpts:      experiments.RouteOpts(),
-		FreshPlacement: true,
-		KSchedule:      cfg.Ks,
-	}
+	fcfg := casyn.FlowConfig(layout, casyn.Options{})
+	fcfg.KSchedule = cfg.Ks
 	pc, err := flow.Prepare(ctx, d, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("diffharness: %s: %w", name, err)
